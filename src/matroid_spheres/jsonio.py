@@ -64,14 +64,28 @@ def complex_from_json(spec: Mapping) -> SimplicialComplex:
     """Accepts both the signed-vertex form and plain vertex labels."""
     if not isinstance(spec, Mapping) or "vertices" not in spec or "maximal_faces" not in spec:
         raise MatroidInputError("complex file needs 'vertices' and 'maximal_faces'")
-    raw = spec["vertices"]
+    raw, raw_faces = spec["vertices"], spec["maximal_faces"]
+    if not isinstance(raw, list) or not isinstance(raw_faces, list):
+        raise MatroidInputError("'vertices' and 'maximal_faces' must be lists")
     vertices = []
     for v in raw:
         if isinstance(v, Mapping):
+            if not isinstance(v.get("coatom"), list) or "sign" not in v:
+                raise MatroidInputError(f"signed vertex {v} needs a 'coatom' list and a 'sign'")
             vertices.append((tuple(str(e) for e in v["coatom"]), str(v["sign"])))
+        elif isinstance(v, list):
+            raise MatroidInputError(f"vertex label {v} is a list")
         else:
             vertices.append(v)
-    faces = [[vertices[i] for i in face] for face in spec["maximal_faces"]]
+    faces = []
+    for face in raw_faces:
+        if not isinstance(face, list) or not all(
+            type(i) is int and 0 <= i < len(vertices) for i in face
+        ):
+            raise MatroidInputError(
+                f"maximal face {face!r} needs integer vertex indices in 0..{len(vertices) - 1}"
+            )
+        faces.append([vertices[i] for i in face])
     return SimplicialComplex(faces, vertex_order=vertices)
 
 

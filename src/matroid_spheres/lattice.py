@@ -397,6 +397,23 @@ def linear_matroid(
     return GeometricLattice(elements, flats.keys(), flats)
 
 
+def _int_field(spec: Mapping, key: str) -> int:
+    """An integer field of a matroid spec.  Integers, integer strings such
+    as "3" and integral floats are accepted; anything else ("x", 2.5, true)
+    is an input error."""
+    value = spec[key]
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    elif isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise MatroidInputError(f"{key!r} must be an integer, got {value!r}")
+
+
 def load_matroid(spec: Mapping, validate: bool = True) -> GeometricLattice:
     """Build a lattice from a matroid description dict.
 
@@ -409,7 +426,7 @@ def load_matroid(spec: Mapping, validate: bool = True) -> GeometricLattice:
     fmt = spec["format"]
     try:
         if fmt == "uniform":
-            return uniform_matroid(int(spec["r"]), int(spec["n"]))
+            return uniform_matroid(_int_field(spec, "r"), _int_field(spec, "n"))
         if fmt == "flats":
             ground = [str(e) for e in spec["ground_set"]]
             return lattice_from_flats(ground, [[str(e) for e in f] for f in spec["flats"]],
@@ -417,10 +434,13 @@ def load_matroid(spec: Mapping, validate: bool = True) -> GeometricLattice:
         if fmt == "linear":
             field = spec.get("field", "Q")
             if field == "Q":
-                cols = [[Fraction(str(x)) for x in col] for col in spec["columns"]]
+                try:
+                    cols = [[Fraction(str(x)) for x in col] for col in spec["columns"]]
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise MatroidInputError(f"bad rational entry: {exc}") from exc
                 return linear_matroid(cols, None, spec.get("ground_set"))
             if field == "GF":
-                return linear_matroid(spec["columns"], int(spec["p"]), spec.get("ground_set"))
+                return linear_matroid(spec["columns"], _int_field(spec, "p"), spec.get("ground_set"))
             raise MatroidInputError(f"unknown field {field!r}")
     except KeyError as exc:
         raise MatroidInputError(f"matroid spec is missing {exc}") from exc

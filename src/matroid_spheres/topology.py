@@ -1,13 +1,18 @@
 """Generic combinatorial topology: complexes, posets, nerves, exact homology.
 
-Reduced integer homology is computed from boundary matrices by Smith normal
-form over arbitrary-precision integers; a homology sphere/point profile is
-the computable certificate used in place of homotopy type throughout.
+Reduced integer homology is computed on the strong-collapse core of a
+complex: dominated vertices are deleted, working on maximal faces only,
+which is a strong deformation retraction (Barmak and Minian, 2012).  The
+faces of the core then give boundary matrices, reduced by Smith normal form
+over arbitrary-precision integers with unit pivots taken first (Dumas,
+Saunders and Villard, 2001).  A homology sphere/point profile is the
+computable certificate used in place of homotopy type throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
@@ -302,9 +307,11 @@ def sphere_profile(d: int) -> HomologyProfile:
 def smith_invariant_factors(entries: Mapping[tuple[int, int], int], nrows: int, ncols: int) -> list[int]:
     """Invariant factors (diagonal of Smith normal form) of a sparse integer matrix.
 
-    entries maps (row, col) to a nonzero integer.  Pivots are chosen with
-    minimal absolute value to keep intermediate entries small; the collected
-    diagonal is normalized into a divisibility chain at the end.
+    entries maps (row, col) to a nonzero integer.  The first unit (+-1)
+    entry is taken as the pivot, which needs no gcd steps; only when no unit
+    is left is the pivot chosen with minimal absolute value, to keep
+    intermediate entries small.  The collected diagonal is normalized into a
+    divisibility chain at the end.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
@@ -333,11 +340,18 @@ def smith_invariant_factors(entries: Mapping[tuple[int, int], int], nrows: int, 
 
     diagonal: list[int] = []
     while rows:
-        # min-abs pivot, ties broken by sparsity then position for determinism
-        pi, pj = min(
-            ((i, j) for i, r in rows.items() for j in r),
-            key=lambda ij: (abs(rows[ij[0]][ij[1]]), len(rows[ij[0]]) * len(cols[ij[1]]), ij),
+        unit = next(
+            ((i, j) for i, r in rows.items() for j, v in r.items() if v == 1 or v == -1),
+            None,
         )
+        if unit is not None:
+            pi, pj = unit
+        else:
+            # min-abs pivot, ties broken by sparsity then position for determinism
+            pi, pj = min(
+                ((i, j) for i, r in rows.items() for j in r),
+                key=lambda ij: (abs(rows[ij[0]][ij[1]]), len(rows[ij[0]]) * len(cols[ij[1]]), ij),
+            )
         while True:
             p = rows[pi][pj]
             off = next((i for i in cols[pj] if i != pi and rows[i][pj] % p != 0), None)
@@ -395,12 +409,79 @@ def _boundary_entries(lower: list[frozenset], upper: list[frozenset], complex_: 
     return entries
 
 
-def reduced_homology(complex_: SimplicialComplex) -> HomologyProfile:
-    """Reduced integer homology from Smith normal forms of boundary maps.
+def strong_collapse_core(complex_: SimplicialComplex) -> SimplicialComplex:
+    """Delete dominated vertices until none is left.
 
+    A vertex v is dominated (by w != v) when every maximal face containing v
+    also contains w.  Deleting it is a strong deformation retraction, so the
+    core has the homotopy type, and the homology, of the complex.  Works on
+    maximal faces only, as vertex bitmasks.  Each round goes from the last
+    vertex down and deletes every vertex with a dominator not yet deleted.
+    That is a valid sequence of single deletions: domination is transitive,
+    so each deleted vertex is dominated by one that stays, and it stays
+    dominated by that vertex while others are deleted.  Of a group of
+    mutually dominating vertices the earliest stays.  Returns the complex
+    itself when nothing is dominated.
+    """
+    n = len(complex_.vertices)
+    pos = complex_._vpos
+    facets = [sum(1 << pos[v] for v in m) for m in complex_.maximal_faces]
+    collapsed = False
+    while True:
+        star_meet = [-1] * n  # intersection of the maximal faces containing v
+        for f in facets:
+            bits = f
+            while bits:
+                low = bits & -bits
+                star_meet[low.bit_length() - 1] &= f
+                bits ^= low
+        drop = 0
+        for v in reversed(range(n)):
+            bit = 1 << v
+            if star_meet[v] != -1 and star_meet[v] & ~bit & ~drop:
+                drop |= bit
+        if not drop:
+            break
+        collapsed = True
+        facets = _maximal_masks({f & ~drop for f in facets})
+    if not collapsed:
+        return complex_
+    verts = complex_.vertices
+    return SimplicialComplex(
+        [[verts[i] for i in range(n) if f >> i & 1] for f in facets], vertex_order=verts
+    )
+
+
+def _maximal_masks(masks: set[int]) -> list[int]:
+    out: list[int] = []
+    for f in sorted(masks, key=int.bit_count, reverse=True):
+        if not any(f & ~g == 0 for g in out):
+            out.append(f)
+    return out
+
+
+# Distinct complexes whose homology is kept; callers such as
+# verify_retraction ask for the same S_0 once per flag pair.
+_HOMOLOGY_MEMO_SIZE = 256
+
+
+@lru_cache(maxsize=_HOMOLOGY_MEMO_SIZE)
+def reduced_homology(complex_: SimplicialComplex) -> HomologyProfile:
+    """Reduced integer homology, computed on the strong-collapse core.
+
+    The profile lists every dimension of the complex itself, up to
+    ``dimension(complex_)``, with zero groups above the core's dimension.
     The empty complex gets the empty profile (all groups trivial in
     dimensions >= 0), matching the convention that it is a (-1)-sphere.
+    Results are memoized per complex (instances are immutable).
     """
+    dims = _face_homology(strong_collapse_core(complex_)).dims
+    return HomologyProfile(dims + ((0, ()),) * (dimension(complex_) + 1 - len(dims)))
+
+
+def _face_homology(complex_: SimplicialComplex) -> HomologyProfile:
+    """Reduced homology from Smith normal forms of boundary maps over every
+    face of the complex; ``reduced_homology`` runs it on the core only."""
     if complex_.is_empty:
         return HomologyProfile(())
     by_dim: dict[int, list[frozenset]] = {}

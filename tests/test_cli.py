@@ -177,3 +177,32 @@ def test_outputs_are_deterministic(runner, tmp_path):
 def test_missing_file_exits_2(runner):
     result = run(runner, "validate", "no_such_file.json")
     assert result.exit_code == 2
+
+
+def test_validate_non_integer_rank_exits_2(runner, tmp_path):
+    bad = tmp_path / "bad_rank.json"
+    bad.write_text('{"format": "uniform", "r": "x", "n": 4}')
+    result = run(runner, "validate", bad)
+    assert result.exit_code == 2
+    assert "'r' must be an integer" in result.output
+
+
+@pytest.mark.parametrize("faces", [[[0, 1, 6]], [[0, -1]], [[0, "1"]], [[0, 1.0]], [0]])
+def test_homology_bad_face_index_exits_2(runner, tmp_path, faces):
+    bad = tmp_path / "bad_index.json"
+    bad.write_text(json.dumps({"vertices": list(range(3)), "maximal_faces": faces}))
+    result = run(runner, "homology", bad)
+    assert result.exit_code == 2
+    assert "input error:" in result.output
+
+
+def test_homology_of_represented_s0_lists_every_dimension(runner, tmp_path):
+    # S_0 of U(3,4) under this flag has 5-dimensional facets; its core is an
+    # octahedron, and the report still lists dims 0..5.
+    run(runner, "represent", DATA / "u34.json", "--flag", DATA / "f_1_12.json",
+        "--out", tmp_path)
+    result = run(runner, "homology", tmp_path / "S_0.json")
+    assert result.exit_code == 0
+    assert result.output == "".join(
+        f"dim {d}: betti {int(d == 2)}, torsion []\n" for d in range(6)
+    )

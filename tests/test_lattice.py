@@ -77,6 +77,22 @@ def test_load_malformed_spec():
         load_matroid({"no_format": True})
 
 
+@pytest.mark.parametrize("r, n", [("x", 4), (2, "four"), (2.5, 4), (True, 4), (2, None)])
+def test_load_uniform_non_integer_rank(r, n):
+    with pytest.raises(MatroidInputError, match="must be an integer"):
+        load_matroid({"format": "uniform", "r": r, "n": n})
+
+
+def test_load_rational_linear_bad_entry():
+    with pytest.raises(MatroidInputError, match="bad rational entry"):
+        load_matroid({"format": "linear", "field": "Q", "columns": [["x", "1"], ["1", "0"]]})
+
+
+def test_load_uniform_integer_forms():
+    for r, n in (("2", "4"), (2.0, 4)):
+        assert load_matroid({"format": "uniform", "r": r, "n": n}).r == 2
+
+
 def test_closure_examples(u24, fano):
     assert u24.closure({"1", "3"}) == frozenset({"1", "2", "3", "4"})
     assert u24.closure({"2"}) == frozenset({"2"})
