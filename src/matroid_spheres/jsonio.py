@@ -11,7 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Mapping
 
-from .lattice import Flag, GeometricLattice, MatroidInputError, default_flag, load_matroid, make_flag
+from .lattice import (Flag, GeometricLattice, MatroidInputError, _int_field, default_flag, load_matroid,
+                      make_flag)
 from .oriented import VectorConfig, vector_config
 from .spheres import Vertex
 from .topology import SimplicialComplex
@@ -100,10 +101,10 @@ def vector_config_from_json(spec: Mapping) -> VectorConfig:
     for e in elements:
         try:
             cols.append([Fraction(str(x)) for x in columns[e]])
-        except (ValueError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise MatroidInputError(f"bad rational entry for element {e}: {exc}") from exc
     cfg = vector_config(cols, elements)
-    if "dimension" in spec and int(spec["dimension"]) != cfg.dimension:
+    if "dimension" in spec and _int_field(spec, "dimension") != cfg.dimension:
         raise MatroidInputError("declared dimension does not match the columns")
     return cfg
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import is_prime, rank_gfp, rank_q
+from .linalg import echelon, integer_row, is_prime, reduce
 from .report import ValidationReport
 
 Flat = frozenset  # a flat is a frozenset of element labels
@@ -352,8 +352,11 @@ def linear_matroid(
     """Matroid of a vector configuration, one column per element.
 
     Columns are exact rationals (p is None) or integers mod a prime p.
-    Flats are enumerated rank by rank through the closure operator, which
-    stays polynomial in the number of flats.
+    Flats are found by span membership: each flat keeps one echelon basis
+    and its closure is the set of elements whose column reduces to zero
+    against it.  Rank k+1 is grown from each rank-k flat F one cover at a
+    time; the covers of F partition E \\ F, so an element inside a cover
+    already found is skipped and each cover costs one closure.
     """
     n = len(columns)
     if n == 0:
@@ -364,44 +367,36 @@ def linear_matroid(
         raise MatroidInputError("element count must match column count")
     if p is not None and not is_prime(p):
         raise MatroidInputError(f"{p} is not prime")
-    if p is None:
-        vecs = {e: tuple(Fraction(x) for x in col) for e, col in zip(elements, columns)}
-        rank_fn = lambda es: rank_q([vecs[e] for e in es])
-    else:
-        vecs = {e: tuple(int(x) % p for x in col) for e, col in zip(elements, columns)}
-        rank_fn = lambda es: rank_gfp([vecs[e] for e in es], p)
-    dims = {len(col) for col in columns}
-    if len(dims) != 1:
+    if len({len(col) for col in columns}) != 1:
         raise MatroidInputError("columns must share a dimension")
+    rows = {e: integer_row(col, p) for e, col in zip(elements, columns)}
 
-    def closure(a: frozenset) -> frozenset:
-        ra = rank_fn(sorted(a))
-        return frozenset(e for e in elements if rank_fn(sorted(a) + [e]) == ra)
+    def closure(f: frozenset, basis) -> frozenset:
+        return f.union(e for e in elements if e not in f and not any(reduce(basis, rows[e], p)))
 
-    bottom = closure(frozenset())
+    bottom = closure(frozenset(), [])
     flats: dict[frozenset, int] = {bottom: 0}
-    frontier = [bottom]
+    frontier = [(bottom, [])]
     level = 0
-    full = frozenset(elements)
     while frontier:
         level += 1
-        nxt: set[frozenset] = set()
-        for f in frontier:
-            for e in full - f:
-                c = closure(f | {e})
-                if c not in flats:
-                    nxt.add(c)
-        for c in nxt:
-            flats[c] = level
-        frontier = sorted(nxt, key=len)
+        covers: dict[frozenset, list] = {}
+        for f, basis in frontier:
+            covered = set(f)
+            for e in elements:
+                if e not in covered:
+                    grown = echelon([rows[e]], p, basis)
+                    cover = closure(f, grown)
+                    covered |= cover
+                    covers.setdefault(cover, grown)
+        flats.update(dict.fromkeys(covers, level))
+        frontier = list(covers.items())
     return GeometricLattice(elements, flats.keys(), flats)
 
 
-def _int_field(spec: Mapping, key: str) -> int:
-    """An integer field of a matroid spec.  Integers, integer strings such
-    as "3" and integral floats are accepted; anything else ("x", 2.5, true)
-    is an input error."""
-    value = spec[key]
+def _integer(value, name: str) -> int:
+    """Integers, integer strings such as "3" and integral floats are
+    accepted; anything else ("x", 2.5, true) is an input error."""
     if isinstance(value, str):
         try:
             return int(value)
@@ -411,7 +406,12 @@ def _int_field(spec: Mapping, key: str) -> int:
         return value
     elif isinstance(value, float) and value.is_integer():
         return int(value)
-    raise MatroidInputError(f"{key!r} must be an integer, got {value!r}")
+    raise MatroidInputError(f"{name} must be an integer, got {value!r}")
+
+
+def _int_field(spec: Mapping, key: str) -> int:
+    """An integer field of a spec, by the rule of ``_integer``."""
+    return _integer(spec[key], repr(key))
 
 
 def load_matroid(spec: Mapping, validate: bool = True) -> GeometricLattice:
@@ -432,15 +432,18 @@ def load_matroid(spec: Mapping, validate: bool = True) -> GeometricLattice:
             return lattice_from_flats(ground, [[str(e) for e in f] for f in spec["flats"]],
                                       validate=validate)
         if fmt == "linear":
-            field = spec.get("field", "Q")
+            field, cols = spec.get("field", "Q"), spec["columns"]
+            if not isinstance(cols, list) or not all(isinstance(col, list) for col in cols):
+                raise MatroidInputError("'columns' must be a list of lists")
             if field == "Q":
                 try:
-                    cols = [[Fraction(str(x)) for x in col] for col in spec["columns"]]
+                    cols = [[Fraction(str(x)) for x in col] for col in cols]
                 except (ValueError, ZeroDivisionError) as exc:
                     raise MatroidInputError(f"bad rational entry: {exc}") from exc
                 return linear_matroid(cols, None, spec.get("ground_set"))
             if field == "GF":
-                return linear_matroid(spec["columns"], _int_field(spec, "p"), spec.get("ground_set"))
+                cols = [[_integer(x, "GF entry") for x in col] for col in cols]
+                return linear_matroid(cols, _int_field(spec, "p"), spec.get("ground_set"))
             raise MatroidInputError(f"unknown field {field!r}")
     except KeyError as exc:
         raise MatroidInputError(f"matroid spec is missing {exc}") from exc

@@ -206,3 +206,25 @@ def test_homology_of_represented_s0_lists_every_dimension(runner, tmp_path):
     assert result.output == "".join(
         f"dim {d}: betti {int(d == 2)}, torsion []\n" for d in range(6)
     )
+
+
+@pytest.mark.parametrize("spec", [
+    {"format": "linear", "field": "GF", "p": 2, "columns": [[1, "x"], [0, 1]]},
+    {"format": "linear", "field": "GF", "p": 2, "columns": [[1, 1.5], [0, 1]]},
+    {"format": "linear", "field": "GF", "p": 2, "columns": 5},
+    {"format": "linear", "field": "Q", "columns": 5},
+])
+def test_validate_malformed_linear_columns_exits_2(runner, tmp_path, spec):
+    bad = tmp_path / "bad_columns.json"
+    bad.write_text(json.dumps(spec))
+    result = run(runner, "validate", bad)
+    assert result.exit_code == 2
+    assert "input error:" in result.output
+
+
+def test_om_covectors_non_integer_dimension_exits_2(runner, tmp_path):
+    bad = tmp_path / "bad_dimension.json"
+    bad.write_text(json.dumps({"dimension": "x", "columns": {"1": [1, 0], "2": [0, 1]}}))
+    result = run(runner, "om", "covectors", bad)
+    assert result.exit_code == 2
+    assert "'dimension' must be an integer" in result.output

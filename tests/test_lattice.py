@@ -88,6 +88,18 @@ def test_load_rational_linear_bad_entry():
         load_matroid({"format": "linear", "field": "Q", "columns": [["x", "1"], ["1", "0"]]})
 
 
+@pytest.mark.parametrize("entry", [True, None, [1]])
+def test_load_gf_linear_non_integer_entry(entry):
+    with pytest.raises(MatroidInputError, match="GF entry must be an integer"):
+        load_matroid({"format": "linear", "field": "GF", "p": 2, "columns": [[1, entry], [0, 1]]})
+
+
+def test_load_gf_linear_integer_forms(fano):
+    cols = [[str(x) if i % 2 else x for i, x in enumerate(col)] for col in FANO_COLUMNS]
+    lat = load_matroid({"format": "linear", "field": "GF", "p": 2, "columns": cols})
+    assert lat.flats == fano.flats
+
+
 def test_load_uniform_integer_forms():
     for r, n in (("2", "4"), (2.0, 4)):
         assert load_matroid({"format": "uniform", "r": r, "n": n}).r == 2
