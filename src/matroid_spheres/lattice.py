@@ -56,6 +56,8 @@ class GeometricLattice:
         self.bottom: frozenset = min(self.flats, key=lambda f: (self.rank_of[f], len(f)))
         self.top: frozenset = max(self.flats, key=lambda f: (self.rank_of[f], len(f)))
         self.r: int = self.rank_of[self.top]
+        self._atoms = tuple(f for f in self.flats if self.rank_of[f] == self.rank_of[self.bottom] + 1)
+        self._coatoms = tuple(f for f in self.flats if self.rank_of[f] == self.r - 1)
 
     # -- canonical ordering ------------------------------------------------
 
@@ -109,25 +111,19 @@ class GeometricLattice:
         return self.closure(frozenset(x) | frozenset(y))
 
     def atoms(self) -> tuple[frozenset, ...]:
-        return tuple(f for f in self.flats if self.rank_of[f] == self.rank_of[self.bottom] + 1)
+        return self._atoms
 
     def coatoms(self) -> tuple[frozenset, ...]:
-        return tuple(f for f in self.flats if self.rank_of[f] == self.r - 1)
+        return self._coatoms
 
     def coat_above(self, flat: frozenset) -> tuple[frozenset, ...]:
         x = frozenset(flat)
-        return tuple(c for c in self.coatoms() if x <= c)
+        return tuple(c for c in self._coatoms if x <= c)
 
     def upper_covers(self, flat: frozenset) -> tuple[frozenset, ...]:
         x = frozenset(flat)
         above = [f for f in self.flats if x < f]
         return tuple(f for f in above if not any(x < g < f for g in above))
-
-    def interval(self, x: frozenset, y: frozenset) -> "GeometricLattice":
-        """The interval [x, y] as a lattice with shifted ranks."""
-        sub = [f for f in self.flats if x <= f <= y]
-        base = self.rank_of[frozenset(x)]
-        return GeometricLattice(self.elements, sub, {f: self.rank_of[f] - base for f in sub})
 
     def rank_of_subset(self, subset: Iterable[str]) -> int:
         return self.rank(self.closure(subset))
@@ -212,6 +208,21 @@ def flag_restrict(
 # -- verification -----------------------------------------------------------
 
 
+def _bits(s: int):
+    """Indices of the set bits of s, lowest first."""
+    while s:
+        low = s & -s
+        yield low.bit_length() - 1
+        s ^= low
+
+
+def _and_all(table: list[int], s: int, acc: int) -> int:
+    """acc AND table[i] for every index i in the bitset s."""
+    for i in _bits(s):
+        acc &= table[i]
+    return acc
+
+
 def verify_geometric(lattice: GeometricLattice, intervals: bool = True) -> ValidationReport:
     """Check every geometric-lattice axiom, reporting each separately.
 
@@ -219,96 +230,89 @@ def verify_geometric(lattice: GeometricLattice, intervals: bool = True) -> Valid
     meet-closed (the meet of two flats is their intersection), ranked,
     atomicity, semimodularity, the coatom-meet identity, and optionally
     that every interval is itself geometric.
+
+    The checks run on integer bitset tables built once per call: each flat's
+    element mask, and ``up[i]``/``down[i]``, the indices of the flats above
+    and below flat i.  Flats are sorted by size, so the lowest index of a set
+    of upper bounds is its only candidate least element.  Every interval
+    [x, y] is still checked, as the index set ``up[x] & down[y]``.
     """
-    rep = ValidationReport()
     flats = lattice.flats
-    rk = lattice.rank_of
+    n = len(flats)
+    pos = {e: i for i, e in enumerate(lattice.elements)}
+    masks = [sum(1 << pos[e] for e in f) for f in flats]
+    index = {m: i for i, m in enumerate(masks)}
+    full = (1 << len(pos)) - 1
+    rk = [lattice.rank_of[f] for f in flats]
+    up, down = [0] * n, [0] * n
+    for i, m in enumerate(masks):
+        for j in range(i, n):  # a superset never sorts before its subset
+            if m & masks[j] == m:
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    # jumps[i]: the upper covers of flat i whose rank is not rank(i) + 1.
+    # Every index set checked is an interval, so its covers are these covers
+    # and the meet of two of its flats, if it is a flat, lies in it.
+    jumps = []
+    for i in range(n):
+        above = between = up[i] ^ 1 << i
+        for j in _bits(above):
+            between &= ~up[j] | 1 << j
+        jumps.append(sum(1 << j for j in _bits(between) if rk[j] != rk[i] + 1))
 
-    bottoms = [f for f in flats if not any(g < f for g in flats)]
-    tops = [f for f in flats if not any(f < g for g in flats)]
-    is_bounded = len(bottoms) == 1 and len(tops) == 1
+    def name(i: int) -> list[str]:
+        return sorted(flats[i])
 
-    meet_closed = all((x & y) in lattice._flatset for x, y in combinations(flats, 2))
-    rep.add("meet-closed", meet_closed, "" if meet_closed else "not meet-closed")
+    def check(I: int, shift: int) -> list[tuple[str, bool, str]]:
+        """The checks on the flats with index in I, ranks less shift."""
+        idx = list(_bits(I))
+        bounded = (sum(down[i] & I == 1 << i for i in idx) == 1
+                   and sum(up[i] & I == 1 << i for i in idx) == 1)
+        meet_closed, joins_ok, semi = True, bounded, ""
+        for k, a in enumerate(idx):
+            ua = up[a] & I
+            for b in idx[k + 1:]:
+                m = index.get(masks[a] & masks[b], -1)
+                if m < 0:
+                    meet_closed = False
+                ub = ua & up[b]
+                j = (ub & -ub).bit_length() - 1  # the join, if there is one
+                if not ub or ub & ~up[j]:
+                    joins_ok = False
+                elif not semi and m >= 0 and rk[a] + rk[b] < rk[m] + rk[j]:
+                    semi = f"rank({name(a)})+rank({name(b)}) < rank(meet)+rank(join)"
+        # A bounded family's bottom is its smallest flat, and its top the largest.
+        bottom, top = idx[0], idx[-1]
+        ranked = bounded and rk[bottom] == shift and not any(jumps[i] & I for i in idx)
+        out = [("meet-closed", meet_closed, "" if meet_closed else "not meet-closed"),
+               ("lattice", joins_ok and meet_closed, "" if joins_ok else "meets or joins missing"),
+               ("ranked", ranked, "" if ranked else "covers do not increase rank by one")]
+        if not (meet_closed and joins_ok and ranked):
+            return out + [(c, False, "skipped: not a ranked lattice")
+                          for c in ("atomic", "semimodular", "coatom-meet")]
+        atoms = sum(1 << i for i in idx if rk[i] == rk[bottom] + 1)
+        coatoms = sum(1 << i for i in idx if rk[i] == rk[top] - 1)
+        # f is atomic when no flat sorted before f lies above all its atoms
+        f = next((f for f in idx if _and_all(up, atoms & down[f], I) & ((1 << f) - 1)), None)
+        atomic = "" if f is None else f"{name(f)} is not a join of atoms"
+        # below the top, an empty AND is the whole ground set, which is not f
+        f = next((f for f in idx if f != top
+                  and _and_all(masks, coatoms & up[f], full) != masks[f]), None)
+        cm = "" if f is None else f"{name(f)} is not the meet of its coatoms"
+        return out + [(c, not detail, detail) for c, detail in
+                      (("atomic", atomic), ("semimodular", semi), ("coatom-meet", cm))]
 
-    # Join existence: a unique minimal common upper bound for every pair.
-    joins_ok = is_bounded
-    if is_bounded:
-        for x, y in combinations(flats, 2):
-            ubs = [f for f in flats if x <= f and y <= f]
-            mins = [f for f in ubs if not any(g < f for g in ubs)]
-            if len(mins) != 1:
-                joins_ok = False
-                break
-    rep.add("lattice", is_bounded and meet_closed and joins_ok,
-            "" if (is_bounded and joins_ok) else "meets or joins missing")
-
-    ranked = rk[lattice.bottom] == 0 if is_bounded else False
-    if ranked:
-        for x in flats:
-            for y in lattice.upper_covers(x):
-                if rk[y] != rk[x] + 1:
-                    ranked = False
-                    break
-            if not ranked:
-                break
-    rep.add("ranked", ranked, "" if ranked else "covers do not increase rank by one")
-
-    ok_base = is_bounded and meet_closed and joins_ok and ranked
-    if ok_base:
-        atom_set = lattice.atoms()
-        atomic = True
-        for f in flats:
-            below = frozenset().union(*[a for a in atom_set if a <= f]) if any(a <= f for a in atom_set) else frozenset()
-            # join of the atoms below f must be f itself
-            candidates = [g for g in flats if below <= g]
-            if min(candidates, key=lattice.key) != f:
-                atomic = False
-                break
-        rep.add("atomic", atomic, "" if atomic else f"{sorted(f)} is not a join of atoms")
-
-        semi = True
-        witness = ""
-        for x, y in combinations(flats, 2):
-            jxy = lattice.join(x, y)
-            if rk[x] + rk[y] < rk[x & y] + rk[jxy]:
-                semi = False
-                witness = f"rank({sorted(x)})+rank({sorted(y)}) < rank(meet)+rank(join)"
-                break
-        rep.add("semimodular", semi, witness)
-
-        cm = True
-        for f in flats:
-            if f == lattice.top:
-                continue
-            above = lattice.coat_above(f)
-            got = frozenset(lattice.elements)
-            for c in above:
-                got &= c
-            if not above or got != f:
-                cm = False
-                break
-        rep.add("coatom-meet", cm, "" if cm else f"{sorted(f)} is not the meet of its coatoms")
-
-        if intervals:
-            iv_ok = True
-            for x in flats:
-                for y in flats:
-                    if x < y:
-                        sub = lattice.interval(x, y)
-                        sub_rep = verify_geometric(sub, intervals=False)
-                        if not sub_rep.ok:
-                            iv_ok = False
-                            break
-                if not iv_ok:
-                    break
-            rep.add("intervals-geometric", iv_ok,
-                    "" if iv_ok else f"interval [{sorted(x)}, {sorted(y)}] is not geometric")
-    else:
-        rep.add("atomic", False, "skipped: not a ranked lattice")
-        rep.add("semimodular", False, "skipped: not a ranked lattice")
-        rep.add("coatom-meet", False, "skipped: not a ranked lattice")
-        if intervals:
+    rep = ValidationReport()
+    results = check((1 << n) - 1, 0)
+    for c in results:
+        rep.add(*c)
+    if intervals:
+        if all(passed for _, passed, _ in results[:3]):
+            bad = next(((x, y) for x in range(n) for y in _bits(up[x] ^ 1 << x)
+                        if not all(c[1] for c in check(up[x] & down[y], rk[x]))), None)
+            rep.add("intervals-geometric", bad is None, "" if bad is None else
+                    f"interval [{name(bad[0])}, {name(bad[1])}] is not geometric")
+        else:
             rep.add("intervals-geometric", False, "skipped: not a ranked lattice")
     return rep
 
@@ -361,8 +365,7 @@ def linear_matroid(
     n = len(columns)
     if n == 0:
         raise MatroidInputError("linear matroid needs at least one column")
-    if elements is None:
-        elements = [str(i) for i in range(1, n + 1)]
+    elements = [str(e) for e in (range(1, n + 1) if elements is None else elements)]
     if len(elements) != n:
         raise MatroidInputError("element count must match column count")
     if p is not None and not is_prime(p):
@@ -428,22 +431,29 @@ def load_matroid(spec: Mapping, validate: bool = True) -> GeometricLattice:
         if fmt == "uniform":
             return uniform_matroid(_int_field(spec, "r"), _int_field(spec, "n"))
         if fmt == "flats":
-            ground = [str(e) for e in spec["ground_set"]]
-            return lattice_from_flats(ground, [[str(e) for e in f] for f in spec["flats"]],
-                                      validate=validate)
+            ground, flats = spec["ground_set"], spec["flats"]
+            if not isinstance(ground, list):
+                raise MatroidInputError("'ground_set' must be a list")
+            if not isinstance(flats, list) or not all(isinstance(f, list) for f in flats):
+                raise MatroidInputError("'flats' must be a list of lists")
+            return lattice_from_flats([str(e) for e in ground],
+                                      [[str(e) for e in f] for f in flats], validate=validate)
         if fmt == "linear":
             field, cols = spec.get("field", "Q"), spec["columns"]
             if not isinstance(cols, list) or not all(isinstance(col, list) for col in cols):
                 raise MatroidInputError("'columns' must be a list of lists")
+            ground = spec.get("ground_set")
+            if ground is not None and not isinstance(ground, list):
+                raise MatroidInputError("'ground_set' must be a list")
             if field == "Q":
                 try:
                     cols = [[Fraction(str(x)) for x in col] for col in cols]
                 except (ValueError, ZeroDivisionError) as exc:
                     raise MatroidInputError(f"bad rational entry: {exc}") from exc
-                return linear_matroid(cols, None, spec.get("ground_set"))
+                return linear_matroid(cols, None, ground)
             if field == "GF":
                 cols = [[_integer(x, "GF entry") for x in col] for col in cols]
-                return linear_matroid(cols, _int_field(spec, "p"), spec.get("ground_set"))
+                return linear_matroid(cols, _int_field(spec, "p"), ground)
             raise MatroidInputError(f"unknown field {field!r}")
     except KeyError as exc:
         raise MatroidInputError(f"matroid spec is missing {exc}") from exc

@@ -222,6 +222,20 @@ def test_validate_malformed_linear_columns_exits_2(runner, tmp_path, spec):
     assert "input error:" in result.output
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"format": "linear", "field": "Q", "columns": [[1, 0], [0, 1]], "ground_set": 5},
+     "'ground_set' must be a list"),
+    ({"format": "flats", "ground_set": 5, "flats": [[], ["1"]]}, "'ground_set' must be a list"),
+    ({"format": "flats", "ground_set": ["1"], "flats": 7}, "'flats' must be a list of lists"),
+])
+def test_validate_non_list_ground_set_or_flats_exits_2(runner, tmp_path, spec, message):
+    bad = tmp_path / "bad_shape.json"
+    bad.write_text(json.dumps(spec))
+    result = run(runner, "validate", bad)
+    assert result.exit_code == 2
+    assert result.output == f"input error: {message}\n"
+
+
 def test_om_covectors_non_integer_dimension_exits_2(runner, tmp_path):
     bad = tmp_path / "bad_dimension.json"
     bad.write_text(json.dumps({"dimension": "x", "columns": {"1": [1, 0], "2": [0, 1]}}))

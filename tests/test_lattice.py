@@ -100,6 +100,14 @@ def test_load_gf_linear_integer_forms(fano):
     assert lat.flats == fano.flats
 
 
+def test_load_linear_integer_labels_as_strings():
+    cols = [[1, 0], [0, 1], [1, 1]]
+    lat = load_matroid({"format": "linear", "field": "Q", "columns": cols, "ground_set": [1, 2, 3]})
+    assert lat.elements == ("1", "2", "3")
+    assert lat.flats == load_matroid({"format": "linear", "field": "Q", "columns": cols}).flats
+    assert lat.rank_of_subset({"1", "2"}) == 2
+
+
 def test_load_uniform_integer_forms():
     for r, n in (("2", "4"), (2.0, 4)):
         assert load_matroid({"format": "uniform", "r": r, "n": n}).r == 2
