@@ -68,7 +68,6 @@ from .topology import (
     dimension,
     is_homology_point,
     is_homology_sphere,
-    nerve,
     order_complex,
     order_homotopy_image,
     quillen_fibers_check,

@@ -549,38 +549,17 @@ class CoverFamily:
         return union == self.ambient
 
 
-def _fold_intersection(complexes: Sequence[SimplicialComplex]) -> SimplicialComplex:
-    acc = complexes[0]
-    for c in complexes[1:]:
-        acc = acc.intersection(c)
-        if acc.is_empty:
-            break
-    return acc
+def _vertex_stars(vertex_sets: Iterable[Iterable]) -> set[int]:
+    """For each vertex, the bitmask of the sets (by position) that hold it.
 
-
-def nerve(cover: CoverFamily, max_subset: int | None = None) -> SimplicialComplex:
-    """Nerve of the cover: faces are index sets with nonempty intersection."""
-    members = dict(cover.members)
-    keys = list(members)
-    if max_subset is None:
-        max_subset = len(keys)
-    if len(keys) > 20:
-        raise ValueError("nerve enumeration is limited to 20 members")
-    faces: list[frozenset] = []
-    nonempty_prev: list[tuple] = [()]
-    for size in range(1, max_subset + 1):
-        cur: list[tuple] = []
-        for base in nonempty_prev:
-            start = keys.index(base[-1]) + 1 if base else 0
-            for k in keys[start:]:
-                subset = base + (k,)
-                if not _fold_intersection([members[x] for x in subset]).is_empty:
-                    cur.append(subset)
-                    faces.append(frozenset(subset))
-        if not cur:
-            break
-        nonempty_prev = cur
-    return SimplicialComplex(faces, vertex_order=keys)
+    A family of the sets has a nonempty intersection exactly when it lies
+    inside one of these stars, so their down-closure is the nerve.
+    """
+    stars: dict = {}
+    for i, vs in enumerate(vertex_sets):
+        for v in vs:
+            stars[v] = stars.get(v, 0) | 1 << i
+    return set(stars.values())
 
 
 def cross_polytope_nerve_iso(
@@ -592,57 +571,36 @@ def cross_polytope_nerve_iso(
 
     The facets of the d-cross-polytope are indexed by {+,-}^d, and a facet
     subset intersects iff the componentwise meet of its sign vectors is
-    nonzero.  With face_signs given, the stated bijection is checked exactly;
-    without it, a bijection is searched for (small d only).
+    nonzero.  Both nerves are down-closed families generated by their
+    maximal members (Dowker): the maximal vertex stars {facets containing v}
+    on one side, the 2d half-spaces {sigma : sigma_i = c} on the other.  So
+    the nerves agree on every facet subset exactly when these two sets of
+    maximal members are equal, which costs O(V * 2^d).  With face_signs
+    given, the stated bijection is checked.  Without it, the maximal stars
+    through the first facet stand for the d half-spaces of one sign, and
+    membership in them labels the facets; any isomorphism agrees with this
+    labelling up to relabelling the coordinates and signs.
     """
     maximal = sorted(complex_.maximal_faces, key=complex_.face_key)
     if d == 0:
         return complex_.is_empty
     if complex_.is_empty or len(maximal) != 2 ** d:
         return False
-    if len(maximal) > 16:
-        raise ValueError("cross-polytope nerve check is limited to 16 maximal faces")
-    all_signs = [tuple(s) for s in _sign_tuples(d)]
-
-    def meets(vectors: Sequence[tuple]) -> bool:
-        return any(len({v[i] for v in vectors}) == 1 for i in range(d))
-
-    def pattern_matches(assign: Mapping[frozenset, tuple]) -> bool:
-        for k in range(1, len(maximal) + 1):
-            for subset in combinations(maximal, k):
-                intersect = frozenset.intersection(*subset)
-                if bool(intersect) != meets([assign[f] for f in subset]):
-                    return False
-        return True
-
-    if face_signs is not None:
-        assign = {frozenset(f): tuple(s) for f, s in face_signs.items()}
-        if set(assign) != set(maximal) or sorted(assign.values()) != sorted(all_signs):
-            return False
-        return pattern_matches(assign)
-
-    # search for a valid bijection, pruning on pairwise intersections
-    assign: dict[frozenset, tuple] = {}
-
-    def backtrack(i: int) -> bool:
-        if i == len(maximal):
-            return pattern_matches(assign)
-        face = maximal[i]
-        used = set(assign.values())
-        for s in all_signs:
-            if s in used:
-                continue
-            ok = all(
-                bool(face & g) == meets([s, assign[g]]) for g in maximal[:i]
-            )
-            if ok:
-                assign[face] = s
-                if backtrack(i + 1):
-                    return True
-                del assign[face]
+    tops = set(_maximal_masks(_vertex_stars(maximal)))
+    if face_signs is None:
+        halves = sorted(m for m in tops if m & 1)
+        face_signs = {
+            f: tuple("+" if m >> i & 1 else "-" for m in halves)
+            for i, f in enumerate(maximal)
+        }
+    assign = {frozenset(f): tuple(s) for f, s in face_signs.items()}
+    if set(assign) != set(maximal) or sorted(assign.values()) != sorted(_sign_tuples(d)):
         return False
-
-    return backtrack(0)
+    return tops == {
+        sum(1 << j for j, f in enumerate(maximal) if assign[f][i] == c)
+        for i in range(d)
+        for c in ("+", "-")
+    }
 
 
 # -- map checks -----------------------------------------------------------------
@@ -675,11 +633,35 @@ def simplicial_map_check(
     )
 
 
+def _intersections(members: Sequence[SimplicialComplex]) -> dict[SimplicialComplex, int]:
+    """Each distinct nonempty intersection of members, with the index bitmask
+    of one family of members meeting in it.
+
+    Found by intersecting each intersection already found with one more
+    member, so every intersection is built from a found one and none is
+    missed, whatever the number of members.
+    """
+    found: dict[SimplicialComplex, int] = {}
+    for i, m in enumerate(members):
+        if not m.is_empty:
+            found.setdefault(m, 1 << i)
+    queue = list(found)
+    for x in queue:  # grows while it is read
+        verts = set(x.vertices)
+        for i, m in enumerate(members):
+            if found[x] >> i & 1 or verts.isdisjoint(m.vertices):
+                continue
+            y = x.intersection(m)
+            if y not in found:
+                found[y] = found[x] | 1 << i
+                queue.append(y)
+    return found
+
+
 def carrier_check(
     vertex_images: Mapping,
     a_cover: CoverFamily,
     b_cover: CoverFamily,
-    subset_bound: int | None = None,
 ) -> ValidationReport:
     """Check the nerve-carrier hypotheses for a map between covered complexes.
 
@@ -688,8 +670,11 @@ def carrier_check(
     cover their ambient complexes; every nonempty intersection of members
     is a homology point; a subset of indices has nonempty intersection on
     one side iff it does on the other; the image of each A_i lies in B_i.
-    Subset enumeration is complete when there are at most 16 members,
-    otherwise bounded to pairs and triples (the bound is reported).
+    Every index subset is covered, for any number of members, without
+    enumerating subsets: the two nerves agree exactly when their maximal
+    vertex stars agree (Dowker), and each distinct nonempty intersection is
+    found once and tested once.  A failed check names an index subset on
+    which it fails.
     """
     rep = ValidationReport()
     a_idx, b_idx = a_cover.indices(), b_cover.indices()
@@ -697,37 +682,43 @@ def carrier_check(
         raise ValueError("cover families must share an index set")
     rep.add("covering", a_cover.covers_ambient() and b_cover.covers_ambient())
 
-    n = len(a_idx)
-    if subset_bound is None:
-        subset_bound = n if n <= 16 else 3
-    rep.add("subset-bound", True, f"subsets up to size {subset_bound} of {n}")
-    a_members = dict(a_cover.members)
-    b_members = dict(b_cover.members)
+    keys = sorted(a_idx, key=_generic_key)
+    n = len(keys)
+    rep.add("subset-bound", True, f"subsets up to size {n} of {n}")
+    a_map, b_map = dict(a_cover.members), dict(b_cover.members)
+    a_members = [a_map[k] for k in keys]
+    b_members = [b_map[k] for k in keys]
 
-    contractible = True
-    equiv = True
+    def subset(mask: int) -> list:
+        return [keys[i] for i in range(n) if mask >> i & 1]
+
     detail = ""
-    for size in range(1, subset_bound + 1):
-        for subset in combinations(sorted(a_idx, key=_generic_key), size):
-            ia = _fold_intersection([a_members[k] for k in subset])
-            ib = _fold_intersection([b_members[k] for k in subset])
-            if ia.is_empty != ib.is_empty:
-                equiv = False
-                detail = f"nonemptiness differs on {list(subset)}"
-            if not ia.is_empty and not is_homology_point(ia):
-                contractible = False
-                detail = f"A-intersection over {list(subset)} is not a homology point"
-            if not ib.is_empty and not is_homology_point(ib):
-                contractible = False
-                detail = f"B-intersection over {list(subset)} is not a homology point"
-    rep.add("intersections-contractible", contractible, detail if not contractible else "")
-    rep.add("nonemptiness-equivalence", equiv, detail if not equiv else "")
+    for side, members in (("A", a_members), ("B", b_members)):
+        bad = next((w for x, w in _intersections(members).items() if not is_homology_point(x)), None)
+        if bad is not None:
+            detail = f"{side}-intersection over {subset(bad)} is not a homology point"
+            break
+    rep.add("intersections-contractible", not detail, detail)
+
+    tops_a = _maximal_masks(_vertex_stars(m.vertices for m in a_members))
+    tops_b = _maximal_masks(_vertex_stars(m.vertices for m in b_members))
+    differ = [
+        m
+        for tops, other in ((tops_a, tops_b), (tops_b, tops_a))
+        for m in sorted(tops)
+        if not any(m & ~t == 0 for t in other)
+    ]
+    rep.add(
+        "nonemptiness-equivalence",
+        not differ,
+        f"nonemptiness differs on {subset(differ[0])}" if differ else "",
+    )
 
     maps_into = True
-    for k in a_idx:
-        for m in a_members[k].maximal_faces:
+    for a, b in zip(a_members, b_members):
+        for m in a.maximal_faces:
             image = frozenset().union(*[frozenset(vertex_images[v]) for v in m])
-            if not b_members[k].has_face(image):
+            if not b.has_face(image):
                 maps_into = False
     rep.add("maps-into-carrier", maps_into)
     return rep

@@ -102,10 +102,7 @@ def test_criterion_02_sphere_types(fixtures, reps):
 def test_criterion_03_intersection_law(fixtures, reps):
     budget = Budget(30.0)
     for name, lattice in fixtures.items():
-        rep = reps[name]
-        for g in lattice.flats:
-            for h in lattice.flats:
-                assert rep.intersection_law_holds(g, h), (name, sorted(g), sorted(h))
+        assert reps[name].intersection_law_holds(), name
     report(3, "S_G n S_H = S_{GvH}, all pairs", budget.check())
 
 

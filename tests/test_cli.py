@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from matroid_spheres import spheres
 from matroid_spheres.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -242,3 +243,27 @@ def test_om_covectors_non_integer_dimension_exits_2(runner, tmp_path):
     result = run(runner, "om", "covectors", bad)
     assert result.exit_code == 2
     assert "'dimension' must be an integer" in result.output
+
+
+def test_verify_exact_nerve_b5_exits_0(runner, tmp_path):
+    # S_0 of B_5 has 32 facets: past the size a facet-subset scan can reach
+    spec = tmp_path / "b5.json"
+    spec.write_text(json.dumps({"format": "uniform", "r": 5, "n": 5}))
+    result = run(runner, "verify", "--exact-nerve", "--json", spec)
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.stdout)
+    assert report["ok"]
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["ambient-nerve"]["passed"]
+    assert checks["nerve-iso-all-flats"]["detail"] == "32 flats"
+
+
+def test_unexpected_error_exits_3_on_one_line(runner, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(spheres, "verify_arrangement", broken)
+    result = run(runner, "verify", DATA / "u24.json")
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == "internal error: RuntimeError: boom\n"

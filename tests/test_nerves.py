@@ -1,0 +1,312 @@
+"""Nerve and carrier certificates by maximal vertex stars, checked against
+enumeration of every facet or index subset, and run at sizes the
+enumeration cannot reach."""
+
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from matroid_spheres import (
+    CoverFamily,
+    FlagRepresentation,
+    SimplicialComplex,
+    build_embedding,
+    carrier_check,
+    cross_polytope_nerve_iso,
+    default_flag,
+    is_homology_point,
+    uniform_matroid,
+    vector_config,
+)
+from matroid_spheres import oriented
+from matroid_spheres.topology import _generic_key, _intersections, _sign_tuples, full_simplex
+
+DERANDOMIZED = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+
+
+# -- oracles: enumerate every subset --------------------------------------------
+
+
+def meets(vectors, d):
+    return any(len({v[i] for v in vectors}) == 1 for i in range(d))
+
+
+def pattern_matches(maximal, assign, d):
+    for k in range(1, len(maximal) + 1):
+        for subset in combinations(maximal, k):
+            if bool(frozenset.intersection(*subset)) != meets([assign[f] for f in subset], d):
+                return False
+    return True
+
+
+def nerve_iso_oracle(complex_, d, face_signs=None):
+    """The cross-polytope nerve test on all 2^(2^d) facet subsets; without
+    signs, a backtracking search for the bijection."""
+    maximal = sorted(complex_.maximal_faces, key=complex_.face_key)
+    if d == 0:
+        return complex_.is_empty
+    if complex_.is_empty or len(maximal) != 2 ** d:
+        return False
+    all_signs = _sign_tuples(d)
+    if face_signs is not None:
+        assign = {frozenset(f): tuple(s) for f, s in face_signs.items()}
+        if set(assign) != set(maximal) or sorted(assign.values()) != sorted(all_signs):
+            return False
+        return pattern_matches(maximal, assign, d)
+    assign = {}
+
+    def backtrack(i):
+        if i == len(maximal):
+            return pattern_matches(maximal, assign, d)
+        face = maximal[i]
+        used = set(assign.values())
+        for s in all_signs:
+            if s not in used and all(
+                bool(face & g) == meets([s, assign[g]], d) for g in maximal[:i]
+            ):
+                assign[face] = s
+                if backtrack(i + 1):
+                    return True
+                del assign[face]
+        return False
+
+    return backtrack(0)
+
+
+def fold(complexes):
+    acc = complexes[0]
+    for c in complexes[1:]:
+        acc = acc.intersection(c)
+    return acc
+
+
+def carrier_oracle(vertex_images, a_cover, b_cover):
+    """Pass/fail of each carrier check over every index subset, and for the
+    two subset checks every failure detail a witness may give."""
+    a, b = dict(a_cover.members), dict(b_cover.members)
+    keys = sorted(a, key=_generic_key)
+    failures = {"intersections-contractible": set(), "nonemptiness-equivalence": set()}
+    for size in range(1, len(keys) + 1):
+        for subset in combinations(keys, size):
+            ia = fold([a[k] for k in subset])
+            ib = fold([b[k] for k in subset])
+            if ia.is_empty != ib.is_empty:
+                failures["nonemptiness-equivalence"].add(f"nonemptiness differs on {list(subset)}")
+            for side, x in (("A", ia), ("B", ib)):
+                if not x.is_empty and not is_homology_point(x):
+                    failures["intersections-contractible"].add(
+                        f"{side}-intersection over {list(subset)} is not a homology point"
+                    )
+    maps_into = all(
+        b[k].has_face(frozenset().union(*[frozenset(vertex_images[v]) for v in m]))
+        for k in keys
+        for m in a[k].maximal_faces
+    )
+    passed = {
+        "covering": a_cover.covers_ambient() and b_cover.covers_ambient(),
+        "subset-bound": True,
+        "intersections-contractible": not failures["intersections-contractible"],
+        "nonemptiness-equivalence": not failures["nonemptiness-equivalence"],
+        "maps-into-carrier": maps_into,
+    }
+    return passed, failures
+
+
+# -- cross-polytope nerve: stars against the subset enumeration ------------------
+
+
+def labelled_cross_polytope(d, perm, flips, blocks=None):
+    """Boundary of the d-cross-polytope, its vertices optionally blown up into
+    blocks of copies (as in S_G), with facet signs relabelled by a coordinate
+    permutation and sign flips (so still a valid labelling)."""
+    blocks = blocks or [1] * d
+    faces, signs = [], {}
+    for sigma in _sign_tuples(d):
+        face = frozenset((i, s, c) for i, s in enumerate(sigma) for c in range(blocks[i]))
+        faces.append(face)
+        relabel = tuple(sigma[perm[j]] for j in range(d))
+        signs[face] = tuple(("-" if s == "+" else "+") if flips[j] else s
+                            for j, s in enumerate(relabel))
+    return SimplicialComplex(faces), signs
+
+
+@st.composite
+def nerve_cases(draw, max_d=3):
+    d = draw(st.integers(1, max_d))
+    perm = draw(st.permutations(range(d)))
+    flips = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+    blocks = draw(st.lists(st.integers(1, 2), min_size=d, max_size=d))
+    complex_, signs = labelled_cross_polytope(d, perm, flips, blocks)
+    faces = sorted(complex_.maximal_faces, key=complex_.face_key)
+    kind = draw(st.sampled_from(["true", "shuffle", "add", "drop", "merge", "random"]))
+    labels = [signs[f] for f in faces]
+    if kind == "shuffle":  # a wrong (or sometimes right) bijection
+        labels = draw(st.permutations(labels))
+    elif kind in ("add", "drop", "merge"):
+        i = draw(st.integers(0, len(faces) - 1))
+        verts = sorted(complex_.vertices)
+        v = draw(st.sampled_from(verts))
+        if kind == "add":
+            faces[i] = faces[i] | {v}
+        elif kind == "drop":  # a private vertex keeps the facet maximal
+            faces[i] = faces[i] - {v} | {("private", i)}
+        else:  # identify two vertices everywhere
+            w = draw(st.sampled_from(verts))
+            faces = [frozenset(w if x == v else x for x in f) for f in faces]
+    elif kind == "random":
+        n = draw(st.integers(2, 2 * d + 2))
+        faces = [
+            frozenset(draw(st.sets(st.integers(0, n - 1), max_size=n))) | {("private", j)}
+            for j in range(2 ** d)
+        ]
+    complex_ = SimplicialComplex(faces)
+    signs = dict(zip(faces, labels))
+    return complex_, d, signs
+
+
+@DERANDOMIZED
+@given(nerve_cases())
+def test_nerve_iso_matches_subset_enumeration(case):
+    complex_, d, signs = case
+    assert cross_polytope_nerve_iso(complex_, d, signs) == nerve_iso_oracle(complex_, d, signs)
+    assert cross_polytope_nerve_iso(complex_, d) == nerve_iso_oracle(complex_, d)
+
+
+@pytest.mark.parametrize("kind", ["true", "blown-up", "shuffled", "extra-vertex"])
+def test_nerve_iso_matches_subset_enumeration_d4(kind):
+    d = 4
+    perm, flips = (2, 0, 3, 1), (True, False, False, True)
+    complex_, signs = labelled_cross_polytope(d, perm, flips, [1, 2, 1, 3] if kind == "blown-up" else None)
+    faces = sorted(complex_.maximal_faces, key=complex_.face_key)
+    if kind == "shuffled":
+        values = [signs[f] for f in faces]
+        signs = dict(zip(faces, values[1:] + values[:1]))
+    if kind == "extra-vertex":  # two antipodal facets now meet
+        shared = ("shared",)
+        a = faces[0]
+        b = next(f for f in faces if not f & a)
+        complex_ = SimplicialComplex([f | {shared} if f in (a, b) else f for f in faces])
+        signs = {(f | {shared} if f in (a, b) else f): s for f, s in signs.items()}
+    expected = nerve_iso_oracle(complex_, d, signs)
+    assert expected == (kind in ("true", "blown-up"))
+    assert cross_polytope_nerve_iso(complex_, d, signs) == expected
+
+
+def test_nerve_iso_rejects_a_sign_map_that_is_not_a_bijection():
+    complex_, signs = labelled_cross_polytope(2, (0, 1), (False, False))
+    faces = sorted(complex_.maximal_faces, key=complex_.face_key)
+    signs[faces[0]] = signs[faces[1]]
+    assert not cross_polytope_nerve_iso(complex_, 2, signs)
+    assert not nerve_iso_oracle(complex_, 2, signs)
+
+
+def test_nerve_iso_rejects_three_of_four_halves():
+    # a path of four edges: every maximal star is a half-space, but facets
+    # ++ and +- share a sign and do not meet
+    faces = {("+", "+"): {"a", "p"}, ("-", "+"): {"a", "b"}, ("-", "-"): {"b", "c"},
+             ("+", "-"): {"c", "q"}}
+    complex_ = SimplicialComplex(faces.values())
+    signs = {frozenset(f): s for s, f in faces.items()}
+    assert not nerve_iso_oracle(complex_, 2, signs)
+    assert not cross_polytope_nerve_iso(complex_, 2, signs)
+    assert not cross_polytope_nerve_iso(complex_, 2)
+
+
+def test_ambient_nerve_of_u58():
+    lattice = uniform_matroid(5, 8)
+    rep = FlagRepresentation(lattice, default_flag(lattice))
+    ambient = rep.build(lattice.bottom)
+    assert len(ambient.complex.maximal_faces) == 32
+    assert rep.nerve_matches_cross_polytope(ambient)
+    assert cross_polytope_nerve_iso(ambient.complex, 5)
+
+
+# -- carrier check: stars and intersection closure against subsets --------------
+
+
+@st.composite
+def carrier_cases(draw):
+    n = draw(st.integers(1, 5))
+    keys = [("+", "-")[i % 2] * (1 + i // 2) for i in range(n)]
+
+    def member(vertices):
+        facets = draw(st.lists(st.sets(st.sampled_from(vertices), min_size=1, max_size=3),
+                               max_size=3))
+        return SimplicialComplex(facets)
+
+    a_members = [member(list(range(6))) for _ in keys]
+    if draw(st.booleans()):  # B is A relabelled: nerves agree, the map carries
+        b_members = [SimplicialComplex([{v + 10 for v in f} for f in m.maximal_faces])
+                     for m in a_members]
+        images = {v: {v + 10} for v in range(6)}
+    else:
+        b_members = [member(list(range(10, 16))) for _ in keys]
+        images = {v: draw(st.sets(st.integers(10, 15), min_size=1, max_size=2)) for v in range(6)}
+    if draw(st.booleans()):
+        b_members = [full_simplex(m.vertices) for m in b_members]
+
+    def cover(members):
+        ambient = SimplicialComplex([f for m in members for f in m.maximal_faces])
+        if draw(st.booleans()):
+            ambient = ambient.union(SimplicialComplex([[99]]))  # not covered
+        return CoverFamily(ambient, tuple(zip(keys, members)))
+
+    return images, cover(a_members), cover(b_members)
+
+
+@DERANDOMIZED
+@given(st.lists(st.lists(st.sets(st.integers(0, 4), min_size=1, max_size=3), max_size=3),
+                min_size=1, max_size=6))
+def test_intersections_are_every_subset_intersection(facet_lists):
+    members = [SimplicialComplex(facets) for facets in facet_lists]
+    expected = set()
+    for size in range(1, len(members) + 1):
+        for subset in combinations(members, size):
+            if not fold(subset).is_empty:
+                expected.add(fold(subset))
+    found = _intersections(members)
+    assert set(found) == expected
+    for x, mask in found.items():
+        assert fold([m for i, m in enumerate(members) if mask >> i & 1]) == x
+
+
+@DERANDOMIZED
+@given(carrier_cases())
+def test_carrier_check_matches_subset_enumeration(case):
+    images, a_cover, b_cover = case
+    report = carrier_check(images, a_cover, b_cover)
+    passed, failures = carrier_oracle(images, a_cover, b_cover)
+    assert {c.name: c.passed for c in report.checks} == passed
+    for name, details in failures.items():
+        if details:
+            assert report[name].detail in details
+        else:
+            assert report[name].detail == ""
+
+
+def test_carrier_check_reports_its_own_witness():
+    # A-members p and q meet in two points; p and r meet on the B side only
+    a = CoverFamily(
+        SimplicialComplex([[0, 1], [1, 2], [2, 0], [3]]),
+        (("p", SimplicialComplex([[0, 1], [1, 2]])), ("q", SimplicialComplex([[2, 0]])),
+         ("r", SimplicialComplex([[3]]))),
+    )
+    b = CoverFamily(full_simplex([5, 6]), (("p", full_simplex([5, 6])), ("q", full_simplex([6])),
+                                           ("r", full_simplex([5]))))
+    report = carrier_check({0: {5}, 1: {5}, 2: {6}, 3: {5}}, a, b)
+    assert report["intersections-contractible"].detail == (
+        "A-intersection over ['p', 'q'] is not a homology point"
+    )
+    assert report["nonemptiness-equivalence"].detail == "nonemptiness differs on ['p', 'r']"
+    assert not report["intersections-contractible"].passed
+    assert not report["nonemptiness-equivalence"].passed
+
+
+def test_carrier_check_sixteen_members_rank4():
+    emb = build_embedding(vector_config([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
+    images, a_cover, b_cover = oriented.carrier_inputs(emb, frozenset())
+    assert len(a_cover.members) == 16
+    report = carrier_check(images, a_cover, b_cover)
+    assert report.ok, report.lines()
+    assert report["subset-bound"].detail == "subsets up to size 16 of 16"

