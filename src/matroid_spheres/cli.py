@@ -85,7 +85,7 @@ def represent(matroid: str, flag_arg: str, out_dir: str, as_json: bool) -> None:
     out.mkdir(parents=True, exist_ok=True)
     index = []
     for flat in lattice.flats:
-        built = rep.build(flat)
+        built = rep.construct(flat)  # each S_G is written once: cache none
         name = jsonio.flat_filename(lattice, flat)
         (out / name).write_text(dump_json(jsonio.signed_complex_to_json(built.complex)))
         index.append(
@@ -209,7 +209,8 @@ def embed(vectors: str, flag_arg: str, pivots: str | None, as_json: bool) -> Non
         images, a_cover, b_cover = oriented.carrier_inputs(emb, flat)
         if not topology.carrier_check(images, a_cover, b_cover).ok:
             carriers_ok = False
-    report.add("carrier-covers", carriers_ok, "all flats, full subset enumeration")
+    detail = "all flats, maximal vertex stars, each distinct intersection once"
+    report.add("carrier-covers", carriers_ok, detail)
     _echo_report(report, as_json, f"om embed {vectors}")
     _finish(report.ok)
 
@@ -323,7 +324,7 @@ def search_result_to_json(result: maps.SearchResult) -> dict:
             }
             for face, forced, reason in result.obstructions
         ],
-        "stats": {"nodes": result.nodes, "cap_hit": result.cap_hit},
+        "stats": {"nodes": result.nodes},
     }
 
 

@@ -202,7 +202,6 @@ class SearchResult:
     obstruction: tuple | None  # (face, forced images, reason)
     obstructions: tuple = ()
     nodes: int = 0
-    cap_hit: bool = False
     reason: str = ""
 
 
@@ -284,10 +283,8 @@ def poset_map_search(
     single_bad = {v for v in order if not candidates[v]}
     for v in sorted(single_bad, key=position.__getitem__):
         obstructions.append((frozenset({v}), (), "no admissible image vertex"))
-    for face in sorted(
-        (f for f in topology.all_faces(source) if len(f) == 2),
-        key=source.face_key,
-    ):
+    edges = {frozenset(e) for mface in source.maximal_faces for e in combinations(mface, 2)}
+    for face in sorted(edges, key=source.face_key):
         u, v = sorted(face, key=position.__getitem__)
         if u in single_bad or v in single_bad:
             continue

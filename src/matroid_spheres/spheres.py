@@ -4,12 +4,18 @@ Fixing a complete flag partitions the coatoms into blocks A_0..A_{r-1};
 every flat G then gets a complex S_G whose maximal faces are the sign
 choices over the blocks meeting coat(G).  Vertices are (coatom, sign)
 pairs, rendered as (sorted element tuple, '+'|'-').
+
+``build`` makes each S_G once and caches it.  One table of cover steps
+S_F n S_a = S_{F v a}, over every flat F and atom a, certifies the
+intersection law for every flat pair and every atom set, so neither is
+enumerated (proof in ``FlagRepresentation.intersection_law_holds``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
+from functools import cached_property
+from itertools import product
 from typing import Iterable, Mapping
 
 from .lattice import Flag, GeometricLattice
@@ -47,7 +53,8 @@ class HomotopyArrangement:
 class FlagRepresentation:
     """All sphere complexes of one (lattice, flag) pair.
 
-    Immutable; building complexes for distinct flats is independent work.
+    Immutable apart from its caches: ``build`` constructs each S_G at most
+    once, and the cover-step table is checked at most once.
     """
 
     def __init__(self, lattice: GeometricLattice, flag: Flag):
@@ -67,14 +74,13 @@ class FlagRepresentation:
         covered = set().union(*[set(b) for b in parts])
         if covered != set(lattice.coatoms()):
             raise ValueError("coatom blocks do not partition the coatoms")
+        self._built: dict[frozenset, RepComplex] = {}
+        self._law: bool | None = None
 
     # -- vertices ------------------------------------------------------------
 
     def vertex(self, coatom: frozenset, sign: str) -> Vertex:
         return (self.lattice.sorted_elements(coatom), sign)
-
-    def coatom_of(self, v: Vertex) -> frozenset:
-        return frozenset(v[0])
 
     def vertex_order(self, coatoms: Iterable[frozenset]) -> list[Vertex]:
         ordered = sorted(coatoms, key=self.lattice.key)
@@ -101,25 +107,18 @@ class FlagRepresentation:
             verts.extend(self.vertex(c, sign) for c in self.parts[i] if c in coat)
         return frozenset(verts)
 
-    def sign_of(self, face: Iterable[Vertex], flat: frozenset) -> tuple[int, ...]:
-        """Sign vector of a face of S_G; rejects non-faces."""
-        coat = set(self.lattice.coat_above(flat))
-        seen: dict[int, set[str]] = {}
-        for v in face:
-            c = self.coatom_of(v)
-            if c not in coat:
-                raise ValueError(f"vertex {v} is not over a coatom of the flat")
-            seen.setdefault(self.part_of[c], set()).add(v[1])
-        vector = []
-        for i in range(self.r):
-            signs = seen.get(i, set())
-            if len(signs) > 1:
-                raise ValueError(f"mixed signs in block {i}: not a face of S_G")
-            vector.append(0 if not signs else (1 if "+" in signs else -1))
-        return tuple(vector)
-
     def build(self, flat: frozenset) -> RepComplex:
-        """S_G: one maximal face per sign choice on the blocks meeting coat(G)."""
+        """S_G, constructed on the first call for a flat and cached."""
+        flat = frozenset(flat)
+        if flat not in self._built:
+            self._built[flat] = self.construct(flat)
+        return self._built[flat]
+
+    def construct(self, flat: frozenset) -> RepComplex:
+        """S_G: one maximal face per sign choice on the blocks meeting coat(G).
+
+        Uncached; ``build`` is the cached entry point.
+        """
         flat = frozenset(flat)
         supp = self.support(flat)
         face_signs: dict[frozenset, tuple[int, ...]] = {}
@@ -133,38 +132,49 @@ class FlagRepresentation:
         complex_ = SimplicialComplex(face_signs.keys(), vertex_order=order)
         return RepComplex(flat, complex_, face_signs)
 
+    @cached_property
+    def cover_steps(self) -> tuple[tuple[frozenset, frozenset, frozenset], ...]:
+        """Every (F, a, F v a) with F a flat and a an atom, in flat order."""
+        lattice = self.lattice
+        return tuple((f, a, lattice.join(f, a)) for f in lattice.flats for a in lattice.atoms())
+
     def intersection_law_holds(self) -> bool:
         """Exact face-set identity S_G n S_H = S_{G v H} for every pair of flats.
 
-        Each S_G is built once; the identity is symmetric in G and H, so each
-        unordered pair is compared once.
+        Checked as one table of cover steps S_F n S_a = S_{F v a}, over every
+        flat F and atom a; where a <= F the step reads S_F n S_a = S_F, that
+        is S_F inside S_a.  The verdict is cached.
+
+        The table is enough.  Write S(A) for S_bottom intersected with the
+        S_a over a set A of atoms.  Then S(A) = S_{v A} for every A, by
+        induction on |A|: S(empty) = S_bottom, and for A = B + {a},
+        S(A) = S(B) n S_a = S_{v B} n S_a = S_{v A} by the cover step with
+        F = v B.  Every flat H is the join of the atoms below it, so
+        S_H = S(A_H) with A_H = {a : a <= H}, and for any flats G and H,
+        S_G n S_H = S(A_G) n S(A_H) = S(A_G + A_H) = S_{G v H}.  This uses
+        only that face-set intersection is associative, commutative and
+        idempotent, so |flats| * |atoms| identities stand for every flat pair
+        and every one of the 2^|atoms| atom sets.
         """
-        built = {g: self.build(g).complex for g in self.lattice.flats}
-        return all(
-            built[g].intersection(built[h]) == built[self.lattice.join(g, h)]
-            for g, h in combinations_with_replacement(self.lattice.flats, 2)
-        )
+        if self._law is None:
+            self._law = all(
+                self.build(f).complex.intersection(self.build(a).complex)
+                == self.build(fa).complex
+                for f, a, fa in self.cover_steps
+            )
+        return self._law
 
     def arrangement(self) -> HomotopyArrangement:
-        members = tuple(
-            (atom, self.build(atom)) for atom in self.lattice.atoms()
-        )
+        members = tuple((atom, self.build(atom)) for atom in self.lattice.atoms())
         return HomotopyArrangement(self, self.build(self.lattice.bottom), members)
 
     # -- nerve bridge ------------------------------------------------------------
 
-    def compressed_signs(self, rep: RepComplex) -> dict[frozenset, tuple[int, ...]]:
-        """Sign vectors of the maximal faces with zero blocks deleted."""
-        supp = self.support(rep.flat)
-        return {
-            face: tuple(vec[i] for i in supp) for face, vec in rep.face_signs.items()
-        }
-
     def nerve_matches_cross_polytope(self, rep: RepComplex) -> bool:
+        """Nerve test against the maximal faces' signs, zero blocks deleted."""
         supp = self.support(rep.flat)
         signs = {
-            f: tuple("+" if x > 0 else "-" for x in v)
-            for f, v in self.compressed_signs(rep).items()
+            f: tuple("+" if v[i] > 0 else "-" for i in supp) for f, v in rep.face_signs.items()
         }
         return topology.cross_polytope_nerve_iso(rep.complex, len(supp), signs)
 
@@ -179,25 +189,34 @@ def atom_label(lattice: GeometricLattice, atom: frozenset) -> str:
 def arrangement_flats(arr: HomotopyArrangement) -> GeometricLattice:
     """Recover the lattice of flats from the arrangement's intersection data.
 
-    A set S of atoms is a flat when intersecting any further member strictly
-    shrinks the common intersection of the members over S.
+    Write I(S) for the common intersection of the ambient and the members
+    over a set S of atoms.  Then cl(S) = {a : I(S) inside S_a} is a closure
+    operator with I(cl(S)) = I(S), and the recovered flats are its closed
+    sets.  They are grown from cl(empty) one atom at a time: a closed set
+    C below a closed set T, and an atom a in T but not in C, give the closed
+    set cl(C + {a}), strictly above C and still inside T.  Only the member
+    complexes are used, never the lattice's join.
     """
     lattice = arr.rep.lattice
-    atoms = [a for a, _ in arr.members]
-    complexes = {a: rep.complex for a, rep in arr.members}
-    flats: list[frozenset] = []
-    for k in range(len(atoms) + 1):
-        for subset in combinations(atoms, k):
-            inter = arr.ambient.complex
-            for a in subset:
-                inter = inter.intersection(complexes[a])
-            if all(
-                inter.intersection(complexes[e]) != inter
-                for e in atoms
-                if e not in subset
-            ):
-                flats.append(frozenset(atom_label(lattice, a) for a in subset))
-    labels = [atom_label(lattice, a) for a in atoms]
+
+    def close(inter: SimplicialComplex) -> frozenset:
+        return frozenset(a for a, m in arr.members if inter.is_subcomplex_of(m.complex))
+
+    first = close(arr.ambient.complex)
+    found = {first: arr.ambient.complex}
+    frontier = [first]
+    while frontier:
+        closed = frontier.pop()
+        for a, m in arr.members:
+            if a in closed:
+                continue
+            inter = found[closed].intersection(m.complex)
+            step = close(inter)
+            if step not in found:
+                found[step] = inter
+                frontier.append(step)
+    labels = [atom_label(lattice, a) for a, _ in arr.members]
+    flats = [frozenset(atom_label(lattice, a) for a in closed) for closed in found]
     return GeometricLattice(labels, flats)
 
 
@@ -217,10 +236,13 @@ def roundtrip_isomorphic(lattice: GeometricLattice, recovered: GeometricLattice)
 def verify_arrangement(arr: HomotopyArrangement) -> ValidationReport:
     """Certify the homotopy-arrangement axioms for (S_bottom, {S_atom}).
 
-    The ambient and every member/intersection are checked against their
-    expected sphere profiles; the ambient additionally against the
-    cross-polytope nerve pattern.  The free sign-swap action and the
-    rank-jump law for partial intersections are checked exactly.
+    The ambient and every member are checked against their expected sphere
+    profiles; the ambient additionally against the cross-polytope nerve
+    pattern.  Once each member is its S_a, the cover-step table of
+    ``FlagRepresentation.intersection_law_holds`` makes every intersection
+    of members the S_H of the join H of its atoms, so each S_H is checked
+    for its sphere profile once, and the rank-jump law once per cover step.
+    The free sign-swap action is checked exactly.
     """
     rep = ValidationReport()
     fr = arr.rep
@@ -238,29 +260,14 @@ def verify_arrangement(arr: HomotopyArrangement) -> ValidationReport:
     rep.add("members-sphere", members_ok, f"each member must be S^{r - 2}")
 
     # every intersection of members is S_H for the join flat H, and a sphere
-    atoms = [a for a, _ in arr.members]
-    complexes = {a: m.complex for a, m in arr.members}
-    seen: dict[frozenset, SimplicialComplex] = {}
-    law_ok = True
-    sphere_ok = True
-    for k in range(1, len(atoms) + 1):
-        for subset in combinations(atoms, k):
-            h = lattice.bottom
-            for a in subset:
-                h = lattice.join(h, a)
-            if h in seen:
-                inter = seen[h]
-            else:
-                inter = complexes[subset[0]]
-                for a in subset[1:]:
-                    inter = inter.intersection(complexes[a])
-                if inter != fr.build(h).complex:
-                    law_ok = False
-                if not topology.is_homology_sphere(inter, lattice.corank(h) - 1):
-                    sphere_ok = False
-                seen[h] = inter
-    rep.add("intersections-are-flats", law_ok)
-    rep.add("intersections-sphere", sphere_ok)
+    members_are_atoms = all(m.complex == fr.build(a).complex for a, m in arr.members)
+    rep.add("intersections-are-flats", members_are_atoms and fr.intersection_law_holds())
+    sphere = {
+        h: topology.is_homology_sphere(fr.build(h).complex, lattice.corank(h) - 1)
+        for h in lattice.flats
+        if h != lattice.bottom
+    }
+    rep.add("intersections-sphere", all(sphere.values()))
 
     try:
         free = topology.z2_free_check(amb.complex, fr.swap_map(amb.complex))
@@ -273,19 +280,10 @@ def verify_arrangement(arr: HomotopyArrangement) -> ValidationReport:
         free = restricts = False
     rep.add("z2-free", free and restricts)
 
-    # dimension drop: an intersection S_H not inside a member S_G meets it
-    # in S_{G v H} one rank up
-    drop_ok = True
-    for h in seen:
-        for g in atoms:
-            if lattice.join(g, h) == h:  # S_H inside S_G
-                continue
-            gh = lattice.join(g, h)
-            if lattice.rank(gh) != lattice.rank(h) + 1:
-                drop_ok = False
-            if not topology.is_homology_sphere(
-                seen[h].intersection(complexes[g]), lattice.corank(gh) - 1
-            ):
-                drop_ok = False
+    # dimension drop: S_F not inside S_a meets it in S_{F v a}, one rank up
+    drop_ok = all(
+        fa == f or (lattice.rank(fa) == lattice.rank(f) + 1 and sphere[fa])
+        for f, a, fa in fr.cover_steps
+    )
     rep.add("rank-jump", drop_ok)
     return rep

@@ -42,8 +42,11 @@ class SimplicialComplex:
     def __init__(self, maximal_faces: Iterable[Iterable], vertex_order: Sequence | None = None):
         faces = {frozenset(f) for f in maximal_faces}
         faces.discard(frozenset())
-        maximal = frozenset(f for f in faces if not any(f < g for g in faces))
-        self.maximal_faces: frozenset = maximal
+        maximal: list[frozenset] = []  # largest first: only kept faces can contain f
+        for f in sorted(faces, key=len, reverse=True):
+            if not any(f <= g for g in maximal):
+                maximal.append(f)
+        self.maximal_faces: frozenset = frozenset(maximal)
         used = set().union(*maximal) if maximal else set()
         if vertex_order is not None:
             order = [v for v in vertex_order if v in used]
@@ -613,7 +616,7 @@ def z2_free_check(complex_: SimplicialComplex, involution: Mapping) -> bool:
     image.  Raises ValueError if the map is not a simplicial involution.
     """
     for v in complex_.vertices:
-        if v not in involution or involution[involution[v]] != v:
+        if v not in involution or involution.get(involution[v]) != v:
             raise ValueError("map is not an involution of the vertex set")
     for m in complex_.maximal_faces:
         if not complex_.has_face({involution[v] for v in m}):

@@ -152,7 +152,7 @@ def test_weakmap_search(runner):
     assert report["weak_map"] is True
     search = report["search"]
     assert search["found"] is False
-    assert search["stats"]["cap_hit"] is False
+    assert set(search["stats"]) == {"nodes"}
     paper_edge = [
         {"coatom": ["1", "4"], "sign": "-"},
         {"coatom": ["3", "4"], "sign": "+"},
@@ -160,6 +160,14 @@ def test_weakmap_search(runner):
     found = [o for o in search["obstructions"] if o["face"] == paper_edge]
     assert found
     assert {tuple(i["coatom"]) for i in found[0]["forced_images"]} == {("1", "3", "4")}
+
+
+def test_weakmap_search_cap_exits_2(runner):
+    result = run(runner, "weakmap", DATA / "u34.json", DATA / "u34.json",
+                 "--search-poset-map", "--max-assignments", 3)
+    assert result.exit_code == 2
+    assert result.stderr.startswith("search bound exceeded: ")
+    assert "Traceback" not in result.output
 
 
 def test_outputs_are_deterministic(runner, tmp_path):

@@ -1,0 +1,281 @@
+"""The arrangement certified by cover steps S_F n S_a = S_{F v a}, checked
+against enumeration of every atom subset and every flat pair, on true and
+on mutated arrangements."""
+
+from itertools import combinations, combinations_with_replacement
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
+
+from matroid_spheres import (
+    FlagRepresentation,
+    HomotopyArrangement,
+    RepComplex,
+    SimplicialComplex,
+    ValidationReport,
+    arrangement_flats,
+    boolean_matroid,
+    default_flag,
+    lattice_from_flats,
+    load_matroid,
+    make_flag,
+    uniform_matroid,
+    verify_arrangement,
+)
+from matroid_spheres import topology
+from matroid_spheres.cli import main
+from matroid_spheres.spheres import atom_label, swap_sign
+
+from conftest import FANO_COLUMNS, N134_FLATS
+
+DERANDOMIZED = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+
+
+# -- oracles: enumerate every atom subset and every flat pair ----------------------
+
+
+def intersection_law_oracle(rep):
+    built = {g: rep.build(g).complex for g in rep.lattice.flats}
+    return all(
+        built[g].intersection(built[h]) == built[rep.lattice.join(g, h)]
+        for g, h in combinations_with_replacement(rep.lattice.flats, 2)
+    )
+
+
+def arrangement_flats_oracle(arr):
+    """A set S of atoms is a flat when intersecting any further member
+    strictly shrinks the common intersection of the members over S."""
+    lattice = arr.rep.lattice
+    atoms = [a for a, _ in arr.members]
+    complexes = {a: m.complex for a, m in arr.members}
+    flats = set()
+    for k in range(len(atoms) + 1):
+        for subset in combinations(atoms, k):
+            inter = arr.ambient.complex
+            for a in subset:
+                inter = inter.intersection(complexes[a])
+            if all(inter.intersection(complexes[e]) != inter for e in atoms if e not in subset):
+                flats.add(frozenset(atom_label(lattice, a) for a in subset))
+    return flats
+
+
+def verify_arrangement_oracle(arr):
+    """Every atom subset: its members' intersection against S of its join,
+    a sphere check on it, and the rank jump against every further member."""
+    rep = ValidationReport()
+    fr = arr.rep
+    lattice = fr.lattice
+    r = lattice.r
+    amb = arr.ambient
+    rep.add("ambient-sphere", topology.is_homology_sphere(amb.complex, r - 1),
+            f"expected S^{r - 1} profile")
+    rep.add("ambient-nerve", fr.nerve_matches_cross_polytope(amb))
+    rep.add("members-sphere",
+            all(topology.is_homology_sphere(m.complex, r - 2) for _, m in arr.members),
+            f"each member must be S^{r - 2}")
+    atoms = [a for a, _ in arr.members]
+    complexes = {a: m.complex for a, m in arr.members}
+    seen = {}
+    law_ok = sphere_ok = True
+    for k in range(1, len(atoms) + 1):
+        for subset in combinations(atoms, k):
+            h = lattice.bottom
+            for a in subset:
+                h = lattice.join(h, a)
+            inter = complexes[subset[0]]
+            for a in subset[1:]:
+                inter = inter.intersection(complexes[a])
+            if inter != fr.build(h).complex:
+                law_ok = False
+            if h not in seen:
+                if not topology.is_homology_sphere(inter, lattice.corank(h) - 1):
+                    sphere_ok = False
+                seen[h] = inter
+    rep.add("intersections-are-flats", law_ok)
+    rep.add("intersections-sphere", sphere_ok)
+    try:
+        free = topology.z2_free_check(amb.complex, fr.swap_map(amb.complex))
+        restricts = all(
+            m.complex.is_empty or topology.z2_free_check(m.complex, fr.swap_map(m.complex))
+            for _, m in arr.members
+        )
+    except ValueError:
+        free = restricts = False
+    rep.add("z2-free", free and restricts)
+    drop_ok = True
+    for h, inter in seen.items():
+        for g in atoms:
+            gh = lattice.join(g, h)
+            if gh == h:
+                continue
+            if lattice.rank(gh) != lattice.rank(h) + 1:
+                drop_ok = False
+            if not topology.is_homology_sphere(
+                inter.intersection(complexes[g]), lattice.corank(gh) - 1
+            ):
+                drop_ok = False
+    rep.add("rank-jump", drop_ok)
+    return rep
+
+
+# -- inputs -------------------------------------------------------------------------
+
+FIXTURES = {
+    "u24": uniform_matroid(2, 4),
+    "u34": uniform_matroid(3, 4),
+    "bool3": boolean_matroid(["a", "b", "c"]),
+    "fano": load_matroid({"format": "linear", "field": "GF", "p": 2, "columns": FANO_COLUMNS}),
+    "n134": lattice_from_flats(["1", "2", "3", "4"], N134_FLATS),
+}
+FIXTURES.update({f"B_{n}": boolean_matroid([str(i) for i in range(1, n + 1)]) for n in range(1, 6)})
+# U(r, n) with r < n <= 7 (U(n, n) is B_n); U(6, 7) runs only without the
+# oracles, in test_large_inputs_pass, because the subset oracle is slow on it
+FIXTURES.update({
+    f"U({r},{n})": uniform_matroid(r, n)
+    for n in range(1, 8)
+    for r in range(1, n)
+    if (r, n) != (6, 7)
+})
+NAMES = sorted(FIXTURES)
+
+
+def flag_from(lattice, order):
+    """The complete flag of closures of the prefixes of an element order."""
+    chain = [lattice.bottom]
+    for k in range(1, len(order) + 1):
+        flat = lattice.closure(order[:k])
+        if flat != chain[-1]:
+            chain.append(flat)
+    return make_flag(lattice, chain)
+
+
+@st.composite
+def representations(draw):
+    lattice = FIXTURES[draw(st.sampled_from(NAMES))]
+    order = draw(st.permutations(lattice.elements))
+    return FlagRepresentation(lattice, flag_from(lattice, order))
+
+
+def mutated(complex_, draw):
+    """One facet dropped, or one vertex sign flipped inside one facet."""
+    facets = sorted(complex_.maximal_faces, key=complex_.face_key)
+    face = facets[draw(st.integers(0, len(facets) - 1))]
+    rest = [f for f in facets if f != face]
+    if draw(st.booleans()):
+        return SimplicialComplex(rest, vertex_order=complex_.vertices)
+    v = sorted(face, key=complex_.vertices.index)[draw(st.integers(0, len(face) - 1))]
+    flipped = (face - {v}) | {swap_sign(v)}
+    return SimplicialComplex(rest + [flipped], vertex_order=complex_.vertices)
+
+
+@st.composite
+def mutated_arrangements(draw):
+    rep = draw(representations())
+    arr = rep.arrangement()
+    targets = [i for i, (_, m) in enumerate(arr.members) if not m.complex.is_empty]
+    i = draw(st.sampled_from([-1] + targets))
+    old = arr.ambient if i == -1 else arr.members[i][1]
+    new = RepComplex(old.flat, mutated(old.complex, draw), old.face_signs)
+    if i == -1:
+        return HomotopyArrangement(rep, new, arr.members)
+    members = list(arr.members)
+    members[i] = (members[i][0], new)
+    return HomotopyArrangement(rep, arr.ambient, tuple(members))
+
+
+# -- true arrangements: every line matches ------------------------------------------
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_default_flag_matches_oracles(name):
+    lattice = FIXTURES[name]
+    rep = FlagRepresentation(lattice, default_flag(lattice))
+    arr = rep.arrangement()
+    report = verify_arrangement(arr)
+    assert report.lines() == verify_arrangement_oracle(arr).lines()
+    assert report.ok
+    assert rep.intersection_law_holds() is intersection_law_oracle(rep) is True
+    assert set(arrangement_flats(arr).flats) == arrangement_flats_oracle(arr)
+
+
+@settings(DERANDOMIZED, max_examples=60)
+@given(representations())
+def test_every_flag_matches_oracles(rep):
+    arr = rep.arrangement()
+    assert verify_arrangement(arr).lines() == verify_arrangement_oracle(arr).lines()
+    assert rep.intersection_law_holds() == intersection_law_oracle(rep)
+    assert set(arrangement_flats(arr).flats) == arrangement_flats_oracle(arr)
+
+
+# -- mutated arrangements: the verdicts match ------------------------------------------
+
+
+@DERANDOMIZED
+@given(mutated_arrangements())
+def test_mutated_arrangement_matches_oracles(arr):
+    report, oracle = verify_arrangement(arr), verify_arrangement_oracle(arr)
+    assert report.ok == oracle.ok
+    assert report["intersections-are-flats"] == oracle["intersections-are-flats"]
+    assert set(arrangement_flats(arr).flats) == arrangement_flats_oracle(arr)
+
+
+def test_mutated_member_fails_intersections_are_flats():
+    lattice = FIXTURES["u34"]
+    rep = FlagRepresentation(lattice, default_flag(lattice))
+    arr = rep.arrangement()
+    atom, member = arr.members[0]
+    facets = sorted(member.complex.maximal_faces, key=member.complex.face_key)
+    dropped = RepComplex(member.flat, SimplicialComplex(facets[1:]), member.face_signs)
+    bad = HomotopyArrangement(rep, arr.ambient, ((atom, dropped),) + arr.members[1:])
+    report = verify_arrangement(bad)
+    assert not report["intersections-are-flats"].passed
+    assert not report.ok
+    # the representation itself is untouched, so its law still holds
+    assert rep.intersection_law_holds()
+
+
+# -- the table itself --------------------------------------------------------------------
+
+
+def test_cover_steps_are_every_flat_and_atom():
+    lattice = FIXTURES["fano"]
+    rep = FlagRepresentation(lattice, default_flag(lattice))
+    steps = rep.cover_steps
+    assert len(steps) == len(lattice.flats) * len(lattice.atoms())
+    assert all(fa == lattice.join(f, a) for f, a, fa in steps)
+
+
+def test_intersection_law_verdict_is_cached(monkeypatch):
+    lattice = FIXTURES["B_3"]
+    rep = FlagRepresentation(lattice, default_flag(lattice))
+    assert rep.intersection_law_holds()
+    monkeypatch.setattr(SimplicialComplex, "intersection", lambda *a: pytest.fail("recomputed"))
+    assert rep.intersection_law_holds()
+
+
+@pytest.mark.parametrize("args", [["--exact-nerve"], []])
+def test_verify_builds_each_complex_at_most_once(monkeypatch, args):
+    built = []
+    construct = FlagRepresentation.construct
+
+    def counting(self, flat):
+        built.append(flat)
+        return construct(self, flat)
+
+    monkeypatch.setattr(FlagRepresentation, "construct", counting)
+    fano = Path(__file__).parent / "data" / "fano_gf2.json"
+    result = CliRunner().invoke(main, ["verify", *args, str(fano)])
+    assert result.exit_code == 0, result.output
+    lattice = FIXTURES["fano"]
+    assert sorted(built, key=lattice.key) == list(lattice.flats)
+
+
+def test_large_inputs_pass():
+    # U(2, 16) has 2^16 atom sets, which the subset oracle would enumerate
+    for lattice in (uniform_matroid(2, 16), uniform_matroid(6, 7)):
+        rep = FlagRepresentation(lattice, default_flag(lattice))
+        arr = rep.arrangement()
+        assert verify_arrangement(arr).ok
+        assert len(arrangement_flats(arr).flats) == len(lattice.flats)

@@ -198,7 +198,6 @@ def test_search_obstruction_u34_to_n134(u34, n134):
     flag = make_flag(u34, PAPER_FLAG)
     result = poset_map_search(u34, n134, flag)
     assert not result.found
-    assert not result.cap_hit
     faces = {face: (forced, reason) for face, forced, reason in result.obstructions}
     edge = frozenset({(("3", "4"), "+"), (("1", "4"), "-")})
     assert edge in faces

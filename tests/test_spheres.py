@@ -1,7 +1,5 @@
 from itertools import combinations
 
-import pytest
-
 from matroid_spheres import (
     FlagRepresentation,
     all_complete_flags,
@@ -134,18 +132,6 @@ def test_sign_swap_free_for_every_flag(u24, u34, bool3, n134):
 # -- sign vectors ---------------------------------------------------------------
 
 
-def test_sign_of_simplex(u24, u34):
-    rep = rep_for(u24)
-    face = {(("2",), "+"), (("3",), "+"), (("4",), "+"), (("1",), "-")}
-    assert rep.sign_of(face, u24.bottom) == (1, -1)
-    assert rep.sign_of(set(), u24.bottom) == (0, 0)
-    rep34 = rep_for(u34)
-    face34 = {(("3", "4"), "+"), (("1", "4"), "-")}
-    assert rep34.sign_of(face34, u34.bottom) == (1, -1, 0)
-    with pytest.raises(ValueError, match="mixed signs"):
-        rep.sign_of({(("2",), "+"), (("3",), "-")}, u24.bottom)
-
-
 def test_sigma_of(u24):
     rep = rep_for(u24)
     assert rep.sigma((1, 1), u24.bottom) == frozenset(
@@ -160,8 +146,8 @@ def test_sigma_sign_roundtrip(u34):
     for flat in u34.flats:
         built = rep.build(flat)
         for face, vec in built.face_signs.items():
-            assert rep.sign_of(face, flat) == vec
             assert rep.sigma(vec, flat) == face
+            assert all(vec[rep.part_of[frozenset(c)]] == (1 if s == "+" else -1) for c, s in face)
 
 
 def test_sigma_ignores_refinements_outside_support(u34):

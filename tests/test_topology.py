@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matroid_spheres import (
     CoverFamily,
@@ -90,6 +91,13 @@ def rational_betti(complex_):
 
 
 # -- faces, dimension --------------------------------------------------------
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(st.frozensets(st.integers(0, 6), max_size=5), max_size=12))
+def test_maximal_faces_match_quadratic_filter(faces):
+    expected = {f for f in faces if f and not any(f < g for g in faces)}
+    assert SimplicialComplex(faces).maximal_faces == expected
 
 
 def test_all_faces_counts():
@@ -281,6 +289,10 @@ def test_z2_free_check(u24):
     with pytest.raises(ValueError):
         z2_free_check(SimplicialComplex([["a", "b"], ["c"]]),
                       {"a": "c", "c": "a", "b": "b"})
+    # a vertex whose image is not a vertex: not an involution, no KeyError
+    half = SimplicialComplex([f for f in OCTAHEDRON.maximal_faces if (0, "+") not in f])
+    with pytest.raises(ValueError):
+        z2_free_check(half, {v: antipodal[v] for v in half.vertices})
 
 
 # -- cross-polytope nerve isomorphism ---------------------------------------------
@@ -290,9 +302,10 @@ def test_nerve_iso_u24_and_fano(u24, fano):
     for lattice, d in ((u24, 2), (fano, 3)):
         rep = FlagRepresentation(lattice, default_flag(lattice))
         built = rep.build(lattice.bottom)
+        supp = rep.support(built.flat)
         signs = {
-            f: tuple("+" if x > 0 else "-" for x in v)
-            for f, v in rep.compressed_signs(built).items()
+            f: tuple("+" if v[i] > 0 else "-" for i in supp)
+            for f, v in built.face_signs.items()
         }
         assert cross_polytope_nerve_iso(built.complex, d, signs)
 
