@@ -5,7 +5,12 @@ the family of simplicial complexes representing every flat, together with
 exact combinatorial certificates: nerve isomorphism with cross-polytopes,
 reduced integer homology, the intersection law, recovery of the matroid
 from the arrangement, the covector-poset embedding for realizable oriented
-matroids, change-of-flag retractions, and weak-map obstructions.
+matroids, change-of-flag retractions, weak maps (ranks compared on the flats
+of the source) and the obstruction to a weak map's induced sphere map.
+
+Every name exported here is reached by a command-line command or by the
+acceptance suite; test fixtures such as simplex and cross-polytope
+boundaries live with the tests.
 """
 
 from .lattice import (
@@ -13,9 +18,7 @@ from .lattice import (
     GeometricLattice,
     MatroidInputError,
     all_complete_flags,
-    boolean_matroid,
     default_flag,
-    flag_restrict,
     lattice_from_flats,
     linear_matroid,
     load_matroid,
@@ -25,7 +28,6 @@ from .lattice import (
 )
 from .maps import (
     WeakMapReport,
-    is_weak_map_covectors,
     is_weak_map_matroid,
     poset_map_search,
     retraction_map,
@@ -63,16 +65,12 @@ from .topology import (
     SimplicialComplex,
     all_faces,
     carrier_check,
-    cross_polytope_boundary,
     cross_polytope_nerve_iso,
     dimension,
     is_homology_point,
     is_homology_sphere,
     order_complex,
-    order_homotopy_image,
-    quillen_fibers_check,
     reduced_homology,
-    simplex_boundary,
     sphere_profile,
     z2_free_check,
 )

@@ -202,7 +202,7 @@ def embed(vectors: str, flag_arg: str, pivots: str | None, as_json: bool) -> Non
     lattice = oriented.underlying_matroid(cs)
     flag = jsonio.load_flag_arg(lattice, flag_arg)
     pivot_list = pivots.split(",") if pivots else None
-    emb = oriented.build_embedding(cfg, flag, pivot_list)
+    emb = oriented.build_embedding(cs, flag, pivot_list)
     report = oriented.verify_embedding(emb)
     carriers_ok = True
     for flat in lattice.flats:

@@ -101,12 +101,6 @@ class GeometricLattice:
             raise MatroidInputError(f"no flat contains {sorted(a)}")
         return out
 
-    def meet(self, x: frozenset, y: frozenset) -> frozenset:
-        m = frozenset(x) & frozenset(y)
-        if m not in self._flatset:
-            raise MatroidInputError("lattice is not meet-closed")
-        return m
-
     def join(self, x: frozenset, y: frozenset) -> frozenset:
         return self.closure(frozenset(x) | frozenset(y))
 
@@ -137,9 +131,6 @@ class Flag:
     """A complete flag: maximal chain bottom = F_0 < ... < F_r = top."""
 
     chain: tuple[frozenset, ...]
-
-    def __len__(self) -> int:
-        return len(self.chain)
 
     def __getitem__(self, i: int) -> frozenset:
         return self.chain[i]
@@ -180,29 +171,6 @@ def all_complete_flags(lattice: GeometricLattice) -> list[Flag]:
 
     grow([lattice.bottom])
     return out
-
-
-def flag_restrict(
-    lattice: GeometricLattice, flag: Flag, x: frozenset
-) -> tuple[tuple[frozenset, ...], tuple[frozenset, ...]]:
-    """Deduplicated chains {x v F_i} and {x ^ F_i}.
-
-    The join chain is a maximal chain above x (length corank(x)+1, by
-    semimodularity).  The meet chain is a chain below x but need not be
-    maximal: geometric lattices are not lower semimodular, e.g. in U_{3,4}
-    meeting {3,4} into the flag 0 < {1} < {1,2} < E gives only two flats.
-    """
-    x = frozenset(x)
-    upper: list[frozenset] = []
-    lower: list[frozenset] = []
-    for f in flag.chain:
-        j = lattice.join(x, f)
-        if not upper or upper[-1] != j:
-            upper.append(j)
-        m = lattice.meet(x, f)
-        if not lower or lower[-1] != m:
-            lower.append(m)
-    return tuple(upper), tuple(lower)
 
 
 # -- verification -----------------------------------------------------------
@@ -330,13 +298,6 @@ def uniform_matroid(r: int, n: int) -> GeometricLattice:
     flats.append(full)
     ranks = {f: (r if f == full else len(f)) for f in flats}
     return GeometricLattice(elements, flats, ranks)
-
-
-def boolean_matroid(elements: Sequence[str]) -> GeometricLattice:
-    """Boolean matroid: every subset is a flat."""
-    els = [str(e) for e in elements]
-    flats = [frozenset(c) for k in range(len(els) + 1) for c in combinations(els, k)]
-    return GeometricLattice(els, flats, {f: len(f) for f in flats})
 
 
 def lattice_from_flats(elements: Sequence[str], flats: Iterable[Iterable[str]],

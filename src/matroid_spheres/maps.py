@@ -2,9 +2,9 @@
 
 Two flags on the same matroid induce different sphere complexes on the same
 vertex set; a cross-polytope shared by both supports a simplicial homotopy
-equivalence between them.  Weak maps are decided by exhaustive rank or
-covector comparison, and the representation-level obstruction is found by
-exhaustive search over sign-preserving vertex assignments.
+equivalence between them.  Weak maps are decided by comparing ranks on
+the flats of the source, and the representation-level obstruction is found
+by exhaustive search over sign-preserving vertex assignments.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from itertools import combinations
 from typing import Mapping
 
 from .lattice import Flag, GeometricLattice, MatroidInputError, make_flag
-from .oriented import CovectorSet, cov_leq
 from .report import ValidationReport
 from .spheres import FlagRepresentation, Vertex
 from . import topology
@@ -160,36 +159,24 @@ def verify_retraction(desc: RetractDescriptor) -> ValidationReport:
 class WeakMapReport:
     verdict: bool
     witnesses: tuple = ()
-    note: str = ""
 
 
 def is_weak_map_matroid(m: GeometricLattice, n: GeometricLattice) -> WeakMapReport:
-    """Rank never increases on any subset of the shared ground set."""
+    """Is the identity a weak map M -> N: rank_N(A) <= rank_M(A) for every
+    subset A of the shared ground set?
+
+    Checking the flats F of M is enough: for any A,
+    rank_N(A) <= rank_N(cl_M A) <= rank_M(cl_M A) = rank_M(A), since rank
+    is monotone and cl_M A is a flat of M.  The witnesses are the flats of
+    M on which the rank goes up, in M's canonical flat order (by size, then
+    ground order), each as a tuple in ground order.
+    """
     if set(m.elements) != set(n.elements):
         raise MatroidInputError("weak map comparison needs a shared ground set")
-    witnesses = []
-    elements = m.elements
-    for k in range(len(elements) + 1):
-        for subset in combinations(elements, k):
-            if m.rank_of_subset(subset) < n.rank_of_subset(subset):
-                witnesses.append(tuple(subset))
-    return WeakMapReport(not witnesses, tuple(witnesses))
-
-
-def is_weak_map_covectors(m: CovectorSet, n: CovectorSet) -> WeakMapReport:
-    """Every covector of the target lies below some covector of the source."""
-    if m.elements != n.elements:
-        raise MatroidInputError("weak map comparison needs a shared ground set")
     witnesses = tuple(
-        x for x in sorted(n.covectors) if not any(cov_leq(x, y) for y in m.covectors)
+        m.sorted_elements(f) for f in m.flats if m.rank(f) < n.rank_of_subset(f)
     )
-    note = ""
-    if not witnesses:
-        from .oriented import underlying_matroid
-
-        under = is_weak_map_matroid(underlying_matroid(m), underlying_matroid(n))
-        note = "underlying matroid weak map: " + ("yes" if under.verdict else "NO")
-    return WeakMapReport(not witnesses, witnesses, note)
+    return WeakMapReport(not witnesses, witnesses)
 
 
 # -- the representation-level obstruction ---------------------------------------

@@ -46,20 +46,6 @@ def cov_leq(x: Covector, y: Covector) -> bool:
     return all(a == 0 or a == b for a, b in zip(x, y))
 
 
-def restrict_zero(x: Covector, positions: Iterable[int]) -> Covector:
-    zs = set(positions)
-    return tuple(0 if i in zs else a for i, a in enumerate(x))
-
-
-def extend(x: Covector, value: int, position: int | None = None) -> Covector:
-    """Extend a sign vector by one new coordinate (appended by default)."""
-    if position is None:
-        position = len(x)
-    if not (0 <= position <= len(x)):
-        raise ValueError("new coordinate must extend the domain")
-    return x[:position] + (value,) + x[position:]
-
-
 def render(x: Covector) -> str:
     return "".join("+" if a > 0 else "-" if a < 0 else "0" for a in x)
 
@@ -77,13 +63,6 @@ class VectorConfig:
 
     def column(self, e: str) -> tuple[Fraction, ...]:
         return self.columns[self.elements.index(e)]
-
-    def delete(self, e: str) -> "VectorConfig":
-        keep = [i for i, x in enumerate(self.elements) if x != e]
-        return VectorConfig(
-            tuple(self.elements[i] for i in keep),
-            tuple(self.columns[i] for i in keep),
-        )
 
 
 def vector_config(columns: Sequence[Sequence], elements: Sequence[str] | None = None) -> VectorConfig:
@@ -115,21 +94,6 @@ class CovectorSet:
 
     def zero_set(self, x: Covector) -> frozenset:
         return frozenset(e for e, a in zip(self.elements, x) if a == 0)
-
-    def validate(self) -> ValidationReport:
-        rep = ValidationReport()
-        rep.add("contains-zero", self.zero in self.covectors)
-        rep.add("negation-closed", all(neg(x) in self.covectors for x in self.covectors))
-        rep.add(
-            "composition-closed",
-            all(compose(x, y) in self.covectors for x in self.covectors for y in self.covectors),
-        )
-        nz = [x for x in self.covectors if x != self.zero]
-        minimal = {x for x in nz if not any(y != x and cov_leq(y, x) for y in nz)}
-        rep.add("cocircuits-minimal", minimal == set(self.cocircuits))
-        pairs = all(neg(x) in self.cocircuits for x in self.cocircuits)
-        rep.add("cocircuits-antipodal", pairs)
-        return rep
 
 
 def cocircuits_from_vectors(config: VectorConfig) -> frozenset:
@@ -253,11 +217,12 @@ class Embedding:
 
 
 def build_embedding(
-    config: VectorConfig,
+    cs: CovectorSet,
     flag: Flag | None = None,
     pivots: Sequence[str] | None = None,
 ) -> Embedding:
-    cs = covectors_from_vectors(config)
+    """The embedding of the covectors over their underlying matroid, by the
+    default flag and pivots unless these are given."""
     lattice = underlying_matroid(cs)
     if flag is None:
         flag = default_flag(lattice)
@@ -361,23 +326,6 @@ def verify_embedding(emb: Embedding) -> ValidationReport:
 def _sign_vectors(r: int, zeros: bool) -> list[tuple[int, ...]]:
     vals = (1, -1, 0) if zeros else (1, -1)
     return [tuple(v) for v in product(vals, repeat=r)]
-
-
-def first_pivot_member(emb: Embedding, flat: frozenset, vec: tuple[int, ...]) -> list[Covector]:
-    """Covectors over the flat whose own first-pivot sign matches vec.
-
-    This is the membership rule used by the deletion argument: deleting a
-    non-pivot element preserves it, and each deletion fiber has a unique
-    minimal element.  (It is not the carrier cover; see cover_member.)
-    """
-    out = []
-    for x in covector_flat(emb.cs, flat):
-        if x == emb.cs.zero:
-            continue
-        i = emb.first_pivot(x)
-        if x[emb.pivot_positions[i]] == vec[i]:
-            out.append(x)
-    return out
 
 
 def cover_member(emb: Embedding, flat: frozenset, vec: tuple[int, ...]) -> list[Covector]:

@@ -86,18 +86,8 @@ class SimplicialComplex:
         pieces = {a & b for a in self.maximal_faces for b in other.maximal_faces}
         return SimplicialComplex(pieces, vertex_order=self.vertices)
 
-    def union(self, other: "SimplicialComplex") -> "SimplicialComplex":
-        return SimplicialComplex(
-            set(self.maximal_faces) | set(other.maximal_faces),
-            vertex_order=list(self.vertices) + list(other.vertices),
-        )
-
     def face_key(self, face: frozenset) -> tuple:
         return tuple(sorted(self._vpos[v] for v in face))
-
-    def faces_sorted(self) -> list[frozenset]:
-        """All nonempty faces in canonical (size, vertex-index) order."""
-        return sorted(all_faces(self), key=lambda f: (len(f), self.face_key(f)))
 
 
 def all_faces(complex_: SimplicialComplex) -> list[frozenset]:
@@ -120,19 +110,6 @@ def dimension(complex_: SimplicialComplex) -> int:
 def full_simplex(vertices: Iterable) -> SimplicialComplex:
     vs = list(vertices)
     return SimplicialComplex([vs] if vs else [])
-
-
-def simplex_boundary(n: int) -> SimplicialComplex:
-    """Boundary of the n-simplex on vertices 0..n (an (n-1)-sphere)."""
-    return SimplicialComplex(combinations(range(n + 1), n))
-
-
-def cross_polytope_boundary(d: int) -> SimplicialComplex:
-    """Boundary of the d-dimensional cross-polytope; vertices (i, '+'/'-')."""
-    faces = []
-    for signs in _sign_tuples(d):
-        faces.append([(i, s) for i, s in enumerate(signs)])
-    return SimplicialComplex(faces)
 
 
 def _sign_tuples(d: int):
@@ -170,20 +147,6 @@ class Poset:
                 if i != j and (up[i] >> j) & 1 and (up[j] >> i) & 1:
                     raise ValueError("order is not antisymmetric")
         self._up = tuple(up)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def leq(self, x, y) -> bool:
-        return bool((self._up[self._pos[x]] >> self._pos[y]) & 1)
-
-    def upper_set(self, x) -> list:
-        m = self._up[self._pos[x]]
-        return [self.elements[j] for j in range(len(self.elements)) if (m >> j) & 1]
-
-    def subposet(self, subset: Iterable) -> "Poset":
-        keep = [e for e in self.elements if e in set(subset)]
-        return Poset(keep, self.leq)
 
     def covers(self) -> list[tuple]:
         out = []
@@ -228,21 +191,10 @@ class Poset:
         return chains
 
 
-def face_poset(complex_: SimplicialComplex) -> Poset:
-    faces = complex_.faces_sorted()
-    return Poset(faces, lambda a, b: a <= b)
-
-
 def order_complex(poset: Poset) -> SimplicialComplex:
     """Complex of chains; maximal faces are the maximal chains."""
     chains = poset.maximal_chains()
     return SimplicialComplex([frozenset(c) for c in chains], vertex_order=poset.elements)
-
-
-def barycentric_subdivision(complex_: SimplicialComplex) -> SimplicialComplex:
-    if complex_.is_empty:
-        return SimplicialComplex([])
-    return order_complex(face_poset(complex_))
 
 
 # -- homology -----------------------------------------------------------------
@@ -259,10 +211,6 @@ class HomologyProfile:
 
     def torsion(self, d: int) -> tuple[int, ...]:
         return self.dims[d][1] if 0 <= d < len(self.dims) else ()
-
-    @property
-    def max_dim(self) -> int:
-        return len(self.dims) - 1
 
     def is_sphere(self, d: int) -> bool:
         if d == -1:
@@ -566,11 +514,10 @@ def _vertex_stars(vertex_sets: Iterable[Iterable]) -> set[int]:
 
 
 def cross_polytope_nerve_iso(
-    complex_: SimplicialComplex,
-    d: int,
-    face_signs: Mapping[frozenset, tuple] | None = None,
+    complex_: SimplicialComplex, d: int, face_signs: Mapping[frozenset, tuple]
 ) -> bool:
-    """Does the nerve of the maximal faces match a d-cross-polytope's facets?
+    """Does face_signs carry the nerve of the maximal faces onto the nerve
+    of a d-cross-polytope's facets?
 
     The facets of the d-cross-polytope are indexed by {+,-}^d, and a facet
     subset intersects iff the componentwise meet of its sign vectors is
@@ -578,11 +525,7 @@ def cross_polytope_nerve_iso(
     maximal members (Dowker): the maximal vertex stars {facets containing v}
     on one side, the 2d half-spaces {sigma : sigma_i = c} on the other.  So
     the nerves agree on every facet subset exactly when these two sets of
-    maximal members are equal, which costs O(V * 2^d).  With face_signs
-    given, the stated bijection is checked.  Without it, the maximal stars
-    through the first facet stand for the d half-spaces of one sign, and
-    membership in them labels the facets; any isomorphism agrees with this
-    labelling up to relabelling the coordinates and signs.
+    maximal members are equal, which costs O(V * 2^d).
     """
     maximal = sorted(complex_.maximal_faces, key=complex_.face_key)
     if d == 0:
@@ -590,12 +533,6 @@ def cross_polytope_nerve_iso(
     if complex_.is_empty or len(maximal) != 2 ** d:
         return False
     tops = set(_maximal_masks(_vertex_stars(maximal)))
-    if face_signs is None:
-        halves = sorted(m for m in tops if m & 1)
-        face_signs = {
-            f: tuple("+" if m >> i & 1 else "-" for m in halves)
-            for i, f in enumerate(maximal)
-        }
     assign = {frozenset(f): tuple(s) for f, s in face_signs.items()}
     if set(assign) != set(maximal) or sorted(assign.values()) != sorted(_sign_tuples(d)):
         return False
@@ -725,53 +662,3 @@ def carrier_check(
                 maps_into = False
     rep.add("maps-into-carrier", maps_into)
     return rep
-
-
-def quillen_fibers_check(
-    fmap: Mapping, source: Poset, target: Poset
-) -> ValidationReport:
-    """Check the fiber hypothesis of the poset-map homotopy criterion.
-
-    For every q in the target, the preimage of the upper set at q must have
-    a contractible order complex (certified by homology here).  Raises if
-    fmap is not order-preserving.
-    """
-    for x in source.elements:
-        for y in source.elements:
-            if source.leq(x, y) and not target.leq(fmap[x], fmap[y]):
-                raise ValueError("map is not order-preserving")
-    rep = ValidationReport()
-    for q in target.elements:
-        upper = set(target.upper_set(q))
-        fiber = [x for x in source.elements if fmap[x] in upper]
-        if not fiber:
-            rep.add(f"fiber@{q}", False, "empty preimage")
-            continue
-        ok = is_homology_point(order_complex(source.subposet(fiber)))
-        rep.add(f"fiber@{q}", ok, "" if ok else "preimage is not a homology point")
-    return rep
-
-
-@dataclass(frozen=True)
-class OrderHomotopyResult:
-    image: Poset
-    report: ValidationReport
-
-
-def order_homotopy_image(poset: Poset, fmap: Mapping) -> OrderHomotopyResult:
-    """Apply a lowering or raising self-map and compare homotopy invariants.
-
-    The map must satisfy f(x) <= x for all x, or f(x) >= x for all x; it
-    need not be order-preserving.  Returns the induced subposet on the
-    image together with a report of which homology profiles agree.
-    """
-    lowering = all(poset.leq(fmap[x], x) for x in poset.elements)
-    raising = all(poset.leq(x, fmap[x]) for x in poset.elements)
-    if not (lowering or raising):
-        raise ValueError("map is neither a lowering nor a raising homotopy")
-    image = poset.subposet({fmap[x] for x in poset.elements})
-    rep = ValidationReport()
-    rep.add("kind", True, "lowering" if lowering else "raising")
-    same = reduced_homology(order_complex(poset)) == reduced_homology(order_complex(image))
-    rep.add("homology-preserved", same)
-    return OrderHomotopyResult(image, rep)

@@ -1,12 +1,38 @@
+from itertools import combinations, product
+
 import pytest
 
 from matroid_spheres import (
-    boolean_matroid,
+    GeometricLattice,
+    SimplicialComplex,
     lattice_from_flats,
     load_matroid,
     uniform_matroid,
     vector_config,
 )
+
+
+# -- fixture builders ------------------------------------------------------------
+
+
+def simplex_boundary(n):
+    """Boundary of the n-simplex on vertices 0..n (an (n-1)-sphere)."""
+    return SimplicialComplex(combinations(range(n + 1), n))
+
+
+def cross_polytope_boundary(d):
+    """Boundary of the d-dimensional cross-polytope; vertices (i, '+'/'-')."""
+    return SimplicialComplex(
+        [(i, s) for i, s in enumerate(signs)] for signs in product("+-", repeat=d)
+    )
+
+
+def boolean_matroid(elements):
+    """Boolean matroid: every subset is a flat."""
+    els = [str(e) for e in elements]
+    flats = [frozenset(c) for k in range(len(els) + 1) for c in combinations(els, k)]
+    return GeometricLattice(els, flats, {f: len(f) for f in flats})
+
 
 FANO_COLUMNS = [
     [0, 0, 1],

@@ -17,8 +17,8 @@ from matroid_spheres import (
     all_complete_flags,
     arrangement_flats,
     build_embedding,
+    covectors_from_vectors,
     carrier_check,
-    cross_polytope_boundary,
     default_flag,
     make_flag,
     poset_map_search,
@@ -26,13 +26,13 @@ from matroid_spheres import (
     retraction_map,
     roundtrip_isomorphic,
     select_cross_coatoms,
-    simplex_boundary,
     sphere_profile,
     verify_embedding,
     verify_retraction,
     z2_free_check,
 )
 from matroid_spheres import oriented
+from conftest import cross_polytope_boundary, simplex_boundary
 from matroid_spheres.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -127,7 +127,7 @@ def test_criterion_05_z2_freeness(fixtures, reps):
 def test_criterion_06_embedding(u24_vec, u34_vec):
     budget = Budget(60.0)
     for cfg in (u24_vec, u34_vec):
-        emb = build_embedding(cfg)
+        emb = build_embedding(covectors_from_vectors(cfg))
         result = verify_embedding(emb)
         assert result.ok, result.lines()
         for flat in emb.lattice.flats:
@@ -147,7 +147,7 @@ def test_criterion_07_pivots(u24_vec, u34_vec, coord2_vec, coord3_vec, n134_vec,
                              nonfano_vec):
     budget = Budget(60.0)
     for cfg in (u24_vec, u34_vec, coord2_vec, coord3_vec, n134_vec, nonfano_vec):
-        emb = build_embedding(cfg)
+        emb = build_embedding(covectors_from_vectors(cfg))
         result = oriented.pivots_check(emb)
         assert result.ok, result.lines()
     report(7, "coatom blocks match pivot prefixes", budget.check())

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from matroid_spheres import spheres
+from matroid_spheres import oriented, spheres
 from matroid_spheres.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -118,6 +118,21 @@ def test_om_embed_u24(runner):
     assert "FAIL" not in result.output
 
 
+def test_om_embed_spans_the_covectors_once(runner, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return span(*args)
+
+    span = oriented.covector_span
+    monkeypatch.setattr(oriented, "covector_span", counted)
+    for vectors in ("u24_vec.json", "u34_vec.json", "coord2.json"):
+        calls.clear()
+        assert run(runner, "om", "embed", DATA / vectors).exit_code == 0
+        assert len(calls) == 1, vectors
+
+
 def test_om_embed_u34(runner):
     result = run(runner, "om", "embed", DATA / "u34_vec.json")
     assert result.exit_code == 0
@@ -140,8 +155,17 @@ def test_weakmap_yes(runner):
 def test_weakmap_no_with_witness(runner):
     result = run(runner, "weakmap", DATA / "n134.json", DATA / "u34.json")
     assert result.exit_code == 1
-    assert "WEAK MAP: no" in result.output
-    assert "['1', '3', '4']" in result.output
+    assert result.output.splitlines()[1:] == ["  witness subset: ['1', '3', '4']"]
+
+
+def test_weakmap_witnesses_are_flats_of_the_source(runner):
+    # rank goes up on every 3-subset of U(2,4) in U(3,4), but the only flat
+    # of U(2,4) among them is the ground set
+    result = run(runner, "weakmap", "--json", DATA / "u24.json", DATA / "u34.json")
+    assert result.exit_code == 1
+    report = json.loads(result.output)
+    assert report["weak_map"] is False
+    assert report["witnesses"] == [["1", "2", "3", "4"]]
 
 
 def test_weakmap_search(runner):

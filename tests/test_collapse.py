@@ -12,12 +12,11 @@ from sympy.matrices.normalforms import smith_normal_form
 from matroid_spheres import (
     FlagRepresentation,
     SimplicialComplex,
-    cross_polytope_boundary,
     dimension,
     reduced_homology,
-    simplex_boundary,
     sphere_profile,
 )
+from conftest import cross_polytope_boundary, simplex_boundary
 from matroid_spheres.jsonio import complex_from_json
 from matroid_spheres.lattice import all_complete_flags
 from matroid_spheres.topology import (

@@ -16,7 +16,6 @@ from matroid_spheres import (
     SimplicialComplex,
     ValidationReport,
     arrangement_flats,
-    boolean_matroid,
     default_flag,
     lattice_from_flats,
     load_matroid,
@@ -27,6 +26,7 @@ from matroid_spheres import (
 from matroid_spheres import topology
 from matroid_spheres.cli import main
 from matroid_spheres.spheres import atom_label, swap_sign
+from conftest import boolean_matroid
 
 from conftest import FANO_COLUMNS, N134_FLATS
 

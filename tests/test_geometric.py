@@ -14,13 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from matroid_spheres import (
     GeometricLattice,
-    boolean_matroid,
     lattice_from_flats,
     load_matroid,
     uniform_matroid,
     verify_geometric,
 )
 from matroid_spheres.report import ValidationReport
+from conftest import boolean_matroid
 
 DATA = Path(__file__).parent / "data"
 DERANDOMIZED = settings(derandomize=True, database=None, max_examples=300, deadline=None)

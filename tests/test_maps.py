@@ -1,23 +1,28 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matroid_spheres import (
     FlagRepresentation,
+    GeometricLattice,
     MatroidInputError,
     all_complete_flags,
     covectors_from_vectors,
     default_flag,
-    is_weak_map_covectors,
     is_weak_map_matroid,
+    linear_matroid,
     make_flag,
     poset_map_search,
     retraction_map,
     select_cross_coatoms,
+    underlying_matroid,
     uniform_matroid,
     vector_config,
     verify_retraction,
 )
+from matroid_spheres.oriented import cov_leq
+from conftest import boolean_matroid
 
 PAPER_FLAG = [[], ["1"], ["1", "2"], ["1", "2", "3", "4"]]
 
@@ -170,18 +175,65 @@ def test_weak_map_antisymmetry(u24, u34, n134):
         assert both == same_rank
 
 
+def weak_map_subset_oracle(m, n):
+    """Every subset A with rank_M(A) < rank_N(A), by size, then in
+    combinations order over M's ground order."""
+    return [
+        subset
+        for k in range(len(m.elements) + 1)
+        for subset in combinations(m.elements, k)
+        if m.rank_of_subset(subset) < n.rank_of_subset(subset)
+    ]
+
+
+@st.composite
+def matroid_pairs(draw):
+    """Two matroids on one ground set 1..n: uniform, Boolean or rational
+    linear (loops included), the second listing its ground set in a drawn
+    order."""
+    n = draw(st.integers(1, 6))
+    labels = [str(i) for i in range(1, n + 1)]
+
+    def matroid(elements):
+        kind = draw(st.sampled_from(["uniform", "boolean", "linear"]))
+        if kind == "uniform":
+            u = uniform_matroid(draw(st.integers(1, n)), n)
+            return GeometricLattice(elements, u.flats, u.rank_of)
+        if kind == "boolean":
+            return boolean_matroid(elements)
+        d = draw(st.integers(1, 3))
+        columns = draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                                min_size=n, max_size=n))
+        return linear_matroid(columns, None, elements)
+
+    return matroid(labels), matroid(draw(st.permutations(labels)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(matroid_pairs())
+def test_weak_map_flats_match_subset_oracle(pair):
+    # the witnesses are the oracle's subsets that are flats of M, in its order
+    for m, n in (pair, pair[::-1]):
+        oracle = weak_map_subset_oracle(m, n)
+        report = is_weak_map_matroid(m, n)
+        assert report.verdict == (not oracle)
+        assert report.witnesses == tuple(a for a in oracle if frozenset(a) in m)
+
+
 def test_weak_map_covectors(u24_vec):
+    # the identity is a weak map of oriented matroids iff every covector of
+    # N lies below one of M; then it is a weak map of the underlying matroids
+    def witnesses(m, n):
+        return [x for x in sorted(n.covectors) if not any(cov_leq(x, y) for y in m.covectors)]
+
     m = covectors_from_vectors(u24_vec)
-    assert is_weak_map_covectors(m, m).verdict
+    assert not witnesses(m, m)
     # rotate element 3 onto element 2's line: a specialization
     degenerate = vector_config([[1, 0], [0, 1], [0, 1], [1, -1]])
     n = covectors_from_vectors(degenerate)
-    forward = is_weak_map_covectors(m, n)
-    assert forward.verdict
-    assert "yes" in forward.note
-    back = is_weak_map_covectors(n, m)
-    assert not back.verdict
-    assert back.witnesses
+    assert not witnesses(m, n)
+    assert is_weak_map_matroid(underlying_matroid(m), underlying_matroid(n)).verdict
+    assert witnesses(n, m)
 
 
 # -- the obstruction search ------------------------------------------------------------

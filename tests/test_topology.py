@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,26 +11,18 @@ from matroid_spheres import (
     SimplicialComplex,
     all_faces,
     carrier_check,
-    cross_polytope_boundary,
     cross_polytope_nerve_iso,
     default_flag,
     dimension,
     is_homology_point,
     is_homology_sphere,
     order_complex,
-    order_homotopy_image,
-    quillen_fibers_check,
     reduced_homology,
-    simplex_boundary,
     sphere_profile,
     z2_free_check,
 )
-from matroid_spheres.topology import (
-    barycentric_subdivision,
-    face_poset,
-    full_simplex,
-    smith_invariant_factors,
-)
+from matroid_spheres.topology import full_simplex, smith_invariant_factors
+from conftest import cross_polytope_boundary, simplex_boundary
 
 RP2 = SimplicialComplex(
     [[0, 1, 4], [0, 1, 5], [0, 2, 3], [0, 2, 4], [0, 3, 5],
@@ -181,6 +173,11 @@ def test_order_complex_of_chain():
     assert oc.maximal_faces == frozenset({frozenset({"a", "b", "c"})})
 
 
+def barycentric_subdivision(complex_):
+    """The order complex of the face poset."""
+    return order_complex(Poset(all_faces(complex_), lambda a, b: a <= b))
+
+
 def test_order_complex_of_square_boundary_face_poset():
     square = SimplicialComplex([[0, 1], [1, 2], [2, 3], [0, 3]])
     sd = barycentric_subdivision(square)
@@ -262,7 +259,7 @@ def test_betti_against_rational_oracle(u24, u34):
     for k in fixtures:
         profile = reduced_homology(k)
         oracle = rational_betti(k)
-        assert not any(profile.torsion(d) for d in range(profile.max_dim + 1))
+        assert not any(profile.torsion(d) for d in range(len(profile.dims)))
         for d, betti in oracle.items():
             assert profile.betti(d) == betti
 
@@ -311,15 +308,19 @@ def test_nerve_iso_u24_and_fano(u24, fano):
 
 
 def test_nerve_iso_rejects_cone():
+    # every facet holds the apex, so antipodal facets meet under any labelling
     cone = SimplicialComplex([[0, 1, 2], [0, 3, 4], [0, 5, 6], [0, 7, 8]])
-    assert not cross_polytope_nerve_iso(cone, 2)
+    facets = sorted(cone.maximal_faces, key=cone.face_key)
+    assert not cross_polytope_nerve_iso(cone, 2, dict(zip(facets, product("+-", repeat=2))))
 
 
-def test_nerve_iso_accepts_octahedron_unlabelled():
-    assert cross_polytope_nerve_iso(OCTAHEDRON, 3)
+def test_nerve_iso_accepts_octahedron():
+    # the facet {(i, s_i)} of the octahedron is labelled by its signs s
+    signs = {f: tuple(s for _, s in sorted(f)) for f in OCTAHEDRON.maximal_faces}
+    assert cross_polytope_nerve_iso(OCTAHEDRON, 3, signs)
 
 
-# -- carrier and fiber checks ------------------------------------------------------
+# -- carrier checks --------------------------------------------------------------
 
 
 def test_carrier_check_identity():
@@ -346,24 +347,3 @@ def test_carrier_check_index_mismatch():
     with pytest.raises(ValueError):
         carrier_check({0: {0}}, a, b)
 
-
-def test_quillen_identity_and_disconnected_fiber():
-    p = Poset([0, 1], lambda x, y: x == y or (x, y) == (0, 1))
-    assert quillen_fibers_check({0: 0, 1: 1}, p, p).ok
-    antichain = Poset(["x", "y"], lambda a, b: a == b)
-    point = Poset(["*"], lambda a, b: True)
-    rep = quillen_fibers_check({"x": "*", "y": "*"}, antichain, point)
-    assert not rep.ok
-    with pytest.raises(ValueError):
-        quillen_fibers_check({0: 1, 1: 0}, p, p)
-
-
-def test_order_homotopy_examples():
-    p = Poset(["0", "a", "b"], lambda x, y: x == y or x == "0")
-    res = order_homotopy_image(p, {"0": "0", "a": "0", "b": "0"})
-    assert len(res.image) == 1
-    assert res.report.ok
-    ident = order_homotopy_image(p, {x: x for x in p.elements})
-    assert len(ident.image) == 3
-    with pytest.raises(ValueError):
-        order_homotopy_image(p, {"0": "a", "a": "0", "b": "b"})
