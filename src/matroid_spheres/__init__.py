@@ -68,7 +68,6 @@ from .topology import (
     cross_polytope_nerve_iso,
     dimension,
     is_homology_point,
-    is_homology_sphere,
     order_complex,
     reduced_homology,
     sphere_profile,

@@ -41,17 +41,16 @@ class CrossSelection:
 
 
 def select_cross_coatoms(
-    lattice: GeometricLattice, flag_f: Flag, flag_g: Flag
+    rep_f: FlagRepresentation, rep_g: FlagRepresentation
 ) -> CrossSelection:
     """Pick one coatom per F-block so the G-blocks are also all distinct.
 
     Blocks of the two partitions form a bipartite graph with an edge where
     blocks share a coatom; the required selection is a perfect matching in
     that graph, built greedily with lexicographic preference so the result
-    is deterministic.
+    is deterministic.  Both representations are of the same lattice.
     """
-    rep_f = FlagRepresentation(lattice, flag_f)
-    rep_g = FlagRepresentation(lattice, flag_g)
+    lattice = rep_f.lattice
     r = lattice.r
     options: dict[tuple[int, int], list[frozenset]] = {}
     for i in range(r):
@@ -108,19 +107,15 @@ def retraction_map(
     lattice: GeometricLattice, flag_f: Flag, flag_g: Flag
 ) -> RetractDescriptor:
     """Send every signed coatom in block i onto the selected coatom C_i."""
-    sel = select_cross_coatoms(lattice, flag_f, flag_g)
     rep_f = FlagRepresentation(lattice, flag_f)
     rep_g = FlagRepresentation(lattice, flag_g)
+    sel = select_cross_coatoms(rep_f, rep_g)
     vmap: dict[Vertex, Vertex] = {}
     for i, block in enumerate(rep_f.parts):
         for c in block:
             for s in ("+", "-"):
                 vmap[rep_f.vertex(c, s)] = rep_f.vertex(sel.coatoms[i], s)
-    faces = []
-    from itertools import product
-
-    for signs in product(("+", "-"), repeat=lattice.r):
-        faces.append([rep_f.vertex(c, s) for c, s in zip(sel.coatoms, signs)])
+    faces = rep_f.cross_polytope([(c,) for c in sel.coatoms])
     polytope = SimplicialComplex(faces, vertex_order=rep_f.vertex_order(sel.coatoms))
     return RetractDescriptor(sel, rep_f, rep_g, vmap, polytope)
 

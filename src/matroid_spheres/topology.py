@@ -1,19 +1,22 @@
 """Generic combinatorial topology: complexes, posets, nerves, exact homology.
 
-Reduced integer homology is computed on the strong-collapse core of a
-complex: dominated vertices are deleted, working on maximal faces only,
-which is a strong deformation retraction (Barmak and Minian, 2012).  The
-faces of the core then give boundary matrices, reduced by Smith normal form
-over arbitrary-precision integers with unit pivots taken first (Dumas,
-Saunders and Villard, 2001).  A homology sphere/point profile is the
-computable certificate used in place of homotopy type throughout.
+A complex is certified a sphere by comparing the nerve of its maximal
+faces with that of a cross-polytope's facets (``cross_polytope_nerve_iso``;
+the nerve lemma makes this a homotopy certificate).  Reduced integer
+homology serves where no such nerve is at hand: the embedding, retraction
+and carrier checks and the ``homology`` command.  It is computed on the
+strong-collapse core of a complex: dominated vertices are deleted, working
+on maximal faces only, which is a strong deformation retraction (Barmak and
+Minian, 2012).  The faces of the core then give boundary matrices, reduced
+by Smith normal form over arbitrary-precision integers with unit pivots
+taken first (Dumas, Saunders and Villard, 2001).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -112,13 +115,6 @@ def full_simplex(vertices: Iterable) -> SimplicialComplex:
     return SimplicialComplex([vs] if vs else [])
 
 
-def _sign_tuples(d: int):
-    if d == 0:
-        return [()]
-    smaller = _sign_tuples(d - 1)
-    return [t + (s,) for t in smaller for s in ("+", "-")]
-
-
 # -- posets -------------------------------------------------------------------
 
 
@@ -211,16 +207,6 @@ class HomologyProfile:
 
     def torsion(self, d: int) -> tuple[int, ...]:
         return self.dims[d][1] if 0 <= d < len(self.dims) else ()
-
-    def is_sphere(self, d: int) -> bool:
-        if d == -1:
-            return len(self.dims) == 0
-        if len(self.dims) == 0:
-            return False
-        return all(
-            (self.betti(k) == (1 if k == d else 0)) and not self.torsion(k)
-            for k in range(max(len(self.dims), d + 1))
-        )
 
     def is_trivial(self) -> bool:
         return all(b == 0 and not t for b, t in self.dims)
@@ -463,15 +449,6 @@ def _face_homology(complex_: SimplicialComplex) -> HomologyProfile:
     return HomologyProfile(tuple(dims))
 
 
-def is_homology_sphere(complex_: SimplicialComplex, d: int) -> bool:
-    """True if reduced homology matches the d-sphere (d = -1 means empty)."""
-    if d == -1:
-        return complex_.is_empty
-    if complex_.is_empty:
-        return False
-    return reduced_homology(complex_).is_sphere(d)
-
-
 def is_homology_point(complex_: SimplicialComplex) -> bool:
     """True if the complex is nonempty with vanishing reduced homology."""
     if complex_.is_empty:
@@ -534,7 +511,7 @@ def cross_polytope_nerve_iso(
         return False
     tops = set(_maximal_masks(_vertex_stars(maximal)))
     assign = {frozenset(f): tuple(s) for f, s in face_signs.items()}
-    if set(assign) != set(maximal) or sorted(assign.values()) != sorted(_sign_tuples(d)):
+    if set(assign) != set(maximal) or sorted(assign.values()) != sorted(product("+-", repeat=d)):
         return False
     return tops == {
         sum(1 << j for j, f in enumerate(maximal) if assign[f][i] == c)

@@ -7,6 +7,8 @@ from matroid_spheres import (
     SimplicialComplex,
     lattice_from_flats,
     load_matroid,
+    reduced_homology,
+    sphere_profile,
     uniform_matroid,
     vector_config,
 )
@@ -25,6 +27,19 @@ def cross_polytope_boundary(d):
     return SimplicialComplex(
         [(i, s) for i, s in enumerate(signs)] for signs in product("+-", repeat=d)
     )
+
+
+def is_homology_sphere(complex_, d):
+    """Homology oracle: does the reduced integer homology match the d-sphere?
+
+    d = -1 asks for the empty complex.  The package certifies spheres by
+    their facet nerves; the tests check those verdicts against this one.
+    """
+    if d == -1:
+        return complex_.is_empty
+    if complex_.is_empty:
+        return False
+    return reduced_homology(complex_) == sphere_profile(d)
 
 
 def boolean_matroid(elements):

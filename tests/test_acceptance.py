@@ -25,7 +25,6 @@ from matroid_spheres import (
     reduced_homology,
     retraction_map,
     roundtrip_isomorphic,
-    select_cross_coatoms,
     sphere_profile,
     verify_embedding,
     verify_retraction,
@@ -163,9 +162,8 @@ def test_criterion_08_retractions(u34, bool3, fano):
     cases.append((fano, fano_flags[0], fano_flags[1]))
     cases.append((fano, fano_flags[2], fano_flags[-1]))
     for lattice, f, g in cases:
-        sel = select_cross_coatoms(lattice, f, g)
-        assert sel.distinct()
         desc = retraction_map(lattice, f, g)
+        assert desc.selection.distinct()
         result = verify_retraction(desc)
         assert result.ok, (f.chain, g.chain, result.lines())
     report(8, "cross selections + retractions, all flag pairs", budget.check())

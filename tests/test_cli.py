@@ -299,3 +299,12 @@ def test_unexpected_error_exits_3_on_one_line(runner, monkeypatch):
     assert result.exit_code == 3
     assert result.stdout == ""
     assert result.stderr == "internal error: RuntimeError: boom\n"
+
+
+@pytest.mark.parametrize("pivots", ["1", "1,3,4"])
+def test_om_embed_wrong_pivot_count_exits_2(runner, pivots):
+    result = run(runner, "om", "embed", DATA / "u24_vec.json", "--pivots", pivots)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("input error: ")
+    assert len(result.stderr.splitlines()) == 1

@@ -26,7 +26,7 @@ from matroid_spheres import (
 from matroid_spheres import topology
 from matroid_spheres.cli import main
 from matroid_spheres.spheres import atom_label, swap_sign
-from conftest import boolean_matroid
+from conftest import boolean_matroid, is_homology_sphere
 
 from conftest import FANO_COLUMNS, N134_FLATS
 
@@ -69,11 +69,11 @@ def verify_arrangement_oracle(arr):
     lattice = fr.lattice
     r = lattice.r
     amb = arr.ambient
-    rep.add("ambient-sphere", topology.is_homology_sphere(amb.complex, r - 1),
+    rep.add("ambient-sphere", is_homology_sphere(amb.complex, r - 1),
             f"expected S^{r - 1} profile")
     rep.add("ambient-nerve", fr.nerve_matches_cross_polytope(amb))
     rep.add("members-sphere",
-            all(topology.is_homology_sphere(m.complex, r - 2) for _, m in arr.members),
+            all(is_homology_sphere(m.complex, r - 2) for _, m in arr.members),
             f"each member must be S^{r - 2}")
     atoms = [a for a, _ in arr.members]
     complexes = {a: m.complex for a, m in arr.members}
@@ -90,7 +90,7 @@ def verify_arrangement_oracle(arr):
             if inter != fr.build(h).complex:
                 law_ok = False
             if h not in seen:
-                if not topology.is_homology_sphere(inter, lattice.corank(h) - 1):
+                if not is_homology_sphere(inter, lattice.corank(h) - 1):
                     sphere_ok = False
                 seen[h] = inter
     rep.add("intersections-are-flats", law_ok)
@@ -112,7 +112,7 @@ def verify_arrangement_oracle(arr):
                 continue
             if lattice.rank(gh) != lattice.rank(h) + 1:
                 drop_ok = False
-            if not topology.is_homology_sphere(
+            if not is_homology_sphere(
                 inter.intersection(complexes[g]), lattice.corank(gh) - 1
             ):
                 drop_ok = False
@@ -158,16 +158,17 @@ def representations(draw):
     return FlagRepresentation(lattice, flag_from(lattice, order))
 
 
-def mutated(complex_, draw):
-    """One facet dropped, or one vertex sign flipped inside one facet."""
+def mutated(old, draw):
+    """One facet dropped, or one vertex sign flipped inside one facet, which
+    keeps the facet's sign vector."""
+    complex_ = old.complex
     facets = sorted(complex_.maximal_faces, key=complex_.face_key)
     face = facets[draw(st.integers(0, len(facets) - 1))]
-    rest = [f for f in facets if f != face]
-    if draw(st.booleans()):
-        return SimplicialComplex(rest, vertex_order=complex_.vertices)
-    v = sorted(face, key=complex_.vertices.index)[draw(st.integers(0, len(face) - 1))]
-    flipped = (face - {v}) | {swap_sign(v)}
-    return SimplicialComplex(rest + [flipped], vertex_order=complex_.vertices)
+    signs = {f: old.face_signs[f] for f in facets if f != face}
+    if not draw(st.booleans()):
+        v = sorted(face, key=complex_.vertices.index)[draw(st.integers(0, len(face) - 1))]
+        signs[(face - {v}) | {swap_sign(v)}] = old.face_signs[face]
+    return RepComplex(old.flat, SimplicialComplex(signs, vertex_order=complex_.vertices), signs)
 
 
 @st.composite
@@ -177,7 +178,7 @@ def mutated_arrangements(draw):
     targets = [i for i, (_, m) in enumerate(arr.members) if not m.complex.is_empty]
     i = draw(st.sampled_from([-1] + targets))
     old = arr.ambient if i == -1 else arr.members[i][1]
-    new = RepComplex(old.flat, mutated(old.complex, draw), old.face_signs)
+    new = mutated(old, draw)
     if i == -1:
         return HomotopyArrangement(rep, new, arr.members)
     members = list(arr.members)
@@ -234,6 +235,63 @@ def test_mutated_member_fails_intersections_are_flats():
     assert not report.ok
     # the representation itself is untouched, so its law still holds
     assert rep.intersection_law_holds()
+
+
+# -- the sphere certificate against the homology oracle -----------------------------
+
+
+@settings(DERANDOMIZED, max_examples=60)
+@given(representations())
+def test_sphere_verdict_matches_homology_oracle(rep):
+    for g in rep.lattice.flats:
+        built = rep.build(g)
+        oracle = is_homology_sphere(built.complex, rep.lattice.corank(g) - 1)
+        assert rep.sphere_holds(built) == oracle
+        assert oracle
+
+
+@st.composite
+def mutated_flat_complexes(draw):
+    rep = draw(representations())
+    flats = [g for g in rep.lattice.flats if g != rep.lattice.top]
+    return rep, mutated(rep.build(draw(st.sampled_from(flats))), draw)
+
+
+@DERANDOMIZED
+@given(mutated_flat_complexes())
+def test_sphere_verdict_never_passes_where_the_oracle_fails(case):
+    rep, bad = case
+    if rep.sphere_holds(bad):
+        assert is_homology_sphere(bad.complex, rep.lattice.corank(bad.flat) - 1)
+    # the mutant is tested afresh and leaves the flat's own verdict alone
+    assert rep.sphere_holds(rep.build(bad.flat))
+
+
+@pytest.mark.parametrize("args", [["--exact-nerve"], []])
+@pytest.mark.parametrize("name", ["fano_gf2.json", "bool3.json", "u34.json", "n134.json"])
+def test_verify_certifies_each_flat_by_one_nerve_test(monkeypatch, args, name):
+    def no_snf(*a):
+        pytest.fail("Smith normal form computed")
+
+    flats = []
+    nerve = FlagRepresentation.nerve_matches_cross_polytope
+    iso = topology.cross_polytope_nerve_iso
+    calls = []
+
+    def counted_nerve(self, rep):
+        flats.append(rep.flat)
+        return nerve(self, rep)
+
+    def counted_iso(*a):
+        calls.append(a)
+        return iso(*a)
+
+    monkeypatch.setattr(topology, "smith_invariant_factors", no_snf)
+    monkeypatch.setattr(topology, "cross_polytope_nerve_iso", counted_iso)
+    monkeypatch.setattr(FlagRepresentation, "nerve_matches_cross_polytope", counted_nerve)
+    result = CliRunner().invoke(main, ["verify", *args, str(Path(__file__).parent / "data" / name)])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == len(flats) == len(set(flats))
 
 
 # -- the table itself --------------------------------------------------------------------

@@ -45,9 +45,15 @@ def brute_force_selection_exists(lattice, flag_f, flag_g, selection):
 # -- cross-coatom selection -----------------------------------------------------
 
 
+def select(lattice, flag_f, flag_g):
+    return select_cross_coatoms(
+        FlagRepresentation(lattice, flag_f), FlagRepresentation(lattice, flag_g)
+    )
+
+
 def test_selection_identical_flags(u24):
     flag = default_flag(u24)
-    sel = select_cross_coatoms(u24, flag, flag)
+    sel = select(u24, flag, flag)
     assert sel.distinct()
     # lex-least coatom of each block
     assert sel.coatoms == (frozenset({"2"}), frozenset({"1"}))
@@ -56,7 +62,7 @@ def test_selection_identical_flags(u24):
 def test_selection_u34_pair(u34):
     f = make_flag(u34, [[], ["1"], ["1", "2"], ["1", "2", "3", "4"]])
     g = make_flag(u34, [[], ["3"], ["3", "4"], ["1", "2", "3", "4"]])
-    sel = select_cross_coatoms(u34, f, g)
+    sel = select(u34, f, g)
     assert sel.distinct()
     assert brute_force_selection_exists(u34, f, g, sel)
 
@@ -64,7 +70,7 @@ def test_selection_u34_pair(u34):
 def test_selection_rank_one():
     lattice = uniform_matroid(1, 1)
     flag = default_flag(lattice)
-    sel = select_cross_coatoms(lattice, flag, flag)
+    sel = select(lattice, flag, flag)
     assert sel.coatoms == (frozenset(),)
 
 
@@ -73,7 +79,7 @@ def test_selection_all_flag_pairs(u24, u34, bool3, n134):
         flags = all_complete_flags(lattice)
         for f in flags:
             for g in flags:
-                sel = select_cross_coatoms(lattice, f, g)
+                sel = select(lattice, f, g)
                 assert sel.distinct()
                 assert brute_force_selection_exists(lattice, f, g, sel)
 
@@ -83,7 +89,7 @@ def test_selection_fano_sample(fano):
     sample = [flags[0], flags[1], flags[-1], flags[len(flags) // 2]]
     for f in sample:
         for g in sample:
-            sel = select_cross_coatoms(fano, f, g)
+            sel = select(fano, f, g)
             assert sel.distinct()
             assert brute_force_selection_exists(fano, f, g, sel)
 

@@ -2,7 +2,7 @@
 enumeration of every facet or index subset, and run at sizes the
 enumeration cannot reach."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +21,7 @@ from matroid_spheres import (
     vector_config,
 )
 from matroid_spheres import oriented
-from matroid_spheres.topology import _generic_key, _intersections, _sign_tuples, full_simplex
+from matroid_spheres.topology import _generic_key, _intersections, full_simplex
 
 DERANDOMIZED = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -49,7 +49,7 @@ def nerve_iso_oracle(complex_, d, face_signs):
     if complex_.is_empty or len(maximal) != 2 ** d:
         return False
     assign = {frozenset(f): tuple(s) for f, s in face_signs.items()}
-    if set(assign) != set(maximal) or sorted(assign.values()) != sorted(_sign_tuples(d)):
+    if set(assign) != set(maximal) or sorted(assign.values()) != sorted(product("+-", repeat=d)):
         return False
     return pattern_matches(maximal, assign, d)
 
@@ -102,7 +102,7 @@ def labelled_cross_polytope(d, perm, flips, blocks=None):
     permutation and sign flips (so still a valid labelling)."""
     blocks = blocks or [1] * d
     faces, signs = [], {}
-    for sigma in _sign_tuples(d):
+    for sigma in product("+-", repeat=d):
         face = frozenset((i, s, c) for i, s in enumerate(sigma) for c in range(blocks[i]))
         faces.append(face)
         relabel = tuple(sigma[perm[j]] for j in range(d))

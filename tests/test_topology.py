@@ -15,14 +15,13 @@ from matroid_spheres import (
     default_flag,
     dimension,
     is_homology_point,
-    is_homology_sphere,
     order_complex,
     reduced_homology,
     sphere_profile,
     z2_free_check,
 )
 from matroid_spheres.topology import full_simplex, smith_invariant_factors
-from conftest import cross_polytope_boundary, simplex_boundary
+from conftest import cross_polytope_boundary, is_homology_sphere, simplex_boundary
 
 RP2 = SimplicialComplex(
     [[0, 1, 4], [0, 1, 5], [0, 2, 3], [0, 2, 4], [0, 3, 5],
