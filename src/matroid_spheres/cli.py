@@ -111,7 +111,8 @@ def represent(matroid: str, flag_arg: str, out_dir: str, as_json: bool) -> None:
 @main.command()
 @click.argument("matroid", type=click.Path(exists=True))
 @click.option("--flag", "flag_arg", default="default")
-@click.option("--exact-nerve", is_flag=True, help="also check the nerve pattern for every flat")
+@click.option("--exact-nerve", is_flag=True,
+              help="only add the nerve-iso-all-flats line, read from checks verify runs anyway")
 @click.option("--json", "as_json", is_flag=True)
 @input_errors
 def verify(matroid: str, flag_arg: str, exact_nerve: bool, as_json: bool) -> None:
@@ -204,11 +205,10 @@ def embed(vectors: str, flag_arg: str, pivots: str | None, as_json: bool) -> Non
     pivot_list = pivots.split(",") if pivots else None
     emb = oriented.build_embedding(cs, flag, pivot_list)
     report = oriented.verify_embedding(emb)
-    carriers_ok = True
-    for flat in lattice.flats:
-        images, a_cover, b_cover = oriented.carrier_inputs(emb, flat)
-        if not topology.carrier_check(images, a_cover, b_cover).ok:
-            carriers_ok = False
+    carriers_ok = all(
+        topology.carrier_check(emb.images, *oriented.build_covers(emb, flat)).ok
+        for flat in lattice.flats
+    )
     detail = "all flats, maximal vertex stars, each distinct intersection once"
     report.add("carrier-covers", carriers_ok, detail)
     _echo_report(report, as_json, f"om embed {vectors}")

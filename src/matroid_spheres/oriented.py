@@ -8,8 +8,9 @@ ground order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -24,7 +25,7 @@ from .linalg import nullspace_q, rank_q
 from .report import ValidationReport
 from .spheres import FlagRepresentation, swap_sign
 from . import topology
-from .topology import CoverFamily, Poset, SimplicialComplex, full_simplex
+from .topology import CoverFamily, Poset, SimplicialComplex
 
 Covector = tuple[int, ...]
 
@@ -95,6 +96,11 @@ class CovectorSet:
     def zero_set(self, x: Covector) -> frozenset:
         return frozenset(e for e, a in zip(self.elements, x) if a == 0)
 
+    @cached_property
+    def zero_sets(self) -> frozenset:
+        """The zero sets of the covectors: the flats of the underlying matroid."""
+        return frozenset(self.zero_set(x) for x in self.covectors)
+
 
 def cocircuits_from_vectors(config: VectorConfig) -> frozenset:
     """Cocircuits of the configuration: one antipodal pair per coatom.
@@ -125,20 +131,25 @@ def cocircuits_from_vectors(config: VectorConfig) -> frozenset:
 
 
 def covector_span(elements: Sequence[str], cocircuits: Iterable[Covector]) -> CovectorSet:
-    """Smallest composition-closed set containing the cocircuits and zero."""
+    """Smallest composition-closed set containing the cocircuits and zero.
+
+    Grown by x -> x o c with c a cocircuit only: O(|L| * |C|) compositions.
+    The result Y lies in the span, each member being 0 or c_1 o ... o c_k.
+    It is composition-closed: for x and y = c_1 o ... o c_k in Y,
+    associativity gives x o y = (...(x o c_1) ...) o c_k, one cocircuit
+    composed on the right at a time.  As every covector is a composition of
+    cocircuits (Bjorner et al., Oriented Matroids), Y is all the covectors.
+    """
     cocircuits = frozenset(cocircuits)
     zero = (0,) * len(tuple(elements))
     covectors = set(cocircuits) | {zero}
-    frontier = set(covectors)
-    while frontier:
-        fresh = set()
-        for x in frontier:
-            for y in covectors:
-                for z in (compose(x, y), compose(y, x)):
-                    if z not in covectors:
-                        fresh.add(z)
-        covectors |= fresh
-        frontier = fresh
+    queue = list(covectors)
+    for x in queue:  # grows while it is read
+        for c in cocircuits:
+            z = compose(x, c)
+            if z not in covectors:
+                covectors.add(z)
+                queue.append(z)
     return CovectorSet(tuple(str(e) for e in elements), frozenset(covectors), cocircuits)
 
 
@@ -152,28 +163,21 @@ def underlying_from_config(config: VectorConfig) -> GeometricLattice:
 
 def underlying_matroid(cs: CovectorSet) -> GeometricLattice:
     """Lattice of covector zero sets, ordered by inclusion."""
-    return GeometricLattice(cs.elements, {cs.zero_set(x) for x in cs.covectors})
+    return GeometricLattice(cs.elements, cs.zero_sets)
 
 
 def covector_flat(cs: CovectorSet, flat: Iterable[str]) -> list[Covector]:
     """Covectors vanishing on the flat (the zero vector included)."""
     f = frozenset(str(e) for e in flat)
-    if f not in {cs.zero_set(x) for x in cs.covectors}:
+    if f not in cs.zero_sets:
         raise MatroidInputError(f"{sorted(f)} is not a flat of the underlying matroid")
     positions = [cs.elements.index(e) for e in f]
     return sorted(x for x in cs.covectors if all(x[i] == 0 for i in positions))
 
 
-def covector_poset(covectors: Iterable[Covector]) -> Poset:
-    return Poset(sorted(covectors), cov_leq)
-
-
 def delta_complex(covectors: Iterable[Covector]) -> SimplicialComplex:
     """Order complex of a set of covectors under the conformal order."""
-    covs = [c for c in covectors]
-    if not covs:
-        return SimplicialComplex([])
-    return topology.order_complex(covector_poset(covs))
+    return topology.order_complex(Poset(sorted(covectors), cov_leq))
 
 
 # -- the embedding ------------------------------------------------------------
@@ -185,7 +189,8 @@ class Embedding:
 
     pivots[i] is an element of flag[i+1] - flag[i]; a cocircuit lands on the
     signed vertex of its zero-set coatom, with the sign it takes on the
-    first pivot it does not annihilate.
+    first pivot it does not annihilate.  The image table and each flat's
+    order complex are computed once and shared by every check.
     """
 
     cs: CovectorSet
@@ -193,6 +198,7 @@ class Embedding:
     flag: Flag
     rep: FlagRepresentation
     pivots: tuple[str, ...]
+    _deltas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def pivot_positions(self) -> tuple[int, ...]:
@@ -204,16 +210,32 @@ class Embedding:
                 return i
         raise ValueError("covector vanishes on every pivot")
 
+    @cached_property
+    def images(self) -> dict[Covector, frozenset]:
+        """Image face in S_bottom of every nonzero covector: the signed
+        vertices of the cocircuits below it."""
+        signed = {}
+        for c in self.cs.cocircuits:
+            s = "+" if c[self.pivot_positions[self.first_pivot(c)]] > 0 else "-"
+            signed[c] = self.rep.vertex(self.cs.zero_set(c), s)
+        return {
+            x: frozenset(v for c, v in signed.items() if cov_leq(c, x)) for x in self.cs.nonzero()
+        }
+
     def iota(self, x: Covector) -> frozenset:
         """Image face in S_bottom of a nonzero covector."""
         if x == self.cs.zero:
             raise ValueError("the zero covector has no image")
-        if x in self.cs.cocircuits:
-            i = self.first_pivot(x)
-            s = "+" if x[self.pivot_positions[i]] > 0 else "-"
-            return frozenset({self.rep.vertex(self.cs.zero_set(x), s)})
-        below = [c for c in self.cs.cocircuits if cov_leq(c, x)]
-        return frozenset().union(*[self.iota(c) for c in below])
+        return self.images[x]
+
+    def delta(self, flat: frozenset) -> SimplicialComplex:
+        """Delta(L_G): the order complex of the nonzero covectors vanishing
+        on the flat, built on the first call for a flat and cached."""
+        flat = frozenset(flat)
+        if flat not in self._deltas:
+            covs = covector_flat(self.cs, flat)
+            self._deltas[flat] = delta_complex(x for x in covs if x != self.cs.zero)
+        return self._deltas[flat]
 
 
 def build_embedding(
@@ -268,7 +290,7 @@ def verify_embedding(emb: Embedding) -> ValidationReport:
     rep = ValidationReport()
     cs, lattice = emb.cs, emb.lattice
     nonzero = cs.nonzero()
-    images = {x: emb.iota(x) for x in nonzero}
+    images = emb.images
 
     rep.extend(pivots_check(emb), prefix="pivots/")
 
@@ -298,21 +320,20 @@ def verify_embedding(emb: Embedding) -> ValidationReport:
     into = all(
         emb.rep.build(g).complex.has_face(images[x])
         for g in lattice.flats
-        for x in covector_flat(cs, g)
-        if x != cs.zero
+        for x in emb.delta(g).vertices
     )
     rep.add("covector-flats-into-spheres", into)
 
     z2 = all(images[neg(x)] == frozenset(swap_sign(v) for v in images[x]) for x in nonzero)
     rep.add("z2-equivariant", z2)
 
-    # the bottom flat's covectors are all of them, so its row is the ambient's
-    homology_ok = {}
-    for g in lattice.flats:
-        sub = [x for x in covector_flat(cs, g) if x != cs.zero]
-        left = topology.reduced_homology(delta_complex(sub))
-        right = topology.reduced_homology(emb.rep.build(g).complex)
-        homology_ok[g] = left == right == topology.sphere_profile(lattice.corank(g) - 1)
+    # the bottom flat's covectors are all of them, so its row is the ambient's;
+    # S_G is read through its cached nerve certificate
+    homology_ok = {
+        g: topology.reduced_homology(emb.delta(g)) == topology.sphere_profile(lattice.corank(g) - 1)
+        and emb.rep.sphere_holds(emb.rep.build(g))
+        for g in lattice.flats
+    }
     rep.add("homology-ambient", homology_ok[lattice.bottom])
     rep.add("homology-per-flat", all(homology_ok.values()))
     return rep
@@ -321,53 +342,29 @@ def verify_embedding(emb: Embedding) -> ValidationReport:
 # -- carrier covers ------------------------------------------------------------
 
 
-def _sign_vectors(r: int, zeros: bool) -> list[tuple[int, ...]]:
-    vals = (1, -1, 0) if zeros else (1, -1)
-    return [tuple(v) for v in product(vals, repeat=r)]
-
-
-def cover_member(emb: Embedding, flat: frozenset, vec: tuple[int, ...]) -> list[Covector]:
-    """A_vec over the flat: covectors whose image face lies in the vec-carrier.
-
-    Membership asks that every cocircuit below the covector lands on a
-    vec-signed vertex; on cocircuits this is the first-pivot sign rule, and
-    it is exactly the pullback of the B-cover through the embedding, which
-    makes the carrier hypotheses hold.
-    """
-    carrier = emb.rep.sigma(vec, flat)
-    out = []
-    for x in covector_flat(emb.cs, flat):
-        if x == emb.cs.zero:
-            continue
-        if emb.iota(x) <= carrier:
-            out.append(x)
-    return out
-
-
 def build_covers(emb: Embedding, flat: Iterable[str]) -> tuple[CoverFamily, CoverFamily]:
-    """The paired covers of the covector order complex and of S_G.
+    """The paired covers of Delta(L_G) and of S_G, members as vertex sets.
 
-    One member per sign vector in {+,-}^r: on the covector side the order
-    complex of A_vec, on the sphere side the full simplex whose vertices are
-    the vec-signed coatoms over the flat.
+    One member per sign vector vec in {+,-}^r.  On the sphere side it is
+    the maximal face sigma(vec, G) of S_G (empty for the top flat), on which
+    S_G induces the full simplex.  On the covector side it is A_vec, the
+    covectors over the flat whose image lies in sigma(vec, G), on which
+    Delta(L_G) induces the order complex of that subposet.  A_vec is the
+    pullback of the sphere side through the embedding, which makes the
+    carrier hypotheses hold; on cocircuits it is the first-pivot sign rule.
     """
     flat = frozenset(str(e) for e in flat)
-    r = emb.lattice.r
-    a_members = []
-    b_members = []
-    for vec in _sign_vectors(r, zeros=False):
-        key = tuple("+" if s > 0 else "-" for s in vec)
-        a_members.append((key, delta_complex(cover_member(emb, flat, vec))))
-        b_members.append((key, full_simplex(emb.rep.sigma(vec, flat))))
-    sub = [x for x in covector_flat(emb.cs, flat) if x != emb.cs.zero]
-    a_cover = CoverFamily(delta_complex(sub), tuple(a_members))
-    b_cover = CoverFamily(emb.rep.build(flat).complex, tuple(b_members))
+    ambient = emb.delta(flat)
+    carriers = {
+        tuple("+" if s > 0 else "-" for s in vec): emb.rep.sigma(vec, flat)
+        for vec in product((1, -1), repeat=emb.lattice.r)
+    }
+    members: dict[tuple, list] = {key: [] for key in carriers}
+    for x in ambient.vertices:
+        image = emb.images[x]
+        for key, carrier in carriers.items():
+            if image <= carrier:
+                members[key].append(x)
+    a_cover = CoverFamily(ambient, tuple((k, frozenset(m)) for k, m in members.items()))
+    b_cover = CoverFamily(emb.rep.build(flat).complex, tuple(carriers.items()))
     return a_cover, b_cover
-
-
-def carrier_inputs(emb: Embedding, flat: Iterable[str]):
-    """(vertex_images, A cover, B cover) ready for the carrier check."""
-    flat = frozenset(str(e) for e in flat)
-    a_cover, b_cover = build_covers(emb, flat)
-    images = {x: emb.iota(x) for x in a_cover.ambient.vertices}
-    return images, a_cover, b_cover

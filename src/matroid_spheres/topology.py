@@ -10,6 +10,11 @@ on maximal faces only, which is a strong deformation retraction (Barmak and
 Minian, 2012).  The faces of the core then give boundary matrices, reduced
 by Smith normal form over arbitrary-precision integers with unit pivots
 taken first (Dumas, Saunders and Villard, 2001).
+
+A cover (``CoverFamily``) gives each member by its vertex set in one
+ambient, standing for the induced subcomplex; induced subcomplexes meet in
+the one induced on the meet of their sets, so ``carrier_check`` intersects
+vertex sets and restricts the ambient once per distinct intersection.
 """
 
 from __future__ import annotations
@@ -89,6 +94,11 @@ class SimplicialComplex:
         pieces = {a & b for a in self.maximal_faces for b in other.maximal_faces}
         return SimplicialComplex(pieces, vertex_order=self.vertices)
 
+    def restrict(self, vertices: Iterable) -> "SimplicialComplex":
+        """Induced subcomplex: every face lying inside the vertex set."""
+        keep = frozenset(vertices)
+        return SimplicialComplex({m & keep for m in self.maximal_faces}, vertex_order=self.vertices)
+
     def face_key(self, face: frozenset) -> tuple:
         return tuple(sorted(self._vpos[v] for v in face))
 
@@ -121,70 +131,54 @@ def full_simplex(vertices: Iterable) -> SimplicialComplex:
 class Poset:
     """Finite poset with the order stored as bitmask up-sets per element."""
 
-    __slots__ = ("elements", "_pos", "_up")
+    __slots__ = ("elements", "_up")
 
     def __init__(self, elements: Sequence[Hashable], leq: Callable[[Hashable, Hashable], bool]):
         self.elements: tuple = tuple(elements)
         if len(set(self.elements)) != len(self.elements):
             raise ValueError("poset elements must be distinct")
-        self._pos = {e: i for i, e in enumerate(self.elements)}
-        n = len(self.elements)
-        up = []
-        for i, x in enumerate(self.elements):
-            mask = 0
-            for j, y in enumerate(self.elements):
-                if leq(x, y):
-                    mask |= 1 << j
-            up.append(mask)
-        for i in range(n):
-            if not (up[i] >> i) & 1:
+        up = [sum(1 << j for j, y in enumerate(self.elements) if leq(x, y)) for x in self.elements]
+        for i, mask in enumerate(up):
+            if not (mask >> i) & 1:
                 raise ValueError("order is not reflexive")
-            for j in range(n):
-                if i != j and (up[i] >> j) & 1 and (up[j] >> i) & 1:
-                    raise ValueError("order is not antisymmetric")
+            if any(up[j] >> i & 1 for j in _bits(mask & ~(1 << i))):
+                raise ValueError("order is not antisymmetric")
         self._up = tuple(up)
 
-    def covers(self) -> list[tuple]:
-        out = []
-        n = len(self.elements)
-        for i in range(n):
-            above = self._up[i] & ~(1 << i)
-            for j in range(n):
-                if (above >> j) & 1:
-                    # j covers i iff nothing sits strictly between
-                    between = above & (self._strict_down(j))
-                    if between == 0:
-                        out.append((self.elements[i], self.elements[j]))
-        return out
-
-    def _strict_down(self, j: int) -> int:
-        mask = 0
-        for i in range(len(self.elements)):
-            if i != j and (self._up[i] >> j) & 1:
-                mask |= 1 << i
-        return mask
-
     def maximal_chains(self) -> list[tuple]:
-        n = len(self.elements)
-        children: list[list[int]] = [[] for _ in range(n)]
-        indeg = [0] * n
-        for a, b in self.covers():
-            i, j = self._pos[a], self._pos[b]
-            children[i].append(j)
-            indeg[j] += 1
+        """Every maximal chain, grown from a minimal element through covers.
+
+        The elements covering x are the minimal elements of its strict
+        up-set: those above no other element of it.
+        """
+        strict = [mask & ~(1 << i) for i, mask in enumerate(self._up)]
+
+        def minimal(mask: int) -> int:
+            above = 0
+            for k in _bits(mask):
+                above |= strict[k]
+            return mask & ~above
+
+        covers = [minimal(mask) for mask in strict]
         chains: list[tuple] = []
 
         def grow(i: int, acc: list[int]) -> None:
-            if not children[i]:
+            if not covers[i]:
                 chains.append(tuple(self.elements[k] for k in acc))
-                return
-            for j in children[i]:
+            for j in _bits(covers[i]):
                 grow(j, acc + [j])
 
-        for i in range(n):
-            if indeg[i] == 0:
-                grow(i, [i])
+        for i in _bits(minimal((1 << len(self.elements)) - 1)):
+            grow(i, [i])
         return chains
+
+
+def _bits(mask: int) -> Iterable[int]:
+    """Positions of the set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def order_complex(poset: Poset) -> SimplicialComplex:
@@ -367,11 +361,8 @@ def strong_collapse_core(complex_: SimplicialComplex) -> SimplicialComplex:
     while True:
         star_meet = [-1] * n  # intersection of the maximal faces containing v
         for f in facets:
-            bits = f
-            while bits:
-                low = bits & -bits
-                star_meet[low.bit_length() - 1] &= f
-                bits ^= low
+            for v in _bits(f):
+                star_meet[v] &= f
         drop = 0
         for v in reversed(range(n)):
             bit = 1 << v
@@ -461,20 +452,19 @@ def is_homology_point(complex_: SimplicialComplex) -> bool:
 
 @dataclass(frozen=True)
 class CoverFamily:
-    """Indexed family of subcomplexes of one ambient complex."""
+    """Indexed family of induced subcomplexes of one ambient complex.
+
+    Each member is given by a set of ambient vertices and stands for the
+    ambient restricted to that set.
+    """
 
     ambient: SimplicialComplex
-    members: tuple[tuple[Hashable, SimplicialComplex], ...]
-
-    def indices(self) -> tuple:
-        return tuple(k for k, _ in self.members)
+    members: tuple[tuple[Hashable, frozenset], ...]
 
     def covers_ambient(self) -> bool:
-        union = SimplicialComplex(
-            [m for _, member in self.members for m in member.maximal_faces],
-            vertex_order=self.ambient.vertices,
-        )
-        return union == self.ambient
+        """Does every maximal face of the ambient lie in some member set?"""
+        sets = [s for _, s in self.members]
+        return all(any(m <= s for s in sets) for m in self.ambient.maximal_faces)
 
 
 def _vertex_stars(vertex_sets: Iterable[Iterable]) -> set[int]:
@@ -550,26 +540,23 @@ def simplicial_map_check(
     )
 
 
-def _intersections(members: Sequence[SimplicialComplex]) -> dict[SimplicialComplex, int]:
-    """Each distinct nonempty intersection of members, with the index bitmask
-    of one family of members meeting in it.
+def _intersections(members: Sequence[frozenset]) -> dict[frozenset, int]:
+    """Each distinct nonempty intersection of the member vertex sets, with
+    the index bitmask of one family of members meeting in it.
 
     Found by intersecting each intersection already found with one more
     member, so every intersection is built from a found one and none is
     missed, whatever the number of members.
     """
-    found: dict[SimplicialComplex, int] = {}
+    found: dict[frozenset, int] = {}
     for i, m in enumerate(members):
-        if not m.is_empty:
+        if m:
             found.setdefault(m, 1 << i)
     queue = list(found)
     for x in queue:  # grows while it is read
-        verts = set(x.vertices)
         for i, m in enumerate(members):
-            if found[x] >> i & 1 or verts.isdisjoint(m.vertices):
-                continue
-            y = x.intersection(m)
-            if y not in found:
+            y = x & m
+            if y and y not in found:
                 found[y] = found[x] | 1 << i
                 queue.append(y)
     return found
@@ -590,35 +577,40 @@ def carrier_check(
     Every index subset is covered, for any number of members, without
     enumerating subsets: the two nerves agree exactly when their maximal
     vertex stars agree (Dowker), and each distinct nonempty intersection is
-    found once and tested once.  A failed check names an index subset on
-    which it fails.
+    found once, on vertex sets, and its induced subcomplex is restricted
+    from the ambient and tested once.  A failed check names an index subset
+    on which it fails.
     """
     rep = ValidationReport()
-    a_idx, b_idx = a_cover.indices(), b_cover.indices()
-    if set(a_idx) != set(b_idx):
+    a_map, b_map = dict(a_cover.members), dict(b_cover.members)
+    if set(a_map) != set(b_map):
         raise ValueError("cover families must share an index set")
     rep.add("covering", a_cover.covers_ambient() and b_cover.covers_ambient())
 
-    keys = sorted(a_idx, key=_generic_key)
+    keys = sorted(a_map, key=_generic_key)
     n = len(keys)
     rep.add("subset-bound", True, f"subsets up to size {n} of {n}")
-    a_map, b_map = dict(a_cover.members), dict(b_cover.members)
-    a_members = [a_map[k] for k in keys]
-    b_members = [b_map[k] for k in keys]
+    a_sets = [frozenset(a_map[k]) for k in keys]
+    b_sets = [frozenset(b_map[k]) for k in keys]
 
     def subset(mask: int) -> list:
         return [keys[i] for i in range(n) if mask >> i & 1]
 
-    detail = ""
-    for side, members in (("A", a_members), ("B", b_members)):
-        bad = next((w for x, w in _intersections(members).items() if not is_homology_point(x)), None)
-        if bad is not None:
-            detail = f"{side}-intersection over {subset(bad)} is not a homology point"
-            break
+    # (side, vertex set) -> (index mask, induced subcomplex)
+    pieces = {
+        (side, x): (w, cover.ambient.restrict(x))
+        for side, cover, sets in (("A", a_cover, a_sets), ("B", b_cover, b_sets))
+        for x, w in _intersections(sets).items()
+    }
+    detail = next(
+        (f"{side}-intersection over {subset(w)} is not a homology point"
+         for (side, _), (w, x) in pieces.items() if not is_homology_point(x)),
+        "",
+    )
     rep.add("intersections-contractible", not detail, detail)
 
-    tops_a = _maximal_masks(_vertex_stars(m.vertices for m in a_members))
-    tops_b = _maximal_masks(_vertex_stars(m.vertices for m in b_members))
+    tops_a = _maximal_masks(_vertex_stars(a_sets))
+    tops_b = _maximal_masks(_vertex_stars(b_sets))
     differ = [
         m
         for tops, other in ((tops_a, tops_b), (tops_b, tops_a))
@@ -631,11 +623,12 @@ def carrier_check(
         f"nonemptiness differs on {subset(differ[0])}" if differ else "",
     )
 
+    # a face is in the B-member when it is in its vertex set and the ambient
     maps_into = True
-    for a, b in zip(a_members, b_members):
-        for m in a.maximal_faces:
+    for a, b in zip(a_sets, b_sets):
+        for m in pieces["A", a][1].maximal_faces if a else ():
             image = frozenset().union(*[frozenset(vertex_images[v]) for v in m])
-            if not b.has_face(image):
+            if not (image <= b and b_cover.ambient.has_face(image)):
                 maps_into = False
     rep.add("maps-into-carrier", maps_into)
     return rep

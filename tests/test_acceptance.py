@@ -16,6 +16,7 @@ from matroid_spheres import (
     SimplicialComplex,
     all_complete_flags,
     arrangement_flats,
+    build_covers,
     build_embedding,
     covectors_from_vectors,
     carrier_check,
@@ -134,8 +135,8 @@ def test_criterion_06_embedding(u24_vec, u34_vec):
             left = reduced_homology(oriented.delta_complex(sub))
             right = reduced_homology(emb.rep.build(flat).complex)
             assert left == right == sphere_profile(emb.lattice.corank(flat) - 1)
-            images, a_cover, b_cover = oriented.carrier_inputs(emb, flat)
-            carrier = carrier_check(images, a_cover, b_cover)
+            a_cover, b_cover = build_covers(emb, flat)
+            carrier = carrier_check(emb.images, a_cover, b_cover)
             assert carrier.ok, (sorted(flat), carrier.lines())
             members = len(a_cover.members)
             assert f"up to size {members} of {members}" in carrier["subset-bound"].detail

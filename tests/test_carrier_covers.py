@@ -1,0 +1,221 @@
+"""`om embed`'s carrier certificate against the route it replaced.
+
+The library gives each cover member by its vertex set in one ambient and
+intersects vertex sets.  The oracle here is the complex-based route: every
+member built as its own complex (the order complex of A_vec, the full
+simplex on sigma(vec, G)), intersections taken pairwise by maximal-face
+meets.  The two must give the same report on every flat, also when the
+image map is mutated so that the certificate fails.
+"""
+
+import dataclasses
+from fractions import Fraction
+from itertools import product
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from matroid_spheres import (
+    SimplicialComplex,
+    build_covers,
+    build_embedding,
+    carrier_check,
+    covector_flat,
+    covectors_from_vectors,
+    is_homology_point,
+    vector_config,
+)
+from matroid_spheres import oriented
+from matroid_spheres.linalg import rank_q
+from matroid_spheres.oriented import neg
+from matroid_spheres.topology import _generic_key, _maximal_masks, _vertex_stars, full_simplex
+
+DERANDOMIZED = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+
+# the fixed configurations of the benchmark's embed ladder
+EMBED_LADDER = {
+    "u24": [[1, 0], [0, 1], [1, 1], [1, -1]],
+    "u34": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
+    "n134": [[1, 0, 0], [0, 0, 1], [0, 1, 0], [1, 1, 0]],
+    "non-Fano": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1]],
+}
+
+
+# -- the oracle: member complexes, pairwise meets --------------------------------
+
+
+def complex_intersections(members):
+    """Each distinct nonempty intersection of member complexes, by meets of
+    maximal faces, with the index bitmask of one family meeting in it."""
+    found = {}
+    for i, m in enumerate(members):
+        if not m.is_empty:
+            found.setdefault(m, 1 << i)
+    queue = list(found)
+    for x in queue:
+        verts = set(x.vertices)
+        for i, m in enumerate(members):
+            if found[x] >> i & 1 or verts.isdisjoint(m.vertices):
+                continue
+            y = x.intersection(m)
+            if y not in found:
+                found[y] = found[x] | 1 << i
+                queue.append(y)
+    return found
+
+
+def complex_covers(emb, flat):
+    """(A ambient, A members, B ambient, B members), each member its own
+    complex, built from the embedding's image table."""
+    covs = [x for x in covector_flat(emb.cs, flat) if x != emb.cs.zero]
+    a_members, b_members = {}, {}
+    for vec in product((1, -1), repeat=emb.lattice.r):
+        key = tuple("+" if s > 0 else "-" for s in vec)
+        carrier = emb.rep.sigma(vec, flat)
+        a_members[key] = oriented.delta_complex([x for x in covs if emb.images[x] <= carrier])
+        b_members[key] = full_simplex(carrier)
+    return oriented.delta_complex(covs), a_members, emb.rep.build(flat).complex, b_members
+
+
+def complex_carrier_report(emb, flat):
+    """Each carrier check's (passed, detail) on the complex-based route."""
+    a_ambient, a_map, b_ambient, b_map = complex_covers(emb, flat)
+    keys = sorted(a_map, key=_generic_key)
+    a, b = [a_map[k] for k in keys], [b_map[k] for k in keys]
+
+    def covers(ambient, members):
+        faces = [f for m in members for f in m.maximal_faces]
+        return SimplicialComplex(faces, vertex_order=ambient.vertices) == ambient
+
+    def subset(mask):
+        return [keys[i] for i in range(len(keys)) if mask >> i & 1]
+
+    detail = ""
+    for side, members in (("A", a), ("B", b)):
+        bad = next((w for x, w in complex_intersections(members).items()
+                    if not is_homology_point(x)), None)
+        if bad is not None:
+            detail = f"{side}-intersection over {subset(bad)} is not a homology point"
+            break
+    tops_a = _maximal_masks(_vertex_stars(m.vertices for m in a))
+    tops_b = _maximal_masks(_vertex_stars(m.vertices for m in b))
+    differ = [m for tops, other in ((tops_a, tops_b), (tops_b, tops_a))
+              for m in sorted(tops) if not any(m & ~t == 0 for t in other)]
+    maps_into = all(
+        y.has_face(frozenset().union(*[emb.images[v] for v in m]))
+        for x, y in zip(a, b)
+        for m in x.maximal_faces
+    )
+    n = len(keys)
+    return {
+        "covering": (covers(a_ambient, a) and covers(b_ambient, b), ""),
+        "subset-bound": (True, f"subsets up to size {n} of {n}"),
+        "intersections-contractible": (not detail, detail),
+        "nonemptiness-equivalence": (
+            not differ, f"nonemptiness differs on {subset(differ[0])}" if differ else ""),
+        "maps-into-carrier": (maps_into, ""),
+    }
+
+
+def library_carrier_report(emb, flat):
+    a_cover, b_cover = build_covers(emb, flat)
+    report = carrier_check(emb.images, a_cover, b_cover)
+    return {c.name: (c.passed, c.detail) for c in report.checks}
+
+
+# -- embeddings and mutated image maps -----------------------------------------------
+
+_EMBEDDINGS = {}
+
+
+def ladder_embedding(name):
+    if name not in _EMBEDDINGS:
+        cfg = vector_config(EMBED_LADDER[name])
+        _EMBEDDINGS[name] = build_embedding(covectors_from_vectors(cfg))
+    return _EMBEDDINGS[name]
+
+
+def with_images(emb, images):
+    """A copy of the embedding whose image table is replaced; its order
+    complexes are shared with the original."""
+    mutant = dataclasses.replace(emb)
+    vars(mutant).update(images=images, _deltas=emb._deltas)
+    return mutant
+
+
+@st.composite
+def configurations(draw):
+    """Integer vector configurations of rank 1 to 3, full rank."""
+    r = draw(st.integers(1, 3))
+    n = draw(st.integers(r, 5))
+    column = st.lists(st.integers(-2, 2), min_size=r, max_size=r).filter(any)
+    cols = draw(st.lists(column, min_size=n, max_size=n))
+    assume(rank_q([[Fraction(x) for x in c] for c in cols]) == r)
+    return vector_config(cols)
+
+
+@st.composite
+def mutations(draw, emb):
+    """One to three changes to the image table: an image swapped for its
+    negative's, joined with another image, or truncated."""
+    images = dict(emb.images)
+    nonzero = emb.cs.nonzero()
+    changes = []
+    for _ in range(draw(st.integers(1, 3))):
+        x = draw(st.sampled_from(nonzero))
+        kind = draw(st.sampled_from(["negative", "union", "truncate"]))
+        if kind == "negative":
+            images[x] = images[neg(x)]
+        elif kind == "union":
+            y = draw(st.sampled_from(nonzero))
+            images[x] = images[x] | images[y]
+            x = (x, y)
+        else:
+            ordered = sorted(images[x])
+            images[x] = frozenset(ordered[: draw(st.integers(1, len(ordered)))])
+        changes.append((kind, x))
+    return images, tuple(changes)
+
+
+# -- the tests ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(EMBED_LADDER))
+def test_embed_ladder_matches_complex_route(name):
+    emb = ladder_embedding(name)
+    for flat in emb.lattice.flats:
+        report = library_carrier_report(emb, flat)
+        assert report == complex_carrier_report(emb, flat), sorted(flat)
+        assert all(passed for passed, _ in report.values())
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(configurations())
+def test_random_rank3_configurations_match_complex_route(cfg):
+    emb = build_embedding(covectors_from_vectors(cfg))
+    for flat in emb.lattice.flats:
+        report = library_carrier_report(emb, flat)
+        assert report == complex_carrier_report(emb, flat), sorted(flat)
+        assert all(passed for passed, _ in report.values())
+
+
+def test_mutated_image_maps_match_complex_route():
+    seen = {}  # (configuration, flat, changes) -> carrier verdict
+
+    @DERANDOMIZED
+    @given(st.data())
+    def check(data):
+        name = data.draw(st.sampled_from(sorted(EMBED_LADDER)))
+        emb = ladder_embedding(name)
+        flats = sorted(emb.lattice.flats, key=emb.lattice.key)
+        flat = data.draw(st.sampled_from(flats[:-1]))  # the top flat has no covers
+        images, changes = data.draw(mutations(emb))
+        mutant = with_images(emb, images)
+        report = library_carrier_report(mutant, flat)
+        assert report == complex_carrier_report(mutant, flat)
+        seen[name, flat, changes] = all(passed for passed, _ in report.values())
+
+    check()
+    assert len(seen) >= 150
+    verdicts = list(seen.values())
+    assert verdicts.count(False) >= 10 and verdicts.count(True) >= 10

@@ -4,8 +4,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from matroid_spheres import oriented, spheres
+from matroid_spheres import SimplicialComplex, build_covers, build_embedding, oriented, spheres
+from matroid_spheres import topology
 from matroid_spheres.cli import main
+from matroid_spheres.jsonio import load_vector_config_file
 
 DATA = Path(__file__).parent / "data"
 
@@ -131,6 +133,57 @@ def test_om_embed_spans_the_covectors_once(runner, monkeypatch):
         calls.clear()
         assert run(runner, "om", "embed", DATA / vectors).exit_code == 0
         assert len(calls) == 1, vectors
+
+
+def closed_under_meets(sets):
+    """Every nonempty intersection of some of the sets, by pairwise meets."""
+    found = {s for s in sets if s}
+    while True:
+        fresh = {x & y for x in found for y in found if x & y} - found
+        if not fresh:
+            return found
+        found |= fresh
+
+
+@pytest.mark.parametrize("vectors", ["u34_vec.json", "u45_vec.json"])
+def test_om_embed_builds_each_complex_once(runner, monkeypatch, vectors):
+    # Delta(L_G) comes from order_complex once per flat.  The complex of
+    # each distinct intersection of cover members, Delta(L_G) on an
+    # A-intersection or S_G on a B-intersection, is its ambient restricted
+    # once; no two complexes are intersected.
+    built, restricted, meets = [], [], []
+    order_complex, restrict = topology.order_complex, SimplicialComplex.restrict
+
+    def counted_order_complex(poset):
+        built.append(order_complex(poset))
+        return built[-1]
+
+    def counted_restrict(self, vertices):
+        restricted.append((frozenset(self.vertices), frozenset(vertices)))
+        return restrict(self, vertices)
+
+    def counted_meet(self, other):
+        meets.append((self, other))
+
+    monkeypatch.setattr(topology, "order_complex", counted_order_complex)
+    monkeypatch.setattr(SimplicialComplex, "restrict", counted_restrict)
+    monkeypatch.setattr(SimplicialComplex, "intersection", counted_meet)
+    assert run(runner, "om", "embed", DATA / vectors).exit_code == 0
+    monkeypatch.undo()
+
+    emb = build_embedding(oriented.covectors_from_vectors(load_vector_config_file(DATA / vectors)))
+    assert len(built) == len(emb.lattice.flats)
+    assert {frozenset(d.vertices) for d in built} == {
+        frozenset(emb.delta(g).vertices) for g in emb.lattice.flats
+    }
+    assert not meets
+    assert len(restricted) == len(set(restricted))
+    expected = set()
+    for flat in emb.lattice.flats:
+        for cover in build_covers(emb, flat):
+            ambient = frozenset(cover.ambient.vertices)
+            expected |= {(ambient, x) for x in closed_under_meets(s for _, s in cover.members)}
+    assert set(restricted) == expected
 
 
 def test_om_embed_u34(runner):

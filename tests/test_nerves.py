@@ -11,6 +11,7 @@ from matroid_spheres import (
     CoverFamily,
     FlagRepresentation,
     SimplicialComplex,
+    build_covers,
     build_embedding,
     covectors_from_vectors,
     carrier_check,
@@ -20,7 +21,6 @@ from matroid_spheres import (
     uniform_matroid,
     vector_config,
 )
-from matroid_spheres import oriented
 from matroid_spheres.topology import _generic_key, _intersections, full_simplex
 
 DERANDOMIZED = settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -61,10 +61,18 @@ def fold(complexes):
     return acc
 
 
+def induced(ambient, vertices):
+    """The member complex a vertex set stands for, built independently of
+    SimplicialComplex.restrict."""
+    return SimplicialComplex([f & vertices for f in ambient.maximal_faces])
+
+
 def carrier_oracle(vertex_images, a_cover, b_cover):
-    """Pass/fail of each carrier check over every index subset, and for the
-    two subset checks every failure detail a witness may give."""
-    a, b = dict(a_cover.members), dict(b_cover.members)
+    """Pass/fail of each carrier check over every index subset, on member
+    complexes intersected pairwise, and for the two subset checks every
+    failure detail a witness may give."""
+    a = {k: induced(a_cover.ambient, s) for k, s in a_cover.members}
+    b = {k: induced(b_cover.ambient, s) for k, s in b_cover.members}
     keys = sorted(a, key=_generic_key)
     failures = {"intersections-contractible": set(), "nonemptiness-equivalence": set()}
     for size in range(1, len(keys) + 1):
@@ -83,8 +91,13 @@ def carrier_oracle(vertex_images, a_cover, b_cover):
         for k in keys
         for m in a[k].maximal_faces
     )
+
+    def covers(cover, members):
+        union = SimplicialComplex([f for m in members.values() for f in m.maximal_faces])
+        return union == cover.ambient
+
     passed = {
-        "covering": a_cover.covers_ambient() and b_cover.covers_ambient(),
+        "covering": covers(a_cover, a) and covers(b_cover, b),
         "subset-bound": True,
         "intersections-contractible": not failures["intersections-contractible"],
         "nonemptiness-equivalence": not failures["nonemptiness-equivalence"],
@@ -206,46 +219,44 @@ def test_ambient_nerve_of_u58():
 def carrier_cases(draw):
     n = draw(st.integers(1, 5))
     keys = [("+", "-")[i % 2] * (1 + i // 2) for i in range(n)]
+    facets = st.lists(st.sets(st.integers(0, 5), min_size=1, max_size=3), min_size=1, max_size=5)
 
-    def member(vertices):
-        facets = draw(st.lists(st.sets(st.sampled_from(vertices), min_size=1, max_size=3),
-                               max_size=3))
-        return SimplicialComplex(facets)
+    def vertex_sets(ambient):
+        return [frozenset(draw(st.sets(st.sampled_from(ambient.vertices)))) for _ in keys]
 
-    a_members = [member(list(range(6))) for _ in keys]
+    a_ambient = SimplicialComplex(draw(facets))
+    a_sets = vertex_sets(a_ambient)
     if draw(st.booleans()):  # B is A relabelled: nerves agree, the map carries
-        b_members = [SimplicialComplex([{v + 10 for v in f} for f in m.maximal_faces])
-                     for m in a_members]
+        b_ambient = SimplicialComplex([{v + 10 for v in f} for f in a_ambient.maximal_faces])
+        b_sets = [frozenset(v + 10 for v in s) for s in a_sets]
         images = {v: {v + 10} for v in range(6)}
     else:
-        b_members = [member(list(range(10, 16))) for _ in keys]
+        b_ambient = SimplicialComplex([{v + 10 for v in f} for f in draw(facets)])
+        b_sets = vertex_sets(b_ambient)
         images = {v: draw(st.sets(st.integers(10, 15), min_size=1, max_size=2)) for v in range(6)}
-    if draw(st.booleans()):
-        b_members = [full_simplex(m.vertices) for m in b_members]
+    if draw(st.booleans()):  # every member a simplex, as on the sphere side
+        b_ambient = SimplicialComplex(s for s in b_sets)
 
-    def cover(members):
-        ambient = SimplicialComplex([f for m in members for f in m.maximal_faces])
+    def cover(ambient, sets):
         if draw(st.booleans()):
             ambient = SimplicialComplex([*ambient.maximal_faces, [99]])  # not covered
-        return CoverFamily(ambient, tuple(zip(keys, members)))
+        return CoverFamily(ambient, tuple(zip(keys, sets)))
 
-    return images, cover(a_members), cover(b_members)
+    return images, cover(a_ambient, a_sets), cover(b_ambient, b_sets)
 
 
 @DERANDOMIZED
-@given(st.lists(st.lists(st.sets(st.integers(0, 4), min_size=1, max_size=3), max_size=3),
-                min_size=1, max_size=6))
-def test_intersections_are_every_subset_intersection(facet_lists):
-    members = [SimplicialComplex(facets) for facets in facet_lists]
+@given(st.lists(st.sets(st.integers(0, 6), max_size=4).map(frozenset), min_size=1, max_size=6))
+def test_intersections_are_every_subset_intersection(sets):
     expected = set()
-    for size in range(1, len(members) + 1):
-        for subset in combinations(members, size):
-            if not fold(subset).is_empty:
-                expected.add(fold(subset))
-    found = _intersections(members)
+    for size in range(1, len(sets) + 1):
+        for subset in combinations(sets, size):
+            if frozenset.intersection(*subset):
+                expected.add(frozenset.intersection(*subset))
+    found = _intersections(sets)
     assert set(found) == expected
     for x, mask in found.items():
-        assert fold([m for i, m in enumerate(members) if mask >> i & 1]) == x
+        assert frozenset.intersection(*[s for i, s in enumerate(sets) if mask >> i & 1]) == x
 
 
 @DERANDOMIZED
@@ -263,28 +274,29 @@ def test_carrier_check_matches_subset_enumeration(case):
 
 
 def test_carrier_check_reports_its_own_witness():
-    # A-members p and q meet in two points; p and r meet on the B side only
+    # A-members p and q are paths around a square meeting in two opposite
+    # corners; p and r meet on the B side only
     a = CoverFamily(
-        SimplicialComplex([[0, 1], [1, 2], [2, 0], [3]]),
-        (("p", SimplicialComplex([[0, 1], [1, 2]])), ("q", SimplicialComplex([[2, 0]])),
-         ("r", SimplicialComplex([[3]]))),
+        SimplicialComplex([[0, 1], [1, 2], [2, 3], [3, 0], [4]]),
+        (("p", frozenset({0, 1, 2})), ("q", frozenset({2, 3, 0})), ("r", frozenset({4}))),
     )
-    b = CoverFamily(full_simplex([5, 6]), (("p", full_simplex([5, 6])), ("q", full_simplex([6])),
-                                           ("r", full_simplex([5]))))
-    report = carrier_check({0: {5}, 1: {5}, 2: {6}, 3: {5}}, a, b)
+    b = CoverFamily(full_simplex([5, 6]), (("p", frozenset({5, 6})), ("q", frozenset({6})),
+                                           ("r", frozenset({5}))))
+    report = carrier_check({0: {6}, 1: {5}, 2: {6}, 3: {6}, 4: {5}}, a, b)
     assert report["intersections-contractible"].detail == (
         "A-intersection over ['p', 'q'] is not a homology point"
     )
     assert report["nonemptiness-equivalence"].detail == "nonemptiness differs on ['p', 'r']"
     assert not report["intersections-contractible"].passed
     assert not report["nonemptiness-equivalence"].passed
+    assert report["covering"].passed and report["maps-into-carrier"].passed
 
 
 def test_carrier_check_sixteen_members_rank4():
     cfg = vector_config([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     emb = build_embedding(covectors_from_vectors(cfg))
-    images, a_cover, b_cover = oriented.carrier_inputs(emb, frozenset())
+    a_cover, b_cover = build_covers(emb, frozenset())
     assert len(a_cover.members) == 16
-    report = carrier_check(images, a_cover, b_cover)
+    report = carrier_check(emb.images, a_cover, b_cover)
     assert report.ok, report.lines()
     assert report["subset-bound"].detail == "subsets up to size 16 of 16"

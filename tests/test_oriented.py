@@ -1,6 +1,8 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from matroid_spheres import (
     MatroidInputError,
@@ -20,6 +22,7 @@ from matroid_spheres import (
     verify_embedding,
 )
 from matroid_spheres import oriented
+from matroid_spheres.linalg import rank_q
 from matroid_spheres.oriented import VectorConfig, compose, cov_leq, neg
 
 
@@ -86,6 +89,42 @@ def test_span_u24_17_covectors(u24_vec):
 def test_span_single_element():
     cs = covectors_from_vectors(vector_config([[1]]))
     assert cs.covectors == frozenset({(0,), (1,), (-1,)})
+
+
+def pairwise_span(elements, cocircuits):
+    """Oracle: close the cocircuits and zero under composition of every
+    ordered pair of members, round after round."""
+    covectors = set(cocircuits) | {(0,) * len(elements)}
+    frontier = set(covectors)
+    while frontier:
+        fresh = {
+            z
+            for x in frontier
+            for y in covectors
+            for z in (compose(x, y), compose(y, x))
+            if z not in covectors
+        }
+        covectors |= fresh
+        frontier = fresh
+    return frozenset(covectors)
+
+
+@st.composite
+def configurations(draw, max_rank=4, max_n=7):
+    """Integer vector configurations of full rank, columns nonzero."""
+    r = draw(st.integers(1, max_rank))
+    n = draw(st.integers(r, max_n))
+    column = st.lists(st.integers(-2, 2), min_size=r, max_size=r).filter(any)
+    cols = draw(st.lists(column, min_size=n, max_size=n))
+    assume(rank_q([[Fraction(x) for x in c] for c in cols]) == r)
+    return vector_config(cols)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(configurations())
+def test_span_by_cocircuits_matches_pairwise_span(cfg):
+    cs = covectors_from_vectors(cfg)
+    assert cs.covectors == pairwise_span(cs.elements, cs.cocircuits)
 
 
 def covector_axioms_fail(cs):
@@ -200,6 +239,26 @@ def test_iota_two_to_one_on_cocircuits(u24_vec, u34_vec):
             assert v[0] == w[0] and v[1] != w[1]
 
 
+def recursive_iota(emb, x):
+    """Oracle: a cocircuit's signed vertex, else the union over the
+    cocircuits below x, by recursion."""
+    if x in emb.cs.cocircuits:
+        i = emb.first_pivot(x)
+        s = "+" if x[emb.pivot_positions[i]] > 0 else "-"
+        return frozenset({emb.rep.vertex(emb.cs.zero_set(x), s)})
+    below = [c for c in emb.cs.cocircuits if cov_leq(c, x)]
+    return frozenset().union(*[recursive_iota(emb, c) for c in below])
+
+
+def test_image_table_matches_recursive_iota(u24_vec, u34_vec, nonfano_vec):
+    for cfg in (u24_vec, u34_vec, nonfano_vec):
+        emb = embedding(cfg)
+        assert emb.images is emb.images  # computed once
+        assert set(emb.images) == set(emb.cs.nonzero())
+        for x in emb.cs.nonzero():
+            assert emb.iota(x) == emb.images[x] == recursive_iota(emb, x)
+
+
 # -- verify_embedding ----------------------------------------------------------------
 
 
@@ -224,11 +283,18 @@ def test_verify_embedding_u34(u34_vec):
 # -- covers and carrier ----------------------------------------------------------------
 
 
+def cover_member(emb, flat, vec):
+    """Oracle for A_vec over the flat, vec in {+,-,0}^r: the nonzero
+    covectors over the flat whose image lies in sigma(vec, flat)."""
+    carrier = emb.rep.sigma(vec, flat)
+    return [x for x in covector_flat(emb.cs, flat) if x != emb.cs.zero and emb.iota(x) <= carrier]
+
+
 def test_build_covers_meet_law_and_emptiness(u24_vec):
     emb = embedding(u24_vec)
     for flat in emb.lattice.flats:
         members = {
-            v: set(oriented.cover_member(emb, flat, v))
+            v: set(cover_member(emb, flat, v))
             for v in product((1, -1, 0), repeat=2)
         }
         for v in members:
@@ -243,31 +309,43 @@ def test_build_covers_meet_law_and_emptiness(u24_vec):
                 assert not members[v] and not emb.rep.sigma(v, flat)
 
 
+def test_build_covers_members_are_the_pullbacks(u24_vec, u34_vec):
+    for cfg in (u24_vec, u34_vec):
+        emb = embedding(cfg)
+        for flat in emb.lattice.flats:
+            a_cover, b_cover = build_covers(emb, flat)
+            assert a_cover.ambient is emb.delta(flat)
+            assert b_cover.ambient is emb.rep.build(flat).complex
+            for key, member in a_cover.members:
+                vec = tuple(1 if s == "+" else -1 for s in key)
+                assert member == frozenset(cover_member(emb, flat, vec))
+
+
 def test_build_covers_b_side_is_sigma(u24_vec):
     emb = embedding(u24_vec)
     _, b_cover = build_covers(emb, frozenset())
     for key, simplex in b_cover.members:
         vec = tuple(1 if s == "+" else -1 for s in key)
-        expected = emb.rep.sigma(vec, frozenset())
-        assert simplex.maximal_faces == (
-            frozenset({expected}) if expected else frozenset()
-        )
+        assert simplex == emb.rep.sigma(vec, frozenset())
+        assert simplex in b_cover.ambient.maximal_faces
 
 
 def test_carrier_check_all_flats(u24_vec, u34_vec, coord2_vec):
     for cfg in (u24_vec, u34_vec, coord2_vec):
         emb = embedding(cfg)
         for flat in emb.lattice.flats:
-            images, a_cover, b_cover = oriented.carrier_inputs(emb, flat)
-            report = carrier_check(images, a_cover, b_cover)
+            a_cover, b_cover = build_covers(emb, flat)
+            report = carrier_check(emb.images, a_cover, b_cover)
             assert report.ok, (sorted(flat), report.lines())
 
 
 def test_a_cover_members_contractible(u24_vec):
     emb = embedding(u24_vec)
-    for v in product((1, -1), repeat=2):
-        member = oriented.cover_member(emb, frozenset(), v)
-        assert is_homology_point(oriented.delta_complex(member))
+    a_cover, _ = build_covers(emb, frozenset())
+    for _, member in a_cover.members:
+        induced = a_cover.ambient.restrict(member)
+        assert induced == oriented.delta_complex(member)
+        assert is_homology_point(induced)
 
 
 # -- deletion fibers ---------------------------------------------------------------------

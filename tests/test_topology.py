@@ -112,24 +112,23 @@ def test_maximal_face_pruning():
 
 def nerve(cover):
     """Nerve by enumeration of every index subset (the library compares
-    nerves through their maximal vertex stars instead)."""
+    nerves through their maximal vertex stars instead).  Members are induced
+    subcomplexes, so a family meets exactly when its vertex sets do."""
     members = dict(cover.members)
     keys = list(members)
-    faces = []
-    for k in range(1, len(keys) + 1):
-        for subset in combinations(keys, k):
-            meet = members[subset[0]]
-            for x in subset[1:]:
-                meet = meet.intersection(members[x])
-            if not meet.is_empty:
-                faces.append(subset)
+    faces = [
+        subset
+        for k in range(1, len(keys) + 1)
+        for subset in combinations(keys, k)
+        if frozenset.intersection(*[members[x] for x in subset])
+    ]
     return SimplicialComplex(faces, vertex_order=keys)
 
 
 def test_nerve_disjoint_sets():
     cover = CoverFamily(
         SimplicialComplex([[0], [1]]),
-        (("a", full_simplex([0])), ("b", full_simplex([1]))),
+        (("a", frozenset({0})), ("b", frozenset({1}))),
     )
     n = nerve(cover)
     assert n.maximal_faces == frozenset({frozenset({"a"}), frozenset({"b"})})
@@ -139,7 +138,7 @@ def test_nerve_disjoint_sets():
 def test_nerve_of_cross_polytope_facets(d):
     cp = cross_polytope_boundary(d)
     facets = sorted(cp.maximal_faces, key=cp.face_key)
-    cover = CoverFamily(cp, tuple((i, full_simplex(f)) for i, f in enumerate(facets)))
+    cover = CoverFamily(cp, tuple(enumerate(facets)))
     got = nerve(cover)
     # oracle: facet subsets intersect iff their sign vectors share a coordinate
     signs = {i: {v[0]: v[1] for v in f} for i, f in enumerate(facets)}
@@ -155,7 +154,7 @@ def test_nerve_of_u24_ambient_is_square_pattern(u24):
     rep = FlagRepresentation(u24, default_flag(u24))
     amb = rep.build(u24.bottom).complex
     facets = sorted(amb.maximal_faces, key=amb.face_key)
-    cover = CoverFamily(amb, tuple((i, full_simplex(f)) for i, f in enumerate(facets)))
+    cover = CoverFamily(amb, tuple(enumerate(facets)))
     n = nerve(cover)
     # 4 maximal faces pairwise intersecting except the two antipodal pairs
     assert len(n.vertices) == 4
@@ -163,7 +162,38 @@ def test_nerve_of_u24_ambient_is_square_pattern(u24):
     assert len(n.maximal_faces) == 4
 
 
+def test_restrict_is_the_induced_subcomplex():
+    # the octahedron on four equatorial vertices is the square boundary
+    square = OCTAHEDRON.restrict({(0, "+"), (1, "+"), (0, "-"), (1, "-")})
+    assert square.maximal_faces == cross_polytope_boundary(2).maximal_faces
+    assert OCTAHEDRON.restrict({(2, "+")}).maximal_faces == {frozenset({(2, "+")})}
+    assert OCTAHEDRON.restrict(set()).is_empty
+
+
 # -- order complexes -----------------------------------------------------------
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.sets(st.frozensets(st.integers(0, 3)), max_size=7))
+def test_maximal_chains_match_enumeration(family):
+    # sets under inclusion; oracle: every subfamily that is a chain and
+    # extends by no other member
+    elements = sorted(family, key=lambda f: (len(f), sorted(f)))
+    chains = [
+        c
+        for k in range(1, len(elements) + 1)
+        for c in combinations(elements, k)
+        if all(a < b for a, b in zip(c, c[1:]))
+    ]
+    maximal = {
+        frozenset(c)
+        for c in chains
+        if not any(set(c) < set(d) for d in chains)
+    }
+    got = Poset(elements, lambda a, b: a <= b).maximal_chains()
+    assert len(got) == len(maximal)
+    assert {frozenset(c) for c in got} == maximal
+    assert all(all(a < b for a, b in zip(c, c[1:])) for c in got)
 
 
 def test_order_complex_of_chain():
@@ -324,7 +354,7 @@ def test_nerve_iso_accepts_octahedron():
 
 def test_carrier_check_identity():
     x = full_simplex([0, 1, 2])
-    cover = CoverFamily(x, (("i", x),))
+    cover = CoverFamily(x, (("i", frozenset(x.vertices)),))
     rep = carrier_check({v: {v} for v in x.vertices}, cover, cover)
     assert rep.ok
 
@@ -332,8 +362,8 @@ def test_carrier_check_identity():
 def test_carrier_check_nonemptiness_mismatch():
     amb_a = SimplicialComplex([[0, 1], [1, 2]])
     amb_b = SimplicialComplex([[10], [11]])
-    a = CoverFamily(amb_a, (("p", full_simplex([0, 1])), ("q", full_simplex([1, 2]))))
-    b = CoverFamily(amb_b, (("p", full_simplex([10])), ("q", full_simplex([11]))))
+    a = CoverFamily(amb_a, (("p", frozenset({0, 1})), ("q", frozenset({1, 2}))))
+    b = CoverFamily(amb_b, (("p", frozenset({10})), ("q", frozenset({11}))))
     rep = carrier_check({0: {10}, 1: {10}, 2: {11}}, a, b)
     assert not rep.ok
     assert not rep["nonemptiness-equivalence"].passed
@@ -341,8 +371,7 @@ def test_carrier_check_nonemptiness_mismatch():
 
 def test_carrier_check_index_mismatch():
     x = full_simplex([0])
-    a = CoverFamily(x, (("p", x),))
-    b = CoverFamily(x, (("q", x),))
+    a = CoverFamily(x, (("p", frozenset({0})),))
+    b = CoverFamily(x, (("q", frozenset({0})),))
     with pytest.raises(ValueError):
         carrier_check({0: {0}}, a, b)
-
