@@ -3,8 +3,9 @@
 A complex is certified a sphere by comparing the nerve of its maximal
 faces with that of a cross-polytope's facets (``cross_polytope_nerve_iso``;
 the nerve lemma makes this a homotopy certificate).  Reduced integer
-homology serves where no such nerve is at hand: the embedding, retraction
-and carrier checks and the ``homology`` command.  It is computed on the
+homology serves where no such nerve is at hand: the embedding and
+retraction checks, the carrier intersections that no cheaper certificate
+holds (below), and the ``homology`` command.  It is computed on the
 strong-collapse core of a complex: dominated vertices are deleted, working
 on maximal faces only, which is a strong deformation retraction (Barmak and
 Minian, 2012).  The faces of the core then give boundary matrices, reduced
@@ -14,14 +15,20 @@ taken first (Dumas, Saunders and Villard, 2001).
 A cover (``CoverFamily``) gives each member by its vertex set in one
 ambient, standing for the induced subcomplex; induced subcomplexes meet in
 the one induced on the meet of their sets, so ``carrier_check`` intersects
-vertex sets and restricts the ambient once per distinct intersection.
+vertex sets and certifies each distinct intersection once.  Where the
+cover carries the poset of its ambient, beat points are removed until one
+element is left, a strong collapse of the order complex (Stong, 1966;
+Barmak and Minian, 2012), so a homotopy certificate; otherwise a set that
+is a face of the ambient induces a full simplex.  Only an intersection
+that neither certifies has the ambient restricted to it and its homology
+computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 from math import gcd
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -50,10 +57,12 @@ class SimplicialComplex:
     def __init__(self, maximal_faces: Iterable[Iterable], vertex_order: Sequence | None = None):
         faces = {frozenset(f) for f in maximal_faces}
         faces.discard(frozenset())
-        maximal: list[frozenset] = []  # largest first: only kept faces can contain f
-        for f in sorted(faces, key=len, reverse=True):
-            if not any(f <= g for g in maximal):
-                maximal.append(f)
+        # largest first, a size at a time: f can lie only in a kept face that
+        # is strictly larger, as distinct faces of one size are incomparable;
+        # a pure input (maximal chains, every S_G) makes no comparison at all
+        maximal: list[frozenset] = []
+        for _, same_size in groupby(sorted(faces, key=len, reverse=True), key=len):
+            maximal += [f for f in same_size if not any(f <= g for g in maximal)]
         self.maximal_faces: frozenset = frozenset(maximal)
         used = set().union(*maximal) if maximal else set()
         if vertex_order is not None:
@@ -129,37 +138,81 @@ def full_simplex(vertices: Iterable) -> SimplicialComplex:
 
 
 class Poset:
-    """Finite poset with the order stored as bitmask up-sets per element."""
+    """Finite poset, each element given an int bitmask so that x <= y
+    exactly when the mask of x lies inside that of y.
 
-    __slots__ = ("elements", "_up")
+    Elements are indexed by the size of their masks, a linear extension,
+    and the order is kept as bitmask up- and down-sets over those indices:
+    bit j of ``_up[i]`` when element i <= element j.
+    """
+
+    __slots__ = ("elements", "_index", "_up", "_down")
 
     def __init__(self, elements: Sequence[Hashable], leq: Callable[[Hashable, Hashable], bool]):
-        self.elements: tuple = tuple(elements)
-        if len(set(self.elements)) != len(self.elements):
+        # in a partial order x <= y iff the down-set of x lies in that of y,
+        # so each element's mask is its down-set
+        elements = tuple(elements)
+        below = [sum(1 << j for j, y in enumerate(elements) if leq(y, x)) for x in elements]
+        if any(not mask >> i & 1 for i, mask in enumerate(below)):
+            raise ValueError("order is not reflexive")
+        self._include(elements, below)
+
+    @classmethod
+    def by_inclusion(cls, elements: Sequence[Hashable], masks: Sequence[int]) -> "Poset":
+        """Elements ordered by inclusion of their masks."""
+        poset = cls.__new__(cls)
+        poset._include(tuple(elements), masks)
+        return poset
+
+    def _include(self, elements: tuple, masks: Sequence[int]) -> None:
+        """Read the order off the masks bit by bit, with no pair compared:
+        the elements above x hold every bit of x, the elements below x
+        hold no bit outside it."""
+        if len(set(elements)) != len(elements):
             raise ValueError("poset elements must be distinct")
-        up = [sum(1 << j for j, y in enumerate(self.elements) if leq(x, y)) for x in self.elements]
-        for i, mask in enumerate(up):
-            if not (mask >> i) & 1:
-                raise ValueError("order is not reflexive")
-            if any(up[j] >> i & 1 for j in _bits(mask & ~(1 << i))):
-                raise ValueError("order is not antisymmetric")
-        self._up = tuple(up)
+        if len(set(masks)) != len(masks):
+            raise ValueError("order is not antisymmetric")
+        order = sorted(range(len(masks)), key=lambda i: masks[i].bit_count())
+        self.elements: tuple = tuple(elements[i] for i in order)
+        self._index = {x: i for i, x in enumerate(self.elements)}
+        holding: dict[int, int] = {}  # bit -> the elements (by index) holding it
+        for j, i in enumerate(order):
+            for b in _bits(masks[i]):
+                holding[b] = holding.get(b, 0) | 1 << j
+        everything = (1 << len(masks)) - 1
+        up, down = [], []
+        for i in order:
+            above, outside = everything, 0
+            for b, held in holding.items():
+                if masks[i] >> b & 1:
+                    above &= held
+                else:
+                    outside |= held
+            up.append(above)
+            down.append(everything & ~outside)
+        self._up, self._down = tuple(up), tuple(down)
 
-    def maximal_chains(self) -> list[tuple]:
-        """Every maximal chain, grown from a minimal element through covers.
-
-        The elements covering x are the minimal elements of its strict
-        up-set: those above no other element of it.
-        """
+    def _covers(self) -> list[int]:
+        """For each element, the bitmask of the elements covering it: the
+        minimal elements of its strict up-set, those above no other
+        element of it."""
         strict = [mask & ~(1 << i) for i, mask in enumerate(self._up)]
-
-        def minimal(mask: int) -> int:
+        covers = []
+        for mask in strict:
             above = 0
             for k in _bits(mask):
                 above |= strict[k]
-            return mask & ~above
+            covers.append(mask & ~above)
+        return covers
 
-        covers = [minimal(mask) for mask in strict]
+    def cover_pairs(self) -> list[tuple]:
+        """Every pair (x, y) with y covering x."""
+        els = self.elements
+        return [(els[i], els[j]) for i, mask in enumerate(self._covers()) for j in _bits(mask)]
+
+    def maximal_chains(self) -> list[tuple]:
+        """Every maximal chain, grown from a minimal element through covers."""
+        covers = self._covers()
         chains: list[tuple] = []
 
         def grow(i: int, acc: list[int]) -> None:
@@ -168,9 +221,45 @@ class Poset:
             for j in _bits(covers[i]):
                 grow(j, acc + [j])
 
-        for i in _bits(minimal((1 << len(self.elements)) - 1)):
-            grow(i, [i])
+        for i, below in enumerate(self._down):
+            if below == 1 << i:
+                grow(i, [i])
         return chains
+
+    def beat_points_reduce_to_point(self, members: Iterable) -> bool:
+        """Does the subposet on members reduce to one element by removing
+        beat points?
+
+        x is a beat point when the elements strictly above it have a least
+        element, or those strictly below it a greatest one.  Removing it is
+        a strong deformation retraction of the finite space (Stong, 1966)
+        and a strong collapse of its order complex (Barmak and Minian,
+        2012), so a True answer certifies that the order complex of the
+        subposet is contractible.  By Stong, every order of removal ends in
+        the same core up to isomorphism, so False means the core has more
+        than one element (or a member is not an element); that complex may
+        still be contractible, and the caller must decide it another way.
+        """
+        up, down, index = self._up, self._down, self._index
+        left = 0
+        for x in members:
+            if x not in index:
+                return False
+            left |= 1 << index[x]
+        removed = True
+        while removed and left & (left - 1):  # two or more elements left
+            removed = False
+            for i in _bits(left):
+                # indices follow a linear extension, so a least element is
+                # the lowest index and a greatest one the highest
+                above = up[i] & left & ~(1 << i)
+                below = down[i] & left & ~(1 << i)
+                if (above and above & ~up[(above & -above).bit_length() - 1] == 0) or (
+                    below and below & ~down[below.bit_length() - 1] == 0
+                ):
+                    left &= ~(1 << i)
+                    removed = True
+        return left != 0 and not left & (left - 1)
 
 
 def _bits(mask: int) -> Iterable[int]:
@@ -455,11 +544,14 @@ class CoverFamily:
     """Indexed family of induced subcomplexes of one ambient complex.
 
     Each member is given by a set of ambient vertices and stands for the
-    ambient restricted to that set.
+    ambient restricted to that set.  A poset, when given, is one whose
+    order complex is the ambient: the complex induced on a vertex set is
+    then the order complex of the subposet on it.
     """
 
     ambient: SimplicialComplex
     members: tuple[tuple[Hashable, frozenset], ...]
+    poset: Poset | None = None
 
     def covers_ambient(self) -> bool:
         """Does every maximal face of the ambient lie in some member set?"""
@@ -577,9 +669,12 @@ def carrier_check(
     Every index subset is covered, for any number of members, without
     enumerating subsets: the two nerves agree exactly when their maximal
     vertex stars agree (Dowker), and each distinct nonempty intersection is
-    found once, on vertex sets, and its induced subcomplex is restricted
-    from the ambient and tested once.  A failed check names an index subset
-    on which it fails.
+    found once, on vertex sets, and tested once.  Its induced subcomplex is
+    certified contractible by beat points where the cover carries its
+    poset, or is a full simplex where the set is a face of the ambient;
+    only where neither holds is the ambient restricted to the set and its
+    homology computed.  A failed check names an index subset on which it
+    fails.
     """
     rep = ValidationReport()
     a_map, b_map = dict(a_cover.members), dict(b_cover.members)
@@ -596,15 +691,26 @@ def carrier_check(
     def subset(mask: int) -> list:
         return [keys[i] for i in range(n) if mask >> i & 1]
 
-    # (side, vertex set) -> (index mask, induced subcomplex)
-    pieces = {
-        (side, x): (w, cover.ambient.restrict(x))
-        for side, cover, sets in (("A", a_cover, a_sets), ("B", b_cover, b_sets))
-        for x, w in _intersections(sets).items()
-    }
+    covers = {"A": a_cover, "B": b_cover}
+    induced: dict = {}  # (side, vertex set) -> the ambient restricted to it
+
+    def restrict(side: str, x: frozenset) -> SimplicialComplex:
+        if (side, x) not in induced:
+            induced[side, x] = covers[side].ambient.restrict(x)
+        return induced[side, x]
+
+    def contractible(side: str, x: frozenset) -> bool:
+        cover = covers[side]
+        if cover.poset is not None:
+            certified = cover.poset.beat_points_reduce_to_point(x)
+        else:
+            certified = cover.ambient.has_face(x)
+        return certified or is_homology_point(restrict(side, x))
+
     detail = next(
         (f"{side}-intersection over {subset(w)} is not a homology point"
-         for (side, _), (w, x) in pieces.items() if not is_homology_point(x)),
+         for side, sets in (("A", a_sets), ("B", b_sets))
+         for x, w in _intersections(sets).items() if not contractible(side, x)),
         "",
     )
     rep.add("intersections-contractible", not detail, detail)
@@ -626,7 +732,7 @@ def carrier_check(
     # a face is in the B-member when it is in its vertex set and the ambient
     maps_into = True
     for a, b in zip(a_sets, b_sets):
-        for m in pieces["A", a][1].maximal_faces if a else ():
+        for m in restrict("A", a).maximal_faces if a else ():
             image = frozenset().union(*[frozenset(vertex_images[v]) for v in m])
             if not (image <= b and b_cover.ambient.has_face(image)):
                 maps_into = False

@@ -4,9 +4,11 @@ import pytest
 
 from matroid_spheres import (
     GeometricLattice,
+    Poset,
     SimplicialComplex,
     lattice_from_flats,
     load_matroid,
+    order_complex,
     reduced_homology,
     sphere_profile,
     uniform_matroid,
@@ -40,6 +42,18 @@ def is_homology_sphere(complex_, d):
     if complex_.is_empty:
         return False
     return reduced_homology(complex_) == sphere_profile(d)
+
+
+def cov_leq(x, y):
+    """Conformal order on sign-vector tuples: every nonzero coordinate of x
+    agrees with y.  Oracle for the sign-mask order."""
+    return all(a == 0 or a == b for a, b in zip(x, y))
+
+
+def delta_complex(covectors):
+    """Order complex of sign-vector tuples under the conformal order,
+    compared pair by pair.  Oracle for ``Embedding.delta``."""
+    return order_complex(Poset(sorted(covectors), cov_leq))
 
 
 def boolean_matroid(elements):

@@ -32,7 +32,7 @@ from matroid_spheres import (
     z2_free_check,
 )
 from matroid_spheres import oriented
-from conftest import cross_polytope_boundary, simplex_boundary
+from conftest import cross_polytope_boundary, delta_complex, simplex_boundary
 from matroid_spheres.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -132,7 +132,7 @@ def test_criterion_06_embedding(u24_vec, u34_vec):
         assert result.ok, result.lines()
         for flat in emb.lattice.flats:
             sub = [x for x in oriented.covector_flat(emb.cs, flat) if x != emb.cs.zero]
-            left = reduced_homology(oriented.delta_complex(sub))
+            left = reduced_homology(delta_complex(sub))
             right = reduced_homology(emb.rep.build(flat).complex)
             assert left == right == sphere_profile(emb.lattice.corank(flat) - 1)
             a_cover, b_cover = build_covers(emb, flat)

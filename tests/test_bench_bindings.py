@@ -9,11 +9,15 @@ without failing any other test.
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def load_tracer():
@@ -48,3 +52,18 @@ def test_benchmark_imports_resolve():
     # worker.py's library ops and CLI entry
     assert {"all_complete_flags", "default_flag", "poset_map_search", "retraction_map",
             "verify_retraction", "load_matroid_file", "cli"} <= set(found)
+
+
+def test_cli_import_loads_every_traced_module():
+    # Tracer.install lists the loaded package modules right after importing
+    # the CLI, and only then imports each traced function's owner.  An owner
+    # the CLI imported lazily would be missing from that list: its binding
+    # would stay unwrapped, unreported, and its spans would read 0.
+    owners = {f"matroid_spheres.{module}" for _, module, _ in load_tracer().TRACED}
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, matroid_spheres.cli; print(*sorted(sys.modules))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert owners <= set(loaded), sorted(owners - set(loaded))

@@ -24,11 +24,12 @@ from matroid_spheres import (
     covectors_from_vectors,
     is_homology_point,
     vector_config,
+    verify_embedding,
 )
-from matroid_spheres import oriented
 from matroid_spheres.linalg import rank_q
 from matroid_spheres.oriented import neg
 from matroid_spheres.topology import _generic_key, _maximal_masks, _vertex_stars, full_simplex
+from conftest import cov_leq, delta_complex
 
 DERANDOMIZED = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -72,9 +73,9 @@ def complex_covers(emb, flat):
     for vec in product((1, -1), repeat=emb.lattice.r):
         key = tuple("+" if s > 0 else "-" for s in vec)
         carrier = emb.rep.sigma(vec, flat)
-        a_members[key] = oriented.delta_complex([x for x in covs if emb.images[x] <= carrier])
+        a_members[key] = delta_complex([x for x in covs if emb.images[x] <= carrier])
         b_members[key] = full_simplex(carrier)
-    return oriented.delta_complex(covs), a_members, emb.rep.build(flat).complex, b_members
+    return delta_complex(covs), a_members, emb.rep.build(flat).complex, b_members
 
 
 def complex_carrier_report(emb, flat):
@@ -136,10 +137,10 @@ def ladder_embedding(name):
 
 
 def with_images(emb, images):
-    """A copy of the embedding whose image table is replaced; its order
-    complexes are shared with the original."""
+    """A copy of the embedding whose image table is replaced; its posets
+    and order complexes are shared with the original."""
     mutant = dataclasses.replace(emb)
-    vars(mutant).update(images=images, _deltas=emb._deltas)
+    vars(mutant).update(images=images, _posets=emb._posets, _deltas=emb._deltas)
     return mutant
 
 
@@ -219,3 +220,45 @@ def test_mutated_image_maps_match_complex_route():
     assert len(seen) >= 150
     verdicts = list(seen.values())
     assert verdicts.count(False) >= 10 and verdicts.count(True) >= 10
+
+
+# -- the sign-mask order against the pairwise conformal order --------------------
+
+
+def assert_deltas_match_pairwise_order(emb):
+    for flat in emb.lattice.flats:
+        covs = [x for x in covector_flat(emb.cs, flat) if x != emb.cs.zero]
+        assert emb.delta(flat) == delta_complex(covs), sorted(flat)
+        a_cover, _ = build_covers(emb, flat)
+        assert a_cover.poset is emb.poset(flat)
+
+
+@pytest.mark.parametrize("name", sorted(EMBED_LADDER))
+def test_embed_ladder_deltas_match_pairwise_order(name):
+    assert_deltas_match_pairwise_order(ladder_embedding(name))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(configurations())
+def test_random_rank3_deltas_match_pairwise_order(cfg):
+    assert_deltas_match_pairwise_order(build_embedding(covectors_from_vectors(cfg)))
+
+
+def test_order_preserving_on_covers_matches_every_pair():
+    verdicts = []
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.data())
+    def check(data):
+        emb = ladder_embedding(data.draw(st.sampled_from(sorted(EMBED_LADDER))))
+        images, _ = data.draw(mutations(emb))
+        nonzero = emb.cs.nonzero()
+        every_pair = all(
+            images[x] <= images[y] for x in nonzero for y in nonzero if x != y and cov_leq(x, y)
+        )
+        report = verify_embedding(with_images(emb, images))
+        assert report["order-preserving"].passed == every_pair
+        verdicts.append(every_pair)
+
+    check()
+    assert verdicts.count(True) >= 5 and verdicts.count(False) >= 5

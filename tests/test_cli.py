@@ -147,10 +147,11 @@ def closed_under_meets(sets):
 
 @pytest.mark.parametrize("vectors", ["u34_vec.json", "u45_vec.json"])
 def test_om_embed_builds_each_complex_once(runner, monkeypatch, vectors):
-    # Delta(L_G) comes from order_complex once per flat.  The complex of
-    # each distinct intersection of cover members, Delta(L_G) on an
-    # A-intersection or S_G on a B-intersection, is its ambient restricted
-    # once; no two complexes are intersected.
+    # Delta(L_G) comes from order_complex once per flat.  An intersection
+    # of cover members is restricted from its ambient only where no
+    # cheaper certificate holds it: beat points of L_G on the A side, a
+    # face of S_G on the B side.  maps-into-carrier restricts each nonempty
+    # A-member.  No complex is restricted twice; no two are intersected.
     built, restricted, meets = [], [], []
     order_complex, restrict = topology.order_complex, SimplicialComplex.restrict
 
@@ -178,12 +179,20 @@ def test_om_embed_builds_each_complex_once(runner, monkeypatch, vectors):
     }
     assert not meets
     assert len(restricted) == len(set(restricted))
-    expected = set()
+    members, fallbacks = set(), set()
     for flat in emb.lattice.flats:
-        for cover in build_covers(emb, flat):
-            ambient = frozenset(cover.ambient.vertices)
-            expected |= {(ambient, x) for x in closed_under_meets(s for _, s in cover.members)}
-    assert set(restricted) == expected
+        a_cover, b_cover = build_covers(emb, flat)
+        a_ambient, b_ambient = (frozenset(c.ambient.vertices) for c in (a_cover, b_cover))
+        members |= {(a_ambient, s) for _, s in a_cover.members if s}
+        fallbacks |= {
+            (a_ambient, x) for x in closed_under_meets(s for _, s in a_cover.members)
+            if not a_cover.poset.beat_points_reduce_to_point(x)
+        }
+        fallbacks |= {
+            (b_ambient, x) for x in closed_under_meets(s for _, s in b_cover.members)
+            if not b_cover.ambient.has_face(x)
+        }
+    assert set(restricted) == members | fallbacks
 
 
 def test_om_embed_u34(runner):

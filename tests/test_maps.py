@@ -21,8 +21,7 @@ from matroid_spheres import (
     vector_config,
     verify_retraction,
 )
-from matroid_spheres.oriented import cov_leq
-from conftest import boolean_matroid
+from conftest import boolean_matroid, cov_leq
 
 PAPER_FLAG = [[], ["1"], ["1", "2"], ["1", "2", "3", "4"]]
 

@@ -21,9 +21,9 @@ from matroid_spheres import (
     vector_config,
     verify_embedding,
 )
-from matroid_spheres import oriented
 from matroid_spheres.linalg import rank_q
-from matroid_spheres.oriented import VectorConfig, compose, cov_leq, neg
+from matroid_spheres.oriented import VectorConfig, compose, neg, sign_mask, sign_vector
+from conftest import cov_leq, delta_complex
 
 
 def embedding(cfg, flag=None, pivots=None):
@@ -38,8 +38,41 @@ def restrict_zero(x, positions):
 # -- sign vector algebra -------------------------------------------------------
 
 
+def compose_signs(x, y):
+    """Oracle: x with y filling in the zero coordinates, on tuples."""
+    return tuple(a if a != 0 else b for a, b in zip(x, y))
+
+
 def test_compose():
-    assert compose((0, 1, 1, -1), (1, 0, 1, 1)) == (1, 1, 1, -1)
+    assert compose_signs((0, 1, 1, -1), (1, 0, 1, 1)) == (1, 1, 1, -1)
+    x, y = sign_mask((0, 1, 1, -1)), sign_mask((1, 0, 1, 1))
+    assert sign_vector(compose(x, y, 4), 4) == (1, 1, 1, -1)
+
+
+def test_sign_mask_halves():
+    assert sign_mask((1, 0, -1)) == 0b100_001
+    assert sign_vector(0b100_001, 3) == (1, 0, -1)
+    assert sign_mask((0, 0)) == 0
+
+
+sign_vectors = st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(st.sampled_from((-1, 0, 1)), min_size=n, max_size=n)
+                       .map(tuple), min_size=2, max_size=2)
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(sign_vectors)
+def test_sign_masks_match_tuples(pair):
+    # the mask order is the conformal order, compose and negation agree,
+    # and the mask is a bijection
+    x, y = pair
+    n = len(x)
+    mx, my = sign_mask(x), sign_mask(y)
+    assert sign_vector(mx, n) == x
+    assert (mx & ~my == 0) == cov_leq(x, y)
+    assert sign_vector(compose(mx, my, n), n) == compose_signs(x, y)
+    assert sign_mask(neg(x)) == (mx >> n | (mx & (1 << n) - 1) << n)
 
 
 def test_restrict_zero():
@@ -101,7 +134,7 @@ def pairwise_span(elements, cocircuits):
             z
             for x in frontier
             for y in covectors
-            for z in (compose(x, y), compose(y, x))
+            for z in (compose_signs(x, y), compose_signs(y, x))
             if z not in covectors
         }
         covectors |= fresh
@@ -135,7 +168,7 @@ def covector_axioms_fail(cs):
     axioms = {
         "contains-zero": cs.zero in covs,
         "negation-closed": all(neg(x) in covs for x in covs),
-        "composition-closed": all(compose(x, y) in covs for x in covs for y in covs),
+        "composition-closed": all(compose_signs(x, y) in covs for x in covs for y in covs),
         "cocircuits-minimal": minimal == set(cocircs),
         "cocircuits-antipodal": all(neg(x) in cocircs for x in cocircs),
     }
@@ -276,7 +309,7 @@ def test_verify_embedding_u34(u34_vec):
     emb = embedding(u34_vec)
     report = verify_embedding(emb)
     assert report.ok, report.lines()
-    profile = reduced_homology(oriented.delta_complex(emb.cs.nonzero()))
+    profile = reduced_homology(delta_complex(emb.cs.nonzero()))
     assert profile == sphere_profile(2)
 
 
@@ -344,7 +377,7 @@ def test_a_cover_members_contractible(u24_vec):
     a_cover, _ = build_covers(emb, frozenset())
     for _, member in a_cover.members:
         induced = a_cover.ambient.restrict(member)
-        assert induced == oriented.delta_complex(member)
+        assert induced == delta_complex(member)
         assert is_homology_point(induced)
 
 
@@ -378,7 +411,7 @@ def fibers_contractible(fmap, source, target):
     order complex that is a homology point."""
     assert all(cov_leq(fmap[x], fmap[y]) for x in source for y in source if cov_leq(x, y))
     return all(
-        is_homology_point(oriented.delta_complex([x for x in source if cov_leq(q, fmap[x])]))
+        is_homology_point(delta_complex([x for x in source if cov_leq(q, fmap[x])]))
         for q in target
     )
 
@@ -412,8 +445,8 @@ def order_homotopy_image(covectors, fmap):
         cov_leq(x, fmap[x]) for x in covectors
     )
     image = sorted(set(fmap.values()))
-    assert reduced_homology(oriented.delta_complex(covectors)) == reduced_homology(
-        oriented.delta_complex(image)
+    assert reduced_homology(delta_complex(covectors)) == reduced_homology(
+        delta_complex(image)
     )
     return image
 
@@ -435,7 +468,7 @@ def test_retraction_sequence_on_coordinate_om(coord3_vec):
     for step in (
         lambda x: restrict_zero(x, [1]),  # zero the skipped coordinate
         lambda x: restrict_zero(x, [2]) if x[2] == -1 else x,  # drop minus side
-        lambda x: compose(x, (0, 0, 1)),  # raising: fill with plus
+        lambda x: compose_signs(x, (0, 0, 1)),  # raising: fill with plus
         lambda x: restrict_zero(x, [0]),  # drop the leading coordinate
     ):
         current = order_homotopy_image(current, {x: step(x) for x in current})

@@ -20,6 +20,7 @@ from matroid_spheres import (
     sphere_profile,
     z2_free_check,
 )
+from matroid_spheres import topology
 from matroid_spheres.topology import full_simplex, smith_invariant_factors
 from conftest import cross_polytope_boundary, is_homology_sphere, simplex_boundary
 
@@ -194,6 +195,97 @@ def test_maximal_chains_match_enumeration(family):
     assert len(got) == len(maximal)
     assert {frozenset(c) for c in got} == maximal
     assert all(all(a < b for a, b in zip(c, c[1:])) for c in got)
+
+
+masks_and_subsets = st.sets(st.integers(1, 63), min_size=1, max_size=9).flatmap(
+    lambda masks: st.tuples(st.just(sorted(masks)), st.sets(st.sampled_from(sorted(masks))))
+)
+
+
+def test_beat_points_imply_homology_point():
+    verdicts = []
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(masks_and_subsets)
+    def check(case):
+        # bitmasks under inclusion, ordered once from the masks and once
+        # pair by pair; a beat-point pass on any subset must be a point
+        masks, subset = case
+        poset = Poset.by_inclusion(masks, masks)
+        pairwise = Poset(masks, lambda a, b: a & ~b == 0)
+        assert sorted(poset.cover_pairs()) == sorted(pairwise.cover_pairs()) == sorted(
+            (a, b) for a in masks for b in masks
+            if a != b and a & ~b == 0
+            and not any(c not in (a, b) and a & ~c == 0 and c & ~b == 0 for c in masks)
+        )
+        assert {frozenset(c) for c in poset.maximal_chains()} == {
+            frozenset(c) for c in pairwise.maximal_chains()
+        }
+        collapses = poset.beat_points_reduce_to_point(subset)
+        if collapses:
+            assert is_homology_point(order_complex(poset).restrict(subset))
+        verdicts.append(collapses)
+
+    check()
+    assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50
+
+
+CIRCLE = Poset.by_inclusion("abcd", [0b01, 0b10, 0b0111, 0b1011])  # a, b < c, d
+
+
+def test_beat_points_stuck_on_a_circle():
+    # a, b < c, d has no beat point: its order complex is a 4-cycle
+    assert not CIRCLE.beat_points_reduce_to_point("abcd")
+    assert CIRCLE.beat_points_reduce_to_point("acd")  # c and d sit over a alone
+    assert not CIRCLE.beat_points_reduce_to_point("")
+    assert not CIRCLE.beat_points_reduce_to_point("az")  # z is no element
+
+
+def homology_calls(monkeypatch):
+    calls = []
+    real = topology.is_homology_point
+
+    def counted(complex_):
+        calls.append(complex_)
+        return real(complex_)
+
+    monkeypatch.setattr(topology, "is_homology_point", counted)
+    return calls
+
+
+def test_carrier_check_stuck_beat_points_fall_back_to_homology(monkeypatch):
+    calls = homology_calls(monkeypatch)
+    a = CoverFamily(order_complex(CIRCLE), (("i", frozenset("abcd")),), CIRCLE)
+    b = CoverFamily(full_simplex([9]), (("i", frozenset({9})),))
+    rep = carrier_check({v: {9} for v in "abcd"}, a, b)
+    assert calls == [order_complex(CIRCLE)]
+    assert rep["intersections-contractible"].detail == (
+        "A-intersection over ['i'] is not a homology point"
+    )
+    assert [c.name for c in rep.checks if not c.passed] == ["intersections-contractible"]
+
+
+def test_carrier_check_plain_ambient_not_a_face_falls_back_to_homology(monkeypatch):
+    # The boundary of a triangle, as a plain ambient: every two vertices
+    # span an edge but the three span no face, so it is not a flag complex.
+    # Domination read off the 1-skeleton would call it a point; the check
+    # must reach homology and fail.
+    calls = homology_calls(monkeypatch)
+    boundary = simplex_boundary(2)
+    a = CoverFamily(boundary, (("i", frozenset(boundary.vertices)),))
+    b = CoverFamily(full_simplex([9]), (("i", frozenset({9})),))
+    rep = carrier_check({v: {9} for v in boundary.vertices}, a, b)
+    assert calls == [boundary]
+    assert not rep["intersections-contractible"].passed
+    assert [c.name for c in rep.checks if not c.passed] == ["intersections-contractible"]
+
+
+def test_carrier_check_faces_need_no_homology(monkeypatch):
+    calls = homology_calls(monkeypatch)
+    x = SimplicialComplex([[0, 1], [1, 2]])
+    cover = CoverFamily(x, (("p", frozenset({0, 1})), ("q", frozenset({1, 2}))))
+    assert carrier_check({v: {v} for v in x.vertices}, cover, cover).ok
+    assert calls == []
 
 
 def test_order_complex_of_chain():
