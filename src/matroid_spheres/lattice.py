@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
@@ -68,6 +69,16 @@ class GeometricLattice:
 
     def sorted_elements(self, flat: Iterable[str]) -> tuple[str, ...]:
         return tuple(sorted(flat, key=self._index.__getitem__))
+
+    @cached_property
+    def labels(self) -> dict[frozenset, tuple[str, ...]]:
+        """Each flat's elements in ground order, built on first use."""
+        return {f: self.sorted_elements(f) for f in self.flats}
+
+    @cached_property
+    def signed_coatoms(self) -> dict[frozenset, dict[str, tuple]]:
+        """Each coatom's signed vertex labels by sign, built once per lattice."""
+        return {c: {s: (self.labels[c], s) for s in "+-"} for c in self._coatoms}
 
     def _heights(self) -> dict[frozenset, int]:
         by_size = sorted(self._flatset, key=len)

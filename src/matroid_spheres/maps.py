@@ -128,8 +128,9 @@ def verify_retraction(desc: RetractDescriptor) -> ValidationReport:
     each flag's S_0 recurs over a matroid's flag pairs and the homology memo
     answers it at once, while nerve verdicts are cached per representation,
     built anew for each pair.  By nerves, source, target and polytope cost
-    1.07-1.10 ms per U(3,4) flag pair against 0.74 ms by homology, and
-    1.6-1.7 against 1.1 ms on B_4 (CPython 3.11, 2-core x86-64 host).
+    0.28 ms of CPU per U(3,4) flag pair against 0.17 ms by homology, and
+    0.37-0.38 against 0.18 ms on B_4 (mean over every pair of the matroid,
+    best of five passes; CPython 3.11, 2-core x86-64 host).
     """
     rep = ValidationReport()
     lattice = desc.source.lattice

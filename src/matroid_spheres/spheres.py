@@ -64,19 +64,19 @@ class FlagRepresentation:
         self.lattice = lattice
         self.flag = flag
         self.r = lattice.r
-        parts = []
-        for i in range(self.r):
-            a = set(lattice.coat_above(flag[i])) - set(lattice.coat_above(flag[i + 1]))
-            if not a:
-                raise ValueError(f"empty coatom block at position {i}: input lattice is not geometric")
-            parts.append(tuple(sorted(a, key=lattice.key)))
-        self.parts: tuple[tuple[frozenset, ...], ...] = tuple(parts)
+        # one pass in key order, c joining block max{i : F_i inside c}
+        parts: list[list[frozenset]] = [[] for _ in range(self.r)]
+        for c in lattice.coatoms():
+            if not flag[0] <= c:
+                raise ValueError("coatom blocks do not partition the coatoms")
+            parts[max(i for i in range(self.r) if flag[i] <= c)].append(c)
+        empty = [i for i, block in enumerate(parts) if not block]
+        if empty:
+            raise ValueError(f"empty coatom block at position {empty[0]}: input lattice is not geometric")
+        self.parts: tuple[tuple[frozenset, ...], ...] = tuple(map(tuple, parts))
         self.part_of: dict[frozenset, int] = {
             c: i for i, block in enumerate(parts) for c in block
         }
-        covered = set().union(*[set(b) for b in parts])
-        if covered != set(lattice.coatoms()):
-            raise ValueError("coatom blocks do not partition the coatoms")
         self._built: dict[frozenset, RepComplex] = {}
         self._spheres: dict[frozenset, bool] = {}
         self._law: bool | None = None
@@ -84,11 +84,13 @@ class FlagRepresentation:
     # -- vertices ------------------------------------------------------------
 
     def vertex(self, coatom: frozenset, sign: str) -> Vertex:
-        return (self.lattice.sorted_elements(coatom), sign)
+        return self.lattice.signed_coatoms[coatom][sign]
 
     def vertex_order(self, coatoms: Iterable[frozenset]) -> list[Vertex]:
-        ordered = sorted(coatoms, key=self.lattice.key)
-        return [self.vertex(c, s) for c in ordered for s in SIGNS]
+        """Both signed vertices of each coatom given, coatoms in key order."""
+        chosen = set(coatoms)
+        signed = self.lattice.signed_coatoms.items()  # in key order
+        return [v for c, pm in signed if c in chosen for v in pm.values()]
 
     def swap_map(self, complex_: SimplicialComplex) -> dict[Vertex, Vertex]:
         return {v: swap_sign(v) for v in complex_.vertices}
@@ -104,22 +106,29 @@ class FlagRepresentation:
         """Indices of coatom blocks meeting coat(G); size equals corank(G)."""
         return tuple(i for i, block in enumerate(self._blocks_over(flat)) if block)
 
-    def _face(self, vector: Sequence[int], blocks: Sequence[Sequence[frozenset]]) -> frozenset:
-        """Every coatom of block i, signed by vector[i]; blocks with 0 left out."""
-        signed = zip(vector, blocks)
-        return frozenset(self.vertex(c, "+" if s > 0 else "-") for s, b in signed if s for c in b)
+    def _signed_blocks(self, blocks: Sequence[Sequence[frozenset]]) -> list[tuple[frozenset, ...]]:
+        """Each block's coatoms signed + and signed -, as two vertex sets."""
+        labels = self.lattice.signed_coatoms
+        return [tuple(frozenset(labels[c][s] for c in b) for s in SIGNS) for b in blocks]
+
+    @staticmethod
+    def _union(vector: Sequence[int], signed: Sequence[tuple[frozenset, ...]]) -> frozenset:
+        """The union of block i's set signed by vector[i]; blocks with 0 left out."""
+        return frozenset().union(*[pm[0] if s > 0 else pm[1] for s, pm in zip(vector, signed) if s])
 
     def sigma(self, vector: tuple[int, ...], flat: frozenset) -> frozenset:
         """The face of S_G selected by a sign vector over the blocks."""
-        return self._face(vector, self._blocks_over(flat))
+        return self._union(vector, self._signed_blocks(self._blocks_over(flat)))
 
     def cross_polytope(self, blocks: Sequence[Sequence[frozenset]]) -> dict[frozenset, tuple]:
         """One maximal face per sign choice on the nonempty blocks, holding
         each block's coatoms with its sign, mapped to its sign vector (0 on
         the empty blocks).  With one coatom per block this is the boundary
-        of a cross-polytope; with the blocks over a flat it is S_G."""
+        of a cross-polytope; with the blocks over a flat it is S_G.  Each
+        face is a union of per-block vertex sets built once."""
+        signed = self._signed_blocks(blocks)
         choices = product(*[(1, -1) if b else (0,) for b in blocks])
-        return {self._face(vec, blocks): vec for vec in choices}
+        return {self._union(vec, signed): vec for vec in choices}
 
     def build(self, flat: frozenset) -> RepComplex:
         """S_G, constructed on the first call for a flat and cached."""
@@ -217,7 +226,7 @@ class FlagRepresentation:
 
 
 def atom_label(lattice: GeometricLattice, atom: frozenset) -> str:
-    return ",".join(lattice.sorted_elements(atom))
+    return ",".join(lattice.labels[atom])
 
 
 def arrangement_flats(arr: HomotopyArrangement) -> GeometricLattice:

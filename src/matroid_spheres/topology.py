@@ -90,10 +90,9 @@ class SimplicialComplex:
         return not self.maximal_faces
 
     def has_face(self, face: Iterable) -> bool:
+        # one hash lookup finds a maximal face before any scan
         f = frozenset(face)
-        if not f:
-            return True
-        return any(f <= m for m in self.maximal_faces)
+        return not f or f in self.maximal_faces or any(f <= m for m in self.maximal_faces)
 
     def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
         return all(other.has_face(m) for m in self.maximal_faces)

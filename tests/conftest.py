@@ -1,9 +1,12 @@
+import json
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
 from matroid_spheres import (
     GeometricLattice,
+    MatroidInputError,
     Poset,
     SimplicialComplex,
     lattice_from_flats,
@@ -44,6 +47,39 @@ def is_homology_sphere(complex_, d):
     return reduced_homology(complex_) == sphere_profile(d)
 
 
+def blocks_oracle(lattice, flag):
+    """Coatom blocks as coat_above(F_i) - coat_above(F_{i+1}), each in key
+    order.  Oracle for ``FlagRepresentation.parts``."""
+    return tuple(
+        tuple(sorted(set(lattice.coat_above(flag[i])) - set(lattice.coat_above(flag[i + 1])),
+                     key=lattice.key))
+        for i in range(lattice.r)
+    )
+
+
+def face_oracle(lattice, vector, blocks):
+    """Every coatom of block i, signed by vector[i], built vertex by vertex;
+    blocks with 0 left out.  Oracle for ``FlagRepresentation.sigma``."""
+    return frozenset(
+        (lattice.sorted_elements(c), "+" if s > 0 else "-")
+        for s, b in zip(vector, blocks) if s for c in b
+    )
+
+
+def cross_polytope_oracle(lattice, blocks):
+    """One face per sign choice on the nonempty blocks, vertex by vertex.
+    Oracle for ``FlagRepresentation.cross_polytope``."""
+    choices = product(*[(1, -1) if b else (0,) for b in blocks])
+    return {face_oracle(lattice, vec, blocks): vec for vec in choices}
+
+
+def has_face_oracle(complex_, face):
+    """Is the face inside some maximal face, by a scan of them all?
+    Oracle for ``SimplicialComplex.has_face``."""
+    f = frozenset(face)
+    return not f or any(f <= m for m in complex_.maximal_faces)
+
+
 def cov_leq(x, y):
     """Conformal order on sign-vector tuples: every nonzero coordinate of x
     agrees with y.  Oracle for the sign-mask order."""
@@ -61,6 +97,23 @@ def boolean_matroid(elements):
     els = [str(e) for e in elements]
     flats = [frozenset(c) for k in range(len(els) + 1) for c in combinations(els, k)]
     return GeometricLattice(els, flats, {f: len(f) for f in flats})
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def data_matroids():
+    """Every matroid file in tests/data that loads as a geometric lattice,
+    by file stem."""
+    out = {}
+    for path in sorted(DATA.glob("*.json")):
+        spec = json.loads(path.read_text())
+        if isinstance(spec, dict) and "format" in spec:
+            try:
+                out[path.stem] = load_matroid(spec)
+            except MatroidInputError:
+                pass
+    return out
 
 
 FANO_COLUMNS = [

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -370,3 +373,19 @@ def test_om_embed_wrong_pivot_count_exits_2(runner, pivots):
     assert result.stdout == ""
     assert result.stderr.startswith("input error: ")
     assert len(result.stderr.splitlines()) == 1
+
+
+def test_cli_start_up_loads_only_stdlib_click_and_the_package():
+    # Start-up is most of every CLI run's cost, so a test-only dependency
+    # (sympy, hypothesis) must never load with the CLI.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys; bare = set(sys.modules); import matroid_spheres.cli; "
+            "print(*sorted(set(sys.modules) - bare))")
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "matroid_spheres.cli" in loaded
+    allowed = sys.stdlib_module_names | {"click", "matroid_spheres"}
+    assert [m for m in loaded if m.split(".")[0] not in allowed] == []

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -7,6 +8,7 @@ from matroid_spheres import (
     FlagRepresentation,
     GeometricLattice,
     MatroidInputError,
+    SimplicialComplex,
     all_complete_flags,
     covectors_from_vectors,
     default_flag,
@@ -21,6 +23,7 @@ from matroid_spheres import (
     vector_config,
     verify_retraction,
 )
+from matroid_spheres.maps import CrossSelection
 from conftest import boolean_matroid, cov_leq
 
 PAPER_FLAG = [[], ["1"], ["1", "2"], ["1", "2", "3", "4"]]
@@ -148,6 +151,97 @@ def test_retraction_fano_pairs(fano):
     pairs = [(flags[0], flags[1]), (flags[0], flags[-1])]
     for f, g in pairs:
         assert verify_retraction(retraction_map(fano, f, g)).ok
+
+
+# -- retraction certificate on mutated descriptors -----------------------------------
+#
+# Each mutation breaks one property of a real descriptor and keeps the
+# others, so exactly the checks named with it must fail.  A polytope facet
+# grown by one vertex from outside the polytope is a cone glued on along a
+# simplex, so the polytope stays a homology sphere.
+
+
+def failing(desc):
+    return {c.name for c in verify_retraction(desc).failures()}
+
+
+def repeated_g_part(desc):
+    sel = desc.selection
+    g_parts = (sel.g_parts[0],) + sel.g_parts[:1] + sel.g_parts[2:]
+    return replace(desc, selection=CrossSelection(sel.coatoms, sel.f_parts, g_parts))
+
+
+def swapped_singleton(desc):
+    """Swap the signs of the selected coatom of a one-coatom block: the map
+    stays simplicial but is no longer idempotent."""
+    rep = desc.source
+    i = next((i for i, b in enumerate(rep.parts) if len(b) == 1), None)
+    if i is None:
+        return None
+    c = desc.selection.coatoms[i]
+    vmap = dict(desc.vertex_map)
+    vmap[rep.vertex(c, "+")], vmap[rep.vertex(c, "-")] = rep.vertex(c, "-"), rep.vertex(c, "+")
+    return replace(desc, vertex_map=vmap)
+
+
+def flipped_vertex(desc):
+    """Send one unselected coatom of a block onto the selected coatom with
+    the other sign: an image face then holds both signs of one coatom."""
+    rep = desc.source
+    i = next((i for i, b in enumerate(rep.parts) if len(b) > 1), None)
+    if i is None:
+        return None
+    chosen = desc.selection.coatoms[i]
+    c = next(c for c in rep.parts[i] if c != chosen)
+    vmap = dict(desc.vertex_map)
+    vmap[rep.vertex(c, "+")] = rep.vertex(chosen, "-")
+    return replace(desc, vertex_map=vmap)
+
+
+def grown_polytope(desc, in_source, in_target):
+    """Grow one polytope facet by a vertex outside the polytope, so that the
+    grown facet is a face of the source exactly when in_source, and of the
+    target exactly when in_target."""
+    lattice = desc.source.lattice
+    s_f = desc.source.build(lattice.bottom).complex
+    s_g = desc.target.build(lattice.bottom).complex
+    fresh = (("fresh",), "+")
+    outside = [v for v in s_f.vertices if v not in desc.polytope.vertices] + [fresh]
+    for facet in sorted(desc.polytope.maximal_faces, key=desc.polytope.face_key):
+        for x in outside:
+            grown = facet | {x}
+            if (s_f.has_face(grown), s_g.has_face(grown)) == (in_source, in_target):
+                faces = (desc.polytope.maximal_faces - {facet}) | {grown}
+                return replace(desc, polytope=SimplicialComplex(faces, desc.polytope.vertices))
+    return None
+
+
+MUTATIONS = {
+    "repeated g-part": (repeated_g_part, {"selection-distinct"}),
+    "non-idempotent": (swapped_singleton, {"idempotent"}),
+    "sign flipped": (flipped_vertex, {"simplicial", "composite-simplicial"}),
+    "facet in neither": (lambda d: grown_polytope(d, False, False),
+                         {"polytope-in-source", "polytope-in-target"}),
+    "facet not in source": (lambda d: grown_polytope(d, False, True), {"polytope-in-source"}),
+    "facet not in target": (lambda d: grown_polytope(d, True, False), {"polytope-in-target"}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MUTATIONS))
+def test_mutated_retraction_fails_its_check(kind, u34, bool3):
+    mutate, checks = MUTATIONS[kind]
+    applied = 0
+    for lattice in (u34, bool3):
+        flags = all_complete_flags(lattice)
+        for f in flags:
+            for g in flags:
+                desc = retraction_map(lattice, f, g)
+                assert not failing(desc)
+                mutated = mutate(desc)
+                if mutated is not None:
+                    applied += 1
+                    assert failing(mutated) == checks, (kind, f.chain, g.chain)
+    assert applied, kind
 
 
 # -- weak maps ----------------------------------------------------------------------
