@@ -7,14 +7,13 @@ order used for every deterministic tie-break downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import echelon, integer_row, is_prime, reduce
-from .report import ValidationReport
+from .report import Record, ValidationReport
 
 Flat = frozenset  # a flat is a frozenset of element labels
 
@@ -137,11 +136,12 @@ class GeometricLattice:
 # -- flags ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(Record):
     """A complete flag: maximal chain bottom = F_0 < ... < F_r = top."""
 
-    chain: tuple[frozenset, ...]
+    __slots__ = ("chain",)
+    def __init__(self, chain: tuple[frozenset, ...]):
+        object.__setattr__(self, "chain", chain)
 
     def __getitem__(self, i: int) -> frozenset:
         return self.chain[i]

@@ -9,12 +9,11 @@ by exhaustive search over sign-preserving vertex assignments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
 
 from .lattice import Flag, GeometricLattice, MatroidInputError, make_flag
-from .report import ValidationReport
+from .report import Record, ValidationReport
 from .spheres import FlagRepresentation, Vertex
 from . import topology
 from .topology import SimplicialComplex
@@ -24,14 +23,16 @@ class SelectionError(RuntimeError):
     """No cross-coatom selection exists (should not happen for geometric input)."""
 
 
-@dataclass(frozen=True)
-class CrossSelection:
+class CrossSelection(Record):
     """Coatoms C_0..C_{r-1}, one per block of the first flag's partition,
     landing in pairwise distinct blocks of the second flag's partition."""
 
-    coatoms: tuple[frozenset, ...]
-    f_parts: tuple[int, ...]
-    g_parts: tuple[int, ...]
+    __slots__ = ("coatoms", "f_parts", "g_parts")
+    def __init__(self, coatoms: tuple[frozenset, ...], f_parts: tuple[int, ...],
+                 g_parts: tuple[int, ...]):
+        object.__setattr__(self, "coatoms", coatoms)
+        object.__setattr__(self, "f_parts", f_parts)
+        object.__setattr__(self, "g_parts", g_parts)
 
     def distinct(self) -> bool:
         return (
@@ -91,16 +92,19 @@ def select_cross_coatoms(
     return CrossSelection(coatoms, tuple(range(r)), tuple(chosen[i] for i in range(r)))
 
 
-@dataclass(frozen=True)
-class RetractDescriptor:
+class RetractDescriptor(Record):
     """Vertex collapse of one sphere complex onto a cross-polytope shared
     with the other flag's complex."""
 
-    selection: CrossSelection
-    source: FlagRepresentation
-    target: FlagRepresentation
-    vertex_map: Mapping[Vertex, Vertex]
-    polytope: SimplicialComplex
+    __slots__ = ("selection", "source", "target", "vertex_map", "polytope")
+    def __init__(self, selection: CrossSelection, source: FlagRepresentation,
+                 target: FlagRepresentation, vertex_map: Mapping[Vertex, Vertex],
+                 polytope: SimplicialComplex):
+        object.__setattr__(self, "selection", selection)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "vertex_map", vertex_map)
+        object.__setattr__(self, "polytope", polytope)
 
 
 def retraction_map(
@@ -159,10 +163,11 @@ def verify_retraction(desc: RetractDescriptor) -> ValidationReport:
 # -- weak maps -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeakMapReport:
-    verdict: bool
-    witnesses: tuple = ()
+class WeakMapReport(Record):
+    __slots__ = ("verdict", "witnesses")
+    def __init__(self, verdict: bool, witnesses: tuple = ()):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "witnesses", witnesses)
 
 
 def is_weak_map_matroid(m: GeometricLattice, n: GeometricLattice) -> WeakMapReport:
@@ -186,14 +191,17 @@ def is_weak_map_matroid(m: GeometricLattice, n: GeometricLattice) -> WeakMapRepo
 # -- the representation-level obstruction ---------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    found: bool
-    vertex_map: Mapping[Vertex, Vertex] | None
-    obstruction: tuple | None  # (face, forced images, reason)
-    obstructions: tuple = ()
-    nodes: int = 0
-    reason: str = ""
+class SearchResult(Record):
+    __slots__ = ("found", "vertex_map", "obstruction", "obstructions", "nodes", "reason")
+    def __init__(self, found: bool, vertex_map: Mapping[Vertex, Vertex] | None,
+                 obstruction: tuple | None,  # (face, forced images, reason)
+                 obstructions: tuple = (), nodes: int = 0, reason: str = ""):
+        object.__setattr__(self, "found", found)
+        object.__setattr__(self, "vertex_map", vertex_map)
+        object.__setattr__(self, "obstruction", obstruction)
+        object.__setattr__(self, "obstructions", obstructions)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "reason", reason)
 
 
 class SearchCapExceeded(RuntimeError):

@@ -12,7 +12,6 @@ bits in both halves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -26,7 +25,7 @@ from .lattice import (
     linear_matroid,
 )
 from .linalg import nullspace_q, rank_q
-from .report import ValidationReport
+from .report import Record, ValidationReport
 from .spheres import FlagRepresentation, swap_sign
 from . import topology
 from .topology import CoverFamily, Poset, SimplicialComplex
@@ -63,12 +62,13 @@ def render(x: Covector) -> str:
     return "".join("+" if a > 0 else "-" if a < 0 else "0" for a in x)
 
 
-@dataclass(frozen=True)
-class VectorConfig:
+class VectorConfig(Record):
     """Exact rational vector configuration, one column per element."""
 
-    elements: tuple[str, ...]
-    columns: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("elements", "columns")
+    def __init__(self, elements: tuple[str, ...], columns: tuple[tuple[Fraction, ...], ...]):
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "columns", columns)
 
     @property
     def dimension(self) -> int:
@@ -87,16 +87,17 @@ def vector_config(columns: Sequence[Sequence], elements: Sequence[str] | None = 
     return VectorConfig(tuple(str(e) for e in elements), cols)
 
 
-@dataclass(frozen=True)
-class CovectorSet:
+class CovectorSet(Record):
     """Covectors of an oriented matroid as a set of sign vectors.
 
     Includes the zero vector; cocircuits are the minimal nonzero members.
     """
 
-    elements: tuple[str, ...]
-    covectors: frozenset
-    cocircuits: frozenset
+    __slots__ = ("elements", "covectors", "cocircuits", "__dict__")
+    def __init__(self, elements: tuple[str, ...], covectors: frozenset, cocircuits: frozenset):
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "covectors", covectors)
+        object.__setattr__(self, "cocircuits", cocircuits)
 
     @property
     def zero(self) -> Covector:
@@ -201,8 +202,7 @@ def covector_flat(cs: CovectorSet, flat: Iterable[str]) -> list[Covector]:
 # -- the embedding ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(Record):
     """Order embedding of the nonzero covectors into the sphere complex.
 
     pivots[i] is an element of flag[i+1] - flag[i]; a cocircuit lands on the
@@ -211,13 +211,15 @@ class Embedding:
     poset and order complex are computed once and shared by every check.
     """
 
-    cs: CovectorSet
-    lattice: GeometricLattice
-    flag: Flag
-    rep: FlagRepresentation
-    pivots: tuple[str, ...]
-    _posets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _deltas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("cs", "lattice", "flag", "rep", "pivots", "__dict__")
+    def __init__(self, cs: CovectorSet, lattice: GeometricLattice, flag: Flag,
+                 rep: FlagRepresentation, pivots: tuple[str, ...]):
+        object.__setattr__(self, "cs", cs)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "flag", flag)
+        object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "pivots", pivots)
+        vars(self).update(_posets={}, _deltas={})  # caches, not fields
 
     @property
     def pivot_positions(self) -> tuple[int, ...]:

@@ -1,26 +1,59 @@
-"""Pass/fail reports shared by all verification routines."""
+"""Pass/fail reports shared by all verification routines, and their ``Record`` base."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+
+class Record:
+    """Value record over its subclass's ``__slots__`` fields: equal and hashed by
+    type and fields, with a dataclass-style repr, and frozen once ``__init__`` has
+    set the fields by ``object.__setattr__``.  The package defines no dataclasses:
+    their decorator compiles about six methods per class in every CLI start-up."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is frozen")
+
+    __delattr__ = __setattr__
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(Record):
+    __slots__ = ("name", "passed", "detail")
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{self.name}: {status}" + (f" ({self.detail})" if self.detail else "")
 
 
-@dataclass
-class ValidationReport:
-    """Ordered list of named checks; a report is ok iff every check passed."""
+class ValidationReport(Record):
+    """Ordered list of named checks, ok iff every check passed; mutable, so unhashable."""
 
-    checks: list[CheckResult] = field(default_factory=list)
+    __slots__ = ("checks",)
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+    def __init__(self, checks: list[CheckResult] | None = None):
+        self.checks = [] if checks is None else checks
 
     def add(self, name: str, passed: bool, detail: str = "") -> None:
         self.checks.append(CheckResult(name, bool(passed), detail))

@@ -15,13 +15,12 @@ Each S_G is certified a homotopy sphere by its facet nerve, once per flat
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .lattice import Flag, GeometricLattice
-from .report import ValidationReport
+from .report import Record, ValidationReport
 from . import topology
 from .topology import SimplicialComplex
 
@@ -34,22 +33,26 @@ def swap_sign(v: Vertex) -> Vertex:
     return (v[0], "-" if v[1] == "+" else "+")
 
 
-@dataclass(frozen=True)
-class RepComplex:
+class RepComplex(Record):
     """The complex S_G for one flat, with the sign vector of each maximal face."""
 
-    flat: frozenset
-    complex: SimplicialComplex
-    face_signs: Mapping[frozenset, tuple[int, ...]]  # maximal face -> vector over parts
+    __slots__ = ("flat", "complex", "face_signs")
+    def __init__(self, flat: frozenset, complex: SimplicialComplex,
+                 face_signs: Mapping[frozenset, tuple[int, ...]]):  # facet -> vector over parts
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "complex", complex)
+        object.__setattr__(self, "face_signs", face_signs)
 
 
-@dataclass(frozen=True)
-class HomotopyArrangement:
+class HomotopyArrangement(Record):
     """Ambient complex S_bottom together with one member complex per atom."""
 
-    rep: "FlagRepresentation"
-    ambient: RepComplex
-    members: tuple[tuple[frozenset, RepComplex], ...]  # (atom, S_atom)
+    __slots__ = ("rep", "ambient", "members")
+    def __init__(self, rep: FlagRepresentation, ambient: RepComplex,
+                 members: tuple[tuple[frozenset, RepComplex], ...]):  # (atom, S_atom)
+        object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "members", members)
 
 
 class FlagRepresentation:

@@ -26,13 +26,12 @@ computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, groupby, product
 from math import gcd
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from .report import ValidationReport
+from .report import Record, ValidationReport
 
 
 def _generic_key(label):
@@ -278,11 +277,12 @@ def order_complex(poset: Poset) -> SimplicialComplex:
 # -- homology -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
+class HomologyProfile(Record):
     """Reduced integer homology: (betti, torsion coefficients) per dimension."""
 
-    dims: tuple[tuple[int, tuple[int, ...]], ...]  # indexed by dimension
+    __slots__ = ("dims",)
+    def __init__(self, dims: tuple[tuple[int, tuple[int, ...]], ...]):  # indexed by dimension
+        object.__setattr__(self, "dims", dims)
 
     def betti(self, d: int) -> int:
         return self.dims[d][0] if 0 <= d < len(self.dims) else 0
@@ -293,20 +293,12 @@ class HomologyProfile:
     def is_trivial(self) -> bool:
         return all(b == 0 and not t for b, t in self.dims)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HomologyProfile):
-            return NotImplemented
-        top = max(len(self.dims), len(other.dims))
-        return all(
-            self.betti(d) == other.betti(d) and self.torsion(d) == other.torsion(d)
-            for d in range(top)
-        )
-
-    def __hash__(self) -> int:
-        trimmed = list(self.dims)
-        while trimmed and trimmed[-1] == (0, ()):
-            trimmed.pop()
-        return hash(tuple(trimmed))
+    def _values(self) -> tuple:
+        """The dims up to the last nontrivial one: equality ignores trailing (0, ())."""
+        dims = list(self.dims)
+        while dims and dims[-1] == (0, ()):
+            dims.pop()
+        return tuple(dims)
 
     def to_json(self) -> dict:
         return {
@@ -538,8 +530,7 @@ def is_homology_point(complex_: SimplicialComplex) -> bool:
 # -- nerves and covers ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoverFamily:
+class CoverFamily(Record):
     """Indexed family of induced subcomplexes of one ambient complex.
 
     Each member is given by a set of ambient vertices and stands for the
@@ -548,9 +539,12 @@ class CoverFamily:
     then the order complex of the subposet on it.
     """
 
-    ambient: SimplicialComplex
-    members: tuple[tuple[Hashable, frozenset], ...]
-    poset: Poset | None = None
+    __slots__ = ("ambient", "members", "poset")
+    def __init__(self, ambient: SimplicialComplex,
+                 members: tuple[tuple[Hashable, frozenset], ...], poset: Poset | None = None):
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "poset", poset)
 
     def covers_ambient(self) -> bool:
         """Does every maximal face of the ambient lie in some member set?"""

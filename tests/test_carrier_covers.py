@@ -8,7 +8,6 @@ meets.  The two must give the same report on every flat, also when the
 image map is mutated so that the certificate fails.
 """
 
-import dataclasses
 from fractions import Fraction
 from itertools import product
 
@@ -27,7 +26,7 @@ from matroid_spheres import (
     verify_embedding,
 )
 from matroid_spheres.linalg import rank_q
-from matroid_spheres.oriented import neg
+from matroid_spheres.oriented import Embedding, neg
 from matroid_spheres.topology import _generic_key, _maximal_masks, _vertex_stars, full_simplex
 from conftest import cov_leq, delta_complex
 
@@ -139,7 +138,7 @@ def ladder_embedding(name):
 def with_images(emb, images):
     """A copy of the embedding whose image table is replaced; its posets
     and order complexes are shared with the original."""
-    mutant = dataclasses.replace(emb)
+    mutant = Embedding(emb.cs, emb.lattice, emb.flag, emb.rep, emb.pivots)
     vars(mutant).update(images=images, _posets=emb._posets, _deltas=emb._deltas)
     return mutant
 

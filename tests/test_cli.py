@@ -377,15 +377,22 @@ def test_om_embed_wrong_pivot_count_exits_2(runner, pivots):
 
 def test_cli_start_up_loads_only_stdlib_click_and_the_package():
     # Start-up is most of every CLI run's cost, so a test-only dependency
-    # (sympy, hypothesis) must never load with the CLI.
+    # (sympy, hypothesis) must never load with the CLI, and no module may
+    # generate methods at import: the package defines no dataclasses.
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys; bare = set(sys.modules); import matroid_spheres.cli; "
-            "print(*sorted(set(sys.modules) - bare))")
-    loaded = subprocess.run(
+            "print(*sorted(set(sys.modules) - bare)); print('dataclasses' in sys.modules)")
+    *loaded, dataclasses_loaded = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
     assert "matroid_spheres.cli" in loaded
     allowed = sys.stdlib_module_names | {"click", "matroid_spheres"}
     assert [m for m in loaded if m.split(".")[0] not in allowed] == []
+    assert dataclasses_loaded == "False"
+    package = [m for n, m in sorted(sys.modules.items()) if n.split(".")[0] == "matroid_spheres"]
+    classes = [c for m in package for c in vars(m).values()
+               if isinstance(c, type) and c.__module__ == m.__name__]
+    assert len(classes) > 14
+    assert [c for c in classes if hasattr(c, "__dataclass_fields__")] == []

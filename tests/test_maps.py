@@ -1,4 +1,3 @@
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -23,7 +22,7 @@ from matroid_spheres import (
     vector_config,
     verify_retraction,
 )
-from matroid_spheres.maps import CrossSelection
+from matroid_spheres.maps import CrossSelection, RetractDescriptor
 from conftest import boolean_matroid, cov_leq
 
 PAPER_FLAG = [[], ["1"], ["1", "2"], ["1", "2", "3", "4"]]
@@ -168,7 +167,8 @@ def failing(desc):
 def repeated_g_part(desc):
     sel = desc.selection
     g_parts = (sel.g_parts[0],) + sel.g_parts[:1] + sel.g_parts[2:]
-    return replace(desc, selection=CrossSelection(sel.coatoms, sel.f_parts, g_parts))
+    selection = CrossSelection(sel.coatoms, sel.f_parts, g_parts)
+    return RetractDescriptor(selection, desc.source, desc.target, desc.vertex_map, desc.polytope)
 
 
 def swapped_singleton(desc):
@@ -181,7 +181,7 @@ def swapped_singleton(desc):
     c = desc.selection.coatoms[i]
     vmap = dict(desc.vertex_map)
     vmap[rep.vertex(c, "+")], vmap[rep.vertex(c, "-")] = rep.vertex(c, "-"), rep.vertex(c, "+")
-    return replace(desc, vertex_map=vmap)
+    return RetractDescriptor(desc.selection, desc.source, desc.target, vmap, desc.polytope)
 
 
 def flipped_vertex(desc):
@@ -195,7 +195,7 @@ def flipped_vertex(desc):
     c = next(c for c in rep.parts[i] if c != chosen)
     vmap = dict(desc.vertex_map)
     vmap[rep.vertex(c, "+")] = rep.vertex(chosen, "-")
-    return replace(desc, vertex_map=vmap)
+    return RetractDescriptor(desc.selection, desc.source, desc.target, vmap, desc.polytope)
 
 
 def grown_polytope(desc, in_source, in_target):
@@ -212,7 +212,10 @@ def grown_polytope(desc, in_source, in_target):
             grown = facet | {x}
             if (s_f.has_face(grown), s_g.has_face(grown)) == (in_source, in_target):
                 faces = (desc.polytope.maximal_faces - {facet}) | {grown}
-                return replace(desc, polytope=SimplicialComplex(faces, desc.polytope.vertices))
+                polytope = SimplicialComplex(faces, desc.polytope.vertices)
+                return RetractDescriptor(
+                    desc.selection, desc.source, desc.target, desc.vertex_map, polytope
+                )
     return None
 
 
