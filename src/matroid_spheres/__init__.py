@@ -55,6 +55,7 @@ from .spheres import (
     HomotopyArrangement,
     RepComplex,
     arrangement_flats,
+    representation,
     roundtrip_isomorphic,
     verify_arrangement,
 )

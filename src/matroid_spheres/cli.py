@@ -80,7 +80,7 @@ def represent(matroid: str, flag_arg: str, out_dir: str, as_json: bool) -> None:
     """Write the sphere complex of every flat as JSON files."""
     lattice = jsonio.load_matroid_file(matroid)
     flag = jsonio.load_flag_arg(lattice, flag_arg)
-    rep = spheres.FlagRepresentation(lattice, flag)
+    rep = spheres.representation(lattice, flag)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     index = []
@@ -119,7 +119,7 @@ def verify(matroid: str, flag_arg: str, exact_nerve: bool, as_json: bool) -> Non
     """Run the full arrangement certification for one matroid and flag."""
     lattice = jsonio.load_matroid_file(matroid)
     flag = jsonio.load_flag_arg(lattice, flag_arg)
-    rep = spheres.FlagRepresentation(lattice, flag)
+    rep = spheres.representation(lattice, flag)
     arrangement = rep.arrangement()
     report = spheres.verify_arrangement(arrangement)
     report.add(

@@ -78,6 +78,8 @@ def complex_from_json(spec: Mapping) -> SimplicialComplex:
             raise MatroidInputError(f"vertex label {v} is a list")
         else:
             vertices.append(v)
+    if len(set(vertices)) != len(vertices):  # 1, 1.0 and true are one label
+        raise MatroidInputError("vertex labels must be distinct")
     faces = []
     for face in raw_faces:
         if not isinstance(face, list) or not all(
@@ -86,6 +88,8 @@ def complex_from_json(spec: Mapping) -> SimplicialComplex:
             raise MatroidInputError(
                 f"maximal face {face!r} needs integer vertex indices in 0..{len(vertices) - 1}"
             )
+        if len(set(face)) != len(face):
+            raise MatroidInputError(f"maximal face {face!r} repeats a vertex index")
         faces.append([vertices[i] for i in face])
     return SimplicialComplex(faces, vertex_order=vertices)
 

@@ -213,8 +213,18 @@ def verify_geometric(lattice: GeometricLattice, intervals: bool = True) -> Valid
     The checks run on integer bitset tables built once per call: each flat's
     element mask, and ``up[i]``/``down[i]``, the indices of the flats above
     and below flat i.  Flats are sorted by size, so the lowest index of a set
-    of upper bounds is its only candidate least element.  Every interval
-    [x, y] is still checked, as the index set ``up[x] & down[y]``.
+    of upper bounds is its only candidate least element.
+
+    Intervals are checked only once the whole family is a meet-closed, ranked
+    lattice.  Then each interval [x, y] is a sublattice with the same meets,
+    joins and covers, so it is bounded, meet-closed, a lattice and ranked, and
+    it can fail in three ways only: a semimodular violation (a, b) with
+    x <= a ^ b and a v b <= y; an f in (x, y] that is not the join of the
+    covers of x below f, which depends on (x, f) only; or an f in [x, y) that
+    is not the meet of the flats covered by y above f, which depends on
+    (f, y) only.  These make three bitset tables, built once; the violating
+    pairs are listed only when the whole lattice is not semimodular.  The
+    first bad [x, y] in (x, y) index order is reported.
     """
     flats = lattice.flats
     n = len(flats)
@@ -229,70 +239,77 @@ def verify_geometric(lattice: GeometricLattice, intervals: bool = True) -> Valid
             if m & masks[j] == m:
                 up[i] |= 1 << j
                 down[j] |= 1 << i
-    # jumps[i]: the upper covers of flat i whose rank is not rank(i) + 1.
-    # Every index set checked is an interval, so its covers are these covers
-    # and the meet of two of its flats, if it is a flat, lies in it.
-    jumps = []
+    covers, cocovers = [0] * n, [0] * n  # the flats covering flat i, covered by flat i
     for i in range(n):
-        above = between = up[i] ^ 1 << i
-        for j in _bits(above):
-            between &= ~up[j] | 1 << j
-        jumps.append(sum(1 << j for j in _bits(between) if rk[j] != rk[i] + 1))
+        covers[i] = up[i] ^ 1 << i
+        for j in _bits(up[i] ^ 1 << i):
+            covers[i] &= ~up[j] | 1 << j
+        for j in _bits(covers[i]):
+            cocovers[j] |= 1 << i
 
     def name(i: int) -> list[str]:
         return sorted(flats[i])
 
-    def check(I: int, shift: int) -> list[tuple[str, bool, str]]:
-        """The checks on the flats with index in I, ranks less shift."""
-        idx = list(_bits(I))
-        bounded = (sum(down[i] & I == 1 << i for i in idx) == 1
-                   and sum(up[i] & I == 1 << i for i in idx) == 1)
-        meet_closed, joins_ok, semi = True, bounded, ""
-        for k, a in enumerate(idx):
-            ua = up[a] & I
-            for b in idx[k + 1:]:
-                m = index.get(masks[a] & masks[b], -1)
-                if m < 0:
-                    meet_closed = False
-                ub = ua & up[b]
-                j = (ub & -ub).bit_length() - 1  # the join, if there is one
-                if not ub or ub & ~up[j]:
-                    joins_ok = False
-                elif not semi and m >= 0 and rk[a] + rk[b] < rk[m] + rk[j]:
-                    semi = f"rank({name(a)})+rank({name(b)}) < rank(meet)+rank(join)"
-        # A bounded family's bottom is its smallest flat, and its top the largest.
-        bottom, top = idx[0], idx[-1]
-        ranked = bounded and rk[bottom] == shift and not any(jumps[i] & I for i in idx)
-        out = [("meet-closed", meet_closed, "" if meet_closed else "not meet-closed"),
-               ("lattice", joins_ok and meet_closed, "" if joins_ok else "meets or joins missing"),
-               ("ranked", ranked, "" if ranked else "covers do not increase rank by one")]
-        if not (meet_closed and joins_ok and ranked):
-            return out + [(c, False, "skipped: not a ranked lattice")
-                          for c in ("atomic", "semimodular", "coatom-meet")]
-        atoms = sum(1 << i for i in idx if rk[i] == rk[bottom] + 1)
-        coatoms = sum(1 << i for i in idx if rk[i] == rk[top] - 1)
-        # f is atomic when no flat sorted before f lies above all its atoms
-        f = next((f for f in idx if _and_all(up, atoms & down[f], I) & ((1 << f) - 1)), None)
-        atomic = "" if f is None else f"{name(f)} is not a join of atoms"
-        # below the top, an empty AND is the whole ground set, which is not f
-        f = next((f for f in idx if f != top
-                  and _and_all(masks, coatoms & up[f], full) != masks[f]), None)
-        cm = "" if f is None else f"{name(f)} is not the meet of its coatoms"
-        return out + [(c, not detail, detail) for c, detail in
-                      (("atomic", atomic), ("semimodular", semi), ("coatom-meet", cm))]
-
+    minimal = sum(d == 1 << i for i, d in enumerate(down))
+    maximal = sum(u == 1 << i for i, u in enumerate(up))
+    bounded = minimal == maximal == 1
+    meet_closed, joins_ok, violations = True, bounded, []  # semimodular: (a, b, a ^ b, a v b)
+    for a, b in combinations(range(n), 2):
+        m = index.get(masks[a] & masks[b], -1)
+        if m < 0:
+            meet_closed = False
+        ub = up[a] & up[b]
+        j = (ub & -ub).bit_length() - 1  # the join, if there is one
+        if not ub or ub & ~up[j]:
+            joins_ok = False
+        elif m >= 0 and rk[a] + rk[b] < rk[m] + rk[j]:
+            violations.append((a, b, m, j))
+    # A bounded family's bottom is its smallest flat, and its top the largest.
+    ranked = bounded and rk[0] == 0 and all(
+        rk[j] == rk[i] + 1 for i in range(n) for j in _bits(covers[i]))
     rep = ValidationReport()
-    results = check((1 << n) - 1, 0)
-    for c in results:
-        rep.add(*c)
-    if intervals:
-        if all(passed for _, passed, _ in results[:3]):
-            bad = next(((x, y) for x in range(n) for y in _bits(up[x] ^ 1 << x)
-                        if not all(c[1] for c in check(up[x] & down[y], rk[x]))), None)
-            rep.add("intervals-geometric", bad is None, "" if bad is None else
-                    f"interval [{name(bad[0])}, {name(bad[1])}] is not geometric")
-        else:
-            rep.add("intervals-geometric", False, "skipped: not a ranked lattice")
+    rep.add("meet-closed", meet_closed, "" if meet_closed else "not meet-closed")
+    rep.add("lattice", joins_ok and meet_closed, "" if joins_ok else "meets or joins missing")
+    rep.add("ranked", ranked, "" if ranked else "covers do not increase rank by one")
+    if not (meet_closed and joins_ok and ranked):
+        for c in ("atomic", "semimodular", "coatom-meet") + ("intervals-geometric",) * intervals:
+            rep.add(c, False, "skipped: not a ranked lattice")
+        return rep
+
+    every, top = (1 << n) - 1, n - 1
+    # f is atomic when no flat sorted before f lies above all its atoms
+    f = next((f for f in range(n) if _and_all(up, covers[0] & down[f], every) & ((1 << f) - 1)), None)
+    rep.add("atomic", f is None, "" if f is None else f"{name(f)} is not a join of atoms")
+    semi = ""
+    if violations:
+        a, b = violations[0][:2]
+        semi = f"rank({name(a)})+rank({name(b)}) < rank(meet)+rank(join)"
+    rep.add("semimodular", not semi, semi)
+    # below the top, an empty AND is the whole ground set, which is not f
+    f = next((f for f in range(top) if _and_all(masks, cocovers[top] & up[f], full) != masks[f]), None)
+    rep.add("coatom-meet", f is None, "" if f is None else f"{name(f)} is not the meet of its coatoms")
+    if not intervals:
+        return rep
+    # no_join[x]: the f above x that are not the join of the covers of x
+    # below f; no_meet[y]: the f below y that are not the meet of the flats y
+    # covers above f; semi_up[x]: the y above a semimodular violation whose
+    # meet is above x
+    no_join, no_meet, semi_up = [0] * n, [0] * n, [0] * n
+    for i in range(n):
+        for f in _bits(up[i] ^ 1 << i):
+            ub = _and_all(up, covers[i] & down[f], every)
+            if ub & -ub != 1 << f:
+                no_join[i] |= 1 << f
+        for f in _bits(down[i] ^ 1 << i):
+            if _and_all(masks, cocovers[i] & up[f], full) != masks[f]:
+                no_meet[i] |= 1 << f
+    for _, _, m, j in violations:
+        for x in _bits(down[m]):
+            semi_up[x] |= up[j]
+    bad = next(((x, y) for x in range(n) for y in _bits(up[x] ^ 1 << x)
+                if semi_up[x] >> y & 1 or no_join[x] & down[y] or no_meet[y] & up[x]), None)
+    rep.add("intervals-geometric", bad is None, "" if bad is None else
+            f"interval [{name(bad[0])}, {name(bad[1])}] is not geometric")
     return rep
 
 

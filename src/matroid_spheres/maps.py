@@ -14,7 +14,7 @@ from typing import Mapping
 
 from .lattice import Flag, GeometricLattice, MatroidInputError, make_flag
 from .report import Record, ValidationReport
-from .spheres import FlagRepresentation, Vertex
+from .spheres import FlagRepresentation, Vertex, representation
 from . import topology
 from .topology import SimplicialComplex
 
@@ -111,8 +111,8 @@ def retraction_map(
     lattice: GeometricLattice, flag_f: Flag, flag_g: Flag
 ) -> RetractDescriptor:
     """Send every signed coatom in block i onto the selected coatom C_i."""
-    rep_f = FlagRepresentation(lattice, flag_f)
-    rep_g = FlagRepresentation(lattice, flag_g)
+    rep_f = representation(lattice, flag_f)
+    rep_g = representation(lattice, flag_g)
     sel = select_cross_coatoms(rep_f, rep_g)
     vmap: dict[Vertex, Vertex] = {}
     for i, block in enumerate(rep_f.parts):
@@ -128,13 +128,15 @@ def verify_retraction(desc: RetractDescriptor) -> ValidationReport:
     """Certify the retraction: simplicial, idempotent onto the shared
     cross-polytope, and homologically a sphere on both sides.
 
-    The sphere lines stay on homology, not ``FlagRepresentation.sphere_holds``:
-    each flag's S_0 recurs over a matroid's flag pairs and the homology memo
-    answers it at once, while nerve verdicts are cached per representation,
-    built anew for each pair.  By nerves, source, target and polytope cost
-    0.28 ms of CPU per U(3,4) flag pair against 0.17 ms by homology, and
-    0.37-0.38 against 0.18 ms on B_4 (mean over every pair of the matroid,
-    best of five passes; CPython 3.11, 2-core x86-64 host).
+    The sphere lines stay on homology, not ``FlagRepresentation.sphere_holds``.
+    Both S_0 verdicts are memoized either way, by the homology memo or
+    by the shared representation, so only the polytope, new for each pair,
+    decides the cost.  By nerves the three lines cost 0.05-0.07 ms of CPU
+    per U(3,4) flag pair against 0.08-0.12 ms by homology, and 0.09-0.12
+    against 0.02 ms on B_4, whose blocks hold one coatom each, so that the
+    polytope is S_0 and the homology memo answers it (mean over every pair
+    of the matroid, both memos cleared, best of five passes; CPython 3.11,
+    2-core x86-64 host).
     """
     rep = ValidationReport()
     lattice = desc.source.lattice
@@ -231,8 +233,8 @@ def poset_map_search(
             False, None, ((), (), f"flag is not a complete flag in the target: {exc}"),
             reason="flag-not-complete-in-target",
         )
-    rep_m = FlagRepresentation(m, make_flag(m, flag.chain))
-    rep_n = FlagRepresentation(n, flag_n)
+    rep_m = representation(m, make_flag(m, flag.chain))
+    rep_n = representation(n, flag_n)
     source = rep_m.build(m.bottom).complex
     target = rep_n.build(n.bottom).complex
 

@@ -26,7 +26,7 @@ from .lattice import (
 )
 from .linalg import nullspace_q, rank_q
 from .report import Record, ValidationReport
-from .spheres import FlagRepresentation, swap_sign
+from .spheres import FlagRepresentation, representation, swap_sign
 from . import topology
 from .topology import CoverFamily, Poset, SimplicialComplex
 
@@ -290,7 +290,7 @@ def build_embedding(
             raise MatroidInputError(
                 f"pivot {p!r} must lie in flag[{i + 1}] minus flag[{i}]"
             )
-    return Embedding(cs, lattice, flag, FlagRepresentation(lattice, flag), pivots)
+    return Embedding(cs, lattice, flag, representation(lattice, flag), pivots)
 
 
 def default_pivots(lattice: GeometricLattice, flag: Flag) -> tuple[str, ...]:

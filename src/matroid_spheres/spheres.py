@@ -5,7 +5,8 @@ every flat G then gets a complex S_G whose maximal faces are the sign
 choices over the blocks meeting coat(G).  Vertices are (coatom, sign)
 pairs, rendered as (sorted element tuple, '+'|'-').
 
-``build`` makes each S_G once and caches it.  One table of cover steps
+``build`` makes each S_G once and caches it, and ``representation`` keeps
+one representation per (lattice, flag).  One table of cover steps
 S_F n S_a = S_{F v a}, over every flat F and atom a, certifies the
 intersection law for every flat pair and every atom set, so neither is
 enumerated (proof in ``FlagRepresentation.intersection_law_holds``).
@@ -15,7 +16,7 @@ Each S_G is certified a homotopy sphere by its facet nerve, once per flat
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
@@ -223,6 +224,20 @@ class FlagRepresentation:
         if own:
             self._spheres[g] = ok
         return ok
+
+
+@lru_cache(maxsize=topology._HOMOLOGY_MEMO_SIZE)
+def representation(lattice: GeometricLattice, flag: Flag) -> FlagRepresentation:
+    """The representation of (lattice, flag), memoized with a fixed bound.
+
+    S_G depends only on the lattice and the flag, so every production caller
+    comes here.  Lattices compare by identity and flags by value: equal flags
+    of one lattice share one representation, with its built S_G's, sphere
+    verdicts and cover-step verdict.  A memoized representation is shared,
+    so callers must not mutate it; a test that poisons a cache builds a fresh
+    ``FlagRepresentation`` instead.
+    """
+    return FlagRepresentation(lattice, flag)
 
 
 # -- arrangement-level operations ------------------------------------------------

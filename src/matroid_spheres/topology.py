@@ -468,8 +468,9 @@ def _maximal_masks(masks: set[int]) -> list[int]:
     return out
 
 
-# Distinct complexes whose homology is kept; callers such as
-# verify_retraction ask for the same S_0 once per flag pair.
+# Distinct complexes whose homology is kept, and distinct (lattice, flag)
+# pairs whose representation is kept (``spheres.representation``): callers
+# such as verify_retraction ask for the same S_0 once per flag pair.
 _HOMOLOGY_MEMO_SIZE = 256
 
 

@@ -10,7 +10,8 @@ from click.testing import CliRunner
 from matroid_spheres import SimplicialComplex, build_covers, build_embedding, oriented, spheres
 from matroid_spheres import topology
 from matroid_spheres.cli import main
-from matroid_spheres.jsonio import load_vector_config_file
+from matroid_spheres import MatroidInputError
+from matroid_spheres.jsonio import complex_from_json, load_vector_config_file
 
 DATA = Path(__file__).parent / "data"
 
@@ -292,6 +293,33 @@ def test_homology_bad_face_index_exits_2(runner, tmp_path, faces):
     result = run(runner, "homology", bad)
     assert result.exit_code == 2
     assert "input error:" in result.output
+
+
+REPEATS = [
+    # a triangle boundary with two vertices named "a": it must not load as a
+    # single edge, whose homology differs from the circle's
+    (["a", "b", "a"], [[0, 1], [1, 2], [2, 0]], "vertex labels must be distinct"),
+    # labels are compared after loading: 1, 1.0 and true are one key
+    ([1, 1.0, True], [[0, 1, 2]], "vertex labels must be distinct"),
+    ([{"coatom": ["1"], "sign": "+"}, {"coatom": [1], "sign": "+"}], [[0], [1]],
+     "vertex labels must be distinct"),
+    (["a", "b", "c"], [[0, 1, 0], [1, 2]], "repeats a vertex index"),
+]
+
+
+@pytest.mark.parametrize("vertices, faces, message", REPEATS)
+def test_complex_from_json_rejects_repeats(vertices, faces, message):
+    with pytest.raises(MatroidInputError, match=message):
+        complex_from_json({"vertices": vertices, "maximal_faces": faces})
+
+
+@pytest.mark.parametrize("vertices, faces, message", REPEATS)
+def test_homology_repeats_exit_2(runner, tmp_path, vertices, faces, message):
+    bad = tmp_path / "repeats.json"
+    bad.write_text(json.dumps({"vertices": vertices, "maximal_faces": faces}))
+    result = run(runner, "homology", bad)
+    assert result.exit_code == 2
+    assert result.output.startswith("input error: ") and message in result.output
 
 
 def test_homology_of_represented_s0_lists_every_dimension(runner, tmp_path):

@@ -3,9 +3,13 @@
 ``verify_geometric_oracle`` is the frozenset implementation that builds a
 lattice for every interval; ``verify_geometric`` runs the same checks on
 bitset tables.  Reports must agree byte for byte, failure details included.
+``intervals_oracle`` is the per-interval loop that the three interval
+tables replaced: every interval, as a lattice of its own, must pass
+``verify_geometric`` without intervals.
 """
 
 import json
+import random
 from itertools import combinations
 from pathlib import Path
 
@@ -120,6 +124,57 @@ def verify_geometric_oracle(lattice: GeometricLattice, intervals: bool = True) -
         if intervals:
             rep.add("intervals-geometric", False, "skipped: not a ranked lattice")
     return rep
+
+
+def intervals_oracle(lattice: GeometricLattice) -> tuple[bool, str]:
+    """The intervals-geometric line, by checking every interval [x, y], ranks
+    less rank(x), in the order x, then y, of the lattice's flat order."""
+    if not all(c.passed for c in verify_geometric(lattice, intervals=False).checks[:3]):
+        return False, "skipped: not a ranked lattice"
+    flats, rk = lattice.flats, lattice.rank_of
+    for i, x in enumerate(flats):
+        for y in flats[i + 1:]:
+            if x < y:
+                sub = [f for f in flats if x <= f <= y]
+                shifted = {f: rk[f] - rk[x] for f in sub}
+                if not verify_geometric(GeometricLattice(lattice.elements, sub, shifted),
+                                        intervals=False).ok:
+                    return False, f"interval [{sorted(x)}, {sorted(y)}] is not geometric"
+    return True, ""
+
+
+def intersection_closed_family(rng: random.Random) -> GeometricLattice:
+    """Random subsets of at most 6 elements, the ground set and every
+    intersection: always a meet-closed lattice, often ranked."""
+    elements = [str(i) for i in range(1, rng.randint(1, 6) + 1)]
+    family = {frozenset(elements)}
+    for _ in range(rng.randint(1, 12)):
+        p = rng.choice((0.3, 0.5, 0.7))
+        family.add(frozenset(e for e in elements if rng.random() < p))
+    while True:
+        meets = {a & b for a in family for b in family} - family
+        if not meets:
+            return GeometricLattice(elements, family)
+        family |= meets
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_intersection_closed_families_match_interval_loop(seed):
+    rng = random.Random(seed)
+    reached = 0
+    for _ in range(150):
+        lattice = intersection_closed_family(rng)
+        line = verify_geometric(lattice)["intervals-geometric"]
+        assert (line.passed, line.detail) == intervals_oracle(lattice)
+        reached += not line.passed and not line.detail.startswith("skipped")
+    assert reached >= 10  # the families do reach interval failures
+
+
+def test_interval_tables_match_interval_loop_on_data():
+    for path in MATROID_FILES:
+        lattice = load_matroid(json.loads(path.read_text()), validate=False)
+        line = verify_geometric(lattice)["intervals-geometric"]
+        assert (line.passed, line.detail) == intervals_oracle(lattice), path.name
 
 
 def assert_same_reports(lattice):

@@ -9,12 +9,14 @@ from matroid_spheres import (
     MatroidInputError,
     SimplicialComplex,
     all_complete_flags,
+    build_embedding,
     covectors_from_vectors,
     default_flag,
     is_weak_map_matroid,
     linear_matroid,
     make_flag,
     poset_map_search,
+    representation,
     retraction_map,
     select_cross_coatoms,
     underlying_matroid,
@@ -22,6 +24,7 @@ from matroid_spheres import (
     vector_config,
     verify_retraction,
 )
+from matroid_spheres import maps, topology
 from matroid_spheres.maps import CrossSelection, RetractDescriptor
 from conftest import boolean_matroid, cov_leq
 
@@ -150,6 +153,61 @@ def test_retraction_fano_pairs(fano):
     pairs = [(flags[0], flags[1]), (flags[0], flags[-1])]
     for f, g in pairs:
         assert verify_retraction(retraction_map(fano, f, g)).ok
+
+
+# -- one representation per (lattice, flag) ---------------------------------------------
+#
+# ``representation`` memoizes ``FlagRepresentation``; the tests build fresh
+# ones as the oracle, and never poison the caches of a memoized one.
+
+
+def test_equal_flags_share_one_representation(u34):
+    rep = representation(u34, make_flag(u34, PAPER_FLAG))
+    assert rep is representation(u34, make_flag(u34, PAPER_FLAG))
+    assert retraction_map(u34, rep.flag, rep.flag).source is rep
+
+
+def test_embedding_reads_the_memoized_representation(u34_vec):
+    emb = build_embedding(covectors_from_vectors(u34_vec))
+    assert emb.rep is representation(emb.lattice, emb.flag)
+
+
+def test_equal_chains_of_different_lattices_get_different_representations(u34, n134):
+    # both lattices have the flag 0 < 1 < 12 < 1234; U(3,4) has 6 coatoms, N134 4
+    rep_u, rep_n = representation(u34, make_flag(u34, PAPER_FLAG)), representation(
+        n134, make_flag(n134, PAPER_FLAG))
+    assert rep_u.flag == rep_n.flag
+    assert rep_u is not rep_n
+    assert (rep_u.lattice, rep_n.lattice) == (u34, n134)
+    assert rep_u.parts != rep_n.parts
+
+
+def test_representation_memo_is_bounded():
+    bound = topology._HOMOLOGY_MEMO_SIZE
+    assert representation.cache_info().maxsize == bound
+    for _ in range(bound + 10):  # each lattice is a new key
+        lattice = uniform_matroid(2, 3)
+        assert representation(lattice, default_flag(lattice)).lattice is lattice
+    assert representation.cache_info().currsize == bound  # full, never past the bound
+
+
+def retraction_fields(desc):
+    return (desc.selection, desc.vertex_map, desc.polytope, verify_retraction(desc).to_json())
+
+
+def test_memoized_retractions_match_fresh_representations(u34, bool3, fano, monkeypatch):
+    lattices = [u34, bool3, boolean_matroid(["1", "2", "3", "4"]), fano]
+    for lattice in lattices:
+        flags = all_complete_flags(lattice)
+        memoized = [retraction_map(lattice, f, g) for f in flags for g in flags]
+        with monkeypatch.context() as m:
+            m.setattr(maps, "representation", FlagRepresentation)
+            fresh = [retraction_map(lattice, f, g) for f in flags for g in flags]
+        assert all(d.source is not representation(lattice, d.source.flag) for d in fresh)
+        assert len(memoized) == len(flags) ** 2
+        for desc, oracle in zip(memoized, fresh):
+            assert retraction_fields(desc) == retraction_fields(oracle)
+    assert len(all_complete_flags(fano)) ** 2 == 441
 
 
 # -- retraction certificate on mutated descriptors -----------------------------------
