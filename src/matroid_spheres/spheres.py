@@ -92,9 +92,7 @@ class FlagRepresentation:
 
     def vertex_order(self, coatoms: Iterable[frozenset]) -> list[Vertex]:
         """Both signed vertices of each coatom given, coatoms in key order."""
-        chosen = set(coatoms)
-        signed = self.lattice.signed_coatoms.items()  # in key order
-        return [v for c, pm in signed if c in chosen for v in pm.values()]
+        return _vertex_order(self.lattice, coatoms)
 
     def swap_map(self, complex_: SimplicialComplex) -> dict[Vertex, Vertex]:
         return {v: swap_sign(v) for v in complex_.vertices}
@@ -110,29 +108,16 @@ class FlagRepresentation:
         """Indices of coatom blocks meeting coat(G); size equals corank(G)."""
         return tuple(i for i, block in enumerate(self._blocks_over(flat)) if block)
 
-    def _signed_blocks(self, blocks: Sequence[Sequence[frozenset]]) -> list[tuple[frozenset, ...]]:
-        """Each block's coatoms signed + and signed -, as two vertex sets."""
-        labels = self.lattice.signed_coatoms
-        return [tuple(frozenset(labels[c][s] for c in b) for s in SIGNS) for b in blocks]
-
-    @staticmethod
-    def _union(vector: Sequence[int], signed: Sequence[tuple[frozenset, ...]]) -> frozenset:
-        """The union of block i's set signed by vector[i]; blocks with 0 left out."""
-        return frozenset().union(*[pm[0] if s > 0 else pm[1] for s, pm in zip(vector, signed) if s])
-
     def sigma(self, vector: tuple[int, ...], flat: frozenset) -> frozenset:
         """The face of S_G selected by a sign vector over the blocks."""
-        return self._union(vector, self._signed_blocks(self._blocks_over(flat)))
+        return _union(vector, _signed_blocks(self.lattice, self._blocks_over(flat)))
 
     def cross_polytope(self, blocks: Sequence[Sequence[frozenset]]) -> dict[frozenset, tuple]:
         """One maximal face per sign choice on the nonempty blocks, holding
         each block's coatoms with its sign, mapped to its sign vector (0 on
         the empty blocks).  With one coatom per block this is the boundary
-        of a cross-polytope; with the blocks over a flat it is S_G.  Each
-        face is a union of per-block vertex sets built once."""
-        signed = self._signed_blocks(blocks)
-        choices = product(*[(1, -1) if b else (0,) for b in blocks])
-        return {self._union(vec, signed): vec for vec in choices}
+        of a cross-polytope; with the blocks over a flat it is S_G."""
+        return _cross_polytope(self.lattice, blocks)
 
     def build(self, flat: frozenset) -> RepComplex:
         """S_G, constructed on the first call for a flat and cached."""
@@ -238,6 +223,46 @@ def representation(lattice: GeometricLattice, flag: Flag) -> FlagRepresentation:
     ``FlagRepresentation`` instead.
     """
     return FlagRepresentation(lattice, flag)
+
+
+# -- signed labels, shared by every flag of a lattice ------------------------------
+
+
+def _vertex_order(lattice: GeometricLattice, coatoms: Iterable[frozenset]) -> list[Vertex]:
+    chosen = set(coatoms)
+    signed = lattice.signed_coatoms.items()  # in key order
+    return [v for c, pm in signed if c in chosen for v in pm.values()]
+
+
+def _signed_blocks(lattice: GeometricLattice, blocks: Sequence[Sequence[frozenset]]) -> list[tuple[frozenset, ...]]:
+    """Each block's coatoms signed + and signed -, as two vertex sets."""
+    labels = lattice.signed_coatoms
+    return [tuple(frozenset(labels[c][s] for c in b) for s in SIGNS) for b in blocks]
+
+
+def _union(vector: Sequence[int], signed: Sequence[tuple[frozenset, ...]]) -> frozenset:
+    """The union of block i's set signed by vector[i]; blocks with 0 left out."""
+    return frozenset().union(*[pm[0] if s > 0 else pm[1] for s, pm in zip(vector, signed) if s])
+
+
+def _cross_polytope(lattice: GeometricLattice, blocks: Sequence[Sequence[frozenset]]) -> dict[frozenset, tuple]:
+    # each face is a union of per-block vertex sets built once
+    signed = _signed_blocks(lattice, blocks)
+    choices = product(*[(1, -1) if b else (0,) for b in blocks])
+    return {_union(vec, signed): vec for vec in choices}
+
+
+@lru_cache(maxsize=topology._HOMOLOGY_MEMO_SIZE)
+def selection_polytope(lattice: GeometricLattice, coatoms: frozenset[frozenset]) -> SimplicialComplex:
+    """The cross-polytope on a set of coatoms, one per block, memoized with
+    a fixed bound.
+
+    It depends only on the lattice (by identity) and the set of coatoms,
+    not on a flag or on the order of the blocks, so flag pairs that select
+    the same coatoms share one immutable complex and one homology memo entry.
+    """
+    faces = _cross_polytope(lattice, [(c,) for c in coatoms])
+    return SimplicialComplex(faces, vertex_order=_vertex_order(lattice, coatoms))
 
 
 # -- arrangement-level operations ------------------------------------------------

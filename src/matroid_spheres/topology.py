@@ -468,9 +468,11 @@ def _maximal_masks(masks: set[int]) -> list[int]:
     return out
 
 
-# Distinct complexes whose homology is kept, and distinct (lattice, flag)
-# pairs whose representation is kept (``spheres.representation``): callers
-# such as verify_retraction ask for the same S_0 once per flag pair.
+# Distinct complexes whose homology is kept, distinct (lattice, flag) pairs
+# whose representation is kept (``spheres.representation``), and distinct
+# (lattice, coatom set) pairs whose cross-polytope is kept
+# (``spheres.selection_polytope``): verify_retraction asks for the same S_0
+# and the same polytope over many flag pairs.
 _HOMOLOGY_MEMO_SIZE = 256
 
 
@@ -615,15 +617,6 @@ def z2_free_check(complex_: SimplicialComplex, involution: Mapping) -> bool:
         if any(involution[v] in m for v in m):
             return False
     return True
-
-
-def simplicial_map_check(
-    source: SimplicialComplex, target: SimplicialComplex, vertex_map: Mapping
-) -> bool:
-    """True iff the image of every face of the source is a face of the target."""
-    return all(
-        target.has_face({vertex_map[v] for v in m}) for m in source.maximal_faces
-    )
 
 
 def _intersections(members: Sequence[frozenset]) -> dict[frozenset, int]:

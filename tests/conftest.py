@@ -17,6 +17,7 @@ from matroid_spheres import (
     uniform_matroid,
     vector_config,
 )
+from matroid_spheres.maps import CrossSelection, SelectionError
 
 
 # -- fixture builders ------------------------------------------------------------
@@ -78,6 +79,48 @@ def has_face_oracle(complex_, face):
     Oracle for ``SimplicialComplex.has_face``."""
     f = frozenset(face)
     return not f or any(f <= m for m in complex_.maximal_faces)
+
+
+def select_cross_coatoms_oracle(rep_f, rep_g):
+    """Cross-coatom selection from a dict of every coatom per (F-block,
+    G-block) pair, greedy in G-block order with Kuhn's matching on block
+    indices.  Oracle for ``maps.select_cross_coatoms``."""
+    lattice = rep_f.lattice
+    r = lattice.r
+    options = {}
+    for i in range(r):
+        for c in rep_f.parts[i]:
+            options.setdefault((i, rep_g.part_of[c]), []).append(c)
+
+    def matchable(fixed, start):
+        used_g = set(fixed.values())
+        match_g = {}
+
+        def augment(i, seen):
+            for j in range(r):
+                if j in used_g or j in seen or (i, j) not in options:
+                    continue
+                seen.add(j)
+                if j not in match_g or augment(match_g[j], seen):
+                    match_g[j] = i
+                    return True
+            return False
+
+        return all(augment(i, set()) for i in range(start, r))
+
+    chosen = {}
+    for i in range(r):
+        for j in sorted(set(j for (fi, j) in options if fi == i)):
+            if j in chosen.values():
+                continue
+            chosen[i] = j
+            if matchable(chosen, i + 1):
+                break
+            del chosen[i]
+        if i not in chosen:
+            raise SelectionError("no cross-coatom selection exists")
+    coatoms = tuple(min(options[(i, chosen[i])], key=lattice.key) for i in range(r))
+    return CrossSelection(coatoms, tuple(range(r)), tuple(chosen[i] for i in range(r)))
 
 
 def cov_leq(x, y):

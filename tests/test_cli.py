@@ -278,6 +278,17 @@ def test_missing_file_exits_2(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_represent_unwritable_out_exits_2(runner, tmp_path, sub):
+    # --out names an existing file, or a directory below one
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    result = run(runner, "represent", DATA / "u24.json", "--out", afile / sub)
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"input error: cannot write {afile / sub}")
+    assert afile.read_text() == "kept"
+
+
 def test_validate_non_integer_rank_exits_2(runner, tmp_path):
     bad = tmp_path / "bad_rank.json"
     bad.write_text('{"format": "uniform", "r": "x", "n": 4}')

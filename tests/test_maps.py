@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,8 +25,9 @@ from matroid_spheres import (
     verify_retraction,
 )
 from matroid_spheres import maps, topology
-from matroid_spheres.maps import CrossSelection, RetractDescriptor
-from conftest import boolean_matroid, cov_leq
+from matroid_spheres.maps import CrossSelection, RetractDescriptor, SelectionError
+from matroid_spheres.spheres import selection_polytope
+from conftest import boolean_matroid, cov_leq, select_cross_coatoms_oracle
 
 PAPER_FLAG = [[], ["1"], ["1", "2"], ["1", "2", "3", "4"]]
 
@@ -96,6 +97,63 @@ def test_selection_fano_sample(fano):
             sel = select(fano, f, g)
             assert sel.distinct()
             assert brute_force_selection_exists(fano, f, g, sel)
+
+
+def every_ordered_pair(u24, u34, bool3, n134, fano):
+    """(lattice, F, G) for every ordered flag pair of U(3,4), B_3, B_4, the
+    Fano plane, N134 and U(2,4): 1,294 pairs."""
+    b4 = boolean_matroid(["1", "2", "3", "4"])
+    return [
+        (lattice, f, g)
+        for lattice in (u34, bool3, b4, fano, n134, u24)
+        for f in all_complete_flags(lattice)
+        for g in all_complete_flags(lattice)
+    ]
+
+
+def selection_fields(sel):
+    return (sel.coatoms, sel.f_parts, sel.g_parts)
+
+
+def test_selection_matches_oracle_on_every_pair(u24, u34, bool3, n134, fano):
+    pairs = every_ordered_pair(u24, u34, bool3, n134, fano)
+    assert len(pairs) == 1294
+    for lattice, f, g in pairs:
+        rep_f, rep_g = representation(lattice, f), representation(lattice, g)
+        got = select_cross_coatoms(rep_f, rep_g)
+        assert selection_fields(got) == selection_fields(select_cross_coatoms_oracle(rep_f, rep_g))
+
+
+def outcome(select_fn, rep_f, rep_g):
+    try:
+        return selection_fields(select_fn(rep_f, rep_g))
+    except SelectionError:
+        return SelectionError
+
+
+def test_selection_without_perfect_matching_raises(u34):
+    # every coatom overwritten into G-block 0: three F-blocks, one G-block
+    rep_f = FlagRepresentation(u34, default_flag(u34))
+    rep_g = FlagRepresentation(u34, default_flag(u34))
+    rep_g.part_of = dict.fromkeys(rep_g.part_of, 0)
+    for select_fn in (select_cross_coatoms, select_cross_coatoms_oracle):
+        with pytest.raises(SelectionError):
+            select_fn(rep_f, rep_g)
+
+
+def test_selection_matches_oracle_on_every_block_assignment(u34):
+    # each of U(3,4)'s six coatoms sent to each of three G-blocks: greedy
+    # choices that need a later G-block, and graphs with no perfect matching
+    rep_f = FlagRepresentation(u34, default_flag(u34))
+    rep_g = FlagRepresentation(u34, default_flag(u34))
+    coatoms = u34.coatoms()
+    raised = 0
+    for blocks in product(range(3), repeat=len(coatoms)):
+        rep_g.part_of = dict(zip(coatoms, blocks))
+        got = outcome(select_cross_coatoms, rep_f, rep_g)
+        assert got == outcome(select_cross_coatoms_oracle, rep_f, rep_g), blocks
+        raised += got is SelectionError
+    assert 0 < raised < 3 ** len(coatoms)
 
 
 # -- retraction -------------------------------------------------------------------
@@ -191,6 +249,50 @@ def test_representation_memo_is_bounded():
     assert representation.cache_info().currsize == bound  # full, never past the bound
 
 
+# -- one cross-polytope per (lattice, selected coatoms) ------------------------------
+
+
+def test_equal_selections_share_one_polytope():
+    b4 = boolean_matroid(["1", "2", "3", "4"])
+    flags = all_complete_flags(b4)
+    first, other = retraction_map(b4, flags[0], flags[1]), retraction_map(b4, flags[5], flags[-1])
+    # B_4's blocks hold one coatom each, so every pair selects all four,
+    # here in two different block orders
+    assert set(first.selection.coatoms) == set(other.selection.coatoms) == set(b4.coatoms())
+    assert first.selection.coatoms != other.selection.coatoms
+    assert first.polytope is other.polytope
+
+
+def test_memoized_polytope_matches_fresh_cross_polytope(u24, u34, bool3, n134, fano):
+    for lattice, f, g in every_ordered_pair(u24, u34, bool3, n134, fano):
+        desc = retraction_map(lattice, f, g)
+        rep_f, coatoms = FlagRepresentation(lattice, f), desc.selection.coatoms
+        fresh = SimplicialComplex(rep_f.cross_polytope([(c,) for c in coatoms]),
+                                  vertex_order=rep_f.vertex_order(coatoms))
+        assert desc.polytope == fresh
+        assert desc.polytope.vertices == fresh.vertices
+
+
+def test_polytope_memo_is_bounded():
+    bound = topology._HOMOLOGY_MEMO_SIZE
+    assert selection_polytope.cache_info().maxsize == bound
+    for _ in range(bound + 10):  # each lattice is a new key
+        lattice = uniform_matroid(2, 3)
+        flag = default_flag(lattice)
+        assert retraction_map(lattice, flag, flag).polytope.vertices
+    assert selection_polytope.cache_info().currsize == bound
+
+
+def test_mutant_does_not_poison_the_polytope_memo(u34):
+    flags = all_complete_flags(u34)
+    desc = retraction_map(u34, flags[0], flags[-1])
+    mutated = grown_polytope(desc, False, False)
+    assert failing(mutated) == {"polytope-in-source", "polytope-in-target"}
+    again = retraction_map(u34, flags[0], flags[-1])
+    assert again.polytope is desc.polytope and again.polytope != mutated.polytope
+    assert verify_retraction(again).ok
+
+
 def retraction_fields(desc):
     return (desc.selection, desc.vertex_map, desc.polytope, verify_retraction(desc).to_json())
 
@@ -256,6 +358,21 @@ def flipped_vertex(desc):
     return RetractDescriptor(desc.selection, desc.source, desc.target, vmap, desc.polytope)
 
 
+def cross_block_vertex(desc):
+    """Send one unselected coatom's + vertex onto the + vertex of another
+    block's selected coatom: an image face holds both signs of that coatom
+    only where the other block is signed -, so on rank 2 one facet of the
+    source alone maps to a non-face."""
+    rep, chosen = desc.source, desc.selection.coatoms
+    i = next((i for i, b in enumerate(rep.parts) if len(b) > 1), None)
+    if i is None:
+        return None
+    c = next(c for c in rep.parts[i] if c != chosen[i])
+    vmap = dict(desc.vertex_map)
+    vmap[rep.vertex(c, "+")] = rep.vertex(chosen[i - 1], "+")
+    return RetractDescriptor(desc.selection, desc.source, desc.target, vmap, desc.polytope)
+
+
 def grown_polytope(desc, in_source, in_target):
     """Grow one polytope facet by a vertex outside the polytope, so that the
     grown facet is a face of the source exactly when in_source, and of the
@@ -281,6 +398,7 @@ MUTATIONS = {
     "repeated g-part": (repeated_g_part, {"selection-distinct"}),
     "non-idempotent": (swapped_singleton, {"idempotent"}),
     "sign flipped": (flipped_vertex, {"simplicial", "composite-simplicial"}),
+    "cross-block image": (cross_block_vertex, {"simplicial", "composite-simplicial"}),
     "facet in neither": (lambda d: grown_polytope(d, False, False),
                          {"polytope-in-source", "polytope-in-target"}),
     "facet not in source": (lambda d: grown_polytope(d, False, True), {"polytope-in-source"}),
@@ -289,10 +407,10 @@ MUTATIONS = {
 
 
 @pytest.mark.parametrize("kind", sorted(MUTATIONS))
-def test_mutated_retraction_fails_its_check(kind, u34, bool3):
+def test_mutated_retraction_fails_its_check(kind, u24, u34, bool3):
     mutate, checks = MUTATIONS[kind]
     applied = 0
-    for lattice in (u34, bool3):
+    for lattice in (u24, u34, bool3):
         flags = all_complete_flags(lattice)
         for f in flags:
             for g in flags:
