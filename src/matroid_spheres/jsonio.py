@@ -44,7 +44,10 @@ def load_flag_arg(lattice: GeometricLattice, arg: str | Path) -> Flag:
         return default_flag(lattice)
     if not isinstance(spec, Mapping) or "chain" not in spec:
         raise MatroidInputError(f"flag file {arg} needs a 'chain' key")
-    return make_flag(lattice, spec["chain"])
+    chain = spec["chain"]
+    if not isinstance(chain, list) or not all(isinstance(f, list) for f in chain):
+        raise MatroidInputError(f"flag file {arg}: 'chain' must be a list of lists of element labels")
+    return make_flag(lattice, chain)
 
 
 def vertex_to_json(v: Vertex) -> dict:

@@ -12,8 +12,9 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import echelon, integer_row, is_prime, reduce
+from .linalg import PRIME_BOUND, echelon, integer_row, is_prime, reduce
 from .report import Record, ValidationReport
+from .topology import _bits
 
 Flat = frozenset  # a flat is a frozenset of element labels
 
@@ -187,14 +188,6 @@ def all_complete_flags(lattice: GeometricLattice) -> list[Flag]:
 # -- verification -----------------------------------------------------------
 
 
-def _bits(s: int):
-    """Indices of the set bits of s, lowest first."""
-    while s:
-        low = s & -s
-        yield low.bit_length() - 1
-        s ^= low
-
-
 def _and_all(table: list[int], s: int, acc: int) -> int:
     """acc AND table[i] for every index i in the bitset s."""
     for i in _bits(s):
@@ -357,6 +350,8 @@ def linear_matroid(
     elements = [str(e) for e in (range(1, n + 1) if elements is None else elements)]
     if len(elements) != n:
         raise MatroidInputError("element count must match column count")
+    if p is not None and p >= PRIME_BOUND:
+        raise MatroidInputError(f"GF prime {p} is not below the bound 2^31")
     if p is not None and not is_prime(p):
         raise MatroidInputError(f"{p} is not prime")
     if len({len(col) for col in columns}) != 1:

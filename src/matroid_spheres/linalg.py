@@ -18,6 +18,9 @@ from math import gcd, isqrt, lcm
 from typing import Sequence
 
 
+PRIME_BOUND = 2 ** 31  # GF(p) refused from here up, so trial division stays under 50,000 steps
+
+
 def is_prime(p: int) -> bool:
     return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 

@@ -20,7 +20,8 @@ from .topology import SimplicialComplex
 
 
 class SelectionError(RuntimeError):
-    """No cross-coatom selection exists (should not happen for geometric input)."""
+    """Two F-blocks share their highest G-block, which two flags of one
+    geometric lattice never give."""
 
 
 class CrossSelection(Record):
@@ -48,41 +49,29 @@ def select_cross_coatoms(
 
     Blocks of the two partitions form a bipartite graph with an edge where
     blocks share a coatom; the required selection is a perfect matching in
-    that graph, built greedily with lexicographic preference so the result
-    is deterministic.  Both representations are of the same lattice.  Each
-    F-block's edges are one int mask of G-blocks, and each edge keeps the
-    block's first coatom in key order.
+    that graph, and it is forced: F-block i is matched to the highest
+    G-block it meets.  Let c lie in A_i n B_j.  Then F_i v G_j <= c and
+    F_{i+1} is not below c, so F_{i+1} is not below F_i v G_j.  Hence
+    j <= pi(i) := max{j : F_{i+1} not below F_i v G_j}, a set of j that
+    is down-closed, because G_j grows with j.  pi is the Jordan-Hoelder
+    permutation of the two flags, a bijection in a semimodular lattice.
+    So every perfect matching mu has mu(i) <= pi(i) for every i; both are
+    permutations, so their sums agree and mu = pi.  The matching is
+    unique, and since mu(i) is an edge, pi(i) is the highest G-block that
+    F-block i meets.  On any graph, if the highest neighbours are
+    distinct, the same sum argument makes them its only perfect matching,
+    so whenever this returns, no search could return anything else.
+    Both representations are of the same lattice, and each edge keeps the
+    first coatom its two blocks share, in key order.
     """
     r = rep_f.lattice.r
     first: list[dict[int, frozenset]] = [{} for _ in range(r)]  # G-block -> coatom
     for i, block in enumerate(rep_f.parts):
         for c in block:
             first[i].setdefault(rep_g.part_of[c], c)
-    edges = [sum(1 << j for j in seen) for seen in first]  # G-blocks met, as masks
-
-    def augment(i: int, free: int, owner: dict[int, int], seen: list[int]) -> bool:
-        # Kuhn's algorithm: an augmenting path from F-block i into free;
-        # seen[0] holds the G-blocks this search has tried
-        for j in range(r):
-            if (edges[i] & free & ~seen[0]) >> j & 1:
-                seen[0] |= 1 << j
-                if j not in owner or augment(owner[j], free, owner, seen):
-                    owner[j] = i
-                    return True
-        return False
-
-    chosen: list[int] = []
-    free = (1 << r) - 1
-    for i in range(r):
-        for j in range(r):
-            if (edges[i] & free) >> j & 1:
-                rest, owner = free & ~(1 << j), {}
-                if all(augment(k, rest, owner, [0]) for k in range(i + 1, r)):
-                    break
-        else:
-            raise SelectionError("no cross-coatom selection exists")
-        chosen.append(j)
-        free &= ~(1 << j)
+    chosen = [max(seen) for seen in first]
+    if len(set(chosen)) != r:
+        raise SelectionError("no cross-coatom selection: two F-blocks share their highest G-block")
     coatoms = tuple(first[i][j] for i, j in enumerate(chosen))
     return CrossSelection(coatoms, tuple(range(r)), tuple(chosen))
 

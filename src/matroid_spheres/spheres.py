@@ -6,10 +6,14 @@ choices over the blocks meeting coat(G).  Vertices are (coatom, sign)
 pairs, rendered as (sorted element tuple, '+'|'-').
 
 ``build`` makes each S_G once and caches it, and ``representation`` keeps
-one representation per (lattice, flag).  One table of cover steps
-S_F n S_a = S_{F v a}, over every flat F and atom a, certifies the
-intersection law for every flat pair and every atom set, so neither is
-enumerated (proof in ``FlagRepresentation.intersection_law_holds``).
+one representation per (lattice, flag).  Every S_G is the subcomplex of
+S_bottom induced on its own vertex set V_G, and induced subcomplexes meet
+in the one induced on the meet of their vertex sets.  So, once each S_G is
+certified induced, one table of cover steps V_F n V_a = V_{F v a}, over
+every flat F and atom a, certifies the intersection law for every flat
+pair and every atom set, and the flats are recovered from intersections
+of vertex sets; no face sets are intersected (proofs in
+``FlagRepresentation.intersection_law_holds`` and ``arrangement_flats``).
 Each S_G is certified a homotopy sphere by its facet nerve, once per flat
 (``FlagRepresentation.sphere_holds``); no homology is computed.
 """
@@ -146,9 +150,18 @@ class FlagRepresentation:
     def intersection_law_holds(self) -> bool:
         """Exact face-set identity S_G n S_H = S_{G v H} for every pair of flats.
 
-        Checked as one table of cover steps S_F n S_a = S_{F v a}, over every
-        flat F and atom a; where a <= F the step reads S_F n S_a = S_F, that
-        is S_F inside S_a.  The verdict is cached.
+        Checked on vertex sets.  Write V_G for the vertex set of S_G.  First
+        every S_G is certified to be S_bottom[V_G], the subcomplex of
+        S_bottom induced on V_G.  It is, by construction: a maximal face of
+        S_bottom restricted to V_G keeps, in each block, the coatoms above G
+        with that block's sign, so the restrictions are the sign choices
+        over the blocks meeting coat(G).  Induced subcomplexes meet in the
+        one induced on the meet of their vertex sets, and for X, Y inside
+        the vertices of S_bottom, S_bottom[X] is inside S_bottom[Y] exactly
+        when X is inside Y, as every vertex lies in a face.  So the cover
+        step S_F n S_a = S_{F v a} reads V_F n V_a = V_{F v a}, one table
+        entry for every flat F and atom a; where a <= F the step reads
+        S_F inside S_a.  The verdict is cached.
 
         The table is enough.  Write S(A) for S_bottom intersected with the
         S_a over a set A of atoms.  Then S(A) = S_{v A} for every A, by
@@ -162,10 +175,11 @@ class FlagRepresentation:
         and every one of the 2^|atoms| atom sets.
         """
         if self._law is None:
-            self._law = all(
-                self.build(f).complex.intersection(self.build(a).complex)
-                == self.build(fa).complex
-                for f, a, fa in self.cover_steps
+            built = {g: self.build(g).complex for g in self.lattice.flats}
+            ambient = built[self.lattice.bottom]
+            verts = {g: frozenset(c.vertices) for g, c in built.items()}
+            self._law = all(c == ambient.restrict(verts[g]) for g, c in built.items()) and all(
+                verts[f] & verts[a] == verts[fa] for f, a, fa in self.cover_steps
             )
         return self._law
 
@@ -273,36 +287,31 @@ def atom_label(lattice: GeometricLattice, atom: frozenset) -> str:
 
 
 def arrangement_flats(arr: HomotopyArrangement) -> GeometricLattice:
-    """Recover the lattice of flats from the arrangement's intersection data.
+    """Recover the lattice of flats from the vertex sets of the arrangement.
 
     Write I(S) for the common intersection of the ambient and the members
     over a set S of atoms.  Then cl(S) = {a : I(S) inside S_a} is a closure
     operator with I(cl(S)) = I(S), and the recovered flats are its closed
-    sets.  They are grown from cl(empty) one atom at a time: a closed set
-    C below a closed set T, and an atom a in T but not in C, give the closed
-    set cl(C + {a}), strictly above C and still inside T.  Only the member
-    complexes are used, never the lattice's join.
+    sets, the values of cl.  Each member, as the arrangement holds it, is
+    first certified to be the ambient restricted to its own vertex set V_a;
+    if one is not, ValueError is raised.  Induced subcomplexes meet in the
+    one induced on the meet of their vertex sets, and for X inside the
+    ambient's vertices the induced complex lies in S_a exactly when X lies
+    in V_a.  So cl(S) = {a : X inside V_a}, where X is the ambient's vertex
+    set for S empty and the meet of the V_b over b in S otherwise; the
+    meets are each distinct nonempty one (``topology._intersections``) and
+    the empty set.  Only the member complexes are used, never the
+    lattice's join.
     """
     lattice = arr.rep.lattice
-
-    def close(inter: SimplicialComplex) -> frozenset:
-        return frozenset(a for a, m in arr.members if inter.is_subcomplex_of(m.complex))
-
-    first = close(arr.ambient.complex)
-    found = {first: arr.ambient.complex}
-    frontier = [first]
-    while frontier:
-        closed = frontier.pop()
-        for a, m in arr.members:
-            if a in closed:
-                continue
-            inter = found[closed].intersection(m.complex)
-            step = close(inter)
-            if step not in found:
-                found[step] = inter
-                frontier.append(step)
+    ambient = arr.ambient.complex
+    sets = [frozenset(m.complex.vertices) for _, m in arr.members]
+    if any(m.complex != ambient.restrict(v) for (_, m), v in zip(arr.members, sets)):
+        raise ValueError("an arrangement member is not induced in the ambient")
+    meets = (frozenset(ambient.vertices), frozenset(), *topology._intersections(sets))
+    closed = {frozenset(a for (a, _), v in zip(arr.members, sets) if x <= v) for x in meets}
     labels = [atom_label(lattice, a) for a, _ in arr.members]
-    flats = [frozenset(atom_label(lattice, a) for a in closed) for closed in found]
+    flats = [frozenset(atom_label(lattice, a) for a in c) for c in closed]
     return GeometricLattice(labels, flats)
 
 

@@ -373,6 +373,34 @@ def test_validate_non_list_ground_set_or_flats_exits_2(runner, tmp_path, spec, m
     assert result.output == f"input error: {message}\n"
 
 
+@pytest.mark.parametrize("chain", [
+    [1, 2, 3, 4],
+    [[], None, ["1", "2"], ["1", "2", "3", "4"]],
+    [[], ["1"], "12", ["1", "2", "3", "4"]],  # not read as {"1", "2"}
+])
+@pytest.mark.parametrize("command", ["verify", "flags compare"])
+def test_malformed_flag_chain_exits_2(runner, tmp_path, chain, command):
+    bad = tmp_path / "bad_flag.json"
+    bad.write_text(json.dumps({"chain": chain}))
+    args = {
+        "verify": ["verify", "--flag", bad, DATA / "u34.json"],
+        "flags compare": ["flags", "compare", DATA / "u34.json", "default", bad],
+    }[command]
+    result = run(runner, *args)
+    assert result.exit_code == 2, result.output
+    assert "'chain' must be a list of lists" in result.output
+
+
+def test_validate_gf_prime_above_bound_exits_2_at_once(runner, tmp_path):
+    # trial division to sqrt(2^61 - 1) would not finish
+    bad = tmp_path / "big_prime.json"
+    bad.write_text(json.dumps({"format": "linear", "field": "GF", "p": 2 ** 61 - 1,
+                               "columns": [[1, 0], [0, 1]]}))
+    result = run(runner, "validate", bad)
+    assert result.exit_code == 2
+    assert result.output == f"input error: GF prime {2 ** 61 - 1} is not below the bound 2^31\n"
+
+
 def test_om_covectors_non_integer_dimension_exits_2(runner, tmp_path):
     bad = tmp_path / "bad_dimension.json"
     bad.write_text(json.dumps({"dimension": "x", "columns": {"1": [1, 0], "2": [0, 1]}}))

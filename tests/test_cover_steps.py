@@ -26,7 +26,7 @@ from matroid_spheres import (
 from matroid_spheres import topology
 from matroid_spheres.cli import main
 from matroid_spheres.spheres import atom_label, swap_sign
-from conftest import boolean_matroid, is_homology_sphere
+from conftest import DATA, boolean_matroid, data_matroids, is_homology_sphere
 
 from conftest import FANO_COLUMNS, N134_FLATS
 
@@ -219,7 +219,13 @@ def test_mutated_arrangement_matches_oracles(arr):
     report, oracle = verify_arrangement(arr), verify_arrangement_oracle(arr)
     assert report.ok == oracle.ok
     assert report["intersections-are-flats"] == oracle["intersections-are-flats"]
-    assert set(arrangement_flats(arr).flats) == arrangement_flats_oracle(arr)
+    # flats are read off vertex sets only where every member is induced
+    ambient = arr.ambient.complex
+    if all(m.complex == ambient.restrict(m.complex.vertices) for _, m in arr.members):
+        assert set(arrangement_flats(arr).flats) == arrangement_flats_oracle(arr)
+    else:
+        with pytest.raises(ValueError):
+            arrangement_flats(arr)
 
 
 def test_mutated_member_fails_intersections_are_flats():
@@ -309,8 +315,30 @@ def test_intersection_law_verdict_is_cached(monkeypatch):
     lattice = FIXTURES["B_3"]
     rep = FlagRepresentation(lattice, default_flag(lattice))
     assert rep.intersection_law_holds()
-    monkeypatch.setattr(SimplicialComplex, "intersection", lambda *a: pytest.fail("recomputed"))
+    monkeypatch.setattr(SimplicialComplex, "restrict", lambda *a: pytest.fail("recomputed"))
     assert rep.intersection_law_holds()
+
+
+def test_intersection_law_refuses_a_complex_that_is_not_induced():
+    # one facet dropped keeps S_a's vertex set, so the vertex-set table alone
+    # would still pass; the per-flat induced check does not
+    lattice = FIXTURES["B_3"]
+    rep = FlagRepresentation(lattice, default_flag(lattice))
+    atom = lattice.atoms()[0]
+    old = rep.build(atom)
+    facets = sorted(old.complex.maximal_faces, key=old.complex.face_key)
+    poisoned = SimplicialComplex(facets[1:], vertex_order=old.complex.vertices)
+    assert poisoned.vertices == old.complex.vertices
+    rep._built[atom] = RepComplex(atom, poisoned, old.face_signs)
+    assert not rep.intersection_law_holds()
+
+
+@pytest.mark.parametrize("args", [["--exact-nerve"], []])
+@pytest.mark.parametrize("name", sorted(data_matroids()))
+def test_verify_intersects_no_face_sets(monkeypatch, args, name):
+    monkeypatch.setattr(SimplicialComplex, "intersection", lambda *a: pytest.fail("face sets met"))
+    result = CliRunner().invoke(main, ["verify", *args, str(DATA / f"{name}.json")])
+    assert result.exit_code == 0, result.output
 
 
 @pytest.mark.parametrize("args", [["--exact-nerve"], []])
