@@ -2,11 +2,13 @@
 
 Build the lattice of flats of a matroid, fix a complete flag, and construct
 the family of simplicial complexes representing every flat, together with
-exact combinatorial certificates: nerve isomorphism with cross-polytopes,
-reduced integer homology, the intersection law, recovery of the matroid
-from the arrangement, the covector-poset embedding for realizable oriented
-matroids, change-of-flag retractions, weak maps (ranks compared on the flats
-of the source) and the obstruction to a weak map's induced sphere map.
+exact combinatorial certificates: spheres by the join argument (S_bottom is
+a join of two opposite-signed simplices per coatom block, and a join of k
+spaces ~ S^0 is ~ S^{k-1}), reduced integer homology, the intersection law,
+recovery of the matroid from the arrangement, the covector-poset embedding
+for realizable oriented matroids, change-of-flag retractions, weak maps
+(ranks compared on the flats of the source) and the obstruction to a weak
+map's induced sphere map.
 
 Every name exported here is reached by a command-line command or by the
 acceptance suite; test fixtures such as simplex and cross-polytope
@@ -66,7 +68,6 @@ from .topology import (
     SimplicialComplex,
     all_faces,
     carrier_check,
-    cross_polytope_nerve_iso,
     dimension,
     is_homology_point,
     order_complex,

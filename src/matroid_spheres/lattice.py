@@ -99,18 +99,27 @@ class GeometricLattice:
     def corank(self, flat: frozenset) -> int:
         return self.r - self.rank(flat)
 
+    @cached_property
+    def _holding(self) -> tuple[int, dict[str, int]]:
+        """The flats strictly inside top, and for each element the flats
+        holding it, as bitsets over positions in ``flats``."""
+        inside = sum(1 << i for i, f in enumerate(self.flats) if f < self.top)
+        return inside, {e: sum(1 << i for i, f in enumerate(self.flats) if e in f) for e in self.elements}
+
     def closure(self, subset: Iterable[str]) -> frozenset:
-        """Smallest flat containing the subset (exists by meet-closure)."""
+        """Smallest flat containing the subset (exists by meet-closure): the
+        first flat in key order inside top that holds the subset, else top."""
         a = frozenset(str(e) for e in subset)
-        if not a <= set(self.elements):
+        if not a <= self._index.keys():
             raise MatroidInputError(f"{sorted(a)} is not a subset of the ground set")
-        out = self.top
-        for f in self.flats:
-            if a <= f and f < out:
-                out = f
-        if not a <= out:
+        found, holding = self._holding
+        for e in a:
+            found &= holding[e]
+        if found:
+            return self.flats[(found & -found).bit_length() - 1]
+        if not a <= self.top:
             raise MatroidInputError(f"no flat contains {sorted(a)}")
-        return out
+        return self.top
 
     def join(self, x: frozenset, y: frozenset) -> frozenset:
         return self.closure(frozenset(x) | frozenset(y))

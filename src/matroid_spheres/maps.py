@@ -113,7 +113,7 @@ def verify_retraction(desc: RetractDescriptor) -> ValidationReport:
     """Certify the retraction: simplicial, idempotent onto the shared
     cross-polytope, and homologically a sphere on both sides.
 
-    The sphere lines stay on homology, not ``FlagRepresentation.sphere_holds``.
+    The sphere lines stay on homology, not ``FlagRepresentation.spheres``.
     Each S_0 is shared by the pairs of its flag, and the polytope by the
     pairs that select the same coatoms (``spheres.selection_polytope``), so
     the homology memo computes each distinct complex once.  By homology the

@@ -361,10 +361,10 @@ def verify_embedding(emb: Embedding) -> ValidationReport:
     rep.add("z2-equivariant", z2)
 
     # the bottom flat's covectors are all of them, so its row is the ambient's;
-    # S_G is read through its cached nerve certificate
+    # S_G is read off the join certificate
     homology_ok = {
         g: topology.reduced_homology(emb.delta(g)) == topology.sphere_profile(lattice.corank(g) - 1)
-        and emb.rep.sphere_holds(emb.rep.build(g))
+        and emb.rep.spheres[g]
         for g in lattice.flats
     }
     rep.add("homology-ambient", homology_ok[lattice.bottom])

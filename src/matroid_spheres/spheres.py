@@ -5,24 +5,21 @@ every flat G then gets a complex S_G whose maximal faces are the sign
 choices over the blocks meeting coat(G).  Vertices are (coatom, sign)
 pairs, rendered as (sorted element tuple, '+'|'-').
 
-``build`` makes each S_G once and caches it, and ``representation`` keeps
-one representation per (lattice, flag).  Every S_G is the subcomplex of
-S_bottom induced on its own vertex set V_G, and induced subcomplexes meet
-in the one induced on the meet of their vertex sets.  So, once each S_G is
-certified induced, one table of cover steps V_F n V_a = V_{F v a}, over
-every flat F and atom a, certifies the intersection law for every flat
-pair and every atom set, and the flats are recovered from intersections
-of vertex sets; no face sets are intersected (proofs in
-``FlagRepresentation.intersection_law_holds`` and ``arrangement_flats``).
-Each S_G is certified a homotopy sphere by its facet nerve, once per flat
-(``FlagRepresentation.sphere_holds``); no homology is computed.
+S_bottom is the join, over the blocks, of the block's + simplex and its -
+simplex, and S_G is its subcomplex induced on V_G, the signed coatoms above
+G.  A join of k spaces ~ S^0 is ~ S^{k-1} (Bjorner, Topological methods,
+1995), so the certificates read int masks over the signed vertices and
+build no S_G beyond S_bottom and the atoms' (``FlagRepresentation.spheres``
+and ``intersection_law_holds``).  ``build`` caches each S_G it makes, and
+``representation`` keeps one representation per (lattice, flag).
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from operator import and_
+from typing import Iterable, Sequence
 
 from .lattice import Flag, GeometricLattice
 from .report import Record, ValidationReport
@@ -39,33 +36,36 @@ def swap_sign(v: Vertex) -> Vertex:
 
 
 class RepComplex(Record):
-    """The complex S_G for one flat, with the sign vector of each maximal face."""
+    """The complex S_G for one flat."""
 
-    __slots__ = ("flat", "complex", "face_signs")
-    def __init__(self, flat: frozenset, complex: SimplicialComplex,
-                 face_signs: Mapping[frozenset, tuple[int, ...]]):  # facet -> vector over parts
+    __slots__ = ("flat", "complex")
+    def __init__(self, flat: frozenset, complex: SimplicialComplex):
         object.__setattr__(self, "flat", flat)
         object.__setattr__(self, "complex", complex)
-        object.__setattr__(self, "face_signs", face_signs)
 
 
 class HomotopyArrangement(Record):
     """Ambient complex S_bottom together with one member complex per atom."""
 
-    __slots__ = ("rep", "ambient", "members")
+    __slots__ = ("rep", "ambient", "members", "__dict__")
     def __init__(self, rep: FlagRepresentation, ambient: RepComplex,
                  members: tuple[tuple[frozenset, RepComplex], ...]):  # (atom, S_atom)
         object.__setattr__(self, "rep", rep)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "members", members)
 
+    @cached_property
+    def induced(self) -> bool:
+        """Is every member, as held, the ambient restricted to its vertex set?"""
+        ambient = self.ambient.complex
+        return all(m.complex == ambient.restrict(m.complex.vertices) for _, m in self.members)
+
 
 class FlagRepresentation:
     """All sphere complexes of one (lattice, flag) pair.
 
     Immutable apart from its caches: ``build`` constructs each S_G at most
-    once, its sphere certificate runs at most once, and the cover-step
-    table is checked at most once.
+    once, and each table and verdict is computed on first use.
     """
 
     def __init__(self, lattice: GeometricLattice, flag: Flag):
@@ -86,7 +86,6 @@ class FlagRepresentation:
             c: i for i, block in enumerate(parts) for c in block
         }
         self._built: dict[frozenset, RepComplex] = {}
-        self._spheres: dict[frozenset, bool] = {}
         self._law: bool | None = None
 
     # -- vertices ------------------------------------------------------------
@@ -94,12 +93,18 @@ class FlagRepresentation:
     def vertex(self, coatom: frozenset, sign: str) -> Vertex:
         return self.lattice.signed_coatoms[coatom][sign]
 
-    def vertex_order(self, coatoms: Iterable[frozenset]) -> list[Vertex]:
-        """Both signed vertices of each coatom given, coatoms in key order."""
-        return _vertex_order(self.lattice, coatoms)
-
     def swap_map(self, complex_: SimplicialComplex) -> dict[Vertex, Vertex]:
         return {v: swap_sign(v) for v in complex_.vertices}
+
+    @cached_property
+    def bits(self) -> dict[Vertex, int]:
+        """One bit per signed vertex, in the vertex order of every coatom."""
+        return {v: 1 << i for i, v in enumerate(_vertex_order(self.lattice, self.lattice.coatoms()))}
+
+    def mask(self, vertices: Iterable[Vertex]) -> int:
+        """A set of signed vertices as an int mask."""
+        bits = self.bits
+        return sum(bits[v] for v in vertices)
 
     # -- construction ----------------------------------------------------------
 
@@ -108,20 +113,9 @@ class FlagRepresentation:
         coat = set(self.lattice.coat_above(flat))
         return tuple(tuple(c for c in block if c in coat) for block in self.parts)
 
-    def support(self, flat: frozenset) -> tuple[int, ...]:
-        """Indices of coatom blocks meeting coat(G); size equals corank(G)."""
-        return tuple(i for i, block in enumerate(self._blocks_over(flat)) if block)
-
     def sigma(self, vector: tuple[int, ...], flat: frozenset) -> frozenset:
         """The face of S_G selected by a sign vector over the blocks."""
         return _union(vector, _signed_blocks(self.lattice, self._blocks_over(flat)))
-
-    def cross_polytope(self, blocks: Sequence[Sequence[frozenset]]) -> dict[frozenset, tuple]:
-        """One maximal face per sign choice on the nonempty blocks, holding
-        each block's coatoms with its sign, mapped to its sign vector (0 on
-        the empty blocks).  With one coatom per block this is the boundary
-        of a cross-polytope; with the blocks over a flat it is S_G."""
-        return _cross_polytope(self.lattice, blocks)
 
     def build(self, flat: frozenset) -> RepComplex:
         """S_G, constructed on the first call for a flat and cached."""
@@ -136,10 +130,9 @@ class FlagRepresentation:
         Uncached; ``build`` is the cached entry point.
         """
         flat = frozenset(flat)
-        face_signs = self.cross_polytope(self._blocks_over(flat))
-        order = self.vertex_order(self.lattice.coat_above(flat))
-        complex_ = SimplicialComplex(face_signs.keys(), vertex_order=order)
-        return RepComplex(flat, complex_, face_signs)
+        faces = _cross_polytope(self.lattice, self._blocks_over(flat))
+        order = _vertex_order(self.lattice, self.lattice.coat_above(flat))
+        return RepComplex(flat, SimplicialComplex(faces, vertex_order=order))
 
     @cached_property
     def cover_steps(self) -> tuple[tuple[frozenset, frozenset, frozenset], ...]:
@@ -147,82 +140,79 @@ class FlagRepresentation:
         lattice = self.lattice
         return tuple((f, a, lattice.join(f, a)) for f in lattice.flats for a in lattice.atoms())
 
+    # -- certificates on vertex masks ----------------------------------------------
+
+    @cached_property
+    def halves(self) -> tuple[tuple[int, int], ...]:
+        """Each block's coatoms signed + and signed -, as two vertex masks."""
+        return tuple(tuple(map(self.mask, pm)) for pm in _signed_blocks(self.lattice, self.parts))
+
+    @cached_property
+    def masks(self) -> dict[frozenset, int]:
+        """V_G for every flat G: the AND, over G's elements, of the signed
+        coatoms holding the element."""
+        holding = dict.fromkeys(self.lattice.elements, 0)
+        for c, pm in self.lattice.signed_coatoms.items():
+            for e in c:
+                holding[e] |= self.mask(pm.values())
+        every = sum(self.bits.values())
+        return {g: reduce(and_, map(holding.__getitem__, g), every) for g in self.lattice.flats}
+
+    @cached_property
+    def join_holds(self) -> bool:
+        """Is S_bottom, as built, the join of each block's + and - simplex?
+        Its maximal faces must be the 2^r unions of one half per block."""
+        faces = {self.mask(f) for f in self.build(self.lattice.bottom).complex.maximal_faces}
+        # with no blocks (r = 0) the join is the empty complex, no face at all
+        return faces == {sum(choice) for choice in product(*self.halves)} - {0}
+
+    def is_sphere(self, mask: int, corank: int) -> bool:
+        """Is S_bottom[X] ~ S^{corank-1}, X a vertex mask, given ``join_holds``?
+
+        S_bottom[X] is the join of each block's two simplices cut down to X.
+        A block X meets in both signs gives two disjoint simplices, ~ S^0;
+        one met in one sign a simplex, making the join contractible; one
+        missed drops out.  A join of homotopy equivalences is one, so k
+        factors ~ S^0 give ~ S^{k-1}, the empty complex for k = 0.  The
+        maximal faces are then the 2^k sign choices, whose nerve is the
+        k-cross-polytope's, so this also certifies the nerve.
+        """
+        met = [(mask & p, mask & m) for p, m in self.halves if mask & (p | m)]
+        return len(met) == corank and all(p and m for p, m in met)
+
+    @cached_property
+    def spheres(self) -> dict[frozenset, bool]:
+        """Is S_G = S_bottom[V_G] ~ S^{corank(G)-1}, for every flat G?"""
+        join, corank = self.join_holds, self.lattice.corank
+        return {g: join and self.is_sphere(v, corank(g)) for g, v in self.masks.items()}
+
     def intersection_law_holds(self) -> bool:
         """Exact face-set identity S_G n S_H = S_{G v H} for every pair of flats.
 
-        Checked on vertex sets.  Write V_G for the vertex set of S_G.  First
-        every S_G is certified to be S_bottom[V_G], the subcomplex of
-        S_bottom induced on V_G.  It is, by construction: a maximal face of
-        S_bottom restricted to V_G keeps, in each block, the coatoms above G
-        with that block's sign, so the restrictions are the sign choices
-        over the blocks meeting coat(G).  Induced subcomplexes meet in the
-        one induced on the meet of their vertex sets, and for X, Y inside
-        the vertices of S_bottom, S_bottom[X] is inside S_bottom[Y] exactly
-        when X is inside Y, as every vertex lies in a face.  So the cover
-        step S_F n S_a = S_{F v a} reads V_F n V_a = V_{F v a}, one table
-        entry for every flat F and atom a; where a <= F the step reads
-        S_F inside S_a.  The verdict is cached.
+        Checked on vertex masks.  S_G is S_bottom[V_G]: a maximal face of
+        S_bottom cut down to V_G keeps, in each block, the coatoms above G
+        with the block's sign.  Induced subcomplexes meet in the one induced
+        on the meet of their vertex sets, and S_bottom[X] lies in S_bottom[Y]
+        exactly when X lies in Y, as every vertex is a face.  So the cover
+        step S_F n S_a = S_{F v a} reads V_F & V_a = V_{F v a}, for every
+        flat F and atom a.  The verdict is cached.
 
         The table is enough.  Write S(A) for S_bottom intersected with the
-        S_a over a set A of atoms.  Then S(A) = S_{v A} for every A, by
-        induction on |A|: S(empty) = S_bottom, and for A = B + {a},
-        S(A) = S(B) n S_a = S_{v B} n S_a = S_{v A} by the cover step with
-        F = v B.  Every flat H is the join of the atoms below it, so
-        S_H = S(A_H) with A_H = {a : a <= H}, and for any flats G and H,
-        S_G n S_H = S(A_G) n S(A_H) = S(A_G + A_H) = S_{G v H}.  This uses
-        only that face-set intersection is associative, commutative and
-        idempotent, so |flats| * |atoms| identities stand for every flat pair
-        and every one of the 2^|atoms| atom sets.
+        S_a over a set A of atoms.  By induction on |A|, S(A) = S_{v A}:
+        S(empty) = S_bottom, and S(B + {a}) = S_{v B} n S_a = S_{v A} by the
+        cover step with F = v B.  Every flat H is the join of the atoms below
+        it, so S_G n S_H = S(A_G + A_H) = S_{G v H} for any flats G and H,
+        with A_H = {a : a <= H}: |flats| * |atoms| identities stand for every
+        flat pair and every one of the 2^|atoms| atom sets.
         """
         if self._law is None:
-            built = {g: self.build(g).complex for g in self.lattice.flats}
-            ambient = built[self.lattice.bottom]
-            verts = {g: frozenset(c.vertices) for g, c in built.items()}
-            self._law = all(c == ambient.restrict(verts[g]) for g, c in built.items()) and all(
-                verts[f] & verts[a] == verts[fa] for f, a, fa in self.cover_steps
-            )
+            masks = self.masks
+            self._law = all(masks[f] & masks[a] == masks[fa] for f, a, fa in self.cover_steps)
         return self._law
 
     def arrangement(self) -> HomotopyArrangement:
         members = tuple((atom, self.build(atom)) for atom in self.lattice.atoms())
         return HomotopyArrangement(self, self.build(self.lattice.bottom), members)
-
-    # -- nerve bridge ------------------------------------------------------------
-
-    def nerve_matches_cross_polytope(self, rep: RepComplex) -> bool:
-        """Nerve test against the maximal faces' signs, zero blocks deleted."""
-        supp = self.support(rep.flat)
-        signs = {
-            f: tuple("+" if v[i] > 0 else "-" for i in supp) for f, v in rep.face_signs.items()
-        }
-        return topology.cross_polytope_nerve_iso(rep.complex, len(supp), signs)
-
-    def sphere_holds(self, rep: RepComplex) -> bool:
-        """Is rep.complex homotopy equivalent to S^{corank(G)-1}, G = rep.flat?
-
-        Two checks certify it: the blocks meeting coat(G) number corank(G),
-        and the nerve of the maximal faces is the nerve of the facets of the
-        corank(G)-cross-polytope.  Every nonempty intersection of maximal
-        faces is a simplex, hence contractible, so by the nerve lemma
-        (Bjorner, Topological methods, 1995) the complex is homotopy
-        equivalent to the nerve of its maximal faces.  The same lemma makes
-        the boundary of the d-cross-polytope, a (d-1)-sphere, homotopy
-        equivalent to the nerve of its facets.  Equal nerves then give
-        rep.complex ~ S^{d-1}, with d = corank(G).  For the top flat, d = 0
-        and the test asks for the empty complex, the (-1)-sphere.
-
-        The verdict is cached per flat for the complexes ``build`` returns;
-        any other complex (a mutated one, say) is tested afresh.
-        """
-        g = rep.flat
-        own = self._built.get(g) is rep
-        if own and g in self._spheres:
-            return self._spheres[g]
-        ok = len(self.support(g)) == self.lattice.corank(g)
-        ok = ok and self.nerve_matches_cross_polytope(rep)
-        if own:
-            self._spheres[g] = ok
-        return ok
 
 
 @lru_cache(maxsize=topology._HOMOLOGY_MEMO_SIZE)
@@ -259,11 +249,13 @@ def _union(vector: Sequence[int], signed: Sequence[tuple[frozenset, ...]]) -> fr
     return frozenset().union(*[pm[0] if s > 0 else pm[1] for s, pm in zip(vector, signed) if s])
 
 
-def _cross_polytope(lattice: GeometricLattice, blocks: Sequence[Sequence[frozenset]]) -> dict[frozenset, tuple]:
-    # each face is a union of per-block vertex sets built once
+def _cross_polytope(lattice: GeometricLattice, blocks: Sequence[Sequence[frozenset]]) -> list[frozenset]:
+    """One maximal face per sign choice on the nonempty blocks, holding each
+    block's coatoms with its sign, each a union of per-block vertex sets
+    built once.  With one coatom per block this is the boundary of a
+    cross-polytope; with the blocks over a flat it is S_G."""
     signed = _signed_blocks(lattice, blocks)
-    choices = product(*[(1, -1) if b else (0,) for b in blocks])
-    return {_union(vec, signed): vec for vec in choices}
+    return [_union(vec, signed) for vec in product(*[(1, -1) if b else (0,) for b in blocks])]
 
 
 @lru_cache(maxsize=topology._HOMOLOGY_MEMO_SIZE)
@@ -292,23 +284,19 @@ def arrangement_flats(arr: HomotopyArrangement) -> GeometricLattice:
     Write I(S) for the common intersection of the ambient and the members
     over a set S of atoms.  Then cl(S) = {a : I(S) inside S_a} is a closure
     operator with I(cl(S)) = I(S), and the recovered flats are its closed
-    sets, the values of cl.  Each member, as the arrangement holds it, is
-    first certified to be the ambient restricted to its own vertex set V_a;
-    if one is not, ValueError is raised.  Induced subcomplexes meet in the
-    one induced on the meet of their vertex sets, and for X inside the
-    ambient's vertices the induced complex lies in S_a exactly when X lies
-    in V_a.  So cl(S) = {a : X inside V_a}, where X is the ambient's vertex
-    set for S empty and the meet of the V_b over b in S otherwise; the
-    meets are each distinct nonempty one (``topology._intersections``) and
-    the empty set.  Only the member complexes are used, never the
-    lattice's join.
+    sets, the values of cl.  Each member, as held, must be induced in the
+    ambient on its vertex set V_a, else ValueError is raised.  Then, as in
+    ``intersection_law_holds``, cl(S) = {a : X inside V_a}, where X is the
+    ambient's vertex set for S empty and the meet of the V_b over b in S
+    otherwise; the meets are each distinct nonempty one
+    (``topology._intersections``) and the empty set.  Only the member
+    complexes are used, never the lattice's join.
     """
-    lattice = arr.rep.lattice
-    ambient = arr.ambient.complex
-    sets = [frozenset(m.complex.vertices) for _, m in arr.members]
-    if any(m.complex != ambient.restrict(v) for (_, m), v in zip(arr.members, sets)):
+    if not arr.induced:
         raise ValueError("an arrangement member is not induced in the ambient")
-    meets = (frozenset(ambient.vertices), frozenset(), *topology._intersections(sets))
+    lattice = arr.rep.lattice
+    sets = [frozenset(m.complex.vertices) for _, m in arr.members]
+    meets = (frozenset(arr.ambient.complex.vertices), frozenset(), *topology._intersections(sets))
     closed = {frozenset(a for (a, _), v in zip(arr.members, sets) if x <= v) for x in meets}
     labels = [atom_label(lattice, a) for a, _ in arr.members]
     flats = [frozenset(atom_label(lattice, a) for a in c) for c in closed]
@@ -331,33 +319,35 @@ def roundtrip_isomorphic(lattice: GeometricLattice, recovered: GeometricLattice)
 def verify_arrangement(arr: HomotopyArrangement) -> ValidationReport:
     """Certify the homotopy-arrangement axioms for (S_bottom, {S_atom}).
 
-    The ambient and every member, as the arrangement holds them, are
-    certified spheres by ``FlagRepresentation.sphere_holds``, the nerve
-    test against the cross-polytope; for the ambient that one test gives
-    both ``ambient-sphere`` and ``ambient-nerve``.  Once each member is its
-    S_a, the cover-step table of ``FlagRepresentation.intersection_law_holds``
-    makes every intersection of members the S_H of the join H of its atoms,
-    so each S_H is certified once, and the rank-jump law read once per cover
-    step.  The free sign-swap action is checked exactly.
+    Every sphere line reads the join certificate.  The ambient, as held,
+    must be the S_bottom of ``join_holds``, which gives ``ambient-sphere``
+    and ``ambient-nerve``; each member, as held, must be induced in it, and
+    ``is_sphere`` reads the member's vertex mask.  Once each member is its
+    S_a, the cover-step table makes every intersection of members the S_H
+    of the join H of its atoms, so each S_H is read once from ``spheres``,
+    and the rank-jump law once per cover step.  The free sign-swap action
+    is checked exactly.
     """
     rep = ValidationReport()
     fr = arr.rep
     lattice = fr.lattice
     r = lattice.r
+    sphere = fr.spheres
 
     amb = arr.ambient
-    amb_ok = fr.sphere_holds(amb)
+    amb_ok = amb.complex == fr.build(lattice.bottom).complex and fr.join_holds
     rep.add("ambient-sphere", amb_ok, f"expected S^{r - 1} profile")
     rep.add("ambient-nerve", amb_ok)
 
-    members_ok = all(fr.sphere_holds(m) for _, m in arr.members)
+    members_ok = amb_ok and arr.induced and all(
+        fr.is_sphere(fr.mask(m.complex.vertices), lattice.corank(a)) for a, m in arr.members
+    )
     rep.add("members-sphere", members_ok, f"each member must be S^{r - 2}")
 
     # every intersection of members is S_H for the join flat H, and a sphere
     members_are_atoms = all(m.complex == fr.build(a).complex for a, m in arr.members)
     rep.add("intersections-are-flats", members_are_atoms and fr.intersection_law_holds())
-    sphere = {h: fr.sphere_holds(fr.build(h)) for h in lattice.flats if h != lattice.bottom}
-    rep.add("intersections-sphere", all(sphere.values()))
+    rep.add("intersections-sphere", all(sphere[h] for h in lattice.flats if h != lattice.bottom))
 
     try:
         free = topology.z2_free_check(amb.complex, fr.swap_map(amb.complex))

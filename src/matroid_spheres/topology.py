@@ -1,11 +1,10 @@
 """Generic combinatorial topology: complexes, posets, nerves, exact homology.
 
-A complex is certified a sphere by comparing the nerve of its maximal
-faces with that of a cross-polytope's facets (``cross_polytope_nerve_iso``;
-the nerve lemma makes this a homotopy certificate).  Reduced integer
-homology serves where no such nerve is at hand: the embedding and
-retraction checks, the carrier intersections that no cheaper certificate
-holds (below), and the ``homology`` command.  It is computed on the
+A flag's sphere complexes are joins, certified on vertex masks in
+``spheres``; ``cross_polytope_nerve_iso``, a nerve-lemma comparison with a
+cross-polytope, is the tests' oracle for that.  Reduced integer homology
+serves the embedding and retraction checks, the carrier intersections that
+no cheaper certificate holds (below), and the ``homology`` command.  It is computed on the
 strong-collapse core of a complex: dominated vertices are deleted, working
 on maximal faces only, which is a strong deformation retraction (Barmak and
 Minian, 2012).  The faces of the core then give boundary matrices, reduced

@@ -18,6 +18,7 @@ from matroid_spheres import (
     vector_config,
 )
 from matroid_spheres.maps import CrossSelection, SelectionError
+from matroid_spheres.topology import cross_polytope_nerve_iso
 
 
 # -- fixture builders ------------------------------------------------------------
@@ -68,10 +69,44 @@ def face_oracle(lattice, vector, blocks):
 
 
 def cross_polytope_oracle(lattice, blocks):
-    """One face per sign choice on the nonempty blocks, vertex by vertex.
-    Oracle for ``FlagRepresentation.cross_polytope``."""
+    """One face per sign choice on the nonempty blocks, vertex by vertex,
+    mapped to its sign vector.  Oracle for ``spheres._cross_polytope``."""
     choices = product(*[(1, -1) if b else (0,) for b in blocks])
     return {face_oracle(lattice, vec, blocks): vec for vec in choices}
+
+
+def support(rep, flat):
+    """Indices of the coatom blocks meeting coat(G)."""
+    coat = set(rep.lattice.coat_above(flat))
+    return tuple(i for i, block in enumerate(rep.parts) if coat.intersection(block))
+
+
+def facet_signs(rep, complex_):
+    """Each maximal face's sign vector over the coatom blocks, read off its
+    vertices by ``part_of`` and the sign label: 1 or -1 where the face's
+    vertices in a block all carry that sign, 0 where the face has none in
+    the block, and None where its signs there mix."""
+    value = {frozenset(): 0, frozenset("+"): 1, frozenset("-"): -1}
+    out = {}
+    for face in complex_.maximal_faces:
+        signs = [set() for _ in rep.parts]
+        for coatom, sign in face:
+            signs[rep.part_of[frozenset(coatom)]].add(sign)
+        out[face] = tuple(value.get(frozenset(s)) for s in signs)
+    return out
+
+
+def nerve_oracle(rep, built):
+    """The per-flat route by the nerve lemma: the blocks meeting coat(G)
+    number corank(G), and the maximal faces, labelled by ``facet_signs`` on
+    those blocks, have the nerve of the cross-polytope's facets.  Oracle for
+    ``FlagRepresentation.spheres``."""
+    supp = support(rep, built.flat)
+    labels = {1: "+", -1: "-"}
+    signs = {f: tuple(labels.get(v[i], "?") for i in supp)
+             for f, v in facet_signs(rep, built.complex).items()}
+    return (len(supp) == rep.lattice.corank(built.flat)
+            and cross_polytope_nerve_iso(built.complex, len(supp), signs))
 
 
 def has_face_oracle(complex_, face):

@@ -1,6 +1,7 @@
-"""The arrangement certified by cover steps S_F n S_a = S_{F v a}, checked
-against enumeration of every atom subset and every flat pair, on true and
-on mutated arrangements."""
+"""The arrangement certified by cover steps S_F n S_a = S_{F v a} and by the
+join certificate on vertex masks, checked against enumeration of every atom
+subset and every flat pair, against homology and against the per-flat nerve
+route, on true and on mutated arrangements."""
 
 from itertools import combinations, combinations_with_replacement
 from pathlib import Path
@@ -15,6 +16,7 @@ from matroid_spheres import (
     RepComplex,
     SimplicialComplex,
     ValidationReport,
+    all_complete_flags,
     arrangement_flats,
     default_flag,
     lattice_from_flats,
@@ -25,8 +27,8 @@ from matroid_spheres import (
 )
 from matroid_spheres import topology
 from matroid_spheres.cli import main
-from matroid_spheres.spheres import atom_label, swap_sign
-from conftest import DATA, boolean_matroid, data_matroids, is_homology_sphere
+from matroid_spheres.spheres import _cross_polytope, _vertex_order, atom_label, swap_sign
+from conftest import DATA, boolean_matroid, data_matroids, is_homology_sphere, nerve_oracle
 
 from conftest import FANO_COLUMNS, N134_FLATS
 
@@ -71,7 +73,7 @@ def verify_arrangement_oracle(arr):
     amb = arr.ambient
     rep.add("ambient-sphere", is_homology_sphere(amb.complex, r - 1),
             f"expected S^{r - 1} profile")
-    rep.add("ambient-nerve", fr.nerve_matches_cross_polytope(amb))
+    rep.add("ambient-nerve", nerve_oracle(fr, amb))
     rep.add("members-sphere",
             all(is_homology_sphere(m.complex, r - 2) for _, m in arr.members),
             f"each member must be S^{r - 2}")
@@ -159,16 +161,39 @@ def representations(draw):
 
 
 def mutated(old, draw):
-    """One facet dropped, or one vertex sign flipped inside one facet, which
-    keeps the facet's sign vector."""
+    """One facet F and one vertex v of it drawn, then: F dropped; v's sign
+    flipped inside F; the facet F + {-v} added; or F hollowed, replaced by
+    its boundary, which keeps the vertex set and so is not induced.  F is
+    hollowed only with 2 to 6 vertices, and dropped otherwise: the boundary
+    of a large simplex does not collapse, and the homology oracle would
+    enumerate its faces."""
     complex_ = old.complex
     facets = sorted(complex_.maximal_faces, key=complex_.face_key)
     face = facets[draw(st.integers(0, len(facets) - 1))]
-    signs = {f: old.face_signs[f] for f in facets if f != face}
-    if not draw(st.booleans()):
-        v = sorted(face, key=complex_.vertices.index)[draw(st.integers(0, len(face) - 1))]
-        signs[(face - {v}) | {swap_sign(v)}] = old.face_signs[face]
-    return RepComplex(old.flat, SimplicialComplex(signs, vertex_order=complex_.vertices), signs)
+    v = sorted(face, key=complex_.vertices.index)[draw(st.integers(0, len(face) - 1))]
+    kept = [f for f in facets if f != face]
+    kind = draw(st.sampled_from(["drop", "flip", "add", "hollow"]))
+    if kind == "flip":
+        kept.append((face - {v}) | {swap_sign(v)})
+    elif kind == "add":
+        kept.append(face | {swap_sign(v)})
+    elif kind == "hollow" and 1 < len(face) <= 6:
+        kept += [face - {u} for u in face]
+    return RepComplex(old.flat, SimplicialComplex(kept, vertex_order=complex_.vertices))
+
+
+def split_block(rep, draw):
+    """S_bottom built with one block of two or more coatoms split in two,
+    or None if every block has one coatom."""
+    big = [i for i, block in enumerate(rep.parts) if len(block) > 1]
+    if not big:
+        return None
+    i = draw(st.sampled_from(big))
+    k = draw(st.integers(1, len(rep.parts[i]) - 1))
+    blocks = [*rep.parts[:i], rep.parts[i][:k], rep.parts[i][k:], *rep.parts[i + 1:]]
+    lattice = rep.lattice
+    faces = _cross_polytope(lattice, blocks)
+    return RepComplex(lattice.bottom, SimplicialComplex(faces, vertex_order=_vertex_order(lattice, lattice.coatoms())))
 
 
 @st.composite
@@ -177,10 +202,10 @@ def mutated_arrangements(draw):
     arr = rep.arrangement()
     targets = [i for i, (_, m) in enumerate(arr.members) if not m.complex.is_empty]
     i = draw(st.sampled_from([-1] + targets))
-    old = arr.ambient if i == -1 else arr.members[i][1]
-    new = mutated(old, draw)
     if i == -1:
-        return HomotopyArrangement(rep, new, arr.members)
+        new = split_block(rep, draw) if draw(st.booleans()) else None
+        return HomotopyArrangement(rep, new or mutated(arr.ambient, draw), arr.members)
+    new = mutated(arr.members[i][1], draw)
     members = list(arr.members)
     members[i] = (members[i][0], new)
     return HomotopyArrangement(rep, arr.ambient, tuple(members))
@@ -219,6 +244,13 @@ def test_mutated_arrangement_matches_oracles(arr):
     report, oracle = verify_arrangement(arr), verify_arrangement_oracle(arr)
     assert report.ok == oracle.ok
     assert report["intersections-are-flats"] == oracle["intersections-are-flats"]
+    # a sphere line passes only where homology holds: on the ambient and the
+    # members as held, and on every S_H, which the held intersections are
+    # once intersections-are-flats passes
+    for line in ("ambient-sphere", "members-sphere"):
+        assert oracle[line].passed or not report[line].passed, line
+    if report["intersections-are-flats"].passed:
+        assert oracle["intersections-sphere"].passed or not report["intersections-sphere"].passed
     # flats are read off vertex sets only where every member is induced
     ambient = arr.ambient.complex
     if all(m.complex == ambient.restrict(m.complex.vertices) for _, m in arr.members):
@@ -228,13 +260,34 @@ def test_mutated_arrangement_matches_oracles(arr):
             arrangement_flats(arr)
 
 
+@st.composite
+def poisoned_bottoms(draw):
+    """A fresh representation whose built S_bottom is a mutant of the join."""
+    rep = draw(representations())
+    old = rep.build(rep.lattice.bottom)
+    new = split_block(rep, draw) if draw(st.booleans()) else None
+    rep._built[rep.lattice.bottom] = new or mutated(old, draw)
+    return rep
+
+
+@DERANDOMIZED
+@given(poisoned_bottoms())
+def test_join_certificate_refuses_every_mutant_of_s0(rep):
+    assert not rep.join_holds
+    assert not any(rep.spheres.values())
+    arr = rep.arrangement()
+    report = verify_arrangement(arr)
+    assert not report["ambient-sphere"].passed and not report["members-sphere"].passed
+    assert report.ok == verify_arrangement_oracle(arr).ok is False
+
+
 def test_mutated_member_fails_intersections_are_flats():
     lattice = FIXTURES["u34"]
     rep = FlagRepresentation(lattice, default_flag(lattice))
     arr = rep.arrangement()
     atom, member = arr.members[0]
     facets = sorted(member.complex.maximal_faces, key=member.complex.face_key)
-    dropped = RepComplex(member.flat, SimplicialComplex(facets[1:]), member.face_signs)
+    dropped = RepComplex(member.flat, SimplicialComplex(facets[1:]))
     bad = HomotopyArrangement(rep, arr.ambient, ((atom, dropped),) + arr.members[1:])
     report = verify_arrangement(bad)
     assert not report["intersections-are-flats"].passed
@@ -243,17 +296,41 @@ def test_mutated_member_fails_intersections_are_flats():
     assert rep.intersection_law_holds()
 
 
-# -- the sphere certificate against the homology oracle -----------------------------
+# -- the sphere certificate against the homology and nerve oracles ----------------------
 
 
 @settings(DERANDOMIZED, max_examples=60)
 @given(representations())
 def test_sphere_verdict_matches_homology_oracle(rep):
     for g in rep.lattice.flats:
-        built = rep.build(g)
-        oracle = is_homology_sphere(built.complex, rep.lattice.corank(g) - 1)
-        assert rep.sphere_holds(built) == oracle
+        oracle = is_homology_sphere(rep.build(g).complex, rep.lattice.corank(g) - 1)
+        assert rep.spheres[g] == oracle
         assert oracle
+
+
+def every_flag_rep():
+    """A fresh representation for every complete flag of every data matroid,
+    of U(3,4) and of B_4."""
+    lattices = dict(data_matroids(), U34=uniform_matroid(3, 4), B4=boolean_matroid("1234"))
+    for name, lattice in sorted(lattices.items()):
+        for flag in all_complete_flags(lattice):
+            yield name, FlagRepresentation(lattice, flag)
+
+
+def test_mask_verdicts_match_the_per_flat_nerve_route():
+    # the per-flat route: construct S_G, then compare its facet nerve with
+    # the cross-polytope's, facet signs read off the vertices
+    for name, rep in every_flag_rep():
+        for g in rep.lattice.flats:
+            assert rep.spheres[g] == nerve_oracle(rep, rep.construct(g)), (name, rep.flag.chain, sorted(g))
+
+
+def held_verdict(rep, complex_, corank):
+    """The mask route for a complex as held: S_bottom certified the join,
+    the complex induced in it, and its vertex mask a sphere."""
+    ambient = rep.build(rep.lattice.bottom).complex
+    return (rep.join_holds and complex_ == ambient.restrict(complex_.vertices)
+            and rep.is_sphere(rep.mask(complex_.vertices), corank))
 
 
 @st.composite
@@ -267,37 +344,35 @@ def mutated_flat_complexes(draw):
 @given(mutated_flat_complexes())
 def test_sphere_verdict_never_passes_where_the_oracle_fails(case):
     rep, bad = case
-    if rep.sphere_holds(bad):
-        assert is_homology_sphere(bad.complex, rep.lattice.corank(bad.flat) - 1)
-    # the mutant is tested afresh and leaves the flat's own verdict alone
-    assert rep.sphere_holds(rep.build(bad.flat))
+    corank = rep.lattice.corank(bad.flat)
+    if held_verdict(rep, bad.complex, corank):
+        assert is_homology_sphere(bad.complex, corank - 1)
+    # the flat's own complex and verdict are untouched by the mutant
+    assert held_verdict(rep, rep.build(bad.flat).complex, corank) and rep.spheres[bad.flat]
+
+
+def no_snf(*a):
+    pytest.fail("Smith normal form computed")
 
 
 @pytest.mark.parametrize("args", [["--exact-nerve"], []])
 @pytest.mark.parametrize("name", ["fano_gf2.json", "bool3.json", "u34.json", "n134.json"])
 def test_verify_certifies_each_flat_by_one_nerve_test(monkeypatch, args, name):
-    def no_snf(*a):
-        pytest.fail("Smith normal form computed")
-
-    flats = []
-    nerve = FlagRepresentation.nerve_matches_cross_polytope
-    iso = topology.cross_polytope_nerve_iso
+    # the nerve test of S_G is ``is_sphere`` on its vertex mask: once per
+    # flat for the verdict table and once per member as held, with no SNF
     calls = []
+    is_sphere = FlagRepresentation.is_sphere
 
-    def counted_nerve(self, rep):
-        flats.append(rep.flat)
-        return nerve(self, rep)
-
-    def counted_iso(*a):
-        calls.append(a)
-        return iso(*a)
+    def counted(self, mask, corank):
+        calls.append(mask)
+        return is_sphere(self, mask, corank)
 
     monkeypatch.setattr(topology, "smith_invariant_factors", no_snf)
-    monkeypatch.setattr(topology, "cross_polytope_nerve_iso", counted_iso)
-    monkeypatch.setattr(FlagRepresentation, "nerve_matches_cross_polytope", counted_nerve)
-    result = CliRunner().invoke(main, ["verify", *args, str(Path(__file__).parent / "data" / name)])
+    monkeypatch.setattr(FlagRepresentation, "is_sphere", counted)
+    result = CliRunner().invoke(main, ["verify", *args, str(DATA / name)])
     assert result.exit_code == 0, result.output
-    assert len(calls) == len(flats) == len(set(flats))
+    lattice = data_matroids()[Path(name).stem]
+    assert len(calls) == len(lattice.flats) + len(lattice.atoms())
 
 
 # -- the table itself --------------------------------------------------------------------
@@ -311,26 +386,36 @@ def test_cover_steps_are_every_flat_and_atom():
     assert all(fa == lattice.join(f, a) for f, a, fa in steps)
 
 
-def test_intersection_law_verdict_is_cached(monkeypatch):
+def test_intersection_law_verdict_is_cached():
     lattice = FIXTURES["B_3"]
     rep = FlagRepresentation(lattice, default_flag(lattice))
     assert rep.intersection_law_holds()
-    monkeypatch.setattr(SimplicialComplex, "restrict", lambda *a: pytest.fail("recomputed"))
+    rep.masks[lattice.bottom] = 0  # a recomputed verdict would fail
     assert rep.intersection_law_holds()
+    fresh = FlagRepresentation(lattice, default_flag(lattice))
+    fresh.masks[lattice.bottom] = 0
+    assert not fresh.intersection_law_holds()
 
 
 def test_intersection_law_refuses_a_complex_that_is_not_induced():
-    # one facet dropped keeps S_a's vertex set, so the vertex-set table alone
-    # would still pass; the per-flat induced check does not
+    # one facet hollowed to its boundary keeps S_a's vertex set, so a table
+    # of vertex sets alone would still pass; the member is not induced
     lattice = FIXTURES["B_3"]
     rep = FlagRepresentation(lattice, default_flag(lattice))
-    atom = lattice.atoms()[0]
-    old = rep.build(atom)
+    arr = rep.arrangement()
+    (atom, old), rest = arr.members[0], arr.members[1:]
     facets = sorted(old.complex.maximal_faces, key=old.complex.face_key)
-    poisoned = SimplicialComplex(facets[1:], vertex_order=old.complex.vertices)
+    hollow = facets[1:] + [facets[0] - {v} for v in facets[0]]
+    poisoned = SimplicialComplex(hollow, vertex_order=old.complex.vertices)
     assert poisoned.vertices == old.complex.vertices
-    rep._built[atom] = RepComplex(atom, poisoned, old.face_signs)
-    assert not rep.intersection_law_holds()
+    bad = HomotopyArrangement(rep, arr.ambient, ((atom, RepComplex(atom, poisoned)),) + rest)
+    assert not bad.induced
+    report = verify_arrangement(bad)
+    assert not report["intersections-are-flats"].passed
+    assert not report["members-sphere"].passed
+    with pytest.raises(ValueError):
+        arrangement_flats(bad)
+    assert rep.intersection_law_holds() and arr.induced
 
 
 @pytest.mark.parametrize("args", [["--exact-nerve"], []])
@@ -343,6 +428,8 @@ def test_verify_intersects_no_face_sets(monkeypatch, args, name):
 
 @pytest.mark.parametrize("args", [["--exact-nerve"], []])
 def test_verify_builds_each_complex_at_most_once(monkeypatch, args):
+    # S_bottom and the atoms' S_a, each once, with no SNF; every other S_G
+    # is read off its vertex mask
     built = []
     construct = FlagRepresentation.construct
 
@@ -350,12 +437,14 @@ def test_verify_builds_each_complex_at_most_once(monkeypatch, args):
         built.append(flat)
         return construct(self, flat)
 
+    monkeypatch.setattr(topology, "smith_invariant_factors", no_snf)
     monkeypatch.setattr(FlagRepresentation, "construct", counting)
-    fano = Path(__file__).parent / "data" / "fano_gf2.json"
-    result = CliRunner().invoke(main, ["verify", *args, str(fano)])
-    assert result.exit_code == 0, result.output
-    lattice = FIXTURES["fano"]
-    assert sorted(built, key=lattice.key) == list(lattice.flats)
+    for name in ("fano_gf2", "bool3", "u34", "n134"):
+        built.clear()
+        result = CliRunner().invoke(main, ["verify", *args, str(DATA / f"{name}.json")])
+        assert result.exit_code == 0, result.output
+        lattice = data_matroids()[name]
+        assert sorted(built, key=lattice.key) == [lattice.bottom, *lattice.atoms()], name
 
 
 def test_large_inputs_pass():

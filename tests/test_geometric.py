@@ -5,7 +5,8 @@ lattice for every interval; ``verify_geometric`` runs the same checks on
 bitset tables.  Reports must agree byte for byte, failure details included.
 ``intervals_oracle`` is the per-interval loop that the three interval
 tables replaced: every interval, as a lattice of its own, must pass
-``verify_geometric`` without intervals.
+``verify_geometric`` without intervals.  ``closure_oracle`` is the scan
+over every flat that ``GeometricLattice.closure``'s bitsets replaced.
 """
 
 import json
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from matroid_spheres import (
     GeometricLattice,
+    MatroidInputError,
     lattice_from_flats,
     load_matroid,
     uniform_matroid,
@@ -158,6 +160,43 @@ def intersection_closed_family(rng: random.Random) -> GeometricLattice:
         family |= meets
 
 
+def closure_oracle(lattice, subset):
+    """The first flat in key order strictly inside the running answer that
+    holds the subset, starting from top.  Oracle for ``closure``."""
+    a = frozenset(str(e) for e in subset)
+    if not a <= set(lattice.elements):
+        raise MatroidInputError(f"{sorted(a)} is not a subset of the ground set")
+    out = lattice.top
+    for f in lattice.flats:
+        if a <= f and f < out:
+            out = f
+    if not a <= out:
+        raise MatroidInputError(f"no flat contains {sorted(a)}")
+    return out
+
+
+def closure_or_error(closure, lattice, subset):
+    try:
+        return closure(lattice, subset)
+    except MatroidInputError as exc:
+        return str(exc)
+
+
+def assert_same_closures(lattice):
+    """Every subset of the ground set, and one with a foreign element."""
+    subsets = [c for k in range(len(lattice.elements) + 1) for c in combinations(lattice.elements, k)]
+    for subset in subsets + [("x",) + lattice.elements[:1]]:
+        want = closure_or_error(closure_oracle, lattice, subset)
+        assert closure_or_error(GeometricLattice.closure, lattice, subset) == want, subset
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_closure_matches_scan_on_intersection_closed_families(seed):
+    rng = random.Random(seed)
+    for _ in range(150):
+        assert_same_closures(intersection_closed_family(rng))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_intersection_closed_families_match_interval_loop(seed):
     rng = random.Random(seed)
@@ -214,6 +253,19 @@ def test_random_families_match_oracle(lattice):
 
 
 MATROID_FILES = [p for p in sorted(DATA.glob("*.json")) if "format" in json.loads(p.read_text())]
+
+
+@DERANDOMIZED
+@given(families())
+def test_closure_matches_scan_on_random_families(lattice):
+    # most of these families are not meet-closed: the first candidate
+    # strictly inside top is kept, as the scan keeps it
+    assert_same_closures(lattice)
+
+
+def test_closure_matches_scan_on_data_lattices():
+    for path in MATROID_FILES:
+        assert_same_closures(load_matroid(json.loads(path.read_text()), validate=False))
 
 
 @pytest.mark.parametrize("path", MATROID_FILES, ids=lambda p: p.name)

@@ -26,7 +26,7 @@ from matroid_spheres import (
 )
 from matroid_spheres import maps, topology
 from matroid_spheres.maps import CrossSelection, RetractDescriptor, SelectionError
-from matroid_spheres.spheres import selection_polytope
+from matroid_spheres.spheres import _cross_polytope, _vertex_order, selection_polytope
 from conftest import boolean_matroid, cov_leq, select_cross_coatoms_oracle
 
 PAPER_FLAG = [[], ["1"], ["1", "2"], ["1", "2", "3", "4"]]
@@ -286,9 +286,9 @@ def test_equal_selections_share_one_polytope():
 def test_memoized_polytope_matches_fresh_cross_polytope(u24, u34, bool3, n134, fano):
     for lattice, f, g in every_ordered_pair(u24, u34, bool3, n134, fano):
         desc = retraction_map(lattice, f, g)
-        rep_f, coatoms = FlagRepresentation(lattice, f), desc.selection.coatoms
-        fresh = SimplicialComplex(rep_f.cross_polytope([(c,) for c in coatoms]),
-                                  vertex_order=rep_f.vertex_order(coatoms))
+        coatoms = desc.selection.coatoms
+        fresh = SimplicialComplex(_cross_polytope(lattice, [(c,) for c in coatoms]),
+                                  vertex_order=_vertex_order(lattice, coatoms))
         assert desc.polytope == fresh
         assert desc.polytope.vertices == fresh.vertices
 

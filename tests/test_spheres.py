@@ -13,6 +13,7 @@ from matroid_spheres import (
     verify_arrangement,
     verify_geometric,
 )
+from conftest import facet_signs, nerve_oracle, support
 
 
 def rep_for(lattice, chain=None):
@@ -22,6 +23,11 @@ def rep_for(lattice, chain=None):
 
 def flatset(rep, *elements):
     return frozenset(str(e) for e in elements)
+
+
+def met(rep, flat):
+    """The blocks that the vertex mask V_G meets."""
+    return tuple(i for i, (p, m) in enumerate(rep.halves) if rep.masks[flat] & (p | m))
 
 
 # -- coatom partition ---------------------------------------------------------
@@ -145,7 +151,7 @@ def test_sigma_sign_roundtrip(u34):
     rep = rep_for(u34)
     for flat in u34.flats:
         built = rep.build(flat)
-        for face, vec in built.face_signs.items():
+        for face, vec in facet_signs(rep, built.complex).items():
             assert rep.sigma(vec, flat) == face
             assert all(vec[rep.part_of[frozenset(c)]] == (1 if s == "+" else -1) for c, s in face)
 
@@ -153,18 +159,18 @@ def test_sigma_sign_roundtrip(u34):
 def test_sigma_ignores_refinements_outside_support(u34):
     rep = rep_for(u34)
     flat = frozenset({"1", "2"})
-    supp = rep.support(flat)
-    assert supp == (2,)
+    supp = support(rep, flat)
+    assert supp == met(rep, flat) == (2,)
     assert rep.sigma((1, 1, 1), flat) == rep.sigma((0, 0, 1), flat)
     assert rep.sigma((1, -1, 1), flat) == rep.sigma((0, 0, 1), flat)
 
 
 def test_support_examples(u24, u34):
     rep = rep_for(u24)
-    assert rep.support(frozenset({"1"})) == (1,)
-    assert rep.support(u24.bottom) == (0, 1)
+    assert support(rep, frozenset({"1"})) == met(rep, frozenset({"1"})) == (1,)
+    assert support(rep, u24.bottom) == met(rep, u24.bottom) == (0, 1)
     rep34 = rep_for(u34)
-    assert rep34.support(frozenset({"1", "2"})) == (2,)
+    assert support(rep34, frozenset({"1", "2"})) == met(rep34, frozenset({"1", "2"})) == (2,)
 
 
 def test_support_size_is_corank_and_join_criterion(u24, u34, n134, fano):
@@ -172,7 +178,8 @@ def test_support_size_is_corank_and_join_criterion(u24, u34, n134, fano):
         rep = rep_for(lattice)
         flag = rep.flag
         for flat in lattice.flats:
-            supp = rep.support(flat)
+            supp = support(rep, flat)
+            assert supp == met(rep, flat)
             assert len(supp) == lattice.corank(flat)
             for i in range(lattice.r):
                 strictly_grows = lattice.join(flat, flag[i]) < lattice.join(flat, flag[i + 1])
@@ -185,12 +192,13 @@ def test_intersection_of_maximal_faces_is_sigma_of_meet(u24, u34, bool3):
         rep = rep_for(lattice)
         for flat in lattice.flats:
             built = rep.build(flat)
+            signs = facet_signs(rep, built.complex)
             faces = sorted(built.complex.maximal_faces, key=built.complex.face_key)
             for k in range(1, len(faces) + 1):
                 for sub in combinations(faces, k):
                     meet = tuple(
-                        a if len({built.face_signs[f][i] for f in sub}) == 1 else 0
-                        for i, a in enumerate(built.face_signs[sub[0]])
+                        a if len({signs[f][i] for f in sub}) == 1 else 0
+                        for i, a in enumerate(signs[sub[0]])
                     )
                     assert frozenset.intersection(*sub) == rep.sigma(meet, flat)
 
@@ -268,7 +276,7 @@ def test_nerve_iso_every_flat(u24, u34, bool3, n134):
     for lattice in (u24, u34, bool3, n134):
         rep = rep_for(lattice)
         for flat in lattice.flats:
-            assert rep.nerve_matches_cross_polytope(rep.build(flat))
+            assert rep.spheres[flat] and nerve_oracle(rep, rep.build(flat))
 
 
 def test_homology_every_flat(u24, bool3):

@@ -11,7 +11,6 @@ from matroid_spheres import (
     SimplicialComplex,
     all_faces,
     carrier_check,
-    cross_polytope_nerve_iso,
     default_flag,
     dimension,
     is_homology_point,
@@ -21,8 +20,8 @@ from matroid_spheres import (
     z2_free_check,
 )
 from matroid_spheres import topology
-from matroid_spheres.topology import full_simplex, smith_invariant_factors
-from conftest import cross_polytope_boundary, is_homology_sphere, simplex_boundary
+from matroid_spheres.topology import cross_polytope_nerve_iso, full_simplex, smith_invariant_factors
+from conftest import cross_polytope_boundary, facet_signs, is_homology_sphere, simplex_boundary, support
 
 RP2 = SimplicialComplex(
     [[0, 1, 4], [0, 1, 5], [0, 2, 3], [0, 2, 4], [0, 3, 5],
@@ -420,10 +419,10 @@ def test_nerve_iso_u24_and_fano(u24, fano):
     for lattice, d in ((u24, 2), (fano, 3)):
         rep = FlagRepresentation(lattice, default_flag(lattice))
         built = rep.build(lattice.bottom)
-        supp = rep.support(built.flat)
+        supp = support(rep, built.flat)
         signs = {
             f: tuple("+" if v[i] > 0 else "-" for i in supp)
-            for f, v in built.face_signs.items()
+            for f, v in facet_signs(rep, built.complex).items()
         }
         assert cross_polytope_nerve_iso(built.complex, d, signs)
 
