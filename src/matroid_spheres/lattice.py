@@ -56,6 +56,8 @@ class GeometricLattice:
             self.rank_of = {frozenset(f): int(r) for f, r in rank_of.items()}
         self.bottom: frozenset = min(self.flats, key=lambda f: (self.rank_of[f], len(f)))
         self.top: frozenset = max(self.flats, key=lambda f: (self.rank_of[f], len(f)))
+        # the flats strictly inside top, as a bitset over positions in flats
+        self._inside = sum(1 << i for i, f in enumerate(self.flats) if f < self.top)
         self.r: int = self.rank_of[self.top]
         self._atoms = tuple(f for f in self.flats if self.rank_of[f] == self.rank_of[self.bottom] + 1)
         self._coatoms = tuple(f for f in self.flats if self.rank_of[f] == self.r - 1)
@@ -81,11 +83,18 @@ class GeometricLattice:
         return {c: {s: (self.labels[c], s) for s in "+-"} for c in self._coatoms}
 
     def _heights(self) -> dict[frozenset, int]:
-        by_size = sorted(self._flatset, key=len)
-        h: dict[frozenset, int] = {}
-        for f in by_size:
-            below = [h[g] for g in h if g < f]
-            h[f] = max(below) + 1 if below else 0
+        """Each flat's chain height, walking ``flats`` in key order: the
+        flats strictly inside f are the earlier ones holding no element
+        outside f, and levels[k] is the bitset of the flats of height k."""
+        holding, h, levels = self._holding, {}, {}
+        for i, f in enumerate(self.flats):
+            below = (1 << i) - 1
+            for e in self._index.keys() - f:
+                below &= ~holding[e]
+            # levels gains its keys in increasing order, so reversed is highest first
+            k = next((k + 1 for k in reversed(levels) if levels[k] & below), 0)
+            levels[k] = levels.get(k, 0) | 1 << i
+            h[f] = k
         return h
 
     # -- queries -----------------------------------------------------------
@@ -100,11 +109,10 @@ class GeometricLattice:
         return self.r - self.rank(flat)
 
     @cached_property
-    def _holding(self) -> tuple[int, dict[str, int]]:
-        """The flats strictly inside top, and for each element the flats
-        holding it, as bitsets over positions in ``flats``."""
-        inside = sum(1 << i for i, f in enumerate(self.flats) if f < self.top)
-        return inside, {e: sum(1 << i for i, f in enumerate(self.flats) if e in f) for e in self.elements}
+    def _holding(self) -> dict[str, int]:
+        """For each element, the flats holding it, as a bitset over
+        positions in ``flats``."""
+        return {e: sum(1 << i for i, f in enumerate(self.flats) if e in f) for e in self.elements}
 
     def closure(self, subset: Iterable[str]) -> frozenset:
         """Smallest flat containing the subset (exists by meet-closure): the
@@ -112,7 +120,7 @@ class GeometricLattice:
         a = frozenset(str(e) for e in subset)
         if not a <= self._index.keys():
             raise MatroidInputError(f"{sorted(a)} is not a subset of the ground set")
-        found, holding = self._holding
+        found, holding = self._inside, self._holding
         for e in a:
             found &= holding[e]
         if found:

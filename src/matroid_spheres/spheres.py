@@ -10,7 +10,8 @@ simplex, and S_G is its subcomplex induced on V_G, the signed coatoms above
 G.  A join of k spaces ~ S^0 is ~ S^{k-1} (Bjorner, Topological methods,
 1995), so the certificates read int masks over the signed vertices and
 build no S_G beyond S_bottom and the atoms' (``FlagRepresentation.spheres``
-and ``intersection_law_holds``).  ``build`` caches each S_G it makes, and
+and ``intersection_law_holds``), and the change-of-flag cross-polytope by
+the same join test.  ``build`` caches each S_G it makes, and
 ``representation`` keeps one representation per (lattice, flag).
 """
 
@@ -93,9 +94,6 @@ class FlagRepresentation:
     def vertex(self, coatom: frozenset, sign: str) -> Vertex:
         return self.lattice.signed_coatoms[coatom][sign]
 
-    def swap_map(self, complex_: SimplicialComplex) -> dict[Vertex, Vertex]:
-        return {v: swap_sign(v) for v in complex_.vertices}
-
     @cached_property
     def bits(self) -> dict[Vertex, int]:
         """One bit per signed vertex, in the vertex order of every coatom."""
@@ -160,11 +158,18 @@ class FlagRepresentation:
 
     @cached_property
     def join_holds(self) -> bool:
-        """Is S_bottom, as built, the join of each block's + and - simplex?
-        Its maximal faces must be the 2^r unions of one half per block."""
-        faces = {self.mask(f) for f in self.build(self.lattice.bottom).complex.maximal_faces}
-        # with no blocks (r = 0) the join is the empty complex, no face at all
-        return faces == {sum(choice) for choice in product(*self.halves)} - {0}
+        """Is S_bottom, as built, the join of each block's + and - simplex?"""
+        return _is_join(self.build(self.lattice.bottom).complex, self.lattice, self.parts)
+
+    def is_face(self, mask: int) -> bool:
+        """Is the vertex mask a face of the join S_bottom: no block holds both signs?"""
+        return not any(mask & p and mask & m for p, m in self.halves)
+
+    def swap(self, mask: int) -> int:
+        """The vertex mask with every sign swapped: ``bits`` puts each
+        coatom's - vertex just above its + vertex."""
+        plus = sum(p for p, _ in self.halves)
+        return (mask & plus) << 1 | mask >> 1 & plus
 
     def is_sphere(self, mask: int, corank: int) -> bool:
         """Is S_bottom[X] ~ S^{corank-1}, X a vertex mask, given ``join_holds``?
@@ -271,6 +276,24 @@ def selection_polytope(lattice: GeometricLattice, coatoms: frozenset[frozenset])
     return SimplicialComplex(faces, vertex_order=_vertex_order(lattice, coatoms))
 
 
+def _is_join(complex_: SimplicialComplex, lattice: GeometricLattice,
+             blocks: Sequence[Sequence[frozenset]]) -> bool:
+    """Are the maximal faces of the complex, as held, exactly the unions of
+    one signed half per block: the join, over the blocks, of the block's +
+    simplex and its - simplex?  With no blocks that is the empty complex."""
+    return complex_.maximal_faces == set(_cross_polytope(lattice, blocks)) - {frozenset()}
+
+
+@lru_cache(maxsize=topology._HOMOLOGY_MEMO_SIZE)
+def is_cross_polytope(polytope: SimplicialComplex, lattice: GeometricLattice,
+                      coatoms: frozenset[frozenset]) -> bool:
+    """Is the polytope, as held, the join of the pairs {C+}, {C-} over the
+    k coatoms, so ~ S^{k-1}?  Memoized with ``selection_polytope``'s bound
+    and keyed, like it, by the set of coatoms, and by the polytope as held,
+    so a mutant never reads a true complex's verdict."""
+    return _is_join(polytope, lattice, [(c,) for c in coatoms])
+
+
 # -- arrangement-level operations ------------------------------------------------
 
 
@@ -325,8 +348,10 @@ def verify_arrangement(arr: HomotopyArrangement) -> ValidationReport:
     ``is_sphere`` reads the member's vertex mask.  Once each member is its
     S_a, the cover-step table makes every intersection of members the S_H
     of the join H of its atoms, so each S_H is read once from ``spheres``,
-    and the rank-jump law once per cover step.  The free sign-swap action
-    is checked exactly.
+    and the rank-jump law once per cover step.  The sign swap sends each
+    facet of the join to the opposite one, and no face holds both signs of
+    a coatom: a free simplicial involution, which restricts to each member
+    exactly when the member's vertex set is closed under it.
     """
     rep = ValidationReport()
     fr = arr.rep
@@ -339,9 +364,9 @@ def verify_arrangement(arr: HomotopyArrangement) -> ValidationReport:
     rep.add("ambient-sphere", amb_ok, f"expected S^{r - 1} profile")
     rep.add("ambient-nerve", amb_ok)
 
-    members_ok = amb_ok and arr.induced and all(
-        fr.is_sphere(fr.mask(m.complex.vertices), lattice.corank(a)) for a, m in arr.members
-    )
+    held = amb_ok and arr.induced  # then each member is S_bottom on its vertex mask
+    masks = [(a, fr.mask(m.complex.vertices)) for a, m in arr.members] if held else []
+    members_ok = held and all(fr.is_sphere(v, lattice.corank(a)) for a, v in masks)
     rep.add("members-sphere", members_ok, f"each member must be S^{r - 2}")
 
     # every intersection of members is S_H for the join flat H, and a sphere
@@ -349,16 +374,7 @@ def verify_arrangement(arr: HomotopyArrangement) -> ValidationReport:
     rep.add("intersections-are-flats", members_are_atoms and fr.intersection_law_holds())
     rep.add("intersections-sphere", all(sphere[h] for h in lattice.flats if h != lattice.bottom))
 
-    try:
-        free = topology.z2_free_check(amb.complex, fr.swap_map(amb.complex))
-        restricts = all(
-            m.complex.is_empty
-            or topology.z2_free_check(m.complex, fr.swap_map(m.complex))
-            for _, m in arr.members
-        )
-    except ValueError:
-        free = restricts = False
-    rep.add("z2-free", free and restricts)
+    rep.add("z2-free", held and all(fr.swap(v) == v for _, v in masks))
 
     # dimension drop: S_F not inside S_a meets it in S_{F v a}, one rank up
     drop_ok = all(

@@ -1,10 +1,11 @@
 """Generic combinatorial topology: complexes, posets, nerves, exact homology.
 
-A flag's sphere complexes are joins, certified on vertex masks in
-``spheres``; ``cross_polytope_nerve_iso``, a nerve-lemma comparison with a
-cross-polytope, is the tests' oracle for that.  Reduced integer homology
-serves the embedding and retraction checks, the carrier intersections that
-no cheaper certificate holds (below), and the ``homology`` command.  It is computed on the
+A flag's sphere complexes, and the change-of-flag cross-polytope, are
+joins, certified on vertex masks in ``spheres``; ``cross_polytope_nerve_iso``,
+a nerve-lemma comparison with a cross-polytope, is the tests' oracle for
+that.  Reduced integer homology serves the covector order complexes of the
+embedding check, the carrier intersections that no cheaper certificate
+holds (below), and the ``homology`` command.  It is computed on the
 strong-collapse core of a complex: dominated vertices are deleted, working
 on maximal faces only, which is a strong deformation retraction (Barmak and
 Minian, 2012).  The faces of the core then give boundary matrices, reduced
@@ -28,7 +29,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, groupby, product
 from math import gcd
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .report import Record, ValidationReport
 
@@ -140,31 +141,15 @@ class Poset:
 
     Elements are indexed by the size of their masks, a linear extension,
     and the order is kept as bitmask up- and down-sets over those indices:
-    bit j of ``_up[i]`` when element i <= element j.
+    bit j of ``_up[i]`` when element i <= element j.  The order is read off
+    the masks bit by bit, with no pair compared: the elements above x hold
+    every bit of x, the elements below x hold no bit outside it.
     """
 
     __slots__ = ("elements", "_index", "_up", "_down")
 
-    def __init__(self, elements: Sequence[Hashable], leq: Callable[[Hashable, Hashable], bool]):
-        # in a partial order x <= y iff the down-set of x lies in that of y,
-        # so each element's mask is its down-set
+    def __init__(self, elements: Sequence[Hashable], masks: Sequence[int]):
         elements = tuple(elements)
-        below = [sum(1 << j for j, y in enumerate(elements) if leq(y, x)) for x in elements]
-        if any(not mask >> i & 1 for i, mask in enumerate(below)):
-            raise ValueError("order is not reflexive")
-        self._include(elements, below)
-
-    @classmethod
-    def by_inclusion(cls, elements: Sequence[Hashable], masks: Sequence[int]) -> "Poset":
-        """Elements ordered by inclusion of their masks."""
-        poset = cls.__new__(cls)
-        poset._include(tuple(elements), masks)
-        return poset
-
-    def _include(self, elements: tuple, masks: Sequence[int]) -> None:
-        """Read the order off the masks bit by bit, with no pair compared:
-        the elements above x hold every bit of x, the elements below x
-        hold no bit outside it."""
         if len(set(elements)) != len(elements):
             raise ValueError("poset elements must be distinct")
         if len(set(masks)) != len(masks):

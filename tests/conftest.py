@@ -18,6 +18,7 @@ from matroid_spheres import (
     vector_config,
 )
 from matroid_spheres.maps import CrossSelection, SelectionError
+from matroid_spheres.spheres import swap_sign
 from matroid_spheres.topology import cross_polytope_nerve_iso
 
 
@@ -116,6 +117,39 @@ def has_face_oracle(complex_, face):
     return not f or any(f <= m for m in complex_.maximal_faces)
 
 
+def swap_map(complex_):
+    """The sign swap on the complex's vertices, for ``z2_free_check``.
+    Oracle for the swap-closed vertex masks of ``verify_arrangement``."""
+    return {v: swap_sign(v) for v in complex_.vertices}
+
+
+def embedding_face_lines_oracle(emb):
+    """``verify_embedding``'s well-defined, block-signs-agree and
+    covector-flats-into-spheres by building every S_G and scanning its
+    maximal faces, with the signs of each image grouped by block."""
+    rep, cs = emb.rep, emb.cs
+    well = all(rep.build(cs.zero_set(x)).complex.has_face(face) for x, face in emb.images.items())
+    same_sign = True
+    for face in emb.images.values():
+        by_part = {}
+        for v in face:
+            by_part.setdefault(rep.part_of[frozenset(v[0])], set()).add(v[1])
+        same_sign = same_sign and all(len(s) == 1 for s in by_part.values())
+    into = all(rep.build(g).complex.has_face(emb.images[x])
+               for g in emb.lattice.flats for x in emb.delta(g).vertices)
+    return {"well-defined": well, "block-signs-agree": same_sign, "covector-flats-into-spheres": into}
+
+
+def heights_oracle(lattice):
+    """Each flat's chain height, by a scan of every flat already placed, in
+    size order.  Oracle for ``GeometricLattice._heights``."""
+    h = {}
+    for f in sorted(lattice.flats, key=len):
+        below = [h[g] for g in h if g < f]
+        h[f] = max(below) + 1 if below else 0
+    return h
+
+
 def select_cross_coatoms_oracle(rep_f, rep_g):
     """Cross-coatom selection from a dict of every coatom per (F-block,
     G-block) pair, greedy in G-block order with Kuhn's matching on block
@@ -164,10 +198,21 @@ def cov_leq(x, y):
     return all(a == 0 or a == b for a, b in zip(x, y))
 
 
+def poset_by_leq(elements, leq):
+    """The poset of an order given pair by pair: x <= y exactly when the
+    down-set of x lies in that of y, so each element's down-set is its
+    mask.  Reference for the mask order of ``Poset``."""
+    elements = tuple(elements)
+    below = [sum(1 << j for j, y in enumerate(elements) if leq(y, x)) for x in elements]
+    if any(not mask >> i & 1 for i, mask in enumerate(below)):
+        raise ValueError("order is not reflexive")
+    return Poset(elements, below)
+
+
 def delta_complex(covectors):
     """Order complex of sign-vector tuples under the conformal order,
     compared pair by pair.  Oracle for ``Embedding.delta``."""
-    return order_complex(Poset(sorted(covectors), cov_leq))
+    return order_complex(poset_by_leq(sorted(covectors), cov_leq))
 
 
 def boolean_matroid(elements):

@@ -28,7 +28,7 @@ from matroid_spheres import (
 from matroid_spheres.linalg import rank_q
 from matroid_spheres.oriented import Embedding, neg
 from matroid_spheres.topology import _generic_key, _maximal_masks, _vertex_stars, full_simplex
-from conftest import cov_leq, delta_complex
+from conftest import cov_leq, delta_complex, embedding_face_lines_oracle
 
 DERANDOMIZED = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -261,3 +261,28 @@ def test_order_preserving_on_covers_matches_every_pair():
 
     check()
     assert verdicts.count(True) >= 5 and verdicts.count(False) >= 5
+
+
+# -- verify_embedding's face lines on masks against the facet scans ------------------
+
+
+def test_mask_face_lines_match_the_facet_scans():
+    verdicts = []
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(st.data())
+    def check(data):
+        emb = ladder_embedding(data.draw(st.sampled_from(sorted(EMBED_LADDER))))
+        images, _ = data.draw(mutations(emb))
+        mutant = with_images(emb, images)
+        report = verify_embedding(mutant)
+        oracle = embedding_face_lines_oracle(mutant)
+        assert {line: report[line].passed for line in oracle} == oracle
+        verdicts.append(tuple(oracle.values()))
+
+    check()
+    for name in sorted(EMBED_LADDER):
+        assert all(embedding_face_lines_oracle(ladder_embedding(name)).values())
+    # each line both passes and fails on some mutant
+    for i in range(3):
+        assert {v[i] for v in verdicts} == {True, False}

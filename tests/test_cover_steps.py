@@ -28,7 +28,7 @@ from matroid_spheres import (
 from matroid_spheres import topology
 from matroid_spheres.cli import main
 from matroid_spheres.spheres import _cross_polytope, _vertex_order, atom_label, swap_sign
-from conftest import DATA, boolean_matroid, data_matroids, is_homology_sphere, nerve_oracle
+from conftest import DATA, boolean_matroid, data_matroids, is_homology_sphere, nerve_oracle, swap_map
 
 from conftest import FANO_COLUMNS, N134_FLATS
 
@@ -98,9 +98,9 @@ def verify_arrangement_oracle(arr):
     rep.add("intersections-are-flats", law_ok)
     rep.add("intersections-sphere", sphere_ok)
     try:
-        free = topology.z2_free_check(amb.complex, fr.swap_map(amb.complex))
+        free = topology.z2_free_check(amb.complex, swap_map(amb.complex))
         restricts = all(
-            m.complex.is_empty or topology.z2_free_check(m.complex, fr.swap_map(m.complex))
+            m.complex.is_empty or topology.z2_free_check(m.complex, swap_map(m.complex))
             for _, m in arr.members
         )
     except ValueError:
@@ -445,6 +445,35 @@ def test_verify_builds_each_complex_at_most_once(monkeypatch, args):
         assert result.exit_code == 0, result.output
         lattice = data_matroids()[name]
         assert sorted(built, key=lattice.key) == [lattice.bottom, *lattice.atoms()], name
+
+
+def test_member_not_closed_under_the_sign_swap_fails_z2_free():
+    # S_a cut down to V_a without one vertex is still induced in S_bottom,
+    # but the swap no longer maps it to itself
+    lattice = FIXTURES["u34"]
+    rep = FlagRepresentation(lattice, default_flag(lattice))
+    arr = rep.arrangement()
+    (atom, old), rest = arr.members[0], arr.members[1:]
+    ambient = arr.ambient.complex
+    cut = ambient.restrict(set(old.complex.vertices) - {old.complex.vertices[0]})
+    bad = HomotopyArrangement(rep, arr.ambient, ((atom, RepComplex(atom, cut)),) + rest)
+    assert bad.induced
+    report = verify_arrangement(bad)
+    assert not report["z2-free"].passed
+    with pytest.raises(ValueError):  # the oracle's route: not an involution
+        topology.z2_free_check(cut, swap_map(cut))
+    assert verify_arrangement(arr)["z2-free"].passed
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_mask_swap_is_the_sign_swap(name):
+    lattice = FIXTURES[name]
+    rep = FlagRepresentation(lattice, default_flag(lattice))
+    for g in lattice.flats:
+        vertices = rep.build(g).complex.vertices
+        assert rep.swap(rep.mask(vertices)) == rep.mask(map(swap_sign, vertices)) == rep.masks[g]
+        half = vertices[::2]  # each coatom's + vertex: closed under no swap
+        assert rep.swap(rep.mask(half)) == rep.mask(map(swap_sign, half))
 
 
 def test_large_inputs_pass():

@@ -6,7 +6,9 @@ bitset tables.  Reports must agree byte for byte, failure details included.
 ``intervals_oracle`` is the per-interval loop that the three interval
 tables replaced: every interval, as a lattice of its own, must pass
 ``verify_geometric`` without intervals.  ``closure_oracle`` is the scan
-over every flat that ``GeometricLattice.closure``'s bitsets replaced.
+over every flat that ``GeometricLattice.closure``'s bitsets replaced, and
+``heights_oracle`` the scan that ``GeometricLattice._heights``' level
+bitsets replaced.
 """
 
 import json
@@ -26,7 +28,7 @@ from matroid_spheres import (
     verify_geometric,
 )
 from matroid_spheres.report import ValidationReport
-from conftest import boolean_matroid
+from conftest import boolean_matroid, heights_oracle
 
 DATA = Path(__file__).parent / "data"
 DERANDOMIZED = settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -281,6 +283,43 @@ def test_boolean_lattices_match_oracle(n):
 @pytest.mark.parametrize("r, n", [(r, n) for n in range(1, 8) for r in range(1, n + 1)])
 def test_uniform_lattices_match_oracle(r, n):
     assert_same_reports(uniform_matroid(r, n))
+
+
+# -- chain heights by level bitsets against the scan -----------------------------------
+
+
+def assert_same_heights(lattice):
+    """The lattice's flats with no ranks given, so the constructor takes
+    their chain heights."""
+    unranked = GeometricLattice(lattice.elements, lattice.flats)
+    assert unranked.rank_of == heights_oracle(unranked)
+
+
+@pytest.mark.parametrize("path", MATROID_FILES, ids=lambda p: p.name)
+def test_heights_match_scan_on_data_lattices(path):
+    assert_same_heights(load_matroid(json.loads(path.read_text()), validate=False))
+
+
+def test_heights_match_scan_on_boolean_and_uniform_lattices():
+    for n in range(1, 8):
+        if n < 7:
+            assert_same_heights(boolean_matroid([str(i) for i in range(1, n + 1)]))
+        for r in range(1, n + 1):
+            assert_same_heights(uniform_matroid(r, n))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_heights_match_scan_on_intersection_closed_families(seed):
+    rng = random.Random(seed)
+    for _ in range(150):
+        assert_same_heights(intersection_closed_family(rng))
+
+
+@DERANDOMIZED
+@given(families())
+def test_heights_match_scan_on_random_families(lattice):
+    # most are not lattices, nor ranked: heights are defined all the same
+    assert_same_heights(lattice)
 
 
 def family(*flats, ranks=None):

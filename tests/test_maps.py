@@ -7,6 +7,7 @@ from matroid_spheres import (
     FlagRepresentation,
     GeometricLattice,
     MatroidInputError,
+    RepComplex,
     SimplicialComplex,
     all_complete_flags,
     build_embedding,
@@ -22,12 +23,14 @@ from matroid_spheres import (
     underlying_matroid,
     uniform_matroid,
     vector_config,
+    verify_arrangement,
+    verify_embedding,
     verify_retraction,
 )
 from matroid_spheres import maps, topology
 from matroid_spheres.maps import CrossSelection, RetractDescriptor, SelectionError
 from matroid_spheres.spheres import _cross_polytope, _vertex_order, selection_polytope
-from conftest import boolean_matroid, cov_leq, select_cross_coatoms_oracle
+from conftest import boolean_matroid, cov_leq, is_homology_sphere, select_cross_coatoms_oracle
 
 PAPER_FLAG = [[], ["1"], ["1", "2"], ["1", "2", "3", "4"]]
 
@@ -307,7 +310,7 @@ def test_mutant_does_not_poison_the_polytope_memo(u34):
     flags = all_complete_flags(u34)
     desc = retraction_map(u34, flags[0], flags[-1])
     mutated = grown_polytope(desc, False, False)
-    assert failing(mutated) == {"polytope-in-source", "polytope-in-target"}
+    assert failing(mutated) == {"polytope-in-source", "polytope-in-target", "polytope-sphere"}
     again = retraction_map(u34, flags[0], flags[-1])
     assert again.polytope is desc.polytope and again.polytope != mutated.polytope
     assert verify_retraction(again).ok
@@ -337,7 +340,9 @@ def test_memoized_retractions_match_fresh_representations(u34, bool3, fano, monk
 # Each mutation breaks one property of a real descriptor and keeps the
 # others, so exactly the checks named with it must fail.  A polytope facet
 # grown by one vertex from outside the polytope is a cone glued on along a
-# simplex, so the polytope stays a homology sphere.
+# simplex, so the polytope stays a homotopy sphere; it is no longer the
+# cross-polytope, so polytope-sphere, a join test, fails on it: sound, not
+# complete.
 
 
 def failing(desc):
@@ -420,9 +425,11 @@ MUTATIONS = {
     "sign flipped": (flipped_vertex, {"simplicial", "composite-simplicial"}),
     "cross-block image": (cross_block_vertex, {"simplicial", "composite-simplicial"}),
     "facet in neither": (lambda d: grown_polytope(d, False, False),
-                         {"polytope-in-source", "polytope-in-target"}),
-    "facet not in source": (lambda d: grown_polytope(d, False, True), {"polytope-in-source"}),
-    "facet not in target": (lambda d: grown_polytope(d, True, False), {"polytope-in-target"}),
+                         {"polytope-in-source", "polytope-in-target", "polytope-sphere"}),
+    "facet not in source": (lambda d: grown_polytope(d, False, True),
+                            {"polytope-in-source", "polytope-sphere"}),
+    "facet not in target": (lambda d: grown_polytope(d, True, False),
+                            {"polytope-in-target", "polytope-sphere"}),
 }
 
 
@@ -440,7 +447,90 @@ def test_mutated_retraction_fails_its_check(kind, u24, u34, bool3):
                 if mutated is not None:
                     applied += 1
                     assert failing(mutated) == checks, (kind, f.chain, g.chain)
+                    if kind.startswith("facet"):  # the grown polytope is still a sphere
+                        assert is_homology_sphere(mutated.polytope, lattice.r - 1)
     assert applied, kind
+
+
+# -- the sphere lines read the join certificate ---------------------------------------
+
+
+SPHERE_LINES = ("source-sphere", "target-sphere", "polytope-sphere")
+
+
+def test_sphere_lines_match_homology_on_every_pair(u34, bool3, fano):
+    lattices = (u34, bool3, boolean_matroid(["1", "2", "3", "4"]), fano)
+    pairs = 0
+    for lattice in lattices:
+        flags = all_complete_flags(lattice)
+        for f in flags:
+            for g in flags:
+                desc = retraction_map(lattice, f, g)
+                report = verify_retraction(desc)
+                complexes = (desc.source.build(lattice.bottom).complex,
+                             desc.target.build(lattice.bottom).complex, desc.polytope)
+                for line, complex_ in zip(SPHERE_LINES, complexes):
+                    assert report[line].passed is is_homology_sphere(complex_, lattice.r - 1) is True
+                pairs += 1
+    assert pairs == 144 + 36 + 576 + 441
+
+
+def test_poisoned_s0_fails_the_sphere_lines(u34):
+    # a fresh representation whose S_0 lost one facet: as source and target
+    flag = default_flag(u34)
+    rep = FlagRepresentation(u34, flag)
+    s0 = rep.build(u34.bottom).complex
+    dropped = sorted(s0.maximal_faces, key=s0.face_key)[1:]
+    rep._built[u34.bottom] = RepComplex(u34.bottom, SimplicialComplex(dropped, s0.vertices))
+    clean = retraction_map(u34, flag, flag)
+    desc = RetractDescriptor(clean.selection, rep, rep, clean.vertex_map, clean.polytope)
+    assert {"source-sphere", "target-sphere"} <= failing(desc)
+    assert "polytope-sphere" not in failing(desc)
+    assert verify_retraction(clean).ok  # the memoized representation is untouched
+
+
+def test_polytope_with_a_repeated_coatom_fails(u34):
+    flags = all_complete_flags(u34)
+    desc = retraction_map(u34, flags[0], flags[-1])
+    sel = desc.selection
+    repeated = CrossSelection(sel.coatoms[:1] * len(sel.coatoms), sel.f_parts, sel.g_parts)
+    polytope = selection_polytope(u34, frozenset(repeated.coatoms))
+    bad = RetractDescriptor(repeated, desc.source, desc.target, desc.vertex_map, polytope)
+    assert "polytope-sphere" in failing(bad)
+
+
+def test_join_lines_run_no_homology_no_z2_check_and_no_facet_scan(monkeypatch, u34, bool3, u34_vec):
+    # retraction: no homology, not even a memo hit; arrangement: no
+    # z2_free_check; embedding: no S_G built and no facet scanned, past the
+    # representation's own join certificate, which builds S_0 once per
+    # (lattice, flag) and which verify and flags compare share
+    from matroid_spheres import spheres
+
+    def refuse(what):
+        return lambda *a, **k: pytest.fail(what)
+
+    assert not {"reduced_homology", "z2_free_check", "topology"} & set(vars(maps))
+    assert not {"reduced_homology", "z2_free_check"} & set(vars(spheres))
+    emb = build_embedding(covectors_from_vectors(u34_vec))
+    assert emb.rep.join_holds
+    before = topology.reduced_homology.cache_info()
+    with monkeypatch.context() as m:
+        m.setattr(topology, "reduced_homology", refuse("homology computed"))
+        m.setattr(topology, "smith_invariant_factors", refuse("Smith normal form computed"))
+        m.setattr(topology, "z2_free_check", refuse("z2_free_check called"))
+        for lattice in (u34, bool3):
+            flags = all_complete_flags(lattice)
+            for f in flags:
+                assert verify_arrangement(FlagRepresentation(lattice, f).arrangement()).ok
+                for g in flags:
+                    assert verify_retraction(retraction_map(lattice, f, g)).ok
+    after = topology.reduced_homology.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses
+    with monkeypatch.context() as m:
+        m.setattr(FlagRepresentation, "build", refuse("S_G built"))
+        m.setattr(FlagRepresentation, "construct", refuse("S_G built"))
+        m.setattr(SimplicialComplex, "has_face", refuse("facets scanned"))
+        assert verify_embedding(emb).ok
 
 
 # -- weak maps ----------------------------------------------------------------------

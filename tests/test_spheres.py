@@ -13,7 +13,7 @@ from matroid_spheres import (
     verify_arrangement,
     verify_geometric,
 )
-from conftest import facet_signs, nerve_oracle, support
+from conftest import facet_signs, nerve_oracle, support, swap_map
 
 
 def rep_for(lattice, chain=None):
@@ -132,7 +132,7 @@ def test_sign_swap_free_for_every_flag(u24, u34, bool3, n134):
         for flag in all_complete_flags(lattice):
             rep = FlagRepresentation(lattice, flag)
             amb = rep.build(lattice.bottom).complex
-            assert z2_free_check(amb, rep.swap_map(amb))
+            assert z2_free_check(amb, swap_map(amb))
 
 
 # -- sign vectors ---------------------------------------------------------------

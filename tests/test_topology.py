@@ -21,7 +21,9 @@ from matroid_spheres import (
 )
 from matroid_spheres import topology
 from matroid_spheres.topology import cross_polytope_nerve_iso, full_simplex, smith_invariant_factors
-from conftest import cross_polytope_boundary, facet_signs, is_homology_sphere, simplex_boundary, support
+from conftest import (
+    cross_polytope_boundary, facet_signs, is_homology_sphere, poset_by_leq, simplex_boundary, support, swap_map,
+)
 
 RP2 = SimplicialComplex(
     [[0, 1, 4], [0, 1, 5], [0, 2, 3], [0, 2, 4], [0, 3, 5],
@@ -190,7 +192,7 @@ def test_maximal_chains_match_enumeration(family):
         for c in chains
         if not any(set(c) < set(d) for d in chains)
     }
-    got = Poset(elements, lambda a, b: a <= b).maximal_chains()
+    got = poset_by_leq(elements, lambda a, b: a <= b).maximal_chains()
     assert len(got) == len(maximal)
     assert {frozenset(c) for c in got} == maximal
     assert all(all(a < b for a, b in zip(c, c[1:])) for c in got)
@@ -210,8 +212,8 @@ def test_beat_points_imply_homology_point():
         # bitmasks under inclusion, ordered once from the masks and once
         # pair by pair; a beat-point pass on any subset must be a point
         masks, subset = case
-        poset = Poset.by_inclusion(masks, masks)
-        pairwise = Poset(masks, lambda a, b: a & ~b == 0)
+        poset = Poset(masks, masks)
+        pairwise = poset_by_leq(masks, lambda a, b: a & ~b == 0)
         assert sorted(poset.cover_pairs()) == sorted(pairwise.cover_pairs()) == sorted(
             (a, b) for a in masks for b in masks
             if a != b and a & ~b == 0
@@ -229,7 +231,7 @@ def test_beat_points_imply_homology_point():
     assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50
 
 
-CIRCLE = Poset.by_inclusion("abcd", [0b01, 0b10, 0b0111, 0b1011])  # a, b < c, d
+CIRCLE = Poset("abcd", [0b01, 0b10, 0b0111, 0b1011])  # a, b < c, d
 
 
 def test_beat_points_stuck_on_a_circle():
@@ -288,14 +290,14 @@ def test_carrier_check_faces_need_no_homology(monkeypatch):
 
 
 def test_order_complex_of_chain():
-    p = Poset(["a", "b", "c"], lambda x, y: x <= y)
+    p = poset_by_leq(["a", "b", "c"], lambda x, y: x <= y)
     oc = order_complex(p)
     assert oc.maximal_faces == frozenset({frozenset({"a", "b", "c"})})
 
 
 def barycentric_subdivision(complex_):
     """The order complex of the face poset."""
-    return order_complex(Poset(all_faces(complex_), lambda a, b: a <= b))
+    return order_complex(poset_by_leq(all_faces(complex_), lambda a, b: a <= b))
 
 
 def test_order_complex_of_square_boundary_face_poset():
@@ -398,7 +400,7 @@ def test_is_homology_sphere_cases(fano):
 def test_z2_free_check(u24):
     rep = FlagRepresentation(u24, default_flag(u24))
     amb = rep.build(u24.bottom).complex
-    assert z2_free_check(amb, rep.swap_map(amb))
+    assert z2_free_check(amb, swap_map(amb))
     edge = SimplicialComplex([["a", "b"]])
     assert not z2_free_check(edge, {"a": "b", "b": "a"})
     antipodal = {v: (v[0], "-" if v[1] == "+" else "+") for v in OCTAHEDRON.vertices}
