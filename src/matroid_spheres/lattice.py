@@ -82,6 +82,11 @@ class GeometricLattice:
         """Each coatom's signed vertex labels by sign, built once per lattice."""
         return {c: {s: (self.labels[c], s) for s in "+-"} for c in self._coatoms}
 
+    @cached_property
+    def signed_bits(self) -> dict[tuple, int]:
+        """One bit per signed vertex, each coatom's - just above its +, for every flag."""
+        return {v: 1 << i for i, v in enumerate(v for pm in self.signed_coatoms.values() for v in pm.values())}
+
     def _heights(self) -> dict[frozenset, int]:
         """Each flat's chain height, walking ``flats`` in key order: the
         flats strictly inside f are the earlier ones holding no element
@@ -159,7 +164,7 @@ class Flag(Record):
 
     __slots__ = ("chain",)
     def __init__(self, chain: tuple[frozenset, ...]):
-        object.__setattr__(self, "chain", chain)
+        self._set(chain)
 
     def __getitem__(self, i: int) -> frozenset:
         return self.chain[i]

@@ -2,10 +2,11 @@
 
 Two flags on the same matroid induce different sphere complexes on the same
 vertex set; a cross-polytope shared by both supports a simplicial homotopy
-equivalence between them; each is certified a sphere by the join test of
-``spheres``, with no homology.  Weak maps are decided by comparing ranks
-on the flats of the source, and the representation-level obstruction is
-found by exhaustive search over sign-preserving vertex assignments.
+equivalence between them.  Each is certified a sphere by the join test of
+``spheres``, with no homology, and the retraction's face lines are compares
+of int vertex masks.  Weak maps are decided by comparing ranks on the flats
+of the source, and the representation-level obstruction is found by
+exhaustive search over sign-preserving vertex assignments.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from typing import Mapping
 
 from .lattice import Flag, GeometricLattice, MatroidInputError, make_flag
 from .report import Record, ValidationReport
-from .spheres import FlagRepresentation, Vertex, is_cross_polytope, representation, selection_polytope
+from .spheres import (SIGNS, FlagRepresentation, Vertex, _unions, is_cross_polytope, polytope_masks,
+                      representation, selection_polytope)
 from .topology import SimplicialComplex
 
 
@@ -31,9 +33,7 @@ class CrossSelection(Record):
     __slots__ = ("coatoms", "f_parts", "g_parts")
     def __init__(self, coatoms: tuple[frozenset, ...], f_parts: tuple[int, ...],
                  g_parts: tuple[int, ...]):
-        object.__setattr__(self, "coatoms", coatoms)
-        object.__setattr__(self, "f_parts", f_parts)
-        object.__setattr__(self, "g_parts", g_parts)
+        self._set(coatoms, f_parts, g_parts)
 
     def distinct(self) -> bool:
         return (
@@ -84,11 +84,7 @@ class RetractDescriptor(Record):
     def __init__(self, selection: CrossSelection, source: FlagRepresentation,
                  target: FlagRepresentation, vertex_map: Mapping[Vertex, Vertex],
                  polytope: SimplicialComplex):
-        object.__setattr__(self, "selection", selection)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "vertex_map", vertex_map)
-        object.__setattr__(self, "polytope", polytope)
+        self._set(selection, source, target, vertex_map, polytope)
 
 
 def retraction_map(
@@ -117,26 +113,32 @@ def verify_retraction(desc: RetractDescriptor) -> ValidationReport:
     S_0, as built, must be the join of its r nonempty blocks' simplices
     (``join_holds``, so ~ S^{r-1}), and the polytope, as held, that of the
     r pairs {C+}, {C-} over the selected coatoms (``is_cross_polytope``).
-    Both verdicts are memoized, so the pairs of a matroid compute each once.
-    Each facet of S_0 is mapped once, its image checked against both targets.
+    The face lines compare int vertex masks.  Given the join, a facet of
+    S_0 is one signed half per block, so each half is mapped once and the
+    images are their unions, and a face is a set in which no block holds
+    both signs (``are_faces``); an S_0 that is not the join fails them.
+    The polytope is tested as held (``polytope_masks``), so a facet grown
+    by a vertex still holds the image of the facet it grew from.  Verdicts
+    and tables are memoized, so the pairs of a matroid compute each once.
     """
     rep = ValidationReport()
-    lattice = desc.source.lattice
-    s_f = desc.source.build(lattice.bottom).complex
-    s_g = desc.target.build(lattice.bottom).complex
-
+    source, target, vmap = desc.source, desc.target, desc.vertex_map
+    lattice, labels = source.lattice, source.lattice.signed_coatoms
+    s_f = source.build(lattice.bottom).complex
+    polytope = polytope_masks(desc.polytope, lattice)
+    if source.join_holds:
+        halves = [[source.mask({vmap[labels[c][s]] for c in block}) for s in SIGNS] for block in source.parts]
+        images = frozenset(_unions(halves))
+    else:
+        images = frozenset(source.mask({vmap[v] for v in m}) for m in s_f.maximal_faces)
     rep.add("selection-distinct", desc.selection.distinct())
-    rep.add("polytope-in-source", desc.polytope.is_subcomplex_of(s_f))
-    rep.add("polytope-in-target", desc.polytope.is_subcomplex_of(s_g))
-    images = [frozenset(map(desc.vertex_map.__getitem__, m)) for m in s_f.maximal_faces]
-    rep.add("simplicial", all(map(desc.polytope.has_face, images)))
-    idempotent = all(
-        desc.vertex_map[desc.vertex_map[v]] == desc.vertex_map[v] for v in s_f.vertices
-    )
-    rep.add("idempotent", idempotent)
-    rep.add("composite-simplicial", all(map(s_g.has_face, images)))
-    rep.add("source-sphere", desc.source.join_holds)
-    rep.add("target-sphere", desc.target.join_holds)
+    rep.add("polytope-in-source", source.are_faces(polytope))
+    rep.add("polytope-in-target", target.are_faces(polytope))
+    rep.add("simplicial", all(any(i & m == i for m in polytope) for i in images - polytope))
+    rep.add("idempotent", all(vmap[vmap[v]] == vmap[v] for v in s_f.vertices))
+    rep.add("composite-simplicial", target.are_faces(images))
+    rep.add("source-sphere", source.join_holds)
+    rep.add("target-sphere", target.join_holds)
     coatoms = frozenset(desc.selection.coatoms)
     polytope_ok = len(coatoms) == lattice.r and is_cross_polytope(desc.polytope, lattice, coatoms)
     rep.add("polytope-sphere", polytope_ok)
@@ -149,8 +151,7 @@ def verify_retraction(desc: RetractDescriptor) -> ValidationReport:
 class WeakMapReport(Record):
     __slots__ = ("verdict", "witnesses")
     def __init__(self, verdict: bool, witnesses: tuple = ()):
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "witnesses", witnesses)
+        self._set(verdict, witnesses)
 
 
 def is_weak_map_matroid(m: GeometricLattice, n: GeometricLattice) -> WeakMapReport:
@@ -179,12 +180,7 @@ class SearchResult(Record):
     def __init__(self, found: bool, vertex_map: Mapping[Vertex, Vertex] | None,
                  obstruction: tuple | None,  # (face, forced images, reason)
                  obstructions: tuple = (), nodes: int = 0, reason: str = ""):
-        object.__setattr__(self, "found", found)
-        object.__setattr__(self, "vertex_map", vertex_map)
-        object.__setattr__(self, "obstruction", obstruction)
-        object.__setattr__(self, "obstructions", obstructions)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "reason", reason)
+        self._set(found, vertex_map, obstruction, obstructions, nodes, reason)
 
 
 class SearchCapExceeded(RuntimeError):

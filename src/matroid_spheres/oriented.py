@@ -67,8 +67,7 @@ class VectorConfig(Record):
 
     __slots__ = ("elements", "columns")
     def __init__(self, elements: tuple[str, ...], columns: tuple[tuple[Fraction, ...], ...]):
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "columns", columns)
+        self._set(elements, columns)
 
     @property
     def dimension(self) -> int:
@@ -95,9 +94,7 @@ class CovectorSet(Record):
 
     __slots__ = ("elements", "covectors", "cocircuits", "__dict__")
     def __init__(self, elements: tuple[str, ...], covectors: frozenset, cocircuits: frozenset):
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "covectors", covectors)
-        object.__setattr__(self, "cocircuits", cocircuits)
+        self._set(elements, covectors, cocircuits)
 
     @property
     def zero(self) -> Covector:
@@ -214,11 +211,7 @@ class Embedding(Record):
     __slots__ = ("cs", "lattice", "flag", "rep", "pivots", "__dict__")
     def __init__(self, cs: CovectorSet, lattice: GeometricLattice, flag: Flag,
                  rep: FlagRepresentation, pivots: tuple[str, ...]):
-        object.__setattr__(self, "cs", cs)
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "flag", flag)
-        object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "pivots", pivots)
+        self._set(cs, lattice, flag, rep, pivots)
         vars(self).update(_posets={}, _deltas={})  # caches, not fields
 
     @property

@@ -6,13 +6,19 @@ from __future__ import annotations
 class Record:
     """Value record over its subclass's ``__slots__`` fields: equal and hashed by
     type and fields, with a dataclass-style repr, and frozen once ``__init__`` has
-    set the fields by ``object.__setattr__``.  The package defines no dataclasses:
-    their decorator compiles about six methods per class in every CLI start-up."""
+    set the fields by ``_set``.  The package defines no dataclasses: their
+    decorator compiles about six methods per class in every CLI start-up."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
+        cls._setters = tuple(vars(cls)[f].__set__ for f in cls._fields)
+
+    def _set(self, *values) -> None:
+        """Set the fields in order by their slot descriptors, past ``__setattr__``."""
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)
@@ -36,13 +42,19 @@ class Record:
 class CheckResult(Record):
     __slots__ = ("name", "passed", "detail")
     def __init__(self, name: str, passed: bool, detail: str = ""):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
+        # one record per report line: the slot setters called directly, as ``_set``'s
+        # loop about doubles the cost of a record, and a flag pair builds nine
+        _set_name(self, name)
+        _set_passed(self, passed)
+        _set_detail(self, detail)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{self.name}: {status}" + (f" ({self.detail})" if self.detail else "")
+
+
+# the unpack fails at import if ``CheckResult`` gains a field, so none is left unset
+_set_name, _set_passed, _set_detail = CheckResult._setters
 
 
 class ValidationReport(Record):
@@ -59,8 +71,8 @@ class ValidationReport(Record):
         self.checks.append(CheckResult(name, bool(passed), detail))
 
     def extend(self, other: "ValidationReport", prefix: str = "") -> None:
-        for c in other.checks:
-            self.checks.append(CheckResult(prefix + c.name, c.passed, c.detail))
+        for c in tuple(other.checks):  # a copy, so ``report.extend(report)`` ends
+            self.add(prefix + c.name, c.passed, c.detail)
 
     @property
     def ok(self) -> bool:

@@ -18,7 +18,6 @@ the same join test.  ``build`` caches each S_G it makes, and
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, reduce
-from itertools import product
 from operator import and_
 from typing import Iterable, Sequence
 
@@ -32,17 +31,12 @@ Vertex = tuple[tuple[str, ...], str]  # (coatom elements in ground order, sign)
 SIGNS = ("+", "-")
 
 
-def swap_sign(v: Vertex) -> Vertex:
-    return (v[0], "-" if v[1] == "+" else "+")
-
-
 class RepComplex(Record):
     """The complex S_G for one flat."""
 
     __slots__ = ("flat", "complex")
     def __init__(self, flat: frozenset, complex: SimplicialComplex):
-        object.__setattr__(self, "flat", flat)
-        object.__setattr__(self, "complex", complex)
+        self._set(flat, complex)
 
 
 class HomotopyArrangement(Record):
@@ -51,9 +45,7 @@ class HomotopyArrangement(Record):
     __slots__ = ("rep", "ambient", "members", "__dict__")
     def __init__(self, rep: FlagRepresentation, ambient: RepComplex,
                  members: tuple[tuple[frozenset, RepComplex], ...]):  # (atom, S_atom)
-        object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "members", members)
+        self._set(rep, ambient, members)
 
     @cached_property
     def induced(self) -> bool:
@@ -94,15 +86,9 @@ class FlagRepresentation:
     def vertex(self, coatom: frozenset, sign: str) -> Vertex:
         return self.lattice.signed_coatoms[coatom][sign]
 
-    @cached_property
-    def bits(self) -> dict[Vertex, int]:
-        """One bit per signed vertex, in the vertex order of every coatom."""
-        return {v: 1 << i for i, v in enumerate(_vertex_order(self.lattice, self.lattice.coatoms()))}
-
     def mask(self, vertices: Iterable[Vertex]) -> int:
-        """A set of signed vertices as an int mask."""
-        bits = self.bits
-        return sum(bits[v] for v in vertices)
+        """A set of signed vertices as an int mask, by the lattice's ``signed_bits``."""
+        return sum(map(self.lattice.signed_bits.__getitem__, vertices))
 
     # -- construction ----------------------------------------------------------
 
@@ -112,8 +98,10 @@ class FlagRepresentation:
         return tuple(tuple(c for c in block if c in coat) for block in self.parts)
 
     def sigma(self, vector: tuple[int, ...], flat: frozenset) -> frozenset:
-        """The face of S_G selected by a sign vector over the blocks."""
-        return _union(vector, _signed_blocks(self.lattice, self._blocks_over(flat)))
+        """The face of S_G selected by a sign vector over the blocks: block
+        i's coatoms above G signed by vector[i], blocks with 0 left out."""
+        labels = self.lattice.signed_coatoms
+        return frozenset(labels[c][SIGNS[s < 0]] for s, b in zip(vector, self._blocks_over(flat)) if s for c in b)
 
     def build(self, flat: frozenset) -> RepComplex:
         """S_G, constructed on the first call for a flat and cached."""
@@ -134,16 +122,27 @@ class FlagRepresentation:
 
     @cached_property
     def cover_steps(self) -> tuple[tuple[frozenset, frozenset, frozenset], ...]:
-        """Every (F, a, F v a) with F a flat and a an atom, in flat order."""
+        """Every (F, a, F v a), F a flat and a an atom, in flat order.  F v a is
+        F when a <= F, else, as in ``closure``, the first flat inside top in the
+        AND of the ``_holding`` bitsets of F's and a's elements, else top."""
         lattice = self.lattice
-        return tuple((f, a, lattice.join(f, a)) for f in lattice.flats for a in lattice.atoms())
+        flats, atoms, holding, inside = lattice.flats, lattice.atoms(), lattice._holding, lattice._inside
+        atom_ups = [reduce(and_, map(holding.__getitem__, a), inside) for a in atoms]
+        steps = []
+        for f in flats:
+            f_up = reduce(and_, map(holding.__getitem__, f), inside)
+            for a, a_up in zip(atoms, atom_ups):
+                x = f_up & a_up
+                steps.append((f, a, f if a <= f else flats[(x & -x).bit_length() - 1] if x else lattice.top))
+        return tuple(steps)
 
     # -- certificates on vertex masks ----------------------------------------------
 
     @cached_property
     def halves(self) -> tuple[tuple[int, int], ...]:
         """Each block's coatoms signed + and signed -, as two vertex masks."""
-        return tuple(tuple(map(self.mask, pm)) for pm in _signed_blocks(self.lattice, self.parts))
+        labels, bits = self.lattice.signed_coatoms, self.lattice.signed_bits
+        return tuple(tuple(sum(bits[labels[c][s]] for c in block) for s in SIGNS) for block in self.parts)
 
     @cached_property
     def masks(self) -> dict[frozenset, int]:
@@ -153,21 +152,39 @@ class FlagRepresentation:
         for c, pm in self.lattice.signed_coatoms.items():
             for e in c:
                 holding[e] |= self.mask(pm.values())
-        every = sum(self.bits.values())
+        every = (1 << len(self.lattice.signed_bits)) - 1
         return {g: reduce(and_, map(holding.__getitem__, g), every) for g in self.lattice.flats}
 
     @cached_property
     def join_holds(self) -> bool:
-        """Is S_bottom, as built, the join of each block's + and - simplex?"""
-        return _is_join(self.build(self.lattice.bottom).complex, self.lattice, self.parts)
+        """Is S_bottom, as built, the join of each block's + and - simplex:
+        are its facets exactly the unions of one signed half per block?"""
+        faces = set(_cross_polytope(self.lattice, self.parts)) - {frozenset()}  # none for r = 0
+        return self.build(self.lattice.bottom).complex.maximal_faces == faces
+
+    @cached_property
+    def facet_masks(self) -> frozenset[int]:
+        """The facets of S_bottom as vertex masks, given ``join_holds``: the
+        2^r unions of one of ``halves`` per block; empty otherwise."""
+        return frozenset(_unions(self.halves)) if self.join_holds else frozenset()
 
     def is_face(self, mask: int) -> bool:
         """Is the vertex mask a face of the join S_bottom: no block holds both signs?"""
         return not any(mask & p and mask & m for p, m in self.halves)
 
+    def are_faces(self, masks: frozenset[int]) -> bool:
+        """Is every vertex mask a face of S_bottom, given ``join_holds``: all
+        facets, by one whole-set compare, or else no bit above the signed
+        coatoms' (``polytope_masks``) and no block holding both signs?  The
+        compare is the common case, and much cheaper than the block scan."""
+        if masks <= self.facet_masks:
+            return True
+        return self.join_holds and not max(masks) >> len(self.lattice.signed_bits) and not any(
+            x & p and x & m for x in masks for p, m in self.halves)
+
     def swap(self, mask: int) -> int:
-        """The vertex mask with every sign swapped: ``bits`` puts each
-        coatom's - vertex just above its + vertex."""
+        """The vertex mask with every sign swapped: ``signed_bits`` puts
+        each coatom's - vertex just above its + vertex."""
         plus = sum(p for p, _ in self.halves)
         return (mask & plus) << 1 | mask >> 1 & plus
 
@@ -243,15 +260,12 @@ def _vertex_order(lattice: GeometricLattice, coatoms: Iterable[frozenset]) -> li
     return [v for c, pm in signed if c in chosen for v in pm.values()]
 
 
-def _signed_blocks(lattice: GeometricLattice, blocks: Sequence[Sequence[frozenset]]) -> list[tuple[frozenset, ...]]:
-    """Each block's coatoms signed + and signed -, as two vertex sets."""
-    labels = lattice.signed_coatoms
-    return [tuple(frozenset(labels[c][s] for c in b) for s in SIGNS) for b in blocks]
-
-
-def _union(vector: Sequence[int], signed: Sequence[tuple[frozenset, ...]]) -> frozenset:
-    """The union of block i's set signed by vector[i]; blocks with 0 left out."""
-    return frozenset().union(*[pm[0] if s > 0 else pm[1] for s, pm in zip(vector, signed) if s])
+def _unions(pairs: Iterable[Sequence], empty=0) -> list:
+    """Every union of one set or mask from each pair, in ``product`` order."""
+    out = [empty]
+    for pm in pairs:
+        out = [x | h for x in out for h in pm]
+    return out
 
 
 def _cross_polytope(lattice: GeometricLattice, blocks: Sequence[Sequence[frozenset]]) -> list[frozenset]:
@@ -259,8 +273,8 @@ def _cross_polytope(lattice: GeometricLattice, blocks: Sequence[Sequence[frozens
     block's coatoms with its sign, each a union of per-block vertex sets
     built once.  With one coatom per block this is the boundary of a
     cross-polytope; with the blocks over a flat it is S_G."""
-    signed = _signed_blocks(lattice, blocks)
-    return [_union(vec, signed) for vec in product(*[(1, -1) if b else (0,) for b in blocks])]
+    labels = lattice.signed_coatoms
+    return _unions([[frozenset(labels[c][s] for c in b) for s in SIGNS] for b in blocks if b], frozenset())
 
 
 @lru_cache(maxsize=topology._HOMOLOGY_MEMO_SIZE)
@@ -276,22 +290,29 @@ def selection_polytope(lattice: GeometricLattice, coatoms: frozenset[frozenset])
     return SimplicialComplex(faces, vertex_order=_vertex_order(lattice, coatoms))
 
 
-def _is_join(complex_: SimplicialComplex, lattice: GeometricLattice,
-             blocks: Sequence[Sequence[frozenset]]) -> bool:
-    """Are the maximal faces of the complex, as held, exactly the unions of
-    one signed half per block: the join, over the blocks, of the block's +
-    simplex and its - simplex?  With no blocks that is the empty complex."""
-    return complex_.maximal_faces == set(_cross_polytope(lattice, blocks)) - {frozenset()}
+@lru_cache(maxsize=topology._HOMOLOGY_MEMO_SIZE)
+def polytope_masks(polytope: SimplicialComplex, lattice: GeometricLattice) -> frozenset[int]:
+    """The polytope's facets, as held, as vertex masks, memoized with
+    ``selection_polytope``'s bound and keyed by the polytope as held.  A
+    vertex that is no signed coatom takes a bit above them all, which keeps
+    subset order and fails ``are_faces``."""
+    bits = dict(lattice.signed_bits)
+    for v in polytope.vertices:
+        bits.setdefault(v, 1 << len(bits))
+    return frozenset(sum(map(bits.__getitem__, m)) for m in polytope.maximal_faces)
 
 
 @lru_cache(maxsize=topology._HOMOLOGY_MEMO_SIZE)
 def is_cross_polytope(polytope: SimplicialComplex, lattice: GeometricLattice,
                       coatoms: frozenset[frozenset]) -> bool:
     """Is the polytope, as held, the join of the pairs {C+}, {C-} over the
-    k coatoms, so ~ S^{k-1}?  Memoized with ``selection_polytope``'s bound
-    and keyed, like it, by the set of coatoms, and by the polytope as held,
-    so a mutant never reads a true complex's verdict."""
-    return _is_join(polytope, lattice, [(c,) for c in coatoms])
+    k coatoms, so ~ S^{k-1}: are its facet masks the 2^k sign choices?
+    Memoized with ``selection_polytope``'s bound and keyed, like it, by the
+    set of coatoms, and by the polytope as held, so a mutant never reads a
+    true complex's verdict."""
+    labels, bits = lattice.signed_coatoms, lattice.signed_bits
+    choices = _unions([[bits[labels[c][s]] for s in SIGNS] for c in coatoms])
+    return polytope_masks(polytope, lattice) == set(choices) - {0}
 
 
 # -- arrangement-level operations ------------------------------------------------

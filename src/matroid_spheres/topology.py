@@ -93,9 +93,6 @@ class SimplicialComplex:
         f = frozenset(face)
         return not f or f in self.maximal_faces or any(f <= m for m in self.maximal_faces)
 
-    def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
-        return all(other.has_face(m) for m in self.maximal_faces)
-
     def intersection(self, other: "SimplicialComplex") -> "SimplicialComplex":
         """Complex of faces common to both (generated by pairwise meets)."""
         pieces = {a & b for a in self.maximal_faces for b in other.maximal_faces}
@@ -266,7 +263,7 @@ class HomologyProfile(Record):
 
     __slots__ = ("dims",)
     def __init__(self, dims: tuple[tuple[int, tuple[int, ...]], ...]):  # indexed by dimension
-        object.__setattr__(self, "dims", dims)
+        self._set(dims)
 
     def betti(self, d: int) -> int:
         return self.dims[d][0] if 0 <= d < len(self.dims) else 0
@@ -529,9 +526,7 @@ class CoverFamily(Record):
     __slots__ = ("ambient", "members", "poset")
     def __init__(self, ambient: SimplicialComplex,
                  members: tuple[tuple[Hashable, frozenset], ...], poset: Poset | None = None):
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "poset", poset)
+        self._set(ambient, members, poset)
 
     def covers_ambient(self) -> bool:
         """Does every maximal face of the ambient lie in some member set?"""

@@ -18,7 +18,6 @@ from matroid_spheres import (
     vector_config,
 )
 from matroid_spheres.maps import CrossSelection, SelectionError
-from matroid_spheres.spheres import swap_sign
 from matroid_spheres.topology import cross_polytope_nerve_iso
 
 
@@ -115,6 +114,36 @@ def has_face_oracle(complex_, face):
     Oracle for ``SimplicialComplex.has_face``."""
     f = frozenset(face)
     return not f or any(f <= m for m in complex_.maximal_faces)
+
+
+def is_subcomplex_of(complex_, other):
+    """Is every maximal face of the complex a face of the other?"""
+    return all(other.has_face(m) for m in complex_.maximal_faces)
+
+
+def retraction_face_lines_oracle(desc):
+    """``verify_retraction``'s polytope-in-source, polytope-in-target,
+    simplicial and composite-simplicial by ``has_face`` on the complexes as
+    held, each facet of S_0 mapped vertex by vertex."""
+    lattice = desc.source.lattice
+    s_f = desc.source.build(lattice.bottom).complex
+    s_g = desc.target.build(lattice.bottom).complex
+    images = [frozenset(map(desc.vertex_map.__getitem__, m)) for m in s_f.maximal_faces]
+    return {"polytope-in-source": is_subcomplex_of(desc.polytope, s_f),
+            "polytope-in-target": is_subcomplex_of(desc.polytope, s_g),
+            "simplicial": all(map(desc.polytope.has_face, images)),
+            "composite-simplicial": all(map(s_g.has_face, images))}
+
+
+def cover_steps_oracle(lattice):
+    """Every (F, a, F v a) in flat order, each join by ``closure``.
+    Oracle for ``FlagRepresentation.cover_steps``."""
+    return tuple((f, a, lattice.join(f, a)) for f in lattice.flats for a in lattice.atoms())
+
+
+def swap_sign(v):
+    """The signed vertex with its sign swapped."""
+    return (v[0], "-" if v[1] == "+" else "+")
 
 
 def swap_map(complex_):

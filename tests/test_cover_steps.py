@@ -27,8 +27,17 @@ from matroid_spheres import (
 )
 from matroid_spheres import topology
 from matroid_spheres.cli import main
-from matroid_spheres.spheres import _cross_polytope, _vertex_order, atom_label, swap_sign
-from conftest import DATA, boolean_matroid, data_matroids, is_homology_sphere, nerve_oracle, swap_map
+from matroid_spheres.spheres import _cross_polytope, _vertex_order, atom_label
+from conftest import (
+    DATA,
+    boolean_matroid,
+    cover_steps_oracle,
+    data_matroids,
+    is_homology_sphere,
+    nerve_oracle,
+    swap_map,
+    swap_sign,
+)
 
 from conftest import FANO_COLUMNS, N134_FLATS
 
@@ -384,6 +393,21 @@ def test_cover_steps_are_every_flat_and_atom():
     steps = rep.cover_steps
     assert len(steps) == len(lattice.flats) * len(lattice.atoms())
     assert all(fa == lattice.join(f, a) for f, a, fa in steps)
+
+
+COVER_STEP_LATTICES = {
+    **data_matroids(),
+    **{f"B_{n}": boolean_matroid([str(i) for i in range(1, n + 1)]) for n in range(1, 7)},
+    **{f"U({r},{n})": uniform_matroid(r, n) for n in range(1, 8) for r in range(1, n + 1)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(COVER_STEP_LATTICES))
+def test_cover_steps_match_the_closure_oracle(name):
+    # each join read off the AND of the flats holding F and a, against one
+    # closure per (F, a)
+    lattice = COVER_STEP_LATTICES[name]
+    assert FlagRepresentation(lattice, default_flag(lattice)).cover_steps == cover_steps_oracle(lattice)
 
 
 def test_intersection_law_verdict_is_cached():

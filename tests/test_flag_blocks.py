@@ -22,7 +22,7 @@ from matroid_spheres import (
     all_complete_flags,
     default_flag,
 )
-from matroid_spheres.spheres import SIGNS, _cross_polytope, _vertex_order, atom_label, swap_sign
+from matroid_spheres.spheres import SIGNS, _cross_polytope, _vertex_order, atom_label
 from conftest import (
     blocks_oracle,
     boolean_matroid,
@@ -30,6 +30,7 @@ from conftest import (
     data_matroids,
     face_oracle,
     has_face_oracle,
+    swap_sign,
 )
 
 
@@ -86,6 +87,22 @@ def test_signed_vertices_are_per_lattice_labels(lattices):
                 assert _vertex_order(lattice, sub) == want, (name, k)
         for a in lattice.atoms():
             assert atom_label(lattice, a) == ",".join(lattice.sorted_elements(a))
+
+
+def test_signed_bits_halves_and_facet_masks_match_the_built_s_0(lattices):
+    # one bit table per lattice, in the vertex order of every coatom; each
+    # block's two halves and the facet masks of S_0 read it, vertex by vertex
+    for name, lattice, rep in every_flag(lattices):
+        order = _vertex_order(lattice, lattice.coatoms())
+        assert lattice.signed_bits == {v: 1 << i for i, v in enumerate(order)}
+        assert rep.halves == tuple(
+            tuple(rep.mask(frozenset(rep.vertex(c, s) for c in block)) for s in SIGNS)
+            for block in rep.parts)
+        s0 = rep.build(lattice.bottom).complex
+        assert rep.join_holds
+        assert rep.facet_masks == frozenset(map(rep.mask, s0.maximal_faces)), name
+        assert all(rep.is_face(rep.mask(f)) == has_face_oracle(s0, f)
+                   for k in (1, 2, 3) for f in combinations(s0.vertices, k)), name
 
 
 def test_built_complexes_keep_vertex_order(lattices):

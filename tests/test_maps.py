@@ -29,8 +29,15 @@ from matroid_spheres import (
 )
 from matroid_spheres import maps, topology
 from matroid_spheres.maps import CrossSelection, RetractDescriptor, SelectionError
-from matroid_spheres.spheres import _cross_polytope, _vertex_order, selection_polytope
-from conftest import boolean_matroid, cov_leq, is_homology_sphere, select_cross_coatoms_oracle
+from matroid_spheres.report import CheckResult, ValidationReport
+from matroid_spheres.spheres import _cross_polytope, _vertex_order, polytope_masks, selection_polytope
+from conftest import (
+    boolean_matroid,
+    cov_leq,
+    is_homology_sphere,
+    retraction_face_lines_oracle,
+    select_cross_coatoms_oracle,
+)
 
 PAPER_FLAG = [[], ["1"], ["1", "2"], ["1", "2", "3", "4"]]
 
@@ -298,12 +305,13 @@ def test_memoized_polytope_matches_fresh_cross_polytope(u24, u34, bool3, n134, f
 
 def test_polytope_memo_is_bounded():
     bound = topology._HOMOLOGY_MEMO_SIZE
-    assert selection_polytope.cache_info().maxsize == bound
+    assert selection_polytope.cache_info().maxsize == polytope_masks.cache_info().maxsize == bound
     for _ in range(bound + 10):  # each lattice is a new key
         lattice = uniform_matroid(2, 3)
         flag = default_flag(lattice)
-        assert retraction_map(lattice, flag, flag).polytope.vertices
-    assert selection_polytope.cache_info().currsize == bound
+        desc = retraction_map(lattice, flag, flag)
+        assert desc.polytope.vertices and verify_retraction(desc).ok
+    assert selection_polytope.cache_info().currsize == polytope_masks.cache_info().currsize == bound
 
 
 def test_mutant_does_not_poison_the_polytope_memo(u34):
@@ -450,6 +458,153 @@ def test_mutated_retraction_fails_its_check(kind, u24, u34, bool3):
                     if kind.startswith("facet"):  # the grown polytope is still a sphere
                         assert is_homology_sphere(mutated.polytope, lattice.r - 1)
     assert applied, kind
+
+
+# -- the face lines compare int masks ------------------------------------------------
+#
+# ``retraction_face_lines_oracle`` reads the face lines by ``has_face`` on
+# the complexes as held, each facet of S_0 mapped vertex by vertex.  Where
+# S_0 is the join the two agree; where it is not, the mask lines fail, as a
+# line that reads an uncertified S_0 must.
+
+
+FACE_LINES = ("polytope-in-source", "polytope-in-target", "simplicial", "composite-simplicial")
+
+
+def face_lines(desc):
+    report = verify_retraction(desc)
+    return {line: report[line].passed for line in FACE_LINES}
+
+
+def test_face_lines_match_the_has_face_oracle_on_every_pair(u34, bool3, fano):
+    pairs = 0
+    for lattice in (u34, bool3, boolean_matroid(["1", "2", "3", "4"]), fano):
+        flags = all_complete_flags(lattice)
+        for f in flags:
+            for g in flags:
+                desc = retraction_map(lattice, f, g)
+                assert face_lines(desc) == retraction_face_lines_oracle(desc), (f.chain, g.chain)
+                assert verify_retraction(desc).ok
+                pairs += 1
+    assert pairs == 1197
+
+
+def every_mutant(lattices):
+    """Every applicable ``MUTATIONS`` entry on every ordered flag pair."""
+    for lattice in lattices:
+        flags = all_complete_flags(lattice)
+        for f in flags:
+            for g in flags:
+                desc = retraction_map(lattice, f, g)
+                for kind, (mutate, _) in sorted(MUTATIONS.items()):
+                    mutated = mutate(desc)
+                    if mutated is not None:
+                        yield kind, mutated
+
+
+def test_face_lines_match_the_has_face_oracle_on_every_mutant(u24, u34, bool3):
+    kinds = set()
+    for kind, mutated in every_mutant((u24, u34, bool3)):
+        assert face_lines(mutated) == retraction_face_lines_oracle(mutated), kind
+        kinds.add(kind)
+    assert kinds == set(MUTATIONS)
+
+
+def poisoned(lattice, flag, facets):
+    """A fresh representation of the flag whose S_0 holds the given facets."""
+    rep = FlagRepresentation(lattice, flag)
+    vertices = rep.build(lattice.bottom).complex.vertices
+    rep._built[lattice.bottom] = RepComplex(lattice.bottom, SimplicialComplex(facets, vertices))
+    return rep
+
+
+def poisoned_descriptors(lattice):
+    """(name, descriptor, failing lines) for an S_0 that lost a facet, and
+    one with a facet grown by the other sign of one of its coatoms, each as
+    source and as target of the default flag's pair with itself."""
+    flag = default_flag(lattice)
+    clean = retraction_map(lattice, flag, flag)
+    s0 = clean.source.build(lattice.bottom).complex
+    facets = sorted(s0.maximal_faces, key=s0.face_key)
+    coatom, sign = next(iter(facets[0]))
+    mixed = facets[0] | {clean.source.vertex(frozenset(coatom), "-" if sign == "+" else "+")}
+    target_fails = {"target-sphere", "polytope-in-target", "composite-simplicial"}
+    for name, poison, source_fails in (
+            ("dropped", facets[1:], {"source-sphere", "polytope-in-source"}),
+            ("mixed", facets[1:] + [mixed], {"source-sphere", "polytope-in-source", "simplicial",
+                                             "composite-simplicial"})):
+        rep = poisoned(lattice, flag, poison)
+        yield (f"{name} source", RetractDescriptor(clean.selection, rep, clean.target, clean.vertex_map,
+                                                  clean.polytope), source_fails)
+        yield (f"{name} target", RetractDescriptor(clean.selection, clean.source, rep, clean.vertex_map,
+                                                  clean.polytope), target_fails)
+
+
+def test_poisoned_s0_fails_its_lines_without_raising(u34, bool3):
+    for lattice in (u34, bool3):
+        for name, desc, lines in poisoned_descriptors(lattice):
+            assert failing(desc) == lines, name
+    assert verify_retraction(retraction_map(u34, default_flag(u34), default_flag(u34))).ok
+
+
+def grown_by_a_foreign_vertex(desc):
+    """The polytope with its first facet grown by a vertex that is no signed coatom."""
+    facet = min(desc.polytope.maximal_faces, key=desc.polytope.face_key)
+    faces = (desc.polytope.maximal_faces - {facet}) | {facet | {(("fresh",), "+")}}
+    return RetractDescriptor(desc.selection, desc.source, desc.target, desc.vertex_map,
+                             SimplicialComplex(faces))
+
+
+def test_polytope_grown_by_a_foreign_vertex_fails_without_raising(u24, u34, bool3, fano):
+    for lattice in (u24, u34, bool3, fano):
+        flags = all_complete_flags(lattice)
+        for f, g in ((flags[0], flags[-1]), (flags[-1], flags[0])):
+            grown = grown_by_a_foreign_vertex(retraction_map(lattice, f, g))
+            assert failing(grown) == {"polytope-in-source", "polytope-in-target", "polytope-sphere"}
+            assert face_lines(grown) == retraction_face_lines_oracle(grown)
+            assert is_homology_sphere(grown.polytope, lattice.r - 1)
+
+
+def test_verify_retraction_scans_no_facets(monkeypatch, u24, u34, bool3):
+    # the descriptors are built first, as the mutations scan facets themselves
+    descs = [mutated for _, mutated in every_mutant((u24, u34, bool3))]
+    descs += [retraction_map(bool3, f, g) for f in all_complete_flags(bool3) for g in all_complete_flags(bool3)]
+    descs += [d for _, d, _ in poisoned_descriptors(u34)]
+    descs.append(grown_by_a_foreign_vertex(retraction_map(u34, default_flag(u34), default_flag(u34))))
+    with monkeypatch.context() as m:
+        m.setattr(SimplicialComplex, "has_face", lambda *a: pytest.fail("has_face called"))
+        m.setattr(SimplicialComplex, "is_subcomplex_of", lambda *a: pytest.fail("is_subcomplex_of called"),
+                  raising=False)
+        assert sum(verify_retraction(d).ok for d in descs) == 36
+
+
+def test_report_lines_are_the_records_their_constructor_builds():
+    report, other = ValidationReport(), ValidationReport()
+    report.add("a", 1, "why")
+    other.add("a", True, "why")
+    report.extend(other, prefix="p/")
+    built = [CheckResult("a", True, "why"), CheckResult("p/a", True, "why")]
+    assert report.checks == built and list(map(hash, report.checks)) == list(map(hash, built))
+    assert repr(report.checks[0]) == "CheckResult(name='a', passed=True, detail='why')"
+    assert report.checks[0].passed is True
+    with pytest.raises(AttributeError):
+        report.checks[0].passed = False
+
+
+class _BoundedLines(list):
+    """A report's line list that fails, rather than grows without end, past 8 lines."""
+
+    def append(self, check):
+        assert len(self) < 8, "extend kept reading the lines it appended"
+        super().append(check)
+
+
+def test_a_report_extended_by_itself_doubles_its_lines():
+    report = ValidationReport(_BoundedLines())
+    report.add("a", True)
+    report.add("b", False, "why")
+    report.extend(report, prefix="p/")
+    assert report.lines() == ["a: PASS", "b: FAIL (why)", "p/a: PASS", "p/b: FAIL (why)"]
 
 
 # -- the sphere lines read the join certificate ---------------------------------------
