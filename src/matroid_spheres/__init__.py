@@ -73,7 +73,6 @@ from .topology import (
     order_complex,
     reduced_homology,
     sphere_profile,
-    z2_free_check,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,7 +1,7 @@
 """Command-line front end: loaders, construction, verification, reports.
 
 Exit codes: 0 all checks passed / object produced, 1 verification failure,
-2 input error or exceeded search bound, 3 internal error (any other
+2 input error or exceeded search or resource bound, 3 internal error (any other
 exception, reported on one line of stderr, never as a traceback).  All
 output is deterministic for identical inputs.
 """
@@ -143,11 +143,18 @@ def verify(matroid: str, flag_arg: str, exact_nerve: bool, as_json: bool) -> Non
 
 @main.command()
 @click.argument("complex_file", type=click.Path(exists=True))
+@click.option("--max-faces", type=int, default=2**20, show_default=True,
+              help="exit 2 when the sum of 2^|facet| over the strong-collapse core is larger")
 @click.option("--json", "as_json", is_flag=True)
 @input_errors
-def homology(complex_file: str, as_json: bool) -> None:
+def homology(complex_file: str, max_faces: int, as_json: bool) -> None:
     """Reduced integer homology of a complex file."""
     complex_ = jsonio.complex_from_json(jsonio.read_json(complex_file))
+    faces = sum(1 << len(m) for m in topology.strong_collapse_core(complex_).maximal_faces)
+    if faces > max_faces:  # the homology holds every face of the core in memory
+        click.echo(f"resource bound exceeded: the core has up to {faces} faces, "
+                   f"above --max-faces {max_faces}", err=True)
+        sys.exit(2)
     profile = topology.reduced_homology(complex_)
     if as_json:
         click.echo(dump_json(profile.to_json()), nl=False)
@@ -299,17 +306,15 @@ def weakmap(
 
 
 def search_result_to_json(result: maps.SearchResult) -> dict:
-    def vjson(v):
-        return jsonio.vertex_to_json(v)
+    vjson = jsonio.vertex_to_json
 
-    obstruction = None
-    if result.obstruction is not None:
-        face, forced, reason = result.obstruction
-        obstruction = {
+    def obstruction_json(face, forced, reason) -> dict:
+        return {
             "face": [vjson(v) for v in sorted(face)],
             "forced_images": [vjson(v) for v in forced],
             "reason": reason,
         }
+
     mapping = None
     if result.vertex_map is not None:
         mapping = [
@@ -318,15 +323,8 @@ def search_result_to_json(result: maps.SearchResult) -> dict:
     return {
         "found": result.found,
         "map": mapping,
-        "obstruction": obstruction,
-        "obstructions": [
-            {
-                "face": [vjson(v) for v in sorted(face)],
-                "forced_images": [vjson(v) for v in forced],
-                "reason": reason,
-            }
-            for face, forced, reason in result.obstructions
-        ],
+        "obstruction": None if result.obstruction is None else obstruction_json(*result.obstruction),
+        "obstructions": [obstruction_json(*o) for o in result.obstructions],
         "stats": {"nodes": result.nodes},
     }
 

@@ -8,9 +8,13 @@ embedding check, the carrier intersections that no cheaper certificate
 holds (below), and the ``homology`` command.  It is computed on the
 strong-collapse core of a complex: dominated vertices are deleted, working
 on maximal faces only, which is a strong deformation retraction (Barmak and
-Minian, 2012).  The faces of the core then give boundary matrices, reduced
-by Smith normal form over arbitrary-precision integers with unit pivots
-taken first (Dumas, Saunders and Villard, 2001).
+Minian, 2012).  The faces of the core are then swept by coreduction
+(Mrozek and Batko, 2009): in FIFO order, a cell with one facet left is
+removed with that facet.  Such a pair has a unit coefficient, so removing
+it keeps the homology and leaves the boundary of the cells left
+restricted to them, with no fill-in (Kaczynski, Mrozek and Slusarek,
+1998).  Only the cells left go to Smith normal form over
+arbitrary-precision integers; on a sphere that is one cell and no matrix.
 
 A cover (``CoverFamily``) gives each member by its vertex set in one
 ambient, standing for the induced subcomplex; induced subcomplexes meet in
@@ -26,6 +30,7 @@ computed.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
 from itertools import combinations, groupby, product
 from math import gcd
@@ -389,18 +394,6 @@ def smith_invariant_factors(entries: Mapping[tuple[int, int], int], nrows: int, 
     return sorted(diagonal)
 
 
-def _boundary_entries(lower: list[frozenset], upper: list[frozenset], complex_: SimplicialComplex):
-    index = {f: i for i, f in enumerate(lower)}
-    entries: dict[tuple[int, int], int] = {}
-    for j, face in enumerate(upper):
-        verts = sorted(face, key=complex_._vpos.__getitem__)
-        for k in range(len(verts)):
-            sub = frozenset(verts[:k] + verts[k + 1 :])
-            if sub:
-                entries[(index[sub], j)] = 1 if k % 2 == 0 else -1
-    return entries
-
-
 def strong_collapse_core(complex_: SimplicialComplex) -> SimplicialComplex:
     """Delete dominated vertices until none is left.
 
@@ -472,36 +465,63 @@ def reduced_homology(complex_: SimplicialComplex) -> HomologyProfile:
 
 
 def _face_homology(complex_: SimplicialComplex) -> HomologyProfile:
-    """Reduced homology from Smith normal forms of boundary maps over every
-    face of the complex; ``reduced_homology`` runs it on the core only."""
+    """Reduced homology of the augmented chain complex of every face, after
+    a coreduction sweep; ``reduced_homology`` runs it on the core only.
+
+    Faces are int masks over vertex positions, found below the maximal
+    faces, with the empty face as the (-1)-cell.  The sweep removes the
+    pair (empty face, first vertex), then, in FIFO order, each cell with
+    one facet left, together with that facet: a reduction pair with a unit
+    coefficient, so the homology is unchanged and the boundary of the
+    cells left is the old one restricted to them, every entry +-1.  A cell
+    is queued when its facets left fall to one, so the sweep ends with no
+    such pair; on Delta(L_0) of U(5,6) it leaves one cell, where a LIFO
+    stack stalls with tens of thousands.  Smith normal form sees only the
+    cells left.
+    """
     if complex_.is_empty:
         return HomologyProfile(())
-    by_dim: dict[int, list[frozenset]] = {}
-    for f in all_faces(complex_):
-        by_dim.setdefault(len(f) - 1, []).append(f)
-    top = max(by_dim)
-    for d in by_dim:
-        by_dim[d].sort(key=complex_.face_key)
+    faces = sorted(sum(1 << complex_._vpos[v] for v in m) for m in complex_.maximal_faces)
+    index = {f: i for i, f in enumerate(faces)}
+    cofaces: list[list[int]] = [[] for _ in faces]
+    for j, b in enumerate(faces):  # grows while it is read
+        rest = b
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if (a := b ^ low) not in index:
+                index[a] = len(faces)
+                faces.append(a)
+                cofaces.append([])
+            cofaces[index[a]].append(j)
+    left = [f.bit_count() for f in faces]  # facets not removed, for a cell not removed
+    alive = bytearray(b"\1") * len(faces)
+    queue = deque([index[1]])  # the first vertex, whose one facet is the empty face
+    while queue:
+        b = queue.popleft()
+        if alive[b] and left[b] == 1:
+            f = faces[b]
+            for cell in (b, next(a for a in (index[f ^ 1 << i] for i in _bits(f)) if alive[a])):
+                alive[cell] = 0
+                for c in cofaces[cell]:
+                    left[c] -= 1
+                    if left[c] == 1:
+                        queue.append(c)
 
-    factors: dict[int, list[int]] = {}  # invariant factors of boundary_d
-    # boundary_0 is the augmentation map C_0 -> Z sending every vertex to 1
-    factors[0] = smith_invariant_factors(
-        {(0, j): 1 for j in range(len(by_dim[0]))}, 1, len(by_dim[0])
-    )
+    top = dimension(complex_)
+    kept = sorted(f for f, on in zip(faces, alive) if on)
+    cells = [[f for f in kept if f.bit_count() == d + 1] for d in range(top + 2)]  # by dimension
+    ranks, torsion = [0] * (top + 2), [()] * (top + 2)  # of the boundary from dimension d
     for d in range(1, top + 1):
-        entries = _boundary_entries(by_dim[d - 1], by_dim[d], complex_)
-        factors[d] = smith_invariant_factors(entries, len(by_dim[d - 1]), len(by_dim[d]))
-    factors[top + 1] = []
-
-    dims = []
-    for d in range(top + 1):
-        n_d = len(by_dim.get(d, []))
-        rank_d = len(factors[d])
-        rank_up = len(factors[d + 1])
-        betti = n_d - rank_d - rank_up
-        torsion = tuple(x for x in factors[d + 1] if x > 1)
-        dims.append((betti, torsion))
-    return HomologyProfile(tuple(dims))
+        rows = {f: i for i, f in enumerate(cells[d - 1])}
+        entries = {(rows[b ^ 1 << i], j): (-1) ** (b & ((1 << i) - 1)).bit_count()
+                   for j, b in enumerate(cells[d]) for i in _bits(b) if b ^ 1 << i in rows}
+        if entries:
+            factors = smith_invariant_factors(entries, len(rows), len(cells[d]))
+            ranks[d], torsion[d] = len(factors), tuple(x for x in factors if x > 1)
+    return HomologyProfile(tuple(
+        (len(cells[d]) - ranks[d] - ranks[d + 1], torsion[d + 1]) for d in range(top + 1)
+    ))
 
 
 def is_homology_point(complex_: SimplicialComplex) -> bool:
@@ -580,24 +600,6 @@ def cross_polytope_nerve_iso(
 # -- map checks -----------------------------------------------------------------
 
 
-def z2_free_check(complex_: SimplicialComplex, involution: Mapping) -> bool:
-    """Check a vertex involution acts simplicially and freely.
-
-    Freeness is the strong form: no face contains both a vertex and its
-    image.  Raises ValueError if the map is not a simplicial involution.
-    """
-    for v in complex_.vertices:
-        if v not in involution or involution.get(involution[v]) != v:
-            raise ValueError("map is not an involution of the vertex set")
-    for m in complex_.maximal_faces:
-        if not complex_.has_face({involution[v] for v in m}):
-            raise ValueError("involution is not simplicial")
-    for m in complex_.maximal_faces:
-        if any(involution[v] in m for v in m):
-            return False
-    return True
-
-
 def _intersections(members: Sequence[frozenset]) -> dict[frozenset, int]:
     """Each distinct nonempty intersection of the member vertex sets, with
     the index bitmask of one family of members meeting in it.
@@ -658,20 +660,14 @@ def carrier_check(
         return [keys[i] for i in range(n) if mask >> i & 1]
 
     covers = {"A": a_cover, "B": b_cover}
-    induced: dict = {}  # (side, vertex set) -> the ambient restricted to it
 
-    def restrict(side: str, x: frozenset) -> SimplicialComplex:
-        if (side, x) not in induced:
-            induced[side, x] = covers[side].ambient.restrict(x)
-        return induced[side, x]
-
-    def contractible(side: str, x: frozenset) -> bool:
+    def contractible(side: str, x: frozenset) -> bool:  # asked once per (side, x)
         cover = covers[side]
         if cover.poset is not None:
             certified = cover.poset.beat_points_reduce_to_point(x)
         else:
             certified = cover.ambient.has_face(x)
-        return certified or is_homology_point(restrict(side, x))
+        return certified or is_homology_point(cover.ambient.restrict(x))
 
     detail = next(
         (f"{side}-intersection over {subset(w)} is not a homology point"
@@ -695,12 +691,17 @@ def carrier_check(
         f"nonemptiness differs on {subset(differ[0])}" if differ else "",
     )
 
-    # a face is in the B-member when it is in its vertex set and the ambient
-    maps_into = True
-    for a, b in zip(a_sets, b_sets):
-        for m in restrict("A", a).maximal_faces if a else ():
-            image = frozenset().union(*[frozenset(vertex_images[v]) for v in m])
-            if not (image <= b and b_cover.ambient.has_face(image)):
-                maps_into = False
+    # a face is in the B-member when it is in its vertex set and the ambient;
+    # each maximal face of an A-member is M & a for a maximal face M of the
+    # ambient, and the test is closed under subsets, so M & a stands for it;
+    # where b is a face, so is each subset, and the image of a stands for all
+    def images(a: frozenset, b: frozenset) -> set:
+        if b_cover.ambient.has_face(b):
+            return {frozenset().union(*[vertex_images[v] for v in a if v in a_cover.ambient._vpos])}
+        return {frozenset().union(*[vertex_images[v] for v in x])
+                for x in {m & a for m in a_cover.ambient.maximal_faces}}
+
+    maps_into = all(image <= b and b_cover.ambient.has_face(image)
+                    for a, b in zip(a_sets, b_sets) for image in images(a, b))
     rep.add("maps-into-carrier", maps_into)
     return rep

@@ -18,7 +18,12 @@ from matroid_spheres import (
     vector_config,
 )
 from matroid_spheres.maps import CrossSelection, SelectionError
-from matroid_spheres.topology import cross_polytope_nerve_iso
+from matroid_spheres.topology import (
+    HomologyProfile,
+    all_faces,
+    cross_polytope_nerve_iso,
+    smith_invariant_factors,
+)
 
 
 # -- fixture builders ------------------------------------------------------------
@@ -121,6 +126,53 @@ def is_subcomplex_of(complex_, other):
     return all(other.has_face(m) for m in complex_.maximal_faces)
 
 
+def _boundary_entries(lower, upper, complex_):
+    index = {f: i for i, f in enumerate(lower)}
+    entries = {}
+    for j, face in enumerate(upper):
+        verts = sorted(face, key=complex_._vpos.__getitem__)
+        for k in range(len(verts)):
+            sub = frozenset(verts[:k] + verts[k + 1:])
+            if sub:
+                entries[(index[sub], j)] = 1 if k % 2 == 0 else -1
+    return entries
+
+
+def face_homology_oracle(complex_):
+    """Reduced homology from Smith normal forms of the boundary maps over
+    every face, the augmentation included, with no reduction first.
+    Oracle for ``topology._face_homology``."""
+    if complex_.is_empty:
+        return HomologyProfile(())
+    by_dim = {}
+    for f in all_faces(complex_):
+        by_dim.setdefault(len(f) - 1, []).append(f)
+    top = max(by_dim)
+    # boundary_0 is the augmentation map C_0 -> Z sending every vertex to 1
+    factors = {0: smith_invariant_factors({(0, j): 1 for j in range(len(by_dim[0]))},
+                                          1, len(by_dim[0])), top + 1: []}
+    for d in range(1, top + 1):
+        entries = _boundary_entries(by_dim[d - 1], by_dim[d], complex_)
+        factors[d] = smith_invariant_factors(entries, len(by_dim[d - 1]), len(by_dim[d]))
+    return HomologyProfile(tuple(
+        (len(by_dim.get(d, [])) - len(factors[d]) - len(factors[d + 1]),
+         tuple(x for x in factors[d + 1] if x > 1))
+        for d in range(top + 1)
+    ))
+
+
+def maps_into_carrier_oracle(vertex_images, a_cover, b_cover):
+    """``carrier_check``'s maps-into-carrier by restricting the A-ambient to
+    each member and mapping every maximal face of the restriction."""
+    b_map = dict(b_cover.members)
+    for key, a in a_cover.members:
+        for m in a_cover.ambient.restrict(a).maximal_faces if a else ():
+            image = frozenset().union(*[frozenset(vertex_images[v]) for v in m])
+            if not (image <= b_map[key] and b_cover.ambient.has_face(image)):
+                return False
+    return True
+
+
 def retraction_face_lines_oracle(desc):
     """``verify_retraction``'s polytope-in-source, polytope-in-target,
     simplicial and composite-simplicial by ``has_face`` on the complexes as
@@ -150,6 +202,25 @@ def swap_map(complex_):
     """The sign swap on the complex's vertices, for ``z2_free_check``.
     Oracle for the swap-closed vertex masks of ``verify_arrangement``."""
     return {v: swap_sign(v) for v in complex_.vertices}
+
+
+def z2_free_check(complex_, involution):
+    """Check a vertex involution acts simplicially and freely, face by face.
+
+    Freeness is the strong form: no face contains both a vertex and its
+    image.  Raises ValueError if the map is not a simplicial involution.
+    Oracle for the z2-free line of ``verify_arrangement``.
+    """
+    for v in complex_.vertices:
+        if v not in involution or involution.get(involution[v]) != v:
+            raise ValueError("map is not an involution of the vertex set")
+    for m in complex_.maximal_faces:
+        if not complex_.has_face({involution[v] for v in m}):
+            raise ValueError("involution is not simplicial")
+    for m in complex_.maximal_faces:
+        if any(involution[v] in m for v in m):
+            return False
+    return True
 
 
 def embedding_face_lines_oracle(emb):

@@ -29,10 +29,11 @@ from matroid_spheres import (
     sphere_profile,
     verify_embedding,
     verify_retraction,
-    z2_free_check,
 )
 from matroid_spheres import oriented
-from conftest import cross_polytope_boundary, delta_complex, nerve_oracle, simplex_boundary, swap_map
+from conftest import (
+    cross_polytope_boundary, delta_complex, nerve_oracle, simplex_boundary, swap_map, z2_free_check,
+)
 from matroid_spheres.cli import main
 
 DATA = Path(__file__).parent / "data"

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from matroid_spheres import (
+    CoverFamily,
     SimplicialComplex,
     build_covers,
     build_embedding,
@@ -28,7 +29,8 @@ from matroid_spheres import (
 from matroid_spheres.linalg import rank_q
 from matroid_spheres.oriented import Embedding, neg
 from matroid_spheres.topology import _generic_key, _maximal_masks, _vertex_stars, full_simplex
-from conftest import cov_leq, delta_complex, embedding_face_lines_oracle
+from matroid_spheres.jsonio import load_vector_config_file
+from conftest import DATA, cov_leq, delta_complex, embedding_face_lines_oracle, maps_into_carrier_oracle
 
 DERANDOMIZED = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -286,3 +288,63 @@ def test_mask_face_lines_match_the_facet_scans():
     # each line both passes and fails on some mutant
     for i in range(3):
         assert {v[i] for v in verdicts} == {True, False}
+
+
+# -- maps-into-carrier on M & a against the restrict route ----------------------------
+
+
+def data_embedding(path):
+    return build_embedding(covectors_from_vectors(load_vector_config_file(path)))
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*_vec.json")), ids=lambda p: p.stem)
+def test_maps_into_carrier_matches_restrict_route(path):
+    emb = data_embedding(path)
+    for flat in emb.lattice.flats:
+        a_cover, b_cover = build_covers(emb, flat)
+        line = carrier_check(emb.images, a_cover, b_cover)["maps-into-carrier"]
+        assert line.passed and maps_into_carrier_oracle(emb.images, a_cover, b_cover), sorted(flat)
+
+
+def test_maps_into_carrier_on_a_member_that_is_not_a_face():
+    # B's member {0, 1, 2} is a path in the boundary of a square, not a face,
+    # so each M & a is mapped on its own: the path's two edges pass though
+    # their union is no face, while the diagonal {0, 2} or a vertex outside
+    # the member fails
+    square = SimplicialComplex([[0, 1], [1, 2], [2, 3], [3, 0]])
+    a_cover = CoverFamily(SimplicialComplex([["x", "y"], ["y", "z"]]), (("k", frozenset("xyz")),))
+    b_cover = CoverFamily(square, (("k", frozenset({0, 1, 2})),))
+    for images, expected in (({"x": {0}, "y": {1}, "z": {2}}, True),
+                             ({"x": {0}, "y": {2}, "z": {1}}, False),
+                             ({"x": {0}, "y": {1}, "z": {3}}, False)):
+        assert carrier_check(images, a_cover, b_cover)["maps-into-carrier"].passed is expected
+        assert maps_into_carrier_oracle(images, a_cover, b_cover) is expected
+
+
+def test_mutated_images_fail_both_maps_into_carrier_routes():
+    # the covers stay those of the embedding; only the images handed to the
+    # check are mutated, so a moved image can leave its carrier
+    verdicts = []
+
+    @DERANDOMIZED
+    @given(st.data())
+    def check(data):
+        name = data.draw(st.sampled_from(sorted(EMBED_LADDER)))
+        emb = ladder_embedding(name)
+        flat = data.draw(st.sampled_from(sorted(emb.lattice.flats, key=emb.lattice.key)[:-1]))
+        images, _ = data.draw(mutations(emb))
+        a_cover, b_cover = build_covers(emb, flat)
+        passed = carrier_check(images, a_cover, b_cover)["maps-into-carrier"].passed
+        assert passed == maps_into_carrier_oracle(images, a_cover, b_cover)
+        verdicts.append(passed)
+
+    check()
+    assert verdicts.count(False) >= 20 and verdicts.count(True) >= 10
+    for path in sorted(DATA.glob("*_vec.json")):
+        emb = data_embedding(path)
+        x = min(emb.cs.cocircuits)
+        images = dict(emb.images)
+        images[x] = images[neg(x)]  # a cocircuit sent to its negative's vertex
+        a_cover, b_cover = build_covers(emb, emb.lattice.bottom)
+        assert not carrier_check(images, a_cover, b_cover)["maps-into-carrier"].passed
+        assert not maps_into_carrier_oracle(images, a_cover, b_cover)

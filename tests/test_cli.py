@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -154,8 +156,9 @@ def test_om_embed_builds_each_complex_once(runner, monkeypatch, vectors):
     # Delta(L_G) comes from order_complex once per flat.  An intersection
     # of cover members is restricted from its ambient only where no
     # cheaper certificate holds it: beat points of L_G on the A side, a
-    # face of S_G on the B side.  maps-into-carrier restricts each nonempty
-    # A-member.  No complex is restricted twice; no two are intersected.
+    # face of S_G on the B side.  maps-into-carrier restricts nothing: it
+    # maps M & a for each maximal face M of the ambient.  No complex is
+    # restricted twice; no two are intersected.
     built, restricted, meets = [], [], []
     order_complex, restrict = topology.order_complex, SimplicialComplex.restrict
 
@@ -183,11 +186,10 @@ def test_om_embed_builds_each_complex_once(runner, monkeypatch, vectors):
     }
     assert not meets
     assert len(restricted) == len(set(restricted))
-    members, fallbacks = set(), set()
+    fallbacks = set()
     for flat in emb.lattice.flats:
         a_cover, b_cover = build_covers(emb, flat)
         a_ambient, b_ambient = (frozenset(c.ambient.vertices) for c in (a_cover, b_cover))
-        members |= {(a_ambient, s) for _, s in a_cover.members if s}
         fallbacks |= {
             (a_ambient, x) for x in closed_under_meets(s for _, s in a_cover.members)
             if not a_cover.poset.beat_points_reduce_to_point(x)
@@ -196,7 +198,7 @@ def test_om_embed_builds_each_complex_once(runner, monkeypatch, vectors):
             (b_ambient, x) for x in closed_under_meets(s for _, s in b_cover.members)
             if not b_cover.ambient.has_face(x)
         }
-    assert set(restricted) == members | fallbacks
+    assert set(restricted) == fallbacks
 
 
 def test_om_embed_u34(runner):
@@ -331,6 +333,33 @@ def test_homology_repeats_exit_2(runner, tmp_path, vertices, faces, message):
     result = run(runner, "homology", bad)
     assert result.exit_code == 2
     assert result.output.startswith("input error: ") and message in result.output
+
+
+def test_homology_refuses_a_core_above_the_face_bound(tmp_path):
+    # the boundary of the 25-simplex dominates no vertex, so its core is
+    # itself: 26 facets of 25 vertices, 26 * 2^25 faces by the estimate
+    path = tmp_path / "simplex_boundary.json"
+    path.write_text(json.dumps({"vertices": list(range(26)),
+                                "maximal_faces": [list(f) for f in combinations(range(26), 25)]}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")) if p))
+    start = time.monotonic()
+    done = subprocess.run([sys.executable, "-m", "matroid_spheres.cli", "homology", str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert time.monotonic() - start < 20
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == ("resource bound exceeded: the core has up to 872415232 faces, "
+                           "above --max-faces 1048576\n")
+
+
+def test_homology_max_faces_overrides_the_bound(runner):
+    # RP^2 on 6 vertices is its own core: 10 triangles, 80 by the estimate
+    default = run(runner, "homology", DATA / "rp2.json")
+    assert default.exit_code == 0
+    assert run(runner, "homology", "--max-faces", 80, DATA / "rp2.json").output == default.output
+    refused = run(runner, "homology", "--max-faces", 79, DATA / "rp2.json")
+    assert refused.exit_code == 2
+    assert refused.output.startswith("resource bound exceeded: the core has up to 80 faces")
 
 
 def test_homology_of_represented_s0_lists_every_dimension(runner, tmp_path):

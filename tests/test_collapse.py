@@ -1,6 +1,7 @@
 """Homology on the strong-collapse core, checked against full-face homology
 and sympy's Smith normal form, and the core of S_0 on the paper's
-construction."""
+construction.  The coreduction sweep is checked against the Smith normal
+forms of every boundary map, with no reduction first."""
 
 import json
 from pathlib import Path
@@ -16,8 +17,9 @@ from matroid_spheres import (
     reduced_homology,
     sphere_profile,
 )
-from conftest import cross_polytope_boundary, simplex_boundary
-from matroid_spheres.jsonio import complex_from_json
+from conftest import cross_polytope_boundary, face_homology_oracle, simplex_boundary
+from matroid_spheres import build_embedding, covectors_from_vectors, topology, vector_config
+from matroid_spheres.jsonio import complex_from_json, load_vector_config_file
 from matroid_spheres.lattice import all_complete_flags
 from matroid_spheres.topology import (
     _face_homology,
@@ -55,7 +57,7 @@ def graft(complex_, grafts):
 
 def assert_core_homology(complex_):
     profile = reduced_homology(complex_)
-    assert profile.dims == _face_homology(complex_).dims
+    assert profile.dims == _face_homology(complex_).dims == face_homology_oracle(complex_).dims
     assert len(profile.dims) == dimension(complex_) + 1
 
 
@@ -90,6 +92,93 @@ def test_torsion_fixtures():
     assert reduced_homology(cone(RP2)).is_trivial()
     assert reduced_homology(suspension(RP2)).torsion(2) == (2,)
     assert reduced_homology(graft(RP2, [(0, 7), (3, 1), (3, 6)])).torsion(1) == (2,)
+
+
+# -- the coreduction sweep against every boundary map's Smith normal form ------------
+
+
+def klein_bottle():
+    """The 3 x 3 grid on the square, sides glued (x, 0) ~ (x, 3) and
+    (0, y) ~ (3, 3 - y): 9 vertices, 18 triangles."""
+    def v(x, y):
+        if x == 3:
+            x, y = 0, (3 - y) % 3
+        return (x, y % 3)
+
+    return SimplicialComplex(
+        [v(x, y), v(x + 1, y), v(x + 1, y + 1)] if half else [v(x, y), v(x, y + 1), v(x + 1, y + 1)]
+        for x in range(3) for y in range(3) for half in (0, 1)
+    )
+
+
+TORUS = SimplicialComplex(  # Moebius' 7-vertex torus
+    [[i, (i + 1) % 7, (i + 3) % 7] for i in range(7)] + [[i, (i + 2) % 7, (i + 3) % 7] for i in range(7)]
+)
+KNOWN = {
+    "empty": (SimplicialComplex([]), ()),
+    "one vertex": (SimplicialComplex([["v"]]), ((0, ()),)),
+    "disconnected": (SimplicialComplex([[0, 1], [1, 2], [3], [4, 5, 6]]), ((2, ()), (0, ()), (0, ()))),
+    "two circles": (SimplicialComplex([[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]]),
+                    ((1, ()), (2, ()))),
+    "rp2": (RP2, ((0, ()), (0, (2,)), (0, ()))),
+    "torus": (TORUS, ((0, ()), (2, ()), (1, ()))),
+    "klein bottle": (klein_bottle(), ((0, ()), (1, (2,)), (0, ()))),
+}
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.lists(st.frozensets(st.integers(0, 9), min_size=1, max_size=5), min_size=1, max_size=12)
+       .map(SimplicialComplex))
+def test_sweep_matches_oracle_in_higher_dimensions(complex_):
+    assert _face_homology(complex_).dims == face_homology_oracle(complex_).dims
+
+
+def test_sweep_on_known_complexes():
+    assert len(klein_bottle().maximal_faces) == 18
+    for name, (complex_, dims) in KNOWN.items():
+        assert _face_homology(complex_).dims == face_homology_oracle(complex_).dims == dims, name
+
+
+def covector_order_complexes():
+    """Delta(L_G) of every flat G of every vector configuration in tests/data."""
+    for path in sorted(DATA.glob("*_vec.json")):
+        emb = build_embedding(covectors_from_vectors(load_vector_config_file(path)))
+        for flat in sorted(emb.lattice.flats, key=emb.lattice.key):
+            yield path.stem, emb.lattice.corank(flat), emb.delta(flat)
+
+
+def test_sweep_matches_oracle_on_covector_order_complexes():
+    for name, corank, delta in covector_order_complexes():
+        profile = _face_homology(delta)
+        assert profile.dims == face_homology_oracle(delta).dims, name
+        assert profile == sphere_profile(corank - 1), name
+
+
+def test_sweep_leaves_no_matrix_on_the_spheres(monkeypatch):
+    shapes = []
+    real = topology.smith_invariant_factors
+
+    def counted(entries, nrows, ncols):
+        shapes.append((nrows, ncols))
+        return real(entries, nrows, ncols)
+
+    monkeypatch.setattr(topology, "smith_invariant_factors", counted)
+    seen = 0
+    for name, _, delta in covector_order_complexes():
+        _face_homology(strong_collapse_core(delta))
+        _face_homology(delta)
+        assert shapes == [], name
+        seen += 1
+    assert seen > 20
+    # the order matters: on Delta(L_0) of the rank-5 coordinate vectors a
+    # LIFO stack leaves 3,139 x 6,192 and 6,192 x 3,054 matrices
+    unit = [[int(i == j) for i in range(5)] for j in range(5)]
+    emb = build_embedding(covectors_from_vectors(vector_config(unit)))
+    assert _face_homology(emb.delta(emb.lattice.bottom)) == sphere_profile(4)
+    assert shapes == []
+    # the Z/2 of RP^2 is left for the Smith normal form
+    assert _face_homology(RP2).torsion(1) == (2,)
+    assert shapes
 
 
 # -- the core itself -------------------------------------------------------------

@@ -37,6 +37,7 @@ from conftest import (
     nerve_oracle,
     swap_map,
     swap_sign,
+    z2_free_check,
 )
 
 from conftest import FANO_COLUMNS, N134_FLATS
@@ -107,9 +108,9 @@ def verify_arrangement_oracle(arr):
     rep.add("intersections-are-flats", law_ok)
     rep.add("intersections-sphere", sphere_ok)
     try:
-        free = topology.z2_free_check(amb.complex, swap_map(amb.complex))
+        free = z2_free_check(amb.complex, swap_map(amb.complex))
         restricts = all(
-            m.complex.is_empty or topology.z2_free_check(m.complex, swap_map(m.complex))
+            m.complex.is_empty or z2_free_check(m.complex, swap_map(m.complex))
             for _, m in arr.members
         )
     except ValueError:
@@ -485,7 +486,7 @@ def test_member_not_closed_under_the_sign_swap_fails_z2_free():
     report = verify_arrangement(bad)
     assert not report["z2-free"].passed
     with pytest.raises(ValueError):  # the oracle's route: not an involution
-        topology.z2_free_check(cut, swap_map(cut))
+        z2_free_check(cut, swap_map(cut))
     assert verify_arrangement(arr)["z2-free"].passed
 
 

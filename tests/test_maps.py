@@ -666,13 +666,13 @@ def test_join_lines_run_no_homology_no_z2_check_and_no_facet_scan(monkeypatch, u
 
     assert not {"reduced_homology", "z2_free_check", "topology"} & set(vars(maps))
     assert not {"reduced_homology", "z2_free_check"} & set(vars(spheres))
+    assert not hasattr(topology, "z2_free_check")  # the face-scan route is a test oracle
     emb = build_embedding(covectors_from_vectors(u34_vec))
     assert emb.rep.join_holds
     before = topology.reduced_homology.cache_info()
     with monkeypatch.context() as m:
         m.setattr(topology, "reduced_homology", refuse("homology computed"))
         m.setattr(topology, "smith_invariant_factors", refuse("Smith normal form computed"))
-        m.setattr(topology, "z2_free_check", refuse("z2_free_check called"))
         for lattice in (u34, bool3):
             flags = all_complete_flags(lattice)
             for f in flags:

@@ -13,7 +13,7 @@ from matroid_spheres import (
     verify_arrangement,
     verify_geometric,
 )
-from conftest import facet_signs, is_subcomplex_of, nerve_oracle, support, swap_map
+from conftest import facet_signs, is_subcomplex_of, nerve_oracle, support, swap_map, z2_free_check
 
 
 def rep_for(lattice, chain=None):
@@ -126,8 +126,6 @@ def test_no_face_holds_both_signs(u24, u34, fano):
 
 
 def test_sign_swap_free_for_every_flag(u24, u34, bool3, n134):
-    from matroid_spheres import z2_free_check
-
     for lattice in (u24, u34, bool3, n134):
         for flag in all_complete_flags(lattice):
             rep = FlagRepresentation(lattice, flag)

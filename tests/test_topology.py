@@ -17,12 +17,12 @@ from matroid_spheres import (
     order_complex,
     reduced_homology,
     sphere_profile,
-    z2_free_check,
 )
 from matroid_spheres import topology
 from matroid_spheres.topology import cross_polytope_nerve_iso, full_simplex, smith_invariant_factors
 from conftest import (
     cross_polytope_boundary, facet_signs, is_homology_sphere, poset_by_leq, simplex_boundary, support, swap_map,
+    z2_free_check,
 )
 
 RP2 = SimplicialComplex(
