@@ -66,7 +66,6 @@ from .topology import (
     HomologyProfile,
     Poset,
     SimplicialComplex,
-    all_faces,
     carrier_check,
     dimension,
     is_homology_point,

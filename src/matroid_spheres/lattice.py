@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .linalg import PRIME_BOUND, echelon, integer_row, is_prime, reduce
 from .report import Record, ValidationReport
-from .topology import _bits
+from .topology import Poset, _bits
 
 Flat = frozenset  # a flat is a frozenset of element labels
 
@@ -26,9 +26,12 @@ class MatroidInputError(ValueError):
 class GeometricLattice:
     """Finite lattice of flats with an explicit rank function.
 
-    The constructor is tolerant: it stores any inclusion-ordered family and
-    computes ranks as chain heights when none are supplied, so that
-    ``verify_geometric`` can report *which* axiom a bad input breaks.
+    The constructor is tolerant: it stores any family of subsets of the
+    ground set and computes ranks as chain heights when none are supplied,
+    so that ``verify_geometric`` can report *which* axiom a bad input
+    breaks.  The inclusion order is one ``topology.Poset`` (``order``),
+    built once per lattice, whose positions are the positions in ``flats``;
+    chain heights, closures, covers, flags and the validation read it.
     Instances are immutable after construction and safe to share.
     """
 
@@ -56,8 +59,6 @@ class GeometricLattice:
             self.rank_of = {frozenset(f): int(r) for f, r in rank_of.items()}
         self.bottom: frozenset = min(self.flats, key=lambda f: (self.rank_of[f], len(f)))
         self.top: frozenset = max(self.flats, key=lambda f: (self.rank_of[f], len(f)))
-        # the flats strictly inside top, as a bitset over positions in flats
-        self._inside = sum(1 << i for i, f in enumerate(self.flats) if f < self.top)
         self.r: int = self.rank_of[self.top]
         self._atoms = tuple(f for f in self.flats if self.rank_of[f] == self.rank_of[self.bottom] + 1)
         self._coatoms = tuple(f for f in self.flats if self.rank_of[f] == self.r - 1)
@@ -87,15 +88,21 @@ class GeometricLattice:
         """One bit per signed vertex, each coatom's - just above its +, for every flag."""
         return {v: 1 << i for i, v in enumerate(v for pm in self.signed_coatoms.values() for v in pm.values())}
 
+    @cached_property
+    def order(self) -> Poset:
+        """The flats under inclusion, each flat's mask over element
+        positions.  ``Poset`` sorts stably by mask size, so its positions
+        are the positions in ``flats``, already sorted by size."""
+        index = self._index
+        return Poset(self.flats, [sum(1 << index[e] for e in f) for f in self.flats])
+
     def _heights(self) -> dict[frozenset, int]:
         """Each flat's chain height, walking ``flats`` in key order: the
-        flats strictly inside f are the earlier ones holding no element
-        outside f, and levels[k] is the bitset of the flats of height k."""
-        holding, h, levels = self._holding, {}, {}
-        for i, f in enumerate(self.flats):
-            below = (1 << i) - 1
-            for e in self._index.keys() - f:
-                below &= ~holding[e]
+        flats strictly inside f are its down-set less f, and levels[k] is
+        the bitset of the flats of height k."""
+        h, levels = {}, {}
+        for i, (f, below) in enumerate(zip(self.flats, self.order.down)):
+            below ^= 1 << i
             # levels gains its keys in increasing order, so reversed is highest first
             k = next((k + 1 for k in reversed(levels) if levels[k] & below), 0)
             levels[k] = levels.get(k, 0) | 1 << i
@@ -113,26 +120,21 @@ class GeometricLattice:
     def corank(self, flat: frozenset) -> int:
         return self.r - self.rank(flat)
 
-    @cached_property
-    def _holding(self) -> dict[str, int]:
-        """For each element, the flats holding it, as a bitset over
-        positions in ``flats``."""
-        return {e: sum(1 << i for i, f in enumerate(self.flats) if e in f) for e in self.elements}
-
     def closure(self, subset: Iterable[str]) -> frozenset:
         """Smallest flat containing the subset (exists by meet-closure): the
-        first flat in key order inside top that holds the subset, else top."""
+        first flat in key order inside top that holds every element, by the
+        AND of ``order.holding`` over them.  An element in no flat has no
+        entry there."""
         a = frozenset(str(e) for e in subset)
         if not a <= self._index.keys():
             raise MatroidInputError(f"{sorted(a)} is not a subset of the ground set")
-        found, holding = self._inside, self._holding
+        order, index = self.order, self._index
+        found = order.down[order.index[self.top]]
         for e in a:
-            found &= holding[e]
-        if found:
-            return self.flats[(found & -found).bit_length() - 1]
-        if not a <= self.top:
+            found &= order.holding.get(index[e], 0)
+        if not found:
             raise MatroidInputError(f"no flat contains {sorted(a)}")
-        return self.top
+        return self.flats[(found & -found).bit_length() - 1]
 
     def join(self, x: frozenset, y: frozenset) -> frozenset:
         return self.closure(frozenset(x) | frozenset(y))
@@ -148,9 +150,9 @@ class GeometricLattice:
         return tuple(c for c in self._coatoms if x <= c)
 
     def upper_covers(self, flat: frozenset) -> tuple[frozenset, ...]:
-        x = frozenset(flat)
-        above = [f for f in self.flats if x < f]
-        return tuple(f for f in above if not any(x < g < f for g in above))
+        """The flats covering a flat, in key order."""
+        order = self.order
+        return tuple(self.flats[j] for j in _bits(order.covers(order.index[frozenset(flat)])))
 
     def rank_of_subset(self, subset: Iterable[str]) -> int:
         return self.rank(self.closure(subset))
@@ -185,26 +187,18 @@ def make_flag(lattice: GeometricLattice, chain: Sequence[Iterable[str]]) -> Flag
 
 
 def default_flag(lattice: GeometricLattice) -> Flag:
-    """Deterministic flag: repeatedly extend by the lex-least upper cover."""
+    """Deterministic flag: repeatedly extend by the lex-least upper cover,
+    the first in key order."""
     chain = [lattice.bottom]
     while chain[-1] != lattice.top:
-        chain.append(min(lattice.upper_covers(chain[-1]), key=lattice.key))
+        chain.append(lattice.upper_covers(chain[-1])[0])
     return Flag(tuple(chain))
 
 
 def all_complete_flags(lattice: GeometricLattice) -> list[Flag]:
-    """Every complete flag, in canonical order."""
-    out: list[Flag] = []
-
-    def grow(chain: list[frozenset]) -> None:
-        if chain[-1] == lattice.top:
-            out.append(Flag(tuple(chain)))
-            return
-        for cover in sorted(lattice.upper_covers(chain[-1]), key=lattice.key):
-            grow(chain + [cover])
-
-    grow([lattice.bottom])
-    return out
+    """Every complete flag, in canonical order: the maximal chains of
+    ``order``, each step taken in key order."""
+    return [Flag(chain) for chain in lattice.order.maximal_chains()]
 
 
 # -- verification -----------------------------------------------------------
@@ -225,10 +219,11 @@ def verify_geometric(lattice: GeometricLattice, intervals: bool = True) -> Valid
     atomicity, semimodularity, the coatom-meet identity, and optionally
     that every interval is itself geometric.
 
-    The checks run on integer bitset tables built once per call: each flat's
-    element mask, and ``up[i]``/``down[i]``, the indices of the flats above
-    and below flat i.  Flats are sorted by size, so the lowest index of a set
-    of upper bounds is its only candidate least element.
+    The checks read the lattice's one order table, ``order``: each flat's
+    element mask, ``up[i]``/``down[i]``, the indices of the flats above and
+    below flat i, and the covers of flat i.  Flats are sorted by size, so
+    the lowest index of a set of upper bounds is its only candidate least
+    element.
 
     Intervals are checked only once the whole family is a meet-closed, ranked
     lattice.  Then each interval [x, y] is a sublattice with the same meets,
@@ -241,24 +236,14 @@ def verify_geometric(lattice: GeometricLattice, intervals: bool = True) -> Valid
     pairs are listed only when the whole lattice is not semimodular.  The
     first bad [x, y] in (x, y) index order is reported.
     """
-    flats = lattice.flats
+    flats, order = lattice.flats, lattice.order
     n = len(flats)
-    pos = {e: i for i, e in enumerate(lattice.elements)}
-    masks = [sum(1 << pos[e] for e in f) for f in flats]
+    masks, up, down = order.masks, order.up, order.down
     index = {m: i for i, m in enumerate(masks)}
-    full = (1 << len(pos)) - 1
+    full = (1 << len(lattice.elements)) - 1
     rk = [lattice.rank_of[f] for f in flats]
-    up, down = [0] * n, [0] * n
-    for i, m in enumerate(masks):
-        for j in range(i, n):  # a superset never sorts before its subset
-            if m & masks[j] == m:
-                up[i] |= 1 << j
-                down[j] |= 1 << i
-    covers, cocovers = [0] * n, [0] * n  # the flats covering flat i, covered by flat i
+    covers, cocovers = [order.covers(i) for i in range(n)], [0] * n  # covering flat i, covered by it
     for i in range(n):
-        covers[i] = up[i] ^ 1 << i
-        for j in _bits(up[i] ^ 1 << i):
-            covers[i] &= ~up[j] | 1 << j
         for j in _bits(covers[i]):
             cocovers[j] |= 1 << i
 

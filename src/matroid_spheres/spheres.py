@@ -123,15 +123,17 @@ class FlagRepresentation:
     @cached_property
     def cover_steps(self) -> tuple[tuple[frozenset, frozenset, frozenset], ...]:
         """Every (F, a, F v a), F a flat and a an atom, in flat order.  F v a is
-        F when a <= F, else, as in ``closure``, the first flat inside top in the
-        AND of the ``_holding`` bitsets of F's and a's elements, else top."""
+        F when a <= F, else, as in ``closure``, the first flat in the AND of
+        F's and a's up-sets in the lattice's ``order`` and top's down-set,
+        else top."""
         lattice = self.lattice
-        flats, atoms, holding, inside = lattice.flats, lattice.atoms(), lattice._holding, lattice._inside
-        atom_ups = [reduce(and_, map(holding.__getitem__, a), inside) for a in atoms]
+        flats, order = lattice.flats, lattice.order
+        under_top = order.down[order.index[lattice.top]]
+        atoms = [(a, order.up[order.index[a]]) for a in lattice.atoms()]
         steps = []
-        for f in flats:
-            f_up = reduce(and_, map(holding.__getitem__, f), inside)
-            for a, a_up in zip(atoms, atom_ups):
+        for f, f_up in zip(flats, order.up):
+            f_up &= under_top
+            for a, a_up in atoms:
                 x = f_up & a_up
                 steps.append((f, a, f if a <= f else flats[(x & -x).bit_length() - 1] if x else lattice.top))
         return tuple(steps)

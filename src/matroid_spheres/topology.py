@@ -141,14 +141,15 @@ class Poset:
     """Finite poset, each element given an int bitmask so that x <= y
     exactly when the mask of x lies inside that of y.
 
-    Elements are indexed by the size of their masks, a linear extension,
-    and the order is kept as bitmask up- and down-sets over those indices:
-    bit j of ``_up[i]`` when element i <= element j.  The order is read off
-    the masks bit by bit, with no pair compared: the elements above x hold
-    every bit of x, the elements below x hold no bit outside it.
+    Elements are indexed by the size of their masks, a stable sort and a
+    linear extension, and the order is kept as bitmask up- and down-sets
+    over those indices: bit j of ``up[i]`` when element i <= element j.
+    ``holding`` maps each mask bit to the elements holding it, and the order
+    is read off it with no pair compared: the elements above x hold every
+    bit of x, the elements below x hold no bit outside it.
     """
 
-    __slots__ = ("elements", "_index", "_up", "_down")
+    __slots__ = ("elements", "index", "masks", "holding", "up", "down")
 
     def __init__(self, elements: Sequence[Hashable], masks: Sequence[int]):
         elements = tuple(elements)
@@ -158,45 +159,44 @@ class Poset:
             raise ValueError("order is not antisymmetric")
         order = sorted(range(len(masks)), key=lambda i: masks[i].bit_count())
         self.elements: tuple = tuple(elements[i] for i in order)
-        self._index = {x: i for i, x in enumerate(self.elements)}
-        holding: dict[int, int] = {}  # bit -> the elements (by index) holding it
-        for j, i in enumerate(order):
-            for b in _bits(masks[i]):
-                holding[b] = holding.get(b, 0) | 1 << j
+        self.index = {x: i for i, x in enumerate(self.elements)}
+        self.masks: tuple[int, ...] = tuple(masks[i] for i in order)
+        self.holding: dict[int, int] = {}  # bit -> the elements (by index) holding it
+        for j, mask in enumerate(self.masks):
+            for b in _bits(mask):
+                self.holding[b] = self.holding.get(b, 0) | 1 << j
         everything = (1 << len(masks)) - 1
         up, down = [], []
-        for i in order:
+        for mask in self.masks:
             above, outside = everything, 0
-            for b, held in holding.items():
-                if masks[i] >> b & 1:
+            for b, held in self.holding.items():
+                if mask >> b & 1:
                     above &= held
                 else:
                     outside |= held
             up.append(above)
             down.append(everything & ~outside)
-        self._up, self._down = tuple(up), tuple(down)
+        self.up, self.down = tuple(up), tuple(down)
 
-    def _covers(self) -> list[int]:
-        """For each element, the bitmask of the elements covering it: the
-        minimal elements of its strict up-set, those above no other
-        element of it."""
-        strict = [mask & ~(1 << i) for i, mask in enumerate(self._up)]
-        covers = []
-        for mask in strict:
-            above = 0
-            for k in _bits(mask):
-                above |= strict[k]
-            covers.append(mask & ~above)
-        return covers
+    def covers(self, i: int) -> int:
+        """The elements covering element i, as a bitmask: the minimal
+        elements of its strict up-set, those above no other element of it."""
+        up = self.up
+        strict = up[i] ^ 1 << i
+        above = 0
+        for k in _bits(strict):
+            above |= up[k] ^ 1 << k
+        return strict & ~above
 
     def cover_pairs(self) -> list[tuple]:
         """Every pair (x, y) with y covering x."""
         els = self.elements
-        return [(els[i], els[j]) for i, mask in enumerate(self._covers()) for j in _bits(mask)]
+        return [(x, els[j]) for i, x in enumerate(els) for j in _bits(self.covers(i))]
 
     def maximal_chains(self) -> list[tuple]:
-        """Every maximal chain, grown from a minimal element through covers."""
-        covers = self._covers()
+        """Every maximal chain, grown from a minimal element through covers,
+        each step in index order."""
+        covers = [self.covers(i) for i in range(len(self.elements))]
         chains: list[tuple] = []
 
         def grow(i: int, acc: list[int]) -> None:
@@ -205,7 +205,7 @@ class Poset:
             for j in _bits(covers[i]):
                 grow(j, acc + [j])
 
-        for i, below in enumerate(self._down):
+        for i, below in enumerate(self.down):
             if below == 1 << i:
                 grow(i, [i])
         return chains
@@ -224,7 +224,7 @@ class Poset:
         than one element (or a member is not an element); that complex may
         still be contractible, and the caller must decide it another way.
         """
-        up, down, index = self._up, self._down, self._index
+        up, down, index = self.up, self.down, self.index
         left = 0
         for x in members:
             if x not in index:
@@ -394,6 +394,7 @@ def smith_invariant_factors(entries: Mapping[tuple[int, int], int], nrows: int, 
     return sorted(diagonal)
 
 
+@lru_cache(maxsize=1)
 def strong_collapse_core(complex_: SimplicialComplex) -> SimplicialComplex:
     """Delete dominated vertices until none is left.
 
@@ -406,7 +407,9 @@ def strong_collapse_core(complex_: SimplicialComplex) -> SimplicialComplex:
     so each deleted vertex is dominated by one that stays, and it stays
     dominated by that vertex while others are deleted.  Of a group of
     mutually dominating vertices the earliest stays.  Returns the complex
-    itself when nothing is dominated.
+    itself when nothing is dominated.  The last core is kept, so the
+    ``homology`` command's face bound and ``reduced_homology`` of the same
+    complex share one reduction.
     """
     n = len(complex_.vertices)
     pos = complex_._vpos

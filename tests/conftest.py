@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from matroid_spheres import (
+    Flag,
     GeometricLattice,
     MatroidInputError,
     Poset,
@@ -238,6 +239,46 @@ def embedding_face_lines_oracle(emb):
     into = all(rep.build(g).complex.has_face(emb.images[x])
                for g in emb.lattice.flats for x in emb.delta(g).vertices)
     return {"well-defined": well, "block-signs-agree": same_sign, "covector-flats-into-spheres": into}
+
+
+def order_tables_oracle(lattice):
+    """Each flat's element mask, and its up-set and down-set as bitsets over
+    positions in ``flats``, by comparing every pair of masks.  Oracle for
+    ``GeometricLattice.order``."""
+    flats = lattice.flats
+    pos = {e: i for i, e in enumerate(lattice.elements)}
+    masks = [sum(1 << pos[e] for e in f) for f in flats]
+    up, down = [0] * len(flats), [0] * len(flats)
+    for i, m in enumerate(masks):
+        for j in range(i, len(flats)):  # a superset never sorts before its subset
+            if m & masks[j] == m:
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    return tuple(masks), tuple(up), tuple(down)
+
+
+def upper_covers_oracle(lattice, flat):
+    """The flats covering a set, by a scan of every pair of flats above it.
+    Oracle for ``GeometricLattice.upper_covers``."""
+    x = frozenset(flat)
+    above = [f for f in lattice.flats if x < f]
+    return tuple(f for f in above if not any(x < g < f for g in above))
+
+
+def all_complete_flags_oracle(lattice):
+    """Every chain from bottom to top through ``upper_covers_oracle``, grown
+    by recursion in key order.  Oracle for ``all_complete_flags``."""
+    out = []
+
+    def grow(chain):
+        if chain[-1] == lattice.top:
+            out.append(Flag(tuple(chain)))
+            return
+        for cover in sorted(upper_covers_oracle(lattice, chain[-1]), key=lattice.key):
+            grow(chain + [cover])
+
+    grow([lattice.bottom])
+    return out
 
 
 def heights_oracle(lattice):

@@ -214,6 +214,16 @@ def test_flags_compare(runner, tmp_path):
     assert "idempotent: PASS" in result.output
 
 
+def test_flags_compare_rank_0_exits_0(runner, tmp_path):
+    # one loop and no coatoms: the empty face is the one facet of S_0 and
+    # of its image, and a face of the empty polytope
+    path = tmp_path / "rank0.json"
+    path.write_text(json.dumps({"format": "flats", "ground_set": ["1"], "flats": [["1"]]}))
+    result = run(runner, "flags", "compare", path, "default", "default")
+    assert result.exit_code == 0, result.output
+    assert "simplicial: PASS" in result.output
+
+
 def test_weakmap_yes(runner):
     result = run(runner, "weakmap", DATA / "u34.json", DATA / "n134.json")
     assert result.exit_code == 0
@@ -360,6 +370,16 @@ def test_homology_max_faces_overrides_the_bound(runner):
     refused = run(runner, "homology", "--max-faces", 79, DATA / "rp2.json")
     assert refused.exit_code == 2
     assert refused.output.startswith("resource bound exceeded: the core has up to 80 faces")
+
+
+def test_homology_reduces_to_the_core_once(runner):
+    # the face bound and the homology share one strong collapse
+    topology.reduced_homology.cache_clear()
+    topology.strong_collapse_core.cache_clear()
+    result = run(runner, "homology", DATA / "tetra.json")
+    assert result.exit_code == 0
+    info = topology.strong_collapse_core.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_homology_of_represented_s0_lists_every_dimension(runner, tmp_path):

@@ -8,7 +8,9 @@ tables replaced: every interval, as a lattice of its own, must pass
 ``verify_geometric`` without intervals.  ``closure_oracle`` is the scan
 over every flat that ``GeometricLattice.closure``'s bitsets replaced, and
 ``heights_oracle`` the scan that ``GeometricLattice._heights``' level
-bitsets replaced.
+bitsets replaced.  ``order_tables_oracle``, ``upper_covers_oracle`` and
+``all_complete_flags_oracle`` are the pairwise up/down loop, the frozenset
+scan and the recursion that the lattice's one order table replaced.
 """
 
 import json
@@ -22,13 +24,17 @@ from hypothesis import given, settings, strategies as st
 from matroid_spheres import (
     GeometricLattice,
     MatroidInputError,
+    all_complete_flags,
+    default_flag,
     lattice_from_flats,
     load_matroid,
     uniform_matroid,
     verify_geometric,
 )
 from matroid_spheres.report import ValidationReport
-from conftest import boolean_matroid, heights_oracle
+from conftest import (
+    all_complete_flags_oracle, boolean_matroid, heights_oracle, order_tables_oracle, upper_covers_oracle,
+)
 
 DATA = Path(__file__).parent / "data"
 DERANDOMIZED = settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -61,7 +67,7 @@ def verify_geometric_oracle(lattice: GeometricLattice, intervals: bool = True) -
     ranked = rk[lattice.bottom] == 0 if is_bounded else False
     if ranked:
         for x in flats:
-            for y in lattice.upper_covers(x):
+            for y in upper_covers_oracle(lattice, x):
                 if rk[y] != rk[x] + 1:
                     ranked = False
                     break
@@ -207,6 +213,7 @@ def test_intersection_closed_families_match_interval_loop(seed):
         lattice = intersection_closed_family(rng)
         line = verify_geometric(lattice)["intervals-geometric"]
         assert (line.passed, line.detail) == intervals_oracle(lattice)
+        assert_same_order(lattice)
         reached += not line.passed and not line.detail.startswith("skipped")
     assert reached >= 10  # the families do reach interval failures
 
@@ -218,10 +225,24 @@ def test_interval_tables_match_interval_loop_on_data():
         assert (line.passed, line.detail) == intervals_oracle(lattice), path.name
 
 
+def assert_same_order(lattice):
+    """Masks, up- and down-sets and every flat's covers; and, on a ranked
+    family, whose bottom and top are its one minimal and one maximal flat,
+    every flag in the same order."""
+    order = lattice.order
+    assert order.elements == lattice.flats
+    assert (order.masks, order.up, order.down) == order_tables_oracle(lattice)
+    for f in lattice.flats:
+        assert lattice.upper_covers(f) == upper_covers_oracle(lattice, f), sorted(f)
+    if verify_geometric(lattice, intervals=False)["ranked"].passed:
+        assert all_complete_flags(lattice) == all_complete_flags_oracle(lattice)
+
+
 def assert_same_reports(lattice):
     for intervals in (False, True):
         assert (verify_geometric(lattice, intervals).to_json()
                 == verify_geometric_oracle(lattice, intervals).to_json())
+    assert_same_order(lattice)
 
 
 @st.composite
@@ -320,6 +341,17 @@ def test_heights_match_scan_on_intersection_closed_families(seed):
 def test_heights_match_scan_on_random_families(lattice):
     # most are not lattices, nor ranked: heights are defined all the same
     assert_same_heights(lattice)
+
+
+# -- flags from the one order table against the recursion ----------------------------------
+
+
+def test_flag_order_matches_the_recursion(fano):
+    for lattice, count in ((boolean_matroid("1234"), 24), (uniform_matroid(3, 5), 20), (fano, 21)):
+        flags = all_complete_flags(lattice)
+        assert flags == all_complete_flags_oracle(lattice)
+        assert len(flags) == count
+        assert default_flag(lattice) == flags[0]
 
 
 def family(*flats, ranks=None):

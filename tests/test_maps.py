@@ -14,6 +14,7 @@ from matroid_spheres import (
     covectors_from_vectors,
     default_flag,
     is_weak_map_matroid,
+    lattice_from_flats,
     linear_matroid,
     make_flag,
     poset_map_search,
@@ -477,8 +478,10 @@ def face_lines(desc):
 
 
 def test_face_lines_match_the_has_face_oracle_on_every_pair(u34, bool3, fano):
+    # rank 0 (one loop): S_0 is the join of no blocks, whose one facet is empty
+    rank0 = lattice_from_flats(["1"], [["1"]])
     pairs = 0
-    for lattice in (u34, bool3, boolean_matroid(["1", "2", "3", "4"]), fano):
+    for lattice in (rank0, u34, bool3, boolean_matroid(["1", "2", "3", "4"]), fano):
         flags = all_complete_flags(lattice)
         for f in flags:
             for g in flags:
@@ -486,7 +489,7 @@ def test_face_lines_match_the_has_face_oracle_on_every_pair(u34, bool3, fano):
                 assert face_lines(desc) == retraction_face_lines_oracle(desc), (f.chain, g.chain)
                 assert verify_retraction(desc).ok
                 pairs += 1
-    assert pairs == 1197
+    assert pairs == 1198
 
 
 def every_mutant(lattices):

@@ -9,7 +9,6 @@ from matroid_spheres import (
     FlagRepresentation,
     Poset,
     SimplicialComplex,
-    all_faces,
     carrier_check,
     default_flag,
     dimension,
@@ -19,7 +18,7 @@ from matroid_spheres import (
     sphere_profile,
 )
 from matroid_spheres import topology
-from matroid_spheres.topology import cross_polytope_nerve_iso, full_simplex, smith_invariant_factors
+from matroid_spheres.topology import all_faces, cross_polytope_nerve_iso, full_simplex, smith_invariant_factors
 from conftest import (
     cross_polytope_boundary, facet_signs, is_homology_sphere, poset_by_leq, simplex_boundary, support, swap_map,
     z2_free_check,
