@@ -2,10 +2,13 @@
 
 Two flags on the same matroid induce different sphere complexes on the same
 vertex set; a cross-polytope shared by both supports a simplicial homotopy
-equivalence between them.  Each is certified a sphere by the join test of
-``spheres``, with no homology, and the retraction's face lines are compares
-of int vertex masks.  Weak maps are decided by comparing ranks on the flats
-of the source, and the representation-level obstruction is found by
+equivalence between them.  Its coatoms are read off the two flags' block
+masks: each F-block takes the highest G-block whose + half meets its own
+(an AND of two ints), and the lowest bit they share, the first coatom of
+both in key order.  Each complex is certified a sphere by the join test of
+``spheres``, with no homology, and the retraction's face lines compare int
+vertex masks.  Weak maps are decided by comparing ranks on the flats of
+the source, and the representation-level obstruction is found by
 exhaustive search over sign-preserving vertex assignments.
 """
 
@@ -15,15 +18,15 @@ from itertools import combinations
 from typing import Mapping
 
 from .lattice import Flag, GeometricLattice, MatroidInputError, make_flag
-from .report import Record, ValidationReport
-from .spheres import (SIGNS, FlagRepresentation, Vertex, _unions, is_cross_polytope, polytope_masks,
+from .report import CheckResult, Record, ValidationReport
+from .spheres import (FlagRepresentation, Vertex, _unions, is_cross_polytope, polytope_masks,
                       representation, selection_polytope)
 from .topology import SimplicialComplex
 
 
 class SelectionError(RuntimeError):
-    """Two F-blocks share their highest G-block, which two flags of one
-    geometric lattice never give."""
+    """The representations are of two lattices, or an F-block meets no G-block or
+    shares its highest with another, which two flags of one geometric lattice never give."""
 
 
 class CrossSelection(Record):
@@ -36,15 +39,10 @@ class CrossSelection(Record):
         self._set(coatoms, f_parts, g_parts)
 
     def distinct(self) -> bool:
-        return (
-            len(set(self.f_parts)) == len(self.f_parts)
-            and len(set(self.g_parts)) == len(self.g_parts)
-        )
+        return len(set(self.f_parts)) == len(self.f_parts) and len(set(self.g_parts)) == len(self.g_parts)
 
 
-def select_cross_coatoms(
-    rep_f: FlagRepresentation, rep_g: FlagRepresentation
-) -> CrossSelection:
+def select_cross_coatoms(rep_f: FlagRepresentation, rep_g: FlagRepresentation) -> CrossSelection:
     """Pick one coatom per F-block so the G-blocks are also all distinct.
 
     Blocks of the two partitions form a bipartite graph with an edge where
@@ -61,19 +59,28 @@ def select_cross_coatoms(
     F-block i meets.  On any graph, if the highest neighbours are
     distinct, the same sum argument makes them its only perfect matching,
     so whenever this returns, no search could return anything else.
-    Both representations are of the same lattice, and each edge keeps the
-    first coatom its two blocks share, in key order.
+
+    Blocks meet where their + ``halves`` AND to nonzero, so the highest G-block
+    is a scan of ANDs down to block 0.  ``signed_bits`` puts coatom k's +
+    vertex at bit 2k, so the lowest bit of the AND is the first coatom the
+    two blocks share, in key order: the one selected.
     """
-    r = rep_f.lattice.r
-    first: list[dict[int, frozenset]] = [{} for _ in range(r)]  # G-block -> coatom
-    for i, block in enumerate(rep_f.parts):
-        for c in block:
-            first[i].setdefault(rep_g.part_of[c], c)
-    chosen = [max(seen) for seen in first]
-    if len(set(chosen)) != r:
+    lattice = rep_f.lattice
+    if rep_g.lattice is not lattice and rep_g.lattice.signed_bits != lattice.signed_bits:
+        raise SelectionError("no cross-coatom selection: the representations are of different lattices")
+    coatoms, g_plus, chosen, picked = lattice.coatoms(), [p for p, _ in rep_g.halves], [], []
+    for p, _ in rep_f.halves:
+        for j in range(len(g_plus) - 1, -1, -1):
+            shared = p & g_plus[j]
+            if shared:
+                break
+        else:
+            raise SelectionError("no cross-coatom selection: an F-block meets no G-block")
+        chosen.append(j)
+        picked.append(coatoms[(shared & -shared).bit_length() >> 1])
+    if len(set(chosen)) != len(chosen):
         raise SelectionError("no cross-coatom selection: two F-blocks share their highest G-block")
-    coatoms = tuple(first[i][j] for i, j in enumerate(chosen))
-    return CrossSelection(coatoms, tuple(range(r)), tuple(chosen))
+    return CrossSelection(tuple(picked), tuple(range(len(chosen))), tuple(chosen))
 
 
 class RetractDescriptor(Record):
@@ -87,20 +94,14 @@ class RetractDescriptor(Record):
         self._set(selection, source, target, vertex_map, polytope)
 
 
-def retraction_map(
-    lattice: GeometricLattice, flag_f: Flag, flag_g: Flag
-) -> RetractDescriptor:
-    """Send every signed coatom in block i onto the selected coatom C_i."""
+def retraction_map(lattice: GeometricLattice, flag_f: Flag, flag_g: Flag) -> RetractDescriptor:
+    """Send every signed coatom in block i onto the selected coatom C_i, sign kept, by ``slots``."""
     rep_f = representation(lattice, flag_f)
     rep_g = representation(lattice, flag_g)
     sel = select_cross_coatoms(rep_f, rep_g)
     labels = lattice.signed_coatoms
-    vmap: dict[Vertex, Vertex] = {
-        v: labels[chosen][s]
-        for block, chosen in zip(rep_f.parts, sel.coatoms)
-        for c in block
-        for s, v in labels[c].items()
-    }
+    onto = [v for c in sel.coatoms for v in labels[c].values()]  # slot 2i + k's image
+    vmap: dict[Vertex, Vertex] = {v: onto[k] for v, k in rep_f.slots}
     polytope = selection_polytope(lattice, frozenset(sel.coatoms))
     return RetractDescriptor(sel, rep_f, rep_g, vmap, polytope)
 
@@ -114,36 +115,36 @@ def verify_retraction(desc: RetractDescriptor) -> ValidationReport:
     (``join_holds``, so ~ S^{r-1}), and the polytope, as held, that of the
     r pairs {C+}, {C-} over the selected coatoms (``is_cross_polytope``).
     The face lines compare int vertex masks.  Given the join, a facet of
-    S_0 is one signed half per block, so each half is mapped once and the
-    images are their unions, and a face is a set in which no block holds
-    both signs (``are_faces``); an S_0 that is not the join fails them.
-    The polytope is tested as held (``polytope_masks``), so a facet grown
-    by a vertex still holds the image of the facet it grew from.  Verdicts
-    and tables are memoized, so the pairs of a matroid compute each once.
+    S_0 is one signed half per block, so the 2r image halves are filled in
+    one pass through the descriptor's map (``half_masks``) and the images
+    are their unions, and a face is a set in which no block holds both
+    signs (``are_faces``); an S_0 that is not the join fails them.  The
+    polytope is tested as held (``polytope_masks``), so a facet grown by a
+    vertex still holds the image of the facet it grew from.  Verdicts and
+    tables are memoized, so the pairs of a matroid compute each once.
     """
-    rep = ValidationReport()
     source, target, vmap = desc.source, desc.target, desc.vertex_map
-    lattice, labels = source.lattice, source.lattice.signed_coatoms
+    lattice = source.lattice
     s_f = source.build(lattice.bottom).complex
     polytope = polytope_masks(desc.polytope, lattice)
     if source.join_holds:
-        halves = [[source.mask({vmap[labels[c][s]] for c in block}) for s in SIGNS] for block in source.parts]
-        images = frozenset(_unions(halves))
+        images = frozenset(_unions(source.half_masks(vmap)))
     else:
         images = frozenset(source.mask({vmap[v] for v in m}) for m in s_f.maximal_faces)
-    rep.add("selection-distinct", desc.selection.distinct())
-    rep.add("polytope-in-source", source.are_faces(polytope))
-    rep.add("polytope-in-target", target.are_faces(polytope))
-    # the empty face, the one facet of the join of no blocks at rank 0, is a face of every complex
-    rep.add("simplicial", all(any(i & m == i for m in polytope) for i in images - polytope if i))
-    rep.add("idempotent", all(vmap[vmap[v]] == vmap[v] for v in s_f.vertices))
-    rep.add("composite-simplicial", target.are_faces(images))
-    rep.add("source-sphere", source.join_holds)
-    rep.add("target-sphere", target.join_holds)
     coatoms = frozenset(desc.selection.coatoms)
     polytope_ok = len(coatoms) == lattice.r and is_cross_polytope(desc.polytope, lattice, coatoms)
-    rep.add("polytope-sphere", polytope_ok)
-    return rep
+    return ValidationReport([
+        CheckResult("selection-distinct", desc.selection.distinct()),
+        CheckResult("polytope-in-source", source.are_faces(polytope)),
+        CheckResult("polytope-in-target", target.are_faces(polytope)),
+        # the empty face, the one facet of the join of no blocks at rank 0, is a face of every complex
+        CheckResult("simplicial", all(any(i & m == i for m in polytope) for i in images - polytope if i)),
+        CheckResult("idempotent", all(vmap[vmap[v]] == vmap[v] for v in s_f.vertices)),
+        CheckResult("composite-simplicial", target.are_faces(images)),
+        CheckResult("source-sphere", source.join_holds),
+        CheckResult("target-sphere", target.join_holds),
+        CheckResult("polytope-sphere", polytope_ok),
+    ])
 
 
 # -- weak maps -----------------------------------------------------------------
@@ -216,18 +217,13 @@ def poset_map_search(
     source = rep_m.build(m.bottom).complex
     target = rep_n.build(n.bottom).complex
 
-    candidates: dict[Vertex, list[Vertex]] = {}
-    for v in source.vertices:
-        closure = n.closure(frozenset(v[0]))
-        candidates[v] = [
-            rep_n.vertex(h, v[1]) for h in sorted(n.coat_above(closure), key=n.key)
-        ]
+    candidates: dict[Vertex, list[Vertex]] = {
+        v: [rep_n.vertex(h, v[1]) for h in sorted(n.coat_above(n.closure(frozenset(v[0]))), key=n.key)]
+        for v in source.vertices}
 
     order = list(source.vertices)
     position = {v: i for i, v in enumerate(order)}
-    incident = {
-        v: [mface for mface in source.maximal_faces if v in mface] for v in order
-    }
+    incident = {v: [mface for mface in source.maximal_faces if v in mface] for v in order}
     assignment: dict[Vertex, Vertex] = {}
     nodes = 0
 

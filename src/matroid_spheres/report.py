@@ -3,6 +3,20 @@
 from __future__ import annotations
 
 
+# ``Record._set``, one per arity, chosen per record class: it sets the fields in
+# order by their slot descriptors, past ``__setattr__``.  A loop over ``zip``
+# about doubles the cost of a record, and a flag pair builds eleven
+_SETTERS = (
+    lambda: lambda o: None,
+    lambda a: lambda o, x: a(o, x),
+    lambda a, b: lambda o, x, y: (a(o, x), b(o, y)),
+    lambda a, b, c: lambda o, x, y, z: (a(o, x), b(o, y), c(o, z)),
+    lambda a, b, c, d: lambda o, x, y, z, w: (a(o, x), b(o, y), c(o, z), d(o, w)),
+    lambda a, b, c, d, e: lambda o, x, y, z, w, v: (a(o, x), b(o, y), c(o, z), d(o, w), e(o, v)),
+    lambda a, b, c, d, e, f: lambda o, x, y, z, w, v, u: (a(o, x), b(o, y), c(o, z), d(o, w), e(o, v), f(o, u)),
+)
+
+
 class Record:
     """Value record over its subclass's ``__slots__`` fields: equal and hashed by
     type and fields, with a dataclass-style repr, and frozen once ``__init__`` has
@@ -13,12 +27,7 @@ class Record:
 
     def __init_subclass__(cls):
         cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
-        cls._setters = tuple(vars(cls)[f].__set__ for f in cls._fields)
-
-    def _set(self, *values) -> None:
-        """Set the fields in order by their slot descriptors, past ``__setattr__``."""
-        for setter, value in zip(self._setters, values):
-            setter(self, value)
+        cls._set = _SETTERS[len(cls._fields)](*(vars(cls)[f].__set__ for f in cls._fields))
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)
@@ -42,19 +51,11 @@ class Record:
 class CheckResult(Record):
     __slots__ = ("name", "passed", "detail")
     def __init__(self, name: str, passed: bool, detail: str = ""):
-        # one record per report line: the slot setters called directly, as ``_set``'s
-        # loop about doubles the cost of a record, and a flag pair builds nine
-        _set_name(self, name)
-        _set_passed(self, passed)
-        _set_detail(self, detail)
+        self._set(name, passed, detail)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{self.name}: {status}" + (f" ({self.detail})" if self.detail else "")
-
-
-# the unpack fails at import if ``CheckResult`` gains a field, so none is left unset
-_set_name, _set_passed, _set_detail = CheckResult._setters
 
 
 class ValidationReport(Record):
@@ -91,10 +92,5 @@ class ValidationReport(Record):
         raise KeyError(name)
 
     def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
-        }
+        return {"ok": self.ok,
+                "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in self.checks]}

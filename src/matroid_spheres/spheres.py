@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache, reduce
 from operator import and_
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .lattice import Flag, GeometricLattice
 from .report import Record, ValidationReport
@@ -75,9 +75,6 @@ class FlagRepresentation:
         if empty:
             raise ValueError(f"empty coatom block at position {empty[0]}: input lattice is not geometric")
         self.parts: tuple[tuple[frozenset, ...], ...] = tuple(map(tuple, parts))
-        self.part_of: dict[frozenset, int] = {
-            c: i for i, block in enumerate(parts) for c in block
-        }
         self._built: dict[frozenset, RepComplex] = {}
         self._law: bool | None = None
 
@@ -141,10 +138,22 @@ class FlagRepresentation:
     # -- certificates on vertex masks ----------------------------------------------
 
     @cached_property
-    def halves(self) -> tuple[tuple[int, int], ...]:
-        """Each block's coatoms signed + and signed -, as two vertex masks."""
-        labels, bits = self.lattice.signed_coatoms, self.lattice.signed_bits
-        return tuple(tuple(sum(bits[labels[c][s]] for c in block) for s in SIGNS) for block in self.parts)
+    def slots(self) -> tuple[tuple[Vertex, int], ...]:
+        """Each signed vertex, block by block, with its half's slot: 2i + 0 (+) or 2i + 1 (-)."""
+        labels = self.lattice.signed_coatoms
+        return tuple((v, 2 * i + k) for i, block in enumerate(self.parts)
+                     for c in block for k, v in enumerate(labels[c].values()))
+
+    def half_masks(self, vertex_map: Mapping[Vertex, Vertex] | None = None) -> tuple[tuple[int, int], ...]:
+        """Each block's coatoms signed + and signed -, as two vertex masks,
+        each vertex sent through the map if one is given: one pass over
+        ``slots``.  Cached with no map as ``halves``."""
+        bits, out = self.lattice.signed_bits, [0] * (2 * len(self.parts))
+        for v, k in self.slots:
+            out[k] |= bits[v if vertex_map is None else vertex_map[v]]
+        return tuple(zip(out[::2], out[1::2]))
+
+    halves = cached_property(half_masks)
 
     @cached_property
     def masks(self) -> dict[frozenset, int]:
@@ -352,12 +361,8 @@ def arrangement_flats(arr: HomotopyArrangement) -> GeometricLattice:
 def roundtrip_isomorphic(lattice: GeometricLattice, recovered: GeometricLattice) -> bool:
     """Does F -> {atoms below F} carry the lattice onto the recovered one?"""
     atoms = lattice.atoms()
-    image = {}
-    for f in lattice.flats:
-        image[f] = frozenset(atom_label(lattice, a) for a in atoms if a <= f)
-    if len(set(image.values())) != len(lattice.flats):
-        return False
-    if set(image.values()) != set(recovered.flats):
+    image = {f: frozenset(atom_label(lattice, a) for a in atoms if a <= f) for f in lattice.flats}
+    if len(set(image.values())) != len(lattice.flats) or set(image.values()) != set(recovered.flats):
         return False
     return all(recovered.rank(image[f]) == lattice.rank(f) for f in lattice.flats)
 

@@ -223,6 +223,10 @@ class Poset:
         the same core up to isomorphism, so False means the core has more
         than one element (or a member is not an element); that complex may
         still be contractible, and the caller must decide it another way.
+
+        Elements are tested from a worklist.  Removing x changes the strict
+        up- or down-set only of the elements comparable to x, so only those
+        are tested again, and once the list is empty what is left is the core.
         """
         up, down, index = self.up, self.down, self.index
         left = 0
@@ -230,19 +234,20 @@ class Poset:
             if x not in index:
                 return False
             left |= 1 << index[x]
-        removed = True
-        while removed and left & (left - 1):  # two or more elements left
-            removed = False
-            for i in _bits(left):
-                # indices follow a linear extension, so a least element is
-                # the lowest index and a greatest one the highest
-                above = up[i] & left & ~(1 << i)
-                below = down[i] & left & ~(1 << i)
-                if (above and above & ~up[(above & -above).bit_length() - 1] == 0) or (
-                    below and below & ~down[below.bit_length() - 1] == 0
-                ):
-                    left &= ~(1 << i)
-                    removed = True
+        todo = left  # always inside left: only a tested element is removed
+        while todo and left & (left - 1):  # two or more elements left
+            bit = todo & -todo
+            todo ^= bit
+            i = bit.bit_length() - 1
+            # indices follow a linear extension, so a least element is
+            # the lowest index and a greatest one the highest
+            above = up[i] & left ^ bit
+            below = down[i] & left ^ bit
+            if (above and above & ~up[(above & -above).bit_length() - 1] == 0) or (
+                below and below & ~down[below.bit_length() - 1] == 0
+            ):
+                left ^= bit
+                todo |= above | below
         return left != 0 and not left & (left - 1)
 
 

@@ -18,7 +18,9 @@ from matroid_spheres import (
     uniform_matroid,
     vector_config,
 )
-from matroid_spheres.maps import CrossSelection, SelectionError
+from matroid_spheres.maps import CrossSelection, RetractDescriptor, SelectionError
+from matroid_spheres.report import ValidationReport
+from matroid_spheres.spheres import _unions, is_cross_polytope, polytope_masks, representation, selection_polytope
 from matroid_spheres.topology import (
     HomologyProfile,
     all_faces,
@@ -87,17 +89,22 @@ def support(rep, flat):
     return tuple(i for i, block in enumerate(rep.parts) if coat.intersection(block))
 
 
+def part_of(rep):
+    """Each coatom's block index, read off ``parts``."""
+    return {c: i for i, block in enumerate(rep.parts) for c in block}
+
+
 def facet_signs(rep, complex_):
     """Each maximal face's sign vector over the coatom blocks, read off its
     vertices by ``part_of`` and the sign label: 1 or -1 where the face's
     vertices in a block all carry that sign, 0 where the face has none in
     the block, and None where its signs there mix."""
     value = {frozenset(): 0, frozenset("+"): 1, frozenset("-"): -1}
-    out = {}
+    out, block = {}, part_of(rep)
     for face in complex_.maximal_faces:
         signs = [set() for _ in rep.parts]
         for coatom, sign in face:
-            signs[rep.part_of[frozenset(coatom)]].add(sign)
+            signs[block[frozenset(coatom)]].add(sign)
         out[face] = tuple(value.get(frozenset(s)) for s in signs)
     return out
 
@@ -160,6 +167,31 @@ def face_homology_oracle(complex_):
          tuple(x for x in factors[d + 1] if x > 1))
         for d in range(top + 1)
     ))
+
+
+def beat_points_oracle(poset, members):
+    """Beat points removed pass by pass, each pass testing every element
+    left, until a pass removes none; True when one element is left.
+    Oracle for ``Poset.beat_points_reduce_to_point``."""
+    up, down, index = poset.up, poset.down, poset.index
+    members = set(members)
+    if any(x not in index for x in members):
+        return False
+    left = sum(1 << index[x] for x in members)
+    removed = True
+    while removed and left & (left - 1):
+        removed = False
+        for i in range(len(up)):
+            if not left >> i & 1:
+                continue
+            above = up[i] & left & ~(1 << i)
+            below = down[i] & left & ~(1 << i)
+            if (above and above & ~up[(above & -above).bit_length() - 1] == 0) or (
+                below and below & ~down[below.bit_length() - 1] == 0
+            ):
+                left &= ~(1 << i)
+                removed = True
+    return left != 0 and not left & (left - 1)
 
 
 def maps_into_carrier_oracle(vertex_images, a_cover, b_cover):
@@ -230,11 +262,11 @@ def embedding_face_lines_oracle(emb):
     maximal faces, with the signs of each image grouped by block."""
     rep, cs = emb.rep, emb.cs
     well = all(rep.build(cs.zero_set(x)).complex.has_face(face) for x, face in emb.images.items())
-    same_sign = True
+    same_sign, block = True, part_of(rep)
     for face in emb.images.values():
         by_part = {}
         for v in face:
-            by_part.setdefault(rep.part_of[frozenset(v[0])], set()).add(v[1])
+            by_part.setdefault(block[frozenset(v[0])], set()).add(v[1])
         same_sign = same_sign and all(len(s) == 1 for s in by_part.values())
     into = all(rep.build(g).complex.has_face(emb.images[x])
                for g in emb.lattice.flats for x in emb.delta(g).vertices)
@@ -292,15 +324,72 @@ def heights_oracle(lattice):
 
 
 def select_cross_coatoms_oracle(rep_f, rep_g):
+    """Cross-coatom selection by a dict per F-block of the first coatom it
+    shares with each G-block, in key order, read coatom by coatom through
+    ``part_of``; each F-block takes its highest G-block.  Oracle for the
+    mask reading of ``maps.select_cross_coatoms``."""
+    r, g_block = rep_f.lattice.r, part_of(rep_g)
+    first = [{} for _ in range(r)]  # G-block -> coatom
+    for i, block in enumerate(rep_f.parts):
+        for c in block:
+            first[i].setdefault(g_block[c], c)
+    chosen = [max(seen) for seen in first]
+    if len(set(chosen)) != r:
+        raise SelectionError("no cross-coatom selection: two F-blocks share their highest G-block")
+    coatoms = tuple(first[i][j] for i, j in enumerate(chosen))
+    return CrossSelection(coatoms, tuple(range(r)), tuple(chosen))
+
+
+def retraction_oracle(lattice, flag_f, flag_g):
+    """``retraction_map`` through ``select_cross_coatoms_oracle``, each
+    signed coatom's image read off its label dict.  Oracle for
+    ``maps.retraction_map``."""
+    rep_f, rep_g = representation(lattice, flag_f), representation(lattice, flag_g)
+    sel = select_cross_coatoms_oracle(rep_f, rep_g)
+    labels = lattice.signed_coatoms
+    vmap = {v: labels[chosen][s] for block, chosen in zip(rep_f.parts, sel.coatoms)
+            for c in block for s, v in labels[c].items()}
+    return RetractDescriptor(sel, rep_f, rep_g, vmap, selection_polytope(lattice, frozenset(sel.coatoms)))
+
+
+def verify_retraction_oracle(desc):
+    """``verify_retraction`` with each image half the mask of a vertex set
+    mapped coatom by coatom, and the report built line by line by ``add``.
+    Oracle for ``maps.verify_retraction``."""
+    rep = ValidationReport()
+    source, target, vmap = desc.source, desc.target, desc.vertex_map
+    lattice, labels = source.lattice, source.lattice.signed_coatoms
+    s_f = source.build(lattice.bottom).complex
+    polytope = polytope_masks(desc.polytope, lattice)
+    if source.join_holds:
+        halves = [[source.mask({vmap[labels[c][s]] for c in block}) for s in "+-"] for block in source.parts]
+        images = frozenset(_unions(halves))
+    else:
+        images = frozenset(source.mask({vmap[v] for v in m}) for m in s_f.maximal_faces)
+    rep.add("selection-distinct", desc.selection.distinct())
+    rep.add("polytope-in-source", source.are_faces(polytope))
+    rep.add("polytope-in-target", target.are_faces(polytope))
+    rep.add("simplicial", all(any(i & m == i for m in polytope) for i in images - polytope if i))
+    rep.add("idempotent", all(vmap[vmap[v]] == vmap[v] for v in s_f.vertices))
+    rep.add("composite-simplicial", target.are_faces(images))
+    rep.add("source-sphere", source.join_holds)
+    rep.add("target-sphere", target.join_holds)
+    coatoms = frozenset(desc.selection.coatoms)
+    rep.add("polytope-sphere", len(coatoms) == lattice.r and is_cross_polytope(desc.polytope, lattice, coatoms))
+    return rep
+
+
+def cross_coatom_search_oracle(rep_f, rep_g):
     """Cross-coatom selection from a dict of every coatom per (F-block,
     G-block) pair, greedy in G-block order with Kuhn's matching on block
-    indices.  Oracle for ``maps.select_cross_coatoms``."""
-    lattice = rep_f.lattice
+    indices: a search where the selection reads the one answer off.
+    Oracle for ``maps.select_cross_coatoms``."""
+    lattice, g_block = rep_f.lattice, part_of(rep_g)
     r = lattice.r
     options = {}
     for i in range(r):
         for c in rep_f.parts[i]:
-            options.setdefault((i, rep_g.part_of[c]), []).append(c)
+            options.setdefault((i, g_block[c]), []).append(c)
 
     def matchable(fixed, start):
         used_g = set(fixed.values())

@@ -51,7 +51,6 @@ def every_flag(lattices):
 def test_blocks_match_oracle(lattices):
     for name, lattice, rep in every_flag(lattices):
         assert rep.parts == blocks_oracle(lattice, rep.flag), (name, rep.flag.chain)
-        assert rep.part_of == {c: i for i, b in enumerate(rep.parts) for c in b}
 
 
 def test_cross_polytope_and_sigma_match_oracle(lattices):

@@ -1,3 +1,4 @@
+from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
@@ -35,9 +36,13 @@ from matroid_spheres.spheres import _cross_polytope, _vertex_order, polytope_mas
 from conftest import (
     boolean_matroid,
     cov_leq,
+    cross_coatom_search_oracle,
     is_homology_sphere,
+    part_of,
     retraction_face_lines_oracle,
+    retraction_oracle,
     select_cross_coatoms_oracle,
+    verify_retraction_oracle,
 )
 
 PAPER_FLAG = [[], ["1"], ["1", "2"], ["1", "2", "3", "4"]]
@@ -50,9 +55,10 @@ def brute_force_selection_exists(lattice, flag_f, flag_g, selection):
     r = lattice.r
     got = set(selection.coatoms)
     valid = []
+    f_block, g_block = part_of(rep_f), part_of(rep_g)
     for sub in combinations(lattice.coatoms(), r):
-        f_parts = [rep_f.part_of[c] for c in sub]
-        g_parts = [rep_g.part_of[c] for c in sub]
+        f_parts = [f_block[c] for c in sub]
+        g_parts = [g_block[c] for c in sub]
         if len(set(f_parts)) == r and len(set(g_parts)) == r:
             valid.append(frozenset(sub))
     return frozenset(got) in valid
@@ -132,7 +138,7 @@ def test_selection_matches_oracle_on_every_pair(u24, u34, bool3, n134, fano):
     for lattice, f, g in pairs:
         rep_f, rep_g = representation(lattice, f), representation(lattice, g)
         got = select_cross_coatoms(rep_f, rep_g)
-        assert selection_fields(got) == selection_fields(select_cross_coatoms_oracle(rep_f, rep_g))
+        assert selection_fields(got) == selection_fields(cross_coatom_search_oracle(rep_f, rep_g))
 
 
 def outcome(select_fn, rep_f, rep_g):
@@ -142,14 +148,55 @@ def outcome(select_fn, rep_f, rep_g):
         return SelectionError
 
 
+def assign_blocks(rep, blocks):
+    """Overwrite a fresh representation's coatom blocks: the k-th coatom in
+    key order goes to block blocks[k], or to none where that is None.  The
+    masks (``slots``, ``halves``) are rebuilt from ``parts``, which the
+    oracles read too, so every route sees the same assignment."""
+    coatoms = rep.lattice.coatoms()
+    rep.parts = tuple(tuple(c for c, j in zip(coatoms, blocks) if j == i) for i in range(rep.r))
+    for table in ("slots", "halves"):
+        vars(rep).pop(table, None)
+
+
 def test_selection_without_perfect_matching_raises(u34):
     # every coatom overwritten into G-block 0: three F-blocks, one G-block
     rep_f = FlagRepresentation(u34, default_flag(u34))
     rep_g = FlagRepresentation(u34, default_flag(u34))
-    rep_g.part_of = dict.fromkeys(rep_g.part_of, 0)
-    for select_fn in (select_cross_coatoms, select_cross_coatoms_oracle):
+    assign_blocks(rep_g, [0] * len(u34.coatoms()))
+    for select_fn in (select_cross_coatoms, select_cross_coatoms_oracle, cross_coatom_search_oracle):
         with pytest.raises(SelectionError):
             select_fn(rep_f, rep_g)
+
+
+def test_selection_where_an_f_block_meets_no_g_block_raises(u34):
+    # the coatoms of F-block 0 (the default flag's) are in no G-block: the
+    # descending scan must stop at G-block 0, where a negative index would
+    # wrap round to the top block and then run off the list
+    rep_f = FlagRepresentation(u34, default_flag(u34))
+    block_0 = set(rep_f.parts[0])
+    for others in range(3):
+        rep_g = FlagRepresentation(u34, default_flag(u34))
+        assign_blocks(rep_g, [None if c in block_0 else others for c in u34.coatoms()])
+        with pytest.raises(SelectionError, match="meets no G-block"):
+            select_cross_coatoms(rep_f, rep_g)
+    rep_g = FlagRepresentation(u34, default_flag(u34))
+    assign_blocks(rep_g, [None] * len(u34.coatoms()))
+    with pytest.raises(SelectionError, match="meets no G-block"):
+        select_cross_coatoms(rep_f, rep_g)
+
+
+def test_selection_on_two_lattices_raises(u34, n134, bool3):
+    # U(3,4) and N134 share their ground set and rank, but not their coatoms
+    for one, other in ((u34, n134), (n134, u34), (u34, bool3), (bool3, u34)):
+        rep_f = representation(one, default_flag(one))
+        rep_g = representation(other, default_flag(other))
+        with pytest.raises(SelectionError, match="different lattices"):
+            select_cross_coatoms(rep_f, rep_g)
+    # an equal lattice built twice has the same signed vertices, so it reads the same
+    twin = uniform_matroid(3, 4)
+    sel = select_cross_coatoms(representation(u34, default_flag(u34)), representation(twin, default_flag(twin)))
+    assert sel == select_cross_coatoms(*[representation(u34, default_flag(u34))] * 2)
 
 
 def test_selection_matches_oracle_on_every_block_assignment(u34):
@@ -163,10 +210,11 @@ def test_selection_matches_oracle_on_every_block_assignment(u34):
     coatoms = u34.coatoms()
     matched = searched = 0
     for blocks in product(range(3), repeat=len(coatoms)):
-        rep_g.part_of = dict(zip(coatoms, blocks))
+        assign_blocks(rep_g, blocks)
         got = outcome(select_cross_coatoms, rep_f, rep_g)
-        oracle = outcome(select_cross_coatoms_oracle, rep_f, rep_g)
-        highest = [max(rep_g.part_of[c] for c in block) for block in rep_f.parts]
+        assert got == outcome(select_cross_coatoms_oracle, rep_f, rep_g), blocks
+        oracle = outcome(cross_coatom_search_oracle, rep_f, rep_g)
+        highest = [max(part_of(rep_g)[c] for c in block) for block in rep_f.parts]
         if len(set(highest)) == len(highest):
             assert got == oracle, blocks
             matched += 1
@@ -342,6 +390,51 @@ def test_memoized_retractions_match_fresh_representations(u34, bool3, fano, monk
         for desc, oracle in zip(memoized, fresh):
             assert retraction_fields(desc) == retraction_fields(oracle)
     assert len(all_complete_flags(fano)) ** 2 == 441
+
+
+# -- the mask route against the oracle route ------------------------------------------
+#
+# ``retraction_oracle`` selects by a dict per F-block and maps each signed
+# coatom through its label dict; ``verify_retraction_oracle`` maps each
+# image half as a vertex set and adds the lines one by one.
+
+
+def route(desc, verify):
+    """Everything a pair's retraction and certificate show, the map in its order."""
+    return (desc.selection, list(desc.vertex_map.items()), desc.polytope, verify(desc).to_json())
+
+
+def test_mask_route_matches_the_oracle_route_on_every_pair(u34, bool3, fano):
+    # U(4,6)'s blocks hold several coatoms each, so the lowest shared bit picks among them
+    pairs = 0
+    for lattice in (u34, bool3, boolean_matroid("1234"), fano, uniform_matroid(4, 6)):
+        flags = all_complete_flags(lattice)
+        for f in flags:
+            for g in flags:
+                desc = retraction_map(lattice, f, g)
+                oracle = retraction_oracle(lattice, f, g)
+                assert route(desc, verify_retraction) == route(oracle, verify_retraction_oracle), (f.chain, g.chain)
+                pairs += 1
+    assert pairs == 144 + 36 + 576 + 441 + 120 ** 2
+
+
+@lru_cache(maxsize=None)
+def random_lattice(kind, r, n):
+    """U(r,n), or B_r for kind "boolean", with its flags, built once per
+    test session so that its representations are shared as in production."""
+    lattice = boolean_matroid(range(r)) if kind == "boolean" else uniform_matroid(r, n)
+    return lattice, all_complete_flags(lattice)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.sampled_from(["uniform", "boolean"]), st.integers(1, 5), st.integers(0, 3), st.data())
+def test_mask_route_matches_the_oracle_route_on_random_pairs(kind, r, extra, data):
+    lattice, flags = random_lattice(kind, r, r if kind == "boolean" else r + extra)
+    f = data.draw(st.sampled_from(flags))
+    g = data.draw(st.sampled_from(flags))
+    desc = retraction_map(lattice, f, g)
+    assert route(desc, verify_retraction) == route(retraction_oracle(lattice, f, g), verify_retraction_oracle)
+    assert verify_retraction(desc).ok
 
 
 # -- retraction certificate on mutated descriptors -----------------------------------

@@ -13,7 +13,7 @@ from matroid_spheres import (
     verify_arrangement,
     verify_geometric,
 )
-from conftest import facet_signs, is_subcomplex_of, nerve_oracle, support, swap_map, z2_free_check
+from conftest import facet_signs, is_subcomplex_of, nerve_oracle, part_of, support, swap_map, z2_free_check
 
 
 def rep_for(lattice, chain=None):
@@ -151,7 +151,7 @@ def test_sigma_sign_roundtrip(u34):
         built = rep.build(flat)
         for face, vec in facet_signs(rep, built.complex).items():
             assert rep.sigma(vec, flat) == face
-            assert all(vec[rep.part_of[frozenset(c)]] == (1 if s == "+" else -1) for c, s in face)
+            assert all(vec[part_of(rep)[frozenset(c)]] == (1 if s == "+" else -1) for c, s in face)
 
 
 def test_sigma_ignores_refinements_outside_support(u34):

@@ -9,7 +9,10 @@ from matroid_spheres import (
     FlagRepresentation,
     Poset,
     SimplicialComplex,
+    build_covers,
+    build_embedding,
     carrier_check,
+    covectors_from_vectors,
     default_flag,
     dimension,
     is_homology_point,
@@ -18,9 +21,10 @@ from matroid_spheres import (
     sphere_profile,
 )
 from matroid_spheres import topology
+from matroid_spheres.jsonio import load_vector_config_file
 from matroid_spheres.topology import all_faces, cross_polytope_nerve_iso, full_simplex, smith_invariant_factors
 from conftest import (
-    cross_polytope_boundary, facet_signs, is_homology_sphere, poset_by_leq, simplex_boundary, support, swap_map,
+    DATA, beat_points_oracle, cross_polytope_boundary, facet_signs, is_homology_sphere, poset_by_leq, simplex_boundary, support, swap_map,
     z2_free_check,
 )
 
@@ -239,6 +243,50 @@ def test_beat_points_stuck_on_a_circle():
     assert CIRCLE.beat_points_reduce_to_point("acd")  # c and d sit over a alone
     assert not CIRCLE.beat_points_reduce_to_point("")
     assert not CIRCLE.beat_points_reduce_to_point("az")  # z is no element
+
+
+def test_beat_point_worklist_matches_the_pass_by_pass_oracle():
+    verdicts = []
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(masks_and_subsets)
+    def check(case):
+        # Stong: every order of removal ends in the same core, so the
+        # worklist's order cannot change the verdict
+        masks, subset = case
+        poset = Poset(masks, masks)
+        for members in (subset, masks):
+            verdict = poset.beat_points_reduce_to_point(members)
+            assert verdict is beat_points_oracle(poset, members), (masks, members)
+            verdicts.append(verdict)
+
+    check()
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
+
+
+def test_beat_point_worklist_matches_the_oracle_on_every_carrier_poset(monkeypatch):
+    # every (poset, intersection) that ``carrier_check`` asks about, over
+    # every flat of every vector configuration in tests/data, and each
+    # poset on all of its elements
+    asked = []
+    real = Poset.beat_points_reduce_to_point
+
+    def recorded(poset, members):
+        asked.append((poset, frozenset(members)))
+        return real(poset, members)
+
+    monkeypatch.setattr(Poset, "beat_points_reduce_to_point", recorded)
+    for path in sorted(DATA.glob("*_vec.json")):
+        emb = build_embedding(covectors_from_vectors(load_vector_config_file(path)))
+        for flat in emb.lattice.flats:
+            a_cover, b_cover = build_covers(emb, flat)
+            assert carrier_check(emb.images, a_cover, b_cover).ok
+            asked.append((a_cover.poset, frozenset(a_cover.poset.elements)))
+    monkeypatch.undo()
+    assert len({id(p) for p, _ in asked}) >= 20
+    verdicts = [real(poset, x) for poset, x in asked]
+    assert verdicts == [beat_points_oracle(poset, x) for poset, x in asked]
+    assert True in verdicts
 
 
 def homology_calls(monkeypatch):
