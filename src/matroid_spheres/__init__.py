@@ -55,7 +55,6 @@ from .report import ValidationReport
 from .spheres import (
     FlagRepresentation,
     HomotopyArrangement,
-    RepComplex,
     arrangement_flats,
     representation,
     roundtrip_isomorphic,

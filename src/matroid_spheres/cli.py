@@ -88,13 +88,13 @@ def represent(matroid: str, flag_arg: str, out_dir: str, as_json: bool) -> None:
         for flat in lattice.flats:
             built = rep.construct(flat)  # each S_G is written once: cache none
             name = jsonio.flat_filename(lattice, flat)
-            (out / name).write_text(dump_json(jsonio.signed_complex_to_json(built.complex)))
+            (out / name).write_text(dump_json(jsonio.signed_complex_to_json(built)))
             index.append(
                 {
                     "flat": list(lattice.sorted_elements(flat)),
                     "file": name,
-                    "maximal_faces": len(built.complex.maximal_faces),
-                    "vertices": len(built.complex.vertices),
+                    "maximal_faces": len(built.maximal_faces),
+                    "vertices": len(built.vertices),
                 }
             )
     except OSError as exc:  # a bad --out is bad input: exit 2, not 3
@@ -143,7 +143,7 @@ def verify(matroid: str, flag_arg: str, exact_nerve: bool, as_json: bool) -> Non
 
 @main.command()
 @click.argument("complex_file", type=click.Path(exists=True))
-@click.option("--max-faces", type=int, default=2**20, show_default=True,
+@click.option("--max-faces", type=click.IntRange(min=0), default=2**20, show_default=True,
               help="exit 2 when the sum of 2^|facet| over the strong-collapse core is larger")
 @click.option("--json", "as_json", is_flag=True)
 @input_errors
@@ -261,7 +261,7 @@ def verify_retraction_with_selection(desc) -> ValidationReport:
 @click.argument("matroid_n", type=click.Path(exists=True))
 @click.option("--search-poset-map", is_flag=True)
 @click.option("--flag", "flag_arg", default="default")
-@click.option("--max-assignments", type=int, default=10**7)
+@click.option("--max-assignments", type=click.IntRange(min=0), default=10**7)
 @click.option("--json", "as_json", is_flag=True)
 @input_errors
 def weakmap(

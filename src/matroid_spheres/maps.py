@@ -5,11 +5,12 @@ vertex set; a cross-polytope shared by both supports a simplicial homotopy
 equivalence between them.  Its coatoms are read off the two flags' block
 masks: each F-block takes the highest G-block whose + half meets its own
 (an AND of two ints), and the lowest bit they share, the first coatom of
-both in key order.  Each complex is certified a sphere by the join test of
-``spheres``, with no homology, and the retraction's face lines compare int
-vertex masks.  Weak maps are decided by comparing ranks on the flats of
-the source, and the representation-level obstruction is found by
-exhaustive search over sign-preserving vertex assignments.
+both in key order.  The cross-polytope is held as its facet masks
+(``spheres.selection_masks``).  Each complex is certified a sphere by the
+join test of ``spheres``, with no homology, and the retraction's face
+lines compare int vertex masks.  Weak maps are decided by comparing ranks
+on the flats of the source, and the representation-level obstruction is
+found by exhaustive search over sign-preserving vertex assignments.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from typing import Mapping
 
 from .lattice import Flag, GeometricLattice, MatroidInputError, make_flag
 from .report import CheckResult, Record, ValidationReport
-from .spheres import (FlagRepresentation, Vertex, _unions, is_cross_polytope, polytope_masks,
-                      representation, selection_polytope)
-from .topology import SimplicialComplex
+from .spheres import FlagRepresentation, Vertex, _unions, representation, selection_masks
 
 
 class SelectionError(RuntimeError):
@@ -33,13 +32,12 @@ class CrossSelection(Record):
     """Coatoms C_0..C_{r-1}, one per block of the first flag's partition,
     landing in pairwise distinct blocks of the second flag's partition."""
 
-    __slots__ = ("coatoms", "f_parts", "g_parts")
-    def __init__(self, coatoms: tuple[frozenset, ...], f_parts: tuple[int, ...],
-                 g_parts: tuple[int, ...]):
-        self._set(coatoms, f_parts, g_parts)
+    __slots__ = ("coatoms", "g_parts")  # C_i is taken from F-block i
+    def __init__(self, coatoms: tuple[frozenset, ...], g_parts: tuple[int, ...]):
+        self._set(coatoms, g_parts)
 
     def distinct(self) -> bool:
-        return len(set(self.f_parts)) == len(self.f_parts) and len(set(self.g_parts)) == len(self.g_parts)
+        return len(set(self.g_parts)) == len(self.g_parts)
 
 
 def select_cross_coatoms(rep_f: FlagRepresentation, rep_g: FlagRepresentation) -> CrossSelection:
@@ -80,17 +78,17 @@ def select_cross_coatoms(rep_f: FlagRepresentation, rep_g: FlagRepresentation) -
         picked.append(coatoms[(shared & -shared).bit_length() >> 1])
     if len(set(chosen)) != len(chosen):
         raise SelectionError("no cross-coatom selection: two F-blocks share their highest G-block")
-    return CrossSelection(tuple(picked), tuple(range(len(chosen))), tuple(chosen))
+    return CrossSelection(tuple(picked), tuple(chosen))
 
 
 class RetractDescriptor(Record):
     """Vertex collapse of one sphere complex onto a cross-polytope shared
-    with the other flag's complex."""
+    with the other flag's complex, the polytope held as its facet masks."""
 
     __slots__ = ("selection", "source", "target", "vertex_map", "polytope")
     def __init__(self, selection: CrossSelection, source: FlagRepresentation,
                  target: FlagRepresentation, vertex_map: Mapping[Vertex, Vertex],
-                 polytope: SimplicialComplex):
+                 polytope: frozenset[int]):
         self._set(selection, source, target, vertex_map, polytope)
 
 
@@ -102,7 +100,7 @@ def retraction_map(lattice: GeometricLattice, flag_f: Flag, flag_g: Flag) -> Ret
     labels = lattice.signed_coatoms
     onto = [v for c in sel.coatoms for v in labels[c].values()]  # slot 2i + k's image
     vmap: dict[Vertex, Vertex] = {v: onto[k] for v, k in rep_f.slots}
-    polytope = selection_polytope(lattice, frozenset(sel.coatoms))
+    polytope = selection_masks(lattice, frozenset(sel.coatoms))
     return RetractDescriptor(sel, rep_f, rep_g, vmap, polytope)
 
 
@@ -112,27 +110,26 @@ def verify_retraction(desc: RetractDescriptor) -> ValidationReport:
 
     The sphere lines read the join certificate, as ``verify`` does: each
     S_0, as built, must be the join of its r nonempty blocks' simplices
-    (``join_holds``, so ~ S^{r-1}), and the polytope, as held, that of the
-    r pairs {C+}, {C-} over the selected coatoms (``is_cross_polytope``).
-    The face lines compare int vertex masks.  Given the join, a facet of
-    S_0 is one signed half per block, so the 2r image halves are filled in
-    one pass through the descriptor's map (``half_masks``) and the images
-    are their unions, and a face is a set in which no block holds both
-    signs (``are_faces``); an S_0 that is not the join fails them.  The
-    polytope is tested as held (``polytope_masks``), so a facet grown by a
-    vertex still holds the image of the facet it grew from.  Verdicts and
-    tables are memoized, so the pairs of a matroid compute each once.
+    (``join_holds``, so ~ S^{r-1}), and the polytope's facet masks, as
+    held, those of the join of the r pairs {C+}, {C-} over the selected
+    coatoms (``selection_masks``).  The face lines compare int vertex
+    masks.  Given the join, a facet of S_0 is one signed half per block, so
+    the 2r image halves are filled in one pass through the descriptor's map
+    (``half_masks``) and the images are their unions, and a face is a set
+    in which no block holds both signs (``are_faces``); an S_0 that is not
+    the join fails them.  The polytope is tested as held, so a facet grown
+    by a vertex still holds the image of the facet it grew from.  Verdicts
+    and tables are memoized, so the pairs of a matroid compute each once.
     """
-    source, target, vmap = desc.source, desc.target, desc.vertex_map
+    source, target, vmap, polytope = desc.source, desc.target, desc.vertex_map, desc.polytope
     lattice = source.lattice
-    s_f = source.build(lattice.bottom).complex
-    polytope = polytope_masks(desc.polytope, lattice)
+    s_f = source.build(lattice.bottom)
     if source.join_holds:
         images = frozenset(_unions(source.half_masks(vmap)))
     else:
         images = frozenset(source.mask({vmap[v] for v in m}) for m in s_f.maximal_faces)
     coatoms = frozenset(desc.selection.coatoms)
-    polytope_ok = len(coatoms) == lattice.r and is_cross_polytope(desc.polytope, lattice, coatoms)
+    polytope_ok = len(coatoms) == lattice.r and polytope == selection_masks(lattice, coatoms)
     return ValidationReport([
         CheckResult("selection-distinct", desc.selection.distinct()),
         CheckResult("polytope-in-source", source.are_faces(polytope)),
@@ -214,8 +211,8 @@ def poset_map_search(
         )
     rep_m = representation(m, make_flag(m, flag.chain))
     rep_n = representation(n, flag_n)
-    source = rep_m.build(m.bottom).complex
-    target = rep_n.build(n.bottom).complex
+    source = rep_m.build(m.bottom)
+    target = rep_n.build(n.bottom)
 
     candidates: dict[Vertex, list[Vertex]] = {
         v: [rep_n.vertex(h, v[1]) for h in sorted(n.coat_above(n.closure(frozenset(v[0]))), key=n.key)]

@@ -388,5 +388,5 @@ def build_covers(emb: Embedding, flat: Iterable[str]) -> tuple[CoverFamily, Cove
     a_cover = CoverFamily(
         ambient, tuple((k, frozenset(m)) for k, m in members.items()), emb.poset(flat)
     )
-    b_cover = CoverFamily(emb.rep.build(flat).complex, tuple(carriers.items()))
+    b_cover = CoverFamily(emb.rep.build(flat), tuple(carriers.items()))
     return a_cover, b_cover

@@ -10,8 +10,9 @@ simplex, and S_G is its subcomplex induced on V_G, the signed coatoms above
 G.  A join of k spaces ~ S^0 is ~ S^{k-1} (Bjorner, Topological methods,
 1995), so the certificates read int masks over the signed vertices and
 build no S_G beyond S_bottom and the atoms' (``FlagRepresentation.spheres``
-and ``intersection_law_holds``), and the change-of-flag cross-polytope by
-the same join test.  ``build`` caches each S_G it makes, and
+and ``intersection_law_holds``).  The change-of-flag cross-polytope is held
+as its facet masks only (``selection_masks``), the join of each selected
+coatom's + and - vertex.  ``build`` caches each S_G it makes, and
 ``representation`` keeps one representation per (lattice, flag).
 """
 
@@ -31,27 +32,18 @@ Vertex = tuple[tuple[str, ...], str]  # (coatom elements in ground order, sign)
 SIGNS = ("+", "-")
 
 
-class RepComplex(Record):
-    """The complex S_G for one flat."""
-
-    __slots__ = ("flat", "complex")
-    def __init__(self, flat: frozenset, complex: SimplicialComplex):
-        self._set(flat, complex)
-
-
 class HomotopyArrangement(Record):
     """Ambient complex S_bottom together with one member complex per atom."""
 
     __slots__ = ("rep", "ambient", "members", "__dict__")
-    def __init__(self, rep: FlagRepresentation, ambient: RepComplex,
-                 members: tuple[tuple[frozenset, RepComplex], ...]):  # (atom, S_atom)
+    def __init__(self, rep: FlagRepresentation, ambient: SimplicialComplex,
+                 members: tuple[tuple[frozenset, SimplicialComplex], ...]):  # (atom, S_atom)
         self._set(rep, ambient, members)
 
     @cached_property
     def induced(self) -> bool:
         """Is every member, as held, the ambient restricted to its vertex set?"""
-        ambient = self.ambient.complex
-        return all(m.complex == ambient.restrict(m.complex.vertices) for _, m in self.members)
+        return all(m == self.ambient.restrict(m.vertices) for _, m in self.members)
 
 
 class FlagRepresentation:
@@ -75,7 +67,7 @@ class FlagRepresentation:
         if empty:
             raise ValueError(f"empty coatom block at position {empty[0]}: input lattice is not geometric")
         self.parts: tuple[tuple[frozenset, ...], ...] = tuple(map(tuple, parts))
-        self._built: dict[frozenset, RepComplex] = {}
+        self._built: dict[frozenset, SimplicialComplex] = {}
         self._law: bool | None = None
 
     # -- vertices ------------------------------------------------------------
@@ -100,22 +92,21 @@ class FlagRepresentation:
         labels = self.lattice.signed_coatoms
         return frozenset(labels[c][SIGNS[s < 0]] for s, b in zip(vector, self._blocks_over(flat)) if s for c in b)
 
-    def build(self, flat: frozenset) -> RepComplex:
+    def build(self, flat: frozenset) -> SimplicialComplex:
         """S_G, constructed on the first call for a flat and cached."""
         flat = frozenset(flat)
         if flat not in self._built:
             self._built[flat] = self.construct(flat)
         return self._built[flat]
 
-    def construct(self, flat: frozenset) -> RepComplex:
+    def construct(self, flat: frozenset) -> SimplicialComplex:
         """S_G: one maximal face per sign choice on the blocks meeting coat(G).
 
         Uncached; ``build`` is the cached entry point.
         """
-        flat = frozenset(flat)
         faces = _cross_polytope(self.lattice, self._blocks_over(flat))
         order = _vertex_order(self.lattice, self.lattice.coat_above(flat))
-        return RepComplex(flat, SimplicialComplex(faces, vertex_order=order))
+        return SimplicialComplex(faces, vertex_order=order)
 
     @cached_property
     def cover_steps(self) -> tuple[tuple[frozenset, frozenset, frozenset], ...]:
@@ -171,7 +162,7 @@ class FlagRepresentation:
         """Is S_bottom, as built, the join of each block's + and - simplex:
         are its facets exactly the unions of one signed half per block?"""
         faces = set(_cross_polytope(self.lattice, self.parts)) - {frozenset()}  # none for r = 0
-        return self.build(self.lattice.bottom).complex.maximal_faces == faces
+        return self.build(self.lattice.bottom).maximal_faces == faces
 
     @cached_property
     def facet_masks(self) -> frozenset[int]:
@@ -186,8 +177,9 @@ class FlagRepresentation:
     def are_faces(self, masks: frozenset[int]) -> bool:
         """Is every vertex mask a face of S_bottom, given ``join_holds``: all
         facets, by one whole-set compare, or else no bit above the signed
-        coatoms' (``polytope_masks``) and no block holding both signs?  The
-        compare is the common case, and much cheaper than the block scan."""
+        coatoms' (a vertex that is none, as a mutant's can be) and no block
+        holding both signs?  The compare is the common case, and much
+        cheaper than the block scan."""
         if masks <= self.facet_masks:
             return True
         return self.join_holds and not max(masks) >> len(self.lattice.signed_bits) and not any(
@@ -289,41 +281,19 @@ def _cross_polytope(lattice: GeometricLattice, blocks: Sequence[Sequence[frozens
 
 
 @lru_cache(maxsize=topology._HOMOLOGY_MEMO_SIZE)
-def selection_polytope(lattice: GeometricLattice, coatoms: frozenset[frozenset]) -> SimplicialComplex:
-    """The cross-polytope on a set of coatoms, one per block, memoized with
-    a fixed bound.
+def selection_masks(lattice: GeometricLattice, coatoms: frozenset[frozenset]) -> frozenset[int]:
+    """The facets of the cross-polytope on a set of coatoms, one per block,
+    as vertex masks: the 2^k unions of each coatom's + or - bit, the join
+    of the k pairs {C+}, {C-}, so ~ S^{k-1}.  The empty mask, the one
+    union for k = 0, is left out.  Memoized with a fixed bound.
 
-    It depends only on the lattice (by identity) and the set of coatoms,
+    They depend only on the lattice (by identity) and the set of coatoms,
     not on a flag or on the order of the blocks, so flag pairs that select
-    the same coatoms share one immutable complex and one homology memo entry.
+    the same coatoms share one immutable set.
     """
-    faces = _cross_polytope(lattice, [(c,) for c in coatoms])
-    return SimplicialComplex(faces, vertex_order=_vertex_order(lattice, coatoms))
-
-
-@lru_cache(maxsize=topology._HOMOLOGY_MEMO_SIZE)
-def polytope_masks(polytope: SimplicialComplex, lattice: GeometricLattice) -> frozenset[int]:
-    """The polytope's facets, as held, as vertex masks, memoized with
-    ``selection_polytope``'s bound and keyed by the polytope as held.  A
-    vertex that is no signed coatom takes a bit above them all, which keeps
-    subset order and fails ``are_faces``."""
-    bits = dict(lattice.signed_bits)
-    for v in polytope.vertices:
-        bits.setdefault(v, 1 << len(bits))
-    return frozenset(sum(map(bits.__getitem__, m)) for m in polytope.maximal_faces)
-
-
-@lru_cache(maxsize=topology._HOMOLOGY_MEMO_SIZE)
-def is_cross_polytope(polytope: SimplicialComplex, lattice: GeometricLattice,
-                      coatoms: frozenset[frozenset]) -> bool:
-    """Is the polytope, as held, the join of the pairs {C+}, {C-} over the
-    k coatoms, so ~ S^{k-1}: are its facet masks the 2^k sign choices?
-    Memoized with ``selection_polytope``'s bound and keyed, like it, by the
-    set of coatoms, and by the polytope as held, so a mutant never reads a
-    true complex's verdict."""
-    labels, bits = lattice.signed_coatoms, lattice.signed_bits
-    choices = _unions([[bits[labels[c][s]] for s in SIGNS] for c in coatoms])
-    return polytope_masks(polytope, lattice) == set(choices) - {0}
+    bits, labels = lattice.signed_bits, lattice.signed_coatoms
+    pairs = [[bits[v] for v in labels[c].values()] for c in coatoms]
+    return frozenset(_unions(pairs)) - {0}
 
 
 # -- arrangement-level operations ------------------------------------------------
@@ -350,8 +320,8 @@ def arrangement_flats(arr: HomotopyArrangement) -> GeometricLattice:
     if not arr.induced:
         raise ValueError("an arrangement member is not induced in the ambient")
     lattice = arr.rep.lattice
-    sets = [frozenset(m.complex.vertices) for _, m in arr.members]
-    meets = (frozenset(arr.ambient.complex.vertices), frozenset(), *topology._intersections(sets))
+    sets = [frozenset(m.vertices) for _, m in arr.members]
+    meets = (frozenset(arr.ambient.vertices), frozenset(), *topology._intersections(sets))
     closed = {frozenset(a for (a, _), v in zip(arr.members, sets) if x <= v) for x in meets}
     labels = [atom_label(lattice, a) for a, _ in arr.members]
     flats = [frozenset(atom_label(lattice, a) for a in c) for c in closed]
@@ -387,18 +357,17 @@ def verify_arrangement(arr: HomotopyArrangement) -> ValidationReport:
     r = lattice.r
     sphere = fr.spheres
 
-    amb = arr.ambient
-    amb_ok = amb.complex == fr.build(lattice.bottom).complex and fr.join_holds
+    amb_ok = arr.ambient == fr.build(lattice.bottom) and fr.join_holds
     rep.add("ambient-sphere", amb_ok, f"expected S^{r - 1} profile")
     rep.add("ambient-nerve", amb_ok)
 
     held = amb_ok and arr.induced  # then each member is S_bottom on its vertex mask
-    masks = [(a, fr.mask(m.complex.vertices)) for a, m in arr.members] if held else []
+    masks = [(a, fr.mask(m.vertices)) for a, m in arr.members] if held else []
     members_ok = held and all(fr.is_sphere(v, lattice.corank(a)) for a, v in masks)
     rep.add("members-sphere", members_ok, f"each member must be S^{r - 2}")
 
     # every intersection of members is S_H for the join flat H, and a sphere
-    members_are_atoms = all(m.complex == fr.build(a).complex for a, m in arr.members)
+    members_are_atoms = all(m == fr.build(a) for a, m in arr.members)
     rep.add("intersections-are-flats", members_are_atoms and fr.intersection_law_holds())
     rep.add("intersections-sphere", all(sphere[h] for h in lattice.flats if h != lattice.bottom))
 

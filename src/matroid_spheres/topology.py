@@ -452,8 +452,8 @@ def _maximal_masks(masks: set[int]) -> list[int]:
 
 # Distinct complexes whose homology is kept, distinct (lattice, flag) pairs
 # whose representation is kept (``spheres.representation``), and distinct
-# (lattice, coatom set) pairs whose cross-polytope is kept
-# (``spheres.selection_polytope``): verify_retraction asks for the same S_0
+# (lattice, coatom set) pairs whose cross-polytope facet masks are kept
+# (``spheres.selection_masks``): verify_retraction asks for the same S_0
 # and the same polytope over many flag pairs.
 _HOMOLOGY_MEMO_SIZE = 256
 

@@ -20,7 +20,7 @@ from matroid_spheres import (
 )
 from matroid_spheres.maps import CrossSelection, RetractDescriptor, SelectionError
 from matroid_spheres.report import ValidationReport
-from matroid_spheres.spheres import _unions, is_cross_polytope, polytope_masks, representation, selection_polytope
+from matroid_spheres.spheres import _cross_polytope, _unions, _vertex_order, representation
 from matroid_spheres.topology import (
     HomologyProfile,
     all_faces,
@@ -109,17 +109,17 @@ def facet_signs(rep, complex_):
     return out
 
 
-def nerve_oracle(rep, built):
+def nerve_oracle(rep, flat, built):
     """The per-flat route by the nerve lemma: the blocks meeting coat(G)
     number corank(G), and the maximal faces, labelled by ``facet_signs`` on
     those blocks, have the nerve of the cross-polytope's facets.  Oracle for
     ``FlagRepresentation.spheres``."""
-    supp = support(rep, built.flat)
+    supp = support(rep, flat)
     labels = {1: "+", -1: "-"}
     signs = {f: tuple(labels.get(v[i], "?") for i in supp)
-             for f, v in facet_signs(rep, built.complex).items()}
-    return (len(supp) == rep.lattice.corank(built.flat)
-            and cross_polytope_nerve_iso(built.complex, len(supp), signs))
+             for f, v in facet_signs(rep, built).items()}
+    return (len(supp) == rep.lattice.corank(flat)
+            and cross_polytope_nerve_iso(built, len(supp), signs))
 
 
 def has_face_oracle(complex_, face):
@@ -206,17 +206,49 @@ def maps_into_carrier_oracle(vertex_images, a_cover, b_cover):
     return True
 
 
+def cross_polytope_complex(lattice, coatoms):
+    """The cross-polytope on the coatoms as a complex, one block per coatom.
+    Oracle for ``spheres.selection_masks``, through ``complex_masks``."""
+    return SimplicialComplex(_cross_polytope(lattice, [(c,) for c in coatoms]),
+                             vertex_order=_vertex_order(lattice, coatoms))
+
+
+def complex_masks(complex_, lattice):
+    """The complex's facets as vertex masks by the lattice's ``signed_bits``,
+    a vertex that is no signed coatom taking a bit above them all."""
+    bits = dict(lattice.signed_bits)
+    for v in complex_.vertices:
+        bits.setdefault(v, 1 << len(bits))
+    return frozenset(sum(map(bits.__getitem__, m)) for m in complex_.maximal_faces)
+
+
+def mask_vertices(mask, lattice):
+    """The vertex mask's signed vertices, each bit read back by the
+    lattice's ``signed_bits``; a bit above them all reads as a vertex that
+    is no signed coatom."""
+    vertex = {b: v for v, b in lattice.signed_bits.items()}
+    return frozenset(vertex.get(1 << i, (("fresh", str(i)), "+")) for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def masks_complex(masks, lattice):
+    """The complex whose facets are the vertex masks, read back by
+    ``mask_vertices``.  Inverse of ``complex_masks``."""
+    return SimplicialComplex(mask_vertices(m, lattice) for m in masks)
+
+
 def retraction_face_lines_oracle(desc):
     """``verify_retraction``'s polytope-in-source, polytope-in-target,
     simplicial and composite-simplicial by ``has_face`` on the complexes as
-    held, each facet of S_0 mapped vertex by vertex."""
+    held, the polytope's facet masks read back as a complex, each facet of
+    S_0 mapped vertex by vertex."""
     lattice = desc.source.lattice
-    s_f = desc.source.build(lattice.bottom).complex
-    s_g = desc.target.build(lattice.bottom).complex
+    s_f = desc.source.build(lattice.bottom)
+    s_g = desc.target.build(lattice.bottom)
+    polytope = masks_complex(desc.polytope, lattice)
     images = [frozenset(map(desc.vertex_map.__getitem__, m)) for m in s_f.maximal_faces]
-    return {"polytope-in-source": is_subcomplex_of(desc.polytope, s_f),
-            "polytope-in-target": is_subcomplex_of(desc.polytope, s_g),
-            "simplicial": all(map(desc.polytope.has_face, images)),
+    return {"polytope-in-source": is_subcomplex_of(polytope, s_f),
+            "polytope-in-target": is_subcomplex_of(polytope, s_g),
+            "simplicial": all(map(polytope.has_face, images)),
             "composite-simplicial": all(map(s_g.has_face, images))}
 
 
@@ -261,14 +293,14 @@ def embedding_face_lines_oracle(emb):
     covector-flats-into-spheres by building every S_G and scanning its
     maximal faces, with the signs of each image grouped by block."""
     rep, cs = emb.rep, emb.cs
-    well = all(rep.build(cs.zero_set(x)).complex.has_face(face) for x, face in emb.images.items())
+    well = all(rep.build(cs.zero_set(x)).has_face(face) for x, face in emb.images.items())
     same_sign, block = True, part_of(rep)
     for face in emb.images.values():
         by_part = {}
         for v in face:
             by_part.setdefault(block[frozenset(v[0])], set()).add(v[1])
         same_sign = same_sign and all(len(s) == 1 for s in by_part.values())
-    into = all(rep.build(g).complex.has_face(emb.images[x])
+    into = all(rep.build(g).has_face(emb.images[x])
                for g in emb.lattice.flats for x in emb.delta(g).vertices)
     return {"well-defined": well, "block-signs-agree": same_sign, "covector-flats-into-spheres": into}
 
@@ -337,30 +369,31 @@ def select_cross_coatoms_oracle(rep_f, rep_g):
     if len(set(chosen)) != r:
         raise SelectionError("no cross-coatom selection: two F-blocks share their highest G-block")
     coatoms = tuple(first[i][j] for i, j in enumerate(chosen))
-    return CrossSelection(coatoms, tuple(range(r)), tuple(chosen))
+    return CrossSelection(coatoms, tuple(chosen))
 
 
 def retraction_oracle(lattice, flag_f, flag_g):
     """``retraction_map`` through ``select_cross_coatoms_oracle``, each
-    signed coatom's image read off its label dict.  Oracle for
-    ``maps.retraction_map``."""
+    signed coatom's image read off its label dict, and the polytope by
+    ``cross_polytope_complex``.  Oracle for ``maps.retraction_map``."""
     rep_f, rep_g = representation(lattice, flag_f), representation(lattice, flag_g)
     sel = select_cross_coatoms_oracle(rep_f, rep_g)
     labels = lattice.signed_coatoms
     vmap = {v: labels[chosen][s] for block, chosen in zip(rep_f.parts, sel.coatoms)
             for c in block for s, v in labels[c].items()}
-    return RetractDescriptor(sel, rep_f, rep_g, vmap, selection_polytope(lattice, frozenset(sel.coatoms)))
+    polytope = complex_masks(cross_polytope_complex(lattice, sel.coatoms), lattice)
+    return RetractDescriptor(sel, rep_f, rep_g, vmap, polytope)
 
 
 def verify_retraction_oracle(desc):
     """``verify_retraction`` with each image half the mask of a vertex set
-    mapped coatom by coatom, and the report built line by line by ``add``.
-    Oracle for ``maps.verify_retraction``."""
+    mapped coatom by coatom, the polytope compared with the facet masks of
+    ``cross_polytope_complex``, and the report built line by line by
+    ``add``.  Oracle for ``maps.verify_retraction``."""
     rep = ValidationReport()
-    source, target, vmap = desc.source, desc.target, desc.vertex_map
+    source, target, vmap, polytope = desc.source, desc.target, desc.vertex_map, desc.polytope
     lattice, labels = source.lattice, source.lattice.signed_coatoms
-    s_f = source.build(lattice.bottom).complex
-    polytope = polytope_masks(desc.polytope, lattice)
+    s_f = source.build(lattice.bottom)
     if source.join_holds:
         halves = [[source.mask({vmap[labels[c][s]] for c in block}) for s in "+-"] for block in source.parts]
         images = frozenset(_unions(halves))
@@ -375,7 +408,8 @@ def verify_retraction_oracle(desc):
     rep.add("source-sphere", source.join_holds)
     rep.add("target-sphere", target.join_holds)
     coatoms = frozenset(desc.selection.coatoms)
-    rep.add("polytope-sphere", len(coatoms) == lattice.r and is_cross_polytope(desc.polytope, lattice, coatoms))
+    cross = complex_masks(cross_polytope_complex(lattice, coatoms), lattice)
+    rep.add("polytope-sphere", len(coatoms) == lattice.r and polytope == cross)
     return rep
 
 
@@ -419,7 +453,7 @@ def cross_coatom_search_oracle(rep_f, rep_g):
         if i not in chosen:
             raise SelectionError("no cross-coatom selection exists")
     coatoms = tuple(min(options[(i, chosen[i])], key=lattice.key) for i in range(r))
-    return CrossSelection(coatoms, tuple(range(r)), tuple(chosen[i] for i in range(r)))
+    return CrossSelection(coatoms, tuple(chosen[i] for i in range(r)))
 
 
 def cov_leq(x, y):

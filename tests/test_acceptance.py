@@ -92,8 +92,8 @@ def test_criterion_02_sphere_types(fixtures, reps):
         rep = reps[name]
         for flat in lattice.flats:
             built = rep.build(flat)
-            assert rep.spheres[flat] and nerve_oracle(rep, built), (name, sorted(flat))
-            profile = reduced_homology(built.complex)
+            assert rep.spheres[flat] and nerve_oracle(rep, flat, built), (name, sorted(flat))
+            profile = reduced_homology(built)
             assert profile == sphere_profile(lattice.corank(flat) - 1), (
                 name, sorted(flat), profile.to_json(),
             )
@@ -118,7 +118,7 @@ def test_criterion_04_roundtrip(fixtures, reps):
 def test_criterion_05_z2_freeness(fixtures, reps):
     budget = Budget(60.0)
     for name, lattice in fixtures.items():
-        amb = reps[name].build(lattice.bottom).complex
+        amb = reps[name].build(lattice.bottom)
         assert z2_free_check(amb, swap_map(amb)), name
     fixed_edge = SimplicialComplex([["a", "b"]])
     assert not z2_free_check(fixed_edge, {"a": "b", "b": "a"})
@@ -134,7 +134,7 @@ def test_criterion_06_embedding(u24_vec, u34_vec):
         for flat in emb.lattice.flats:
             sub = [x for x in oriented.covector_flat(emb.cs, flat) if x != emb.cs.zero]
             left = reduced_homology(delta_complex(sub))
-            right = reduced_homology(emb.rep.build(flat).complex)
+            right = reduced_homology(emb.rep.build(flat))
             assert left == right == sphere_profile(emb.lattice.corank(flat) - 1)
             a_cover, b_cover = build_covers(emb, flat)
             carrier = carrier_check(emb.images, a_cover, b_cover)
@@ -182,7 +182,7 @@ def test_criterion_09_obstruction(u34, n134):
     forced = set(by_face[edge])
     assert forced == {(("1", "3", "4"), "+"), (("1", "3", "4"), "-")}
     target = FlagRepresentation(n134, make_flag(n134, flag.chain)).build(n134.bottom)
-    assert not target.complex.has_face(forced)
+    assert not target.has_face(forced)
     report(9, "no induced map; obstruction edge certified", budget.check())
 
 

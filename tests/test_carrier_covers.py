@@ -76,7 +76,7 @@ def complex_covers(emb, flat):
         carrier = emb.rep.sigma(vec, flat)
         a_members[key] = delta_complex([x for x in covs if emb.images[x] <= carrier])
         b_members[key] = full_simplex(carrier)
-    return delta_complex(covs), a_members, emb.rep.build(flat).complex, b_members
+    return delta_complex(covs), a_members, emb.rep.build(flat), b_members
 
 
 def complex_carrier_report(emb, flat):

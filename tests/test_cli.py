@@ -272,6 +272,15 @@ def test_weakmap_search_cap_exits_2(runner):
     assert "Traceback" not in result.output
 
 
+def test_weakmap_negative_search_cap_is_a_usage_error(runner):
+    # a bound below 0 is bad input, not a bound that the search exceeded
+    result = run(runner, "weakmap", DATA / "u34.json", DATA / "u34.json",
+                 "--search-poset-map", "--max-assignments", -1)
+    assert result.exit_code == 2
+    assert "Invalid value for '--max-assignments': -1 is not in the range x>=0." in result.stderr
+    assert "search bound exceeded" not in result.output
+
+
 def test_outputs_are_deterministic(runner, tmp_path):
     outs = []
     for _ in range(2):
@@ -370,6 +379,14 @@ def test_homology_max_faces_overrides_the_bound(runner):
     refused = run(runner, "homology", "--max-faces", 79, DATA / "rp2.json")
     assert refused.exit_code == 2
     assert refused.output.startswith("resource bound exceeded: the core has up to 80 faces")
+
+
+def test_homology_negative_face_bound_is_a_usage_error(runner):
+    # a bound below 0 is bad input, not a bound that the core exceeded
+    result = run(runner, "homology", "--max-faces", -1, DATA / "rp2.json")
+    assert result.exit_code == 2
+    assert "Invalid value for '--max-faces': -1 is not in the range x>=0." in result.stderr
+    assert "resource bound exceeded" not in result.output
 
 
 def test_homology_reduces_to_the_core_once(runner):

@@ -202,7 +202,7 @@ def test_core_of_s0_is_the_cross_polytope(u34, bool3, fano):
         r = lattice.r
         for flag in all_complete_flags(lattice):
             rep = FlagRepresentation(lattice, flag)
-            core = strong_collapse_core(rep.build(lattice.bottom).complex)
+            core = strong_collapse_core(rep.build(lattice.bottom))
             assert len(core.vertices) == 2 * r
             assert len(core.maximal_faces) == 2 ** r
             assert all(len(m) == r for m in core.maximal_faces)
@@ -215,9 +215,9 @@ def test_core_of_s0_is_the_cross_polytope(u34, bool3, fano):
 
 def test_homology_is_memoized(u34):
     s0 = FlagRepresentation(u34, all_complete_flags(u34)[0]).build(u34.bottom)
-    reduced_homology(s0.complex)
+    reduced_homology(s0)
     hits = reduced_homology.cache_info().hits
-    again = SimplicialComplex(s0.complex.maximal_faces)
+    again = SimplicialComplex(s0.maximal_faces)
     assert reduced_homology(again) == sphere_profile(2)
     assert reduced_homology.cache_info().hits == hits + 1
 

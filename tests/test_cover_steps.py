@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from matroid_spheres import (
     FlagRepresentation,
     HomotopyArrangement,
-    RepComplex,
     SimplicialComplex,
     ValidationReport,
     all_complete_flags,
@@ -49,7 +48,7 @@ DERANDOMIZED = settings(derandomize=True, database=None, max_examples=150, deadl
 
 
 def intersection_law_oracle(rep):
-    built = {g: rep.build(g).complex for g in rep.lattice.flats}
+    built = {g: rep.build(g) for g in rep.lattice.flats}
     return all(
         built[g].intersection(built[h]) == built[rep.lattice.join(g, h)]
         for g, h in combinations_with_replacement(rep.lattice.flats, 2)
@@ -61,11 +60,11 @@ def arrangement_flats_oracle(arr):
     strictly shrinks the common intersection of the members over S."""
     lattice = arr.rep.lattice
     atoms = [a for a, _ in arr.members]
-    complexes = {a: m.complex for a, m in arr.members}
+    complexes = {a: m for a, m in arr.members}
     flats = set()
     for k in range(len(atoms) + 1):
         for subset in combinations(atoms, k):
-            inter = arr.ambient.complex
+            inter = arr.ambient
             for a in subset:
                 inter = inter.intersection(complexes[a])
             if all(inter.intersection(complexes[e]) != inter for e in atoms if e not in subset):
@@ -81,14 +80,14 @@ def verify_arrangement_oracle(arr):
     lattice = fr.lattice
     r = lattice.r
     amb = arr.ambient
-    rep.add("ambient-sphere", is_homology_sphere(amb.complex, r - 1),
+    rep.add("ambient-sphere", is_homology_sphere(amb, r - 1),
             f"expected S^{r - 1} profile")
-    rep.add("ambient-nerve", nerve_oracle(fr, amb))
+    rep.add("ambient-nerve", nerve_oracle(fr, lattice.bottom, amb))
     rep.add("members-sphere",
-            all(is_homology_sphere(m.complex, r - 2) for _, m in arr.members),
+            all(is_homology_sphere(m, r - 2) for _, m in arr.members),
             f"each member must be S^{r - 2}")
     atoms = [a for a, _ in arr.members]
-    complexes = {a: m.complex for a, m in arr.members}
+    complexes = {a: m for a, m in arr.members}
     seen = {}
     law_ok = sphere_ok = True
     for k in range(1, len(atoms) + 1):
@@ -99,7 +98,7 @@ def verify_arrangement_oracle(arr):
             inter = complexes[subset[0]]
             for a in subset[1:]:
                 inter = inter.intersection(complexes[a])
-            if inter != fr.build(h).complex:
+            if inter != fr.build(h):
                 law_ok = False
             if h not in seen:
                 if not is_homology_sphere(inter, lattice.corank(h) - 1):
@@ -108,9 +107,9 @@ def verify_arrangement_oracle(arr):
     rep.add("intersections-are-flats", law_ok)
     rep.add("intersections-sphere", sphere_ok)
     try:
-        free = z2_free_check(amb.complex, swap_map(amb.complex))
+        free = z2_free_check(amb, swap_map(amb))
         restricts = all(
-            m.complex.is_empty or z2_free_check(m.complex, swap_map(m.complex))
+            m.is_empty or z2_free_check(m, swap_map(m))
             for _, m in arr.members
         )
     except ValueError:
@@ -177,10 +176,9 @@ def mutated(old, draw):
     hollowed only with 2 to 6 vertices, and dropped otherwise: the boundary
     of a large simplex does not collapse, and the homology oracle would
     enumerate its faces."""
-    complex_ = old.complex
-    facets = sorted(complex_.maximal_faces, key=complex_.face_key)
+    facets = sorted(old.maximal_faces, key=old.face_key)
     face = facets[draw(st.integers(0, len(facets) - 1))]
-    v = sorted(face, key=complex_.vertices.index)[draw(st.integers(0, len(face) - 1))]
+    v = sorted(face, key=old.vertices.index)[draw(st.integers(0, len(face) - 1))]
     kept = [f for f in facets if f != face]
     kind = draw(st.sampled_from(["drop", "flip", "add", "hollow"]))
     if kind == "flip":
@@ -189,7 +187,7 @@ def mutated(old, draw):
         kept.append(face | {swap_sign(v)})
     elif kind == "hollow" and 1 < len(face) <= 6:
         kept += [face - {u} for u in face]
-    return RepComplex(old.flat, SimplicialComplex(kept, vertex_order=complex_.vertices))
+    return SimplicialComplex(kept, vertex_order=old.vertices)
 
 
 def split_block(rep, draw):
@@ -203,14 +201,14 @@ def split_block(rep, draw):
     blocks = [*rep.parts[:i], rep.parts[i][:k], rep.parts[i][k:], *rep.parts[i + 1:]]
     lattice = rep.lattice
     faces = _cross_polytope(lattice, blocks)
-    return RepComplex(lattice.bottom, SimplicialComplex(faces, vertex_order=_vertex_order(lattice, lattice.coatoms())))
+    return SimplicialComplex(faces, vertex_order=_vertex_order(lattice, lattice.coatoms()))
 
 
 @st.composite
 def mutated_arrangements(draw):
     rep = draw(representations())
     arr = rep.arrangement()
-    targets = [i for i, (_, m) in enumerate(arr.members) if not m.complex.is_empty]
+    targets = [i for i, (_, m) in enumerate(arr.members) if not m.is_empty]
     i = draw(st.sampled_from([-1] + targets))
     if i == -1:
         new = split_block(rep, draw) if draw(st.booleans()) else None
@@ -262,8 +260,8 @@ def test_mutated_arrangement_matches_oracles(arr):
     if report["intersections-are-flats"].passed:
         assert oracle["intersections-sphere"].passed or not report["intersections-sphere"].passed
     # flats are read off vertex sets only where every member is induced
-    ambient = arr.ambient.complex
-    if all(m.complex == ambient.restrict(m.complex.vertices) for _, m in arr.members):
+    ambient = arr.ambient
+    if all(m == ambient.restrict(m.vertices) for _, m in arr.members):
         assert set(arrangement_flats(arr).flats) == arrangement_flats_oracle(arr)
     else:
         with pytest.raises(ValueError):
@@ -296,8 +294,8 @@ def test_mutated_member_fails_intersections_are_flats():
     rep = FlagRepresentation(lattice, default_flag(lattice))
     arr = rep.arrangement()
     atom, member = arr.members[0]
-    facets = sorted(member.complex.maximal_faces, key=member.complex.face_key)
-    dropped = RepComplex(member.flat, SimplicialComplex(facets[1:]))
+    facets = sorted(member.maximal_faces, key=member.face_key)
+    dropped = SimplicialComplex(facets[1:])
     bad = HomotopyArrangement(rep, arr.ambient, ((atom, dropped),) + arr.members[1:])
     report = verify_arrangement(bad)
     assert not report["intersections-are-flats"].passed
@@ -313,7 +311,7 @@ def test_mutated_member_fails_intersections_are_flats():
 @given(representations())
 def test_sphere_verdict_matches_homology_oracle(rep):
     for g in rep.lattice.flats:
-        oracle = is_homology_sphere(rep.build(g).complex, rep.lattice.corank(g) - 1)
+        oracle = is_homology_sphere(rep.build(g), rep.lattice.corank(g) - 1)
         assert rep.spheres[g] == oracle
         assert oracle
 
@@ -332,13 +330,13 @@ def test_mask_verdicts_match_the_per_flat_nerve_route():
     # the cross-polytope's, facet signs read off the vertices
     for name, rep in every_flag_rep():
         for g in rep.lattice.flats:
-            assert rep.spheres[g] == nerve_oracle(rep, rep.construct(g)), (name, rep.flag.chain, sorted(g))
+            assert rep.spheres[g] == nerve_oracle(rep, g, rep.construct(g)), (name, rep.flag.chain, sorted(g))
 
 
 def held_verdict(rep, complex_, corank):
     """The mask route for a complex as held: S_bottom certified the join,
     the complex induced in it, and its vertex mask a sphere."""
-    ambient = rep.build(rep.lattice.bottom).complex
+    ambient = rep.build(rep.lattice.bottom)
     return (rep.join_holds and complex_ == ambient.restrict(complex_.vertices)
             and rep.is_sphere(rep.mask(complex_.vertices), corank))
 
@@ -347,18 +345,19 @@ def held_verdict(rep, complex_, corank):
 def mutated_flat_complexes(draw):
     rep = draw(representations())
     flats = [g for g in rep.lattice.flats if g != rep.lattice.top]
-    return rep, mutated(rep.build(draw(st.sampled_from(flats))), draw)
+    flat = draw(st.sampled_from(flats))
+    return rep, flat, mutated(rep.build(flat), draw)
 
 
 @DERANDOMIZED
 @given(mutated_flat_complexes())
 def test_sphere_verdict_never_passes_where_the_oracle_fails(case):
-    rep, bad = case
-    corank = rep.lattice.corank(bad.flat)
-    if held_verdict(rep, bad.complex, corank):
-        assert is_homology_sphere(bad.complex, corank - 1)
+    rep, flat, bad = case
+    corank = rep.lattice.corank(flat)
+    if held_verdict(rep, bad, corank):
+        assert is_homology_sphere(bad, corank - 1)
     # the flat's own complex and verdict are untouched by the mutant
-    assert held_verdict(rep, rep.build(bad.flat).complex, corank) and rep.spheres[bad.flat]
+    assert held_verdict(rep, rep.build(flat), corank) and rep.spheres[flat]
 
 
 def no_snf(*a):
@@ -429,11 +428,11 @@ def test_intersection_law_refuses_a_complex_that_is_not_induced():
     rep = FlagRepresentation(lattice, default_flag(lattice))
     arr = rep.arrangement()
     (atom, old), rest = arr.members[0], arr.members[1:]
-    facets = sorted(old.complex.maximal_faces, key=old.complex.face_key)
+    facets = sorted(old.maximal_faces, key=old.face_key)
     hollow = facets[1:] + [facets[0] - {v} for v in facets[0]]
-    poisoned = SimplicialComplex(hollow, vertex_order=old.complex.vertices)
-    assert poisoned.vertices == old.complex.vertices
-    bad = HomotopyArrangement(rep, arr.ambient, ((atom, RepComplex(atom, poisoned)),) + rest)
+    poisoned = SimplicialComplex(hollow, vertex_order=old.vertices)
+    assert poisoned.vertices == old.vertices
+    bad = HomotopyArrangement(rep, arr.ambient, ((atom, poisoned),) + rest)
     assert not bad.induced
     report = verify_arrangement(bad)
     assert not report["intersections-are-flats"].passed
@@ -479,9 +478,8 @@ def test_member_not_closed_under_the_sign_swap_fails_z2_free():
     rep = FlagRepresentation(lattice, default_flag(lattice))
     arr = rep.arrangement()
     (atom, old), rest = arr.members[0], arr.members[1:]
-    ambient = arr.ambient.complex
-    cut = ambient.restrict(set(old.complex.vertices) - {old.complex.vertices[0]})
-    bad = HomotopyArrangement(rep, arr.ambient, ((atom, RepComplex(atom, cut)),) + rest)
+    cut = arr.ambient.restrict(set(old.vertices) - {old.vertices[0]})
+    bad = HomotopyArrangement(rep, arr.ambient, ((atom, cut),) + rest)
     assert bad.induced
     report = verify_arrangement(bad)
     assert not report["z2-free"].passed
@@ -495,7 +493,7 @@ def test_mask_swap_is_the_sign_swap(name):
     lattice = FIXTURES[name]
     rep = FlagRepresentation(lattice, default_flag(lattice))
     for g in lattice.flats:
-        vertices = rep.build(g).complex.vertices
+        vertices = rep.build(g).vertices
         assert rep.swap(rep.mask(vertices)) == rep.mask(map(swap_sign, vertices)) == rep.masks[g]
         half = vertices[::2]  # each coatom's + vertex: closed under no swap
         assert rep.swap(rep.mask(half)) == rep.mask(map(swap_sign, half))

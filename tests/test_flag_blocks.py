@@ -97,7 +97,7 @@ def test_signed_bits_halves_and_facet_masks_match_the_built_s_0(lattices):
         assert rep.halves == tuple(
             tuple(rep.mask(frozenset(rep.vertex(c, s) for c in block)) for s in SIGNS)
             for block in rep.parts)
-        s0 = rep.build(lattice.bottom).complex
+        s0 = rep.build(lattice.bottom)
         assert rep.join_holds
         assert rep.facet_masks == frozenset(map(rep.mask, s0.maximal_faces)), name
         assert all(rep.is_face(rep.mask(f)) == has_face_oracle(s0, f)
@@ -107,7 +107,7 @@ def test_signed_bits_halves_and_facet_masks_match_the_built_s_0(lattices):
 def test_built_complexes_keep_vertex_order(lattices):
     for name, lattice, rep in every_flag(lattices):
         for flat in lattice.flats:
-            built = rep.build(flat).complex
+            built = rep.build(flat)
             want = [(lattice.sorted_elements(c), s)
                     for c in sorted(lattice.coat_above(flat), key=lattice.key) for s in SIGNS]
             assert list(built.vertices) == want, (name, sorted(flat))
@@ -141,10 +141,10 @@ def test_every_s_g_is_induced_in_s_0(lattices, u34):
     for lattice in (u34, lattices["B_4"]):
         reps += [FlagRepresentation(lattice, flag) for flag in all_complete_flags(lattice)]
     for rep in reps:
-        s_0 = rep.build(rep.lattice.bottom).complex
+        s_0 = rep.build(rep.lattice.bottom)
         for flat in rep.lattice.flats:
             induced = s_0.restrict(signed_vertices(rep, flat))
-            assert rep.build(flat).complex == induced, (rep.flag.chain, sorted(flat))
+            assert rep.build(flat) == induced, (rep.flag.chain, sorted(flat))
 
 
 # -- has_face -------------------------------------------------------------------
@@ -168,7 +168,7 @@ def probe_faces(complex_):
 def test_has_face_matches_scan_on_every_s_g(lattices):
     for name, lattice, rep in every_flag(lattices):
         for flat in lattice.flats:
-            complex_ = rep.build(flat).complex
+            complex_ = rep.build(flat)
             for face in probe_faces(complex_):
                 assert complex_.has_face(face) == has_face_oracle(complex_, face), (name, face)
 

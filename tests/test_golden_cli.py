@@ -1,5 +1,6 @@
 """Recorded CLI outputs: exit code, stdout and stderr of every command on
-every file in tests/data, replayed byte for byte.
+every file in tests/data, replayed byte for byte.  ``represent`` also
+records the text of every file it writes, by name.
 
 A change that means to keep the output identical is checked here.  A change
 that alters output on purpose records it again, from the repository root:
@@ -11,6 +12,7 @@ and says in its change notes which outputs changed and why.
 
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -45,6 +47,7 @@ def cases():
         name: [[*name.split(), *opts, f] for f in files for opts in variants]
         for name, variants in one_file.items()
     }
+    out["represent"] = [["represent", "--json", f] for f in files]
     flag_file = "tests/data/f_1_12.json"
     out["flags compare"] = [
         ["flags", "compare", f, "default", b] for f in files for b in ("default", flag_file)
@@ -59,8 +62,13 @@ def cases():
 
 
 def run(args):
-    result = CliRunner().invoke(main, args)
-    return {"exit": result.exit_code, "stdout": result.stdout, "stderr": result.stderr}
+    if args[0] != "represent":
+        result = CliRunner().invoke(main, args)
+        return {"exit": result.exit_code, "stdout": result.stdout, "stderr": result.stderr}
+    with tempfile.TemporaryDirectory() as out:  # written afresh, read back by name
+        result = CliRunner().invoke(main, [*args, "--out", out])
+        files = {p.name: p.read_bytes().decode() for p in sorted(Path(out).iterdir())}
+    return {"exit": result.exit_code, "stdout": result.stdout, "stderr": result.stderr, "files": files}
 
 
 @pytest.mark.parametrize("command", sorted(cases()))

@@ -1,5 +1,6 @@
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, product
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,6 @@ from matroid_spheres import (
     FlagRepresentation,
     GeometricLattice,
     MatroidInputError,
-    RepComplex,
     SimplicialComplex,
     all_complete_flags,
     build_embedding,
@@ -32,12 +32,16 @@ from matroid_spheres import (
 from matroid_spheres import maps, topology
 from matroid_spheres.maps import CrossSelection, RetractDescriptor, SelectionError
 from matroid_spheres.report import CheckResult, ValidationReport
-from matroid_spheres.spheres import _cross_polytope, _vertex_order, polytope_masks, selection_polytope
+from matroid_spheres.spheres import selection_masks
 from conftest import (
     boolean_matroid,
+    complex_masks,
     cov_leq,
     cross_coatom_search_oracle,
+    cross_polytope_complex,
     is_homology_sphere,
+    mask_vertices,
+    masks_complex,
     part_of,
     retraction_face_lines_oracle,
     retraction_oracle,
@@ -129,7 +133,7 @@ def every_ordered_pair(u24, u34, bool3, n134, fano):
 
 
 def selection_fields(sel):
-    return (sel.coatoms, sel.f_parts, sel.g_parts)
+    return (sel.coatoms, sel.g_parts)
 
 
 def test_selection_matches_oracle_on_every_pair(u24, u34, bool3, n134, fano):
@@ -242,8 +246,9 @@ def test_retraction_same_flag_u24(u24):
     flag = default_flag(u24)
     desc = retraction_map(u24, flag, flag)
     # image is the square boundary on the selected coatoms
-    assert len(desc.polytope.vertices) == 4
-    assert len(desc.polytope.maximal_faces) == 4
+    polytope = masks_complex(desc.polytope, u24)
+    assert len(polytope.vertices) == 4
+    assert len(polytope.maximal_faces) == 4
     assert verify_retraction(desc).ok
 
 
@@ -252,7 +257,7 @@ def test_retraction_bool3_is_relabelling(bool3):
     desc = retraction_map(bool3, flags[0], flags[1])
     # singleton blocks force a bijection onto the octahedron
     assert len(set(desc.vertex_map.values())) == len(desc.vertex_map)
-    assert len(desc.polytope.maximal_faces) == 8
+    assert len(desc.polytope) == 8
     assert verify_retraction(desc).ok
 
 
@@ -260,10 +265,10 @@ def test_retraction_u34_images_are_polytope_facets(u34):
     f = make_flag(u34, [[], ["1"], ["1", "2"], ["1", "2", "3", "4"]])
     g = make_flag(u34, [[], ["3"], ["3", "4"], ["1", "2", "3", "4"]])
     desc = retraction_map(u34, f, g)
-    source = desc.source.build(u34.bottom).complex
+    source = desc.source.build(u34.bottom)
     for mface in source.maximal_faces:
         image = frozenset(desc.vertex_map[v] for v in mface)
-        assert image in desc.polytope.maximal_faces
+        assert desc.source.mask(image) in desc.polytope
     assert verify_retraction(desc).ok
 
 
@@ -275,7 +280,7 @@ def test_retraction_all_flag_pairs(u24, u34, bool3, n134):
         profiles = {}
         for f in flags:
             rep = FlagRepresentation(lattice, f)
-            profiles[f.chain] = reduced_homology(rep.build(lattice.bottom).complex)
+            profiles[f.chain] = reduced_homology(rep.build(lattice.bottom))
         want = sphere_profile(lattice.r - 1)
         assert all(p == want for p in profiles.values())
         for f in flags:
@@ -342,25 +347,31 @@ def test_equal_selections_share_one_polytope():
     assert first.polytope is other.polytope
 
 
-def test_memoized_polytope_matches_fresh_cross_polytope(u24, u34, bool3, n134, fano):
-    for lattice, f, g in every_ordered_pair(u24, u34, bool3, n134, fano):
-        desc = retraction_map(lattice, f, g)
-        coatoms = desc.selection.coatoms
-        fresh = SimplicialComplex(_cross_polytope(lattice, [(c,) for c in coatoms]),
-                                  vertex_order=_vertex_order(lattice, coatoms))
-        assert desc.polytope == fresh
-        assert desc.polytope.vertices == fresh.vertices
+def test_memoized_polytope_matches_fresh_cross_polytope(u34, bool3, fano):
+    # the oracle route: the cross-polytope built as a complex on the selected
+    # coatoms, its facets read back as masks.  U(4,6)'s blocks hold several
+    # coatoms each, so its pairs select many coatom sets
+    pairs = 0
+    for lattice in (u34, bool3, boolean_matroid("1234"), fano, uniform_matroid(4, 6)):
+        flags = all_complete_flags(lattice)
+        for f in flags:
+            for g in flags:
+                desc = retraction_map(lattice, f, g)
+                fresh = cross_polytope_complex(lattice, desc.selection.coatoms)
+                assert desc.polytope == complex_masks(fresh, lattice), (f.chain, g.chain)
+                pairs += 1
+    assert pairs == 144 + 36 + 576 + 441 + 120 ** 2
 
 
 def test_polytope_memo_is_bounded():
     bound = topology._HOMOLOGY_MEMO_SIZE
-    assert selection_polytope.cache_info().maxsize == polytope_masks.cache_info().maxsize == bound
+    assert selection_masks.cache_info().maxsize == bound
     for _ in range(bound + 10):  # each lattice is a new key
         lattice = uniform_matroid(2, 3)
         flag = default_flag(lattice)
         desc = retraction_map(lattice, flag, flag)
-        assert desc.polytope.vertices and verify_retraction(desc).ok
-    assert selection_polytope.cache_info().currsize == polytope_masks.cache_info().currsize == bound
+        assert desc.polytope and verify_retraction(desc).ok
+    assert selection_masks.cache_info().currsize == bound
 
 
 def test_mutant_does_not_poison_the_polytope_memo(u34):
@@ -441,7 +452,7 @@ def test_mask_route_matches_the_oracle_route_on_random_pairs(kind, r, extra, dat
 #
 # Each mutation breaks one property of a real descriptor and keeps the
 # others, so exactly the checks named with it must fail.  A polytope facet
-# grown by one vertex from outside the polytope is a cone glued on along a
+# mask grown by one bit from outside the polytope is a cone glued on along a
 # simplex, so the polytope stays a homotopy sphere; it is no longer the
 # cross-polytope, so polytope-sphere, a join test, fails on it: sound, not
 # complete.
@@ -454,7 +465,7 @@ def failing(desc):
 def repeated_g_part(desc):
     sel = desc.selection
     g_parts = (sel.g_parts[0],) + sel.g_parts[:1] + sel.g_parts[2:]
-    selection = CrossSelection(sel.coatoms, sel.f_parts, g_parts)
+    selection = CrossSelection(sel.coatoms, g_parts)
     return RetractDescriptor(selection, desc.source, desc.target, desc.vertex_map, desc.polytope)
 
 
@@ -501,20 +512,20 @@ def cross_block_vertex(desc):
 
 
 def grown_polytope(desc, in_source, in_target):
-    """Grow one polytope facet by a vertex outside the polytope, so that the
-    grown facet is a face of the source exactly when in_source, and of the
-    target exactly when in_target."""
+    """Grow one polytope facet mask by a bit outside the polytope, so that
+    the grown facet is a face of the source exactly when in_source, and of
+    the target exactly when in_target.  The bit just above the signed
+    coatoms' is a vertex that is no signed coatom."""
     lattice = desc.source.lattice
-    s_f = desc.source.build(lattice.bottom).complex
-    s_g = desc.target.build(lattice.bottom).complex
-    fresh = (("fresh",), "+")
-    outside = [v for v in s_f.vertices if v not in desc.polytope.vertices] + [fresh]
-    for facet in sorted(desc.polytope.maximal_faces, key=desc.polytope.face_key):
-        for x in outside:
-            grown = facet | {x}
+    s_f = desc.source.build(lattice.bottom)
+    s_g = desc.target.build(lattice.bottom)
+    held = reduce(or_, desc.polytope, 0)
+    outside = [b for b in map(lattice.signed_bits.__getitem__, s_f.vertices) if not b & held]
+    for facet in sorted(desc.polytope):
+        for x in outside + [1 << len(lattice.signed_bits)]:
+            grown = mask_vertices(facet | x, lattice)
             if (s_f.has_face(grown), s_g.has_face(grown)) == (in_source, in_target):
-                faces = (desc.polytope.maximal_faces - {facet}) | {grown}
-                polytope = SimplicialComplex(faces, desc.polytope.vertices)
+                polytope = (desc.polytope - {facet}) | {facet | x}
                 return RetractDescriptor(
                     desc.selection, desc.source, desc.target, desc.vertex_map, polytope
                 )
@@ -550,7 +561,7 @@ def test_mutated_retraction_fails_its_check(kind, u24, u34, bool3):
                     applied += 1
                     assert failing(mutated) == checks, (kind, f.chain, g.chain)
                     if kind.startswith("facet"):  # the grown polytope is still a sphere
-                        assert is_homology_sphere(mutated.polytope, lattice.r - 1)
+                        assert is_homology_sphere(masks_complex(mutated.polytope, lattice), lattice.r - 1)
     assert applied, kind
 
 
@@ -609,8 +620,8 @@ def test_face_lines_match_the_has_face_oracle_on_every_mutant(u24, u34, bool3):
 def poisoned(lattice, flag, facets):
     """A fresh representation of the flag whose S_0 holds the given facets."""
     rep = FlagRepresentation(lattice, flag)
-    vertices = rep.build(lattice.bottom).complex.vertices
-    rep._built[lattice.bottom] = RepComplex(lattice.bottom, SimplicialComplex(facets, vertices))
+    vertices = rep.build(lattice.bottom).vertices
+    rep._built[lattice.bottom] = SimplicialComplex(facets, vertices)
     return rep
 
 
@@ -620,7 +631,7 @@ def poisoned_descriptors(lattice):
     source and as target of the default flag's pair with itself."""
     flag = default_flag(lattice)
     clean = retraction_map(lattice, flag, flag)
-    s0 = clean.source.build(lattice.bottom).complex
+    s0 = clean.source.build(lattice.bottom)
     facets = sorted(s0.maximal_faces, key=s0.face_key)
     coatom, sign = next(iter(facets[0]))
     mixed = facets[0] | {clean.source.vertex(frozenset(coatom), "-" if sign == "+" else "+")}
@@ -644,11 +655,11 @@ def test_poisoned_s0_fails_its_lines_without_raising(u34, bool3):
 
 
 def grown_by_a_foreign_vertex(desc):
-    """The polytope with its first facet grown by a vertex that is no signed coatom."""
-    facet = min(desc.polytope.maximal_faces, key=desc.polytope.face_key)
-    faces = (desc.polytope.maximal_faces - {facet}) | {facet | {(("fresh",), "+")}}
-    return RetractDescriptor(desc.selection, desc.source, desc.target, desc.vertex_map,
-                             SimplicialComplex(faces))
+    """The polytope with its lowest facet mask grown by the bit just above
+    the signed coatoms', a vertex that is no signed coatom."""
+    facet = min(desc.polytope)
+    faces = (desc.polytope - {facet}) | {facet | 1 << len(desc.source.lattice.signed_bits)}
+    return RetractDescriptor(desc.selection, desc.source, desc.target, desc.vertex_map, faces)
 
 
 def test_polytope_grown_by_a_foreign_vertex_fails_without_raising(u24, u34, bool3, fano):
@@ -658,7 +669,7 @@ def test_polytope_grown_by_a_foreign_vertex_fails_without_raising(u24, u34, bool
             grown = grown_by_a_foreign_vertex(retraction_map(lattice, f, g))
             assert failing(grown) == {"polytope-in-source", "polytope-in-target", "polytope-sphere"}
             assert face_lines(grown) == retraction_face_lines_oracle(grown)
-            assert is_homology_sphere(grown.polytope, lattice.r - 1)
+            assert is_homology_sphere(masks_complex(grown.polytope, lattice), lattice.r - 1)
 
 
 def test_verify_retraction_scans_no_facets(monkeypatch, u24, u34, bool3):
@@ -718,8 +729,8 @@ def test_sphere_lines_match_homology_on_every_pair(u34, bool3, fano):
             for g in flags:
                 desc = retraction_map(lattice, f, g)
                 report = verify_retraction(desc)
-                complexes = (desc.source.build(lattice.bottom).complex,
-                             desc.target.build(lattice.bottom).complex, desc.polytope)
+                complexes = (desc.source.build(lattice.bottom),
+                             desc.target.build(lattice.bottom), masks_complex(desc.polytope, lattice))
                 for line, complex_ in zip(SPHERE_LINES, complexes):
                     assert report[line].passed is is_homology_sphere(complex_, lattice.r - 1) is True
                 pairs += 1
@@ -730,9 +741,9 @@ def test_poisoned_s0_fails_the_sphere_lines(u34):
     # a fresh representation whose S_0 lost one facet: as source and target
     flag = default_flag(u34)
     rep = FlagRepresentation(u34, flag)
-    s0 = rep.build(u34.bottom).complex
+    s0 = rep.build(u34.bottom)
     dropped = sorted(s0.maximal_faces, key=s0.face_key)[1:]
-    rep._built[u34.bottom] = RepComplex(u34.bottom, SimplicialComplex(dropped, s0.vertices))
+    rep._built[u34.bottom] = SimplicialComplex(dropped, s0.vertices)
     clean = retraction_map(u34, flag, flag)
     desc = RetractDescriptor(clean.selection, rep, rep, clean.vertex_map, clean.polytope)
     assert {"source-sphere", "target-sphere"} <= failing(desc)
@@ -744,8 +755,8 @@ def test_polytope_with_a_repeated_coatom_fails(u34):
     flags = all_complete_flags(u34)
     desc = retraction_map(u34, flags[0], flags[-1])
     sel = desc.selection
-    repeated = CrossSelection(sel.coatoms[:1] * len(sel.coatoms), sel.f_parts, sel.g_parts)
-    polytope = selection_polytope(u34, frozenset(repeated.coatoms))
+    repeated = CrossSelection(sel.coatoms[:1] * len(sel.coatoms), sel.g_parts)
+    polytope = selection_masks(u34, frozenset(repeated.coatoms))
     bad = RetractDescriptor(repeated, desc.source, desc.target, desc.vertex_map, polytope)
     assert "polytope-sphere" in failing(bad)
 
@@ -761,6 +772,7 @@ def test_join_lines_run_no_homology_no_z2_check_and_no_facet_scan(monkeypatch, u
         return lambda *a, **k: pytest.fail(what)
 
     assert not {"reduced_homology", "z2_free_check", "topology"} & set(vars(maps))
+    assert not [name for name, x in vars(maps).items() if getattr(x, "__module__", "") == topology.__name__]
     assert not {"reduced_homology", "z2_free_check"} & set(vars(spheres))
     assert not hasattr(topology, "z2_free_check")  # the face-scan route is a test oracle
     emb = build_embedding(covectors_from_vectors(u34_vec))
@@ -896,11 +908,11 @@ def test_search_obstruction_u34_to_n134(u34, n134):
     assert set(forced) == {(("1", "3", "4"), "+"), (("1", "3", "4"), "-")}
     # the forced pair shares no face in the target: same coatom, both signs
     target = FlagRepresentation(n134, make_flag(n134, PAPER_FLAG)).build(n134.bottom)
-    assert not target.complex.has_face(set(forced))
+    assert not target.has_face(set(forced))
     # every reported obstruction is a face of the source whose image cannot be one
     source = FlagRepresentation(u34, flag).build(u34.bottom)
     for face in faces:
-        assert source.complex.has_face(face)
+        assert source.has_face(face)
 
 
 def test_search_obstacle_flag_not_complete_in_target(u34, n134):

@@ -208,8 +208,8 @@ def test_ambient_nerve_of_u58():
     lattice = uniform_matroid(5, 8)
     rep = FlagRepresentation(lattice, default_flag(lattice))
     ambient = rep.build(lattice.bottom)
-    assert len(ambient.complex.maximal_faces) == 32
-    assert rep.spheres[lattice.bottom] and nerve_oracle(rep, ambient)
+    assert len(ambient.maximal_faces) == 32
+    assert rep.spheres[lattice.bottom] and nerve_oracle(rep, lattice.bottom, ambient)
 
 
 # -- carrier check: stars and intersection closure against subsets --------------

@@ -348,7 +348,7 @@ def test_build_covers_members_are_the_pullbacks(u24_vec, u34_vec):
         for flat in emb.lattice.flats:
             a_cover, b_cover = build_covers(emb, flat)
             assert a_cover.ambient is emb.delta(flat)
-            assert b_cover.ambient is emb.rep.build(flat).complex
+            assert b_cover.ambient is emb.rep.build(flat)
             for key, member in a_cover.members:
                 vec = tuple(1 if s == "+" else -1 for s in key)
                 assert member == frozenset(cover_member(emb, flat, vec))

@@ -77,14 +77,14 @@ def test_partition_properties_all_fixtures(u24, u34, bool3, fano, n134):
 def test_build_u24_ambient(u24):
     rep = rep_for(u24)
     built = rep.build(u24.bottom)
-    assert len(built.complex.maximal_faces) == 4
-    assert all(len(f) == 4 for f in built.complex.maximal_faces)
+    assert len(built.maximal_faces) == 4
+    assert all(len(f) == 4 for f in built.maximal_faces)
 
 
 def test_build_u24_rank1_flats(u24):
     rep = rep_for(u24)
     built = rep.build(frozenset({"3"}))
-    assert built.complex.maximal_faces == frozenset(
+    assert built.maximal_faces == frozenset(
         {frozenset({(("3",), "+")}), frozenset({(("3",), "-")})}
     )
 
@@ -92,7 +92,7 @@ def test_build_u24_rank1_flats(u24):
 def test_build_top_is_empty(u24, u34, fano):
     for lattice in (u24, u34, fano):
         rep = rep_for(lattice)
-        assert rep.build(lattice.top).complex.is_empty
+        assert rep.build(lattice.top).is_empty
 
 
 def test_maximal_face_count_invariant(u24, u34, bool3, fano, n134):
@@ -101,12 +101,12 @@ def test_maximal_face_count_invariant(u24, u34, bool3, fano, n134):
         for flat in lattice.flats:
             built = rep.build(flat)
             if flat == lattice.top:
-                assert built.complex.is_empty
+                assert built.is_empty
             else:
-                assert len(built.complex.maximal_faces) == 2 ** lattice.corank(flat)
+                assert len(built.maximal_faces) == 2 ** lattice.corank(flat)
                 coat = lattice.coat_above(flat)
-                assert all(len(f) == len(coat) for f in built.complex.maximal_faces)
-                assert len(built.complex.vertices) == 2 * len(coat)
+                assert all(len(f) == len(coat) for f in built.maximal_faces)
+                assert len(built.vertices) == 2 * len(coat)
 
 
 def test_subcomplex_monotonicity(u34):
@@ -114,13 +114,13 @@ def test_subcomplex_monotonicity(u34):
     for g in u34.flats:
         for h in u34.flats:
             if g < h:
-                assert is_subcomplex_of(rep.build(h).complex, rep.build(g).complex)
+                assert is_subcomplex_of(rep.build(h), rep.build(g))
 
 
 def test_no_face_holds_both_signs(u24, u34, fano):
     for lattice in (u24, u34, fano):
         rep = rep_for(lattice)
-        for face in rep.build(lattice.bottom).complex.maximal_faces:
+        for face in rep.build(lattice.bottom).maximal_faces:
             coats = [v[0] for v in face]
             assert len(set(coats)) == len(coats)
 
@@ -129,7 +129,7 @@ def test_sign_swap_free_for_every_flag(u24, u34, bool3, n134):
     for lattice in (u24, u34, bool3, n134):
         for flag in all_complete_flags(lattice):
             rep = FlagRepresentation(lattice, flag)
-            amb = rep.build(lattice.bottom).complex
+            amb = rep.build(lattice.bottom)
             assert z2_free_check(amb, swap_map(amb))
 
 
@@ -149,7 +149,7 @@ def test_sigma_sign_roundtrip(u34):
     rep = rep_for(u34)
     for flat in u34.flats:
         built = rep.build(flat)
-        for face, vec in facet_signs(rep, built.complex).items():
+        for face, vec in facet_signs(rep, built).items():
             assert rep.sigma(vec, flat) == face
             assert all(vec[part_of(rep)[frozenset(c)]] == (1 if s == "+" else -1) for c, s in face)
 
@@ -190,8 +190,8 @@ def test_intersection_of_maximal_faces_is_sigma_of_meet(u24, u34, bool3):
         rep = rep_for(lattice)
         for flat in lattice.flats:
             built = rep.build(flat)
-            signs = facet_signs(rep, built.complex)
-            faces = sorted(built.complex.maximal_faces, key=built.complex.face_key)
+            signs = facet_signs(rep, built)
+            faces = sorted(built.maximal_faces, key=built.face_key)
             for k in range(1, len(faces) + 1):
                 for sub in combinations(faces, k):
                     meet = tuple(
@@ -206,14 +206,14 @@ def test_intersection_of_maximal_faces_is_sigma_of_meet(u24, u34, bool3):
 
 def test_intersection_law_examples(u24, u34):
     rep = rep_for(u24)
-    s1 = rep.build(frozenset({"1"})).complex
-    s2 = rep.build(frozenset({"2"})).complex
+    s1 = rep.build(frozenset({"1"}))
+    s2 = rep.build(frozenset({"2"}))
     assert s1.intersection(s2).is_empty
-    assert s1.intersection(s2) == rep.build(u24.join(frozenset({"1"}), frozenset({"2"}))).complex
+    assert s1.intersection(s2) == rep.build(u24.join(frozenset({"1"}), frozenset({"2"})))
     assert rep.intersection_law_holds()
     rep34 = rep_for(u34)
     a, b = frozenset({"1"}), frozenset({"2"})
-    inter = rep34.build(a).complex.intersection(rep34.build(b).complex)
+    inter = rep34.build(a).intersection(rep34.build(b))
     assert set(inter.vertices) == {(("1", "2"), "+"), (("1", "2"), "-")}
 
 
@@ -227,25 +227,25 @@ def test_intersection_law_exhaustive(u24, u34, bool3, n134, fano):
 
 def test_arrangement_u24(u24):
     arr = rep_for(u24).arrangement()
-    assert len(arr.ambient.complex.vertices) == 8
+    assert len(arr.ambient.vertices) == 8
     assert len(arr.members) == 4
-    assert all(len(m.complex.vertices) == 2 for _, m in arr.members)
+    assert all(len(m.vertices) == 2 for _, m in arr.members)
 
 
 def test_arrangement_rank1():
     lattice = uniform_matroid(1, 1)
     arr = rep_for(lattice).arrangement()
-    assert len(arr.ambient.complex.vertices) == 2
-    assert len(arr.ambient.complex.maximal_faces) == 2
+    assert len(arr.ambient.vertices) == 2
+    assert len(arr.ambient.maximal_faces) == 2
     assert len(arr.members) == 1
-    assert arr.members[0][1].complex.is_empty
+    assert arr.members[0][1].is_empty
 
 
 def test_arrangement_fano(fano):
     arr = rep_for(fano).arrangement()
-    assert len(arr.ambient.complex.vertices) == 14
-    assert len(arr.ambient.complex.maximal_faces) == 8
-    assert all(len(f) == 7 for f in arr.ambient.complex.maximal_faces)
+    assert len(arr.ambient.vertices) == 14
+    assert len(arr.ambient.maximal_faces) == 8
+    assert all(len(f) == 7 for f in arr.ambient.maximal_faces)
     assert len(arr.members) == 7
 
 
@@ -274,7 +274,7 @@ def test_nerve_iso_every_flat(u24, u34, bool3, n134):
     for lattice in (u24, u34, bool3, n134):
         rep = rep_for(lattice)
         for flat in lattice.flats:
-            assert rep.spheres[flat] and nerve_oracle(rep, rep.build(flat))
+            assert rep.spheres[flat] and nerve_oracle(rep, flat, rep.build(flat))
 
 
 def test_homology_every_flat(u24, bool3):
@@ -282,6 +282,6 @@ def test_homology_every_flat(u24, bool3):
         rep = rep_for(lattice)
         for flat in lattice.flats:
             built = rep.build(flat)
-            assert reduced_homology(built.complex) == sphere_profile(
+            assert reduced_homology(built) == sphere_profile(
                 lattice.corank(flat) - 1
             )

@@ -104,7 +104,7 @@ def test_all_faces_counts():
 
 def test_rep_complex_dimension(u24):
     rep = FlagRepresentation(u24, default_flag(u24))
-    assert dimension(rep.build(u24.bottom).complex) == 3
+    assert dimension(rep.build(u24.bottom)) == 3
 
 
 def test_maximal_face_pruning():
@@ -157,7 +157,7 @@ def test_nerve_of_cross_polytope_facets(d):
 
 def test_nerve_of_u24_ambient_is_square_pattern(u24):
     rep = FlagRepresentation(u24, default_flag(u24))
-    amb = rep.build(u24.bottom).complex
+    amb = rep.build(u24.bottom)
     facets = sorted(amb.maximal_faces, key=amb.face_key)
     cover = CoverFamily(amb, tuple(enumerate(facets)))
     n = nerve(cover)
@@ -356,7 +356,7 @@ def test_order_complex_of_square_boundary_face_poset():
 
 def test_barycentric_invariance(u24):
     rep = FlagRepresentation(u24, default_flag(u24))
-    for k in (OCTAHEDRON, rep.build(u24.bottom).complex, simplex_boundary(2)):
+    for k in (OCTAHEDRON, rep.build(u24.bottom), simplex_boundary(2)):
         assert reduced_homology(barycentric_subdivision(k)) == reduced_homology(k)
 
 
@@ -369,7 +369,7 @@ def test_homology_tetrahedron_boundary():
 
 def test_homology_u24_ambient(u24):
     rep = FlagRepresentation(u24, default_flag(u24))
-    profile = reduced_homology(rep.build(u24.bottom).complex)
+    profile = reduced_homology(rep.build(u24.bottom))
     assert profile == sphere_profile(1)
 
 
@@ -421,8 +421,8 @@ def test_betti_against_rational_oracle(u24, u34):
         OCTAHEDRON,
         simplex_boundary(3),
         full_simplex([0, 1, 2, 3]),
-        rep24.build(u24.bottom).complex,
-        rep34.build(u34.bottom).complex,
+        rep24.build(u24.bottom),
+        rep34.build(u34.bottom),
         SimplicialComplex([[0, 1], [1, 2], [2, 0], [3]]),
     ]
     for k in fixtures:
@@ -440,13 +440,13 @@ def test_is_homology_sphere_cases(fano):
     rep = FlagRepresentation(fano, default_flag(fano))
     line = fano.closure({"1", "2"})
     built = rep.build(line)
-    assert len(built.complex.vertices) == 2
-    assert is_homology_sphere(built.complex, 0)
+    assert len(built.vertices) == 2
+    assert is_homology_sphere(built, 0)
 
 
 def test_z2_free_check(u24):
     rep = FlagRepresentation(u24, default_flag(u24))
-    amb = rep.build(u24.bottom).complex
+    amb = rep.build(u24.bottom)
     assert z2_free_check(amb, swap_map(amb))
     edge = SimplicialComplex([["a", "b"]])
     assert not z2_free_check(edge, {"a": "b", "b": "a"})
@@ -468,12 +468,12 @@ def test_nerve_iso_u24_and_fano(u24, fano):
     for lattice, d in ((u24, 2), (fano, 3)):
         rep = FlagRepresentation(lattice, default_flag(lattice))
         built = rep.build(lattice.bottom)
-        supp = support(rep, built.flat)
+        supp = support(rep, lattice.bottom)
         signs = {
             f: tuple("+" if v[i] > 0 else "-" for i in supp)
-            for f, v in facet_signs(rep, built.complex).items()
+            for f, v in facet_signs(rep, built).items()
         }
-        assert cross_polytope_nerve_iso(built.complex, d, signs)
+        assert cross_polytope_nerve_iso(built, d, signs)
 
 
 def test_nerve_iso_rejects_cone():
