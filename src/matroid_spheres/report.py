@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 
 # ``Record._set``, one per arity, chosen per record class: it sets the fields in
 # order by their slot descriptors, past ``__setattr__``.  A loop over ``zip``
@@ -28,9 +30,9 @@ class Record:
     def __init_subclass__(cls):
         cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
         cls._set = _SETTERS[len(cls._fields)](*(vars(cls)[f].__set__ for f in cls._fields))
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
+        if "_values" not in vars(cls):  # the fields read in C, as a tuple
+            get = attrgetter(*cls._fields)  # which gives one field bare
+            cls._values = (lambda self: get(self)) if len(cls._fields) > 1 else lambda self: (get(self),)
 
     def __eq__(self, other):
         return self._values() == other._values() if type(other) is type(self) else NotImplemented

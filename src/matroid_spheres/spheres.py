@@ -19,7 +19,7 @@ coatom's + and - vertex.  ``build`` caches each S_G it makes, and
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, reduce
-from operator import and_
+from operator import and_, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .lattice import Flag, GeometricLattice
@@ -178,12 +178,19 @@ class FlagRepresentation:
         """Is every vertex mask a face of S_bottom, given ``join_holds``: all
         facets, by one whole-set compare, or else no bit above the signed
         coatoms' (a vertex that is none, as a mutant's can be) and no block
-        holding both signs?  The compare is the common case, and much
-        cheaper than the block scan."""
+        holding both signs?  The scan is for sets that are no cross-polytope
+        of ``selection_masks``, whose faces ``apart`` reads off its coatoms."""
         if masks <= self.facet_masks:
             return True
         return self.join_holds and not max(masks) >> len(self.lattice.signed_bits) and not any(
             x & p and x & m for x in masks for p, m in self.halves)
+
+    def apart(self, plus: int) -> bool:
+        """Is every sign choice over r coatoms, whose + bits are set, a face of
+        S_bottom: ``join_holds``, and no block holding two of them?  For c and
+        c' in one block, the choice c+ c'- holds both signs of it.  The r
+        blocks are disjoint, so that is each + half meeting the coatoms."""
+        return self.join_holds and all(map(plus.__and__, map(itemgetter(0), self.halves)))
 
     def swap(self, mask: int) -> int:
         """The vertex mask with every sign swapped: ``signed_bits`` puts

@@ -1,4 +1,4 @@
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations, product
 from operator import or_
 
@@ -154,13 +154,16 @@ def outcome(select_fn, rep_f, rep_g):
 
 def assign_blocks(rep, blocks):
     """Overwrite a fresh representation's coatom blocks: the k-th coatom in
-    key order goes to block blocks[k], or to none where that is None.  The
-    masks (``slots``, ``halves``) are rebuilt from ``parts``, which the
-    oracles read too, so every route sees the same assignment."""
+    key order goes to block blocks[k], or to none where that is None.  Every
+    cached table and verdict (each ``cached_property`` of the class, and the
+    built S_G) is dropped, so it is rebuilt from ``parts``, which the oracles
+    read too, and every route sees the same assignment."""
     coatoms = rep.lattice.coatoms()
     rep.parts = tuple(tuple(c for c, j in zip(coatoms, blocks) if j == i) for i in range(rep.r))
-    for table in ("slots", "halves"):
-        vars(rep).pop(table, None)
+    for name, attr in vars(FlagRepresentation).items():
+        if isinstance(attr, cached_property):
+            vars(rep).pop(name, None)
+    rep._built.clear()
 
 
 def test_selection_without_perfect_matching_raises(u34):
@@ -670,6 +673,62 @@ def test_polytope_grown_by_a_foreign_vertex_fails_without_raising(u24, u34, bool
             assert failing(grown) == {"polytope-in-source", "polytope-in-target", "polytope-sphere"}
             assert face_lines(grown) == retraction_face_lines_oracle(grown)
             assert is_homology_sphere(masks_complex(grown.polytope, lattice), lattice.r - 1)
+
+
+def two_from_one_block(desc):
+    """Select, in place of the next block's coatom, a second coatom of the
+    first F-block that holds several, with the polytope recomputed by
+    ``selection_masks``: the join over r distinct coatoms, two of them in
+    one block of the source, so it is no subcomplex of the source's S_0."""
+    rep, chosen = desc.source, desc.selection.coatoms
+    i = next((i for i, b in enumerate(rep.parts) if len(b) > 1), None)
+    if i is None or len(chosen) < 2:
+        return None
+    coatoms = list(chosen)
+    coatoms[(i + 1) % len(chosen)] = next(c for c in rep.parts[i] if c != chosen[i])
+    selection = CrossSelection(tuple(coatoms), desc.selection.g_parts)
+    polytope = selection_masks(rep.lattice, frozenset(coatoms))
+    return RetractDescriptor(selection, rep, desc.target, desc.vertex_map, polytope)
+
+
+def test_two_coatoms_of_one_block_fail_polytope_in_source(u34, fano):
+    # the polytope is the join over its coatoms, so verify_retraction reads
+    # the polytope lines off them, and that route must refuse; the oracle
+    # scans the polytope's facet masks block by block (``are_faces``)
+    applied = 0
+    for lattice in (u34, fano, uniform_matroid(4, 6)):
+        flags = all_complete_flags(lattice)
+        for f in flags:
+            for g in flags:
+                mutated = two_from_one_block(retraction_map(lattice, f, g))
+                if mutated is None:
+                    continue
+                report = verify_retraction(mutated)
+                assert report.to_json() == verify_retraction_oracle(mutated).to_json(), (f.chain, g.chain)
+                assert not report["polytope-in-source"].passed and report["polytope-sphere"].passed
+                if lattice is u34:
+                    assert face_lines(mutated) == retraction_face_lines_oracle(mutated), (f.chain, g.chain)
+                applied += 1
+    assert applied == 144 + 441 + 120 ** 2  # every block order of these holds a block of several
+
+
+def test_face_lines_of_the_selected_join_scan_no_block(monkeypatch, u24, u34, bool3, fano):
+    # are_faces, the block scan, runs only on a set that is not the join
+    # over the selected coatoms: here the grown polytopes, and the images
+    # the two-from-one-block mutants map onto the polytope they replaced
+    clean = [retraction_map(lattice, f, g) for lattice in (u34, boolean_matroid("1234"), fano)
+             for f in all_complete_flags(lattice) for g in all_complete_flags(lattice)]
+    grown = [d for kind, d in every_mutant((u24, u34, bool3)) if kind.startswith("facet")]
+    moved = [two_from_one_block(d) for d in clean if d.source.lattice is u34]
+    scanned, are_faces = [], FlagRepresentation.are_faces
+    with monkeypatch.context() as m:
+        m.setattr(FlagRepresentation, "are_faces", lambda rep, x: scanned.append(x) or are_faces(rep, x))
+        assert all(verify_retraction(d).ok for d in clean) and not scanned
+        assert not any(verify_retraction(d).ok for d in grown) and len(scanned) >= len(grown)
+        for d in moved:
+            scanned.clear()
+            assert not verify_retraction(d).ok and d.polytope not in scanned
+    assert len(clean) == 144 + 576 + 441 and len(moved) == 144
 
 
 def test_verify_retraction_scans_no_facets(monkeypatch, u24, u34, bool3):
