@@ -211,13 +211,13 @@ def _and_all(table: list[int], s: int, acc: int) -> int:
     return acc
 
 
-def verify_geometric(lattice: GeometricLattice, intervals: bool = True) -> ValidationReport:
+def verify_geometric(lattice: GeometricLattice) -> ValidationReport:
     """Check every geometric-lattice axiom, reporting each separately.
 
     Checks: lattice property (unique bottom/top, meets and joins exist),
     meet-closed (the meet of two flats is their intersection), ranked,
-    atomicity, semimodularity, the coatom-meet identity, and optionally
-    that every interval is itself geometric.
+    atomicity, semimodularity, the coatom-meet identity, and that every
+    interval is itself geometric.
 
     The checks read the lattice's one order table, ``order``: each flat's
     element mask, ``up[i]``/``down[i]``, the indices of the flats above and
@@ -227,14 +227,16 @@ def verify_geometric(lattice: GeometricLattice, intervals: bool = True) -> Valid
 
     Intervals are checked only once the whole family is a meet-closed, ranked
     lattice.  Then each interval [x, y] is a sublattice with the same meets,
-    joins and covers, so it is bounded, meet-closed, a lattice and ranked, and
-    it can fail in three ways only: a semimodular violation (a, b) with
-    x <= a ^ b and a v b <= y; an f in (x, y] that is not the join of the
-    covers of x below f, which depends on (x, f) only; or an f in [x, y) that
-    is not the meet of the flats covered by y above f, which depends on
-    (f, y) only.  These make three bitset tables, built once; the violating
-    pairs are listed only when the whole lattice is not semimodular.  The
-    first bad [x, y] in (x, y) index order is reported.
+    joins and covers.  A finite lattice is geometric exactly when it is
+    atomic and semimodular, every interval of a geometric lattice is
+    geometric, and each of its flats is the meet of its coatoms (Stanley,
+    *Enumerative Combinatorics* I, 3.3; Oxley, *Matroid Theory*).  So if
+    [x, y] fails, [bottom, y] fails too, and the first bad interval in
+    (x, y) index order has x = bottom, index 0.  [bottom, y] fails exactly
+    when y lies above a flat that is not the join of its atoms, or above the
+    join of a semimodular violation; a flat that is not the meet of the
+    coatoms of [bottom, y] cannot fail it alone.  The first such y in index
+    order is reported.
     """
     flats, order = lattice.flats, lattice.order
     n = len(flats)
@@ -242,10 +244,7 @@ def verify_geometric(lattice: GeometricLattice, intervals: bool = True) -> Valid
     index = {m: i for i, m in enumerate(masks)}
     full = (1 << len(lattice.elements)) - 1
     rk = [lattice.rank_of[f] for f in flats]
-    covers, cocovers = [order.covers(i) for i in range(n)], [0] * n  # covering flat i, covered by it
-    for i in range(n):
-        for j in _bits(covers[i]):
-            cocovers[j] |= 1 << i
+    covers = [order.covers(i) for i in range(n)]
 
     def name(i: int) -> list[str]:
         return sorted(flats[i])
@@ -272,7 +271,7 @@ def verify_geometric(lattice: GeometricLattice, intervals: bool = True) -> Valid
     rep.add("lattice", joins_ok and meet_closed, "" if joins_ok else "meets or joins missing")
     rep.add("ranked", ranked, "" if ranked else "covers do not increase rank by one")
     if not (meet_closed and joins_ok and ranked):
-        for c in ("atomic", "semimodular", "coatom-meet") + ("intervals-geometric",) * intervals:
+        for c in ("atomic", "semimodular", "coatom-meet", "intervals-geometric"):
             rep.add(c, False, "skipped: not a ranked lattice")
         return rep
 
@@ -285,31 +284,16 @@ def verify_geometric(lattice: GeometricLattice, intervals: bool = True) -> Valid
         a, b = violations[0][:2]
         semi = f"rank({name(a)})+rank({name(b)}) < rank(meet)+rank(join)"
     rep.add("semimodular", not semi, semi)
+    # [bottom, y] fails for each y above a non-atomic flat or a violation's
+    # join, and a flat sorts before the flats above it: the first such y is
+    # the lowest of the joins and the first non-atomic flat
+    bad = [j for *_, j in violations] + ([] if f is None else [f])
+    coatoms = sum(1 << i for i in range(n) if covers[i] >> top & 1)
     # below the top, an empty AND is the whole ground set, which is not f
-    f = next((f for f in range(top) if _and_all(masks, cocovers[top] & up[f], full) != masks[f]), None)
+    f = next((f for f in range(top) if _and_all(masks, coatoms & up[f], full) != masks[f]), None)
     rep.add("coatom-meet", f is None, "" if f is None else f"{name(f)} is not the meet of its coatoms")
-    if not intervals:
-        return rep
-    # no_join[x]: the f above x that are not the join of the covers of x
-    # below f; no_meet[y]: the f below y that are not the meet of the flats y
-    # covers above f; semi_up[x]: the y above a semimodular violation whose
-    # meet is above x
-    no_join, no_meet, semi_up = [0] * n, [0] * n, [0] * n
-    for i in range(n):
-        for f in _bits(up[i] ^ 1 << i):
-            ub = _and_all(up, covers[i] & down[f], every)
-            if ub & -ub != 1 << f:
-                no_join[i] |= 1 << f
-        for f in _bits(down[i] ^ 1 << i):
-            if _and_all(masks, cocovers[i] & up[f], full) != masks[f]:
-                no_meet[i] |= 1 << f
-    for _, _, m, j in violations:
-        for x in _bits(down[m]):
-            semi_up[x] |= up[j]
-    bad = next(((x, y) for x in range(n) for y in _bits(up[x] ^ 1 << x)
-                if semi_up[x] >> y & 1 or no_join[x] & down[y] or no_meet[y] & up[x]), None)
-    rep.add("intervals-geometric", bad is None, "" if bad is None else
-            f"interval [{name(bad[0])}, {name(bad[1])}] is not geometric")
+    rep.add("intervals-geometric", not bad, "" if not bad else
+            f"interval [{name(0)}, {name(min(bad))}] is not geometric")
     return rep
 
 
@@ -332,7 +316,7 @@ def lattice_from_flats(elements: Sequence[str], flats: Iterable[Iterable[str]],
                        validate: bool = True) -> GeometricLattice:
     lat = GeometricLattice(elements, [frozenset(f) for f in flats])
     if validate:
-        rep = verify_geometric(lat, intervals=False)
+        rep = verify_geometric(lat)
         if not rep.ok:
             first = rep.failures()[0]
             raise MatroidInputError(f"flats list is not a geometric lattice: {first.detail or first.name}")

@@ -148,7 +148,8 @@ def verify_retraction(desc: RetractDescriptor) -> ValidationReport:
         CheckResult("polytope-in-target", in_target),
         # the empty face, the one facet of the join of no blocks at rank 0, is a face of every complex
         CheckResult("simplicial", all(any(i & m == i for m in polytope) for i in images - polytope if i)),
-        CheckResult("idempotent", all(vmap[vmap[v]] == vmap[v] for v in s_f.vertices)),
+        # a map is idempotent exactly when it fixes each of its images
+        CheckResult("idempotent", all(vmap[w] == w for w in map(vmap.__getitem__, s_f.vertices))),
         CheckResult("composite-simplicial", in_target if images == polytope else target.are_faces(images)),
         CheckResult("source-sphere", source.join_holds),
         CheckResult("target-sphere", target.join_holds),

@@ -164,26 +164,18 @@ class FlagRepresentation:
         faces = set(_cross_polytope(self.lattice, self.parts)) - {frozenset()}  # none for r = 0
         return self.build(self.lattice.bottom).maximal_faces == faces
 
-    @cached_property
-    def facet_masks(self) -> frozenset[int]:
-        """The facets of S_bottom as vertex masks, given ``join_holds``: the
-        2^r unions of one of ``halves`` per block; empty otherwise."""
-        return frozenset(_unions(self.halves)) if self.join_holds else frozenset()
-
     def is_face(self, mask: int) -> bool:
         """Is the vertex mask a face of the join S_bottom: no block holds both signs?"""
         return not any(mask & p and mask & m for p, m in self.halves)
 
     def are_faces(self, masks: frozenset[int]) -> bool:
-        """Is every vertex mask a face of S_bottom, given ``join_holds``: all
-        facets, by one whole-set compare, or else no bit above the signed
-        coatoms' (a vertex that is none, as a mutant's can be) and no block
-        holding both signs?  The scan is for sets that are no cross-polytope
+        """Is every vertex mask a face of S_bottom, given ``join_holds``: no
+        bit above the signed coatoms' (a vertex that is none, as a mutant's
+        can be) and no block holding both signs?  An empty set holds no
+        mask, so it passes.  The scan is for sets that are no cross-polytope
         of ``selection_masks``, whose faces ``apart`` reads off its coatoms."""
-        if masks <= self.facet_masks:
-            return True
-        return self.join_holds and not max(masks) >> len(self.lattice.signed_bits) and not any(
-            x & p and x & m for x in masks for p, m in self.halves)
+        return not masks or (self.join_holds and not max(masks) >> len(self.lattice.signed_bits)
+                             and all(map(self.is_face, masks)))
 
     def apart(self, plus: int) -> bool:
         """Is every sign choice over r coatoms, whose + bits are set, a face of

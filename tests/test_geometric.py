@@ -3,12 +3,12 @@
 ``verify_geometric_oracle`` is the frozenset implementation that builds a
 lattice for every interval; ``verify_geometric`` runs the same checks on
 bitset tables.  Reports must agree byte for byte, failure details included.
-``intervals_oracle`` is the per-interval loop that the three interval
-tables replaced: every interval, as a lattice of its own, must pass
-``verify_geometric`` without intervals.  ``closure_oracle`` is the scan
-over every flat that ``GeometricLattice.closure``'s bitsets replaced, and
-``heights_oracle`` the scan that ``GeometricLattice._heights``' level
-bitsets replaced.  ``order_tables_oracle``, ``upper_covers_oracle`` and
+``intervals_oracle`` is the per-interval loop that the lemma in
+``verify_geometric`` replaced: every interval, as a lattice of its own,
+must pass every other line of ``verify_geometric``.  ``closure_oracle`` is
+the scan over every flat that ``GeometricLattice.closure``'s bitsets
+replaced, and ``heights_oracle`` the scan that ``GeometricLattice._heights``'
+level bitsets replaced.  ``order_tables_oracle``, ``upper_covers_oracle`` and
 ``all_complete_flags_oracle`` are the pairwise up/down loop, the frozenset
 scan and the recursion that the lattice's one order table replaced.
 """
@@ -138,8 +138,10 @@ def verify_geometric_oracle(lattice: GeometricLattice, intervals: bool = True) -
 
 def intervals_oracle(lattice: GeometricLattice) -> tuple[bool, str]:
     """The intervals-geometric line, by checking every interval [x, y], ranks
-    less rank(x), in the order x, then y, of the lattice's flat order."""
-    if not all(c.passed for c in verify_geometric(lattice, intervals=False).checks[:3]):
+    less rank(x), in the order x, then y, of the lattice's flat order.  Each
+    interval is judged by every line but its own intervals-geometric, which
+    would trust the lemma under test."""
+    if not all(c.passed for c in verify_geometric(lattice).checks[:3]):
         return False, "skipped: not a ranked lattice"
     flats, rk = lattice.flats, lattice.rank_of
     for i, x in enumerate(flats):
@@ -147,8 +149,8 @@ def intervals_oracle(lattice: GeometricLattice) -> tuple[bool, str]:
             if x < y:
                 sub = [f for f in flats if x <= f <= y]
                 shifted = {f: rk[f] - rk[x] for f in sub}
-                if not verify_geometric(GeometricLattice(lattice.elements, sub, shifted),
-                                        intervals=False).ok:
+                sub_rep = verify_geometric(GeometricLattice(lattice.elements, sub, shifted))
+                if not all(c.passed for c in sub_rep.checks if c.name != "intervals-geometric"):
                     return False, f"interval [{sorted(x)}, {sorted(y)}] is not geometric"
     return True, ""
 
@@ -218,7 +220,7 @@ def test_intersection_closed_families_match_interval_loop(seed):
     assert reached >= 10  # the families do reach interval failures
 
 
-def test_interval_tables_match_interval_loop_on_data():
+def test_interval_line_matches_interval_loop_on_data():
     for path in MATROID_FILES:
         lattice = load_matroid(json.loads(path.read_text()), validate=False)
         line = verify_geometric(lattice)["intervals-geometric"]
@@ -234,14 +236,12 @@ def assert_same_order(lattice):
     assert (order.masks, order.up, order.down) == order_tables_oracle(lattice)
     for f in lattice.flats:
         assert lattice.upper_covers(f) == upper_covers_oracle(lattice, f), sorted(f)
-    if verify_geometric(lattice, intervals=False)["ranked"].passed:
+    if verify_geometric(lattice)["ranked"].passed:
         assert all_complete_flags(lattice) == all_complete_flags_oracle(lattice)
 
 
 def assert_same_reports(lattice):
-    for intervals in (False, True):
-        assert (verify_geometric(lattice, intervals).to_json()
-                == verify_geometric_oracle(lattice, intervals).to_json())
+    assert verify_geometric(lattice).to_json() == verify_geometric_oracle(lattice, True).to_json()
     assert_same_order(lattice)
 
 
@@ -354,15 +354,17 @@ def test_flag_order_matches_the_recursion(fano):
         assert default_flag(lattice) == flags[0]
 
 
-def family(*flats, ranks=None):
-    """A lattice on the ground set 1..4 from flats written as digit strings."""
+def family(*flats, ranks=None, ground="1234"):
+    """A lattice on the ground set 1..4, or the one given, from flats written as digit strings."""
     sets = [frozenset(f) for f in flats]
-    return GeometricLattice("1234", sets, None if ranks is None else dict(zip(sets, ranks)))
+    return GeometricLattice(ground, sets, None if ranks is None else dict(zip(sets, ranks)))
 
 
 def details(lattice):
     rep = verify_geometric(lattice)
-    assert rep.to_json() == verify_geometric_oracle(lattice).to_json()
+    assert rep.to_json() == verify_geometric_oracle(lattice, True).to_json()
+    line = rep["intervals-geometric"]
+    assert (line.passed, line.detail) == intervals_oracle(lattice)
     return {c.name: c.detail for c in rep.checks if not c.passed}
 
 
@@ -383,6 +385,30 @@ def test_two_lines_fail_semimodular_first():
         "semimodular": "rank(['1'])+rank(['3']) < rank(meet)+rank(join)",
         "coatom-meet": "['1'] is not the meet of its coatoms",
         "intervals-geometric": "interval [[], ['1', '2', '3', '4']] is not geometric",
+    }
+
+
+def test_non_atomic_flat_below_top_is_the_first_bad_interval():
+    # K4's lines on 1..4 and a line 45 over the one atom 4: [0, 45] is the
+    # first bad interval, below the top.
+    lattice = family("", "1", "2", "3", "4", "12", "13", "14", "23", "24", "34", "45", "12345",
+                     ground="12345")
+    assert details(lattice) == {
+        "atomic": "['4', '5'] is not a join of atoms",
+        "intervals-geometric": "interval [[], ['4', '5']] is not geometric",
+    }
+
+
+def test_violation_join_below_top_is_the_first_bad_interval():
+    # The points 2 and 5 lie on no common line, so their join is the plane
+    # 125: [0, 125] is the first bad interval, below both the join 1234 of
+    # the first violation (1, 3) and the top.
+    lattice = family("", "1", "2", "3", "4", "5", "12", "15", "34", "125", "1234", "12345",
+                     ground="12345")
+    assert details(lattice) == {
+        "semimodular": "rank(['1'])+rank(['3']) < rank(meet)+rank(join)",
+        "coatom-meet": "[] is not the meet of its coatoms",
+        "intervals-geometric": "interval [[], ['1', '2', '5']] is not geometric",
     }
 
 

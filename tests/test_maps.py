@@ -514,6 +514,41 @@ def cross_block_vertex(desc):
     return RetractDescriptor(desc.selection, desc.source, desc.target, vmap, desc.polytope)
 
 
+def chained_image(desc):
+    """Send one unselected coatom's + vertex onto its own - vertex, which
+    the map sends on to the selected coatom's -: that image is not fixed."""
+    rep = desc.source
+    i = next(i for i, b in enumerate(rep.parts) if len(b) > 1)
+    c = next(c for c in rep.parts[i] if c != desc.selection.coatoms[i])
+    vmap = dict(desc.vertex_map)
+    vmap[rep.vertex(c, "+")] = rep.vertex(c, "-")
+    return RetractDescriptor(desc.selection, desc.source, desc.target, vmap, desc.polytope)
+
+
+def test_map_onto_a_non_fixed_image_fails_idempotent_as_the_oracle_does(u34, fano):
+    # verify_retraction asks that each image be fixed; the oracle maps each
+    # image again.  Every block order of U(3,4) and Fano holds a block of several.
+    applied = 0
+    for lattice in (u34, fano):
+        flags = all_complete_flags(lattice)
+        for f in flags:
+            for g in flags:
+                desc = retraction_map(lattice, f, g)
+                mutated = chained_image(desc)
+                report = verify_retraction(mutated)
+                assert report.to_json() == verify_retraction_oracle(mutated).to_json(), (f.chain, g.chain)
+                assert not report["idempotent"].passed
+                applied += 1
+        # a map that misses a vertex raises the same KeyError on both routes
+        vmap = dict(desc.vertex_map)
+        del vmap[next(iter(vmap))]
+        missing = RetractDescriptor(desc.selection, desc.source, desc.target, vmap, desc.polytope)
+        for verify in (verify_retraction, verify_retraction_oracle):
+            with pytest.raises(KeyError):
+                verify(missing)
+    assert applied == 144 + 441
+
+
 def grown_polytope(desc, in_source, in_target):
     """Grow one polytope facet mask by a bit outside the polytope, so that
     the grown facet is a face of the source exactly when in_source, and of
@@ -654,6 +689,7 @@ def test_poisoned_s0_fails_its_lines_without_raising(u34, bool3):
     for lattice in (u34, bool3):
         for name, desc, lines in poisoned_descriptors(lattice):
             assert failing(desc) == lines, name
+            assert desc.source.are_faces(frozenset()) and desc.target.are_faces(frozenset())  # vacuously
     assert verify_retraction(retraction_map(u34, default_flag(u34), default_flag(u34))).ok
 
 

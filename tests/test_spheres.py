@@ -260,7 +260,7 @@ def test_arrangement_flats_roundtrip(u24, u34):
     for lattice in (u24, u34):
         arr = rep_for(lattice).arrangement()
         recovered = arrangement_flats(arr)
-        assert verify_geometric(recovered, intervals=False).ok
+        assert verify_geometric(recovered).ok
         assert roundtrip_isomorphic(lattice, recovered)
 
 
