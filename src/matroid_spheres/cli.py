@@ -16,7 +16,7 @@ import click
 
 from . import jsonio, maps, oriented, spheres, topology
 from .jsonio import dump_json
-from .lattice import MatroidInputError, verify_geometric
+from .lattice import GeometricLattice, MatroidInputError, verify_geometric
 from .maps import SearchCapExceeded
 from .report import ValidationReport
 
@@ -88,7 +88,7 @@ def represent(matroid: str, flag_arg: str, out_dir: str, as_json: bool) -> None:
         for flat in lattice.flats:
             built = rep.construct(flat)  # each S_G is written once: cache none
             name = jsonio.flat_filename(lattice, flat)
-            (out / name).write_text(dump_json(jsonio.signed_complex_to_json(built)))
+            (out / name).write_text(dump_json(jsonio.signed_complex_to_json(lattice, built)))
             index.append(
                 {
                     "flat": list(lattice.sorted_elements(flat)),
@@ -285,7 +285,7 @@ def weakmap(
     if search_poset_map:
         flag = jsonio.load_flag_arg(m, flag_arg)
         result = maps.poset_map_search(m, n, flag, max_assignments=max_assignments)
-        search_json = search_result_to_json(result)
+        search_json = search_result_to_json(m, n, result)
         payload["search"] = search_json
     if as_json:
         click.echo(dump_json(payload), nl=False)
@@ -305,20 +305,23 @@ def weakmap(
     _finish(ok)
 
 
-def search_result_to_json(result: maps.SearchResult) -> dict:
+def search_result_to_json(m: GeometricLattice, n: GeometricLattice, result: maps.SearchResult) -> dict:
+    """The search result with source vertices rendered by m and images by
+    n, each source in label order."""
     vjson = jsonio.vertex_to_json
 
     def obstruction_json(face, forced, reason) -> dict:
         return {
-            "face": [vjson(v) for v in sorted(face)],
-            "forced_images": [vjson(v) for v in forced],
+            "face": [vjson(m, v) for v in sorted(face, key=m.vertex_label)],
+            "forced_images": [vjson(n, v) for v in forced],
             "reason": reason,
         }
 
     mapping = None
     if result.vertex_map is not None:
         mapping = [
-            [vjson(src), vjson(dst)] for src, dst in sorted(result.vertex_map.items())
+            [vjson(m, src), vjson(n, result.vertex_map[src])]
+            for src in sorted(result.vertex_map, key=m.vertex_label)
         ]
     return {
         "found": result.found,

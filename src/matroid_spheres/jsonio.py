@@ -14,7 +14,6 @@ from typing import Any, Mapping
 from .lattice import (Flag, GeometricLattice, MatroidInputError, _int_field, default_flag, load_matroid,
                       make_flag)
 from .oriented import VectorConfig, vector_config
-from .spheres import Vertex
 from .topology import SimplicialComplex
 
 
@@ -50,16 +49,17 @@ def load_flag_arg(lattice: GeometricLattice, arg: str | Path) -> Flag:
     return make_flag(lattice, chain)
 
 
-def vertex_to_json(v: Vertex) -> dict:
-    return {"coatom": list(v[0]), "sign": v[1]}
+def vertex_to_json(lattice: GeometricLattice, v: int) -> dict:
+    coatom, sign = lattice.vertex_label(v)
+    return {"coatom": list(coatom), "sign": sign}
 
 
-def signed_complex_to_json(complex_: SimplicialComplex) -> dict:
-    """Complex over signed-coatom vertices, faces as indices into the vertex list."""
+def signed_complex_to_json(lattice: GeometricLattice, complex_: SimplicialComplex) -> dict:
+    """Complex over the lattice's signed vertices, faces as indices into the vertex list."""
     vpos = {v: i for i, v in enumerate(complex_.vertices)}
     faces = sorted(sorted(vpos[v] for v in m) for m in complex_.maximal_faces)
     return {
-        "vertices": [vertex_to_json(v) for v in complex_.vertices],
+        "vertices": [vertex_to_json(lattice, v) for v in complex_.vertices],
         "maximal_faces": faces,
     }
 

@@ -29,9 +29,10 @@ class GeometricLattice:
     The constructor is tolerant: it stores any family of subsets of the
     ground set and computes ranks as chain heights when none are supplied,
     so that ``verify_geometric`` can report *which* axiom a bad input
-    breaks.  The inclusion order is one ``topology.Poset`` (``order``),
-    built once per lattice, whose positions are the positions in ``flats``;
-    chain heights, closures, covers, flags and the validation read it.
+    breaks; the heights build no order table.  The inclusion order is one
+    ``topology.Poset`` (``order``), built on first use, whose positions are
+    the positions in ``flats``; closures, covers, flags and the validation
+    read it.
     Instances are immutable after construction and safe to share.
     """
 
@@ -79,14 +80,14 @@ class GeometricLattice:
         return {f: self.sorted_elements(f) for f in self.flats}
 
     @cached_property
-    def signed_coatoms(self) -> dict[frozenset, dict[str, tuple]]:
-        """Each coatom's signed vertex labels by sign, built once per lattice."""
-        return {c: {s: (self.labels[c], s) for s in "+-"} for c in self._coatoms}
+    def coatom_index(self) -> dict[frozenset, int]:
+        """Each coatom's position k in ``coatoms()``.  Its signed vertices
+        are the ints 2k (+) and 2k + 1 (-), vertex v the mask bit 1 << v."""
+        return {c: k for k, c in enumerate(self._coatoms)}
 
-    @cached_property
-    def signed_bits(self) -> dict[tuple, int]:
-        """One bit per signed vertex, each coatom's - just above its +, for every flag."""
-        return {v: 1 << i for i, v in enumerate(v for pm in self.signed_coatoms.values() for v in pm.values())}
+    def vertex_label(self, v: int) -> tuple[tuple[str, ...], str]:
+        """The signed vertex v as (its coatom's elements in ground order, '+' or '-')."""
+        return self.labels[self._coatoms[v >> 1]], "+-"[v & 1]
 
     @cached_property
     def order(self) -> Poset:
@@ -97,15 +98,22 @@ class GeometricLattice:
         return Poset(self.flats, [sum(1 << index[e] for e in f) for f in self.flats])
 
     def _heights(self) -> dict[frozenset, int]:
-        """Each flat's chain height, walking ``flats`` in key order: the
-        flats strictly inside f are its down-set less f, and levels[k] is
-        the bitset of the flats of height k."""
-        h, levels = {}, {}
-        for i, (f, below) in enumerate(zip(self.flats, self.order.down)):
-            below ^= 1 << i
+        """Each flat's chain height, walking ``flats`` in key order with no
+        order table: the flats strictly inside f are the flats before it
+        holding no element outside f, holding[e] is the bitset of the flats
+        so far that hold element e, and levels[k] that of the flats of
+        height k."""
+        h, levels, holding = {}, {}, [0] * len(self.elements)
+        for i, f in enumerate(self.flats):
+            below = (1 << i) - 1
+            for e, held in zip(self.elements, holding):
+                if e not in f:
+                    below &= ~held
             # levels gains its keys in increasing order, so reversed is highest first
             k = next((k + 1 for k in reversed(levels) if levels[k] & below), 0)
             levels[k] = levels.get(k, 0) | 1 << i
+            for e in f:
+                holding[self._index[e]] |= 1 << i
             h[f] = k
         return h
 

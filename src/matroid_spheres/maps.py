@@ -21,7 +21,7 @@ from typing import Mapping
 
 from .lattice import Flag, GeometricLattice, MatroidInputError, make_flag
 from .report import CheckResult, Record, ValidationReport
-from .spheres import FlagRepresentation, Vertex, _unions, representation, selection_masks
+from .spheres import FlagRepresentation, _unions, representation, selection_masks
 
 
 class SelectionError(RuntimeError):
@@ -60,12 +60,12 @@ def select_cross_coatoms(rep_f: FlagRepresentation, rep_g: FlagRepresentation) -
     so whenever this returns, no search could return anything else.
 
     Blocks meet where their + ``halves`` AND to nonzero, so the highest G-block
-    is a scan of ANDs down to block 0.  ``signed_bits`` puts coatom k's +
-    vertex at bit 2k, so the lowest bit of the AND is the first coatom the
-    two blocks share, in key order: the one selected.
+    is a scan of ANDs down to block 0.  Coatom k's + vertex is bit 2k, so
+    the lowest bit of the AND is the first coatom the two blocks share, in
+    key order: the one selected.
     """
     lattice = rep_f.lattice
-    if rep_g.lattice is not lattice and rep_g.lattice.signed_bits != lattice.signed_bits:
+    if rep_g.lattice is not lattice and rep_g.lattice.coatoms() != lattice.coatoms():
         raise SelectionError("no cross-coatom selection: the representations are of different lattices")
     coatoms, g_plus, chosen, picked = lattice.coatoms(), [p for p, _ in rep_g.halves], [], []
     for p, _ in rep_f.halves:
@@ -88,7 +88,7 @@ class RetractDescriptor(Record):
 
     __slots__ = ("selection", "source", "target", "vertex_map", "polytope")
     def __init__(self, selection: CrossSelection, source: FlagRepresentation,
-                 target: FlagRepresentation, vertex_map: Mapping[Vertex, Vertex],
+                 target: FlagRepresentation, vertex_map: Mapping[int, int],
                  polytope: frozenset[int]):
         self._set(selection, source, target, vertex_map, polytope)
 
@@ -98,9 +98,8 @@ def retraction_map(lattice: GeometricLattice, flag_f: Flag, flag_g: Flag) -> Ret
     rep_f = representation(lattice, flag_f)
     rep_g = representation(lattice, flag_g)
     sel = select_cross_coatoms(rep_f, rep_g)
-    labels = lattice.signed_coatoms
-    onto = [v for c in sel.coatoms for v in labels[c].values()]  # slot 2i + k's image
-    vmap: dict[Vertex, Vertex] = {v: onto[k] for v, k in rep_f.slots}
+    onto = [2 * lattice.coatom_index[c] + k for c in sel.coatoms for k in (0, 1)]  # slot 2i + k's image
+    vmap = {v: onto[k] for v, k in rep_f.slots}
     polytope = selection_masks(lattice, frozenset(sel.coatoms))
     return RetractDescriptor(sel, rep_f, rep_g, vmap, polytope)
 
@@ -189,7 +188,7 @@ def is_weak_map_matroid(m: GeometricLattice, n: GeometricLattice) -> WeakMapRepo
 
 class SearchResult(Record):
     __slots__ = ("found", "vertex_map", "obstruction", "obstructions", "nodes", "reason")
-    def __init__(self, found: bool, vertex_map: Mapping[Vertex, Vertex] | None,
+    def __init__(self, found: bool, vertex_map: Mapping[int, int] | None,
                  obstruction: tuple | None,  # (face, forced images, reason)
                  obstructions: tuple = (), nodes: int = 0, reason: str = ""):
         self._set(found, vertex_map, obstruction, obstructions, nodes, reason)
@@ -227,17 +226,16 @@ def poset_map_search(
     source = rep_m.build(m.bottom)
     target = rep_n.build(n.bottom)
 
-    candidates: dict[Vertex, list[Vertex]] = {
-        v: [rep_n.vertex(h, v[1]) for h in sorted(n.coat_above(n.closure(frozenset(v[0]))), key=n.key)]
-        for v in source.vertices}
+    coatoms, index = m.coatoms(), n.coatom_index  # v is 2k + sign, with coatom k of m
+    candidates = {v: [2 * index[h] + (v & 1) for h in n.coat_above(n.closure(coatoms[v >> 1]))]
+                  for v in source.vertices}
 
-    order = list(source.vertices)
-    position = {v: i for i, v in enumerate(order)}
+    order = list(source.vertices)  # ints, in key order
     incident = {v: [mface for mface in source.maximal_faces if v in mface] for v in order}
-    assignment: dict[Vertex, Vertex] = {}
+    assignment: dict[int, int] = {}
     nodes = 0
 
-    def consistent(v: Vertex) -> bool:
+    def consistent(v: int) -> bool:
         for mface in incident[v]:
             image = {assignment[u] for u in mface if u in assignment}
             if not any(image <= t for t in target.maximal_faces):
@@ -266,11 +264,11 @@ def poset_map_search(
     # minimal obstructed faces: every candidate-consistent image fails
     obstructions = []
     single_bad = {v for v in order if not candidates[v]}
-    for v in sorted(single_bad, key=position.__getitem__):
+    for v in sorted(single_bad):
         obstructions.append((frozenset({v}), (), "no admissible image vertex"))
     edges = {frozenset(e) for mface in source.maximal_faces for e in combinations(mface, 2)}
     for face in sorted(edges, key=source.face_key):
-        u, v = sorted(face, key=position.__getitem__)
+        u, v = sorted(face)
         if u in single_bad or v in single_bad:
             continue
         if all(

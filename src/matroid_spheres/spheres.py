@@ -2,8 +2,11 @@
 
 Fixing a complete flag partitions the coatoms into blocks A_0..A_{r-1};
 every flat G then gets a complex S_G whose maximal faces are the sign
-choices over the blocks meeting coat(G).  Vertices are (coatom, sign)
-pairs, rendered as (sorted element tuple, '+'|'-').
+choices over the blocks meeting coat(G).  A vertex is the int 2k (C+) or
+2k + 1 (C-), C the k-th coatom in key order, so ints sort in key order and
+a vertex set is an int mask with bit v for vertex v.  Only the JSON output
+renders a vertex, as (C's elements in ground order, '+'|'-'), by
+``GeometricLattice.vertex_label``.
 
 S_bottom is the join, over the blocks, of the block's + simplex and its -
 simplex, and S_G is its subcomplex induced on V_G, the signed coatoms above
@@ -26,10 +29,6 @@ from .lattice import Flag, GeometricLattice
 from .report import Record, ValidationReport
 from . import topology
 from .topology import SimplicialComplex
-
-Vertex = tuple[tuple[str, ...], str]  # (coatom elements in ground order, sign)
-
-SIGNS = ("+", "-")
 
 
 class HomotopyArrangement(Record):
@@ -72,12 +71,12 @@ class FlagRepresentation:
 
     # -- vertices ------------------------------------------------------------
 
-    def vertex(self, coatom: frozenset, sign: str) -> Vertex:
-        return self.lattice.signed_coatoms[coatom][sign]
+    def vertex(self, coatom: frozenset, sign: str) -> int:
+        return 2 * self.lattice.coatom_index[coatom] + "+-".index(sign)
 
-    def mask(self, vertices: Iterable[Vertex]) -> int:
-        """A set of signed vertices as an int mask, by the lattice's ``signed_bits``."""
-        return sum(map(self.lattice.signed_bits.__getitem__, vertices))
+    def mask(self, vertices: Iterable[int]) -> int:
+        """A set of signed vertices as an int mask."""
+        return sum(1 << v for v in vertices)
 
     # -- construction ----------------------------------------------------------
 
@@ -89,8 +88,8 @@ class FlagRepresentation:
     def sigma(self, vector: tuple[int, ...], flat: frozenset) -> frozenset:
         """The face of S_G selected by a sign vector over the blocks: block
         i's coatoms above G signed by vector[i], blocks with 0 left out."""
-        labels = self.lattice.signed_coatoms
-        return frozenset(labels[c][SIGNS[s < 0]] for s, b in zip(vector, self._blocks_over(flat)) if s for c in b)
+        index = self.lattice.coatom_index
+        return frozenset(2 * index[c] + (s < 0) for s, b in zip(vector, self._blocks_over(flat)) if s for c in b)
 
     def build(self, flat: frozenset) -> SimplicialComplex:
         """S_G, constructed on the first call for a flat and cached."""
@@ -104,9 +103,7 @@ class FlagRepresentation:
 
         Uncached; ``build`` is the cached entry point.
         """
-        faces = _cross_polytope(self.lattice, self._blocks_over(flat))
-        order = _vertex_order(self.lattice, self.lattice.coat_above(flat))
-        return SimplicialComplex(faces, vertex_order=order)
+        return SimplicialComplex(_cross_polytope(self.lattice, self._blocks_over(flat)))
 
     @cached_property
     def cover_steps(self) -> tuple[tuple[frozenset, frozenset, frozenset], ...]:
@@ -129,19 +126,19 @@ class FlagRepresentation:
     # -- certificates on vertex masks ----------------------------------------------
 
     @cached_property
-    def slots(self) -> tuple[tuple[Vertex, int], ...]:
+    def slots(self) -> tuple[tuple[int, int], ...]:
         """Each signed vertex, block by block, with its half's slot: 2i + 0 (+) or 2i + 1 (-)."""
-        labels = self.lattice.signed_coatoms
-        return tuple((v, 2 * i + k) for i, block in enumerate(self.parts)
-                     for c in block for k, v in enumerate(labels[c].values()))
+        index = self.lattice.coatom_index
+        return tuple((2 * index[c] + k, 2 * i + k) for i, block in enumerate(self.parts)
+                     for c in block for k in (0, 1))
 
-    def half_masks(self, vertex_map: Mapping[Vertex, Vertex] | None = None) -> tuple[tuple[int, int], ...]:
+    def half_masks(self, vertex_map: Mapping[int, int] | None = None) -> tuple[tuple[int, int], ...]:
         """Each block's coatoms signed + and signed -, as two vertex masks,
         each vertex sent through the map if one is given: one pass over
         ``slots``.  Cached with no map as ``halves``."""
-        bits, out = self.lattice.signed_bits, [0] * (2 * len(self.parts))
+        out = [0] * (2 * len(self.parts))
         for v, k in self.slots:
-            out[k] |= bits[v if vertex_map is None else vertex_map[v]]
+            out[k] |= 1 << (v if vertex_map is None else vertex_map[v])
         return tuple(zip(out[::2], out[1::2]))
 
     halves = cached_property(half_masks)
@@ -150,11 +147,11 @@ class FlagRepresentation:
     def masks(self) -> dict[frozenset, int]:
         """V_G for every flat G: the AND, over G's elements, of the signed
         coatoms holding the element."""
-        holding = dict.fromkeys(self.lattice.elements, 0)
-        for c, pm in self.lattice.signed_coatoms.items():
+        coatoms, holding = self.lattice.coatoms(), dict.fromkeys(self.lattice.elements, 0)
+        for k, c in enumerate(coatoms):
             for e in c:
-                holding[e] |= self.mask(pm.values())
-        every = (1 << len(self.lattice.signed_bits)) - 1
+                holding[e] |= 3 << 2 * k  # bits 2k and 2k + 1
+        every = (1 << 2 * len(coatoms)) - 1
         return {g: reduce(and_, map(holding.__getitem__, g), every) for g in self.lattice.flats}
 
     @cached_property
@@ -170,11 +167,11 @@ class FlagRepresentation:
 
     def are_faces(self, masks: frozenset[int]) -> bool:
         """Is every vertex mask a face of S_bottom, given ``join_holds``: no
-        bit above the signed coatoms' (a vertex that is none, as a mutant's
-        can be) and no block holding both signs?  An empty set holds no
-        mask, so it passes.  The scan is for sets that are no cross-polytope
-        of ``selection_masks``, whose faces ``apart`` reads off its coatoms."""
-        return not masks or (self.join_holds and not max(masks) >> len(self.lattice.signed_bits)
+        bit at or above 2|coatoms| (a vertex of no coatom, as a mutant's can
+        be) and no block holding both signs?  An empty set holds no mask, so
+        it passes.  The scan is for sets that are no cross-polytope of
+        ``selection_masks``, whose faces ``apart`` reads off its coatoms."""
+        return not masks or (self.join_holds and not max(masks) >> 2 * len(self.lattice.coatoms())
                              and all(map(self.is_face, masks)))
 
     def apart(self, plus: int) -> bool:
@@ -185,8 +182,8 @@ class FlagRepresentation:
         return self.join_holds and all(map(plus.__and__, map(itemgetter(0), self.halves)))
 
     def swap(self, mask: int) -> int:
-        """The vertex mask with every sign swapped: ``signed_bits`` puts
-        each coatom's - vertex just above its + vertex."""
+        """The vertex mask with every sign swapped: each coatom's - vertex,
+        2k + 1, sits just above its + vertex, 2k."""
         plus = sum(p for p, _ in self.halves)
         return (mask & plus) << 1 | mask >> 1 & plus
 
@@ -253,13 +250,7 @@ def representation(lattice: GeometricLattice, flag: Flag) -> FlagRepresentation:
     return FlagRepresentation(lattice, flag)
 
 
-# -- signed labels, shared by every flag of a lattice ------------------------------
-
-
-def _vertex_order(lattice: GeometricLattice, coatoms: Iterable[frozenset]) -> list[Vertex]:
-    chosen = set(coatoms)
-    signed = lattice.signed_coatoms.items()  # in key order
-    return [v for c, pm in signed if c in chosen for v in pm.values()]
+# -- signed vertices, shared by every flag of a lattice ------------------------------
 
 
 def _unions(pairs: Iterable[Sequence], empty=0) -> list:
@@ -275,8 +266,8 @@ def _cross_polytope(lattice: GeometricLattice, blocks: Sequence[Sequence[frozens
     block's coatoms with its sign, each a union of per-block vertex sets
     built once.  With one coatom per block this is the boundary of a
     cross-polytope; with the blocks over a flat it is S_G."""
-    labels = lattice.signed_coatoms
-    return _unions([[frozenset(labels[c][s] for c in b) for s in SIGNS] for b in blocks if b], frozenset())
+    index = lattice.coatom_index
+    return _unions([[frozenset(2 * index[c] + s for c in b) for s in (0, 1)] for b in blocks if b], frozenset())
 
 
 @lru_cache(maxsize=topology._HOMOLOGY_MEMO_SIZE)
@@ -290,8 +281,7 @@ def selection_masks(lattice: GeometricLattice, coatoms: frozenset[frozenset]) ->
     not on a flag or on the order of the blocks, so flag pairs that select
     the same coatoms share one immutable set.
     """
-    bits, labels = lattice.signed_bits, lattice.signed_coatoms
-    pairs = [[bits[v] for v in labels[c].values()] for c in coatoms]
+    pairs = [(1 << 2 * k, 2 << 2 * k) for k in map(lattice.coatom_index.__getitem__, coatoms)]
     return frozenset(_unions(pairs)) - {0}
 
 

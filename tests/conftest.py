@@ -20,7 +20,7 @@ from matroid_spheres import (
 )
 from matroid_spheres.maps import CrossSelection, RetractDescriptor, SelectionError
 from matroid_spheres.report import ValidationReport
-from matroid_spheres.spheres import _cross_polytope, _unions, _vertex_order, representation
+from matroid_spheres.spheres import _unions, representation
 from matroid_spheres.topology import (
     HomologyProfile,
     all_faces,
@@ -57,6 +57,27 @@ def is_homology_sphere(complex_, d):
     return reduced_homology(complex_) == sphere_profile(d)
 
 
+def vertex_table(lattice):
+    """Each coatom's signed vertices by sign, numbered here coatom by
+    coatom in key order: 2k (+) and 2k + 1 (-) for the k-th.  Oracle for
+    ``GeometricLattice.coatom_index``."""
+    coatoms = sorted(lattice.coatoms(), key=lattice.key)
+    return {c: {"+": 2 * k, "-": 2 * k + 1} for k, c in enumerate(coatoms)}
+
+
+def signed_coatoms(lattice):
+    """Each coatom's signed vertex labels by sign, (elements in ground
+    order, sign), in key order.  Oracle for
+    ``GeometricLattice.vertex_label``."""
+    return {c: {s: (lattice.sorted_elements(c), s) for s in "+-"}
+            for c in sorted(lattice.coatoms(), key=lattice.key)}
+
+
+def coatom_sign(lattice):
+    """Each signed vertex's (coatom, sign), by ``vertex_table``."""
+    return {v: (c, s) for c, pm in vertex_table(lattice).items() for s, v in pm.items()}
+
+
 def blocks_oracle(lattice, flag):
     """Coatom blocks as coat_above(F_i) - coat_above(F_{i+1}), each in key
     order.  Oracle for ``FlagRepresentation.parts``."""
@@ -70,10 +91,8 @@ def blocks_oracle(lattice, flag):
 def face_oracle(lattice, vector, blocks):
     """Every coatom of block i, signed by vector[i], built vertex by vertex;
     blocks with 0 left out.  Oracle for ``FlagRepresentation.sigma``."""
-    return frozenset(
-        (lattice.sorted_elements(c), "+" if s > 0 else "-")
-        for s, b in zip(vector, blocks) if s for c in b
-    )
+    signed = vertex_table(lattice)
+    return frozenset(signed[c]["+" if s > 0 else "-"] for s, b in zip(vector, blocks) if s for c in b)
 
 
 def cross_polytope_oracle(lattice, blocks):
@@ -100,11 +119,11 @@ def facet_signs(rep, complex_):
     vertices in a block all carry that sign, 0 where the face has none in
     the block, and None where its signs there mix."""
     value = {frozenset(): 0, frozenset("+"): 1, frozenset("-"): -1}
-    out, block = {}, part_of(rep)
+    out, block, label = {}, part_of(rep), coatom_sign(rep.lattice)
     for face in complex_.maximal_faces:
         signs = [set() for _ in rep.parts]
-        for coatom, sign in face:
-            signs[block[frozenset(coatom)]].add(sign)
+        for coatom, sign in map(label.__getitem__, face):
+            signs[block[coatom]].add(sign)
         out[face] = tuple(value.get(frozenset(s)) for s in signs)
     return out
 
@@ -207,33 +226,30 @@ def maps_into_carrier_oracle(vertex_images, a_cover, b_cover):
 
 
 def cross_polytope_complex(lattice, coatoms):
-    """The cross-polytope on the coatoms as a complex, one block per coatom.
-    Oracle for ``spheres.selection_masks``, through ``complex_masks``."""
-    return SimplicialComplex(_cross_polytope(lattice, [(c,) for c in coatoms]),
-                             vertex_order=_vertex_order(lattice, coatoms))
+    """The cross-polytope on the coatoms as a complex, one facet per sign
+    choice, built vertex by vertex by ``vertex_table``.  Oracle for
+    ``spheres.selection_masks``, through ``complex_masks``."""
+    signed = vertex_table(lattice)
+    return SimplicialComplex(frozenset(signed[c][s] for c, s in zip(coatoms, signs))
+                             for signs in product("+-", repeat=len(coatoms)))
 
 
-def complex_masks(complex_, lattice):
-    """The complex's facets as vertex masks by the lattice's ``signed_bits``,
-    a vertex that is no signed coatom taking a bit above them all."""
-    bits = dict(lattice.signed_bits)
-    for v in complex_.vertices:
-        bits.setdefault(v, 1 << len(bits))
-    return frozenset(sum(map(bits.__getitem__, m)) for m in complex_.maximal_faces)
+def complex_masks(complex_):
+    """The complex's facets as vertex masks, bit v for vertex v, one bit
+    at a time."""
+    return frozenset(sum(1 << v for v in m) for m in complex_.maximal_faces)
 
 
-def mask_vertices(mask, lattice):
-    """The vertex mask's signed vertices, each bit read back by the
-    lattice's ``signed_bits``; a bit above them all reads as a vertex that
-    is no signed coatom."""
-    vertex = {b: v for v, b in lattice.signed_bits.items()}
-    return frozenset(vertex.get(1 << i, (("fresh", str(i)), "+")) for i in range(mask.bit_length()) if mask >> i & 1)
+def mask_vertices(mask):
+    """The vertex mask's vertices, read bit by bit; a bit at or above
+    2|coatoms| is a vertex of no coatom."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def masks_complex(masks, lattice):
+def masks_complex(masks):
     """The complex whose facets are the vertex masks, read back by
     ``mask_vertices``.  Inverse of ``complex_masks``."""
-    return SimplicialComplex(mask_vertices(m, lattice) for m in masks)
+    return SimplicialComplex(map(mask_vertices, masks))
 
 
 def retraction_face_lines_oracle(desc):
@@ -244,7 +260,7 @@ def retraction_face_lines_oracle(desc):
     lattice = desc.source.lattice
     s_f = desc.source.build(lattice.bottom)
     s_g = desc.target.build(lattice.bottom)
-    polytope = masks_complex(desc.polytope, lattice)
+    polytope = masks_complex(desc.polytope)
     images = [frozenset(map(desc.vertex_map.__getitem__, m)) for m in s_f.maximal_faces]
     return {"polytope-in-source": is_subcomplex_of(polytope, s_f),
             "polytope-in-target": is_subcomplex_of(polytope, s_g),
@@ -259,8 +275,8 @@ def cover_steps_oracle(lattice):
 
 
 def swap_sign(v):
-    """The signed vertex with its sign swapped."""
-    return (v[0], "-" if v[1] == "+" else "+")
+    """The signed vertex with its sign swapped: 2k and 2k + 1 trade places."""
+    return v + 1 if v % 2 == 0 else v - 1
 
 
 def swap_map(complex_):
@@ -294,11 +310,11 @@ def embedding_face_lines_oracle(emb):
     maximal faces, with the signs of each image grouped by block."""
     rep, cs = emb.rep, emb.cs
     well = all(rep.build(cs.zero_set(x)).has_face(face) for x, face in emb.images.items())
-    same_sign, block = True, part_of(rep)
+    same_sign, block, label = True, part_of(rep), coatom_sign(emb.lattice)
     for face in emb.images.values():
         by_part = {}
-        for v in face:
-            by_part.setdefault(block[frozenset(v[0])], set()).add(v[1])
+        for coatom, sign in map(label.__getitem__, face):
+            by_part.setdefault(block[coatom], set()).add(sign)
         same_sign = same_sign and all(len(s) == 1 for s in by_part.values())
     into = all(rep.build(g).has_face(emb.images[x])
                for g in emb.lattice.flats for x in emb.delta(g).vertices)
@@ -355,6 +371,20 @@ def heights_oracle(lattice):
     return h
 
 
+def order_heights_oracle(lattice):
+    """Each flat's chain height, walking ``flats`` in key order: the flats
+    strictly inside f are its down-set in the lattice's ``order`` less f,
+    and levels[k] is the bitset of the flats of height k.  Oracle for
+    ``GeometricLattice._heights``, which builds no order table."""
+    h, levels = {}, {}
+    for i, (f, below) in enumerate(zip(lattice.flats, lattice.order.down)):
+        below ^= 1 << i
+        k = next((k + 1 for k in reversed(levels) if levels[k] & below), 0)
+        levels[k] = levels.get(k, 0) | 1 << i
+        h[f] = k
+    return h
+
+
 def select_cross_coatoms_oracle(rep_f, rep_g):
     """Cross-coatom selection by a dict per F-block of the first coatom it
     shares with each G-block, in key order, read coatom by coatom through
@@ -374,14 +404,14 @@ def select_cross_coatoms_oracle(rep_f, rep_g):
 
 def retraction_oracle(lattice, flag_f, flag_g):
     """``retraction_map`` through ``select_cross_coatoms_oracle``, each
-    signed coatom's image read off its label dict, and the polytope by
+    signed coatom's image read off ``vertex_table``, and the polytope by
     ``cross_polytope_complex``.  Oracle for ``maps.retraction_map``."""
     rep_f, rep_g = representation(lattice, flag_f), representation(lattice, flag_g)
     sel = select_cross_coatoms_oracle(rep_f, rep_g)
-    labels = lattice.signed_coatoms
-    vmap = {v: labels[chosen][s] for block, chosen in zip(rep_f.parts, sel.coatoms)
-            for c in block for s, v in labels[c].items()}
-    polytope = complex_masks(cross_polytope_complex(lattice, sel.coatoms), lattice)
+    signed = vertex_table(lattice)
+    vmap = {v: signed[chosen][s] for block, chosen in zip(rep_f.parts, sel.coatoms)
+            for c in block for s, v in signed[c].items()}
+    polytope = complex_masks(cross_polytope_complex(lattice, sel.coatoms))
     return RetractDescriptor(sel, rep_f, rep_g, vmap, polytope)
 
 
@@ -392,13 +422,14 @@ def verify_retraction_oracle(desc):
     ``add``.  Oracle for ``maps.verify_retraction``."""
     rep = ValidationReport()
     source, target, vmap, polytope = desc.source, desc.target, desc.vertex_map, desc.polytope
-    lattice, labels = source.lattice, source.lattice.signed_coatoms
+    lattice, signed = source.lattice, vertex_table(source.lattice)
     s_f = source.build(lattice.bottom)
     if source.join_holds:
-        halves = [[source.mask({vmap[labels[c][s]] for c in block}) for s in "+-"] for block in source.parts]
+        halves = [[sum(1 << w for w in {vmap[signed[c][s]] for c in block}) for s in "+-"]
+                  for block in source.parts]
         images = frozenset(_unions(halves))
     else:
-        images = frozenset(source.mask({vmap[v] for v in m}) for m in s_f.maximal_faces)
+        images = frozenset(sum(1 << w for w in {vmap[v] for v in m}) for m in s_f.maximal_faces)
     rep.add("selection-distinct", desc.selection.distinct())
     rep.add("polytope-in-source", source.are_faces(polytope))
     rep.add("polytope-in-target", target.are_faces(polytope))
@@ -408,7 +439,7 @@ def verify_retraction_oracle(desc):
     rep.add("source-sphere", source.join_holds)
     rep.add("target-sphere", target.join_holds)
     coatoms = frozenset(desc.selection.coatoms)
-    cross = complex_masks(cross_polytope_complex(lattice, coatoms), lattice)
+    cross = complex_masks(cross_polytope_complex(lattice, coatoms))
     rep.add("polytope-sphere", len(coatoms) == lattice.r and polytope == cross)
     return rep
 

@@ -177,10 +177,10 @@ def test_criterion_09_obstruction(u34, n134):
     result = poset_map_search(u34, n134, flag)
     assert not result.found
     edge = frozenset({(("3", "4"), "+"), (("1", "4"), "-")})
-    by_face = {face: forced for face, forced, _ in result.obstructions}
+    by_face = {frozenset(map(u34.vertex_label, face)): forced for face, forced, _ in result.obstructions}
     assert edge in by_face
     forced = set(by_face[edge])
-    assert forced == {(("1", "3", "4"), "+"), (("1", "3", "4"), "-")}
+    assert set(map(n134.vertex_label, forced)) == {(("1", "3", "4"), "+"), (("1", "3", "4"), "-")}
     target = FlagRepresentation(n134, make_flag(n134, flag.chain)).build(n134.bottom)
     assert not target.has_face(forced)
     report(9, "no induced map; obstruction edge certified", budget.check())

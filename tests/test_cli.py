@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -262,6 +263,43 @@ def test_weakmap_search(runner):
     found = [o for o in search["obstructions"] if o["face"] == paper_edge]
     assert found
     assert {tuple(i["coatom"]) for i in found[0]["forced_images"]} == {("1", "3", "4")}
+
+
+# Recorded before vertices became ints: sha256 of U(3,10)'s weakmap stdout
+# against itself and against the line {1, 2, 10}, and of its S_0.json.
+U310_SEARCH_SHA = "3eb4b5a9fa8ac2496962870475fe317b81f86cb4bb8e702b9af84353df436215"
+U310_LINE_SHA = "b9511163e7b5e85eb3021f290df46a4b9f211b506a00f9c83433ab30bfe25910"
+U310_S0_SHA = "eaa4397f2a9116313b0d851db55e274c994d0fbba2dc452f670cdb476902785e"
+
+
+def test_json_lists_search_sources_by_label_and_s0_vertices_by_key(runner, tmp_path):
+    # on a 10-element ground set the two orders differ: '10' < '2' as labels,
+    # while the coatom {1, 2} comes before {1, 10} in key order
+    spec = tmp_path / "u310.json"
+    spec.write_text(json.dumps({"format": "uniform", "r": 3, "n": 10}))
+    search = run(runner, "weakmap", "--search-poset-map", "--json", spec, spec)
+    assert search.exit_code == 0
+    sources = [src["coatom"] for src, _ in json.loads(search.stdout)["search"]["map"]]
+    assert sources.index(["1", "10"]) < sources.index(["1", "2"])
+    assert hashlib.sha256(search.stdout.encode()).hexdigest() == U310_SEARCH_SHA
+    # U(3,10) with 1, 2 and 10 on a line: {1, 10}+ {1, 2}- is obstructed
+    ground = [str(i) for i in range(1, 11)]
+    line = {"1", "2", "10"}
+    flats = [[], *([e] for e in ground), *(list(p) for p in combinations(ground, 2) if not line >= set(p)),
+             ["1", "2", "10"], ground]
+    target, flag = tmp_path / "line.json", tmp_path / "flag.json"
+    target.write_text(json.dumps({"format": "flats", "ground_set": ground, "flats": flats}))
+    flag.write_text(json.dumps({"chain": [[], ["2"], ["2", "3"], ground]}))
+    search = run(runner, "weakmap", "--search-poset-map", "--flag", flag, "--json", spec, target)
+    assert search.exit_code == 0
+    face = json.loads(search.stdout)["search"]["obstruction"]["face"]
+    assert [v["coatom"] for v in face] == [["1", "10"], ["1", "2"]]
+    assert hashlib.sha256(search.stdout.encode()).hexdigest() == U310_LINE_SHA
+    assert run(runner, "represent", "--json", spec, "--out", tmp_path / "out").exit_code == 0
+    s0 = (tmp_path / "out" / "S_0.json").read_text()
+    vertices = [v["coatom"] for v in json.loads(s0)["vertices"]]
+    assert vertices.index(["1", "2"]) < vertices.index(["1", "10"])
+    assert hashlib.sha256(s0.encode()).hexdigest() == U310_S0_SHA
 
 
 def test_weakmap_search_cap_exits_2(runner):

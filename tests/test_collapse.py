@@ -207,7 +207,7 @@ def test_core_of_s0_is_the_cross_polytope(u34, bool3, fano):
             assert len(core.maximal_faces) == 2 ** r
             assert all(len(m) == r for m in core.maximal_faces)
             for block in rep.parts:
-                kept = [v for v in core.vertices if frozenset(v[0]) in block]
+                kept = [v for v in map(lattice.vertex_label, core.vertices) if frozenset(v[0]) in block]
                 assert len({v[0] for v in kept}) == 1
                 assert sorted(v[1] for v in kept) == ["+", "-"]
             assert reduced_homology(core) == sphere_profile(r - 1)

@@ -1,9 +1,9 @@
 """The per-lattice signed vertices and the block construction of S_G,
 against the vertex-by-vertex constructions kept in ``conftest.py``.
 
-``FlagRepresentation`` finds the coatom blocks in one pass, reads each
-signed vertex from the lattice's table and builds every maximal face as a
-union of per-block vertex sets; ``SimplicialComplex.has_face`` looks a face
+``FlagRepresentation`` finds the coatom blocks in one pass, numbers each
+signed vertex by the lattice's ``coatom_index`` and builds every maximal
+face as a union of per-block vertex sets; ``SimplicialComplex.has_face`` looks a face
 up among the maximal faces before it scans them.  Each is compared with
 its oracle on every flat and every complete flag of the tests/data
 matroids, B_4 and Fano.
@@ -22,7 +22,8 @@ from matroid_spheres import (
     all_complete_flags,
     default_flag,
 )
-from matroid_spheres.spheres import SIGNS, _cross_polytope, _vertex_order, atom_label
+from matroid_spheres.jsonio import signed_complex_to_json
+from matroid_spheres.spheres import _cross_polytope, atom_label
 from conftest import (
     blocks_oracle,
     boolean_matroid,
@@ -30,7 +31,9 @@ from conftest import (
     data_matroids,
     face_oracle,
     has_face_oracle,
+    signed_coatoms,
     swap_sign,
+    vertex_table,
 )
 
 
@@ -69,33 +72,38 @@ def test_cross_polytope_and_sigma_match_oracle(lattices):
 
 
 def test_signed_vertices_are_per_lattice_labels(lattices):
+    # the label table that the ints replaced renders every vertex
     for name, lattice in lattices.items():
         flags = all_complete_flags(lattice)
         first, last = FlagRepresentation(lattice, flags[0]), FlagRepresentation(lattice, flags[-1])
-        coatoms = lattice.coatoms()
-        for c in coatoms:
-            for s in SIGNS:
+        table, labels = vertex_table(lattice), signed_coatoms(lattice)
+        for c in lattice.coatoms():
+            for s in "+-":
                 v = first.vertex(c, s)
-                assert v == (lattice.sorted_elements(c), s)
-                assert last.vertex(c, s) is v  # one label per lattice, shared by its flags
+                assert v == table[c][s] == last.vertex(c, s)  # one numbering per lattice, shared by its flags
+                assert lattice.vertex_label(v) == labels[c][s] == (lattice.sorted_elements(c), s), name
             assert swap_sign(first.vertex(c, "+")) == first.vertex(c, "-")
-        for k in range(len(coatoms) + 1):
-            for sub in combinations(reversed(coatoms), k):
-                want = [(lattice.sorted_elements(c), s)
-                        for c in sorted(sub, key=lattice.key) for s in SIGNS]
-                assert _vertex_order(lattice, sub) == want, (name, k)
         for a in lattice.atoms():
             assert atom_label(lattice, a) == ",".join(lattice.sorted_elements(a))
 
 
-def test_signed_bits_and_halves_match_the_built_s_0(lattices):
-    # one bit table per lattice, in the vertex order of every coatom; each
-    # block's two halves read it, vertex by vertex, and decide the faces of S_0
+def test_s_0_json_renders_vertices_by_the_label_table(lattices):
     for name, lattice, rep in every_flag(lattices):
-        order = _vertex_order(lattice, lattice.coatoms())
-        assert lattice.signed_bits == {v: 1 << i for i, v in enumerate(order)}
+        s0, labels = rep.build(lattice.bottom), signed_coatoms(lattice)
+        label = {v: labels[c][s] for c, pm in vertex_table(lattice).items() for s, v in pm.items()}
+        want = {"vertices": [{"coatom": list(label[v][0]), "sign": label[v][1]} for v in s0.vertices],
+                "maximal_faces": sorted(sorted(map(s0.vertices.index, m)) for m in s0.maximal_faces)}
+        assert signed_complex_to_json(lattice, s0) == want, name
+
+
+def test_vertex_bits_and_halves_match_the_built_s_0(lattices):
+    # one numbering per lattice, in key order; each block's two halves
+    # read it, vertex by vertex, and decide the faces of S_0
+    for name, lattice, rep in every_flag(lattices):
+        table = vertex_table(lattice)
+        assert lattice.coatom_index == {c: pm["+"] // 2 for c, pm in table.items()}
         assert rep.halves == tuple(
-            tuple(rep.mask(frozenset(rep.vertex(c, s) for c in block)) for s in SIGNS)
+            tuple(sum(1 << table[c][s] for c in block) for s in "+-")
             for block in rep.parts)
         s0 = rep.build(lattice.bottom)
         assert rep.join_holds
@@ -107,8 +115,8 @@ def test_built_complexes_keep_vertex_order(lattices):
     for name, lattice, rep in every_flag(lattices):
         for flat in lattice.flats:
             built = rep.build(flat)
-            want = [(lattice.sorted_elements(c), s)
-                    for c in sorted(lattice.coat_above(flat), key=lattice.key) for s in SIGNS]
+            want = [vertex_table(lattice)[c][s]
+                    for c in sorted(lattice.coat_above(flat), key=lattice.key) for s in "+-"]
             assert list(built.vertices) == want, (name, sorted(flat))
 
 
@@ -131,7 +139,7 @@ def test_block_errors_kept():
 
 def signed_vertices(rep, flat):
     """V_G: the signed vertices of coat(G)."""
-    return {rep.vertex(c, s) for c in rep.lattice.coat_above(flat) for s in SIGNS}
+    return {rep.vertex(c, s) for c in rep.lattice.coat_above(flat) for s in "+-"}
 
 
 def test_every_s_g_is_induced_in_s_0(lattices, u34):

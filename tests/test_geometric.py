@@ -8,7 +8,8 @@ bitset tables.  Reports must agree byte for byte, failure details included.
 must pass every other line of ``verify_geometric``.  ``closure_oracle`` is
 the scan over every flat that ``GeometricLattice.closure``'s bitsets
 replaced, and ``heights_oracle`` the scan that ``GeometricLattice._heights``'
-level bitsets replaced.  ``order_tables_oracle``, ``upper_covers_oracle`` and
+level bitsets replaced; ``order_heights_oracle`` reads the same levels off
+the order table, which ``_heights`` no longer builds.  ``order_tables_oracle``, ``upper_covers_oracle`` and
 ``all_complete_flags_oracle`` are the pairwise up/down loop, the frozenset
 scan and the recursion that the lattice's one order table replaced.
 """
@@ -33,7 +34,8 @@ from matroid_spheres import (
 )
 from matroid_spheres.report import ValidationReport
 from conftest import (
-    all_complete_flags_oracle, boolean_matroid, heights_oracle, order_tables_oracle, upper_covers_oracle,
+    all_complete_flags_oracle, boolean_matroid, heights_oracle, order_heights_oracle, order_tables_oracle,
+    upper_covers_oracle,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -311,9 +313,10 @@ def test_uniform_lattices_match_oracle(r, n):
 
 def assert_same_heights(lattice):
     """The lattice's flats with no ranks given, so the constructor takes
-    their chain heights."""
+    their chain heights, with no order table built."""
     unranked = GeometricLattice(lattice.elements, lattice.flats)
-    assert unranked.rank_of == heights_oracle(unranked)
+    assert "order" not in vars(unranked)
+    assert unranked.rank_of == heights_oracle(unranked) == order_heights_oracle(unranked)
 
 
 @pytest.mark.parametrize("path", MATROID_FILES, ids=lambda p: p.name)

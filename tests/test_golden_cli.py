@@ -56,7 +56,8 @@ def cases():
         ["weakmap", *opts, m, n]
         for m in files
         for n in files
-        for opts in ([], ["--json"], ["--search-poset-map", "--flag", flag_file])
+        for opts in ([], ["--json"], ["--search-poset-map", "--flag", flag_file],
+                     ["--search-poset-map", "--flag", flag_file, "--json"])
     ]
     return out
 

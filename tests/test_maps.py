@@ -249,7 +249,7 @@ def test_retraction_same_flag_u24(u24):
     flag = default_flag(u24)
     desc = retraction_map(u24, flag, flag)
     # image is the square boundary on the selected coatoms
-    polytope = masks_complex(desc.polytope, u24)
+    polytope = masks_complex(desc.polytope)
     assert len(polytope.vertices) == 4
     assert len(polytope.maximal_faces) == 4
     assert verify_retraction(desc).ok
@@ -361,7 +361,7 @@ def test_memoized_polytope_matches_fresh_cross_polytope(u34, bool3, fano):
             for g in flags:
                 desc = retraction_map(lattice, f, g)
                 fresh = cross_polytope_complex(lattice, desc.selection.coatoms)
-                assert desc.polytope == complex_masks(fresh, lattice), (f.chain, g.chain)
+                assert desc.polytope == complex_masks(fresh), (f.chain, g.chain)
                 pairs += 1
     assert pairs == 144 + 36 + 576 + 441 + 120 ** 2
 
@@ -558,10 +558,10 @@ def grown_polytope(desc, in_source, in_target):
     s_f = desc.source.build(lattice.bottom)
     s_g = desc.target.build(lattice.bottom)
     held = reduce(or_, desc.polytope, 0)
-    outside = [b for b in map(lattice.signed_bits.__getitem__, s_f.vertices) if not b & held]
+    outside = [1 << v for v in s_f.vertices if not held >> v & 1]
     for facet in sorted(desc.polytope):
-        for x in outside + [1 << len(lattice.signed_bits)]:
-            grown = mask_vertices(facet | x, lattice)
+        for x in outside + [1 << 2 * len(lattice.coatoms())]:
+            grown = mask_vertices(facet | x)
             if (s_f.has_face(grown), s_g.has_face(grown)) == (in_source, in_target):
                 polytope = (desc.polytope - {facet}) | {facet | x}
                 return RetractDescriptor(
@@ -599,7 +599,7 @@ def test_mutated_retraction_fails_its_check(kind, u24, u34, bool3):
                     applied += 1
                     assert failing(mutated) == checks, (kind, f.chain, g.chain)
                     if kind.startswith("facet"):  # the grown polytope is still a sphere
-                        assert is_homology_sphere(masks_complex(mutated.polytope, lattice), lattice.r - 1)
+                        assert is_homology_sphere(masks_complex(mutated.polytope), lattice.r - 1)
     assert applied, kind
 
 
@@ -671,7 +671,7 @@ def poisoned_descriptors(lattice):
     clean = retraction_map(lattice, flag, flag)
     s0 = clean.source.build(lattice.bottom)
     facets = sorted(s0.maximal_faces, key=s0.face_key)
-    coatom, sign = next(iter(facets[0]))
+    coatom, sign = lattice.vertex_label(next(iter(facets[0])))
     mixed = facets[0] | {clean.source.vertex(frozenset(coatom), "-" if sign == "+" else "+")}
     target_fails = {"target-sphere", "polytope-in-target", "composite-simplicial"}
     for name, poison, source_fails in (
@@ -697,7 +697,7 @@ def grown_by_a_foreign_vertex(desc):
     """The polytope with its lowest facet mask grown by the bit just above
     the signed coatoms', a vertex that is no signed coatom."""
     facet = min(desc.polytope)
-    faces = (desc.polytope - {facet}) | {facet | 1 << len(desc.source.lattice.signed_bits)}
+    faces = (desc.polytope - {facet}) | {facet | 1 << 2 * len(desc.source.lattice.coatoms())}
     return RetractDescriptor(desc.selection, desc.source, desc.target, desc.vertex_map, faces)
 
 
@@ -708,7 +708,7 @@ def test_polytope_grown_by_a_foreign_vertex_fails_without_raising(u24, u34, bool
             grown = grown_by_a_foreign_vertex(retraction_map(lattice, f, g))
             assert failing(grown) == {"polytope-in-source", "polytope-in-target", "polytope-sphere"}
             assert face_lines(grown) == retraction_face_lines_oracle(grown)
-            assert is_homology_sphere(masks_complex(grown.polytope, lattice), lattice.r - 1)
+            assert is_homology_sphere(masks_complex(grown.polytope), lattice.r - 1)
 
 
 def two_from_one_block(desc):
@@ -825,7 +825,7 @@ def test_sphere_lines_match_homology_on_every_pair(u34, bool3, fano):
                 desc = retraction_map(lattice, f, g)
                 report = verify_retraction(desc)
                 complexes = (desc.source.build(lattice.bottom),
-                             desc.target.build(lattice.bottom), masks_complex(desc.polytope, lattice))
+                             desc.target.build(lattice.bottom), masks_complex(desc.polytope))
                 for line, complex_ in zip(SPHERE_LINES, complexes):
                     assert report[line].passed is is_homology_sphere(complex_, lattice.r - 1) is True
                 pairs += 1
@@ -997,10 +997,11 @@ def test_search_obstruction_u34_to_n134(u34, n134):
     result = poset_map_search(u34, n134, flag)
     assert not result.found
     faces = {face: (forced, reason) for face, forced, reason in result.obstructions}
+    labelled = {frozenset(map(u34.vertex_label, face)): face for face in faces}
     edge = frozenset({(("3", "4"), "+"), (("1", "4"), "-")})
-    assert edge in faces
-    forced, _ = faces[edge]
-    assert set(forced) == {(("1", "3", "4"), "+"), (("1", "3", "4"), "-")}
+    assert edge in labelled
+    forced, _ = faces[labelled[edge]]
+    assert set(map(n134.vertex_label, forced)) == {(("1", "3", "4"), "+"), (("1", "3", "4"), "-")}
     # the forced pair shares no face in the target: same coatom, both signs
     target = FlagRepresentation(n134, make_flag(n134, PAPER_FLAG)).build(n134.bottom)
     assert not target.has_face(set(forced))

@@ -84,7 +84,7 @@ def test_build_u24_ambient(u24):
 def test_build_u24_rank1_flats(u24):
     rep = rep_for(u24)
     built = rep.build(frozenset({"3"}))
-    assert built.maximal_faces == frozenset(
+    assert frozenset(frozenset(map(u24.vertex_label, m)) for m in built.maximal_faces) == frozenset(
         {frozenset({(("3",), "+")}), frozenset({(("3",), "-")})}
     )
 
@@ -121,7 +121,7 @@ def test_no_face_holds_both_signs(u24, u34, fano):
     for lattice in (u24, u34, fano):
         rep = rep_for(lattice)
         for face in rep.build(lattice.bottom).maximal_faces:
-            coats = [v[0] for v in face]
+            coats = [v[0] for v in map(lattice.vertex_label, face)]
             assert len(set(coats)) == len(coats)
 
 
@@ -138,11 +138,15 @@ def test_sign_swap_free_for_every_flag(u24, u34, bool3, n134):
 
 def test_sigma_of(u24):
     rep = rep_for(u24)
-    assert rep.sigma((1, 1), u24.bottom) == frozenset(
+
+    def sigma(vector, flat):
+        return frozenset(map(u24.vertex_label, rep.sigma(vector, flat)))
+
+    assert sigma((1, 1), u24.bottom) == frozenset(
         {(("2",), "+"), (("3",), "+"), (("4",), "+"), (("1",), "+")}
     )
-    assert rep.sigma((0, 0), u24.bottom) == frozenset()
-    assert rep.sigma((1, 1), frozenset({"1"})) == frozenset({(("1",), "+")})
+    assert sigma((0, 0), u24.bottom) == frozenset()
+    assert sigma((1, 1), frozenset({"1"})) == frozenset({(("1",), "+")})
 
 
 def test_sigma_sign_roundtrip(u34):
@@ -151,7 +155,7 @@ def test_sigma_sign_roundtrip(u34):
         built = rep.build(flat)
         for face, vec in facet_signs(rep, built).items():
             assert rep.sigma(vec, flat) == face
-            assert all(vec[part_of(rep)[frozenset(c)]] == (1 if s == "+" else -1) for c, s in face)
+            assert all(vec[part_of(rep)[frozenset(c)]] == (1 if s == "+" else -1) for c, s in map(u34.vertex_label, face))
 
 
 def test_sigma_ignores_refinements_outside_support(u34):
@@ -214,7 +218,7 @@ def test_intersection_law_examples(u24, u34):
     rep34 = rep_for(u34)
     a, b = frozenset({"1"}), frozenset({"2"})
     inter = rep34.build(a).intersection(rep34.build(b))
-    assert set(inter.vertices) == {(("1", "2"), "+"), (("1", "2"), "-")}
+    assert set(map(u34.vertex_label, inter.vertices)) == {(("1", "2"), "+"), (("1", "2"), "-")}
 
 
 def test_intersection_law_exhaustive(u24, u34, bool3, n134, fano):
