@@ -94,7 +94,7 @@ def represent(matroid: str, flag_arg: str, out_dir: str, as_json: bool) -> None:
                     "flat": list(lattice.sorted_elements(flat)),
                     "file": name,
                     "maximal_faces": len(built.maximal_faces),
-                    "vertices": len(built.vertices),
+                    "vertices": built.support.bit_count(),
                 }
             )
     except OSError as exc:  # a bad --out is bad input: exit 2, not 3
@@ -150,7 +150,7 @@ def verify(matroid: str, flag_arg: str, exact_nerve: bool, as_json: bool) -> Non
 def homology(complex_file: str, max_faces: int, as_json: bool) -> None:
     """Reduced integer homology of a complex file."""
     complex_ = jsonio.complex_from_json(jsonio.read_json(complex_file))
-    faces = sum(1 << len(m) for m in topology.strong_collapse_core(complex_).maximal_faces)
+    faces = sum(1 << m.bit_count() for m in topology.strong_collapse_core(complex_).maximal_faces)
     if faces > max_faces:  # the homology holds every face of the core in memory
         click.echo(f"resource bound exceeded: the core has up to {faces} faces, "
                    f"above --max-faces {max_faces}", err=True)

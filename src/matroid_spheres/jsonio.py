@@ -14,7 +14,7 @@ from typing import Any, Mapping
 from .lattice import (Flag, GeometricLattice, MatroidInputError, _int_field, default_flag, load_matroid,
                       make_flag)
 from .oriented import VectorConfig, vector_config
-from .topology import SimplicialComplex
+from .topology import SimplicialComplex, _bits
 
 
 def read_json(path: str | Path) -> Any:
@@ -55,11 +55,13 @@ def vertex_to_json(lattice: GeometricLattice, v: int) -> dict:
 
 
 def signed_complex_to_json(lattice: GeometricLattice, complex_: SimplicialComplex) -> dict:
-    """Complex over the lattice's signed vertices, faces as indices into the vertex list."""
-    vpos = {v: i for i, v in enumerate(complex_.vertices)}
-    faces = sorted(sorted(vpos[v] for v in m) for m in complex_.maximal_faces)
+    """Complex over the lattice's signed vertices, faces as indices into the
+    list of the vertices some face uses."""
+    used = list(_bits(complex_.support))
+    index = {p: i for i, p in enumerate(used)}
+    faces = sorted(sorted(map(index.__getitem__, _bits(m))) for m in complex_.maximal_faces)
     return {
-        "vertices": [vertex_to_json(lattice, v) for v in complex_.vertices],
+        "vertices": [vertex_to_json(lattice, complex_.vertices[p]) for p in used],
         "maximal_faces": faces,
     }
 
@@ -93,8 +95,8 @@ def complex_from_json(spec: Mapping) -> SimplicialComplex:
             )
         if len(set(face)) != len(face):
             raise MatroidInputError(f"maximal face {face!r} repeats a vertex index")
-        faces.append([vertices[i] for i in face])
-    return SimplicialComplex(faces, vertex_order=vertices)
+        faces.append(sum(1 << i for i in face))
+    return SimplicialComplex(vertices, faces)
 
 
 def vector_config_from_json(spec: Mapping) -> VectorConfig:

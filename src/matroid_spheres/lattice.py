@@ -206,7 +206,8 @@ def default_flag(lattice: GeometricLattice) -> Flag:
 def all_complete_flags(lattice: GeometricLattice) -> list[Flag]:
     """Every complete flag, in canonical order: the maximal chains of
     ``order``, each step taken in key order."""
-    return [Flag(chain) for chain in lattice.order.maximal_chains()]
+    order = lattice.order
+    return [Flag(tuple(map(order.elements.__getitem__, c))) for c in order.chain_indices()]
 
 
 # -- verification -----------------------------------------------------------

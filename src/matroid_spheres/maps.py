@@ -16,7 +16,9 @@ found by exhaustive search over sign-preserving vertex assignments.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import Mapping
 
 from .lattice import Flag, GeometricLattice, MatroidInputError, make_flag
@@ -133,7 +135,8 @@ def verify_retraction(desc: RetractDescriptor) -> ValidationReport:
     if source.join_holds:
         images = frozenset(_unions(source.half_masks(vmap)))
     else:
-        images = frozenset(source.mask({vmap[v] for v in m}) for m in s_f.maximal_faces)
+        images = frozenset(source.mask({vmap[v] for i, v in enumerate(s_f.vertices) if m >> i & 1})
+                           for m in s_f.maximal_faces)
     coatoms = frozenset(desc.selection.coatoms)
     polytope_ok = len(coatoms) == lattice.r and polytope == selection_masks(lattice, coatoms)
     if polytope_ok:
@@ -211,6 +214,11 @@ def poset_map_search(
     the source complex to a face of the target complex.  Returns the map
     when one exists, otherwise the inclusion-minimal obstructed faces in
     canonical order.
+
+    The search backtracks from an explicit stack, so no recursion limit
+    bounds it, and holds each source facet's image as a vertex mask.  On a
+    target that is the join (``join_holds``) an image is a face when no
+    block holds both signs (``is_face``, r ANDs), else a facet holds it.
     """
     if set(m.elements) != set(n.elements):
         raise MatroidInputError("search needs a shared ground set")
@@ -223,65 +231,53 @@ def poset_map_search(
         )
     rep_m = representation(m, make_flag(m, flag.chain))
     rep_n = representation(n, flag_n)
-    source = rep_m.build(m.bottom)
-    target = rep_n.build(n.bottom)
+    # both complexes as held, their facets as signed-vertex masks
+    facets = sorted(rep_m.build(m.bottom).masks_on(rep_m.vertices))
+    targets = rep_n.build(n.bottom).masks_on(rep_n.vertices)  # scanned only off the join
+    is_face = rep_n.is_face if rep_n.join_holds else lambda image: any(image & ~t == 0 for t in targets)
 
     coatoms, index = m.coatoms(), n.coatom_index  # v is 2k + sign, with coatom k of m
+    every = reduce(or_, facets, 0)
+    order = [v for v in rep_m.vertices if every >> v & 1]  # ints, in key order
     candidates = {v: [2 * index[h] + (v & 1) for h in n.coat_above(n.closure(coatoms[v >> 1]))]
-                  for v in source.vertices}
+                  for v in order}
+    incident = {v: [j for j, f in enumerate(facets) if f >> v & 1] for v in order}
 
-    order = list(source.vertices)  # ints, in key order
-    incident = {v: [mface for mface in source.maximal_faces if v in mface] for v in order}
-    assignment: dict[int, int] = {}
-    nodes = 0
-
-    def consistent(v: int) -> bool:
-        for mface in incident[v]:
-            image = {assignment[u] for u in mface if u in assignment}
-            if not any(image <= t for t in target.maximal_faces):
-                return False
-        return True
-
-    def backtrack(i: int) -> bool:
-        nonlocal nodes
-        if i == len(order):
-            return True
+    # backtrack from an explicit stack: tried[i] candidates of order[i] are
+    # spent, and images[i] holds each facet's image under order[:i]'s assignment
+    images, assignment = [[0] * len(facets)], {}
+    tried, nodes, i = [0] * len(order), 0, 0
+    while 0 <= i < len(order):
         v = order[i]
-        for cand in candidates[v]:
-            nodes += 1
+        if tried[i] < len(candidates[v]):
+            cand = candidates[v][tried[i]]
+            tried[i], nodes = tried[i] + 1, nodes + 1
             if nodes > max_assignments:
                 raise SearchCapExceeded(f"assignment cap {max_assignments} exceeded")
-            assignment[v] = cand
-            if consistent(v) and backtrack(i + 1):
-                return True
-            del assignment[v]
-        return False
-
-    found = backtrack(0)
-    if found:
-        return SearchResult(True, dict(assignment), None, nodes=nodes)
+            if all(is_face(images[i][j] | 1 << cand) for j in incident[v]):
+                grown = images[i][:]
+                for j in incident[v]:
+                    grown[j] |= 1 << cand
+                del images[i + 1:]
+                images.append(grown)
+                assignment[v], i = cand, i + 1
+            continue
+        tried[i], i = 0, i - 1  # every candidate spent: take back the vertex before
+        if i >= 0:
+            del assignment[order[i]]
+    if i == len(order):
+        return SearchResult(True, assignment, None, nodes=nodes)
 
     # minimal obstructed faces: every candidate-consistent image fails
-    obstructions = []
     single_bad = {v for v in order if not candidates[v]}
-    for v in sorted(single_bad):
-        obstructions.append((frozenset({v}), (), "no admissible image vertex"))
-    edges = {frozenset(e) for mface in source.maximal_faces for e in combinations(mface, 2)}
-    for face in sorted(edges, key=source.face_key):
-        u, v = sorted(face)
+    obstructions = [(frozenset({v}), (), "no admissible image vertex") for v in sorted(single_bad)]
+    edges = {e for f in facets for e in combinations([v for v in order if f >> v & 1], 2)}  # (u, v), u < v
+    for u, v in sorted(edges):
         if u in single_bad or v in single_bad:
             continue
-        if all(
-            not target.has_face({cu, cv})
-            for cu in candidates[u]
-            for cv in candidates[v]
-        ):
-            forced = ()
-            if len(candidates[u]) == 1 and len(candidates[v]) == 1:
-                forced = (candidates[u][0], candidates[v][0])
-            obstructions.append((face, forced, "image vertices share no face"))
+        if not any(is_face(1 << cu | 1 << cv) for cu in candidates[u] for cv in candidates[v]):
+            forced = (candidates[u][0], candidates[v][0]) if len(candidates[u]) == len(candidates[v]) == 1 else ()
+            obstructions.append((frozenset({u, v}), forced, "image vertices share no face"))
     reason = "exhaustive search found no admissible map"
     primary = obstructions[0] if obstructions else ((), (), reason)
-    return SearchResult(
-        False, None, primary, tuple(obstructions), nodes=nodes, reason=reason
-    )
+    return SearchResult(False, None, primary, tuple(obstructions), nodes=nodes, reason=reason)

@@ -10,7 +10,9 @@ renders a vertex, as (C's elements in ground order, '+'|'-'), by
 
 S_bottom is the join, over the blocks, of the block's + simplex and its -
 simplex, and S_G is its subcomplex induced on V_G, the signed coatoms above
-G.  A join of k spaces ~ S^0 is ~ S^{k-1} (Bjorner, Topological methods,
+G.  Every S_G is held on the positions 0 .. 2|coatoms| - 1, a facet as its
+signed-vertex mask: the unions of one half per block (``_unions``), cut to
+V_G.  A join of k spaces ~ S^0 is ~ S^{k-1} (Bjorner, Topological methods,
 1995), so the certificates read int masks over the signed vertices and
 build no S_G beyond S_bottom and the atoms' (``FlagRepresentation.spheres``
 and ``intersection_law_holds``).  The change-of-flag cross-polytope is held
@@ -22,7 +24,7 @@ coatom's + and - vertex.  ``build`` caches each S_G it makes, and
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, reduce
-from operator import and_, itemgetter
+from operator import itemgetter, or_
 from typing import Iterable, Mapping, Sequence
 
 from .lattice import Flag, GeometricLattice
@@ -42,7 +44,8 @@ class HomotopyArrangement(Record):
     @cached_property
     def induced(self) -> bool:
         """Is every member, as held, the ambient restricted to its vertex set?"""
-        return all(m == self.ambient.restrict(m.vertices) for _, m in self.members)
+        amb = self.ambient
+        return all(m == amb.restrict(reduce(or_, m.masks_on(amb.vertices), 0)) for _, m in self.members)
 
 
 class FlagRepresentation:
@@ -55,17 +58,30 @@ class FlagRepresentation:
     def __init__(self, lattice: GeometricLattice, flag: Flag):
         self.lattice = lattice
         self.flag = flag
-        self.r = lattice.r
-        # one pass in key order, c joining block max{i : F_i inside c}
-        parts: list[list[frozenset]] = [[] for _ in range(self.r)]
-        for c in lattice.coatoms():
-            if not flag[0] <= c:
+        self.r = r = lattice.r
+        coatoms = lattice.coatoms()
+        self.vertices = tuple(range(2 * len(coatoms)))  # every S_G's positions
+        # one pass in key order, c joining block max{i : F_i inside c}: each
+        # signed vertex 2k + s with its half's slot 2i + s, and the halves
+        parts: list[list[frozenset]] = [[] for _ in range(r)]
+        slots: list[list[tuple[int, int]]] = [[] for _ in range(r)]
+        halves, chain = [0] * (2 * r), flag.chain
+        for k, c in enumerate(coatoms):
+            if not chain[0] <= c:
                 raise ValueError("coatom blocks do not partition the coatoms")
-            parts[max(i for i in range(self.r) if flag[i] <= c)].append(c)
+            i = r - 1  # the flats inside c are a prefix of the chain
+            while not chain[i] <= c:
+                i -= 1
+            parts[i].append(c)
+            slots[i] += ((2 * k, 2 * i), (2 * k + 1, 2 * i + 1))
+            halves[2 * i] |= 1 << 2 * k
+            halves[2 * i + 1] |= 2 << 2 * k
         empty = [i for i, block in enumerate(parts) if not block]
         if empty:
             raise ValueError(f"empty coatom block at position {empty[0]}: input lattice is not geometric")
         self.parts: tuple[tuple[frozenset, ...], ...] = tuple(map(tuple, parts))
+        self.slots: tuple[tuple[int, int], ...] = sum(map(tuple, slots), ())  # block by block
+        self.halves: tuple[tuple[int, int], ...] = tuple(zip(halves[::2], halves[1::2]))
         self._built: dict[frozenset, SimplicialComplex] = {}
         self._law: bool | None = None
 
@@ -78,18 +94,22 @@ class FlagRepresentation:
         """A set of signed vertices as an int mask."""
         return sum(1 << v for v in vertices)
 
-    # -- construction ----------------------------------------------------------
+    def over(self, flat: frozenset) -> int:
+        """V_G: the signed vertices of the coatoms above the flat, as a mask."""
+        index = self.lattice.coatom_index
+        return sum(3 << 2 * index[c] for c in self.lattice.coat_above(flat))
 
-    def _blocks_over(self, flat: frozenset) -> tuple[tuple[frozenset, ...], ...]:
-        """The coatoms of each block that lie above the flat."""
-        coat = set(self.lattice.coat_above(flat))
-        return tuple(tuple(c for c in block if c in coat) for block in self.parts)
+    def held(self, complex_: SimplicialComplex) -> int:
+        """A complex's vertex set as a signed-vertex mask, by ``masks_on``."""
+        return reduce(or_, complex_.masks_on(self.vertices), 0)
+
+    # -- construction ----------------------------------------------------------
 
     def sigma(self, vector: tuple[int, ...], flat: frozenset) -> frozenset:
         """The face of S_G selected by a sign vector over the blocks: block
         i's coatoms above G signed by vector[i], blocks with 0 left out."""
-        index = self.lattice.coatom_index
-        return frozenset(2 * index[c] + (s < 0) for s, b in zip(vector, self._blocks_over(flat)) if s for c in b)
+        v = self.over(flat)
+        return frozenset(topology._bits(sum(h[s < 0] & v for s, h in zip(vector, self.halves) if s)))
 
     def build(self, flat: frozenset) -> SimplicialComplex:
         """S_G, constructed on the first call for a flat and cached."""
@@ -99,11 +119,13 @@ class FlagRepresentation:
         return self._built[flat]
 
     def construct(self, flat: frozenset) -> SimplicialComplex:
-        """S_G: one maximal face per sign choice on the blocks meeting coat(G).
+        """S_G: one maximal face per sign choice on the blocks meeting
+        coat(G), each a union of the block's halves cut to V_G.
 
         Uncached; ``build`` is the cached entry point.
         """
-        return SimplicialComplex(_cross_polytope(self.lattice, self._blocks_over(flat)))
+        v = self.over(flat)
+        return SimplicialComplex(self.vertices, _unions([(p & v, m & v) for p, m in self.halves if p & v]))
 
     @cached_property
     def cover_steps(self) -> tuple[tuple[frozenset, frozenset, frozenset], ...]:
@@ -125,41 +147,25 @@ class FlagRepresentation:
 
     # -- certificates on vertex masks ----------------------------------------------
 
-    @cached_property
-    def slots(self) -> tuple[tuple[int, int], ...]:
-        """Each signed vertex, block by block, with its half's slot: 2i + 0 (+) or 2i + 1 (-)."""
-        index = self.lattice.coatom_index
-        return tuple((2 * index[c] + k, 2 * i + k) for i, block in enumerate(self.parts)
-                     for c in block for k in (0, 1))
-
-    def half_masks(self, vertex_map: Mapping[int, int] | None = None) -> tuple[tuple[int, int], ...]:
-        """Each block's coatoms signed + and signed -, as two vertex masks,
-        each vertex sent through the map if one is given: one pass over
-        ``slots``.  Cached with no map as ``halves``."""
+    def half_masks(self, vertex_map: Mapping[int, int]) -> tuple[tuple[int, int], ...]:
+        """Each block's coatoms signed + and signed -, as two vertex masks, each
+        vertex sent through the map, by ``slots``.  With no map: ``halves``."""
         out = [0] * (2 * len(self.parts))
         for v, k in self.slots:
-            out[k] |= 1 << (v if vertex_map is None else vertex_map[v])
+            out[k] |= 1 << vertex_map[v]
         return tuple(zip(out[::2], out[1::2]))
-
-    halves = cached_property(half_masks)
 
     @cached_property
     def masks(self) -> dict[frozenset, int]:
-        """V_G for every flat G: the AND, over G's elements, of the signed
-        coatoms holding the element."""
-        coatoms, holding = self.lattice.coatoms(), dict.fromkeys(self.lattice.elements, 0)
-        for k, c in enumerate(coatoms):
-            for e in c:
-                holding[e] |= 3 << 2 * k  # bits 2k and 2k + 1
-        every = (1 << 2 * len(coatoms)) - 1
-        return {g: reduce(and_, map(holding.__getitem__, g), every) for g in self.lattice.flats}
+        """V_G for every flat G."""
+        return {g: self.over(g) for g in self.lattice.flats}
 
     @cached_property
     def join_holds(self) -> bool:
         """Is S_bottom, as built, the join of each block's + and - simplex:
-        are its facets exactly the unions of one signed half per block?"""
-        faces = set(_cross_polytope(self.lattice, self.parts)) - {frozenset()}  # none for r = 0
-        return self.build(self.lattice.bottom).maximal_faces == faces
+        are its facets, as label sets, exactly the nonempty unions of one
+        signed half per block?  For r = 0 there are none, and no facets."""
+        return self.build(self.lattice.bottom).masks_on(self.vertices) == set(_unions(self.halves)) - {0}
 
     def is_face(self, mask: int) -> bool:
         """Is the vertex mask a face of the join S_bottom: no block holds both signs?"""
@@ -253,21 +259,12 @@ def representation(lattice: GeometricLattice, flag: Flag) -> FlagRepresentation:
 # -- signed vertices, shared by every flag of a lattice ------------------------------
 
 
-def _unions(pairs: Iterable[Sequence], empty=0) -> list:
-    """Every union of one set or mask from each pair, in ``product`` order."""
-    out = [empty]
+def _unions(pairs: Iterable[Sequence[int]]) -> list[int]:
+    """Every union of one mask from each pair, in ``product`` order."""
+    out = [0]
     for pm in pairs:
         out = [x | h for x in out for h in pm]
     return out
-
-
-def _cross_polytope(lattice: GeometricLattice, blocks: Sequence[Sequence[frozenset]]) -> list[frozenset]:
-    """One maximal face per sign choice on the nonempty blocks, holding each
-    block's coatoms with its sign, each a union of per-block vertex sets
-    built once.  With one coatom per block this is the boundary of a
-    cross-polytope; with the blocks over a flat it is S_G."""
-    index = lattice.coatom_index
-    return _unions([[frozenset(2 * index[c] + s for c in b) for s in (0, 1)] for b in blocks if b], frozenset())
 
 
 @lru_cache(maxsize=topology._HOMOLOGY_MEMO_SIZE)
@@ -309,9 +306,9 @@ def arrangement_flats(arr: HomotopyArrangement) -> GeometricLattice:
     if not arr.induced:
         raise ValueError("an arrangement member is not induced in the ambient")
     lattice = arr.rep.lattice
-    sets = [frozenset(m.vertices) for _, m in arr.members]
-    meets = (frozenset(arr.ambient.vertices), frozenset(), *topology._intersections(sets))
-    closed = {frozenset(a for (a, _), v in zip(arr.members, sets) if x <= v) for x in meets}
+    sets = [arr.rep.held(m) for _, m in arr.members]
+    meets = (arr.rep.held(arr.ambient), 0, *topology._intersections(sets))
+    closed = {frozenset(a for (a, _), v in zip(arr.members, sets) if x & ~v == 0) for x in meets}
     labels = [atom_label(lattice, a) for a, _ in arr.members]
     flats = [frozenset(atom_label(lattice, a) for a in c) for c in closed]
     return GeometricLattice(labels, flats)
@@ -351,7 +348,7 @@ def verify_arrangement(arr: HomotopyArrangement) -> ValidationReport:
     rep.add("ambient-nerve", amb_ok)
 
     held = amb_ok and arr.induced  # then each member is S_bottom on its vertex mask
-    masks = [(a, fr.mask(m.vertices)) for a, m in arr.members] if held else []
+    masks = [(a, fr.held(m)) for a, m in arr.members] if held else []
     members_ok = held and all(fr.is_sphere(v, lattice.corank(a)) for a, v in masks)
     rep.add("members-sphere", members_ok, f"each member must be S^{r - 2}")
 

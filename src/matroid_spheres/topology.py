@@ -16,6 +16,10 @@ restricted to them, with no fill-in (Kaczynski, Mrozek and Slusarek,
 1998).  Only the cells left go to Smith normal form over
 arbitrary-precision integers; on a sphere that is one cell and no matrix.
 
+A complex holds its faces as int masks over positions in its vertex tuple,
+so restricting, intersecting and comparing are int operations; label faces
+are built only at the JSON boundary (``label_masker`` makes masks of them).
+
 A cover (``CoverFamily``) gives each member by its vertex set in one
 ambient, standing for the induced subcomplex; induced subcomplexes meet in
 the one induced on the meet of their sets, so ``carrier_check`` intersects
@@ -31,9 +35,10 @@ computed.
 from __future__ import annotations
 
 from collections import deque
-from functools import lru_cache
-from itertools import combinations, groupby, product
+from functools import lru_cache, reduce
+from itertools import groupby, product
 from math import gcd
+from operator import or_
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .report import Record, ValidationReport
@@ -51,87 +56,85 @@ def _generic_key(label):
 class SimplicialComplex:
     """Finite abstract simplicial complex stored by its maximal faces.
 
-    Faces are frozensets of vertex labels.  The empty complex (no faces at
-    all) is allowed and plays the role of the (-1)-sphere.  Instances are
-    immutable; equality compares maximal face sets.
+    A face is an int mask over positions in ``vertices``, a tuple of distinct
+    labels; a position no face uses is allowed.  The empty complex is the
+    (-1)-sphere.  Instances are immutable; equality compares faces as label
+    sets, whatever the order of the vertex tuples.
     """
 
-    __slots__ = ("vertices", "maximal_faces", "_vpos")
+    __slots__ = ("vertices", "maximal_faces")
 
-    def __init__(self, maximal_faces: Iterable[Iterable], vertex_order: Sequence | None = None):
-        faces = {frozenset(f) for f in maximal_faces}
-        faces.discard(frozenset())
-        # largest first, a size at a time: f can lie only in a kept face that
-        # is strictly larger, as distinct faces of one size are incomparable;
-        # a pure input (maximal chains, every S_G) makes no comparison at all
-        maximal: list[frozenset] = []
-        for _, same_size in groupby(sorted(faces, key=len, reverse=True), key=len):
-            maximal += [f for f in same_size if not any(f <= g for g in maximal)]
-        self.maximal_faces: frozenset = frozenset(maximal)
-        used = set().union(*maximal) if maximal else set()
-        if vertex_order is not None:
-            order = [v for v in vertex_order if v in used]
-            if len(order) != len(used):
-                order += sorted(used - set(order), key=_generic_key)
-        else:
-            order = sorted(used, key=_generic_key)
-        self.vertices: tuple = tuple(order)
-        self._vpos = {v: i for i, v in enumerate(self.vertices)}
+    def __init__(self, vertices: Sequence, maximal_faces: Iterable[int]):
+        self.vertices: tuple = tuple(vertices)
+        self.maximal_faces: frozenset[int] = frozenset(_maximal_masks(maximal_faces))
 
     # -- basics ------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SimplicialComplex) and self.maximal_faces == other.maximal_faces
+        return (isinstance(other, SimplicialComplex) and len(self.maximal_faces) == len(other.maximal_faces)
+                and other.masks_on(self.vertices) == self.maximal_faces)
 
     def __hash__(self) -> int:
-        return hash(self.maximal_faces)
+        return hash(frozenset(map(self.vertices.__getitem__, _bits(self.support))))
 
     def __repr__(self) -> str:
-        return f"SimplicialComplex({len(self.vertices)} vertices, {len(self.maximal_faces)} maximal faces)"
+        return f"SimplicialComplex({self.support.bit_count()} vertices, {len(self.maximal_faces)} maximal faces)"
 
     @property
     def is_empty(self) -> bool:
         return not self.maximal_faces
 
-    def has_face(self, face: Iterable) -> bool:
+    @property
+    def support(self) -> int:
+        """The positions some face uses, as a mask."""
+        return reduce(or_, self.maximal_faces, 0)
+
+    def masks_on(self, vertices: tuple) -> frozenset[int]:
+        """The maximal faces as masks over another vertex tuple, by ``label_masker``."""
+        if vertices == self.vertices:
+            return self.maximal_faces
+        mask = label_masker(vertices)
+        return frozenset(mask(map(self.vertices.__getitem__, _bits(m))) for m in self.maximal_faces)
+
+    def has_face(self, face: int) -> bool:
         # one hash lookup finds a maximal face before any scan
-        f = frozenset(face)
-        return not f or f in self.maximal_faces or any(f <= m for m in self.maximal_faces)
+        return not face or face in self.maximal_faces or any(face & ~m == 0 for m in self.maximal_faces)
 
     def intersection(self, other: "SimplicialComplex") -> "SimplicialComplex":
         """Complex of faces common to both (generated by pairwise meets)."""
-        pieces = {a & b for a in self.maximal_faces for b in other.maximal_faces}
-        return SimplicialComplex(pieces, vertex_order=self.vertices)
+        theirs = other.masks_on(self.vertices)
+        return SimplicialComplex(self.vertices, {a & b for a in self.maximal_faces for b in theirs})
 
-    def restrict(self, vertices: Iterable) -> "SimplicialComplex":
-        """Induced subcomplex: every face lying inside the vertex set."""
-        keep = frozenset(vertices)
-        return SimplicialComplex({m & keep for m in self.maximal_faces}, vertex_order=self.vertices)
-
-    def face_key(self, face: frozenset) -> tuple:
-        return tuple(sorted(self._vpos[v] for v in face))
+    def restrict(self, keep: int) -> "SimplicialComplex":
+        """Induced subcomplex: every face lying inside the position mask."""
+        return SimplicialComplex(self.vertices, {m & keep for m in self.maximal_faces})
 
 
-def all_faces(complex_: SimplicialComplex) -> list[frozenset]:
-    """Every nonempty face: all subsets of maximal faces, deduplicated."""
-    seen: set[frozenset] = set()
+def label_masker(vertices: Sequence):
+    """Labels to their mask over positions in the vertex tuple; each label not
+    in it gets a bit of its own past the end, so masks compare as the sets do."""
+    pos = {v: i for i, v in enumerate(vertices)}
+    return lambda labels: reduce(or_, (1 << pos.setdefault(v, len(pos)) for v in labels), 0)
+
+
+def all_faces(complex_: SimplicialComplex) -> list[int]:
+    """Every nonempty face, by size then mask: all submasks of the maximal faces, deduplicated."""
+    seen: set[int] = set()
     for m in complex_.maximal_faces:
-        ms = sorted(m, key=complex_._vpos.__getitem__)
-        for k in range(1, len(ms) + 1):
-            for c in combinations(ms, k):
-                seen.add(frozenset(c))
-    return sorted(seen, key=lambda f: (len(f), complex_.face_key(f)))
+        sub = m
+        while sub:
+            seen.add(sub)
+            sub = sub - 1 & m
+    return sorted(seen, key=lambda f: (f.bit_count(), f))
 
 
 def dimension(complex_: SimplicialComplex) -> int:
-    if complex_.is_empty:
-        return -1
-    return max(len(m) for m in complex_.maximal_faces) - 1
+    return max(map(int.bit_count, complex_.maximal_faces), default=0) - 1
 
 
 def full_simplex(vertices: Iterable) -> SimplicialComplex:
-    vs = list(vertices)
-    return SimplicialComplex([vs] if vs else [])
+    vs = tuple(vertices)
+    return SimplicialComplex(vs, [(1 << len(vs)) - 1])
 
 
 # -- posets -------------------------------------------------------------------
@@ -193,15 +196,15 @@ class Poset:
         els = self.elements
         return [(x, els[j]) for i, x in enumerate(els) for j in _bits(self.covers(i))]
 
-    def maximal_chains(self) -> list[tuple]:
-        """Every maximal chain, grown from a minimal element through covers,
-        each step in index order."""
+    def chain_indices(self) -> list[list[int]]:
+        """Every maximal chain by element indices, grown from a minimal
+        element through covers, each step in index order."""
         covers = [self.covers(i) for i in range(len(self.elements))]
-        chains: list[tuple] = []
+        chains: list[list[int]] = []
 
         def grow(i: int, acc: list[int]) -> None:
             if not covers[i]:
-                chains.append(tuple(self.elements[k] for k in acc))
+                chains.append(acc)
             for j in _bits(covers[i]):
                 grow(j, acc + [j])
 
@@ -260,9 +263,8 @@ def _bits(mask: int) -> Iterable[int]:
 
 
 def order_complex(poset: Poset) -> SimplicialComplex:
-    """Complex of chains; maximal faces are the maximal chains."""
-    chains = poset.maximal_chains()
-    return SimplicialComplex([frozenset(c) for c in chains], vertex_order=poset.elements)
+    """Complex of chains over the poset's positions; maximal faces are the maximal chains."""
+    return SimplicialComplex(poset.elements, [sum(1 << i for i in c) for c in poset.chain_indices()])
 
 
 # -- homology -----------------------------------------------------------------
@@ -406,7 +408,7 @@ def strong_collapse_core(complex_: SimplicialComplex) -> SimplicialComplex:
     A vertex v is dominated (by w != v) when every maximal face containing v
     also contains w.  Deleting it is a strong deformation retraction, so the
     core has the homotopy type, and the homology, of the complex.  Works on
-    maximal faces only, as vertex bitmasks.  Each round goes from the last
+    maximal faces only.  Each round goes from the last
     vertex down and deletes every vertex with a dominator not yet deleted.
     That is a valid sequence of single deletions: domination is transitive,
     so each deleted vertex is dominated by one that stays, and it stays
@@ -417,8 +419,7 @@ def strong_collapse_core(complex_: SimplicialComplex) -> SimplicialComplex:
     complex share one reduction.
     """
     n = len(complex_.vertices)
-    pos = complex_._vpos
-    facets = [sum(1 << pos[v] for v in m) for m in complex_.maximal_faces]
+    facets = list(complex_.maximal_faces)
     collapsed = False
     while True:
         star_meet = [-1] * n  # intersection of the maximal faces containing v
@@ -434,19 +435,18 @@ def strong_collapse_core(complex_: SimplicialComplex) -> SimplicialComplex:
             break
         collapsed = True
         facets = _maximal_masks({f & ~drop for f in facets})
-    if not collapsed:
-        return complex_
-    verts = complex_.vertices
-    return SimplicialComplex(
-        [[verts[i] for i in range(n) if f >> i & 1] for f in facets], vertex_order=verts
-    )
+    return SimplicialComplex(complex_.vertices, facets) if collapsed else complex_
 
 
-def _maximal_masks(masks: set[int]) -> list[int]:
+def _maximal_masks(masks: Iterable[int]) -> list[int]:
+    """The distinct nonzero masks inside no other.  A mask can lie only in a
+    strictly larger one, so a pure family makes no comparison."""
+    faces = set(masks) - {0}
+    if len({f.bit_count() for f in faces}) < 2:
+        return list(faces)
     out: list[int] = []
-    for f in sorted(masks, key=int.bit_count, reverse=True):
-        if not any(f & ~g == 0 for g in out):
-            out.append(f)
+    for _, same_size in groupby(sorted(faces, key=int.bit_count, reverse=True), key=int.bit_count):
+        out += [f for f in same_size if not any(f & ~g == 0 for g in out)]
     return out
 
 
@@ -489,7 +489,7 @@ def _face_homology(complex_: SimplicialComplex) -> HomologyProfile:
     """
     if complex_.is_empty:
         return HomologyProfile(())
-    faces = sorted(sum(1 << complex_._vpos[v] for v in m) for m in complex_.maximal_faces)
+    faces = sorted(complex_.maximal_faces)
     index = {f: i for i, f in enumerate(faces)}
     cofaces: list[list[int]] = [[] for _ in faces]
     for j, b in enumerate(faces):  # grows while it is read
@@ -504,7 +504,8 @@ def _face_homology(complex_: SimplicialComplex) -> HomologyProfile:
             cofaces[index[a]].append(j)
     left = [f.bit_count() for f in faces]  # facets not removed, for a cell not removed
     alive = bytearray(b"\1") * len(faces)
-    queue = deque([index[1]])  # the first vertex, whose one facet is the empty face
+    support = complex_.support
+    queue = deque([index[support & -support]])  # the first vertex, whose one facet is the empty face
     while queue:
         b = queue.popleft()
         if alive[b] and left[b] == 1:
@@ -556,21 +557,16 @@ class CoverFamily(Record):
                  members: tuple[tuple[Hashable, frozenset], ...], poset: Poset | None = None):
         self._set(ambient, members, poset)
 
-    def covers_ambient(self) -> bool:
-        """Does every maximal face of the ambient lie in some member set?"""
-        sets = [s for _, s in self.members]
-        return all(any(m <= s for s in sets) for m in self.ambient.maximal_faces)
 
-
-def _vertex_stars(vertex_sets: Iterable[Iterable]) -> set[int]:
-    """For each vertex, the bitmask of the sets (by position) that hold it.
+def _vertex_stars(vertex_sets: Iterable[int]) -> set[int]:
+    """For each vertex, the bitmask of the vertex masks (by position) that hold it.
 
     A family of the sets has a nonempty intersection exactly when it lies
     inside one of these stars, so their down-closure is the nerve.
     """
     stars: dict = {}
     for i, vs in enumerate(vertex_sets):
-        for v in vs:
+        for v in _bits(vs):
             stars[v] = stars.get(v, 0) | 1 << i
     return set(stars.values())
 
@@ -589,13 +585,14 @@ def cross_polytope_nerve_iso(
     the nerves agree on every facet subset exactly when these two sets of
     maximal members are equal, which costs O(V * 2^d).
     """
-    maximal = sorted(complex_.maximal_faces, key=complex_.face_key)
+    maximal = sorted(complex_.maximal_faces)
     if d == 0:
         return complex_.is_empty
     if complex_.is_empty or len(maximal) != 2 ** d:
         return False
     tops = set(_maximal_masks(_vertex_stars(maximal)))
-    assign = {frozenset(f): tuple(s) for f, s in face_signs.items()}
+    mask = label_masker(complex_.vertices)
+    assign = {mask(f): tuple(s) for f, s in face_signs.items()}
     if set(assign) != set(maximal) or sorted(assign.values()) != sorted(product("+-", repeat=d)):
         return False
     return tops == {
@@ -608,15 +605,15 @@ def cross_polytope_nerve_iso(
 # -- map checks -----------------------------------------------------------------
 
 
-def _intersections(members: Sequence[frozenset]) -> dict[frozenset, int]:
-    """Each distinct nonempty intersection of the member vertex sets, with
+def _intersections(members: Sequence[int]) -> dict[int, int]:
+    """Each distinct nonempty intersection of the member vertex masks, with
     the index bitmask of one family of members meeting in it.
 
     Found by intersecting each intersection already found with one more
     member, so every intersection is built from a found one and none is
     missed, whatever the number of members.
     """
-    found: dict[frozenset, int] = {}
+    found: dict[int, int] = {}
     for i, m in enumerate(members):
         if m:
             found.setdefault(m, 1 << i)
@@ -656,26 +653,30 @@ def carrier_check(
     a_map, b_map = dict(a_cover.members), dict(b_cover.members)
     if set(a_map) != set(b_map):
         raise ValueError("cover families must share an index set")
-    rep.add("covering", a_cover.covers_ambient() and b_cover.covers_ambient())
-
+    a_amb, b_amb = a_cover.ambient, b_cover.ambient
     keys = sorted(a_map, key=_generic_key)
     n = len(keys)
+    # member sets as masks over their ambient's positions, read as label sets
+    a_mask, b_mask = label_masker(a_amb.vertices), label_masker(b_amb.vertices)
+    a_sets, b_sets = [a_mask(a_map[k]) for k in keys], [b_mask(b_map[k]) for k in keys]
+    rep.add("covering", all(any(m & ~s == 0 for s in sets) for amb, sets in ((a_amb, a_sets), (b_amb, b_sets))
+                            for m in amb.maximal_faces))
     rep.add("subset-bound", True, f"subsets up to size {n} of {n}")
-    a_sets = [frozenset(a_map[k]) for k in keys]
-    b_sets = [frozenset(b_map[k]) for k in keys]
 
     def subset(mask: int) -> list:
         return [keys[i] for i in range(n) if mask >> i & 1]
 
     covers = {"A": a_cover, "B": b_cover}
 
-    def contractible(side: str, x: frozenset) -> bool:  # asked once per (side, x)
+    def contractible(side: str, x: int) -> bool:  # asked once per (side, x)
         cover = covers[side]
-        if cover.poset is not None:
-            certified = cover.poset.beat_points_reduce_to_point(x)
+        amb = cover.ambient
+        if cover.poset is not None:  # a bit past the ambient's is no element
+            certified = not x >> len(amb.vertices) and cover.poset.beat_points_reduce_to_point(
+                map(amb.vertices.__getitem__, _bits(x)))
         else:
-            certified = cover.ambient.has_face(x)
-        return certified or is_homology_point(cover.ambient.restrict(x))
+            certified = amb.has_face(x)
+        return certified or is_homology_point(amb.restrict(x))
 
     detail = next(
         (f"{side}-intersection over {subset(w)} is not a homology point"
@@ -703,13 +704,14 @@ def carrier_check(
     # each maximal face of an A-member is M & a for a maximal face M of the
     # ambient, and the test is closed under subsets, so M & a stands for it;
     # where b is a face, so is each subset, and the image of a stands for all
-    def images(a: frozenset, b: frozenset) -> set:
-        if b_cover.ambient.has_face(b):
-            return {frozenset().union(*[vertex_images[v] for v in a if v in a_cover.ambient._vpos])}
-        return {frozenset().union(*[vertex_images[v] for v in x])
-                for x in {m & a for m in a_cover.ambient.maximal_faces}}
+    on_a, held = (1 << len(a_amb.vertices)) - 1, reduce(or_, a_sets, 0)
+    image_of = [b_mask(vertex_images[v]) if held >> i & 1 else 0 for i, v in enumerate(a_amb.vertices)]
 
-    maps_into = all(image <= b and b_cover.ambient.has_face(image)
+    def images(a: int, b: int) -> set:
+        faces = [a & on_a] if b_amb.has_face(b) else {m & a for m in a_amb.maximal_faces}
+        return {reduce(or_, map(image_of.__getitem__, _bits(x)), 0) for x in faces}
+
+    maps_into = all(image & ~b == 0 and b_amb.has_face(image)
                     for a, b in zip(a_sets, b_sets) for image in images(a, b))
     rep.add("maps-into-carrier", maps_into)
     return rep

@@ -1,5 +1,5 @@
 import json
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 from pathlib import Path
 
 import pytest
@@ -12,21 +12,117 @@ from matroid_spheres import (
     SimplicialComplex,
     lattice_from_flats,
     load_matroid,
+    make_flag,
     order_complex,
     reduced_homology,
     sphere_profile,
     uniform_matroid,
     vector_config,
 )
-from matroid_spheres.maps import CrossSelection, RetractDescriptor, SelectionError
+from matroid_spheres.maps import CrossSelection, RetractDescriptor, SearchCapExceeded, SearchResult, SelectionError
 from matroid_spheres.report import ValidationReport
 from matroid_spheres.spheres import _unions, representation
 from matroid_spheres.topology import (
     HomologyProfile,
-    all_faces,
+    _generic_key,
     cross_polytope_nerve_iso,
     smith_invariant_factors,
 )
+
+
+# -- complexes on label faces ------------------------------------------------------
+
+
+class FrozenComplex:
+    """Finite abstract simplicial complex stored by its maximal faces, each
+    a frozenset of vertex labels: the package's former form, kept as the
+    oracle for ``SimplicialComplex`` on int masks.  ``vertices`` holds the
+    vertices some face uses, in ``vertex_order`` where given, the rest by
+    ``_generic_key``; equality compares maximal face sets."""
+
+    def __init__(self, maximal_faces, vertex_order=None):
+        faces = {frozenset(f) for f in maximal_faces}
+        faces.discard(frozenset())
+        maximal = []
+        for _, same_size in groupby(sorted(faces, key=len, reverse=True), key=len):
+            maximal += [f for f in same_size if not any(f <= g for g in maximal)]
+        self.maximal_faces = frozenset(maximal)
+        used = set().union(*maximal) if maximal else set()
+        order = [v for v in vertex_order or () if v in used]
+        order += sorted(used - set(order), key=_generic_key)
+        self.vertices = tuple(order)
+        self._vpos = {v: i for i, v in enumerate(self.vertices)}
+
+    def __eq__(self, other):
+        return isinstance(other, FrozenComplex) and self.maximal_faces == other.maximal_faces
+
+    def __hash__(self):
+        return hash(self.maximal_faces)
+
+    @property
+    def is_empty(self):
+        return not self.maximal_faces
+
+    def has_face(self, face):
+        f = frozenset(face)
+        return not f or any(f <= m for m in self.maximal_faces)
+
+    def intersection(self, other):
+        return FrozenComplex({a & b for a in self.maximal_faces for b in other.maximal_faces},
+                             vertex_order=self.vertices)
+
+    def restrict(self, vertices):
+        keep = frozenset(vertices)
+        return FrozenComplex({m & keep for m in self.maximal_faces}, vertex_order=self.vertices)
+
+    def face_key(self, face):
+        return tuple(sorted(self._vpos[v] for v in face))
+
+    def all_faces(self):
+        """Every nonempty face, by size then ``face_key``."""
+        seen = {frozenset(c) for m in self.maximal_faces for k in range(1, len(m) + 1)
+                for c in combinations(m, k)}
+        return sorted(seen, key=lambda f: (len(f), self.face_key(f)))
+
+
+def complex_of(faces, vertex_order=None):
+    """The ``SimplicialComplex`` of label faces, its vertices those of
+    ``FrozenComplex`` (the used ones, in ``vertex_order`` where given)."""
+    frozen = FrozenComplex(faces, vertex_order)
+    return SimplicialComplex(frozen.vertices, [positions(frozen, m) for m in frozen.maximal_faces])
+
+
+def label_faces(complex_):
+    """The maximal faces as frozensets of vertex labels."""
+    return frozenset(face_labels(complex_, m) for m in complex_.maximal_faces)
+
+
+def face_labels(complex_, mask):
+    """The labels of a face mask's positions."""
+    return frozenset(complex_.vertices[i] for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def frozen(complex_):
+    """The complex as a ``FrozenComplex``, in the order of its vertex tuple."""
+    return FrozenComplex(label_faces(complex_), vertex_order=complex_.vertices)
+
+
+def positions(complex_, labels):
+    """A set of vertex labels as a mask over the complex's positions, one
+    label at a time; every label must be a vertex."""
+    index = {v: i for i, v in enumerate(complex_.vertices)}
+    return sum(1 << index[v] for v in set(labels))
+
+
+def used_vertices(complex_):
+    """The vertices some face uses, in vertex-tuple order."""
+    return tuple(v for i, v in enumerate(complex_.vertices) if complex_.support >> i & 1)
+
+
+def sorted_faces(complex_):
+    """The maximal faces as label sets, in ``face_key`` order."""
+    fc = frozen(complex_)
+    return sorted(fc.maximal_faces, key=fc.face_key)
 
 
 # -- fixture builders ------------------------------------------------------------
@@ -34,12 +130,12 @@ from matroid_spheres.topology import (
 
 def simplex_boundary(n):
     """Boundary of the n-simplex on vertices 0..n (an (n-1)-sphere)."""
-    return SimplicialComplex(combinations(range(n + 1), n))
+    return complex_of(combinations(range(n + 1), n))
 
 
 def cross_polytope_boundary(d):
     """Boundary of the d-dimensional cross-polytope; vertices (i, '+'/'-')."""
-    return SimplicialComplex(
+    return complex_of(
         [(i, s) for i, s in enumerate(signs)] for signs in product("+-", repeat=d)
     )
 
@@ -97,7 +193,7 @@ def face_oracle(lattice, vector, blocks):
 
 def cross_polytope_oracle(lattice, blocks):
     """One face per sign choice on the nonempty blocks, vertex by vertex,
-    mapped to its sign vector.  Oracle for ``spheres._cross_polytope``."""
+    mapped to its sign vector.  Oracle for ``FlagRepresentation.construct``."""
     choices = product(*[(1, -1) if b else (0,) for b in blocks])
     return {face_oracle(lattice, vec, blocks): vec for vec in choices}
 
@@ -120,7 +216,7 @@ def facet_signs(rep, complex_):
     the block, and None where its signs there mix."""
     value = {frozenset(): 0, frozenset("+"): 1, frozenset("-"): -1}
     out, block, label = {}, part_of(rep), coatom_sign(rep.lattice)
-    for face in complex_.maximal_faces:
+    for face in label_faces(complex_):
         signs = [set() for _ in rep.parts]
         for coatom, sign in map(label.__getitem__, face):
             signs[block[coatom]].add(sign)
@@ -144,16 +240,15 @@ def nerve_oracle(rep, flat, built):
 def has_face_oracle(complex_, face):
     """Is the face inside some maximal face, by a scan of them all?
     Oracle for ``SimplicialComplex.has_face``."""
-    f = frozenset(face)
-    return not f or any(f <= m for m in complex_.maximal_faces)
+    return frozen(complex_).has_face(face)
 
 
 def is_subcomplex_of(complex_, other):
-    """Is every maximal face of the complex a face of the other?"""
-    return all(other.has_face(m) for m in complex_.maximal_faces)
+    """Is every maximal face of the complex a face of the other, as label sets?"""
+    return all(map(frozen(other).has_face, label_faces(complex_)))
 
 
-def _boundary_entries(lower, upper, complex_):
+def _boundary_entries(lower, upper, complex_):  # on a FrozenComplex
     index = {f: i for i, f in enumerate(lower)}
     entries = {}
     for j, face in enumerate(upper):
@@ -171,8 +266,9 @@ def face_homology_oracle(complex_):
     Oracle for ``topology._face_homology``."""
     if complex_.is_empty:
         return HomologyProfile(())
+    complex_ = frozen(complex_)
     by_dim = {}
-    for f in all_faces(complex_):
+    for f in complex_.all_faces():
         by_dim.setdefault(len(f) - 1, []).append(f)
     top = max(by_dim)
     # boundary_0 is the augmentation map C_0 -> Z sending every vertex to 1
@@ -216,11 +312,11 @@ def beat_points_oracle(poset, members):
 def maps_into_carrier_oracle(vertex_images, a_cover, b_cover):
     """``carrier_check``'s maps-into-carrier by restricting the A-ambient to
     each member and mapping every maximal face of the restriction."""
-    b_map = dict(b_cover.members)
+    b_map, a_amb, b_amb = dict(b_cover.members), frozen(a_cover.ambient), frozen(b_cover.ambient)
     for key, a in a_cover.members:
-        for m in a_cover.ambient.restrict(a).maximal_faces if a else ():
+        for m in a_amb.restrict(a).maximal_faces if a else ():
             image = frozenset().union(*[frozenset(vertex_images[v]) for v in m])
-            if not (image <= b_map[key] and b_cover.ambient.has_face(image)):
+            if not (image <= b_map[key] and b_amb.has_face(image)):
                 return False
     return True
 
@@ -230,14 +326,14 @@ def cross_polytope_complex(lattice, coatoms):
     choice, built vertex by vertex by ``vertex_table``.  Oracle for
     ``spheres.selection_masks``, through ``complex_masks``."""
     signed = vertex_table(lattice)
-    return SimplicialComplex(frozenset(signed[c][s] for c, s in zip(coatoms, signs))
-                             for signs in product("+-", repeat=len(coatoms)))
+    return complex_of(frozenset(signed[c][s] for c, s in zip(coatoms, signs))
+                      for signs in product("+-", repeat=len(coatoms)))
 
 
 def complex_masks(complex_):
     """The complex's facets as vertex masks, bit v for vertex v, one bit
     at a time."""
-    return frozenset(sum(1 << v for v in m) for m in complex_.maximal_faces)
+    return frozenset(sum(1 << v for v in m) for m in label_faces(complex_))
 
 
 def mask_vertices(mask):
@@ -249,7 +345,7 @@ def mask_vertices(mask):
 def masks_complex(masks):
     """The complex whose facets are the vertex masks, read back by
     ``mask_vertices``.  Inverse of ``complex_masks``."""
-    return SimplicialComplex(map(mask_vertices, masks))
+    return complex_of(map(mask_vertices, masks))
 
 
 def retraction_face_lines_oracle(desc):
@@ -258,12 +354,12 @@ def retraction_face_lines_oracle(desc):
     held, the polytope's facet masks read back as a complex, each facet of
     S_0 mapped vertex by vertex."""
     lattice = desc.source.lattice
-    s_f = desc.source.build(lattice.bottom)
-    s_g = desc.target.build(lattice.bottom)
-    polytope = masks_complex(desc.polytope)
+    s_f = frozen(desc.source.build(lattice.bottom))
+    s_g = frozen(desc.target.build(lattice.bottom))
+    polytope = frozen(masks_complex(desc.polytope))
     images = [frozenset(map(desc.vertex_map.__getitem__, m)) for m in s_f.maximal_faces]
-    return {"polytope-in-source": is_subcomplex_of(polytope, s_f),
-            "polytope-in-target": is_subcomplex_of(polytope, s_g),
+    return {"polytope-in-source": all(map(s_f.has_face, polytope.maximal_faces)),
+            "polytope-in-target": all(map(s_g.has_face, polytope.maximal_faces)),
             "simplicial": all(map(polytope.has_face, images)),
             "composite-simplicial": all(map(s_g.has_face, images))}
 
@@ -282,7 +378,7 @@ def swap_sign(v):
 def swap_map(complex_):
     """The sign swap on the complex's vertices, for ``z2_free_check``.
     Oracle for the swap-closed vertex masks of ``verify_arrangement``."""
-    return {v: swap_sign(v) for v in complex_.vertices}
+    return {v: swap_sign(v) for v in used_vertices(complex_)}
 
 
 def z2_free_check(complex_, involution):
@@ -292,6 +388,7 @@ def z2_free_check(complex_, involution):
     image.  Raises ValueError if the map is not a simplicial involution.
     Oracle for the z2-free line of ``verify_arrangement``.
     """
+    complex_ = frozen(complex_)
     for v in complex_.vertices:
         if v not in involution or involution.get(involution[v]) != v:
             raise ValueError("map is not an involution of the vertex set")
@@ -309,14 +406,14 @@ def embedding_face_lines_oracle(emb):
     covector-flats-into-spheres by building every S_G and scanning its
     maximal faces, with the signs of each image grouped by block."""
     rep, cs = emb.rep, emb.cs
-    well = all(rep.build(cs.zero_set(x)).has_face(face) for x, face in emb.images.items())
+    well = all(frozen(rep.build(cs.zero_set(x))).has_face(face) for x, face in emb.images.items())
     same_sign, block, label = True, part_of(rep), coatom_sign(emb.lattice)
     for face in emb.images.values():
         by_part = {}
         for coatom, sign in map(label.__getitem__, face):
             by_part.setdefault(block[coatom], set()).add(sign)
         same_sign = same_sign and all(len(s) == 1 for s in by_part.values())
-    into = all(rep.build(g).has_face(emb.images[x])
+    into = all(frozen(rep.build(g)).has_face(emb.images[x])
                for g in emb.lattice.flats for x in emb.delta(g).vertices)
     return {"well-defined": well, "block-signs-agree": same_sign, "covector-flats-into-spheres": into}
 
@@ -429,12 +526,12 @@ def verify_retraction_oracle(desc):
                   for block in source.parts]
         images = frozenset(_unions(halves))
     else:
-        images = frozenset(sum(1 << w for w in {vmap[v] for v in m}) for m in s_f.maximal_faces)
+        images = frozenset(sum(1 << w for w in {vmap[v] for v in m}) for m in label_faces(s_f))
     rep.add("selection-distinct", desc.selection.distinct())
     rep.add("polytope-in-source", source.are_faces(polytope))
     rep.add("polytope-in-target", target.are_faces(polytope))
     rep.add("simplicial", all(any(i & m == i for m in polytope) for i in images - polytope if i))
-    rep.add("idempotent", all(vmap[vmap[v]] == vmap[v] for v in s_f.vertices))
+    rep.add("idempotent", all(vmap[vmap[v]] == vmap[v] for v in used_vertices(s_f)))
     rep.add("composite-simplicial", target.are_faces(images))
     rep.add("source-sphere", source.join_holds)
     rep.add("target-sphere", target.join_holds)
@@ -608,3 +705,72 @@ def nonfano_vec():
     return vector_config(
         [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1]]
     )
+
+
+def poset_map_search_oracle(m, n, flag, max_assignments=10**7):
+    """The search by recursion, one frame per source vertex, each source
+    facet's image a set of labels tested against every facet of the target,
+    both complexes read as ``FrozenComplex``.  Oracle for
+    ``maps.poset_map_search``: the same verdict, map, obstructions and node
+    count.  A source with about 1,000 signed vertices needs a recursion
+    limit above the default."""
+    if set(m.elements) != set(n.elements):
+        raise MatroidInputError("search needs a shared ground set")
+    try:
+        flag_n = make_flag(n, flag.chain)
+    except MatroidInputError as exc:
+        return SearchResult(
+            False, None, ((), (), f"flag is not a complete flag in the target: {exc}"),
+            reason="flag-not-complete-in-target",
+        )
+    source = frozen(representation(m, make_flag(m, flag.chain)).build(m.bottom))
+    target = frozen(representation(n, flag_n).build(n.bottom))
+    coatoms, index = m.coatoms(), n.coatom_index
+    candidates = {v: [2 * index[h] + (v & 1) for h in n.coat_above(n.closure(coatoms[v >> 1]))]
+                  for v in source.vertices}
+    order = list(source.vertices)
+    incident = {v: [f for f in source.maximal_faces if v in f] for v in order}
+    assignment = {}
+    nodes = 0
+
+    def consistent(v):
+        for f in incident[v]:
+            image = {assignment[u] for u in f if u in assignment}
+            if not any(image <= t for t in target.maximal_faces):
+                return False
+        return True
+
+    def backtrack(i):
+        nonlocal nodes
+        if i == len(order):
+            return True
+        v = order[i]
+        for cand in candidates[v]:
+            nodes += 1
+            if nodes > max_assignments:
+                raise SearchCapExceeded(f"assignment cap {max_assignments} exceeded")
+            assignment[v] = cand
+            if consistent(v) and backtrack(i + 1):
+                return True
+            del assignment[v]
+        return False
+
+    if backtrack(0):
+        return SearchResult(True, dict(assignment), None, nodes=nodes)
+    obstructions = []
+    single_bad = {v for v in order if not candidates[v]}
+    for v in sorted(single_bad):
+        obstructions.append((frozenset({v}), (), "no admissible image vertex"))
+    edges = {frozenset(e) for f in source.maximal_faces for e in combinations(f, 2)}
+    for face in sorted(edges, key=source.face_key):
+        u, v = sorted(face)
+        if u in single_bad or v in single_bad:
+            continue
+        if all(not target.has_face({cu, cv}) for cu in candidates[u] for cv in candidates[v]):
+            forced = ()
+            if len(candidates[u]) == 1 and len(candidates[v]) == 1:
+                forced = (candidates[u][0], candidates[v][0])
+            obstructions.append((face, forced, "image vertices share no face"))
+    reason = "exhaustive search found no admissible map"
+    primary = obstructions[0] if obstructions else ((), (), reason)
+    return SearchResult(False, None, primary, tuple(obstructions), nodes=nodes, reason=reason)

@@ -13,7 +13,6 @@ from click.testing import CliRunner
 
 from matroid_spheres import (
     FlagRepresentation,
-    SimplicialComplex,
     all_complete_flags,
     arrangement_flats,
     build_covers,
@@ -31,6 +30,7 @@ from matroid_spheres import (
     verify_retraction,
 )
 from matroid_spheres import oriented
+from conftest import complex_of, frozen
 from conftest import (
     cross_polytope_boundary, delta_complex, nerve_oracle, simplex_boundary, swap_map, z2_free_check,
 )
@@ -120,7 +120,7 @@ def test_criterion_05_z2_freeness(fixtures, reps):
     for name, lattice in fixtures.items():
         amb = reps[name].build(lattice.bottom)
         assert z2_free_check(amb, swap_map(amb)), name
-    fixed_edge = SimplicialComplex([["a", "b"]])
+    fixed_edge = complex_of([["a", "b"]])
     assert not z2_free_check(fixed_edge, {"a": "b", "b": "a"})
     report(5, "free sign swap; negative fixture fails", budget.check())
 
@@ -182,7 +182,7 @@ def test_criterion_09_obstruction(u34, n134):
     forced = set(by_face[edge])
     assert set(map(n134.vertex_label, forced)) == {(("1", "3", "4"), "+"), (("1", "3", "4"), "-")}
     target = FlagRepresentation(n134, make_flag(n134, flag.chain)).build(n134.bottom)
-    assert not target.has_face(forced)
+    assert not frozen(target).has_face(forced)
     report(9, "no induced map; obstruction edge certified", budget.check())
 
 
@@ -191,7 +191,7 @@ def test_criterion_10_homology_oracles():
     for d in range(1, 6):
         assert reduced_homology(cross_polytope_boundary(d)) == sphere_profile(d - 1)
         assert reduced_homology(simplex_boundary(d)) == sphere_profile(d - 1)
-    rp2 = SimplicialComplex(
+    rp2 = complex_of(
         [[0, 1, 4], [0, 1, 5], [0, 2, 3], [0, 2, 4], [0, 3, 5],
          [1, 2, 3], [1, 2, 5], [1, 3, 4], [2, 4, 5], [3, 4, 5]]
     )

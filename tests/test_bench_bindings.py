@@ -7,6 +7,7 @@ without failing any other test.
 """
 
 import ast
+import json
 import importlib
 import importlib.util
 import os
@@ -67,3 +68,40 @@ def test_cli_import_loads_every_traced_module():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
     assert owners <= set(loaded), sorted(owners - set(loaded))
+
+
+TRACED_RUN = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from tracer import Tracer
+tracer = Tracer()
+tracer.install()
+from matroid_spheres import all_complete_flags, retraction_map, uniform_matroid, verify_retraction
+from matroid_spheres.cli import main
+for args in (["verify", "tests/data/u34.json"], ["om", "embed", "tests/data/u34_vec.json"]):
+    try:
+        main.main(args=args, prog_name="matroid-spheres", standalone_mode=False)
+    except SystemExit as exc:
+        assert exc.code in (0, None), (args, exc.code)
+lattice = uniform_matroid(3, 4)
+flags = all_complete_flags(lattice)
+assert verify_retraction(retraction_map(lattice, flags[0], flags[-1])).ok
+print(json.dumps(tracer.summary()))
+"""
+
+
+def test_tracer_hooks_read_the_package_as_it_is():
+    # the hooks read attributes of what the traced functions take and
+    # return (a complex's maximal faces, a representation's flag); one that
+    # is gone raises inside a traced call, so the run fails here
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-c", TRACED_RUN, str(PERFBENCH)], cwd=ROOT, env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    summary = json.loads(run.stdout.splitlines()[-1])
+    totals, counts, distinct = summary["totals"], summary["counts"], summary["distinct"]
+    assert totals["spheres.build"][0] > 0 and distinct["spheres.build"] > 0
+    assert totals["topology.order_complex"][0] > 0 and counts["topology.maximal_chains"] > 0
+    assert totals["topology.homology"][0] > 0 and distinct["topology.homology"] > 0
+    assert totals["maps.verify_retraction"][0] == 1

@@ -16,7 +16,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from matroid_spheres import (
     CoverFamily,
-    SimplicialComplex,
     build_covers,
     build_embedding,
     carrier_check,
@@ -28,8 +27,9 @@ from matroid_spheres import (
 )
 from matroid_spheres.linalg import rank_q
 from matroid_spheres.oriented import Embedding, neg
-from matroid_spheres.topology import _generic_key, _maximal_masks, _vertex_stars, full_simplex
+from matroid_spheres.topology import _generic_key, _maximal_masks, full_simplex
 from matroid_spheres.jsonio import load_vector_config_file
+from conftest import FrozenComplex, complex_of, frozen
 from conftest import DATA, cov_leq, delta_complex, embedding_face_lines_oracle, maps_into_carrier_oracle
 
 DERANDOMIZED = settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -47,8 +47,9 @@ EMBED_LADDER = {
 
 
 def complex_intersections(members):
-    """Each distinct nonempty intersection of member complexes, by meets of
-    maximal faces, with the index bitmask of one family meeting in it."""
+    """Each distinct nonempty intersection of member complexes, each a
+    ``FrozenComplex``, by meets of maximal faces, with the index bitmask of
+    one family meeting in it."""
     found = {}
     for i, m in enumerate(members):
         if not m.is_empty:
@@ -80,14 +81,21 @@ def complex_covers(emb, flat):
 
 
 def complex_carrier_report(emb, flat):
-    """Each carrier check's (passed, detail) on the complex-based route."""
+    """Each carrier check's (passed, detail) on the complex-based route,
+    every complex on label faces."""
     a_ambient, a_map, b_ambient, b_map = complex_covers(emb, flat)
     keys = sorted(a_map, key=_generic_key)
-    a, b = [a_map[k] for k in keys], [b_map[k] for k in keys]
+    a, b = [frozen(a_map[k]) for k in keys], [frozen(b_map[k]) for k in keys]
 
     def covers(ambient, members):
-        faces = [f for m in members for f in m.maximal_faces]
-        return SimplicialComplex(faces, vertex_order=ambient.vertices) == ambient
+        return FrozenComplex([f for m in members for f in m.maximal_faces]) == frozen(ambient)
+
+    def stars(members):  # each vertex's members, by position
+        out = {}
+        for i, m in enumerate(members):
+            for v in m.vertices:
+                out[v] = out.get(v, 0) | 1 << i
+        return set(out.values())
 
     def subset(mask):
         return [keys[i] for i in range(len(keys)) if mask >> i & 1]
@@ -95,12 +103,12 @@ def complex_carrier_report(emb, flat):
     detail = ""
     for side, members in (("A", a), ("B", b)):
         bad = next((w for x, w in complex_intersections(members).items()
-                    if not is_homology_point(x)), None)
+                    if not is_homology_point(complex_of(x.maximal_faces))), None)
         if bad is not None:
             detail = f"{side}-intersection over {subset(bad)} is not a homology point"
             break
-    tops_a = _maximal_masks(_vertex_stars(m.vertices for m in a))
-    tops_b = _maximal_masks(_vertex_stars(m.vertices for m in b))
+    tops_a = _maximal_masks(stars(a))
+    tops_b = _maximal_masks(stars(b))
     differ = [m for tops, other in ((tops_a, tops_b), (tops_b, tops_a))
               for m in sorted(tops) if not any(m & ~t == 0 for t in other)]
     maps_into = all(
@@ -311,8 +319,8 @@ def test_maps_into_carrier_on_a_member_that_is_not_a_face():
     # so each M & a is mapped on its own: the path's two edges pass though
     # their union is no face, while the diagonal {0, 2} or a vertex outside
     # the member fails
-    square = SimplicialComplex([[0, 1], [1, 2], [2, 3], [3, 0]])
-    a_cover = CoverFamily(SimplicialComplex([["x", "y"], ["y", "z"]]), (("k", frozenset("xyz")),))
+    square = complex_of([[0, 1], [1, 2], [2, 3], [3, 0]])
+    a_cover = CoverFamily(complex_of([["x", "y"], ["y", "z"]]), (("k", frozenset("xyz")),))
     b_cover = CoverFamily(square, (("k", frozenset({0, 1, 2})),))
     for images, expected in (({"x": {0}, "y": {1}, "z": {2}}, True),
                              ({"x": {0}, "y": {2}, "z": {1}}, False),

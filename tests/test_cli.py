@@ -15,6 +15,7 @@ from matroid_spheres import topology
 from matroid_spheres.cli import main
 from matroid_spheres import MatroidInputError
 from matroid_spheres.jsonio import complex_from_json, load_vector_config_file
+from conftest import face_labels, frozen, used_vertices
 
 DATA = Path(__file__).parent / "data"
 
@@ -167,9 +168,9 @@ def test_om_embed_builds_each_complex_once(runner, monkeypatch, vectors):
         built.append(order_complex(poset))
         return built[-1]
 
-    def counted_restrict(self, vertices):
-        restricted.append((frozenset(self.vertices), frozenset(vertices)))
-        return restrict(self, vertices)
+    def counted_restrict(self, keep):
+        restricted.append((frozenset(used_vertices(self)), face_labels(self, keep)))
+        return restrict(self, keep)
 
     def counted_meet(self, other):
         meets.append((self, other))
@@ -190,14 +191,14 @@ def test_om_embed_builds_each_complex_once(runner, monkeypatch, vectors):
     fallbacks = set()
     for flat in emb.lattice.flats:
         a_cover, b_cover = build_covers(emb, flat)
-        a_ambient, b_ambient = (frozenset(c.ambient.vertices) for c in (a_cover, b_cover))
+        a_ambient, b_ambient = (frozenset(used_vertices(c.ambient)) for c in (a_cover, b_cover))
         fallbacks |= {
             (a_ambient, x) for x in closed_under_meets(s for _, s in a_cover.members)
             if not a_cover.poset.beat_points_reduce_to_point(x)
         }
         fallbacks |= {
             (b_ambient, x) for x in closed_under_meets(s for _, s in b_cover.members)
-            if not b_cover.ambient.has_face(x)
+            if not frozen(b_cover.ambient).has_face(x)
         }
     assert set(restricted) == fallbacks
 

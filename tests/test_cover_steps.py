@@ -26,11 +26,13 @@ from matroid_spheres import (
 )
 from matroid_spheres import topology
 from matroid_spheres.cli import main
-from matroid_spheres.spheres import _cross_polytope, atom_label
+from matroid_spheres.spheres import atom_label
+from conftest import complex_of, frozen, sorted_faces, used_vertices
 from conftest import (
     DATA,
     boolean_matroid,
     cover_steps_oracle,
+    cross_polytope_oracle,
     data_matroids,
     is_homology_sphere,
     nerve_oracle,
@@ -176,7 +178,7 @@ def mutated(old, draw):
     hollowed only with 2 to 6 vertices, and dropped otherwise: the boundary
     of a large simplex does not collapse, and the homology oracle would
     enumerate its faces."""
-    facets = sorted(old.maximal_faces, key=old.face_key)
+    facets = sorted_faces(old)
     face = facets[draw(st.integers(0, len(facets) - 1))]
     v = sorted(face, key=old.vertices.index)[draw(st.integers(0, len(face) - 1))]
     kept = [f for f in facets if f != face]
@@ -187,7 +189,7 @@ def mutated(old, draw):
         kept.append(face | {swap_sign(v)})
     elif kind == "hollow" and 1 < len(face) <= 6:
         kept += [face - {u} for u in face]
-    return SimplicialComplex(kept, vertex_order=old.vertices)
+    return complex_of(kept, vertex_order=old.vertices)
 
 
 def split_block(rep, draw):
@@ -199,7 +201,7 @@ def split_block(rep, draw):
     i = draw(st.sampled_from(big))
     k = draw(st.integers(1, len(rep.parts[i]) - 1))
     blocks = [*rep.parts[:i], rep.parts[i][:k], rep.parts[i][k:], *rep.parts[i + 1:]]
-    return SimplicialComplex(_cross_polytope(rep.lattice, blocks))  # ints sort in key order
+    return complex_of(cross_polytope_oracle(rep.lattice, blocks))  # ints sort in key order
 
 
 @st.composite
@@ -259,7 +261,7 @@ def test_mutated_arrangement_matches_oracles(arr):
         assert oracle["intersections-sphere"].passed or not report["intersections-sphere"].passed
     # flats are read off vertex sets only where every member is induced
     ambient = arr.ambient
-    if all(m == ambient.restrict(m.vertices) for _, m in arr.members):
+    if all(frozen(m) == frozen(ambient).restrict(used_vertices(m)) for _, m in arr.members):
         assert set(arrangement_flats(arr).flats) == arrangement_flats_oracle(arr)
     else:
         with pytest.raises(ValueError):
@@ -292,8 +294,8 @@ def test_mutated_member_fails_intersections_are_flats():
     rep = FlagRepresentation(lattice, default_flag(lattice))
     arr = rep.arrangement()
     atom, member = arr.members[0]
-    facets = sorted(member.maximal_faces, key=member.face_key)
-    dropped = SimplicialComplex(facets[1:])
+    facets = sorted_faces(member)
+    dropped = complex_of(facets[1:])
     bad = HomotopyArrangement(rep, arr.ambient, ((atom, dropped),) + arr.members[1:])
     report = verify_arrangement(bad)
     assert not report["intersections-are-flats"].passed
@@ -335,8 +337,9 @@ def held_verdict(rep, complex_, corank):
     """The mask route for a complex as held: S_bottom certified the join,
     the complex induced in it, and its vertex mask a sphere."""
     ambient = rep.build(rep.lattice.bottom)
-    return (rep.join_holds and complex_ == ambient.restrict(complex_.vertices)
-            and rep.is_sphere(rep.mask(complex_.vertices), corank))
+    used = used_vertices(complex_)
+    return (rep.join_holds and frozen(complex_) == frozen(ambient).restrict(used)
+            and rep.is_sphere(rep.mask(used), corank))
 
 
 @st.composite
@@ -426,10 +429,10 @@ def test_intersection_law_refuses_a_complex_that_is_not_induced():
     rep = FlagRepresentation(lattice, default_flag(lattice))
     arr = rep.arrangement()
     (atom, old), rest = arr.members[0], arr.members[1:]
-    facets = sorted(old.maximal_faces, key=old.face_key)
+    facets = sorted_faces(old)
     hollow = facets[1:] + [facets[0] - {v} for v in facets[0]]
-    poisoned = SimplicialComplex(hollow, vertex_order=old.vertices)
-    assert poisoned.vertices == old.vertices
+    poisoned = complex_of(hollow, vertex_order=old.vertices)
+    assert used_vertices(poisoned) == used_vertices(old)
     bad = HomotopyArrangement(rep, arr.ambient, ((atom, poisoned),) + rest)
     assert not bad.induced
     report = verify_arrangement(bad)
@@ -476,7 +479,7 @@ def test_member_not_closed_under_the_sign_swap_fails_z2_free():
     rep = FlagRepresentation(lattice, default_flag(lattice))
     arr = rep.arrangement()
     (atom, old), rest = arr.members[0], arr.members[1:]
-    cut = arr.ambient.restrict(set(old.vertices) - {old.vertices[0]})
+    cut = arr.ambient.restrict(rep.mask(used_vertices(old)[1:]))
     bad = HomotopyArrangement(rep, arr.ambient, ((atom, cut),) + rest)
     assert bad.induced
     report = verify_arrangement(bad)
@@ -491,7 +494,7 @@ def test_mask_swap_is_the_sign_swap(name):
     lattice = FIXTURES[name]
     rep = FlagRepresentation(lattice, default_flag(lattice))
     for g in lattice.flats:
-        vertices = rep.build(g).vertices
+        vertices = used_vertices(rep.build(g))
         assert rep.swap(rep.mask(vertices)) == rep.mask(map(swap_sign, vertices)) == rep.masks[g]
         half = vertices[::2]  # each coatom's + vertex: closed under no swap
         assert rep.swap(rep.mask(half)) == rep.mask(map(swap_sign, half))

@@ -23,7 +23,9 @@ from matroid_spheres import (
     default_flag,
 )
 from matroid_spheres.jsonio import signed_complex_to_json
-from matroid_spheres.spheres import _cross_polytope, atom_label
+from matroid_spheres.spheres import atom_label, selection_masks
+from matroid_spheres.topology import label_masker
+from conftest import complex_of, label_faces, used_vertices
 from conftest import (
     blocks_oracle,
     boolean_matroid,
@@ -56,19 +58,26 @@ def test_blocks_match_oracle(lattices):
         assert rep.parts == blocks_oracle(lattice, rep.flag), (name, rep.flag.chain)
 
 
+def blocks_over(rep, flat):
+    """The coatoms of each block that lie above the flat."""
+    coat = set(rep.lattice.coat_above(flat))
+    return tuple(tuple(c for c in block if c in coat) for block in rep.parts)
+
+
 def test_cross_polytope_and_sigma_match_oracle(lattices):
     for name, lattice, rep in every_flag(lattices):
         for flat in lattice.flats:
-            blocks = rep._blocks_over(flat)
-            got = _cross_polytope(lattice, blocks)
+            blocks = blocks_over(rep, flat)
+            built = rep.construct(flat)
             want = cross_polytope_oracle(lattice, blocks)
-            # same faces in the same order
-            assert got == list(want), (name, sorted(flat))
+            assert built.vertices == rep.vertices  # position v is signed vertex v
+            assert label_faces(built) == set(want) - {frozenset()}, (name, sorted(flat))
             for face, vec in want.items():
                 assert rep.sigma(vec, flat) == face == face_oracle(lattice, vec, blocks)
         # the retraction's polytope: one coatom per block
         chosen = [(block[-1],) for block in rep.parts]
-        assert _cross_polytope(lattice, chosen) == list(cross_polytope_oracle(lattice, chosen))
+        want = {sum(1 << v for v in f) for f in cross_polytope_oracle(lattice, chosen)}
+        assert selection_masks(lattice, frozenset(c for c, in chosen)) == want
 
 
 def test_signed_vertices_are_per_lattice_labels(lattices):
@@ -89,11 +98,14 @@ def test_signed_vertices_are_per_lattice_labels(lattices):
 
 def test_s_0_json_renders_vertices_by_the_label_table(lattices):
     for name, lattice, rep in every_flag(lattices):
-        s0, labels = rep.build(lattice.bottom), signed_coatoms(lattice)
+        labels = signed_coatoms(lattice)
         label = {v: labels[c][s] for c, pm in vertex_table(lattice).items() for s, v in pm.items()}
-        want = {"vertices": [{"coatom": list(label[v][0]), "sign": label[v][1]} for v in s0.vertices],
-                "maximal_faces": sorted(sorted(map(s0.vertices.index, m)) for m in s0.maximal_faces)}
-        assert signed_complex_to_json(lattice, s0) == want, name
+        for flat in (lattice.bottom, *lattice.atoms()):  # S_G uses only V_G of its positions
+            built = rep.build(flat)
+            used = used_vertices(built)
+            want = {"vertices": [{"coatom": list(label[v][0]), "sign": label[v][1]} for v in used],
+                    "maximal_faces": sorted(sorted(map(used.index, m)) for m in label_faces(built))}
+            assert signed_complex_to_json(lattice, built) == want, name
 
 
 def test_vertex_bits_and_halves_match_the_built_s_0(lattices):
@@ -117,7 +129,7 @@ def test_built_complexes_keep_vertex_order(lattices):
             built = rep.build(flat)
             want = [vertex_table(lattice)[c][s]
                     for c in sorted(lattice.coat_above(flat), key=lattice.key) for s in "+-"]
-            assert list(built.vertices) == want, (name, sorted(flat))
+            assert list(used_vertices(built)) == want, (name, sorted(flat))
 
 
 def test_block_errors_kept():
@@ -150,7 +162,7 @@ def test_every_s_g_is_induced_in_s_0(lattices, u34):
     for rep in reps:
         s_0 = rep.build(rep.lattice.bottom)
         for flat in rep.lattice.flats:
-            induced = s_0.restrict(signed_vertices(rep, flat))
+            induced = s_0.restrict(rep.mask(signed_vertices(rep, flat)))
             assert rep.build(flat) == induced, (rep.flag.chain, sorted(flat))
 
 
@@ -163,7 +175,7 @@ def probe_faces(complex_):
     outside = (("zz",), "+")
     yield frozenset()
     yield frozenset({outside})
-    for m in complex_.maximal_faces:
+    for m in label_faces(complex_):
         yield m
         yield m | {outside}
         for v in m:
@@ -176,14 +188,15 @@ def test_has_face_matches_scan_on_every_s_g(lattices):
     for name, lattice, rep in every_flag(lattices):
         for flat in lattice.flats:
             complex_ = rep.build(flat)
+            mask = label_masker(complex_.vertices)
             for face in probe_faces(complex_):
-                assert complex_.has_face(face) == has_face_oracle(complex_, face), (name, face)
+                assert complex_.has_face(mask(face)) == has_face_oracle(complex_, face), (name, face)
 
 
 def test_has_face_on_the_empty_complex():
-    empty = SimplicialComplex([])
-    assert empty.has_face(set())
-    assert not empty.has_face({0})
+    empty = complex_of([])
+    assert empty.has_face(0)
+    assert not empty.has_face(label_masker(empty.vertices)({0}))
     assert has_face_oracle(empty, set()) and not has_face_oracle(empty, {0})
 
 
@@ -194,8 +207,8 @@ def test_has_face_on_the_empty_complex():
 )
 def test_has_face_matches_scan(faces, face):
     # vertices 7 and 8 lie in no complex; the empty list is the empty complex
-    complex_ = SimplicialComplex(faces)
-    assert complex_.has_face(face) == has_face_oracle(complex_, face)
-    assert complex_.has_face(list(face)) == complex_.has_face(face)
+    complex_ = complex_of(faces)
+    mask = label_masker(complex_.vertices)(face)
+    assert complex_.has_face(mask) == has_face_oracle(complex_, face)
     for m in complex_.maximal_faces:
-        assert complex_.has_face(m) and complex_.has_face(m & face)
+        assert complex_.has_face(m) and complex_.has_face(m & mask)

@@ -1,8 +1,12 @@
+import json
+import sys
+import threading
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations, product
 from operator import or_
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from matroid_spheres import (
@@ -30,19 +34,24 @@ from matroid_spheres import (
     verify_retraction,
 )
 from matroid_spheres import maps, topology
+from matroid_spheres.cli import main
 from matroid_spheres.maps import CrossSelection, RetractDescriptor, SelectionError
 from matroid_spheres.report import CheckResult, ValidationReport
 from matroid_spheres.spheres import selection_masks
+from conftest import complex_of, frozen, label_faces, sorted_faces
 from conftest import (
+    DATA,
     boolean_matroid,
     complex_masks,
     cov_leq,
     cross_coatom_search_oracle,
     cross_polytope_complex,
+    data_matroids,
     is_homology_sphere,
     mask_vertices,
     masks_complex,
     part_of,
+    poset_map_search_oracle,
     retraction_face_lines_oracle,
     retraction_oracle,
     select_cross_coatoms_oracle,
@@ -154,12 +163,15 @@ def outcome(select_fn, rep_f, rep_g):
 
 def assign_blocks(rep, blocks):
     """Overwrite a fresh representation's coatom blocks: the k-th coatom in
-    key order goes to block blocks[k], or to none where that is None.  Every
-    cached table and verdict (each ``cached_property`` of the class, and the
-    built S_G) is dropped, so it is rebuilt from ``parts``, which the oracles
-    read too, and every route sees the same assignment."""
-    coatoms = rep.lattice.coatoms()
+    key order goes to block blocks[k], or to none where that is None.  The
+    ``slots`` and ``halves`` filled with ``parts`` are refilled from the new
+    blocks, and every cached table and verdict (each ``cached_property`` of
+    the class, and the built S_G) is dropped, so it is rebuilt from them,
+    and every route, the oracles' included, sees the same assignment."""
+    coatoms, index = rep.lattice.coatoms(), rep.lattice.coatom_index
     rep.parts = tuple(tuple(c for c, j in zip(coatoms, blocks) if j == i) for i in range(rep.r))
+    rep.slots = tuple((2 * index[c] + s, 2 * i + s) for i, block in enumerate(rep.parts) for c in block for s in (0, 1))
+    rep.halves = tuple(tuple(sum(1 << 2 * index[c] + s for c in block) for s in (0, 1)) for block in rep.parts)
     for name, attr in vars(FlagRepresentation).items():
         if isinstance(attr, cached_property):
             vars(rep).pop(name, None)
@@ -269,7 +281,7 @@ def test_retraction_u34_images_are_polytope_facets(u34):
     g = make_flag(u34, [[], ["3"], ["3", "4"], ["1", "2", "3", "4"]])
     desc = retraction_map(u34, f, g)
     source = desc.source.build(u34.bottom)
-    for mface in source.maximal_faces:
+    for mface in label_faces(source):
         image = frozenset(desc.vertex_map[v] for v in mface)
         assert desc.source.mask(image) in desc.polytope
     assert verify_retraction(desc).ok
@@ -562,7 +574,7 @@ def grown_polytope(desc, in_source, in_target):
     for facet in sorted(desc.polytope):
         for x in outside + [1 << 2 * len(lattice.coatoms())]:
             grown = mask_vertices(facet | x)
-            if (s_f.has_face(grown), s_g.has_face(grown)) == (in_source, in_target):
+            if (frozen(s_f).has_face(grown), frozen(s_g).has_face(grown)) == (in_source, in_target):
                 polytope = (desc.polytope - {facet}) | {facet | x}
                 return RetractDescriptor(
                     desc.selection, desc.source, desc.target, desc.vertex_map, polytope
@@ -659,7 +671,7 @@ def poisoned(lattice, flag, facets):
     """A fresh representation of the flag whose S_0 holds the given facets."""
     rep = FlagRepresentation(lattice, flag)
     vertices = rep.build(lattice.bottom).vertices
-    rep._built[lattice.bottom] = SimplicialComplex(facets, vertices)
+    rep._built[lattice.bottom] = complex_of(facets, vertices)
     return rep
 
 
@@ -670,7 +682,7 @@ def poisoned_descriptors(lattice):
     flag = default_flag(lattice)
     clean = retraction_map(lattice, flag, flag)
     s0 = clean.source.build(lattice.bottom)
-    facets = sorted(s0.maximal_faces, key=s0.face_key)
+    facets = sorted_faces(s0)
     coatom, sign = lattice.vertex_label(next(iter(facets[0])))
     mixed = facets[0] | {clean.source.vertex(frozenset(coatom), "-" if sign == "+" else "+")}
     target_fails = {"target-sphere", "polytope-in-target", "composite-simplicial"}
@@ -837,8 +849,8 @@ def test_poisoned_s0_fails_the_sphere_lines(u34):
     flag = default_flag(u34)
     rep = FlagRepresentation(u34, flag)
     s0 = rep.build(u34.bottom)
-    dropped = sorted(s0.maximal_faces, key=s0.face_key)[1:]
-    rep._built[u34.bottom] = SimplicialComplex(dropped, s0.vertices)
+    dropped = sorted_faces(s0)[1:]
+    rep._built[u34.bottom] = complex_of(dropped, s0.vertices)
     clean = retraction_map(u34, flag, flag)
     desc = RetractDescriptor(clean.selection, rep, rep, clean.vertex_map, clean.polytope)
     assert {"source-sphere", "target-sphere"} <= failing(desc)
@@ -1004,11 +1016,11 @@ def test_search_obstruction_u34_to_n134(u34, n134):
     assert set(map(n134.vertex_label, forced)) == {(("1", "3", "4"), "+"), (("1", "3", "4"), "-")}
     # the forced pair shares no face in the target: same coatom, both signs
     target = FlagRepresentation(n134, make_flag(n134, PAPER_FLAG)).build(n134.bottom)
-    assert not target.has_face(set(forced))
+    assert not frozen(target).has_face(set(forced))
     # every reported obstruction is a face of the source whose image cannot be one
     source = FlagRepresentation(u34, flag).build(u34.bottom)
     for face in faces:
-        assert source.has_face(face)
+        assert frozen(source).has_face(face)
 
 
 def test_search_obstacle_flag_not_complete_in_target(u34, n134):
@@ -1024,3 +1036,103 @@ def test_search_cap(u34, n134):
     flag = make_flag(u34, PAPER_FLAG)
     with pytest.raises(SearchCapExceeded):
         poset_map_search(u34, u34, flag, max_assignments=3)
+
+
+# -- the search against the recursive oracle ---------------------------------------------
+
+
+def test_search_matches_the_recursive_oracle_on_the_golden_weakmap_cases():
+    # every ordered pair of data matroids on one ground set, by the golden
+    # file's flag and by the default flag
+    cases = 0
+    matroids = data_matroids()
+    for m in matroids.values():
+        flags = [default_flag(m)]
+        try:
+            flags.append(make_flag(m, json.loads((DATA / "f_1_12.json").read_text())["chain"]))
+        except MatroidInputError:
+            pass
+        for n in matroids.values():
+            if set(m.elements) != set(n.elements):
+                continue
+            for flag in flags:
+                assert poset_map_search(m, n, flag) == poset_map_search_oracle(m, n, flag)
+                cases += 1
+    assert cases >= 17
+
+
+def dependent_columns(draw, columns):
+    """The columns with one of them replaced by a sum of two others, so that
+    a new dependency appears, or left as they are."""
+    k = draw(st.integers(-1, len(columns) - 1))
+    if k < 0:
+        return columns
+    i, j = draw(st.lists(st.sampled_from([x for x in range(len(columns)) if x != k]),
+                         min_size=2, max_size=2, unique=True))
+    sign = draw(st.sampled_from([1, -1]))
+    return [[a + sign * b for a, b in zip(columns[i], columns[j])] if x == k else c
+            for x, c in enumerate(columns)]
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.integers(3, 4), st.data())
+def test_search_matches_the_recursive_oracle_on_random_same_rank_pairs(r, data):
+    # the target's columns are the source's with a dependency added, so the
+    # identity is often a weak map; both must have rank r
+    vectors = st.lists(st.integers(-2, 2), min_size=r, max_size=r).filter(any)
+    source = data.draw(st.lists(vectors, min_size=r + 1, max_size=r + 3))
+    target = dependent_columns(data.draw, source)
+    if not all(map(any, target)):
+        return
+    m, n = linear_matroid(source), linear_matroid(target)
+    if m.r != r or n.r != r:
+        return
+    flag = data.draw(st.sampled_from(all_complete_flags(m)))
+    assert poset_map_search(m, n, flag) == poset_map_search_oracle(m, n, flag)
+
+
+def test_search_backtracks_to_the_images_it_had():
+    # rank 4, the target's fourth column the sum of two others: the search
+    # takes back assignments, and an image that kept a bit of a vertex taken
+    # back would refuse a candidate the oracle accepts (14 nodes, not 28)
+    source = [[1, 0, -1, -1], [-1, -1, 0, 0], [1, 0, 1, 0], [-1, -1, 1, 0], [1, 0, 0, 0], [1, -1, 0, -1]]
+    target = [[1, 0, -1, -1], [-1, -1, 0, 0], [1, 0, 1, 0], [2, 0, 0, -1], [1, 0, 0, 0], [1, -1, 0, -1]]
+    m, n = linear_matroid(source), linear_matroid(target)
+    flag = make_flag(m, [[], ["5"], ["3", "5"], ["3", "5", "6"], ["1", "2", "3", "4", "5", "6"]])
+    result = poset_map_search(m, n, flag)
+    assert result == poset_map_search_oracle(m, n, flag)
+    assert not result.found and result.nodes == 28
+
+
+def test_search_runs_past_the_recursion_limit(tmp_path):
+    # U(6,12) has 792 coatoms, so S_0 has 1,584 signed vertices: one frame
+    # each ended a recursive search with RecursionError, exit 3
+    spec = tmp_path / "u612.json"
+    spec.write_text(json.dumps({"format": "uniform", "r": 6, "n": 12}))
+    result = CliRunner().invoke(main, ["weakmap", "--search-poset-map", "--json", str(spec), str(spec)])
+    assert result.exit_code == 0, result.output
+    search = json.loads(result.output)["search"]
+    assert search["found"] and len(search["map"]) == 1584
+    assert search["stats"]["nodes"] == 1584  # the identity, each vertex's first candidate
+
+    # the recursive oracle agrees, given the frames: in a thread with a deep stack
+    lattice = uniform_matroid(6, 12)
+    got = {}
+
+    def run():
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(10_000)
+        try:
+            got["oracle"] = poset_map_search_oracle(lattice, lattice, default_flag(lattice))
+        finally:
+            sys.setrecursionlimit(limit)
+
+    size = threading.stack_size(256 * 1024 * 1024)
+    try:
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join()
+    finally:
+        threading.stack_size(size)
+    assert got["oracle"] == poset_map_search(lattice, lattice, default_flag(lattice))
+    assert got["oracle"].nodes == 1584

@@ -21,7 +21,8 @@ from matroid_spheres import (
     vector_config,
 )
 from matroid_spheres.topology import _generic_key, _intersections, cross_polytope_nerve_iso, full_simplex
-from conftest import nerve_oracle
+from conftest import complex_of, frozen, label_faces, sorted_faces
+from conftest import FrozenComplex, nerve_oracle
 
 DERANDOMIZED = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -43,6 +44,7 @@ def pattern_matches(maximal, assign, d):
 
 def nerve_iso_oracle(complex_, d, face_signs):
     """The cross-polytope nerve test on all 2^(2^d) facet subsets."""
+    complex_ = frozen(complex_)
     maximal = sorted(complex_.maximal_faces, key=complex_.face_key)
     if d == 0:
         return complex_.is_empty
@@ -62,9 +64,9 @@ def fold(complexes):
 
 
 def induced(ambient, vertices):
-    """The member complex a vertex set stands for, built independently of
-    SimplicialComplex.restrict."""
-    return SimplicialComplex([f & vertices for f in ambient.maximal_faces])
+    """The member complex a vertex set stands for, on label faces, built
+    independently of SimplicialComplex.restrict."""
+    return FrozenComplex([f & vertices for f in label_faces(ambient)])
 
 
 def carrier_oracle(vertex_images, a_cover, b_cover):
@@ -82,7 +84,7 @@ def carrier_oracle(vertex_images, a_cover, b_cover):
             if ia.is_empty != ib.is_empty:
                 failures["nonemptiness-equivalence"].add(f"nonemptiness differs on {list(subset)}")
             for side, x in (("A", ia), ("B", ib)):
-                if not x.is_empty and not is_homology_point(x):
+                if not x.is_empty and not is_homology_point(complex_of(x.maximal_faces)):
                     failures["intersections-contractible"].add(
                         f"{side}-intersection over {list(subset)} is not a homology point"
                     )
@@ -93,8 +95,8 @@ def carrier_oracle(vertex_images, a_cover, b_cover):
     )
 
     def covers(cover, members):
-        union = SimplicialComplex([f for m in members.values() for f in m.maximal_faces])
-        return union == cover.ambient
+        union = FrozenComplex([f for m in members.values() for f in m.maximal_faces])
+        return union == frozen(cover.ambient)
 
     passed = {
         "covering": covers(a_cover, a) and covers(b_cover, b),
@@ -121,7 +123,7 @@ def labelled_cross_polytope(d, perm, flips, blocks=None):
         relabel = tuple(sigma[perm[j]] for j in range(d))
         signs[face] = tuple(("-" if s == "+" else "+") if flips[j] else s
                             for j, s in enumerate(relabel))
-    return SimplicialComplex(faces), signs
+    return complex_of(faces), signs
 
 
 @st.composite
@@ -131,7 +133,7 @@ def nerve_cases(draw, max_d=3):
     flips = draw(st.lists(st.booleans(), min_size=d, max_size=d))
     blocks = draw(st.lists(st.integers(1, 2), min_size=d, max_size=d))
     complex_, signs = labelled_cross_polytope(d, perm, flips, blocks)
-    faces = sorted(complex_.maximal_faces, key=complex_.face_key)
+    faces = sorted_faces(complex_)
     kind = draw(st.sampled_from(["true", "shuffle", "add", "drop", "merge", "random"]))
     labels = [signs[f] for f in faces]
     if kind == "shuffle":  # a wrong (or sometimes right) bijection
@@ -153,7 +155,7 @@ def nerve_cases(draw, max_d=3):
             frozenset(draw(st.sets(st.integers(0, n - 1), max_size=n))) | {("private", j)}
             for j in range(2 ** d)
         ]
-    complex_ = SimplicialComplex(faces)
+    complex_ = complex_of(faces)
     signs = dict(zip(faces, labels))
     return complex_, d, signs
 
@@ -170,7 +172,7 @@ def test_nerve_iso_matches_subset_enumeration_d4(kind):
     d = 4
     perm, flips = (2, 0, 3, 1), (True, False, False, True)
     complex_, signs = labelled_cross_polytope(d, perm, flips, [1, 2, 1, 3] if kind == "blown-up" else None)
-    faces = sorted(complex_.maximal_faces, key=complex_.face_key)
+    faces = sorted_faces(complex_)
     if kind == "shuffled":
         values = [signs[f] for f in faces]
         signs = dict(zip(faces, values[1:] + values[:1]))
@@ -178,7 +180,7 @@ def test_nerve_iso_matches_subset_enumeration_d4(kind):
         shared = ("shared",)
         a = faces[0]
         b = next(f for f in faces if not f & a)
-        complex_ = SimplicialComplex([f | {shared} if f in (a, b) else f for f in faces])
+        complex_ = complex_of([f | {shared} if f in (a, b) else f for f in faces])
         signs = {(f | {shared} if f in (a, b) else f): s for f, s in signs.items()}
     expected = nerve_iso_oracle(complex_, d, signs)
     assert expected == (kind in ("true", "blown-up"))
@@ -187,7 +189,7 @@ def test_nerve_iso_matches_subset_enumeration_d4(kind):
 
 def test_nerve_iso_rejects_a_sign_map_that_is_not_a_bijection():
     complex_, signs = labelled_cross_polytope(2, (0, 1), (False, False))
-    faces = sorted(complex_.maximal_faces, key=complex_.face_key)
+    faces = sorted_faces(complex_)
     signs[faces[0]] = signs[faces[1]]
     assert not cross_polytope_nerve_iso(complex_, 2, signs)
     assert not nerve_iso_oracle(complex_, 2, signs)
@@ -198,7 +200,7 @@ def test_nerve_iso_rejects_three_of_four_halves():
     # ++ and +- share a sign and do not meet
     faces = {("+", "+"): {"a", "p"}, ("-", "+"): {"a", "b"}, ("-", "-"): {"b", "c"},
              ("+", "-"): {"c", "q"}}
-    complex_ = SimplicialComplex(faces.values())
+    complex_ = complex_of(faces.values())
     signs = {frozenset(f): s for s, f in faces.items()}
     assert not nerve_iso_oracle(complex_, 2, signs)
     assert not cross_polytope_nerve_iso(complex_, 2, signs)
@@ -224,22 +226,22 @@ def carrier_cases(draw):
     def vertex_sets(ambient):
         return [frozenset(draw(st.sets(st.sampled_from(ambient.vertices)))) for _ in keys]
 
-    a_ambient = SimplicialComplex(draw(facets))
+    a_ambient = complex_of(draw(facets))
     a_sets = vertex_sets(a_ambient)
     if draw(st.booleans()):  # B is A relabelled: nerves agree, the map carries
-        b_ambient = SimplicialComplex([{v + 10 for v in f} for f in a_ambient.maximal_faces])
+        b_ambient = complex_of([{v + 10 for v in f} for f in label_faces(a_ambient)])
         b_sets = [frozenset(v + 10 for v in s) for s in a_sets]
         images = {v: {v + 10} for v in range(6)}
     else:
-        b_ambient = SimplicialComplex([{v + 10 for v in f} for f in draw(facets)])
+        b_ambient = complex_of([{v + 10 for v in f} for f in draw(facets)])
         b_sets = vertex_sets(b_ambient)
         images = {v: draw(st.sets(st.integers(10, 15), min_size=1, max_size=2)) for v in range(6)}
     if draw(st.booleans()):  # every member a simplex, as on the sphere side
-        b_ambient = SimplicialComplex(s for s in b_sets)
+        b_ambient = complex_of(s for s in b_sets)
 
     def cover(ambient, sets):
         if draw(st.booleans()):
-            ambient = SimplicialComplex([*ambient.maximal_faces, [99]])  # not covered
+            ambient = complex_of([*label_faces(ambient), [99]])  # not covered
         return CoverFamily(ambient, tuple(zip(keys, sets)))
 
     return images, cover(a_ambient, a_sets), cover(b_ambient, b_sets)
@@ -277,7 +279,7 @@ def test_carrier_check_reports_its_own_witness():
     # A-members p and q are paths around a square meeting in two opposite
     # corners; p and r meet on the B side only
     a = CoverFamily(
-        SimplicialComplex([[0, 1], [1, 2], [2, 3], [3, 0], [4]]),
+        complex_of([[0, 1], [1, 2], [2, 3], [3, 0], [4]]),
         (("p", frozenset({0, 1, 2})), ("q", frozenset({2, 3, 0})), ("r", frozenset({4}))),
     )
     b = CoverFamily(full_simplex([5, 6]), (("p", frozenset({5, 6})), ("q", frozenset({6})),

@@ -23,6 +23,7 @@ from matroid_spheres import (
 )
 from matroid_spheres.linalg import rank_q
 from matroid_spheres.oriented import VectorConfig, compose, neg, sign_mask, sign_vector
+from conftest import label_faces, positions
 from conftest import cov_leq, delta_complex
 
 
@@ -361,7 +362,7 @@ def test_build_covers_b_side_is_sigma(u24_vec):
     for key, simplex in b_cover.members:
         vec = tuple(1 if s == "+" else -1 for s in key)
         assert simplex == emb.rep.sigma(vec, frozenset())
-        assert simplex in b_cover.ambient.maximal_faces
+        assert simplex in label_faces(b_cover.ambient)
 
 
 def test_carrier_check_all_flats(u24_vec, u34_vec, coord2_vec):
@@ -377,7 +378,7 @@ def test_a_cover_members_contractible(u24_vec):
     emb = embedding(u24_vec)
     a_cover, _ = build_covers(emb, frozenset())
     for _, member in a_cover.members:
-        induced = a_cover.ambient.restrict(member)
+        induced = a_cover.ambient.restrict(positions(a_cover.ambient, member))
         assert induced == delta_complex(member)
         assert is_homology_point(induced)
 

@@ -13,6 +13,7 @@ from matroid_spheres import (
     verify_arrangement,
     verify_geometric,
 )
+from conftest import label_faces, sorted_faces, used_vertices
 from conftest import facet_signs, is_subcomplex_of, nerve_oracle, part_of, support, swap_map, z2_free_check
 
 
@@ -78,13 +79,13 @@ def test_build_u24_ambient(u24):
     rep = rep_for(u24)
     built = rep.build(u24.bottom)
     assert len(built.maximal_faces) == 4
-    assert all(len(f) == 4 for f in built.maximal_faces)
+    assert all(f.bit_count() == 4 for f in built.maximal_faces)
 
 
 def test_build_u24_rank1_flats(u24):
     rep = rep_for(u24)
     built = rep.build(frozenset({"3"}))
-    assert frozenset(frozenset(map(u24.vertex_label, m)) for m in built.maximal_faces) == frozenset(
+    assert frozenset(frozenset(map(u24.vertex_label, m)) for m in label_faces(built)) == frozenset(
         {frozenset({(("3",), "+")}), frozenset({(("3",), "-")})}
     )
 
@@ -105,8 +106,8 @@ def test_maximal_face_count_invariant(u24, u34, bool3, fano, n134):
             else:
                 assert len(built.maximal_faces) == 2 ** lattice.corank(flat)
                 coat = lattice.coat_above(flat)
-                assert all(len(f) == len(coat) for f in built.maximal_faces)
-                assert len(built.vertices) == 2 * len(coat)
+                assert all(f.bit_count() == len(coat) for f in built.maximal_faces)
+                assert built.support.bit_count() == 2 * len(coat)
 
 
 def test_subcomplex_monotonicity(u34):
@@ -120,7 +121,7 @@ def test_subcomplex_monotonicity(u34):
 def test_no_face_holds_both_signs(u24, u34, fano):
     for lattice in (u24, u34, fano):
         rep = rep_for(lattice)
-        for face in rep.build(lattice.bottom).maximal_faces:
+        for face in label_faces(rep.build(lattice.bottom)):
             coats = [v[0] for v in map(lattice.vertex_label, face)]
             assert len(set(coats)) == len(coats)
 
@@ -195,7 +196,7 @@ def test_intersection_of_maximal_faces_is_sigma_of_meet(u24, u34, bool3):
         for flat in lattice.flats:
             built = rep.build(flat)
             signs = facet_signs(rep, built)
-            faces = sorted(built.maximal_faces, key=built.face_key)
+            faces = sorted_faces(built)
             for k in range(1, len(faces) + 1):
                 for sub in combinations(faces, k):
                     meet = tuple(
@@ -218,7 +219,7 @@ def test_intersection_law_examples(u24, u34):
     rep34 = rep_for(u34)
     a, b = frozenset({"1"}), frozenset({"2"})
     inter = rep34.build(a).intersection(rep34.build(b))
-    assert set(map(u34.vertex_label, inter.vertices)) == {(("1", "2"), "+"), (("1", "2"), "-")}
+    assert set(map(u34.vertex_label, used_vertices(inter))) == {(("1", "2"), "+"), (("1", "2"), "-")}
 
 
 def test_intersection_law_exhaustive(u24, u34, bool3, n134, fano):
@@ -231,15 +232,15 @@ def test_intersection_law_exhaustive(u24, u34, bool3, n134, fano):
 
 def test_arrangement_u24(u24):
     arr = rep_for(u24).arrangement()
-    assert len(arr.ambient.vertices) == 8
+    assert arr.ambient.support.bit_count() == 8
     assert len(arr.members) == 4
-    assert all(len(m.vertices) == 2 for _, m in arr.members)
+    assert all(m.support.bit_count() == 2 for _, m in arr.members)
 
 
 def test_arrangement_rank1():
     lattice = uniform_matroid(1, 1)
     arr = rep_for(lattice).arrangement()
-    assert len(arr.ambient.vertices) == 2
+    assert arr.ambient.support.bit_count() == 2
     assert len(arr.ambient.maximal_faces) == 2
     assert len(arr.members) == 1
     assert arr.members[0][1].is_empty
@@ -247,9 +248,9 @@ def test_arrangement_rank1():
 
 def test_arrangement_fano(fano):
     arr = rep_for(fano).arrangement()
-    assert len(arr.ambient.vertices) == 14
+    assert arr.ambient.support.bit_count() == 14
     assert len(arr.ambient.maximal_faces) == 8
-    assert all(len(f) == 7 for f in arr.ambient.maximal_faces)
+    assert all(f.bit_count() == 7 for f in arr.ambient.maximal_faces)
     assert len(arr.members) == 7
 
 
