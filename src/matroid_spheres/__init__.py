@@ -47,7 +47,6 @@ from .oriented import (
     covector_span,
     covectors_from_vectors,
     pivots_check,
-    underlying_matroid,
     vector_config,
     verify_embedding,
 )

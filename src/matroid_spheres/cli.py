@@ -179,8 +179,9 @@ def covectors(vectors: str, as_json: bool) -> None:
     """Enumerate cocircuits and covectors of a configuration."""
     cfg = jsonio.load_vector_config_file(vectors)
     cs = oriented.covectors_from_vectors(cfg)
-    cocircs = sorted(oriented.render(x) for x in cs.cocircuits)
-    covecs = sorted(oriented.render(x) for x in cs.covectors)
+    n = len(cs.elements)
+    cocircs = sorted(oriented.render(x, n) for x in cs.cocircuits)
+    covecs = sorted(oriented.render(x, n) for x in cs.covectors)
     if as_json:
         click.echo(
             dump_json(
@@ -210,14 +211,13 @@ def embed(vectors: str, flag_arg: str, pivots: str | None, as_json: bool) -> Non
     """Verify the covector-poset embedding and its carrier covers."""
     cfg = jsonio.load_vector_config_file(vectors)
     cs = oriented.covectors_from_vectors(cfg)
-    lattice = oriented.underlying_matroid(cs)
-    flag = jsonio.load_flag_arg(lattice, flag_arg)
+    flag = jsonio.load_flag_arg(cs.lattice, flag_arg)
     pivot_list = pivots.split(",") if pivots else None
     emb = oriented.build_embedding(cs, flag, pivot_list)
     report = oriented.verify_embedding(emb)
     carriers_ok = all(
         topology.carrier_check(emb.images, *oriented.build_covers(emb, flat)).ok
-        for flat in lattice.flats
+        for flat in emb.lattice.flats
     )
     detail = "all flats, maximal vertex stars, each distinct intersection once"
     report.add("carrier-covers", carriers_ok, detail)

@@ -108,6 +108,8 @@ def vector_config_from_json(spec: Mapping) -> VectorConfig:
     elements = [str(e) for e in columns]
     cols = []
     for e in elements:
+        if not isinstance(columns[e], list):  # a string would be read digit by digit
+            raise MatroidInputError(f"the column of element {e} must be a list of entries")
         try:
             cols.append([Fraction(str(x)) for x in columns[e]])
         except (TypeError, ValueError, ZeroDivisionError) as exc:

@@ -1,20 +1,21 @@
 """Realizable oriented matroids: covectors, the underlying matroid, and the
 order embedding of the covector poset into the sphere representation.
 
-Only rational vector configurations are accepted as input; covectors are
-sign vectors over the ground set, given as tuples over {-1, 0, 1} in
-ground order.  Inside, each is one int sign mask over n elements: bit i
-when coordinate i is +, bit n+i when it is -.  The conformal order x <= y
-(every nonzero coordinate of x agrees with y) is then mask inclusion,
-x & ~y == 0, and the covectors vanishing on a set are those missing its
-bits in both halves.
+Only rational vector configurations are accepted as input.  A covector is a
+sign vector over the ground set, held as one int sign mask over its n
+elements: bit i when coordinate i is +, bit n+i when it is -, so the zero
+covector is 0.  The conformal order x <= y (every nonzero coordinate of x
+agrees with y) is then mask inclusion, x & ~y == 0; negation swaps the two
+halves; and the covectors vanishing on a set are those missing its bits in
+both halves.  ``render`` is the one way from a mask to text.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
+from operator import or_
 from typing import Iterable, Sequence
 
 from .lattice import (
@@ -30,26 +31,10 @@ from .spheres import FlagRepresentation, representation
 from . import topology
 from .topology import CoverFamily, Poset, SimplicialComplex
 
-Covector = tuple[int, ...]
 
-
-def sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-def neg(x: Covector) -> Covector:
-    return tuple(-a for a in x)
-
-
-def sign_mask(x: Covector) -> int:
-    """The sign mask of a covector: bit i for a + at i, bit n+i for a -."""
-    n = len(x)
-    return sum(1 << i if a > 0 else 1 << n + i for i, a in enumerate(x) if a)
-
-
-def sign_vector(mask: int, n: int) -> Covector:
-    """The covector of a sign mask over n elements."""
-    return tuple((mask >> i & 1) - (mask >> n + i & 1) for i in range(n))
+def neg(x: int, n: int) -> int:
+    """The negative of a sign mask over n elements: its two halves swapped."""
+    return x >> n | (x & (1 << n) - 1) << n
 
 
 def compose(x: int, y: int, n: int) -> int:
@@ -58,8 +43,9 @@ def compose(x: int, y: int, n: int) -> int:
     return x | y & ~(support | support << n)
 
 
-def render(x: Covector) -> str:
-    return "".join("+" if a > 0 else "-" if a < 0 else "0" for a in x)
+def render(x: int, n: int) -> str:
+    """The sign mask over n elements as text, one of +, - or 0 per element."""
+    return "".join("+" if x >> i & 1 else "-" if x >> n + i & 1 else "0" for i in range(n))
 
 
 class VectorConfig(Record):
@@ -87,48 +73,47 @@ def vector_config(columns: Sequence[Sequence], elements: Sequence[str] | None = 
 
 
 class CovectorSet(Record):
-    """Covectors of an oriented matroid as a set of sign vectors.
+    """Covectors of an oriented matroid, each a sign mask over the elements.
 
-    Includes the zero vector; cocircuits are the minimal nonzero members.
+    Includes the zero covector 0; cocircuits are the minimal nonzero members.
     """
 
     __slots__ = ("elements", "covectors", "cocircuits", "__dict__")
-    def __init__(self, elements: tuple[str, ...], covectors: frozenset, cocircuits: frozenset):
+    def __init__(self, elements: tuple[str, ...], covectors: frozenset[int], cocircuits: frozenset[int]):
         self._set(elements, covectors, cocircuits)
 
-    @property
-    def zero(self) -> Covector:
-        return (0,) * len(self.elements)
+    def nonzero(self) -> list[int]:
+        return sorted(self.covectors - {0})
 
-    def nonzero(self) -> list[Covector]:
-        return sorted(x for x in self.covectors if x != self.zero)
-
-    @cached_property
-    def masks(self) -> dict[Covector, int]:
-        """The sign mask of every covector."""
-        return {x: sign_mask(x) for x in self.covectors}
-
-    def zero_set(self, x: Covector) -> frozenset:
-        return frozenset(e for e, a in zip(self.elements, x) if a == 0)
+    def zero_set(self, x: int) -> frozenset:
+        """The elements outside the support of x."""
+        support = x | x >> len(self.elements)
+        return frozenset(e for i, e in enumerate(self.elements) if not support >> i & 1)
 
     @cached_property
     def zero_sets(self) -> frozenset:
         """The zero sets of the covectors: the flats of the underlying matroid."""
-        return frozenset(self.zero_set(x) for x in self.covectors)
+        return frozenset(map(self.zero_set, self.covectors))
+
+    @cached_property
+    def lattice(self) -> GeometricLattice:
+        """The underlying matroid: the lattice of zero sets, ordered by inclusion."""
+        return GeometricLattice(self.elements, self.zero_sets)
 
 
-def cocircuits_from_vectors(config: VectorConfig) -> frozenset:
+def cocircuits_from_vectors(config: VectorConfig) -> frozenset[int]:
     """Cocircuits of the configuration: one antipodal pair per coatom.
 
     For each corank-1 flat of the linear matroid, an exact rational normal
-    to the span of its columns produces the pair of sign vectors whose zero
-    set is that coatom.
+    to the span of its columns produces the pair of sign masks whose zero
+    set is that coatom, read off the signs of its dot products with the
+    columns.
     """
-    r = config.dimension
+    r, n = config.dimension, len(config.elements)
     if rank_q(config.columns) != r:
         raise MatroidInputError("vector configuration is rank-deficient")
-    lattice = underlying_from_config(config)
-    out: set[Covector] = set()
+    lattice = linear_matroid(config.columns, None, config.elements)
+    out: set[int] = set()
     for coatom in lattice.coatoms():
         rows = [config.column(e) for e in sorted(coatom)]
         basis = nullspace_q(rows, r) if rows else [
@@ -136,20 +121,20 @@ def cocircuits_from_vectors(config: VectorConfig) -> frozenset:
         ]
         if len(basis) != 1:
             raise MatroidInputError(f"coatom {sorted(coatom)} does not have a unique normal")
-        x = basis[0]
-        cocirc = tuple(sign(sum(a * b for a, b in zip(x, col))) for col in config.columns)
-        if frozenset(e for e, a in zip(config.elements, cocirc) if a == 0) != coatom:
+        dots = [sum(a * b for a, b in zip(basis[0], col)) for col in config.columns]
+        if frozenset(e for e, d in zip(config.elements, dots) if d == 0) != coatom:
             raise MatroidInputError("normal vanishes outside its coatom")
+        cocirc = sum(1 << i if d > 0 else 1 << n + i for i, d in enumerate(dots) if d)
         out.add(cocirc)
-        out.add(neg(cocirc))
+        out.add(neg(cocirc, n))
     return frozenset(out)
 
 
-def covector_span(elements: Sequence[str], cocircuits: Iterable[Covector]) -> CovectorSet:
+def covector_span(elements: Sequence[str], cocircuits: Iterable[int]) -> CovectorSet:
     """Smallest composition-closed set containing the cocircuits and zero.
 
-    Grown by x -> x o c with c a cocircuit only: O(|L| * |C|) compositions,
-    on sign masks.  The result Y lies in the span, each member being 0 or
+    Grown by x -> x o c with c a cocircuit only: O(|L| * |C|) compositions.
+    The result Y lies in the span, each member being 0 or
     c_1 o ... o c_k.  It is composition-closed: for x and
     y = c_1 o ... o c_k in Y, associativity gives
     x o y = (...(x o c_1) ...) o c_k, one cocircuit composed on the right
@@ -159,33 +144,23 @@ def covector_span(elements: Sequence[str], cocircuits: Iterable[Covector]) -> Co
     elements = tuple(str(e) for e in elements)
     n = len(elements)
     cocircuits = frozenset(cocircuits)
-    steps = [sign_mask(c) for c in cocircuits]
-    found = set(steps) | {0}
+    found = set(cocircuits) | {0}
     queue = list(found)
     for x in queue:  # grows while it is read
-        for c in steps:
+        for c in cocircuits:
             z = compose(x, c, n)
             if z not in found:
                 found.add(z)
                 queue.append(z)
-    return CovectorSet(elements, frozenset(sign_vector(m, n) for m in found), cocircuits)
+    return CovectorSet(elements, frozenset(found), cocircuits)
 
 
 def covectors_from_vectors(config: VectorConfig) -> CovectorSet:
     return covector_span(config.elements, cocircuits_from_vectors(config))
 
 
-def underlying_from_config(config: VectorConfig) -> GeometricLattice:
-    return linear_matroid(config.columns, None, config.elements)
-
-
-def underlying_matroid(cs: CovectorSet) -> GeometricLattice:
-    """Lattice of covector zero sets, ordered by inclusion."""
-    return GeometricLattice(cs.elements, cs.zero_sets)
-
-
-def covector_flat(cs: CovectorSet, flat: Iterable[str]) -> list[Covector]:
-    """Covectors vanishing on the flat (the zero vector included): those
+def covector_flat(cs: CovectorSet, flat: Iterable[str]) -> list[int]:
+    """Covectors vanishing on the flat (the zero covector included): those
     whose sign mask misses the flat's bits in both halves."""
     f = frozenset(str(e) for e in flat)
     if f not in cs.zero_sets:
@@ -193,7 +168,7 @@ def covector_flat(cs: CovectorSet, flat: Iterable[str]) -> list[Covector]:
     n = len(cs.elements)
     on_flat = sum(1 << i for i, e in enumerate(cs.elements) if e in f)
     on_flat |= on_flat << n
-    return sorted(x for x, m in cs.masks.items() if not m & on_flat)
+    return sorted(x for x in cs.covectors if not x & on_flat)
 
 
 # -- the embedding ------------------------------------------------------------
@@ -204,8 +179,10 @@ class Embedding(Record):
 
     pivots[i] is an element of flag[i+1] - flag[i]; a cocircuit lands on the
     signed vertex of its zero-set coatom, with the sign it takes on the
-    first pivot it does not annihilate.  The image table and each flat's
-    poset and order complex are computed once and shared by every check.
+    first pivot it does not annihilate.  The pivots span the matroid, so no
+    nonzero covector vanishes on all of them.  The image table and each
+    flat's poset and order complex are computed once and shared by every
+    check.
     """
 
     __slots__ = ("cs", "lattice", "flag", "rep", "pivots", "__dict__")
@@ -214,44 +191,35 @@ class Embedding(Record):
         self._set(cs, lattice, flag, rep, pivots)
         vars(self).update(_posets={}, _deltas={})  # caches, not fields
 
-    @property
-    def pivot_positions(self) -> tuple[int, ...]:
-        return tuple(self.cs.elements.index(p) for p in self.pivots)
-
-    def first_pivot(self, x: Covector) -> int:
-        for i, pos in enumerate(self.pivot_positions):
-            if x[pos] != 0:
-                return i
-        raise ValueError("covector vanishes on every pivot")
-
     @cached_property
-    def images(self) -> dict[Covector, frozenset]:
-        """Image face in S_bottom of every nonzero covector: the signed
-        vertices of the cocircuits below it."""
-        masks = self.cs.masks
+    def images(self) -> dict[int, int]:
+        """Image face in S_bottom of every nonzero covector, as a signed-vertex
+        mask: the OR of 1 << v over the vertices v of the cocircuits below it."""
+        cs, n = self.cs, len(self.cs.elements)
+        pivots = [cs.elements.index(p) for p in self.pivots]
         signed = {}
-        for c in self.cs.cocircuits:
-            s = "+" if c[self.pivot_positions[self.first_pivot(c)]] > 0 else "-"
-            signed[masks[c]] = self.rep.vertex(self.cs.zero_set(c), s)
+        for c in cs.cocircuits:
+            first = next(p for p in pivots if (c | c >> n) >> p & 1)
+            signed[c] = 1 << self.rep.vertex(cs.zero_set(c), "+" if c >> first & 1 else "-")
         return {
-            x: frozenset(v for c, v in signed.items() if c & ~masks[x] == 0)
-            for x in self.cs.nonzero()
+            x: reduce(or_, (v for c, v in signed.items() if c & ~x == 0), 0)
+            for x in cs.nonzero()
         }
 
-    def iota(self, x: Covector) -> frozenset:
-        """Image face in S_bottom of a nonzero covector."""
-        if x == self.cs.zero:
+    def iota(self, x: int) -> int:
+        """Image face in S_bottom of a nonzero covector, as a signed-vertex mask."""
+        if not x:
             raise ValueError("the zero covector has no image")
         return self.images[x]
 
     def poset(self, flat: frozenset) -> Poset:
         """L_G: the nonzero covectors vanishing on the flat, under the
-        conformal order read off their sign masks; built on the first call
-        for a flat and cached."""
+        conformal order, each its own mask; built on the first call for a
+        flat and cached."""
         flat = frozenset(flat)
         if flat not in self._posets:
-            covs = [x for x in covector_flat(self.cs, flat) if x != self.cs.zero]
-            self._posets[flat] = Poset(covs, [self.cs.masks[x] for x in covs])
+            covs = covector_flat(self.cs, flat)[1:]  # 0 sorts first
+            self._posets[flat] = Poset(covs, covs)
         return self._posets[flat]
 
     def delta(self, flat: frozenset) -> SimplicialComplex:
@@ -270,7 +238,7 @@ def build_embedding(
 ) -> Embedding:
     """The embedding of the covectors over their underlying matroid, by the
     default flag and pivots unless these are given."""
-    lattice = underlying_matroid(cs)
+    lattice = cs.lattice
     if flag is None:
         flag = default_flag(lattice)
     if pivots is None:
@@ -324,26 +292,25 @@ def verify_embedding(emb: Embedding) -> ValidationReport:
     """
     rep = ValidationReport()
     cs, lattice, fr = emb.cs, emb.lattice, emb.rep
-    nonzero = cs.nonzero()
     images = emb.images
 
     rep.extend(pivots_check(emb), prefix="pivots/")
 
-    masks = {x: fr.mask(face) for x, face in images.items()}
-    signs_agree = all(map(fr.is_face, masks.values()))
+    signs_agree = all(map(fr.is_face, images.values()))
     faces = fr.join_holds and signs_agree  # every image is a face of S_bottom
-    well = all(m & ~fr.masks[cs.zero_set(x)] == 0 for x, m in masks.items())
+    well = all(m & ~fr.masks[cs.zero_set(x)] == 0 for x, m in images.items())
     rep.add("well-defined", faces and well, "every image is a face of S over the zero set")
     rep.add("block-signs-agree", signs_agree)
 
-    rep.add("injective", len(set(images.values())) == len(nonzero))
-    order_ok = all(images[x] <= images[y] for x, y in emb.poset(lattice.bottom).cover_pairs())
+    rep.add("injective", len(set(images.values())) == len(images))
+    order_ok = all(images[x] & ~images[y] == 0 for x, y in emb.poset(lattice.bottom).cover_pairs())
     rep.add("order-preserving", order_ok)
 
-    into = all(masks[x] & ~fr.masks[g] == 0 for g in lattice.flats for x in emb.delta(g).vertices)
+    into = all(images[x] & ~fr.masks[g] == 0 for g in lattice.flats for x in emb.poset(g).elements)
     rep.add("covector-flats-into-spheres", faces and into)
 
-    rep.add("z2-equivariant", all(masks[neg(x)] == fr.swap(masks[x]) for x in nonzero))
+    n = len(cs.elements)
+    rep.add("z2-equivariant", all(images[neg(x, n)] == fr.swap(m) for x, m in images.items()))
 
     # the bottom flat's covectors are all of them, so its row is the ambient's;
     # S_G is read off the join certificate
@@ -361,32 +328,33 @@ def verify_embedding(emb: Embedding) -> ValidationReport:
 
 
 def build_covers(emb: Embedding, flat: Iterable[str]) -> tuple[CoverFamily, CoverFamily]:
-    """The paired covers of Delta(L_G) and of S_G, members as vertex sets.
+    """The paired covers of Delta(L_G) and of S_G, each member a mask over
+    its ambient's positions.
 
     One member per sign vector vec in {+,-}^r.  On the sphere side it is
     the maximal face sigma(vec, G) of S_G (empty for the top flat), on which
-    S_G induces the full simplex.  On the covector side it is A_vec, the
-    covectors over the flat whose image lies in sigma(vec, G), on which
-    Delta(L_G) induces the order complex of that subposet.  A_vec is the
-    pullback of the sphere side through the embedding, which makes the
-    carrier hypotheses hold; on cocircuits it is the first-pivot sign rule.
-    The covector side carries the poset L_G, whose beat points certify the
-    intersections of its members.
+    S_G induces the full simplex; S_G's positions are the signed vertices,
+    so the member is sigma's vertex mask itself.  On the covector side it is
+    A_vec, the covectors over the flat whose image lies in sigma(vec, G), on
+    which Delta(L_G) induces the order complex of that subposet; Delta(L_G)
+    holds each element of L_G at its poset position, so the member is a
+    mask over those.  A_vec is the pullback of the sphere side through the
+    embedding, which makes the carrier hypotheses hold; on cocircuits it is
+    the first-pivot sign rule.  The covector side carries the poset L_G,
+    whose beat points certify the intersections of its members.
     """
     flat = frozenset(str(e) for e in flat)
-    ambient = emb.delta(flat)
+    poset = emb.poset(flat)
     carriers = {
         tuple("+" if s > 0 else "-" for s in vec): emb.rep.sigma(vec, flat)
         for vec in product((1, -1), repeat=emb.lattice.r)
     }
-    members: dict[tuple, list] = {key: [] for key in carriers}
-    for x in ambient.vertices:
+    members = dict.fromkeys(carriers, 0)
+    for i, x in enumerate(poset.elements):
         image = emb.images[x]
         for key, carrier in carriers.items():
-            if image <= carrier:
-                members[key].append(x)
-    a_cover = CoverFamily(
-        ambient, tuple((k, frozenset(m)) for k, m in members.items()), emb.poset(flat)
-    )
+            if image & ~carrier == 0:
+                members[key] |= 1 << i
+    a_cover = CoverFamily(emb.delta(flat), tuple(members.items()), poset)
     b_cover = CoverFamily(emb.rep.build(flat), tuple(carriers.items()))
     return a_cover, b_cover

@@ -105,11 +105,12 @@ class FlagRepresentation:
 
     # -- construction ----------------------------------------------------------
 
-    def sigma(self, vector: tuple[int, ...], flat: frozenset) -> frozenset:
-        """The face of S_G selected by a sign vector over the blocks: block
-        i's coatoms above G signed by vector[i], blocks with 0 left out."""
+    def sigma(self, vector: tuple[int, ...], flat: frozenset) -> int:
+        """The face of S_G selected by a sign vector over the blocks, as a
+        vertex mask: block i's coatoms above G signed by vector[i], blocks
+        with 0 left out."""
         v = self.over(flat)
-        return frozenset(topology._bits(sum(h[s < 0] & v for s, h in zip(vector, self.halves) if s)))
+        return sum(h[s < 0] & v for s, h in zip(vector, self.halves) if s)
 
     def build(self, flat: frozenset) -> SimplicialComplex:
         """S_G, constructed on the first call for a flat and cached."""

@@ -20,16 +20,16 @@ A complex holds its faces as int masks over positions in its vertex tuple,
 so restricting, intersecting and comparing are int operations; label faces
 are built only at the JSON boundary (``label_masker`` makes masks of them).
 
-A cover (``CoverFamily``) gives each member by its vertex set in one
-ambient, standing for the induced subcomplex; induced subcomplexes meet in
-the one induced on the meet of their sets, so ``carrier_check`` intersects
-vertex sets and certifies each distinct intersection once.  Where the
-cover carries the poset of its ambient, beat points are removed until one
-element is left, a strong collapse of the order complex (Stong, 1966;
-Barmak and Minian, 2012), so a homotopy certificate; otherwise a set that
-is a face of the ambient induces a full simplex.  Only an intersection
-that neither certifies has the ambient restricted to it and its homology
-computed.
+A cover (``CoverFamily``) gives each member by its vertex mask over one
+ambient's positions, standing for the induced subcomplex; induced
+subcomplexes meet in the one induced on the AND of their masks, so
+``carrier_check`` intersects masks and certifies each distinct
+intersection once.  Where the cover carries the poset of its ambient, beat
+points are removed until one element is left, a strong collapse of the
+order complex (Stong, 1966; Barmak and Minian, 2012), so a homotopy
+certificate; otherwise a set that is a face of the ambient induces a full
+simplex.  Only an intersection that neither certifies has the ambient
+restricted to it and its homology computed.
 """
 
 from __future__ import annotations
@@ -546,15 +546,15 @@ def is_homology_point(complex_: SimplicialComplex) -> bool:
 class CoverFamily(Record):
     """Indexed family of induced subcomplexes of one ambient complex.
 
-    Each member is given by a set of ambient vertices and stands for the
-    ambient restricted to that set.  A poset, when given, is one whose
-    order complex is the ambient: the complex induced on a vertex set is
-    then the order complex of the subposet on it.
+    Each member is given by an int mask over the ambient's positions and
+    stands for the ambient restricted to it.  A poset, when given, is one
+    whose order complex is the ambient: the complex induced on a mask is
+    then the order complex of the subposet on its vertices.
     """
 
     __slots__ = ("ambient", "members", "poset")
     def __init__(self, ambient: SimplicialComplex,
-                 members: tuple[tuple[Hashable, frozenset], ...], poset: Poset | None = None):
+                 members: tuple[tuple[Hashable, int], ...], poset: Poset | None = None):
         self._set(ambient, members, poset)
 
 
@@ -634,15 +634,17 @@ def carrier_check(
 ) -> ValidationReport:
     """Check the nerve-carrier hypotheses for a map between covered complexes.
 
-    vertex_images sends each source vertex to a face of the target (an
-    ordinary simplicial map is v -> {f(v)}).  Hypotheses: both families
-    cover their ambient complexes; every nonempty intersection of members
-    is a homology point; a subset of indices has nonempty intersection on
-    one side iff it does on the other; the image of each A_i lies in B_i.
-    Every index subset is covered, for any number of members, without
-    enumerating subsets: the two nerves agree exactly when their maximal
-    vertex stars agree (Dowker), and each distinct nonempty intersection is
-    found once, on vertex sets, and tested once.  Its induced subcomplex is
+    vertex_images sends each vertex of the A ambient to a face of the B
+    ambient, a mask over its positions (an ordinary simplicial map sends v
+    to the bit of f(v)); members are masks, as ``CoverFamily`` holds them.
+    Hypotheses: both families cover their ambient complexes; every
+    nonempty intersection of members is a homology point; a subset of
+    indices has nonempty intersection on one side iff it does on the
+    other; the image of each A_i lies in B_i.  Every index subset is
+    covered, for any number of members, without enumerating subsets: the
+    two nerves agree exactly when their maximal vertex stars agree
+    (Dowker), and each distinct nonempty intersection is found once, as an
+    AND of member masks, and tested once.  Its induced subcomplex is
     certified contractible by beat points where the cover carries its
     poset, or is a full simplex where the set is a face of the ambient;
     only where neither holds is the ambient restricted to the set and its
@@ -656,9 +658,7 @@ def carrier_check(
     a_amb, b_amb = a_cover.ambient, b_cover.ambient
     keys = sorted(a_map, key=_generic_key)
     n = len(keys)
-    # member sets as masks over their ambient's positions, read as label sets
-    a_mask, b_mask = label_masker(a_amb.vertices), label_masker(b_amb.vertices)
-    a_sets, b_sets = [a_mask(a_map[k]) for k in keys], [b_mask(b_map[k]) for k in keys]
+    a_sets, b_sets = [a_map[k] for k in keys], [b_map[k] for k in keys]
     rep.add("covering", all(any(m & ~s == 0 for s in sets) for amb, sets in ((a_amb, a_sets), (b_amb, b_sets))
                             for m in amb.maximal_faces))
     rep.add("subset-bound", True, f"subsets up to size {n} of {n}")
@@ -705,7 +705,7 @@ def carrier_check(
     # ambient, and the test is closed under subsets, so M & a stands for it;
     # where b is a face, so is each subset, and the image of a stands for all
     on_a, held = (1 << len(a_amb.vertices)) - 1, reduce(or_, a_sets, 0)
-    image_of = [b_mask(vertex_images[v]) if held >> i & 1 else 0 for i, v in enumerate(a_amb.vertices)]
+    image_of = [vertex_images[v] if held >> i & 1 else 0 for i, v in enumerate(a_amb.vertices)]
 
     def images(a: int, b: int) -> set:
         faces = [a & on_a] if b_amb.has_face(b) else {m & a for m in a_amb.maximal_faces}

@@ -5,11 +5,13 @@ from pathlib import Path
 import pytest
 
 from matroid_spheres import (
+    CoverFamily,
     Flag,
     GeometricLattice,
     MatroidInputError,
     Poset,
     SimplicialComplex,
+    is_homology_point,
     lattice_from_flats,
     load_matroid,
     make_flag,
@@ -20,12 +22,15 @@ from matroid_spheres import (
     vector_config,
 )
 from matroid_spheres.maps import CrossSelection, RetractDescriptor, SearchCapExceeded, SearchResult, SelectionError
+from matroid_spheres.linalg import nullspace_q, rank_q
 from matroid_spheres.report import ValidationReport
 from matroid_spheres.spheres import _unions, representation
 from matroid_spheres.topology import (
     HomologyProfile,
     _generic_key,
+    _maximal_masks,
     cross_polytope_nerve_iso,
+    label_masker,
     smith_invariant_factors,
 )
 
@@ -309,16 +314,106 @@ def beat_points_oracle(poset, members):
     return left != 0 and not left & (left - 1)
 
 
+def label_cover(ambient, members, poset=None):
+    """A ``CoverFamily`` of members given as (key, label set) pairs, each
+    masked over the ambient's positions by ``label_masker``."""
+    mask = label_masker(ambient.vertices)
+    return CoverFamily(ambient, tuple((k, mask(m)) for k, m in members), poset)
+
+
+def image_masks(images, ambient):
+    """Each vertex image, a set of labels, as a mask over the ambient's
+    positions by ``label_masker``: a label that is no vertex gets a bit of
+    its own past the end."""
+    mask = label_masker(ambient.vertices)
+    return {v: mask(face) for v, face in images.items()}
+
+
+def member_labels(cover):
+    """The members as a dict from key to label set."""
+    return {k: face_labels(cover.ambient, m) for k, m in cover.members}
+
+
 def maps_into_carrier_oracle(vertex_images, a_cover, b_cover):
     """``carrier_check``'s maps-into-carrier by restricting the A-ambient to
-    each member and mapping every maximal face of the restriction."""
-    b_map, a_amb, b_amb = dict(b_cover.members), frozen(a_cover.ambient), frozen(b_cover.ambient)
-    for key, a in a_cover.members:
+    each member and mapping every maximal face of the restriction, on
+    label sets; each image is a set of B labels."""
+    b_map, a_amb, b_amb = member_labels(b_cover), frozen(a_cover.ambient), frozen(b_cover.ambient)
+    for key, a in member_labels(a_cover).items():
         for m in a_amb.restrict(a).maximal_faces if a else ():
             image = frozenset().union(*[frozenset(vertex_images[v]) for v in m])
             if not (image <= b_map[key] and b_amb.has_face(image)):
                 return False
     return True
+
+
+def complex_intersections(members):
+    """Each distinct nonempty intersection of member complexes, each a
+    ``FrozenComplex``, by meets of maximal faces, with the index bitmask of
+    one family meeting in it."""
+    found = {}
+    for i, m in enumerate(members):
+        if not m.is_empty:
+            found.setdefault(m, 1 << i)
+    queue = list(found)
+    for x in queue:
+        verts = set(x.vertices)
+        for i, m in enumerate(members):
+            if found[x] >> i & 1 or verts.isdisjoint(m.vertices):
+                continue
+            y = x.intersection(m)
+            if y not in found:
+                found[y] = found[x] | 1 << i
+                queue.append(y)
+    return found
+
+
+def carrier_report_oracle(a_ambient, a_map, b_ambient, b_map, images):
+    """Each ``carrier_check`` line's (passed, detail) on the complex-based
+    route: each member its own complex (keyed alike in a_map and b_map),
+    intersections by ``complex_intersections``, and the images as sets of
+    B labels by A label, every complex on label faces."""
+    keys = sorted(a_map, key=_generic_key)
+    a, b = [frozen(a_map[k]) for k in keys], [frozen(b_map[k]) for k in keys]
+
+    def covers(ambient, members):
+        return FrozenComplex([f for m in members for f in m.maximal_faces]) == frozen(ambient)
+
+    def stars(members):  # each vertex's members, by position
+        out = {}
+        for i, m in enumerate(members):
+            for v in m.vertices:
+                out[v] = out.get(v, 0) | 1 << i
+        return set(out.values())
+
+    def subset(mask):
+        return [keys[i] for i in range(len(keys)) if mask >> i & 1]
+
+    detail = ""
+    for side, members in (("A", a), ("B", b)):
+        bad = next((w for x, w in complex_intersections(members).items()
+                    if not is_homology_point(complex_of(x.maximal_faces))), None)
+        if bad is not None:
+            detail = f"{side}-intersection over {subset(bad)} is not a homology point"
+            break
+    tops_a = _maximal_masks(stars(a))
+    tops_b = _maximal_masks(stars(b))
+    differ = [m for tops, other in ((tops_a, tops_b), (tops_b, tops_a))
+              for m in sorted(tops) if not any(m & ~t == 0 for t in other)]
+    maps_into = all(
+        y.has_face(frozenset().union(*[frozenset(images[v]) for v in m]))
+        for x, y in zip(a, b)
+        for m in x.maximal_faces
+    )
+    n = len(keys)
+    return {
+        "covering": (covers(a_ambient, a) and covers(b_ambient, b), ""),
+        "subset-bound": (True, f"subsets up to size {n} of {n}"),
+        "intersections-contractible": (not detail, detail),
+        "nonemptiness-equivalence": (
+            not differ, f"nonemptiness differs on {subset(differ[0])}" if differ else ""),
+        "maps-into-carrier": (maps_into, ""),
+    }
 
 
 def cross_polytope_complex(lattice, coatoms):
@@ -401,20 +496,25 @@ def z2_free_check(complex_, involution):
     return True
 
 
-def embedding_face_lines_oracle(emb):
+def embedding_face_lines_oracle(emb, images=None):
     """``verify_embedding``'s well-defined, block-signs-agree and
     covector-flats-into-spheres by building every S_G and scanning its
-    maximal faces, with the signs of each image grouped by block."""
+    maximal faces, with the signs of each image grouped by block.  The
+    images are sets of signed vertices by covector tuple, read off the
+    embedding's sign masks unless given."""
     rep, cs = emb.rep, emb.cs
-    well = all(frozen(rep.build(cs.zero_set(x))).has_face(face) for x, face in emb.images.items())
+    if images is None:
+        images = {sign_vector(x, len(cs.elements)): mask_vertices(m) for x, m in emb.images.items()}
+    well = all(frozen(rep.build(zero_set_oracle(cs.elements, x))).has_face(face)
+               for x, face in images.items())
     same_sign, block, label = True, part_of(rep), coatom_sign(emb.lattice)
-    for face in emb.images.values():
+    for face in images.values():
         by_part = {}
         for coatom, sign in map(label.__getitem__, face):
             by_part.setdefault(block[coatom], set()).add(sign)
         same_sign = same_sign and all(len(s) == 1 for s in by_part.values())
-    into = all(frozen(rep.build(g)).has_face(emb.images[x])
-               for g in emb.lattice.flats for x in emb.delta(g).vertices)
+    into = all(frozen(rep.build(g)).has_face(images[x])
+               for g in emb.lattice.flats for x in covector_flat_oracle(cs, g) if any(x))
     return {"well-defined": well, "block-signs-agree": same_sign, "covector-flats-into-spheres": into}
 
 
@@ -584,10 +684,149 @@ def cross_coatom_search_oracle(rep_f, rep_g):
     return CrossSelection(coatoms, tuple(chosen[i] for i in range(r)))
 
 
+# -- covectors as sign-vector tuples: the package's former form ---------------------
+
+
+def sign_mask(x):
+    """The sign mask of a sign-vector tuple: bit i for a + at i, bit n+i
+    for a -."""
+    n = len(x)
+    return sum(1 << i if a > 0 else 1 << n + i for i, a in enumerate(x) if a)
+
+
+def sign_vector(mask, n):
+    """The sign-vector tuple of a sign mask over n elements."""
+    return tuple((mask >> i & 1) - (mask >> n + i & 1) for i in range(n))
+
+
 def cov_leq(x, y):
     """Conformal order on sign-vector tuples: every nonzero coordinate of x
     agrees with y.  Oracle for the sign-mask order."""
     return all(a == 0 or a == b for a, b in zip(x, y))
+
+
+def compose_signs(x, y):
+    """x with y filling in the zero coordinates, on tuples."""
+    return tuple(a if a != 0 else b for a, b in zip(x, y))
+
+
+def neg_signs(x):
+    return tuple(-a for a in x)
+
+
+def zero_set_oracle(elements, x):
+    """The elements where the tuple x vanishes."""
+    return frozenset(e for e, a in zip(elements, x) if a == 0)
+
+
+def cocircuits_oracle(config):
+    """Cocircuits as tuples, by brute force: for every r - 1 independent
+    columns, the signs of the columns' dot products with the normal to
+    their span, and the negatives.  Oracle for ``cocircuits_from_vectors``."""
+    r, out = config.dimension, set()
+    for rows in combinations(config.columns, r - 1):
+        if rows and rank_q(rows) != r - 1:
+            continue
+        normal = nullspace_q(rows, r)[0] if rows else (1,)
+        x = tuple((d > 0) - (d < 0) for d in (sum(a * b for a, b in zip(normal, col))
+                                              for col in config.columns))
+        out |= {x, neg_signs(x)}
+    return frozenset(out)
+
+
+def span_oracle(elements, cocircuits):
+    """Close the cocircuits and zero under composition of every ordered
+    pair of members, round after round.  Oracle for ``covector_span``."""
+    covectors = set(cocircuits) | {(0,) * len(elements)}
+    frontier = set(covectors)
+    while frontier:
+        fresh = {
+            z
+            for x in frontier
+            for y in covectors
+            for z in (compose_signs(x, y), compose_signs(y, x))
+            if z not in covectors
+        }
+        covectors |= fresh
+        frontier = fresh
+    return frozenset(covectors)
+
+
+def tuples(cs, masks):
+    """Sign masks over the covector set's elements as tuples."""
+    return [sign_vector(x, len(cs.elements)) for x in masks]
+
+
+def covector_flat_oracle(cs, flat):
+    """The covector tuples vanishing on every element of the flat."""
+    return sorted(x for x in tuples(cs, cs.covectors) if flat <= zero_set_oracle(cs.elements, x))
+
+
+def images_oracle(emb):
+    """Each nonzero covector tuple's image, a set of signed vertices: each
+    cocircuit's vertex by the sign it takes on its first nonzero pivot, and
+    every covector the union over the cocircuits conformally below it.
+    Oracle for ``Embedding.images``."""
+    cs = emb.cs
+    pivots = [cs.elements.index(p) for p in emb.pivots]
+    vertex = {}
+    for c in tuples(cs, cs.cocircuits):
+        first = next(c[p] for p in pivots if c[p])
+        vertex[c] = emb.rep.vertex(zero_set_oracle(cs.elements, c), "+" if first > 0 else "-")
+    return {x: frozenset(v for c, v in vertex.items() if cov_leq(c, x))
+            for x in tuples(cs, cs.covectors) if any(x)}
+
+
+def sigma_oracle(emb, vec, flat):
+    """sigma(vec, G) vertex by vertex: each block's coatoms above the flat,
+    signed by vec.  Oracle for ``FlagRepresentation.sigma``."""
+    blocks = [[c for c in b if flat <= c] for b in blocks_oracle(emb.lattice, emb.flag)]
+    return face_oracle(emb.lattice, vec, blocks)
+
+
+def build_covers_oracle(emb, flat):
+    """The paired cover members as label sets by key: A_vec the nonzero
+    covector tuples over the flat whose oracle image lies in sigma(vec, G),
+    B_vec the vertices of sigma(vec, G).  Oracle for ``build_covers``."""
+    images = images_oracle(emb)
+    covs = [x for x in covector_flat_oracle(emb.cs, flat) if any(x)]
+    a_members, b_members = {}, {}
+    for vec in product((1, -1), repeat=emb.lattice.r):
+        key = tuple("+" if s > 0 else "-" for s in vec)
+        b_members[key] = sigma_oracle(emb, vec, flat)
+        a_members[key] = frozenset(x for x in covs if images[x] <= b_members[key])
+    return a_members, b_members
+
+
+def verify_embedding_oracle(emb):
+    """``verify_embedding``'s report on tuples and vertex sets: the images
+    by ``images_oracle``, every pair x < y compared, each image built into
+    its S_G as a complex, and each Delta(L_G) by ``delta_complex``.  Oracle
+    for ``verify_embedding``."""
+    rep, cs, lattice, fr = ValidationReport(), emb.cs, emb.lattice, emb.rep
+    images = images_oracle(emb)
+    cocircuits = tuples(cs, cs.cocircuits)
+    for i in range(lattice.r + 1):
+        zero_sets = {zero_set_oracle(cs.elements, c) for c in cocircuits}
+        rep.add(f"pivots/coatoms@{i}", {z for z in zero_sets if set(emb.pivots[:i]) <= z}
+                == set(lattice.coat_above(emb.flag[i])))
+    lines = embedding_face_lines_oracle(emb, images)
+    rep.add("well-defined", lines["well-defined"], "every image is a face of S over the zero set")
+    rep.add("block-signs-agree", lines["block-signs-agree"])
+    rep.add("injective", len(set(images.values())) == len(images))
+    rep.add("order-preserving", all(images[x] <= images[y] for x in images for y in images
+                                    if cov_leq(x, y)))
+    rep.add("covector-flats-into-spheres", lines["covector-flats-into-spheres"])
+    rep.add("z2-equivariant", all(images[neg_signs(x)] == frozenset(map(swap_sign, face))
+                                  for x, face in images.items()))
+    homology = {}
+    for g in lattice.flats:
+        delta = delta_complex([x for x in covector_flat_oracle(cs, g) if any(x)])
+        homology[g] = (reduced_homology(delta) == sphere_profile(lattice.corank(g) - 1)
+                       and is_homology_sphere(fr.build(g), lattice.corank(g) - 1))
+    rep.add("homology-ambient", homology[lattice.bottom])
+    rep.add("homology-per-flat", all(homology.values()))
+    return rep
 
 
 def poset_by_leq(elements, leq):
@@ -601,10 +840,13 @@ def poset_by_leq(elements, leq):
     return Poset(elements, below)
 
 
-def delta_complex(covectors):
-    """Order complex of sign-vector tuples under the conformal order,
-    compared pair by pair.  Oracle for ``Embedding.delta``."""
-    return order_complex(poset_by_leq(sorted(covectors), cov_leq))
+def delta_complex(covectors, n=None):
+    """Order complex of covectors under the conformal order, compared pair
+    by pair on sign-vector tuples: the covectors are tuples, or sign masks
+    over n elements.  Oracle for ``Embedding.delta``."""
+    def signs(x):
+        return x if n is None else sign_vector(x, n)
+    return order_complex(poset_by_leq(sorted(covectors), lambda x, y: cov_leq(signs(x), signs(y))))
 
 
 def boolean_matroid(elements):

@@ -1,10 +1,10 @@
 """`om embed`'s carrier certificate against the route it replaced.
 
-The library gives each cover member by its vertex set in one ambient and
-intersects vertex sets.  The oracle here is the complex-based route: every
-member built as its own complex (the order complex of A_vec, the full
-simplex on sigma(vec, G)), intersections taken pairwise by maximal-face
-meets.  The two must give the same report on every flat, also when the
+The library gives each cover member by its vertex mask over one
+ambient's positions and intersects masks.  The oracle here is the
+complex-based route: every member built as its own complex (the order
+complex of A_vec, the full simplex on sigma(vec, G)), intersections taken
+pairwise by maximal-face meets.  The two must give the same report on every flat, also when the
 image map is mutated so that the certificate fails.
 """
 
@@ -15,22 +15,21 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from matroid_spheres import (
-    CoverFamily,
     build_covers,
     build_embedding,
     carrier_check,
     covector_flat,
     covectors_from_vectors,
-    is_homology_point,
     vector_config,
     verify_embedding,
 )
 from matroid_spheres.linalg import rank_q
 from matroid_spheres.oriented import Embedding, neg
-from matroid_spheres.topology import _generic_key, _maximal_masks, full_simplex
+from matroid_spheres.topology import _bits, full_simplex
 from matroid_spheres.jsonio import load_vector_config_file
-from conftest import FrozenComplex, complex_of, frozen
+from conftest import complex_of, mask_vertices
 from conftest import DATA, cov_leq, delta_complex, embedding_face_lines_oracle, maps_into_carrier_oracle
+from conftest import carrier_report_oracle, image_masks, label_cover, sign_vector
 
 DERANDOMIZED = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -46,85 +45,23 @@ EMBED_LADDER = {
 # -- the oracle: member complexes, pairwise meets --------------------------------
 
 
-def complex_intersections(members):
-    """Each distinct nonempty intersection of member complexes, each a
-    ``FrozenComplex``, by meets of maximal faces, with the index bitmask of
-    one family meeting in it."""
-    found = {}
-    for i, m in enumerate(members):
-        if not m.is_empty:
-            found.setdefault(m, 1 << i)
-    queue = list(found)
-    for x in queue:
-        verts = set(x.vertices)
-        for i, m in enumerate(members):
-            if found[x] >> i & 1 or verts.isdisjoint(m.vertices):
-                continue
-            y = x.intersection(m)
-            if y not in found:
-                found[y] = found[x] | 1 << i
-                queue.append(y)
-    return found
-
-
 def complex_covers(emb, flat):
     """(A ambient, A members, B ambient, B members), each member its own
-    complex, built from the embedding's image table."""
-    covs = [x for x in covector_flat(emb.cs, flat) if x != emb.cs.zero]
+    complex, built from the embedding's image table read as vertex sets."""
+    n = len(emb.cs.elements)
+    covs = covector_flat(emb.cs, flat)[1:]
     a_members, b_members = {}, {}
     for vec in product((1, -1), repeat=emb.lattice.r):
         key = tuple("+" if s > 0 else "-" for s in vec)
-        carrier = emb.rep.sigma(vec, flat)
-        a_members[key] = delta_complex([x for x in covs if emb.images[x] <= carrier])
+        carrier = mask_vertices(emb.rep.sigma(vec, flat))
+        a_members[key] = delta_complex([x for x in covs if mask_vertices(emb.images[x]) <= carrier], n)
         b_members[key] = full_simplex(carrier)
-    return delta_complex(covs), a_members, emb.rep.build(flat), b_members
+    return delta_complex(covs, n), a_members, emb.rep.build(flat), b_members
 
 
 def complex_carrier_report(emb, flat):
-    """Each carrier check's (passed, detail) on the complex-based route,
-    every complex on label faces."""
-    a_ambient, a_map, b_ambient, b_map = complex_covers(emb, flat)
-    keys = sorted(a_map, key=_generic_key)
-    a, b = [frozen(a_map[k]) for k in keys], [frozen(b_map[k]) for k in keys]
-
-    def covers(ambient, members):
-        return FrozenComplex([f for m in members for f in m.maximal_faces]) == frozen(ambient)
-
-    def stars(members):  # each vertex's members, by position
-        out = {}
-        for i, m in enumerate(members):
-            for v in m.vertices:
-                out[v] = out.get(v, 0) | 1 << i
-        return set(out.values())
-
-    def subset(mask):
-        return [keys[i] for i in range(len(keys)) if mask >> i & 1]
-
-    detail = ""
-    for side, members in (("A", a), ("B", b)):
-        bad = next((w for x, w in complex_intersections(members).items()
-                    if not is_homology_point(complex_of(x.maximal_faces))), None)
-        if bad is not None:
-            detail = f"{side}-intersection over {subset(bad)} is not a homology point"
-            break
-    tops_a = _maximal_masks(stars(a))
-    tops_b = _maximal_masks(stars(b))
-    differ = [m for tops, other in ((tops_a, tops_b), (tops_b, tops_a))
-              for m in sorted(tops) if not any(m & ~t == 0 for t in other)]
-    maps_into = all(
-        y.has_face(frozenset().union(*[emb.images[v] for v in m]))
-        for x, y in zip(a, b)
-        for m in x.maximal_faces
-    )
-    n = len(keys)
-    return {
-        "covering": (covers(a_ambient, a) and covers(b_ambient, b), ""),
-        "subset-bound": (True, f"subsets up to size {n} of {n}"),
-        "intersections-contractible": (not detail, detail),
-        "nonemptiness-equivalence": (
-            not differ, f"nonemptiness differs on {subset(differ[0])}" if differ else ""),
-        "maps-into-carrier": (maps_into, ""),
-    }
+    """Each carrier check's (passed, detail) on the complex-based route."""
+    return carrier_report_oracle(*complex_covers(emb, flat), vertex_sets(emb.images))
 
 
 def library_carrier_report(emb, flat):
@@ -143,6 +80,12 @@ def ladder_embedding(name):
         cfg = vector_config(EMBED_LADDER[name])
         _EMBEDDINGS[name] = build_embedding(covectors_from_vectors(cfg))
     return _EMBEDDINGS[name]
+
+
+def vertex_sets(images):
+    """Each image mask as its set of signed vertices, which are the B
+    ambient's labels."""
+    return {x: mask_vertices(m) for x, m in images.items()}
 
 
 def with_images(emb, images):
@@ -167,22 +110,24 @@ def configurations(draw):
 @st.composite
 def mutations(draw, emb):
     """One to three changes to the image table: an image swapped for its
-    negative's, joined with another image, or truncated."""
+    negative's, joined with another image, or truncated to its lowest
+    vertices."""
     images = dict(emb.images)
     nonzero = emb.cs.nonzero()
+    n = len(emb.cs.elements)
     changes = []
     for _ in range(draw(st.integers(1, 3))):
         x = draw(st.sampled_from(nonzero))
         kind = draw(st.sampled_from(["negative", "union", "truncate"]))
         if kind == "negative":
-            images[x] = images[neg(x)]
+            images[x] = images[neg(x, n)]
         elif kind == "union":
             y = draw(st.sampled_from(nonzero))
             images[x] = images[x] | images[y]
             x = (x, y)
         else:
-            ordered = sorted(images[x])
-            images[x] = frozenset(ordered[: draw(st.integers(1, len(ordered)))])
+            ordered = list(_bits(images[x]))
+            images[x] = sum(1 << v for v in ordered[: draw(st.integers(1, len(ordered)))])
         changes.append((kind, x))
     return images, tuple(changes)
 
@@ -236,8 +181,8 @@ def test_mutated_image_maps_match_complex_route():
 
 def assert_deltas_match_pairwise_order(emb):
     for flat in emb.lattice.flats:
-        covs = [x for x in covector_flat(emb.cs, flat) if x != emb.cs.zero]
-        assert emb.delta(flat) == delta_complex(covs), sorted(flat)
+        covs = covector_flat(emb.cs, flat)[1:]
+        assert emb.delta(flat) == delta_complex(covs, len(emb.cs.elements)), sorted(flat)
         a_cover, _ = build_covers(emb, flat)
         assert a_cover.poset is emb.poset(flat)
 
@@ -261,9 +206,10 @@ def test_order_preserving_on_covers_matches_every_pair():
     def check(data):
         emb = ladder_embedding(data.draw(st.sampled_from(sorted(EMBED_LADDER))))
         images, _ = data.draw(mutations(emb))
-        nonzero = emb.cs.nonzero()
+        n = len(emb.cs.elements)
+        signs = {x: sign_vector(x, n) for x in emb.cs.nonzero()}
         every_pair = all(
-            images[x] <= images[y] for x in nonzero for y in nonzero if x != y and cov_leq(x, y)
+            images[x] & ~images[y] == 0 for x in signs for y in signs if x != y and cov_leq(signs[x], signs[y])
         )
         report = verify_embedding(with_images(emb, images))
         assert report["order-preserving"].passed == every_pair
@@ -311,7 +257,7 @@ def test_maps_into_carrier_matches_restrict_route(path):
     for flat in emb.lattice.flats:
         a_cover, b_cover = build_covers(emb, flat)
         line = carrier_check(emb.images, a_cover, b_cover)["maps-into-carrier"]
-        assert line.passed and maps_into_carrier_oracle(emb.images, a_cover, b_cover), sorted(flat)
+        assert line.passed and maps_into_carrier_oracle(vertex_sets(emb.images), a_cover, b_cover), sorted(flat)
 
 
 def test_maps_into_carrier_on_a_member_that_is_not_a_face():
@@ -320,12 +266,13 @@ def test_maps_into_carrier_on_a_member_that_is_not_a_face():
     # their union is no face, while the diagonal {0, 2} or a vertex outside
     # the member fails
     square = complex_of([[0, 1], [1, 2], [2, 3], [3, 0]])
-    a_cover = CoverFamily(complex_of([["x", "y"], ["y", "z"]]), (("k", frozenset("xyz")),))
-    b_cover = CoverFamily(square, (("k", frozenset({0, 1, 2})),))
+    a_cover = label_cover(complex_of([["x", "y"], ["y", "z"]]), (("k", "xyz"),))
+    b_cover = label_cover(square, (("k", {0, 1, 2}),))
     for images, expected in (({"x": {0}, "y": {1}, "z": {2}}, True),
                              ({"x": {0}, "y": {2}, "z": {1}}, False),
                              ({"x": {0}, "y": {1}, "z": {3}}, False)):
-        assert carrier_check(images, a_cover, b_cover)["maps-into-carrier"].passed is expected
+        passed = carrier_check(image_masks(images, square), a_cover, b_cover)["maps-into-carrier"].passed
+        assert passed is expected
         assert maps_into_carrier_oracle(images, a_cover, b_cover) is expected
 
 
@@ -343,7 +290,7 @@ def test_mutated_images_fail_both_maps_into_carrier_routes():
         images, _ = data.draw(mutations(emb))
         a_cover, b_cover = build_covers(emb, flat)
         passed = carrier_check(images, a_cover, b_cover)["maps-into-carrier"].passed
-        assert passed == maps_into_carrier_oracle(images, a_cover, b_cover)
+        assert passed == maps_into_carrier_oracle(vertex_sets(images), a_cover, b_cover)
         verdicts.append(passed)
 
     check()
@@ -352,7 +299,7 @@ def test_mutated_images_fail_both_maps_into_carrier_routes():
         emb = data_embedding(path)
         x = min(emb.cs.cocircuits)
         images = dict(emb.images)
-        images[x] = images[neg(x)]  # a cocircuit sent to its negative's vertex
+        images[x] = images[neg(x, len(emb.cs.elements))]  # a cocircuit sent to its negative's vertex
         a_cover, b_cover = build_covers(emb, emb.lattice.bottom)
         assert not carrier_check(images, a_cover, b_cover)["maps-into-carrier"].passed
-        assert not maps_into_carrier_oracle(images, a_cover, b_cover)
+        assert not maps_into_carrier_oracle(vertex_sets(images), a_cover, b_cover)

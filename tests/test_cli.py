@@ -10,12 +10,12 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from matroid_spheres import SimplicialComplex, build_covers, build_embedding, oriented, spheres
+from matroid_spheres import CoverFamily, SimplicialComplex, build_covers, build_embedding, oriented, spheres
 from matroid_spheres import topology
 from matroid_spheres.cli import main
 from matroid_spheres import MatroidInputError
 from matroid_spheres.jsonio import complex_from_json, load_vector_config_file
-from conftest import face_labels, frozen, used_vertices
+from conftest import face_labels, frozen, member_labels, used_vertices
 
 DATA = Path(__file__).parent / "data"
 
@@ -193,11 +193,11 @@ def test_om_embed_builds_each_complex_once(runner, monkeypatch, vectors):
         a_cover, b_cover = build_covers(emb, flat)
         a_ambient, b_ambient = (frozenset(used_vertices(c.ambient)) for c in (a_cover, b_cover))
         fallbacks |= {
-            (a_ambient, x) for x in closed_under_meets(s for _, s in a_cover.members)
+            (a_ambient, x) for x in closed_under_meets(member_labels(a_cover).values())
             if not a_cover.poset.beat_points_reduce_to_point(x)
         }
         fallbacks |= {
-            (b_ambient, x) for x in closed_under_meets(s for _, s in b_cover.members)
+            (b_ambient, x) for x in closed_under_meets(member_labels(b_cover).values())
             if not frozen(b_cover.ambient).has_face(x)
         }
     assert set(restricted) == fallbacks
@@ -512,6 +512,47 @@ def test_om_covectors_non_integer_dimension_exits_2(runner, tmp_path):
     result = run(runner, "om", "covectors", bad)
     assert result.exit_code == 2
     assert "'dimension' must be an integer" in result.output
+
+
+@pytest.mark.parametrize("command", ["covectors", "embed"])
+def test_om_string_column_exits_2(runner, tmp_path, command):
+    # a string column would be read digit by digit: "10" as (1, 0)
+    bad = tmp_path / "string_column.json"
+    bad.write_text(json.dumps({"columns": {"a": "10", "b": "01"}}))
+    result = run(runner, "om", command, bad)
+    assert result.exit_code == 2
+    assert "the column of element a must be a list of entries" in result.output
+
+
+def test_om_string_entries_stay_valid(runner, tmp_path):
+    spec = tmp_path / "string_entries.json"
+    spec.write_text(json.dumps({"columns": {"a": ["1/2", "0"], "b": [0, "3"]}}))
+    result = run(runner, "om", "covectors", "--json", spec)
+    assert result.exit_code == 0
+    assert len(json.loads(result.output)["covectors"]) == 9
+
+
+def test_om_embed_prints_a_failing_carrier_cover(runner, monkeypatch):
+    # each flat's sphere-side members are rotated one key along, so the
+    # covector-side members no longer map into their carriers; the
+    # embedding's own lines read no cover and stay PASS
+    real = oriented.build_covers
+
+    def rotated(emb, flat):
+        a_cover, b_cover = real(emb, flat)
+        keys, members = zip(*b_cover.members)
+        return a_cover, CoverFamily(b_cover.ambient, tuple(zip(keys, members[1:] + members[:1])))
+
+    passing = run(runner, "om", "embed", DATA / "u34_vec.json").output.splitlines()
+    monkeypatch.setattr(oriented, "build_covers", rotated)
+    result = run(runner, "om", "embed", DATA / "u34_vec.json")
+    assert result.exit_code == 1
+    lines = result.output.splitlines()
+    detail = "all flats, maximal vertex stars, each distinct intersection once"
+    assert lines[-1] == f"carrier-covers: FAIL ({detail})"
+    assert passing[-1] == f"carrier-covers: PASS ({detail})"
+    assert lines[:-1] == passing[:-1]
+    assert all(": PASS" in line for line in lines[1:-1])
 
 
 def test_verify_exact_nerve_b5_exits_0(runner, tmp_path):

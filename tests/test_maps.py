@@ -26,7 +26,6 @@ from matroid_spheres import (
     representation,
     retraction_map,
     select_cross_coatoms,
-    underlying_matroid,
     uniform_matroid,
     vector_config,
     verify_arrangement,
@@ -38,7 +37,7 @@ from matroid_spheres.cli import main
 from matroid_spheres.maps import CrossSelection, RetractDescriptor, SelectionError
 from matroid_spheres.report import CheckResult, ValidationReport
 from matroid_spheres.spheres import selection_masks
-from conftest import complex_of, frozen, label_faces, sorted_faces
+from conftest import complex_of, frozen, label_faces, sorted_faces, tuples
 from conftest import (
     DATA,
     boolean_matroid,
@@ -982,7 +981,7 @@ def test_weak_map_covectors(u24_vec):
     # the identity is a weak map of oriented matroids iff every covector of
     # N lies below one of M; then it is a weak map of the underlying matroids
     def witnesses(m, n):
-        return [x for x in sorted(n.covectors) if not any(cov_leq(x, y) for y in m.covectors)]
+        return [x for x in sorted(tuples(n, n.covectors)) if not any(cov_leq(x, y) for y in tuples(m, m.covectors))]
 
     m = covectors_from_vectors(u24_vec)
     assert not witnesses(m, m)
@@ -990,7 +989,7 @@ def test_weak_map_covectors(u24_vec):
     degenerate = vector_config([[1, 0], [0, 1], [0, 1], [1, -1]])
     n = covectors_from_vectors(degenerate)
     assert not witnesses(m, n)
-    assert is_weak_map_matroid(underlying_matroid(m), underlying_matroid(n)).verdict
+    assert is_weak_map_matroid(m.lattice, n.lattice).verdict
     assert witnesses(n, m)
 
 

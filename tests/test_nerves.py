@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matroid_spheres import (
-    CoverFamily,
     FlagRepresentation,
     SimplicialComplex,
     build_covers,
@@ -21,7 +20,7 @@ from matroid_spheres import (
     vector_config,
 )
 from matroid_spheres.topology import _generic_key, _intersections, cross_polytope_nerve_iso, full_simplex
-from conftest import complex_of, frozen, label_faces, sorted_faces
+from conftest import complex_of, frozen, image_masks, label_cover, label_faces, member_labels, sorted_faces
 from conftest import FrozenComplex, nerve_oracle
 
 DERANDOMIZED = settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -73,8 +72,8 @@ def carrier_oracle(vertex_images, a_cover, b_cover):
     """Pass/fail of each carrier check over every index subset, on member
     complexes intersected pairwise, and for the two subset checks every
     failure detail a witness may give."""
-    a = {k: induced(a_cover.ambient, s) for k, s in a_cover.members}
-    b = {k: induced(b_cover.ambient, s) for k, s in b_cover.members}
+    a = {k: induced(a_cover.ambient, s) for k, s in member_labels(a_cover).items()}
+    b = {k: induced(b_cover.ambient, s) for k, s in member_labels(b_cover).items()}
     keys = sorted(a, key=_generic_key)
     failures = {"intersections-contractible": set(), "nonemptiness-equivalence": set()}
     for size in range(1, len(keys) + 1):
@@ -242,7 +241,7 @@ def carrier_cases(draw):
     def cover(ambient, sets):
         if draw(st.booleans()):
             ambient = complex_of([*label_faces(ambient), [99]])  # not covered
-        return CoverFamily(ambient, tuple(zip(keys, sets)))
+        return label_cover(ambient, tuple(zip(keys, sets)))
 
     return images, cover(a_ambient, a_sets), cover(b_ambient, b_sets)
 
@@ -265,7 +264,7 @@ def test_intersections_are_every_subset_intersection(sets):
 @given(carrier_cases())
 def test_carrier_check_matches_subset_enumeration(case):
     images, a_cover, b_cover = case
-    report = carrier_check(images, a_cover, b_cover)
+    report = carrier_check(image_masks(images, b_cover.ambient), a_cover, b_cover)
     passed, failures = carrier_oracle(images, a_cover, b_cover)
     assert {c.name: c.passed for c in report.checks} == passed
     for name, details in failures.items():
@@ -278,13 +277,12 @@ def test_carrier_check_matches_subset_enumeration(case):
 def test_carrier_check_reports_its_own_witness():
     # A-members p and q are paths around a square meeting in two opposite
     # corners; p and r meet on the B side only
-    a = CoverFamily(
+    a = label_cover(
         complex_of([[0, 1], [1, 2], [2, 3], [3, 0], [4]]),
-        (("p", frozenset({0, 1, 2})), ("q", frozenset({2, 3, 0})), ("r", frozenset({4}))),
+        (("p", {0, 1, 2}), ("q", {2, 3, 0}), ("r", {4})),
     )
-    b = CoverFamily(full_simplex([5, 6]), (("p", frozenset({5, 6})), ("q", frozenset({6})),
-                                           ("r", frozenset({5}))))
-    report = carrier_check({0: {6}, 1: {5}, 2: {6}, 3: {6}, 4: {5}}, a, b)
+    b = label_cover(full_simplex([5, 6]), (("p", {5, 6}), ("q", {6}), ("r", {5})))
+    report = carrier_check(image_masks({0: {6}, 1: {5}, 2: {6}, 3: {6}, 4: {5}}, b.ambient), a, b)
     assert report["intersections-contractible"].detail == (
         "A-intersection over ['p', 'q'] is not a homology point"
     )

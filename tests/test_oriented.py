@@ -17,14 +17,14 @@ from matroid_spheres import (
     pivots_check,
     reduced_homology,
     sphere_profile,
-    underlying_matroid,
     vector_config,
     verify_embedding,
 )
 from matroid_spheres.linalg import rank_q
-from matroid_spheres.oriented import VectorConfig, compose, neg, sign_mask, sign_vector
-from conftest import label_faces, positions
-from conftest import cov_leq, delta_complex
+from matroid_spheres.oriented import VectorConfig, compose, neg, render
+from conftest import face_labels, label_faces, mask_vertices, member_labels
+from conftest import compose_signs, cov_leq, covector_flat_oracle, delta_complex, neg_signs
+from conftest import sign_mask, sign_vector, span_oracle, tuples
 
 
 def embedding(cfg, flag=None, pivots=None):
@@ -39,11 +39,6 @@ def restrict_zero(x, positions):
 # -- sign vector algebra -------------------------------------------------------
 
 
-def compose_signs(x, y):
-    """Oracle: x with y filling in the zero coordinates, on tuples."""
-    return tuple(a if a != 0 else b for a, b in zip(x, y))
-
-
 def test_compose():
     assert compose_signs((0, 1, 1, -1), (1, 0, 1, 1)) == (1, 1, 1, -1)
     x, y = sign_mask((0, 1, 1, -1)), sign_mask((1, 0, 1, 1))
@@ -54,6 +49,8 @@ def test_sign_mask_halves():
     assert sign_mask((1, 0, -1)) == 0b100_001
     assert sign_vector(0b100_001, 3) == (1, 0, -1)
     assert sign_mask((0, 0)) == 0
+    assert render(0b100_001, 3) == "+0-" and render(0, 2) == "00"
+    assert neg(0b100_001, 3) == 0b001_100
 
 
 sign_vectors = st.integers(1, 6).flatmap(
@@ -65,15 +62,16 @@ sign_vectors = st.integers(1, 6).flatmap(
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(sign_vectors)
 def test_sign_masks_match_tuples(pair):
-    # the mask order is the conformal order, compose and negation agree,
-    # and the mask is a bijection
+    # the mask order is the conformal order, compose, negation and the
+    # text agree, and the mask is a bijection
     x, y = pair
     n = len(x)
     mx, my = sign_mask(x), sign_mask(y)
     assert sign_vector(mx, n) == x
     assert (mx & ~my == 0) == cov_leq(x, y)
     assert sign_vector(compose(mx, my, n), n) == compose_signs(x, y)
-    assert sign_mask(neg(x)) == (mx >> n | (mx & (1 << n) - 1) << n)
+    assert neg(mx, n) == sign_mask(neg_signs(x))
+    assert render(mx, n) == "".join("+" if a > 0 else "-" if a < 0 else "0" for a in x)
 
 
 def test_restrict_zero():
@@ -86,17 +84,17 @@ def test_restrict_zero():
 def test_cocircuits_u24(u24_vec):
     cocircs = cocircuits_from_vectors(u24_vec)
     assert len(cocircs) == 8
-    assert (0, 1, 1, -1) in cocircs and (0, -1, -1, 1) in cocircs  # coatom {1}
-    assert (1, 0, 1, 1) in cocircs  # coatom {2}
+    assert sign_mask((0, 1, 1, -1)) in cocircs and sign_mask((0, -1, -1, 1)) in cocircs  # coatom {1}
+    assert sign_mask((1, 0, 1, 1)) in cocircs  # coatom {2}
     zero_sets = {
-        frozenset(e for e, a in zip(u24_vec.elements, x) if a == 0) for x in cocircs
+        frozenset(e for e, a in zip(u24_vec.elements, sign_vector(x, 4)) if a == 0) for x in cocircs
     }
     assert zero_sets == {frozenset({str(i)}) for i in range(1, 5)}
 
 
 def test_cocircuits_coordinate(coord2_vec):
     assert cocircuits_from_vectors(coord2_vec) == frozenset(
-        {(0, 1), (0, -1), (1, 0), (-1, 0)}
+        map(sign_mask, {(0, 1), (0, -1), (1, 0), (-1, 0)})
     )
 
 
@@ -111,7 +109,7 @@ def test_cocircuits_rank_deficient():
 def test_span_coordinate_rank2(coord2_vec):
     cs = covectors_from_vectors(coord2_vec)
     assert len(cs.covectors) == 9
-    assert cs.covectors == frozenset(product((1, 0, -1), repeat=2))
+    assert cs.covectors == frozenset(map(sign_mask, product((1, 0, -1), repeat=2)))
 
 
 def test_span_u24_17_covectors(u24_vec):
@@ -122,25 +120,7 @@ def test_span_u24_17_covectors(u24_vec):
 
 def test_span_single_element():
     cs = covectors_from_vectors(vector_config([[1]]))
-    assert cs.covectors == frozenset({(0,), (1,), (-1,)})
-
-
-def pairwise_span(elements, cocircuits):
-    """Oracle: close the cocircuits and zero under composition of every
-    ordered pair of members, round after round."""
-    covectors = set(cocircuits) | {(0,) * len(elements)}
-    frontier = set(covectors)
-    while frontier:
-        fresh = {
-            z
-            for x in frontier
-            for y in covectors
-            for z in (compose_signs(x, y), compose_signs(y, x))
-            if z not in covectors
-        }
-        covectors |= fresh
-        frontier = fresh
-    return frozenset(covectors)
+    assert cs.covectors == frozenset({0, 0b01, 0b10})  # 0, + and -
 
 
 @st.composite
@@ -158,20 +138,21 @@ def configurations(draw, max_rank=4, max_n=7):
 @given(configurations())
 def test_span_by_cocircuits_matches_pairwise_span(cfg):
     cs = covectors_from_vectors(cfg)
-    assert cs.covectors == pairwise_span(cs.elements, cs.cocircuits)
+    assert set(tuples(cs, cs.covectors)) == span_oracle(cs.elements, tuples(cs, cs.cocircuits))
 
 
 def covector_axioms_fail(cs):
-    """The covector axioms a covector set breaks, by name (test oracle)."""
-    covs, cocircs = cs.covectors, cs.cocircuits
-    nonzero = [x for x in covs if x != cs.zero]
+    """The covector axioms a covector set breaks, by name, on tuples (test
+    oracle)."""
+    covs, cocircs = set(tuples(cs, cs.covectors)), set(tuples(cs, cs.cocircuits))
+    nonzero = [x for x in covs if any(x)]
     minimal = {x for x in nonzero if not any(y != x and cov_leq(y, x) for y in nonzero)}
     axioms = {
-        "contains-zero": cs.zero in covs,
-        "negation-closed": all(neg(x) in covs for x in covs),
+        "contains-zero": (0,) * len(cs.elements) in covs,
+        "negation-closed": all(neg_signs(x) in covs for x in covs),
         "composition-closed": all(compose_signs(x, y) in covs for x in covs for y in covs),
-        "cocircuits-minimal": minimal == set(cocircs),
-        "cocircuits-antipodal": all(neg(x) in cocircs for x in cocircs),
+        "cocircuits-minimal": minimal == cocircs,
+        "cocircuits-antipodal": all(neg_signs(x) in cocircs for x in cocircs),
     }
     return [name for name, holds in axioms.items() if not holds]
 
@@ -185,18 +166,18 @@ def test_covector_set_axioms(u24_vec, u34_vec, coord2_vec):
 
 
 def test_underlying_u24(u24_vec, u24):
-    lattice = underlying_matroid(covectors_from_vectors(u24_vec))
+    lattice = covectors_from_vectors(u24_vec).lattice
     assert set(lattice.flats) == set(u24.flats)
     assert lattice.r == 2
 
 
 def test_underlying_coordinate(coord2_vec):
-    lattice = underlying_matroid(covectors_from_vectors(coord2_vec))
+    lattice = covectors_from_vectors(coord2_vec).lattice
     assert len(lattice.flats) == 4  # Boolean on 2 elements
 
 
 def test_underlying_n134(n134_vec, n134):
-    lattice = underlying_matroid(covectors_from_vectors(n134_vec))
+    lattice = covectors_from_vectors(n134_vec).lattice
     assert set(lattice.flats) == set(n134.flats)
     assert frozenset({"1", "3", "4"}) in lattice.coatoms()
 
@@ -205,7 +186,7 @@ def test_underlying_vs_linear_loader(u24_vec, u34_vec, n134_vec):
     from matroid_spheres import linear_matroid
 
     for cfg in (u24_vec, u34_vec, n134_vec):
-        via_covectors = underlying_matroid(covectors_from_vectors(cfg))
+        via_covectors = covectors_from_vectors(cfg).lattice
         via_columns = linear_matroid(cfg.columns, None, cfg.elements)
         assert set(via_covectors.flats) == set(via_columns.flats)
 
@@ -216,8 +197,8 @@ def test_underlying_vs_linear_loader(u24_vec, u34_vec, n134_vec):
 def test_covector_flat_examples(u24_vec):
     cs = covectors_from_vectors(u24_vec)
     m1 = covector_flat(cs, {"1"})
-    assert set(m1) == {(0, 0, 0, 0), (0, 1, 1, -1), (0, -1, -1, 1)}
-    assert covector_flat(cs, {"1", "2", "3", "4"}) == [(0, 0, 0, 0)]
+    assert set(tuples(cs, m1)) == {(0, 0, 0, 0), (0, 1, 1, -1), (0, -1, -1, 1)}
+    assert covector_flat(cs, {"1", "2", "3", "4"}) == [0]
     assert set(covector_flat(cs, set())) == set(cs.covectors)
     with pytest.raises(MatroidInputError):
         covector_flat(cs, {"1", "2"})  # not a flat of U_{2,4}
@@ -233,7 +214,7 @@ def test_pivots_check_u24(u24_vec):
 
 
 def test_pivot_precondition(u24_vec):
-    lattice = underlying_matroid(covectors_from_vectors(u24_vec))
+    lattice = covectors_from_vectors(u24_vec).lattice
     flag = make_flag(lattice, [[], ["1"], ["1", "2", "3", "4"]])
     with pytest.raises(MatroidInputError):
         embedding(u24_vec, flag, ["2", "3"])  # 2 not in flag[1]-flag[0]
@@ -249,39 +230,48 @@ def test_pivots_check_nonfano(nonfano_vec):
 
 def test_iota_cocircuits(u24_vec):
     emb = embedding(u24_vec)
-    label = emb.lattice.vertex_label
-    assert frozenset(map(label, emb.iota((0, 1, 1, -1)))) == frozenset({(("1",), "+")})
-    assert frozenset(map(label, emb.iota((1, 0, 1, 1)))) == frozenset({(("2",), "+")})
+    def image(x):
+        return frozenset(map(emb.lattice.vertex_label, mask_vertices(emb.iota(sign_mask(x)))))
+
+    assert image((0, 1, 1, -1)) == frozenset({(("1",), "+")})
+    assert image((1, 0, 1, 1)) == frozenset({(("2",), "+")})
 
 
 def test_iota_tope(u24_vec):
     emb = embedding(u24_vec)
-    assert frozenset(map(emb.lattice.vertex_label, emb.iota((1, 1, 1, 1)))) == frozenset({(("2",), "+"), (("4",), "+")})
+    image = mask_vertices(emb.iota(sign_mask((1, 1, 1, 1))))
+    assert frozenset(map(emb.lattice.vertex_label, image)) == frozenset({(("2",), "+"), (("4",), "+")})
 
 
 def test_iota_zero_rejected(u24_vec):
     emb = embedding(u24_vec)
     with pytest.raises(ValueError):
-        emb.iota((0, 0, 0, 0))
+        emb.iota(0)
 
 
 def test_iota_two_to_one_on_cocircuits(u24_vec, u34_vec):
     for cfg in (u24_vec, u34_vec):
         emb = embedding(cfg)
+        n = len(emb.cs.elements)
         for x in emb.cs.cocircuits:
-            (v,) = map(emb.lattice.vertex_label, emb.iota(x))
-            (w,) = map(emb.lattice.vertex_label, emb.iota(neg(x)))
+            (v,) = map(emb.lattice.vertex_label, mask_vertices(emb.iota(x)))
+            (w,) = map(emb.lattice.vertex_label, mask_vertices(emb.iota(neg(x, n))))
             assert v[0] == w[0] and v[1] != w[1]
 
 
+def first_pivot_sign(emb, x):
+    """The sign of the tuple x on the first pivot where it is nonzero."""
+    return next(x[i] for i in (emb.cs.elements.index(p) for p in emb.pivots) if x[i])
+
+
 def recursive_iota(emb, x):
-    """Oracle: a cocircuit's signed vertex, else the union over the
-    cocircuits below x, by recursion."""
-    if x in emb.cs.cocircuits:
-        i = emb.first_pivot(x)
-        s = "+" if x[emb.pivot_positions[i]] > 0 else "-"
-        return frozenset({emb.rep.vertex(emb.cs.zero_set(x), s)})
-    below = [c for c in emb.cs.cocircuits if cov_leq(c, x)]
+    """Oracle on tuples: a cocircuit's signed vertex, else the union over
+    the cocircuits below x, by recursion."""
+    cocircuits = tuples(emb.cs, emb.cs.cocircuits)
+    if x in cocircuits:
+        s = "+" if first_pivot_sign(emb, x) > 0 else "-"
+        return frozenset({emb.rep.vertex(frozenset(e for e, a in zip(emb.cs.elements, x) if a == 0), s)})
+    below = [c for c in cocircuits if cov_leq(c, x)]
     return frozenset().union(*[recursive_iota(emb, c) for c in below])
 
 
@@ -291,7 +281,8 @@ def test_image_table_matches_recursive_iota(u24_vec, u34_vec, nonfano_vec):
         assert emb.images is emb.images  # computed once
         assert set(emb.images) == set(emb.cs.nonzero())
         for x in emb.cs.nonzero():
-            assert emb.iota(x) == emb.images[x] == recursive_iota(emb, x)
+            assert emb.iota(x) == emb.images[x]
+            assert mask_vertices(emb.images[x]) == recursive_iota(emb, sign_vector(x, len(emb.cs.elements)))
 
 
 # -- verify_embedding ----------------------------------------------------------------
@@ -311,7 +302,7 @@ def test_verify_embedding_u34(u34_vec):
     emb = embedding(u34_vec)
     report = verify_embedding(emb)
     assert report.ok, report.lines()
-    profile = reduced_homology(delta_complex(emb.cs.nonzero()))
+    profile = reduced_homology(delta_complex(emb.cs.nonzero(), len(emb.cs.elements)))
     assert profile == sphere_profile(2)
 
 
@@ -322,7 +313,7 @@ def cover_member(emb, flat, vec):
     """Oracle for A_vec over the flat, vec in {+,-,0}^r: the nonzero
     covectors over the flat whose image lies in sigma(vec, flat)."""
     carrier = emb.rep.sigma(vec, flat)
-    return [x for x in covector_flat(emb.cs, flat) if x != emb.cs.zero and emb.iota(x) <= carrier]
+    return [x for x in covector_flat(emb.cs, flat) if x and emb.iota(x) & ~carrier == 0]
 
 
 def test_build_covers_meet_law_and_emptiness(u24_vec):
@@ -351,7 +342,7 @@ def test_build_covers_members_are_the_pullbacks(u24_vec, u34_vec):
             a_cover, b_cover = build_covers(emb, flat)
             assert a_cover.ambient is emb.delta(flat)
             assert b_cover.ambient is emb.rep.build(flat)
-            for key, member in a_cover.members:
+            for key, member in member_labels(a_cover).items():
                 vec = tuple(1 if s == "+" else -1 for s in key)
                 assert member == frozenset(cover_member(emb, flat, vec))
 
@@ -362,7 +353,7 @@ def test_build_covers_b_side_is_sigma(u24_vec):
     for key, simplex in b_cover.members:
         vec = tuple(1 if s == "+" else -1 for s in key)
         assert simplex == emb.rep.sigma(vec, frozenset())
-        assert simplex in label_faces(b_cover.ambient)
+        assert face_labels(b_cover.ambient, simplex) in label_faces(b_cover.ambient)
 
 
 def test_carrier_check_all_flats(u24_vec, u34_vec, coord2_vec):
@@ -378,8 +369,8 @@ def test_a_cover_members_contractible(u24_vec):
     emb = embedding(u24_vec)
     a_cover, _ = build_covers(emb, frozenset())
     for _, member in a_cover.members:
-        induced = a_cover.ambient.restrict(positions(a_cover.ambient, member))
-        assert induced == delta_complex(member)
+        induced = a_cover.ambient.restrict(member)
+        assert induced == delta_complex(face_labels(a_cover.ambient, member), len(emb.cs.elements))
         assert is_homology_point(induced)
 
 
@@ -392,12 +383,14 @@ def first_pivot_member(emb, flat, vec):
     This is the membership rule of the deletion argument: deleting a
     non-pivot element preserves it, and each deletion fiber has a unique
     minimal element.  (It is not the carrier cover; see cover_member.)
+    Covectors are tuples here.
     """
+    pivots = [emb.cs.elements.index(p) for p in emb.pivots]
     out = []
-    for x in covector_flat(emb.cs, flat):
-        if x != emb.cs.zero:
-            i = emb.first_pivot(x)
-            if x[emb.pivot_positions[i]] == vec[i]:
+    for x in covector_flat_oracle(emb.cs, flat):
+        if any(x):
+            i = next(i for i, p in enumerate(pivots) if x[p])
+            if x[pivots[i]] == vec[i]:
                 out.append(x)
     return out
 

@@ -147,13 +147,13 @@ def test_validation_report_is_mutable_unhashable_and_compares_by_checks():
     assert copy == report
 
 
-def test_masks_and_images_are_computed_once_and_cached():
+def test_lattice_and_images_are_computed_once_and_cached():
     cs = RECORDS["CovectorSet"]
     fresh = CovectorSet(*fields(cs))
-    assert "masks" not in vars(fresh)
-    masks = fresh.masks
-    assert vars(fresh)["masks"] is masks and fresh.masks is masks
-    assert masks == cs.masks
+    assert "lattice" not in vars(fresh)
+    lattice = fresh.lattice
+    assert vars(fresh)["lattice"] is lattice and fresh.lattice is lattice
+    assert set(lattice.flats) == set(cs.lattice.flats)
 
     emb = RECORDS["Embedding"]
     fresh = Embedding(*fields(emb))

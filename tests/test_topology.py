@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matroid_spheres import (
-    CoverFamily,
     FlagRepresentation,
     Poset,
     SimplicialComplex,
@@ -23,7 +22,7 @@ from matroid_spheres import (
 from matroid_spheres import topology
 from matroid_spheres.jsonio import load_vector_config_file
 from matroid_spheres.topology import all_faces, cross_polytope_nerve_iso, full_simplex, smith_invariant_factors
-from conftest import complex_of, label_faces, positions, sorted_faces
+from conftest import complex_of, image_masks, label_cover, label_faces, member_labels, positions, sorted_faces
 from conftest import (
     DATA, beat_points_oracle, cross_polytope_boundary, facet_signs, is_homology_sphere, poset_by_leq, simplex_boundary, support, swap_map,
     z2_free_check,
@@ -121,7 +120,7 @@ def nerve(cover):
     """Nerve by enumeration of every index subset (the library compares
     nerves through their maximal vertex stars instead).  Members are induced
     subcomplexes, so a family meets exactly when its vertex sets do."""
-    members = dict(cover.members)
+    members = member_labels(cover)
     keys = list(members)
     faces = [
         subset
@@ -133,10 +132,7 @@ def nerve(cover):
 
 
 def test_nerve_disjoint_sets():
-    cover = CoverFamily(
-        complex_of([[0], [1]]),
-        (("a", frozenset({0})), ("b", frozenset({1}))),
-    )
+    cover = label_cover(complex_of([[0], [1]]), (("a", {0}), ("b", {1})))
     n = nerve(cover)
     assert label_faces(n) == frozenset({frozenset({"a"}), frozenset({"b"})})
 
@@ -145,7 +141,7 @@ def test_nerve_disjoint_sets():
 def test_nerve_of_cross_polytope_facets(d):
     cp = cross_polytope_boundary(d)
     facets = sorted_faces(cp)
-    cover = CoverFamily(cp, tuple(enumerate(facets)))
+    cover = label_cover(cp, tuple(enumerate(facets)))
     got = nerve(cover)
     # oracle: facet subsets intersect iff their sign vectors share a coordinate
     signs = {i: {v[0]: v[1] for v in f} for i, f in enumerate(facets)}
@@ -161,7 +157,7 @@ def test_nerve_of_u24_ambient_is_square_pattern(u24):
     rep = FlagRepresentation(u24, default_flag(u24))
     amb = rep.build(u24.bottom)
     facets = sorted_faces(amb)
-    cover = CoverFamily(amb, tuple(enumerate(facets)))
+    cover = label_cover(amb, tuple(enumerate(facets)))
     n = nerve(cover)
     # 4 maximal faces pairwise intersecting except the two antipodal pairs
     assert len(n.vertices) == 4
@@ -312,9 +308,9 @@ def homology_calls(monkeypatch):
 
 def test_carrier_check_stuck_beat_points_fall_back_to_homology(monkeypatch):
     calls = homology_calls(monkeypatch)
-    a = CoverFamily(order_complex(CIRCLE), (("i", frozenset("abcd")),), CIRCLE)
-    b = CoverFamily(full_simplex([9]), (("i", frozenset({9})),))
-    rep = carrier_check({v: {9} for v in "abcd"}, a, b)
+    a = label_cover(order_complex(CIRCLE), (("i", "abcd"),), CIRCLE)
+    b = label_cover(full_simplex([9]), (("i", {9}),))
+    rep = carrier_check(image_masks({v: {9} for v in "abcd"}, b.ambient), a, b)
     assert calls == [order_complex(CIRCLE)]
     assert rep["intersections-contractible"].detail == (
         "A-intersection over ['i'] is not a homology point"
@@ -329,9 +325,9 @@ def test_carrier_check_plain_ambient_not_a_face_falls_back_to_homology(monkeypat
     # must reach homology and fail.
     calls = homology_calls(monkeypatch)
     boundary = simplex_boundary(2)
-    a = CoverFamily(boundary, (("i", frozenset(boundary.vertices)),))
-    b = CoverFamily(full_simplex([9]), (("i", frozenset({9})),))
-    rep = carrier_check({v: {9} for v in boundary.vertices}, a, b)
+    a = label_cover(boundary, (("i", boundary.vertices),))
+    b = label_cover(full_simplex([9]), (("i", {9}),))
+    rep = carrier_check(image_masks({v: {9} for v in boundary.vertices}, b.ambient), a, b)
     assert calls == [boundary]
     assert not rep["intersections-contractible"].passed
     assert [c.name for c in rep.checks if not c.passed] == ["intersections-contractible"]
@@ -340,8 +336,8 @@ def test_carrier_check_plain_ambient_not_a_face_falls_back_to_homology(monkeypat
 def test_carrier_check_faces_need_no_homology(monkeypatch):
     calls = homology_calls(monkeypatch)
     x = complex_of([[0, 1], [1, 2]])
-    cover = CoverFamily(x, (("p", frozenset({0, 1})), ("q", frozenset({1, 2}))))
-    assert carrier_check({v: {v} for v in x.vertices}, cover, cover).ok
+    cover = label_cover(x, (("p", {0, 1}), ("q", {1, 2})))
+    assert carrier_check(image_masks({v: {v} for v in x.vertices}, x), cover, cover).ok
     assert calls == []
 
 
@@ -503,24 +499,24 @@ def test_nerve_iso_accepts_octahedron():
 
 def test_carrier_check_identity():
     x = full_simplex([0, 1, 2])
-    cover = CoverFamily(x, (("i", frozenset(x.vertices)),))
-    rep = carrier_check({v: {v} for v in x.vertices}, cover, cover)
+    cover = label_cover(x, (("i", x.vertices),))
+    rep = carrier_check(image_masks({v: {v} for v in x.vertices}, x), cover, cover)
     assert rep.ok
 
 
 def test_carrier_check_nonemptiness_mismatch():
     amb_a = complex_of([[0, 1], [1, 2]])
     amb_b = complex_of([[10], [11]])
-    a = CoverFamily(amb_a, (("p", frozenset({0, 1})), ("q", frozenset({1, 2}))))
-    b = CoverFamily(amb_b, (("p", frozenset({10})), ("q", frozenset({11}))))
-    rep = carrier_check({0: {10}, 1: {10}, 2: {11}}, a, b)
+    a = label_cover(amb_a, (("p", {0, 1}), ("q", {1, 2})))
+    b = label_cover(amb_b, (("p", {10}), ("q", {11})))
+    rep = carrier_check(image_masks({0: {10}, 1: {10}, 2: {11}}, amb_b), a, b)
     assert not rep.ok
     assert not rep["nonemptiness-equivalence"].passed
 
 
 def test_carrier_check_index_mismatch():
     x = full_simplex([0])
-    a = CoverFamily(x, (("p", frozenset({0})),))
-    b = CoverFamily(x, (("q", frozenset({0})),))
+    a = label_cover(x, (("p", {0}),))
+    b = label_cover(x, (("q", {0}),))
     with pytest.raises(ValueError):
-        carrier_check({0: {0}}, a, b)
+        carrier_check(image_masks({0: {0}}, x), a, b)
