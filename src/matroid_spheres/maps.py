@@ -7,11 +7,12 @@ masks: each F-block takes the highest G-block whose + half meets its own
 (an AND of two ints), and the lowest bit they share, the first coatom of
 both in key order.  The cross-polytope is held as its facet masks
 (``spheres.selection_masks``).  Each complex is certified a sphere by the
-join test of ``spheres``, with no homology, and the retraction's face
-lines compare int vertex masks, read off the selected coatoms when the
-polytope is the join over them.  Weak maps are decided by comparing ranks
-on the flats of the source, and the representation-level obstruction is
-found by exhaustive search over sign-preserving vertex assignments.
+join test of ``spheres``, with no homology.  When the map is the
+retraction onto the selected coatoms, its face lines are read off its r
+image halves, with no image set built; any other map's compare int vertex
+masks.  Weak maps are decided by comparing ranks on the flats of the
+source, and the representation-level obstruction is found by exhaustive
+search over sign-preserving vertex assignments.
 """
 
 from __future__ import annotations
@@ -106,6 +107,13 @@ def retraction_map(lattice: GeometricLattice, flag_f: Flag, flag_g: Flag) -> Ret
     return RetractDescriptor(sel, rep_f, rep_g, vmap, polytope)
 
 
+# each line's FAIL and PASS record, shared by every report as records are frozen
+# (nine built per pair took about a third of a B_4 pair's certificate)
+_LINES = tuple((CheckResult(name, False), CheckResult(name, True)) for name in (
+    "selection-distinct polytope-in-source polytope-in-target simplicial idempotent "
+    "composite-simplicial source-sphere target-sphere polytope-sphere").split())
+
+
 def verify_retraction(desc: RetractDescriptor) -> ValidationReport:
     """Certify the retraction: simplicial, idempotent onto the shared
     cross-polytope, and a homotopy sphere on both sides.
@@ -114,49 +122,54 @@ def verify_retraction(desc: RetractDescriptor) -> ValidationReport:
     S_0, as built, must be the join of its r nonempty blocks' simplices
     (``join_holds``, so ~ S^{r-1}), and the polytope's facet masks, as
     held, those of the join of the r pairs {C+}, {C-} over the selected
-    coatoms (``selection_masks``).  The face lines compare int vertex
-    masks.  Given the join, a facet of S_0 is one signed half per block, so
-    the 2r image halves are filled in one pass through the descriptor's map
-    (``half_masks``) and the images are their unions, and a face is a set
-    in which no block holds both signs; an S_0 that is not the join fails
-    them.  A polytope that is the join over C holds every sign choice, so it
-    lies in S_0 exactly when no block holds two coatoms of C, that is when
-    each of the r blocks meets one (``apart``, r ANDs on the polytope's
-    least facet, C signed +), and images equal to it lie in the target
-    exactly when it does; only other sets, a mutant's, are scanned mask by
-    mask (``are_faces``).
-    The polytope is tested as held, so a facet grown by a vertex still
-    holds the image of the facet it grew from.  Verdicts and tables are
-    memoized, so the pairs of a matroid compute each once.
+    coatoms (``selection_masks``, compared by identity first).  Such a
+    polytope holds every sign choice, so it lies in S_0 exactly when each
+    of the r blocks meets one coatom of C (``apart``, r ANDs on its all-+
+    facet, the sum of the C+ bits).
+
+    Lemma: let the polytope be that join over r >= 1 distinct coatoms
+    C_i, S_0 the join on the source's 2|coatoms| positions, and the r
+    image halves (``half_masks``, one pass through the map) {C_i+}, {C_i-}.
+    A facet of S_0 is one half per block, so the images of the facets are
+    exactly the polytope's: ``simplicial`` holds, ``composite-simplicial``
+    is ``polytope-in-target``, and as the map's images are the 2r signed
+    vertices of C, ``idempotent`` asks that it fix those.  Every other
+    descriptor (a mutant's map or polytope, a poisoned S_0, rank 0) takes
+    the general route: the image set (the unions of the halves given the
+    join, else each facet mapped), each image tested, each vertex's image
+    mapped again, and a polytope that is no such join scanned mask by mask
+    (``are_faces``).  The polytope is tested as held, so a facet grown by a
+    vertex still holds the image of the facet it grew from.  Verdicts and
+    tables are memoized, so the pairs of a matroid compute each once.
     """
     source, target, vmap, polytope = desc.source, desc.target, desc.vertex_map, desc.polytope
-    lattice = source.lattice
+    lattice, chosen = source.lattice, desc.selection.coatoms
     s_f = source.build(lattice.bottom)
-    if source.join_holds:
-        images = frozenset(_unions(source.half_masks(vmap)))
-    else:
-        images = frozenset(source.mask({vmap[v] for i, v in enumerate(s_f.vertices) if m >> i & 1})
-                           for m in s_f.maximal_faces)
-    coatoms = frozenset(desc.selection.coatoms)
-    polytope_ok = len(coatoms) == lattice.r and polytope == selection_masks(lattice, coatoms)
+    halves = source.half_masks(vmap) if source.join_holds else None
+    coatoms, pairs = frozenset(chosen), ()
+    cross = selection_masks(lattice, coatoms) if len(coatoms) == lattice.r else None
+    polytope_ok = cross is not None and (polytope is cross or polytope == cross)
     if polytope_ok:
-        plus = min(polytope, default=0)  # every coatom signed +, the lower of its two bits
+        ks = list(map(lattice.coatom_index.__getitem__, chosen))
+        pairs = tuple([(1 << 2 * k, 2 << 2 * k) for k in ks])
+        plus = sum(1 << 2 * lattice.coatom_index[c] for c in coatoms)  # all-+ facet, over C as a set
         in_source, in_target = source.apart(plus), target.apart(plus)
     else:
         in_source, in_target = source.are_faces(polytope), target.are_faces(polytope)
-    return ValidationReport([
-        CheckResult("selection-distinct", desc.selection.distinct()),
-        CheckResult("polytope-in-source", in_source),
-        CheckResult("polytope-in-target", in_target),
+    if pairs and halves == pairs and len(s_f.vertices) == len(source.vertices):  # the lemma
+        simplicial, composite = True, in_target
+        idempotent = all(vmap[v] == v for k in ks for v in (2 * k, 2 * k + 1))
+    else:
+        images = frozenset(_unions(halves) if halves is not None else (
+            source.mask({vmap[v] for i, v in enumerate(s_f.vertices) if m >> i & 1}) for m in s_f.maximal_faces))
         # the empty face, the one facet of the join of no blocks at rank 0, is a face of every complex
-        CheckResult("simplicial", all(any(i & m == i for m in polytope) for i in images - polytope if i)),
+        simplicial = all(any(i & m == i for m in polytope) for i in images - polytope if i)
         # a map is idempotent exactly when it fixes each of its images
-        CheckResult("idempotent", all(vmap[w] == w for w in map(vmap.__getitem__, s_f.vertices))),
-        CheckResult("composite-simplicial", in_target if images == polytope else target.are_faces(images)),
-        CheckResult("source-sphere", source.join_holds),
-        CheckResult("target-sphere", target.join_holds),
-        CheckResult("polytope-sphere", polytope_ok),
-    ])
+        idempotent = all(vmap[w] == w for w in map(vmap.__getitem__, s_f.vertices))
+        composite = in_target if images == polytope else target.are_faces(images)
+    verdicts = (desc.selection.distinct(), in_source, in_target, simplicial, idempotent, composite,
+                source.join_holds, target.join_holds, polytope_ok)
+    return ValidationReport(list(map(tuple.__getitem__, _LINES, verdicts)))
 
 
 # -- weak maps -----------------------------------------------------------------

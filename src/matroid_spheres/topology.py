@@ -226,17 +226,23 @@ class Poset:
         the same core up to isomorphism, so False means the core has more
         than one element (or a member is not an element); that complex may
         still be contractible, and the caller must decide it another way.
+        """
+        left, index = 0, self.index
+        for x in members:
+            if x not in index:
+                return False
+            left |= 1 << index[x]
+        return self.mask_reduces_to_point(left)
+
+    def mask_reduces_to_point(self, left: int) -> bool:
+        """``beat_points_reduce_to_point`` on the members' index mask, bit i
+        for element i; every bit must be an element's.
 
         Elements are tested from a worklist.  Removing x changes the strict
         up- or down-set only of the elements comparable to x, so only those
         are tested again, and once the list is empty what is left is the core.
         """
-        up, down, index = self.up, self.down, self.index
-        left = 0
-        for x in members:
-            if x not in index:
-                return False
-            left |= 1 << index[x]
+        up, down = self.up, self.down
         todo = left  # always inside left: only a tested element is removed
         while todo and left & (left - 1):  # two or more elements left
             bit = todo & -todo
@@ -548,8 +554,10 @@ class CoverFamily(Record):
 
     Each member is given by an int mask over the ambient's positions and
     stands for the ambient restricted to it.  A poset, when given, is one
-    whose order complex is the ambient: the complex induced on a mask is
-    then the order complex of the subposet on its vertices.
+    whose order complex is the ambient, held on the poset's positions
+    (``order_complex(poset)``): a mask is then a set of the poset's
+    elements, and the complex induced on it is the order complex of that
+    subposet.
     """
 
     __slots__ = ("ambient", "members", "poset")
@@ -670,10 +678,9 @@ def carrier_check(
 
     def contractible(side: str, x: int) -> bool:  # asked once per (side, x)
         cover = covers[side]
-        amb = cover.ambient
-        if cover.poset is not None:  # a bit past the ambient's is no element
-            certified = not x >> len(amb.vertices) and cover.poset.beat_points_reduce_to_point(
-                map(amb.vertices.__getitem__, _bits(x)))
+        amb, poset = cover.ambient, cover.poset
+        if poset is not None:  # a bit past the ambient's is no element; the rest are the poset's indices
+            certified = not x >> len(amb.vertices) and poset.mask_reduces_to_point(x)
         else:
             certified = amb.has_face(x)
         return certified or is_homology_point(amb.restrict(x))

@@ -7,6 +7,7 @@ import pytest
 from matroid_spheres import (
     CoverFamily,
     Flag,
+    FlagRepresentation,
     GeometricLattice,
     MatroidInputError,
     Poset,
@@ -23,8 +24,8 @@ from matroid_spheres import (
 )
 from matroid_spheres.maps import CrossSelection, RetractDescriptor, SearchCapExceeded, SearchResult, SelectionError
 from matroid_spheres.linalg import nullspace_q, rank_q
-from matroid_spheres.report import ValidationReport
-from matroid_spheres.spheres import _unions, representation
+from matroid_spheres.report import CheckResult, ValidationReport
+from matroid_spheres.spheres import _unions, representation, selection_masks
 from matroid_spheres.topology import (
     HomologyProfile,
     _generic_key,
@@ -639,6 +640,66 @@ def verify_retraction_oracle(desc):
     cross = complex_masks(cross_polytope_complex(lattice, coatoms))
     rep.add("polytope-sphere", len(coatoms) == lattice.r and polytope == cross)
     return rep
+
+
+# -- descriptor mutants: a new descriptor each, and a fresh representation to poison
+
+
+def repeated_g_part(desc):
+    sel = desc.selection
+    g_parts = (sel.g_parts[0],) + sel.g_parts[:1] + sel.g_parts[2:]
+    selection = CrossSelection(sel.coatoms, g_parts)
+    return RetractDescriptor(selection, desc.source, desc.target, desc.vertex_map, desc.polytope)
+
+
+def poisoned(lattice, flag, facets):
+    """A fresh representation of the flag whose S_0 holds the given facets."""
+    rep = FlagRepresentation(lattice, flag)
+    vertices = rep.build(lattice.bottom).vertices
+    rep._built[lattice.bottom] = complex_of(facets, vertices)
+    return rep
+
+
+def grown_by_a_foreign_vertex(desc):
+    """The polytope with its lowest facet mask grown by the bit just above
+    the signed coatoms', a vertex that is no signed coatom."""
+    facet = min(desc.polytope)
+    faces = (desc.polytope - {facet}) | {facet | 1 << 2 * len(desc.source.lattice.coatoms())}
+    return RetractDescriptor(desc.selection, desc.source, desc.target, desc.vertex_map, faces)
+
+
+def verify_retraction_general(desc):
+    """``verify_retraction`` with no read-off: on every descriptor the images
+    are built as a set of masks (the 2^r unions of the image halves given
+    the join, else each facet of S_0 mapped), the polytope's all-+ facet is
+    its least mask, and every vertex's image is mapped again.  Oracle for
+    the read-off of the face lines off the r image halves."""
+    source, target, vmap, polytope = desc.source, desc.target, desc.vertex_map, desc.polytope
+    lattice = source.lattice
+    s_f = source.build(lattice.bottom)
+    if source.join_holds:
+        images = frozenset(_unions(source.half_masks(vmap)))
+    else:
+        images = frozenset(source.mask({vmap[v] for i, v in enumerate(s_f.vertices) if m >> i & 1})
+                           for m in s_f.maximal_faces)
+    coatoms = frozenset(desc.selection.coatoms)
+    polytope_ok = len(coatoms) == lattice.r and polytope == selection_masks(lattice, coatoms)
+    if polytope_ok:
+        plus = min(polytope, default=0)  # every coatom signed +, the lower of its two bits
+        in_source, in_target = source.apart(plus), target.apart(plus)
+    else:
+        in_source, in_target = source.are_faces(polytope), target.are_faces(polytope)
+    return ValidationReport([
+        CheckResult("selection-distinct", desc.selection.distinct()),
+        CheckResult("polytope-in-source", in_source),
+        CheckResult("polytope-in-target", in_target),
+        CheckResult("simplicial", all(any(i & m == i for m in polytope) for i in images - polytope if i)),
+        CheckResult("idempotent", all(vmap[w] == w for w in map(vmap.__getitem__, s_f.vertices))),
+        CheckResult("composite-simplicial", in_target if images == polytope else target.are_faces(images)),
+        CheckResult("source-sphere", source.join_holds),
+        CheckResult("target-sphere", target.join_holds),
+        CheckResult("polytope-sphere", polytope_ok),
+    ])
 
 
 def cross_coatom_search_oracle(rep_f, rep_g):

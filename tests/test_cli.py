@@ -10,12 +10,15 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from matroid_spheres import CoverFamily, SimplicialComplex, build_covers, build_embedding, oriented, spheres
+from matroid_spheres import CoverFamily, SimplicialComplex, build_covers, build_embedding
+from matroid_spheres import maps, oriented, spheres
 from matroid_spheres import topology
 from matroid_spheres.cli import main
 from matroid_spheres import MatroidInputError
 from matroid_spheres.jsonio import complex_from_json, load_vector_config_file
+from matroid_spheres.maps import RetractDescriptor
 from conftest import face_labels, frozen, member_labels, used_vertices
+from conftest import grown_by_a_foreign_vertex, poisoned, repeated_g_part, sorted_faces
 
 DATA = Path(__file__).parent / "data"
 
@@ -553,6 +556,47 @@ def test_om_embed_prints_a_failing_carrier_cover(runner, monkeypatch):
     assert passing[-1] == f"carrier-covers: PASS ({detail})"
     assert lines[:-1] == passing[:-1]
     assert all(": PASS" in line for line in lines[1:-1])
+
+
+def with_dropped_facet(rep):
+    return poisoned(rep.lattice, rep.flag, sorted_faces(rep.build(rep.lattice.bottom))[1:])
+
+
+def poisoned_source(d):
+    return RetractDescriptor(d.selection, with_dropped_facet(d.source), d.target, d.vertex_map, d.polytope)
+
+
+def poisoned_target(d):
+    return RetractDescriptor(d.selection, d.source, with_dropped_facet(d.target), d.vertex_map, d.polytope)
+
+
+@pytest.mark.parametrize("mutate, failing", [
+    (poisoned_source, {"source-sphere", "polytope-in-source"}),
+    (poisoned_target, {"target-sphere", "polytope-in-target", "composite-simplicial"}),
+    (grown_by_a_foreign_vertex, {"polytope-sphere", "polytope-in-source", "polytope-in-target"}),
+    (repeated_g_part, {"selection-distinct"}),
+], ids=["source-sphere", "target-sphere", "polytope-sphere", "selection-distinct"])
+def test_flags_compare_prints_a_failing_line(runner, monkeypatch, tmp_path, mutate, failing):
+    # the descriptor of U(3,4)'s default flag against another is mutated on
+    # its way to the certificate; the named line, and only the lines it
+    # carries, print FAIL, and every other line is the unpatched run's
+    flag_b = tmp_path / "g.json"
+    flag_b.write_text(json.dumps({"chain": [[], ["3"], ["3", "4"], ["1", "2", "3", "4"]]}))
+    args = ("flags", "compare", DATA / "u34.json", "default", flag_b)
+    passing = run(runner, *args).output.splitlines()
+    assert all(line.endswith(": PASS") or ": PASS (" in line for line in passing[1:])
+    real = maps.retraction_map
+    monkeypatch.setattr(maps, "retraction_map", lambda *a: mutate(real(*a)))
+    result = run(runner, *args)
+    monkeypatch.undo()
+    assert result.exit_code == 1, result.output
+    lines = result.output.splitlines()
+    assert lines[0] == passing[0] and len(lines) == len(passing) == 11
+    for line, clean in zip(lines[1:], passing[1:]):
+        name = line.split(":")[0]
+        assert line == (f"{name}: FAIL" if name in failing else clean), line
+    assert {line.split(":")[0] for line in lines if ": FAIL" in line} == failing
+    assert run(runner, *args).output.splitlines() == passing  # the memoized representations are untouched
 
 
 def test_verify_exact_nerve_b5_exits_0(runner, tmp_path):

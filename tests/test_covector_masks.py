@@ -29,7 +29,7 @@ from matroid_spheres import (
 )
 from matroid_spheres.jsonio import load_vector_config_file
 from matroid_spheres.linalg import rank_q
-from matroid_spheres.topology import full_simplex
+from matroid_spheres.topology import _intersections, full_simplex
 from conftest import DATA, face_labels, mask_vertices, sign_vector, tuples
 from conftest import (
     build_covers_oracle, carrier_report_oracle, cocircuits_oracle, covector_flat_oracle,
@@ -109,6 +109,28 @@ def test_embedding_matches_the_tuple_oracle(name):
     # members over 540 covectors are left to the library's own tests
     cs = covectors_from_vectors(CONFIGS[name])
     assert_embedding_matches(build_embedding(cs), carriers=name != "K_5")
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_beat_points_on_masks_match_the_label_route(name):
+    # carrier_check hands each A-side intersection mask to the poset as it
+    # is, since Delta(L_G) holds each element at its poset position; the
+    # label route maps the mask to covectors and masks them again by index.
+    # Each intersection is also tried without its lowest element, which
+    # leaves a subposet that need not reduce
+    emb = build_embedding(covectors_from_vectors(CONFIGS[name]))
+    verdicts = []
+    for flat in emb.lattice.flats:
+        a_cover, _ = build_covers(emb, flat)
+        poset, ambient = a_cover.poset, a_cover.ambient
+        assert ambient.vertices == poset.elements
+        full = (1 << len(poset.elements)) - 1
+        for x in [z for y in (full, *_intersections([m for _, m in a_cover.members])) for z in (y, y & y - 1)]:
+            labels = [v for i, v in enumerate(ambient.vertices) if x >> i & 1]
+            verdict = poset.mask_reduces_to_point(x)
+            assert verdict is poset.beat_points_reduce_to_point(labels), (sorted(flat), x)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 @st.composite

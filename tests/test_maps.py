@@ -46,14 +46,18 @@ from conftest import (
     cross_coatom_search_oracle,
     cross_polytope_complex,
     data_matroids,
+    grown_by_a_foreign_vertex,
     is_homology_sphere,
     mask_vertices,
     masks_complex,
     part_of,
+    poisoned,
     poset_map_search_oracle,
+    repeated_g_part,
     retraction_face_lines_oracle,
     retraction_oracle,
     select_cross_coatoms_oracle,
+    verify_retraction_general,
     verify_retraction_oracle,
 )
 
@@ -476,13 +480,6 @@ def failing(desc):
     return {c.name for c in verify_retraction(desc).failures()}
 
 
-def repeated_g_part(desc):
-    sel = desc.selection
-    g_parts = (sel.g_parts[0],) + sel.g_parts[:1] + sel.g_parts[2:]
-    selection = CrossSelection(sel.coatoms, g_parts)
-    return RetractDescriptor(selection, desc.source, desc.target, desc.vertex_map, desc.polytope)
-
-
 def swapped_singleton(desc):
     """Swap the signs of the selected coatom of a one-coatom block: the map
     stays simplicial but is no longer idempotent."""
@@ -523,6 +520,20 @@ def cross_block_vertex(desc):
     vmap = dict(desc.vertex_map)
     vmap[rep.vertex(c, "+")] = rep.vertex(chosen[i - 1], "+")
     return RetractDescriptor(desc.selection, desc.source, desc.target, vmap, desc.polytope)
+
+
+def swapped_selection(desc):
+    """Swap the first two blocks' selected coatoms, in the selection and in
+    the map: each block's halves still map onto one selected pair, so the
+    polytope is unchanged and the face lines are read off the halves, but
+    C_1, selected for block 0, lies in block 1 and goes to C_0, no fixed image."""
+    sel, rep = desc.selection, desc.source
+    if len(sel.coatoms) < 2:
+        return None
+    coatoms = (sel.coatoms[1], sel.coatoms[0]) + sel.coatoms[2:]
+    onto = [rep.vertex(c, s) for c in coatoms for s in "+-"]
+    vmap = {v: onto[k] for v, k in rep.slots}
+    return RetractDescriptor(CrossSelection(coatoms, sel.g_parts), rep, desc.target, vmap, desc.polytope)
 
 
 def chained_image(desc):
@@ -584,6 +595,7 @@ def grown_polytope(desc, in_source, in_target):
 MUTATIONS = {
     "repeated g-part": (repeated_g_part, {"selection-distinct"}),
     "non-idempotent": (swapped_singleton, {"idempotent"}),
+    "swapped selection": (swapped_selection, {"idempotent"}),
     "sign flipped": (flipped_vertex, {"simplicial", "composite-simplicial"}),
     "cross-block image": (cross_block_vertex, {"simplicial", "composite-simplicial"}),
     "facet in neither": (lambda d: grown_polytope(d, False, False),
@@ -666,14 +678,6 @@ def test_face_lines_match_the_has_face_oracle_on_every_mutant(u24, u34, bool3):
     assert kinds == set(MUTATIONS)
 
 
-def poisoned(lattice, flag, facets):
-    """A fresh representation of the flag whose S_0 holds the given facets."""
-    rep = FlagRepresentation(lattice, flag)
-    vertices = rep.build(lattice.bottom).vertices
-    rep._built[lattice.bottom] = complex_of(facets, vertices)
-    return rep
-
-
 def poisoned_descriptors(lattice):
     """(name, descriptor, failing lines) for an S_0 that lost a facet, and
     one with a facet grown by the other sign of one of its coatoms, each as
@@ -702,14 +706,6 @@ def test_poisoned_s0_fails_its_lines_without_raising(u34, bool3):
             assert failing(desc) == lines, name
             assert desc.source.are_faces(frozenset()) and desc.target.are_faces(frozenset())  # vacuously
     assert verify_retraction(retraction_map(u34, default_flag(u34), default_flag(u34))).ok
-
-
-def grown_by_a_foreign_vertex(desc):
-    """The polytope with its lowest facet mask grown by the bit just above
-    the signed coatoms', a vertex that is no signed coatom."""
-    facet = min(desc.polytope)
-    faces = (desc.polytope - {facet}) | {facet | 1 << 2 * len(desc.source.lattice.coatoms())}
-    return RetractDescriptor(desc.selection, desc.source, desc.target, desc.vertex_map, faces)
 
 
 def test_polytope_grown_by_a_foreign_vertex_fails_without_raising(u24, u34, bool3, fano):
@@ -789,6 +785,103 @@ def test_verify_retraction_scans_no_facets(monkeypatch, u24, u34, bool3):
         m.setattr(SimplicialComplex, "is_subcomplex_of", lambda *a: pytest.fail("is_subcomplex_of called"),
                   raising=False)
         assert sum(verify_retraction(d).ok for d in descs) == 36
+
+
+# -- the face lines read off the r image halves ---------------------------------------
+#
+# ``verify_retraction_general`` builds the image set on every descriptor.
+# The read-off must give the same report, details included, on every pair
+# and every mutant, and every honest pair must take it.
+
+
+def report_json(desc):
+    return verify_retraction(desc).to_json()
+
+
+def test_read_off_matches_the_general_route_on_every_pair(u24, u34, bool3, n134, fano):
+    rank0 = lattice_from_flats(["1"], [["1"]])  # r = 0 takes the general route
+    pairs = 0
+    for lattice in (rank0, u24, u34, bool3, boolean_matroid("1234"), n134, fano):
+        flags = all_complete_flags(lattice)
+        for f in flags:
+            for g in flags:
+                desc = retraction_map(lattice, f, g)
+                assert report_json(desc) == verify_retraction_general(desc).to_json(), (f.chain, g.chain)
+                assert report_json(desc)["ok"]
+                pairs += 1
+    assert pairs == 1 + 16 + 144 + 36 + 576 + len(all_complete_flags(n134)) ** 2 + 441
+
+
+def repeated_coatom(desc):
+    """The selection with its last coatom held twice, map, g_parts and
+    polytope as they were: r + 1 coatoms, r of them distinct."""
+    sel = desc.selection
+    selection = CrossSelection(sel.coatoms + sel.coatoms[-1:], sel.g_parts)
+    return RetractDescriptor(selection, desc.source, desc.target, desc.vertex_map, desc.polytope)
+
+
+def read_off_mutants(u24, u34, bool3, fano):
+    """Every ``MUTATIONS`` entry on every pair, every ``poisoned_descriptors``
+    case, a polytope grown by a foreign vertex and a selection that repeats
+    its last coatom, with a map onto a non-fixed image and two coatoms of
+    one block on U(3,4)."""
+    yield from every_mutant((u24, u34, bool3))
+    for lattice in (u34, bool3):
+        yield from ((name, desc) for name, desc, _ in poisoned_descriptors(lattice))
+    for lattice in (u24, u34, bool3, fano):
+        flags = all_complete_flags(lattice)
+        for f, g in ((flags[0], flags[-1]), (flags[-1], flags[0]), (flags[0], flags[0])):
+            yield "grown by a foreign vertex", grown_by_a_foreign_vertex(retraction_map(lattice, f, g))
+            yield "repeated coatom", repeated_coatom(retraction_map(lattice, f, g))
+    for f in all_complete_flags(u34):
+        desc = retraction_map(u34, f, all_complete_flags(u34)[-1])
+        yield "chained image", chained_image(desc)
+        yield "two from one block", two_from_one_block(desc)
+
+
+def test_read_off_matches_the_general_route_on_every_mutant(u24, u34, bool3, fano):
+    kinds = {}
+    for kind, mutated in read_off_mutants(u24, u34, bool3, fano):
+        report = report_json(mutated)
+        assert report == verify_retraction_general(mutated).to_json(), kind
+        # a repeated coatom leaves the polytope the join over the r distinct
+        # ones, and its all-+ facet counts each once: every line holds
+        assert report["ok"] is (kind == "repeated coatom"), kind
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert set(MUTATIONS) < set(kinds) and kinds["grown by a foreign vertex"] == kinds["repeated coatom"] == 12
+    assert sum(kinds[f"{name} {side}"] for name in ("dropped", "mixed") for side in ("source", "target")) == 8
+
+
+def test_an_s0_held_on_an_unused_position_takes_the_general_route(u34):
+    # a position no face uses is allowed, and the general route sends it
+    # through the map; the read-off, which reads the halves only, must not skip it
+    flag = default_flag(u34)
+    clean = retraction_map(u34, flag, flag)
+    rep = FlagRepresentation(u34, flag)
+    s0 = rep.build(u34.bottom)
+    extra = len(s0.vertices)
+    rep._built[u34.bottom] = SimplicialComplex(s0.vertices + (extra,), s0.maximal_faces)
+    assert rep.join_holds and rep.half_masks(clean.vertex_map) == clean.source.half_masks(clean.vertex_map)
+    moved = next(v for v, w in clean.vertex_map.items() if v != w)  # onto a vertex the map moves
+    desc = RetractDescriptor(clean.selection, rep, clean.target, {**clean.vertex_map, extra: moved},
+                             clean.polytope)
+    assert report_json(desc) == verify_retraction_general(desc).to_json()
+    assert failing(desc) == {"idempotent"}
+
+
+def test_honest_pairs_take_the_read_off(monkeypatch, u34, fano):
+    # the general route builds the image set by ``_unions``; the read-off
+    # builds none, on every honest pair, and a mutant's map still does
+    lattices = (u34, boolean_matroid("1234"), fano)
+    descs = [retraction_map(lattice, f, g) for lattice in lattices
+             for f in all_complete_flags(lattice) for g in all_complete_flags(lattice)]
+    mutant = chained_image(retraction_map(u34, default_flag(u34), default_flag(u34)))
+    with monkeypatch.context() as m:
+        m.setattr(maps, "_unions", lambda *a: pytest.fail("image set built"))
+        assert all(verify_retraction(d).ok for d in descs)
+        with pytest.raises(pytest.fail.Exception):
+            verify_retraction(mutant)
+    assert len(descs) == 144 + 576 + 441
 
 
 def test_report_lines_are_the_records_their_constructor_builds():

@@ -272,15 +272,16 @@ def test_beat_point_worklist_matches_the_pass_by_pass_oracle():
 def test_beat_point_worklist_matches_the_oracle_on_every_carrier_poset(monkeypatch):
     # every (poset, intersection) that ``carrier_check`` asks about, over
     # every flat of every vector configuration in tests/data, and each
-    # poset on all of its elements
+    # poset on all of its elements; both entry points reduce through the
+    # mask one, so it is recorded
     asked = []
-    real = Poset.beat_points_reduce_to_point
+    real, mask_route = Poset.beat_points_reduce_to_point, Poset.mask_reduces_to_point
 
-    def recorded(poset, members):
-        asked.append((poset, frozenset(members)))
-        return real(poset, members)
+    def recorded(poset, mask):
+        asked.append((poset, frozenset(x for i, x in enumerate(poset.elements) if mask >> i & 1)))
+        return mask_route(poset, mask)
 
-    monkeypatch.setattr(Poset, "beat_points_reduce_to_point", recorded)
+    monkeypatch.setattr(Poset, "mask_reduces_to_point", recorded)
     for path in sorted(DATA.glob("*_vec.json")):
         emb = build_embedding(covectors_from_vectors(load_vector_config_file(path)))
         for flat in emb.lattice.flats:
