@@ -249,9 +249,8 @@ def compare(matroid: str, flag_a: str, flag_b: str, as_json: bool) -> None:
 
 def verify_retraction_with_selection(desc) -> ValidationReport:
     report = maps.verify_retraction(desc)
-    picked = [
-        ",".join(desc.source.lattice.sorted_elements(c)) for c in desc.selection.coatoms
-    ]
+    lattice = desc.source.lattice
+    picked = [",".join(lattice.vertex_label(2 * k)[0]) for k in desc.selection.coatoms]
     report.add("selection", True, "coatoms " + "; ".join(picked))
     return report
 

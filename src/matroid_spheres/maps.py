@@ -5,12 +5,12 @@ vertex set; a cross-polytope shared by both supports a simplicial homotopy
 equivalence between them.  Its coatoms are read off the two flags' block
 masks: each F-block takes the highest G-block whose + half meets its own
 (an AND of two ints), and the lowest bit they share, the first coatom of
-both in key order.  The cross-polytope is held as its facet masks
-(``spheres.selection_masks``).  Each complex is certified a sphere by the
-join test of ``spheres``, with no homology.  When the map is the
-retraction onto the selected coatoms, its face lines are read off its r
-image halves, with no image set built; any other map's compare int vertex
-masks.  Weak maps are decided by comparing ranks on the flats of the
+both in key order, kept as its position k.  The cross-polytope is held as
+its facet masks (``spheres.selection_masks``).  Each complex is certified
+a sphere by the join test of ``spheres``, with no homology.  When the map
+sends each signed vertex to its half's selected vertex (one list compare
+through ``slot``), its face lines are read off the selected coatoms, with
+no image set built; any other map's compare int vertex masks.  Weak maps are decided by comparing ranks on the flats of the
 source, and the representation-level obstruction is found by exhaustive
 search over sign-preserving vertex assignments.
 """
@@ -34,10 +34,12 @@ class SelectionError(RuntimeError):
 
 class CrossSelection(Record):
     """Coatoms C_0..C_{r-1}, one per block of the first flag's partition,
-    landing in pairwise distinct blocks of the second flag's partition."""
+    landing in pairwise distinct blocks of the second flag's partition.
+    Each C_i is held as its position k in ``lattice.coatoms()``, so its
+    signed vertices are 2k and 2k + 1."""
 
     __slots__ = ("coatoms", "g_parts")  # C_i is taken from F-block i
-    def __init__(self, coatoms: tuple[frozenset, ...], g_parts: tuple[int, ...]):
+    def __init__(self, coatoms: tuple[int, ...], g_parts: tuple[int, ...]):
         self._set(coatoms, g_parts)
 
     def distinct(self) -> bool:
@@ -65,12 +67,12 @@ def select_cross_coatoms(rep_f: FlagRepresentation, rep_g: FlagRepresentation) -
     Blocks meet where their + ``halves`` AND to nonzero, so the highest G-block
     is a scan of ANDs down to block 0.  Coatom k's + vertex is bit 2k, so
     the lowest bit of the AND is the first coatom the two blocks share, in
-    key order: the one selected.
+    key order: the one selected, kept as its position k.
     """
     lattice = rep_f.lattice
     if rep_g.lattice is not lattice and rep_g.lattice.coatoms() != lattice.coatoms():
         raise SelectionError("no cross-coatom selection: the representations are of different lattices")
-    coatoms, g_plus, chosen, picked = lattice.coatoms(), [p for p, _ in rep_g.halves], [], []
+    g_plus, chosen, picked = [p for p, _ in rep_g.halves], [], []
     for p, _ in rep_f.halves:
         for j in range(len(g_plus) - 1, -1, -1):
             shared = p & g_plus[j]
@@ -79,7 +81,7 @@ def select_cross_coatoms(rep_f: FlagRepresentation, rep_g: FlagRepresentation) -
         else:
             raise SelectionError("no cross-coatom selection: an F-block meets no G-block")
         chosen.append(j)
-        picked.append(coatoms[(shared & -shared).bit_length() >> 1])
+        picked.append((shared & -shared).bit_length() >> 1)
     if len(set(chosen)) != len(chosen):
         raise SelectionError("no cross-coatom selection: two F-blocks share their highest G-block")
     return CrossSelection(tuple(picked), tuple(chosen))
@@ -97,14 +99,13 @@ class RetractDescriptor(Record):
 
 
 def retraction_map(lattice: GeometricLattice, flag_f: Flag, flag_g: Flag) -> RetractDescriptor:
-    """Send every signed coatom in block i onto the selected coatom C_i, sign kept, by ``slots``."""
+    """Send every signed coatom in block i onto the selected coatom C_i, sign kept, by ``slot``."""
     rep_f = representation(lattice, flag_f)
     rep_g = representation(lattice, flag_g)
     sel = select_cross_coatoms(rep_f, rep_g)
-    onto = [2 * lattice.coatom_index[c] + k for c in sel.coatoms for k in (0, 1)]  # slot 2i + k's image
-    vmap = {v: onto[k] for v, k in rep_f.slots}
-    polytope = selection_masks(lattice, frozenset(sel.coatoms))
-    return RetractDescriptor(sel, rep_f, rep_g, vmap, polytope)
+    onto = [v for k in sel.coatoms for v in (2 * k, 2 * k + 1)]  # half 2i + s's image, C_i at position k
+    vmap = dict(enumerate(map(onto.__getitem__, rep_f.slot)))
+    return RetractDescriptor(sel, rep_f, rep_g, vmap, selection_masks(frozenset(sel.coatoms)))
 
 
 # each line's FAIL and PASS record, shared by every report as records are frozen
@@ -122,44 +123,47 @@ def verify_retraction(desc: RetractDescriptor) -> ValidationReport:
     S_0, as built, must be the join of its r nonempty blocks' simplices
     (``join_holds``, so ~ S^{r-1}), and the polytope's facet masks, as
     held, those of the join of the r pairs {C+}, {C-} over the selected
-    coatoms (``selection_masks``, compared by identity first).  Such a
-    polytope holds every sign choice, so it lies in S_0 exactly when each
-    of the r blocks meets one coatom of C (``apart``, r ANDs on its all-+
-    facet, the sum of the C+ bits).
+    coatoms (``selection_masks`` of their positions, compared by identity
+    first).  Such a polytope holds every sign choice, so it lies in S_0
+    exactly when each of the r blocks meets one coatom of C (``apart``, r
+    ANDs on its all-+ facet, the sum of the C+ bits).
 
     Lemma: let the polytope be that join over r >= 1 distinct coatoms
-    C_i, S_0 the join on the source's 2|coatoms| positions, and the r
-    image halves (``half_masks``, one pass through the map) {C_i+}, {C_i-}.
-    A facet of S_0 is one half per block, so the images of the facets are
-    exactly the polytope's: ``simplicial`` holds, ``composite-simplicial``
-    is ``polytope-in-target``, and as the map's images are the 2r signed
+    C_i, S_0 the join on the source's 2|coatoms| positions, and the map
+    send each signed vertex v to onto[slot[v]], onto holding C_i's + and -
+    at 2i and 2i + 1 (one list compare).  As every half is nonempty, that
+    is the r image halves (``half_masks``) being {C_i+}, {C_i-}.  A facet
+    of S_0 is one half per block, so the images of the facets are exactly
+    the polytope's: ``simplicial`` holds, ``composite-simplicial`` is
+    ``polytope-in-target``, and as the map's images are the 2r signed
     vertices of C, ``idempotent`` asks that it fix those.  Every other
-    descriptor (a mutant's map or polytope, a poisoned S_0, rank 0) takes
-    the general route: the image set (the unions of the halves given the
-    join, else each facet mapped), each image tested, each vertex's image
-    mapped again, and a polytope that is no such join scanned mask by mask
-    (``are_faces``).  The polytope is tested as held, so a facet grown by a
-    vertex still holds the image of the facet it grew from.  Verdicts and
-    tables are memoized, so the pairs of a matroid compute each once.
+    descriptor (a mutant's map or polytope, a selection that repeats a
+    coatom, a poisoned S_0, rank 0) takes the general route: the image set
+    (the unions of the image halves given the join, else each facet
+    mapped), each image tested, each vertex's image mapped again, and a
+    polytope that is no such join scanned mask by mask (``are_faces``).
+    The polytope is tested as held, so a facet grown by a vertex still
+    holds the image of the facet it grew from.  Verdicts and tables are
+    memoized, so the pairs of a matroid compute each once.
     """
     source, target, vmap, polytope = desc.source, desc.target, desc.vertex_map, desc.polytope
-    lattice, chosen = source.lattice, desc.selection.coatoms
-    s_f = source.build(lattice.bottom)
-    halves = source.half_masks(vmap) if source.join_holds else None
-    coatoms, pairs = frozenset(chosen), ()
-    cross = selection_masks(lattice, coatoms) if len(coatoms) == lattice.r else None
+    r, chosen = source.r, desc.selection.coatoms
+    s_f = source.build(source.lattice.bottom)
+    positions = frozenset(chosen)
+    cross = selection_masks(positions) if len(positions) == r else None
     polytope_ok = cross is not None and (polytope is cross or polytope == cross)
     if polytope_ok:
-        ks = list(map(lattice.coatom_index.__getitem__, chosen))
-        pairs = tuple([(1 << 2 * k, 2 << 2 * k) for k in ks])
-        plus = sum(1 << 2 * lattice.coatom_index[c] for c in coatoms)  # all-+ facet, over C as a set
+        plus = sum(1 << 2 * k for k in positions)  # all-+ facet, over C as a set
         in_source, in_target = source.apart(plus), target.apart(plus)
     else:
         in_source, in_target = source.are_faces(polytope), target.are_faces(polytope)
-    if pairs and halves == pairs and len(s_f.vertices) == len(source.vertices):  # the lemma
-        simplicial, composite = True, in_target
-        idempotent = all(vmap[v] == v for k in ks for v in (2 * k, 2 * k + 1))
+    onto = [v for k in chosen for v in (2 * k, 2 * k + 1)]
+    if (polytope_ok and 0 < len(chosen) == r and source.join_holds and len(s_f.vertices) == len(source.vertices)
+            and list(map(vmap.__getitem__, source.vertices)) == list(map(onto.__getitem__, source.slot))):
+        simplicial, composite = True, in_target  # the lemma
+        idempotent = all(vmap[v] == v for v in onto)
     else:
+        halves = source.half_masks(vmap) if source.join_holds else None
         images = frozenset(_unions(halves) if halves is not None else (
             source.mask({vmap[v] for i, v in enumerate(s_f.vertices) if m >> i & 1}) for m in s_f.maximal_faces))
         # the empty face, the one facet of the join of no blocks at rank 0, is a face of every complex

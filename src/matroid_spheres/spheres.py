@@ -10,15 +10,18 @@ renders a vertex, as (C's elements in ground order, '+'|'-'), by
 
 S_bottom is the join, over the blocks, of the block's + simplex and its -
 simplex, and S_G is its subcomplex induced on V_G, the signed coatoms above
-G.  Every S_G is held on the positions 0 .. 2|coatoms| - 1, a facet as its
-signed-vertex mask: the unions of one half per block (``_unions``), cut to
-V_G.  A join of k spaces ~ S^0 is ~ S^{k-1} (Bjorner, Topological methods,
-1995), so the certificates read int masks over the signed vertices and
-build no S_G beyond S_bottom and the atoms' (``FlagRepresentation.spheres``
-and ``intersection_law_holds``).  The change-of-flag cross-polytope is held
-as its facet masks only (``selection_masks``), the join of each selected
-coatom's + and - vertex.  ``build`` caches each S_G it makes, and
-``representation`` keeps one representation per (lattice, flag).
+G.  The blocks are ints: block i's + and - halves are the vertex masks
+``halves[i]``, and ``slot[v]`` is vertex v's half 2i + s, both filled in
+one pass over the coatoms.  Every S_G is held on the positions
+0 .. 2|coatoms| - 1, a facet as its signed-vertex mask: the unions of one
+half per block (``_unions``), cut to V_G.  A join of k spaces ~ S^0 is
+~ S^{k-1} (Bjorner, Topological methods, 1995), so the certificates read
+int masks over the signed vertices and build no S_G beyond S_bottom and
+the atoms' (``FlagRepresentation.spheres`` and ``intersection_law_holds``).
+The change-of-flag cross-polytope is held as its facet masks only
+(``selection_masks``), the join of each selected coatom's + and - vertex,
+keyed by the coatoms' positions alone.  ``build`` caches each S_G it makes,
+and ``representation`` keeps one representation per (lattice, flag).
 """
 
 from __future__ import annotations
@@ -51,8 +54,9 @@ class HomotopyArrangement(Record):
 class FlagRepresentation:
     """All sphere complexes of one (lattice, flag) pair.
 
-    Immutable apart from its caches: ``build`` constructs each S_G at most
-    once, and each table and verdict is computed on first use.
+    The blocks are ``halves`` plus ``slot``.  Immutable apart from its
+    caches: ``build`` constructs each S_G at most once, and each table and
+    verdict is computed on first use.
     """
 
     def __init__(self, lattice: GeometricLattice, flag: Flag):
@@ -62,25 +66,21 @@ class FlagRepresentation:
         coatoms = lattice.coatoms()
         self.vertices = tuple(range(2 * len(coatoms)))  # every S_G's positions
         # one pass in key order, c joining block max{i : F_i inside c}: each
-        # signed vertex 2k + s with its half's slot 2i + s, and the halves
-        parts: list[list[frozenset]] = [[] for _ in range(r)]
-        slots: list[list[tuple[int, int]]] = [[] for _ in range(r)]
-        halves, chain = [0] * (2 * r), flag.chain
+        # signed vertex 2k + s gets its half 2i + s, and the half its bit
+        slot, halves, chain = [], [0] * (2 * r), flag.chain
         for k, c in enumerate(coatoms):
             if not chain[0] <= c:
                 raise ValueError("coatom blocks do not partition the coatoms")
             i = r - 1  # the flats inside c are a prefix of the chain
             while not chain[i] <= c:
                 i -= 1
-            parts[i].append(c)
-            slots[i] += ((2 * k, 2 * i), (2 * k + 1, 2 * i + 1))
+            slot += (2 * i, 2 * i + 1)
             halves[2 * i] |= 1 << 2 * k
             halves[2 * i + 1] |= 2 << 2 * k
-        empty = [i for i, block in enumerate(parts) if not block]
-        if empty:
-            raise ValueError(f"empty coatom block at position {empty[0]}: input lattice is not geometric")
-        self.parts: tuple[tuple[frozenset, ...], ...] = tuple(map(tuple, parts))
-        self.slots: tuple[tuple[int, int], ...] = sum(map(tuple, slots), ())  # block by block
+        if 0 in halves:
+            raise ValueError(f"empty coatom block at position {halves.index(0) >> 1}: "
+                             "input lattice is not geometric")
+        self.slot: tuple[int, ...] = tuple(slot)  # signed vertex -> its half
         self.halves: tuple[tuple[int, int], ...] = tuple(zip(halves[::2], halves[1::2]))
         self._built: dict[frozenset, SimplicialComplex] = {}
         self._law: bool | None = None
@@ -150,10 +150,10 @@ class FlagRepresentation:
 
     def half_masks(self, vertex_map: Mapping[int, int]) -> tuple[tuple[int, int], ...]:
         """Each block's coatoms signed + and signed -, as two vertex masks, each
-        vertex sent through the map, by ``slots``.  With no map: ``halves``."""
-        out = [0] * (2 * len(self.parts))
-        for v, k in self.slots:
-            out[k] |= 1 << vertex_map[v]
+        vertex sent through the map, by ``slot``.  With no map: ``halves``."""
+        out = [0] * (2 * self.r)
+        for v, h in enumerate(self.slot):
+            out[h] |= 1 << vertex_map[v]
         return tuple(zip(out[::2], out[1::2]))
 
     @cached_property
@@ -269,18 +269,16 @@ def _unions(pairs: Iterable[Sequence[int]]) -> list[int]:
 
 
 @lru_cache(maxsize=topology._HOMOLOGY_MEMO_SIZE)
-def selection_masks(lattice: GeometricLattice, coatoms: frozenset[frozenset]) -> frozenset[int]:
-    """The facets of the cross-polytope on a set of coatoms, one per block,
-    as vertex masks: the 2^k unions of each coatom's + or - bit, the join
-    of the k pairs {C+}, {C-}, so ~ S^{k-1}.  The empty mask, the one
-    union for k = 0, is left out.  Memoized with a fixed bound.
-
-    They depend only on the lattice (by identity) and the set of coatoms,
-    not on a flag or on the order of the blocks, so flag pairs that select
-    the same coatoms share one immutable set.
+def selection_masks(positions: frozenset[int]) -> frozenset[int]:
+    """The facets of the cross-polytope on coatoms given by their positions
+    k, one per block, as vertex masks: the unions of each coatom's + or -
+    bit, the join of the pairs {2k}, {2k + 1}, so ~ S^{|positions|-1}.  The
+    empty mask, the one union of no coatoms, is left out.  Memoized with a
+    fixed bound, keyed by the positions alone: not by a lattice, a flag or
+    the order of the blocks, so one memo entry, an immutable set, serves
+    every flag pair of every lattice that selects those positions.
     """
-    pairs = [(1 << 2 * k, 2 << 2 * k) for k in map(lattice.coatom_index.__getitem__, coatoms)]
-    return frozenset(_unions(pairs)) - {0}
+    return frozenset(_unions([(1 << 2 * k, 2 << 2 * k) for k in positions])) - {0}
 
 
 # -- arrangement-level operations ------------------------------------------------

@@ -213,9 +213,10 @@ class Poset:
                 grow(i, [i])
         return chains
 
-    def beat_points_reduce_to_point(self, members: Iterable) -> bool:
-        """Does the subposet on members reduce to one element by removing
-        beat points?
+    def mask_reduces_to_point(self, left: int) -> bool:
+        """Does the subposet on the members, given as an index mask (bit i
+        for element i, every bit an element's), reduce to one element by
+        removing beat points?
 
         x is a beat point when the elements strictly above it have a least
         element, or those strictly below it a greatest one.  Removing it is
@@ -224,19 +225,8 @@ class Poset:
         2012), so a True answer certifies that the order complex of the
         subposet is contractible.  By Stong, every order of removal ends in
         the same core up to isomorphism, so False means the core has more
-        than one element (or a member is not an element); that complex may
-        still be contractible, and the caller must decide it another way.
-        """
-        left, index = 0, self.index
-        for x in members:
-            if x not in index:
-                return False
-            left |= 1 << index[x]
-        return self.mask_reduces_to_point(left)
-
-    def mask_reduces_to_point(self, left: int) -> bool:
-        """``beat_points_reduce_to_point`` on the members' index mask, bit i
-        for element i; every bit must be an element's.
+        than one element; that complex may still be contractible, and the
+        caller must decide it another way.
 
         Elements are tested from a worklist.  Removing x changes the strict
         up- or down-set only of the elements comparable to x, so only those
@@ -665,14 +655,12 @@ def carrier_check(
         raise ValueError("cover families must share an index set")
     a_amb, b_amb = a_cover.ambient, b_cover.ambient
     keys = sorted(a_map, key=_generic_key)
-    n = len(keys)
     a_sets, b_sets = [a_map[k] for k in keys], [b_map[k] for k in keys]
     rep.add("covering", all(any(m & ~s == 0 for s in sets) for amb, sets in ((a_amb, a_sets), (b_amb, b_sets))
                             for m in amb.maximal_faces))
-    rep.add("subset-bound", True, f"subsets up to size {n} of {n}")
 
     def subset(mask: int) -> list:
-        return [keys[i] for i in range(n) if mask >> i & 1]
+        return [keys[i] for i in _bits(mask)]
 
     covers = {"A": a_cover, "B": b_cover}
 

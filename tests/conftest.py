@@ -190,6 +190,44 @@ def blocks_oracle(lattice, flag):
     )
 
 
+def parts_oracle(lattice, flag):
+    """Coatom blocks as the constructor once built its ``parts``: one pass
+    over ``lattice.coatoms()``, each coatom c joining block
+    max{i : F_i inside c}, each block in key order.  Oracle for
+    ``FlagRepresentation.halves``."""
+    chain, parts = flag.chain, [[] for _ in range(lattice.r)]
+    for c in lattice.coatoms():
+        parts[max(i for i in range(lattice.r) if chain[i] <= c)].append(c)
+    return tuple(map(tuple, parts))
+
+
+def slots_oracle(lattice, flag):
+    """Each signed vertex with its half, (2k + s, 2i + s) for coatom k in
+    block i, block by block, as the constructor once built its ``slots``.
+    Oracle for ``FlagRepresentation.slot``."""
+    signed = vertex_table(lattice)
+    return tuple((signed[c][s], 2 * i + "+-".index(s))
+                 for i, block in enumerate(parts_oracle(lattice, flag)) for c in block for s in "+-")
+
+
+def held_parts(rep):
+    """The coatom blocks a representation holds, read off its + halves:
+    block i's coatoms in key order."""
+    coatoms = rep.lattice.coatoms()
+    return tuple(tuple(c for k, c in enumerate(coatoms) if p >> 2 * k & 1) for p, _ in rep.halves)
+
+
+def selected_coatoms(lattice, selection):
+    """A selection's coatoms, read off their positions."""
+    return tuple(lattice.coatoms()[k] for k in selection.coatoms)
+
+
+def coatom_positions(lattice, coatoms):
+    """Each coatom's position, read off ``vertex_table``."""
+    signed = vertex_table(lattice)
+    return tuple(signed[c]["+"] // 2 for c in coatoms)
+
+
 def face_oracle(lattice, vector, blocks):
     """Every coatom of block i, signed by vector[i], built vertex by vertex;
     blocks with 0 left out.  Oracle for ``FlagRepresentation.sigma``."""
@@ -207,12 +245,12 @@ def cross_polytope_oracle(lattice, blocks):
 def support(rep, flat):
     """Indices of the coatom blocks meeting coat(G)."""
     coat = set(rep.lattice.coat_above(flat))
-    return tuple(i for i, block in enumerate(rep.parts) if coat.intersection(block))
+    return tuple(i for i, block in enumerate(held_parts(rep)) if coat.intersection(block))
 
 
 def part_of(rep):
-    """Each coatom's block index, read off ``parts``."""
-    return {c: i for i, block in enumerate(rep.parts) for c in block}
+    """Each coatom's block index, read off ``held_parts``."""
+    return {c: i for i, block in enumerate(held_parts(rep)) for c in block}
 
 
 def facet_signs(rep, complex_):
@@ -223,7 +261,7 @@ def facet_signs(rep, complex_):
     value = {frozenset(): 0, frozenset("+"): 1, frozenset("-"): -1}
     out, block, label = {}, part_of(rep), coatom_sign(rep.lattice)
     for face in label_faces(complex_):
-        signs = [set() for _ in rep.parts]
+        signs = [set() for _ in rep.halves]
         for coatom, sign in map(label.__getitem__, face):
             signs[block[coatom]].add(sign)
         out[face] = tuple(value.get(frozenset(s)) for s in signs)
@@ -293,7 +331,7 @@ def face_homology_oracle(complex_):
 def beat_points_oracle(poset, members):
     """Beat points removed pass by pass, each pass testing every element
     left, until a pass removes none; True when one element is left.
-    Oracle for ``Poset.beat_points_reduce_to_point``."""
+    Oracle for ``Poset.mask_reduces_to_point``, through ``reduces_to_point``."""
     up, down, index = poset.up, poset.down, poset.index
     members = set(members)
     if any(x not in index for x in members):
@@ -313,6 +351,15 @@ def beat_points_oracle(poset, members):
                 left &= ~(1 << i)
                 removed = True
     return left != 0 and not left & (left - 1)
+
+
+def reduces_to_point(poset, members):
+    """``Poset.mask_reduces_to_point`` on members given as elements, masked
+    through ``poset.index``; False where a member is no element."""
+    index = poset.index
+    if any(x not in index for x in members):
+        return False
+    return poset.mask_reduces_to_point(sum(1 << index[x] for x in set(members)))
 
 
 def label_cover(ambient, members, poset=None):
@@ -406,10 +453,8 @@ def carrier_report_oracle(a_ambient, a_map, b_ambient, b_map, images):
         for x, y in zip(a, b)
         for m in x.maximal_faces
     )
-    n = len(keys)
     return {
         "covering": (covers(a_ambient, a) and covers(b_ambient, b), ""),
-        "subset-bound": (True, f"subsets up to size {n} of {n}"),
         "intersections-contractible": (not detail, detail),
         "nonemptiness-equivalence": (
             not differ, f"nonemptiness differs on {subset(differ[0])}" if differ else ""),
@@ -590,26 +635,27 @@ def select_cross_coatoms_oracle(rep_f, rep_g):
     mask reading of ``maps.select_cross_coatoms``."""
     r, g_block = rep_f.lattice.r, part_of(rep_g)
     first = [{} for _ in range(r)]  # G-block -> coatom
-    for i, block in enumerate(rep_f.parts):
+    for i, block in enumerate(held_parts(rep_f)):
         for c in block:
             first[i].setdefault(g_block[c], c)
     chosen = [max(seen) for seen in first]
     if len(set(chosen)) != r:
         raise SelectionError("no cross-coatom selection: two F-blocks share their highest G-block")
     coatoms = tuple(first[i][j] for i, j in enumerate(chosen))
-    return CrossSelection(coatoms, tuple(chosen))
+    return CrossSelection(coatom_positions(rep_f.lattice, coatoms), tuple(chosen))
 
 
 def retraction_oracle(lattice, flag_f, flag_g):
     """``retraction_map`` through ``select_cross_coatoms_oracle``, each
-    signed coatom's image read off ``vertex_table``, and the polytope by
-    ``cross_polytope_complex``.  Oracle for ``maps.retraction_map``."""
+    signed coatom's image read off ``vertex_table`` and ``parts_oracle``,
+    and the polytope by ``cross_polytope_complex``.  Oracle for
+    ``maps.retraction_map``."""
     rep_f, rep_g = representation(lattice, flag_f), representation(lattice, flag_g)
     sel = select_cross_coatoms_oracle(rep_f, rep_g)
-    signed = vertex_table(lattice)
-    vmap = {v: signed[chosen][s] for block, chosen in zip(rep_f.parts, sel.coatoms)
-            for c in block for s, v in signed[c].items()}
-    polytope = complex_masks(cross_polytope_complex(lattice, sel.coatoms))
+    signed, coatoms = vertex_table(lattice), selected_coatoms(lattice, sel)
+    vmap = dict(sorted((v, signed[chosen][s]) for block, chosen in zip(parts_oracle(lattice, flag_f), coatoms)
+                       for c in block for s, v in signed[c].items()))  # in vertex order
+    polytope = complex_masks(cross_polytope_complex(lattice, coatoms))
     return RetractDescriptor(sel, rep_f, rep_g, vmap, polytope)
 
 
@@ -624,7 +670,7 @@ def verify_retraction_oracle(desc):
     s_f = source.build(lattice.bottom)
     if source.join_holds:
         halves = [[sum(1 << w for w in {vmap[signed[c][s]] for c in block}) for s in "+-"]
-                  for block in source.parts]
+                  for block in held_parts(source)]
         images = frozenset(_unions(halves))
     else:
         images = frozenset(sum(1 << w for w in {vmap[v] for v in m}) for m in label_faces(s_f))
@@ -636,7 +682,7 @@ def verify_retraction_oracle(desc):
     rep.add("composite-simplicial", target.are_faces(images))
     rep.add("source-sphere", source.join_holds)
     rep.add("target-sphere", target.join_holds)
-    coatoms = frozenset(desc.selection.coatoms)
+    coatoms = frozenset(selected_coatoms(lattice, desc.selection))
     cross = complex_masks(cross_polytope_complex(lattice, coatoms))
     rep.add("polytope-sphere", len(coatoms) == lattice.r and polytope == cross)
     return rep
@@ -682,8 +728,8 @@ def verify_retraction_general(desc):
     else:
         images = frozenset(source.mask({vmap[v] for i, v in enumerate(s_f.vertices) if m >> i & 1})
                            for m in s_f.maximal_faces)
-    coatoms = frozenset(desc.selection.coatoms)
-    polytope_ok = len(coatoms) == lattice.r and polytope == selection_masks(lattice, coatoms)
+    positions = frozenset(desc.selection.coatoms)
+    polytope_ok = len(positions) == lattice.r and polytope == selection_masks(positions)
     if polytope_ok:
         plus = min(polytope, default=0)  # every coatom signed +, the lower of its two bits
         in_source, in_target = source.apart(plus), target.apart(plus)
@@ -711,7 +757,7 @@ def cross_coatom_search_oracle(rep_f, rep_g):
     r = lattice.r
     options = {}
     for i in range(r):
-        for c in rep_f.parts[i]:
+        for c in held_parts(rep_f)[i]:
             options.setdefault((i, g_block[c]), []).append(c)
 
     def matchable(fixed, start):
@@ -742,7 +788,7 @@ def cross_coatom_search_oracle(rep_f, rep_g):
         if i not in chosen:
             raise SelectionError("no cross-coatom selection exists")
     coatoms = tuple(min(options[(i, chosen[i])], key=lattice.key) for i in range(r))
-    return CrossSelection(coatoms, tuple(chosen[i] for i in range(r)))
+    return CrossSelection(coatom_positions(lattice, coatoms), tuple(chosen[i] for i in range(r)))
 
 
 # -- covectors as sign-vector tuples: the package's former form ---------------------

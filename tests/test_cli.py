@@ -18,7 +18,7 @@ from matroid_spheres import MatroidInputError
 from matroid_spheres.jsonio import complex_from_json, load_vector_config_file
 from matroid_spheres.maps import RetractDescriptor
 from conftest import face_labels, frozen, member_labels, used_vertices
-from conftest import grown_by_a_foreign_vertex, poisoned, repeated_g_part, sorted_faces
+from conftest import grown_by_a_foreign_vertex, poisoned, reduces_to_point, repeated_g_part, sorted_faces
 
 DATA = Path(__file__).parent / "data"
 
@@ -197,7 +197,7 @@ def test_om_embed_builds_each_complex_once(runner, monkeypatch, vectors):
         a_ambient, b_ambient = (frozenset(used_vertices(c.ambient)) for c in (a_cover, b_cover))
         fallbacks |= {
             (a_ambient, x) for x in closed_under_meets(member_labels(a_cover).values())
-            if not a_cover.poset.beat_points_reduce_to_point(x)
+            if not reduces_to_point(a_cover.poset, x)
         }
         fallbacks |= {
             (b_ambient, x) for x in closed_under_meets(member_labels(b_cover).values())
@@ -621,6 +621,77 @@ def test_unexpected_error_exits_3_on_one_line(runner, monkeypatch):
     assert result.exit_code == 3
     assert result.stdout == ""
     assert result.stderr == "internal error: RuntimeError: boom\n"
+
+
+U34_UNNESTED = {"chain": [[], ["1"], ["2", "3"], ["1", "2", "3", "4"]]}  # ranks 0..3, 1 not below 23
+
+# (command, file content, the message of the one stderr line): each an input
+# the loaders refuse, by a branch no other CLI test reaches
+INPUT_ERRORS = {
+    "not json": ("validate", "{", "cannot read "),
+    "flag without chain": ("flag", {"other": 1}, "needs a 'chain' key"),
+    "flag chain not nested": ("flag", U34_UNNESTED, "flag chain is not strictly increasing"),
+    "vertices not a list": ("homology", {"vertices": 3, "maximal_faces": []},
+                            "'vertices' and 'maximal_faces' must be lists"),
+    "maximal faces not a list": ("homology", {"vertices": [], "maximal_faces": 3},
+                                 "'vertices' and 'maximal_faces' must be lists"),
+    "signed vertex without coatom": ("homology", {"vertices": [{"sign": "+"}], "maximal_faces": []},
+                                     "needs a 'coatom' list and a 'sign'"),
+    "signed vertex without sign": ("homology", {"vertices": [{"coatom": ["1"]}], "maximal_faces": []},
+                                   "needs a 'coatom' list and a 'sign'"),
+    "vertex label a list": ("homology", {"vertices": [["a"]], "maximal_faces": []}, "vertex label ['a'] is a list"),
+    "bad rational vector entry": ("vectors", {"columns": {"a": ["x"]}}, "bad rational entry for element a"),
+    "dimension mismatch": ("vectors", {"columns": {"a": [1, 0], "b": [0, 1]}, "dimension": 3},
+                           "declared dimension does not match the columns"),
+    "ragged vector columns": ("vectors", {"columns": {"a": [1, 0], "b": [1]}}, "columns must share a dimension"),
+    "repeated ground labels": ("validate", {"format": "flats", "ground_set": ["1", "1"], "flats": [[], ["1"]]},
+                               "ground set labels must be distinct"),
+    "flat outside the ground set": ("validate", {"format": "flats", "ground_set": ["1"], "flats": [[], ["2"]]},
+                                    "flat ['2'] is not a subset of the ground set"),
+    "no flats": ("validate", {"format": "flats", "ground_set": ["1"], "flats": []}, "empty flats list"),
+    "uniform r above n": ("validate", {"format": "uniform", "r": 3, "n": 2},
+                          "uniform matroid needs 1 <= r <= n, got r=3, n=2"),
+    "linear without columns": ("validate", {"format": "linear", "columns": []},
+                               "linear matroid needs at least one column"),
+    "ground set not the column count": ("validate", {"format": "linear", "columns": [[1, 0], [0, 1]],
+                                                     "ground_set": ["a"]}, "element count must match column count"),
+    "ragged linear columns": ("validate", {"format": "linear", "columns": [[1, 0], [1]]},
+                              "columns must share a dimension"),
+    "unknown field": ("validate", {"format": "linear", "field": "R", "columns": [[1]]}, "unknown field 'R'"),
+    "missing key": ("validate", {"format": "uniform", "r": 2}, "matroid spec is missing 'n'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+def test_refused_input_exits_2_on_one_line(runner, tmp_path, case):
+    command, content, message = INPUT_ERRORS[case]
+    path = tmp_path / "input.json"
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    args = {"validate": ["validate", path], "flag": ["flags", "compare", DATA / "u34.json", path, "default"],
+            "homology": ["homology", path], "vectors": ["om", "covectors", path]}[command]
+    result = run(runner, *args)
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr.startswith("input error: ") and message in result.stderr, result.stderr
+    assert len(result.stderr.splitlines()) == 1 and "Traceback" not in result.stderr
+
+
+def test_flag_file_holding_default_reads_as_the_literal(runner, tmp_path):
+    flag = tmp_path / "flag.json"
+    flag.write_text(json.dumps("default"))
+    for args in (["flags", "compare", DATA / "u34.json", flag, flag], ["verify", DATA / "u34.json", "--flag", flag]):
+        from_file = run(runner, *args)
+        literal = run(runner, *["default" if a == flag else a for a in args])
+        assert from_file.exit_code == literal.exit_code == 0, from_file.output
+        assert from_file.stdout == literal.stdout
+
+
+def test_homology_of_the_empty_complex(runner, tmp_path):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"vertices": [], "maximal_faces": []}))
+    result = run(runner, "homology", empty)
+    assert result.exit_code == 0
+    assert result.stdout == "empty complex: all reduced homology trivial\n"
 
 
 @pytest.mark.parametrize("pivots", ["1", "1,3,4"])

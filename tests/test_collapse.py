@@ -18,7 +18,7 @@ from matroid_spheres import (
     sphere_profile,
 )
 from conftest import complex_of, label_faces, sorted_faces, used_vertices
-from conftest import cross_polytope_boundary, face_homology_oracle, simplex_boundary
+from conftest import cross_polytope_boundary, face_homology_oracle, held_parts, simplex_boundary
 from matroid_spheres import build_embedding, covectors_from_vectors, topology, vector_config
 from matroid_spheres.jsonio import complex_from_json, load_vector_config_file
 from matroid_spheres.lattice import all_complete_flags
@@ -207,7 +207,7 @@ def test_core_of_s0_is_the_cross_polytope(u34, bool3, fano):
             assert core.support.bit_count() == 2 * r
             assert len(core.maximal_faces) == 2 ** r
             assert all(m.bit_count() == r for m in core.maximal_faces)
-            for block in rep.parts:
+            for block in held_parts(rep):
                 kept = [v for v in map(lattice.vertex_label, used_vertices(core)) if frozenset(v[0]) in block]
                 assert len({v[0] for v in kept}) == 1
                 assert sorted(v[1] for v in kept) == ["+", "-"]

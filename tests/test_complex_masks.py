@@ -15,6 +15,7 @@ from conftest import (
     face_homology_oracle,
     face_labels,
     frozen,
+    held_parts,
     label_faces,
 )
 
@@ -105,7 +106,7 @@ def test_every_s_g_matches_its_label_complex():
     for name, rep, flat, built in every_s_g():
         lattice = rep.lattice
         coat = set(lattice.coat_above(flat))
-        blocks = tuple(tuple(c for c in block if c in coat) for block in rep.parts)
+        blocks = tuple(tuple(c for c in block if c in coat) for block in held_parts(rep))
         fc = FrozenComplex(cross_polytope_oracle(lattice, blocks))
         assert label_faces(built) == fc.maximal_faces, (name, sorted(flat))
         assert built.vertices == rep.vertices  # position v is signed vertex v

@@ -32,7 +32,7 @@ from matroid_spheres.linalg import rank_q
 from matroid_spheres.topology import _intersections, full_simplex
 from conftest import DATA, face_labels, mask_vertices, sign_vector, tuples
 from conftest import (
-    build_covers_oracle, carrier_report_oracle, cocircuits_oracle, covector_flat_oracle,
+    beat_points_oracle, build_covers_oracle, carrier_report_oracle, cocircuits_oracle, covector_flat_oracle,
     delta_complex, images_oracle, span_oracle, verify_embedding_oracle, zero_set_oracle,
 )
 
@@ -115,9 +115,9 @@ def test_embedding_matches_the_tuple_oracle(name):
 def test_beat_points_on_masks_match_the_label_route(name):
     # carrier_check hands each A-side intersection mask to the poset as it
     # is, since Delta(L_G) holds each element at its poset position; the
-    # label route maps the mask to covectors and masks them again by index.
-    # Each intersection is also tried without its lowest element, which
-    # leaves a subposet that need not reduce
+    # pass-by-pass oracle maps the mask to covectors and masks them again
+    # by index.  Each intersection is also tried without its lowest
+    # element, which leaves a subposet that need not reduce
     emb = build_embedding(covectors_from_vectors(CONFIGS[name]))
     verdicts = []
     for flat in emb.lattice.flats:
@@ -128,7 +128,7 @@ def test_beat_points_on_masks_match_the_label_route(name):
         for x in [z for y in (full, *_intersections([m for _, m in a_cover.members])) for z in (y, y & y - 1)]:
             labels = [v for i, v in enumerate(ambient.vertices) if x >> i & 1]
             verdict = poset.mask_reduces_to_point(x)
-            assert verdict is poset.beat_points_reduce_to_point(labels), (sorted(flat), x)
+            assert verdict is beat_points_oracle(poset, labels), (sorted(flat), x)
             verdicts.append(verdict)
     assert True in verdicts and False in verdicts
 

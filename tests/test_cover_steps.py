@@ -34,6 +34,7 @@ from conftest import (
     cover_steps_oracle,
     cross_polytope_oracle,
     data_matroids,
+    held_parts,
     is_homology_sphere,
     nerve_oracle,
     swap_map,
@@ -195,12 +196,13 @@ def mutated(old, draw):
 def split_block(rep, draw):
     """S_bottom built with one block of two or more coatoms split in two,
     or None if every block has one coatom."""
-    big = [i for i, block in enumerate(rep.parts) if len(block) > 1]
+    parts = held_parts(rep)
+    big = [i for i, block in enumerate(parts) if len(block) > 1]
     if not big:
         return None
     i = draw(st.sampled_from(big))
-    k = draw(st.integers(1, len(rep.parts[i]) - 1))
-    blocks = [*rep.parts[:i], rep.parts[i][:k], rep.parts[i][k:], *rep.parts[i + 1:]]
+    k = draw(st.integers(1, len(parts[i]) - 1))
+    blocks = [*parts[:i], parts[i][:k], parts[i][k:], *parts[i + 1:]]
     return complex_of(cross_polytope_oracle(rep.lattice, blocks))  # ints sort in key order
 
 

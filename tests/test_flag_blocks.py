@@ -21,6 +21,7 @@ from matroid_spheres import (
     SimplicialComplex,
     all_complete_flags,
     default_flag,
+    uniform_matroid,
 )
 from matroid_spheres.jsonio import signed_complex_to_json
 from matroid_spheres.spheres import atom_label, selection_masks
@@ -29,11 +30,15 @@ from conftest import complex_of, label_faces, mask_vertices, used_vertices
 from conftest import (
     blocks_oracle,
     boolean_matroid,
+    coatom_positions,
     cross_polytope_oracle,
     data_matroids,
     face_oracle,
     has_face_oracle,
+    held_parts,
+    parts_oracle,
     signed_coatoms,
+    slots_oracle,
     swap_sign,
     vertex_table,
 )
@@ -55,13 +60,30 @@ def every_flag(lattices):
 
 def test_blocks_match_oracle(lattices):
     for name, lattice, rep in every_flag(lattices):
-        assert rep.parts == blocks_oracle(lattice, rep.flag), (name, rep.flag.chain)
+        assert held_parts(rep) == blocks_oracle(lattice, rep.flag), (name, rep.flag.chain)
+
+
+def test_slot_and_halves_match_the_constructor_oracles(lattices):
+    # every flag of the tests/data matroids, B_4, Fano, B_5 and U(4,7)
+    more = {"B_5": boolean_matroid("abcde"), "U(4,7)": uniform_matroid(4, 7)}
+    counts = {}
+    for name, lattice in {**lattices, **more}.items():
+        table = vertex_table(lattice)
+        for flag in all_complete_flags(lattice):
+            rep = FlagRepresentation(lattice, flag)
+            slots = sorted(slots_oracle(lattice, flag))
+            assert [v for v, _ in slots] == list(rep.vertices), (name, flag.chain)  # each vertex once
+            assert rep.slot == tuple(h for _, h in slots), (name, flag.chain)
+            assert rep.halves == tuple(tuple(sum(1 << table[c][s] for c in block) for s in "+-")
+                                       for block in parts_oracle(lattice, flag)), (name, flag.chain)
+            counts[name] = counts.get(name, 0) + 1
+    assert (counts["B_5"], counts["U(4,7)"]) == (120, 210)
 
 
 def blocks_over(rep, flat):
     """The coatoms of each block that lie above the flat."""
     coat = set(rep.lattice.coat_above(flat))
-    return tuple(tuple(c for c in block if c in coat) for block in rep.parts)
+    return tuple(tuple(c for c in block if c in coat) for block in held_parts(rep))
 
 
 def test_cross_polytope_and_sigma_match_oracle(lattices):
@@ -75,9 +97,9 @@ def test_cross_polytope_and_sigma_match_oracle(lattices):
             for face, vec in want.items():
                 assert mask_vertices(rep.sigma(vec, flat)) == face == face_oracle(lattice, vec, blocks)
         # the retraction's polytope: one coatom per block
-        chosen = [(block[-1],) for block in rep.parts]
+        chosen = [(block[-1],) for block in held_parts(rep)]
         want = {sum(1 << v for v in f) for f in cross_polytope_oracle(lattice, chosen)}
-        assert selection_masks(lattice, frozenset(c for c, in chosen)) == want
+        assert selection_masks(frozenset(coatom_positions(lattice, [c for c, in chosen]))) == want
 
 
 def test_signed_vertices_are_per_lattice_labels(lattices):
@@ -116,7 +138,7 @@ def test_vertex_bits_and_halves_match_the_built_s_0(lattices):
         assert lattice.coatom_index == {c: pm["+"] // 2 for c, pm in table.items()}
         assert rep.halves == tuple(
             tuple(sum(1 << table[c][s] for c in block) for s in "+-")
-            for block in rep.parts)
+            for block in blocks_oracle(lattice, rep.flag))
         s0 = rep.build(lattice.bottom)
         assert rep.join_holds
         assert all(rep.is_face(rep.mask(f)) == has_face_oracle(s0, f)

@@ -47,6 +47,7 @@ from conftest import (
     cross_polytope_complex,
     data_matroids,
     grown_by_a_foreign_vertex,
+    held_parts,
     is_homology_sphere,
     mask_vertices,
     masks_complex,
@@ -57,6 +58,8 @@ from conftest import (
     retraction_face_lines_oracle,
     retraction_oracle,
     select_cross_coatoms_oracle,
+    selected_coatoms,
+    slots_oracle,
     verify_retraction_general,
     verify_retraction_oracle,
 )
@@ -69,7 +72,7 @@ def brute_force_selection_exists(lattice, flag_f, flag_g, selection):
     rep_f = FlagRepresentation(lattice, flag_f)
     rep_g = FlagRepresentation(lattice, flag_g)
     r = lattice.r
-    got = set(selection.coatoms)
+    got = set(selected_coatoms(lattice, selection))
     valid = []
     f_block, g_block = part_of(rep_f), part_of(rep_g)
     for sub in combinations(lattice.coatoms(), r):
@@ -94,7 +97,7 @@ def test_selection_identical_flags(u24):
     sel = select(u24, flag, flag)
     assert sel.distinct()
     # lex-least coatom of each block
-    assert sel.coatoms == (frozenset({"2"}), frozenset({"1"}))
+    assert selected_coatoms(u24, sel) == (frozenset({"2"}), frozenset({"1"}))
 
 
 def test_selection_u34_pair(u34):
@@ -109,7 +112,7 @@ def test_selection_rank_one():
     lattice = uniform_matroid(1, 1)
     flag = default_flag(lattice)
     sel = select(lattice, flag, flag)
-    assert sel.coatoms == (frozenset(),)
+    assert selected_coatoms(lattice, sel) == (frozenset(),)
 
 
 def test_selection_all_flag_pairs(u24, u34, bool3, n134):
@@ -167,14 +170,14 @@ def outcome(select_fn, rep_f, rep_g):
 def assign_blocks(rep, blocks):
     """Overwrite a fresh representation's coatom blocks: the k-th coatom in
     key order goes to block blocks[k], or to none where that is None.  The
-    ``slots`` and ``halves`` filled with ``parts`` are refilled from the new
-    blocks, and every cached table and verdict (each ``cached_property`` of
-    the class, and the built S_G) is dropped, so it is rebuilt from them,
-    and every route, the oracles' included, sees the same assignment."""
-    coatoms, index = rep.lattice.coatoms(), rep.lattice.coatom_index
-    rep.parts = tuple(tuple(c for c, j in zip(coatoms, blocks) if j == i) for i in range(rep.r))
-    rep.slots = tuple((2 * index[c] + s, 2 * i + s) for i, block in enumerate(rep.parts) for c in block for s in (0, 1))
-    rep.halves = tuple(tuple(sum(1 << 2 * index[c] + s for c in block) for s in (0, 1)) for block in rep.parts)
+    ``slot`` and ``halves`` the constructor fills are refilled from the new
+    blocks (None for a vertex in no block), and every cached table and
+    verdict (each ``cached_property`` of the class, and the built S_G) is
+    dropped, so it is rebuilt from them, and every route, the oracles'
+    included, sees the same assignment through ``held_parts``."""
+    rep.slot = tuple(None if j is None else 2 * j + s for j in blocks for s in (0, 1))
+    rep.halves = tuple(tuple(sum(1 << 2 * k + s for k, j in enumerate(blocks) if j == i) for s in (0, 1))
+                       for i in range(rep.r))
     for name, attr in vars(FlagRepresentation).items():
         if isinstance(attr, cached_property):
             vars(rep).pop(name, None)
@@ -196,7 +199,7 @@ def test_selection_where_an_f_block_meets_no_g_block_raises(u34):
     # descending scan must stop at G-block 0, where a negative index would
     # wrap round to the top block and then run off the list
     rep_f = FlagRepresentation(u34, default_flag(u34))
-    block_0 = set(rep_f.parts[0])
+    block_0 = set(held_parts(rep_f)[0])
     for others in range(3):
         rep_g = FlagRepresentation(u34, default_flag(u34))
         assign_blocks(rep_g, [None if c in block_0 else others for c in u34.coatoms()])
@@ -236,7 +239,7 @@ def test_selection_matches_oracle_on_every_block_assignment(u34):
         got = outcome(select_cross_coatoms, rep_f, rep_g)
         assert got == outcome(select_cross_coatoms_oracle, rep_f, rep_g), blocks
         oracle = outcome(cross_coatom_search_oracle, rep_f, rep_g)
-        highest = [max(part_of(rep_g)[c] for c in block) for block in rep_f.parts]
+        highest = [max(part_of(rep_g)[c] for c in block) for block in held_parts(rep_f)]
         if len(set(highest)) == len(highest):
             assert got == oracle, blocks
             matched += 1
@@ -339,7 +342,7 @@ def test_equal_chains_of_different_lattices_get_different_representations(u34, n
     assert rep_u.flag == rep_n.flag
     assert rep_u is not rep_n
     assert (rep_u.lattice, rep_n.lattice) == (u34, n134)
-    assert rep_u.parts != rep_n.parts
+    assert held_parts(rep_u) != held_parts(rep_n)
 
 
 def test_representation_memo_is_bounded():
@@ -351,7 +354,7 @@ def test_representation_memo_is_bounded():
     assert representation.cache_info().currsize == bound  # full, never past the bound
 
 
-# -- one cross-polytope per (lattice, selected coatoms) ------------------------------
+# -- one cross-polytope per set of selected positions ---------------------------------
 
 
 def test_equal_selections_share_one_polytope():
@@ -360,9 +363,12 @@ def test_equal_selections_share_one_polytope():
     first, other = retraction_map(b4, flags[0], flags[1]), retraction_map(b4, flags[5], flags[-1])
     # B_4's blocks hold one coatom each, so every pair selects all four,
     # here in two different block orders
-    assert set(first.selection.coatoms) == set(other.selection.coatoms) == set(b4.coatoms())
+    assert set(selected_coatoms(b4, first.selection)) == set(selected_coatoms(b4, other.selection)) == set(b4.coatoms())
     assert first.selection.coatoms != other.selection.coatoms
     assert first.polytope is other.polytope
+    # the memo is keyed by positions alone: another lattice selecting them shares the entry
+    twin = uniform_matroid(4, 4)
+    assert twin is not b4 and retraction_map(twin, *all_complete_flags(twin)[:2]).polytope is first.polytope
 
 
 def test_memoized_polytope_matches_fresh_cross_polytope(u34, bool3, fano):
@@ -375,20 +381,25 @@ def test_memoized_polytope_matches_fresh_cross_polytope(u34, bool3, fano):
         for f in flags:
             for g in flags:
                 desc = retraction_map(lattice, f, g)
-                fresh = cross_polytope_complex(lattice, desc.selection.coatoms)
+                fresh = cross_polytope_complex(lattice, selected_coatoms(lattice, desc.selection))
                 assert desc.polytope == complex_masks(fresh), (f.chain, g.chain)
                 pairs += 1
     assert pairs == 144 + 36 + 576 + 441 + 120 ** 2
 
 
 def test_polytope_memo_is_bounded():
+    # the memo is keyed by the selected positions alone, and U(3,7)'s pairs
+    # select 497 distinct sets of three
     bound = topology._HOMOLOGY_MEMO_SIZE
     assert selection_masks.cache_info().maxsize == bound
-    for _ in range(bound + 10):  # each lattice is a new key
-        lattice = uniform_matroid(2, 3)
-        flag = default_flag(lattice)
-        desc = retraction_map(lattice, flag, flag)
-        assert desc.polytope and verify_retraction(desc).ok
+    lattice = uniform_matroid(3, 7)
+    flags, keys = all_complete_flags(lattice), set()
+    for f in flags:
+        for g in flags:
+            desc = retraction_map(lattice, f, g)
+            assert desc.polytope and verify_retraction(desc).ok
+            keys.add(frozenset(desc.selection.coatoms))
+    assert len(keys) > bound
     assert selection_masks.cache_info().currsize == bound
 
 
@@ -484,10 +495,10 @@ def swapped_singleton(desc):
     """Swap the signs of the selected coatom of a one-coatom block: the map
     stays simplicial but is no longer idempotent."""
     rep = desc.source
-    i = next((i for i, b in enumerate(rep.parts) if len(b) == 1), None)
+    i = next((i for i, b in enumerate(held_parts(rep)) if len(b) == 1), None)
     if i is None:
         return None
-    c = desc.selection.coatoms[i]
+    c = selected_coatoms(rep.lattice, desc.selection)[i]
     vmap = dict(desc.vertex_map)
     vmap[rep.vertex(c, "+")], vmap[rep.vertex(c, "-")] = rep.vertex(c, "-"), rep.vertex(c, "+")
     return RetractDescriptor(desc.selection, desc.source, desc.target, vmap, desc.polytope)
@@ -497,11 +508,11 @@ def flipped_vertex(desc):
     """Send one unselected coatom of a block onto the selected coatom with
     the other sign: an image face then holds both signs of one coatom."""
     rep = desc.source
-    i = next((i for i, b in enumerate(rep.parts) if len(b) > 1), None)
+    i = next((i for i, b in enumerate(held_parts(rep)) if len(b) > 1), None)
     if i is None:
         return None
-    chosen = desc.selection.coatoms[i]
-    c = next(c for c in rep.parts[i] if c != chosen)
+    chosen = selected_coatoms(rep.lattice, desc.selection)[i]
+    c = next(c for c in held_parts(rep)[i] if c != chosen)
     vmap = dict(desc.vertex_map)
     vmap[rep.vertex(c, "+")] = rep.vertex(chosen, "-")
     return RetractDescriptor(desc.selection, desc.source, desc.target, vmap, desc.polytope)
@@ -512,11 +523,11 @@ def cross_block_vertex(desc):
     block's selected coatom: an image face holds both signs of that coatom
     only where the other block is signed -, so on rank 2 one facet of the
     source alone maps to a non-face."""
-    rep, chosen = desc.source, desc.selection.coatoms
-    i = next((i for i, b in enumerate(rep.parts) if len(b) > 1), None)
+    rep, chosen = desc.source, selected_coatoms(desc.source.lattice, desc.selection)
+    i = next((i for i, b in enumerate(held_parts(rep)) if len(b) > 1), None)
     if i is None:
         return None
-    c = next(c for c in rep.parts[i] if c != chosen[i])
+    c = next(c for c in held_parts(rep)[i] if c != chosen[i])
     vmap = dict(desc.vertex_map)
     vmap[rep.vertex(c, "+")] = rep.vertex(chosen[i - 1], "+")
     return RetractDescriptor(desc.selection, desc.source, desc.target, vmap, desc.polytope)
@@ -530,18 +541,18 @@ def swapped_selection(desc):
     sel, rep = desc.selection, desc.source
     if len(sel.coatoms) < 2:
         return None
-    coatoms = (sel.coatoms[1], sel.coatoms[0]) + sel.coatoms[2:]
-    onto = [rep.vertex(c, s) for c in coatoms for s in "+-"]
-    vmap = {v: onto[k] for v, k in rep.slots}
-    return RetractDescriptor(CrossSelection(coatoms, sel.g_parts), rep, desc.target, vmap, desc.polytope)
+    positions = (sel.coatoms[1], sel.coatoms[0]) + sel.coatoms[2:]
+    onto = [2 * k + s for k in positions for s in (0, 1)]
+    vmap = {v: onto[h] for v, h in slots_oracle(rep.lattice, rep.flag)}
+    return RetractDescriptor(CrossSelection(positions, sel.g_parts), rep, desc.target, vmap, desc.polytope)
 
 
 def chained_image(desc):
     """Send one unselected coatom's + vertex onto its own - vertex, which
     the map sends on to the selected coatom's -: that image is not fixed."""
     rep = desc.source
-    i = next(i for i, b in enumerate(rep.parts) if len(b) > 1)
-    c = next(c for c in rep.parts[i] if c != desc.selection.coatoms[i])
+    i = next(i for i, b in enumerate(held_parts(rep)) if len(b) > 1)
+    c = next(c for c in held_parts(rep)[i] if c != selected_coatoms(rep.lattice, desc.selection)[i])
     vmap = dict(desc.vertex_map)
     vmap[rep.vertex(c, "+")] = rep.vertex(c, "-")
     return RetractDescriptor(desc.selection, desc.source, desc.target, vmap, desc.polytope)
@@ -723,14 +734,15 @@ def two_from_one_block(desc):
     first F-block that holds several, with the polytope recomputed by
     ``selection_masks``: the join over r distinct coatoms, two of them in
     one block of the source, so it is no subcomplex of the source's S_0."""
-    rep, chosen = desc.source, desc.selection.coatoms
-    i = next((i for i, b in enumerate(rep.parts) if len(b) > 1), None)
+    rep, chosen = desc.source, selected_coatoms(desc.source.lattice, desc.selection)
+    i = next((i for i, b in enumerate(held_parts(rep)) if len(b) > 1), None)
     if i is None or len(chosen) < 2:
         return None
-    coatoms = list(chosen)
-    coatoms[(i + 1) % len(chosen)] = next(c for c in rep.parts[i] if c != chosen[i])
-    selection = CrossSelection(tuple(coatoms), desc.selection.g_parts)
-    polytope = selection_masks(rep.lattice, frozenset(coatoms))
+    positions = list(desc.selection.coatoms)
+    other = next(c for c in held_parts(rep)[i] if c != chosen[i])
+    positions[(i + 1) % len(chosen)] = rep.lattice.coatoms().index(other)
+    selection = CrossSelection(tuple(positions), desc.selection.g_parts)
+    polytope = selection_masks(frozenset(positions))
     return RetractDescriptor(selection, rep, desc.target, desc.vertex_map, polytope)
 
 
@@ -820,11 +832,24 @@ def repeated_coatom(desc):
     return RetractDescriptor(selection, desc.source, desc.target, desc.vertex_map, desc.polytope)
 
 
+def repeated_first_coatom(desc):
+    """The selection with its first coatom held twice, C_0, C_0, C_1, ...,
+    C_{r-1}, g_parts and polytope as they were, and the map built from it as
+    ``retraction_map`` builds one, block i onto its i-th coatom: every
+    signed vertex goes to its half's selected vertex, but blocks 0 and 1
+    both go to C_0, so an image holds both of its signs."""
+    sel, rep = desc.selection, desc.source
+    positions = sel.coatoms[:1] + sel.coatoms
+    onto = [2 * k + s for k in positions for s in (0, 1)]
+    vmap = {v: onto[h] for v, h in slots_oracle(rep.lattice, rep.flag)}
+    return RetractDescriptor(CrossSelection(positions, sel.g_parts), rep, desc.target, vmap, desc.polytope)
+
+
 def read_off_mutants(u24, u34, bool3, fano):
     """Every ``MUTATIONS`` entry on every pair, every ``poisoned_descriptors``
     case, a polytope grown by a foreign vertex and a selection that repeats
-    its last coatom, with a map onto a non-fixed image and two coatoms of
-    one block on U(3,4)."""
+    its last coatom or its first, with a map onto a non-fixed image and two
+    coatoms of one block on U(3,4)."""
     yield from every_mutant((u24, u34, bool3))
     for lattice in (u34, bool3):
         yield from ((name, desc) for name, desc, _ in poisoned_descriptors(lattice))
@@ -833,6 +858,7 @@ def read_off_mutants(u24, u34, bool3, fano):
         for f, g in ((flags[0], flags[-1]), (flags[-1], flags[0]), (flags[0], flags[0])):
             yield "grown by a foreign vertex", grown_by_a_foreign_vertex(retraction_map(lattice, f, g))
             yield "repeated coatom", repeated_coatom(retraction_map(lattice, f, g))
+            yield "repeated first coatom", repeated_first_coatom(retraction_map(lattice, f, g))
     for f in all_complete_flags(u34):
         desc = retraction_map(u34, f, all_complete_flags(u34)[-1])
         yield "chained image", chained_image(desc)
@@ -847,8 +873,15 @@ def test_read_off_matches_the_general_route_on_every_mutant(u24, u34, bool3, fan
         # a repeated coatom leaves the polytope the join over the r distinct
         # ones, and its all-+ facet counts each once: every line holds
         assert report["ok"] is (kind == "repeated coatom"), kind
+        if kind == "repeated first coatom":
+            # both signs of C_0 in one image, a face of neither side; for
+            # r >= 3, C_1 is block 2's image, and block 1 sends it to C_0
+            failed = {c["name"] for c in report["checks"] if not c["passed"]}
+            r = mutated.source.r
+            assert failed == {"simplicial", "composite-simplicial"} | ({"idempotent"} if r >= 3 else set()), r
         kinds[kind] = kinds.get(kind, 0) + 1
-    assert set(MUTATIONS) < set(kinds) and kinds["grown by a foreign vertex"] == kinds["repeated coatom"] == 12
+    assert set(MUTATIONS) < set(kinds)
+    assert kinds["grown by a foreign vertex"] == kinds["repeated coatom"] == kinds["repeated first coatom"] == 12
     assert sum(kinds[f"{name} {side}"] for name in ("dropped", "mixed") for side in ("source", "target")) == 8
 
 
@@ -955,7 +988,7 @@ def test_polytope_with_a_repeated_coatom_fails(u34):
     desc = retraction_map(u34, flags[0], flags[-1])
     sel = desc.selection
     repeated = CrossSelection(sel.coatoms[:1] * len(sel.coatoms), sel.g_parts)
-    polytope = selection_masks(u34, frozenset(repeated.coatoms))
+    polytope = selection_masks(frozenset(repeated.coatoms))
     bad = RetractDescriptor(repeated, desc.source, desc.target, desc.vertex_map, polytope)
     assert "polytope-sphere" in failing(bad)
 
@@ -1009,6 +1042,13 @@ def test_weak_map_matroid(u34, n134):
 def test_weak_map_requires_same_ground_set(u24, bool3):
     with pytest.raises(MatroidInputError):
         is_weak_map_matroid(u24, bool3)
+
+
+def test_poset_map_search_requires_same_ground_set(u24, bool3):
+    # the CLI refuses at the weak-map check first, so only the library reaches this
+    for m, n in ((u24, bool3), (bool3, u24)):
+        with pytest.raises(MatroidInputError, match="search needs a shared ground set"):
+            poset_map_search(m, n, default_flag(m))
 
 
 def test_weak_map_antisymmetry(u24, u34, n134):

@@ -14,7 +14,7 @@ from matroid_spheres import (
     verify_geometric,
 )
 from conftest import label_faces, mask_vertices, sorted_faces, used_vertices
-from conftest import facet_signs, is_subcomplex_of, nerve_oracle, part_of, support, swap_map, z2_free_check
+from conftest import facet_signs, held_parts, is_subcomplex_of, nerve_oracle, part_of, support, swap_map, z2_free_check
 
 
 def rep_for(lattice, chain=None):
@@ -36,7 +36,7 @@ def met(rep, flat):
 
 def test_partition_u24(u24):
     rep = rep_for(u24, [[], ["1"], ["1", "2", "3", "4"]])
-    assert [set(p) for p in rep.parts] == [
+    assert [set(p) for p in held_parts(rep)] == [
         {frozenset({"2"}), frozenset({"3"}), frozenset({"4"})},
         {frozenset({"1"})},
     ]
@@ -44,7 +44,7 @@ def test_partition_u24(u24):
 
 def test_partition_bool3(bool3):
     rep = rep_for(bool3, [[], ["a"], ["a", "b"], ["a", "b", "c"]])
-    assert [set(p) for p in rep.parts] == [
+    assert [set(p) for p in held_parts(rep)] == [
         {frozenset({"b", "c"})},
         {frozenset({"a", "c"})},
         {frozenset({"a", "b"})},
@@ -53,7 +53,7 @@ def test_partition_bool3(bool3):
 
 def test_partition_u34(u34):
     rep = rep_for(u34, [[], ["1"], ["1", "2"], ["1", "2", "3", "4"]])
-    assert [set(p) for p in rep.parts] == [
+    assert [set(p) for p in held_parts(rep)] == [
         {frozenset({"2", "3"}), frozenset({"2", "4"}), frozenset({"3", "4"})},
         {frozenset({"1", "3"}), frozenset({"1", "4"})},
         {frozenset({"1", "2"})},
@@ -64,7 +64,7 @@ def test_partition_properties_all_fixtures(u24, u34, bool3, fano, n134):
     for lattice in (u24, u34, bool3, fano, n134):
         for flag in all_complete_flags(lattice)[:6]:
             rep = FlagRepresentation(lattice, flag)
-            blocks = [set(p) for p in rep.parts]
+            blocks = [set(p) for p in held_parts(rep)]
             assert all(blocks[i] for i in range(len(blocks)))
             assert not any(
                 blocks[i] & blocks[j] for i in range(len(blocks)) for j in range(i)

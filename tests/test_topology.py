@@ -24,7 +24,7 @@ from matroid_spheres.jsonio import load_vector_config_file
 from matroid_spheres.topology import all_faces, cross_polytope_nerve_iso, full_simplex, smith_invariant_factors
 from conftest import complex_of, image_masks, label_cover, label_faces, member_labels, positions, sorted_faces
 from conftest import (
-    DATA, beat_points_oracle, cross_polytope_boundary, facet_signs, is_homology_sphere, poset_by_leq, simplex_boundary, support, swap_map,
+    DATA, beat_points_oracle, cross_polytope_boundary, facet_signs, is_homology_sphere, poset_by_leq, reduces_to_point, simplex_boundary, support, swap_map,
     z2_free_check,
 )
 
@@ -224,7 +224,7 @@ def test_beat_points_imply_homology_point():
         assert {frozenset(c) for c in maximal_chains(poset)} == {
             frozenset(c) for c in maximal_chains(pairwise)
         }
-        collapses = poset.beat_points_reduce_to_point(subset)
+        collapses = reduces_to_point(poset, subset)
         if collapses:
             oc = order_complex(poset)
             assert is_homology_point(oc.restrict(positions(oc, subset)))
@@ -244,10 +244,10 @@ CIRCLE = Poset("abcd", [0b01, 0b10, 0b0111, 0b1011])  # a, b < c, d
 
 def test_beat_points_stuck_on_a_circle():
     # a, b < c, d has no beat point: its order complex is a 4-cycle
-    assert not CIRCLE.beat_points_reduce_to_point("abcd")
-    assert CIRCLE.beat_points_reduce_to_point("acd")  # c and d sit over a alone
-    assert not CIRCLE.beat_points_reduce_to_point("")
-    assert not CIRCLE.beat_points_reduce_to_point("az")  # z is no element
+    assert not reduces_to_point(CIRCLE, "abcd")
+    assert reduces_to_point(CIRCLE, "acd")  # c and d sit over a alone
+    assert not reduces_to_point(CIRCLE, "")
+    assert not reduces_to_point(CIRCLE, "az")  # z is no element
 
 
 def test_beat_point_worklist_matches_the_pass_by_pass_oracle():
@@ -261,7 +261,7 @@ def test_beat_point_worklist_matches_the_pass_by_pass_oracle():
         masks, subset = case
         poset = Poset(masks, masks)
         for members in (subset, masks):
-            verdict = poset.beat_points_reduce_to_point(members)
+            verdict = reduces_to_point(poset, members)
             assert verdict is beat_points_oracle(poset, members), (masks, members)
             verdicts.append(verdict)
 
@@ -272,10 +272,10 @@ def test_beat_point_worklist_matches_the_pass_by_pass_oracle():
 def test_beat_point_worklist_matches_the_oracle_on_every_carrier_poset(monkeypatch):
     # every (poset, intersection) that ``carrier_check`` asks about, over
     # every flat of every vector configuration in tests/data, and each
-    # poset on all of its elements; both entry points reduce through the
-    # mask one, so it is recorded
+    # poset on all of its elements; the labels are masked through
+    # ``reduces_to_point``, and the mask entry point is recorded
     asked = []
-    real, mask_route = Poset.beat_points_reduce_to_point, Poset.mask_reduces_to_point
+    mask_route = Poset.mask_reduces_to_point
 
     def recorded(poset, mask):
         asked.append((poset, frozenset(x for i, x in enumerate(poset.elements) if mask >> i & 1)))
@@ -290,7 +290,7 @@ def test_beat_point_worklist_matches_the_oracle_on_every_carrier_poset(monkeypat
             asked.append((a_cover.poset, frozenset(a_cover.poset.elements)))
     monkeypatch.undo()
     assert len({id(p) for p, _ in asked}) >= 20
-    verdicts = [real(poset, x) for poset, x in asked]
+    verdicts = [reduces_to_point(poset, x) for poset, x in asked]
     assert verdicts == [beat_points_oracle(poset, x) for poset, x in asked]
     assert True in verdicts
 
