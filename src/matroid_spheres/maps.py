@@ -6,21 +6,25 @@ equivalence between them.  Its coatoms are read off the two flags' block
 masks: each F-block takes the highest G-block whose + half meets its own
 (an AND of two ints), and the lowest bit they share, the first coatom of
 both in key order, kept as its position k.  The cross-polytope is held as
-its facet masks (``spheres.selection_masks``).  Each complex is certified
-a sphere by the join test of ``spheres``, with no homology.  When the map
-sends each signed vertex to its half's selected vertex (one list compare
-through ``slot``), its face lines are read off the selected coatoms, with
-no image set built; any other map's compare int vertex masks.  Weak maps are decided by comparing ranks on the flats of the
-source, and the representation-level obstruction is found by exhaustive
-search over sign-preserving vertex assignments.
+its facet masks (``spheres.selection_masks``), and the retraction as its
+formula (``Retraction``): each signed vertex goes to its half's selected
+vertex, through ``slot``.  Each complex is certified a sphere by the join
+test of ``spheres``, with no homology.  When a descriptor holds that
+formula over the source's ``slot`` and the selected coatoms, its face
+lines are read off the selected coatoms, with no image set built; any
+other map's lines compare int vertex masks.
+
+Weak maps are decided by comparing ranks on the flats of the source, and
+the representation-level obstruction is found by exhaustive search over
+sign-preserving vertex assignments.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import reduce
 from itertools import combinations
 from operator import or_
-from typing import Mapping
 
 from .lattice import Flag, GeometricLattice, MatroidInputError, make_flag
 from .report import CheckResult, Record, ValidationReport
@@ -87,9 +91,41 @@ def select_cross_coatoms(rep_f: FlagRepresentation, rep_g: FlagRepresentation) -
     return CrossSelection(tuple(picked), tuple(chosen))
 
 
+class Retraction(Mapping):
+    """The change-of-flag retraction held as its formula: signed vertex v, in
+    half slot[v] = 2i + s, goes to 2 * coatoms[i] + s, the selected coatom
+    C_i with v's sign.  A read-only mapping on the keys 0 .. len(slot) - 1,
+    iterated in that order, so it equals and lists as the dict it stands
+    for; any other key raises ``KeyError``."""
+
+    __slots__ = ("coatoms", "slot")
+    def __init__(self, coatoms: tuple[int, ...], slot: tuple[int, ...]):
+        self.coatoms, self.slot = coatoms, slot
+
+    def __getitem__(self, v: int) -> int:
+        try:
+            h = self.slot[v]
+        except (IndexError, TypeError):
+            raise KeyError(v) from None
+        if v < 0:  # slot[-1] would wrap
+            raise KeyError(v)
+        return 2 * self.coatoms[h >> 1] + (h & 1)
+
+    def __iter__(self):
+        return iter(range(len(self.slot)))
+
+    def __len__(self) -> int:
+        return len(self.slot)
+
+    def __repr__(self) -> str:
+        return f"Retraction(coatoms={self.coatoms!r}, slot={self.slot!r})"
+
+
 class RetractDescriptor(Record):
     """Vertex collapse of one sphere complex onto a cross-polytope shared
-    with the other flag's complex, the polytope held as its facet masks."""
+    with the other flag's complex, the polytope held as its facet masks.
+    The map may be any ``Mapping`` of signed vertices; ``retraction_map``
+    holds its formula, a ``Retraction``."""
 
     __slots__ = ("selection", "source", "target", "vertex_map", "polytope")
     def __init__(self, selection: CrossSelection, source: FlagRepresentation,
@@ -99,13 +135,13 @@ class RetractDescriptor(Record):
 
 
 def retraction_map(lattice: GeometricLattice, flag_f: Flag, flag_g: Flag) -> RetractDescriptor:
-    """Send every signed coatom in block i onto the selected coatom C_i, sign kept, by ``slot``."""
+    """Send every signed coatom in block i onto the selected coatom C_i, sign
+    kept: the ``Retraction`` over the selection and the source's ``slot``."""
     rep_f = representation(lattice, flag_f)
     rep_g = representation(lattice, flag_g)
     sel = select_cross_coatoms(rep_f, rep_g)
-    onto = [v for k in sel.coatoms for v in (2 * k, 2 * k + 1)]  # half 2i + s's image, C_i at position k
-    vmap = dict(enumerate(map(onto.__getitem__, rep_f.slot)))
-    return RetractDescriptor(sel, rep_f, rep_g, vmap, selection_masks(frozenset(sel.coatoms)))
+    return RetractDescriptor(sel, rep_f, rep_g, Retraction(sel.coatoms, rep_f.slot),
+                             selection_masks(frozenset(sel.coatoms)))
 
 
 # each line's FAIL and PASS record, shared by every report as records are frozen
@@ -113,6 +149,8 @@ def retraction_map(lattice: GeometricLattice, flag_f: Flag, flag_g: Flag) -> Ret
 _LINES = tuple((CheckResult(name, False), CheckResult(name, True)) for name in (
     "selection-distinct polytope-in-source polytope-in-target simplicial idempotent "
     "composite-simplicial source-sphere target-sphere polytope-sphere").split())
+# each verdict tuple's records, built once: every verdict is a bool, so at most 2^9
+_RECORDS: dict[tuple[bool, ...], tuple[CheckResult, ...]] = {}
 
 
 def verify_retraction(desc: RetractDescriptor) -> ValidationReport:
@@ -129,25 +167,33 @@ def verify_retraction(desc: RetractDescriptor) -> ValidationReport:
     ANDs on its all-+ facet, the sum of the C+ bits).
 
     Lemma: let the polytope be that join over r >= 1 distinct coatoms
-    C_i, S_0 the join on the source's 2|coatoms| positions, and the map
-    send each signed vertex v to onto[slot[v]], onto holding C_i's + and -
-    at 2i and 2i + 1 (one list compare).  As every half is nonempty, that
-    is the r image halves (``half_masks``) being {C_i+}, {C_i-}.  A facet
-    of S_0 is one half per block, so the images of the facets are exactly
-    the polytope's: ``simplicial`` holds, ``composite-simplicial`` is
+    C_i at positions k_i, S_0 the join on the source's 2|coatoms|
+    positions, and the map the ``Retraction`` over the source's ``slot``
+    and the selection's coatoms (each compared by identity first, then by
+    value: no vertex is read), so v in half slot[v] = 2i + s goes to
+    2k_i + s.  As every half is nonempty, the r image halves
+    (``half_masks``) are {C_i+}, {C_i-}.  A facet of S_0 is one half per
+    block, so the images of the facets are exactly the polytope's:
+    ``simplicial`` holds, ``composite-simplicial`` is
     ``polytope-in-target``, and as the map's images are the 2r signed
-    vertices of C, ``idempotent`` asks that it fix those.  Every other
-    descriptor (a mutant's map or polytope, a selection that repeats a
-    coatom, a poisoned S_0, rank 0) takes the general route: the image set
-    (the unions of the image halves given the join, else each facet
-    mapped), each image tested, each vertex's image mapped again, and a
-    polytope that is no such join scanned mask by mask (``are_faces``).
-    The polytope is tested as held, so a facet grown by a vertex still
-    holds the image of the facet it grew from.  Verdicts and tables are
-    memoized, so the pairs of a matroid compute each once.
+    vertices of C, ``idempotent`` asks that it fix those.  It sends
+    2k_i + s to 2k_j + t, where slot[2k_i + s] = 2j + t, and with the k_i
+    distinct that is 2k_i + s exactly when j = i and t = s: ``idempotent``
+    is slot[2k_i + s] == 2i + s for every i and both signs s, 2r reads
+    (slot[2k_i] >> 1 == i alone would pass a - vertex held in its block's
+    + half).  Every other descriptor (a mutant's map or polytope, any map
+    held another way, a selection that repeats a coatom, a poisoned S_0,
+    rank 0) takes the general route: the image set (the unions of the
+    image halves given the join, else each facet mapped), each image
+    tested, each vertex's image mapped again, and a polytope that is no
+    such join scanned mask by mask (``are_faces``).  The polytope is tested
+    as held, so a facet grown by a vertex still holds the image of the
+    facet it grew from.  Verdicts, tables and each verdict tuple's records
+    are memoized, so the pairs of a matroid compute each once; every
+    report gets its own list of the shared records.
     """
     source, target, vmap, polytope = desc.source, desc.target, desc.vertex_map, desc.polytope
-    r, chosen = source.r, desc.selection.coatoms
+    r, chosen, slot = source.r, desc.selection.coatoms, source.slot
     s_f = source.build(source.lattice.bottom)
     positions = frozenset(chosen)
     cross = selection_masks(positions) if len(positions) == r else None
@@ -157,11 +203,11 @@ def verify_retraction(desc: RetractDescriptor) -> ValidationReport:
         in_source, in_target = source.apart(plus), target.apart(plus)
     else:
         in_source, in_target = source.are_faces(polytope), target.are_faces(polytope)
-    onto = [v for k in chosen for v in (2 * k, 2 * k + 1)]
     if (polytope_ok and 0 < len(chosen) == r and source.join_holds and len(s_f.vertices) == len(source.vertices)
-            and list(map(vmap.__getitem__, source.vertices)) == list(map(onto.__getitem__, source.slot))):
+            and type(vmap) is Retraction and (vmap.slot is slot or vmap.slot == slot)
+            and (vmap.coatoms is chosen or vmap.coatoms == chosen)):
         simplicial, composite = True, in_target  # the lemma
-        idempotent = all(vmap[v] == v for v in onto)
+        idempotent = all(slot[2 * k] == 2 * i and slot[2 * k + 1] == 2 * i + 1 for i, k in enumerate(chosen))
     else:
         halves = source.half_masks(vmap) if source.join_holds else None
         images = frozenset(_unions(halves) if halves is not None else (
@@ -173,7 +219,10 @@ def verify_retraction(desc: RetractDescriptor) -> ValidationReport:
         composite = in_target if images == polytope else target.are_faces(images)
     verdicts = (desc.selection.distinct(), in_source, in_target, simplicial, idempotent, composite,
                 source.join_holds, target.join_holds, polytope_ok)
-    return ValidationReport(list(map(tuple.__getitem__, _LINES, verdicts)))
+    records = _RECORDS.get(verdicts)
+    if records is None:
+        records = _RECORDS[verdicts] = tuple(map(tuple.__getitem__, _LINES, verdicts))
+    return ValidationReport(list(records))  # its own list: the CLI adds a line to it
 
 
 # -- weak maps -----------------------------------------------------------------

@@ -3,7 +3,7 @@ import sys
 import threading
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations, product
-from operator import or_
+from operator import is_, or_
 
 import pytest
 from click.testing import CliRunner
@@ -34,7 +34,7 @@ from matroid_spheres import (
 )
 from matroid_spheres import maps, topology
 from matroid_spheres.cli import main
-from matroid_spheres.maps import CrossSelection, RetractDescriptor, SelectionError
+from matroid_spheres.maps import CrossSelection, RetractDescriptor, Retraction, SelectionError
 from matroid_spheres.report import CheckResult, ValidationReport
 from matroid_spheres.spheres import selection_masks
 from conftest import complex_of, frozen, label_faces, sorted_faces, tuples
@@ -175,8 +175,15 @@ def assign_blocks(rep, blocks):
     verdict (each ``cached_property`` of the class, and the built S_G) is
     dropped, so it is rebuilt from them, and every route, the oracles'
     included, sees the same assignment through ``held_parts``."""
-    rep.slot = tuple(None if j is None else 2 * j + s for j in blocks for s in (0, 1))
-    rep.halves = tuple(tuple(sum(1 << 2 * k + s for k, j in enumerate(blocks) if j == i) for s in (0, 1))
+    refill(rep, [None if j is None else 2 * j + s for j in blocks for s in (0, 1)])
+
+
+def refill(rep, slot):
+    """Overwrite a fresh representation's ``slot``, each signed vertex's half
+    (None for none), refill ``halves`` from it, and drop every cached table
+    and verdict, as ``assign_blocks`` does."""
+    rep.slot = tuple(slot)
+    rep.halves = tuple(tuple(sum(1 << v for v, h in enumerate(rep.slot) if h == 2 * i + s) for s in (0, 1))
                        for i in range(rep.r))
     for name, attr in vars(FlagRepresentation).items():
         if isinstance(attr, cached_property):
@@ -845,11 +852,41 @@ def repeated_first_coatom(desc):
     return RetractDescriptor(CrossSelection(positions, sel.g_parts), rep, desc.target, vmap, desc.polytope)
 
 
+def another_flags_slot(desc):
+    """The formula over the selected coatoms, but through the ``slot`` of
+    the first flag whose blocks differ from the source's: some block then
+    goes where the source's does not, so an image holds both signs of a
+    selected coatom or a selected coatom moves."""
+    lattice = desc.source.lattice
+    other = next(rep for rep in (representation(lattice, f) for f in all_complete_flags(lattice))
+                 if rep.slot != desc.source.slot)
+    vmap = Retraction(desc.selection.coatoms, other.slot)
+    return RetractDescriptor(desc.selection, desc.source, desc.target, vmap, desc.polytope)
+
+
+def minus_in_the_plus_half(desc):
+    """A fresh representation of the source's flag whose ``slot`` holds the
+    - vertex of the first block of several's selected coatom C_i in that
+    block's + half (``halves`` refilled), under its own ``Retraction``:
+    the read-off's precondition holds, and C_i- goes to C_i+ while the
+    block's other - vertices go to C_i-, an image the map moves."""
+    source, sel = desc.source, desc.selection
+    i = next((i for i, b in enumerate(held_parts(source)) if len(b) > 1), None)
+    if i is None:
+        return None
+    rep = FlagRepresentation(source.lattice, source.flag)
+    slot = list(rep.slot)
+    slot[2 * sel.coatoms[i] + 1] = 2 * i
+    refill(rep, slot)
+    return RetractDescriptor(sel, rep, desc.target, Retraction(sel.coatoms, rep.slot), desc.polytope)
+
+
 def read_off_mutants(u24, u34, bool3, fano):
     """Every ``MUTATIONS`` entry on every pair, every ``poisoned_descriptors``
-    case, a polytope grown by a foreign vertex and a selection that repeats
-    its last coatom or its first, with a map onto a non-fixed image and two
-    coatoms of one block on U(3,4)."""
+    case, a polytope grown by a foreign vertex, a selection that repeats
+    its last coatom or its first, the formula through another flag's
+    ``slot`` and a source holding a - vertex in its + half, with a map onto
+    a non-fixed image and two coatoms of one block on U(3,4)."""
     yield from every_mutant((u24, u34, bool3))
     for lattice in (u34, bool3):
         yield from ((name, desc) for name, desc, _ in poisoned_descriptors(lattice))
@@ -859,6 +896,10 @@ def read_off_mutants(u24, u34, bool3, fano):
             yield "grown by a foreign vertex", grown_by_a_foreign_vertex(retraction_map(lattice, f, g))
             yield "repeated coatom", repeated_coatom(retraction_map(lattice, f, g))
             yield "repeated first coatom", repeated_first_coatom(retraction_map(lattice, f, g))
+            yield "another flag's slot", another_flags_slot(retraction_map(lattice, f, g))
+            mutated = minus_in_the_plus_half(retraction_map(lattice, f, g))
+            if mutated is not None:  # B_3 has no block of several
+                yield "minus vertex in the plus half", mutated
     for f in all_complete_flags(u34):
         desc = retraction_map(u34, f, all_complete_flags(u34)[-1])
         yield "chained image", chained_image(desc)
@@ -866,23 +907,29 @@ def read_off_mutants(u24, u34, bool3, fano):
 
 
 def test_read_off_matches_the_general_route_on_every_mutant(u24, u34, bool3, fano):
-    kinds = {}
+    kinds, verdicts = {}, set()
     for kind, mutated in read_off_mutants(u24, u34, bool3, fano):
         report = report_json(mutated)
         assert report == verify_retraction_general(mutated).to_json(), kind
         # a repeated coatom leaves the polytope the join over the r distinct
         # ones, and its all-+ facet counts each once: every line holds
         assert report["ok"] is (kind == "repeated coatom"), kind
+        failed = {c["name"] for c in report["checks"] if not c["passed"]}
         if kind == "repeated first coatom":
             # both signs of C_0 in one image, a face of neither side; for
             # r >= 3, C_1 is block 2's image, and block 1 sends it to C_0
-            failed = {c["name"] for c in report["checks"] if not c["passed"]}
             r = mutated.source.r
             assert failed == {"simplicial", "composite-simplicial"} | ({"idempotent"} if r >= 3 else set()), r
+        if kind == "minus vertex in the plus half":
+            assert failed == {"idempotent"}
         kinds[kind] = kinds.get(kind, 0) + 1
+        verdicts.add(tuple(c["passed"] for c in report["checks"]))
     assert set(MUTATIONS) < set(kinds)
     assert kinds["grown by a foreign vertex"] == kinds["repeated coatom"] == kinds["repeated first coatom"] == 12
+    assert kinds["another flag's slot"] == 12 and kinds["minus vertex in the plus half"] == 9
     assert sum(kinds[f"{name} {side}"] for name in ("dropped", "mixed") for side in ("source", "target")) == 8
+    # one record tuple per verdict tuple met, and no more than there are
+    assert verdicts <= set(maps._RECORDS) and len(maps._RECORDS) <= 2 ** 9
 
 
 def test_an_s0_held_on_an_unused_position_takes_the_general_route(u34):
@@ -909,12 +956,57 @@ def test_honest_pairs_take_the_read_off(monkeypatch, u34, fano):
     descs = [retraction_map(lattice, f, g) for lattice in lattices
              for f in all_complete_flags(lattice) for g in all_complete_flags(lattice)]
     mutant = chained_image(retraction_map(u34, default_flag(u34), default_flag(u34)))
+    moved = minus_in_the_plus_half(retraction_map(u34, default_flag(u34), default_flag(u34)))
     with monkeypatch.context() as m:
         m.setattr(maps, "_unions", lambda *a: pytest.fail("image set built"))
         assert all(verify_retraction(d).ok for d in descs)
         with pytest.raises(pytest.fail.Exception):
             verify_retraction(mutant)
+        # the read-off's idempotent line reads both signs of each selected coatom
+        assert failing(moved) == {"idempotent"}
     assert len(descs) == 144 + 576 + 441
+
+
+def test_the_formula_map_is_the_dict_it_replaces(monkeypatch, u24, u34, bool3, n134, fano):
+    # the formula against the dict of each vertex's image through ``onto``
+    # and ``slot``, and a descriptor holding that dict, which takes the
+    # general route: it builds an image set where the formula builds none
+    rank0 = lattice_from_flats(["1"], [["1"]])
+    built, unions = [], maps._unions
+    monkeypatch.setattr(maps, "_unions", lambda halves: built.append(halves) or unions(halves))
+    pairs = 0
+    for lattice in (rank0, u24, u34, bool3, boolean_matroid("1234"), n134, fano):
+        flags, n = all_complete_flags(lattice), 2 * len(lattice.coatoms())
+        for f in flags:
+            for g in flags:
+                desc = retraction_map(lattice, f, g)
+                vmap = desc.vertex_map
+                onto = [v for k in desc.selection.coatoms for v in (2 * k, 2 * k + 1)]
+                held = dict(enumerate(map(onto.__getitem__, desc.source.slot)))
+                assert type(vmap) is Retraction and len(vmap) == len(held) == n
+                assert list(vmap.items()) == list(held.items()) and vmap == held and held == vmap
+                for v in (-1, *range(n), n, "0", None):
+                    assert (v in vmap) is (v in held) and vmap.get(v) == held.get(v), v
+                for v in (-1, n):  # a tuple index -1 would wrap to the last vertex
+                    with pytest.raises(KeyError):
+                        vmap[v]
+                plain = RetractDescriptor(desc.selection, desc.source, desc.target, held, desc.polytope)
+                built.clear()
+                assert report_json(plain) == report_json(desc), (f.chain, g.chain)
+                assert len(built) == 1 + (lattice.r == 0)  # the dict's image set, and rank 0's
+                pairs += 1
+    assert pairs == 1 + 16 + 144 + 36 + 576 + len(all_complete_flags(n134)) ** 2 + 441
+
+
+def test_equal_verdicts_share_records_in_fresh_lists(u34):
+    flags = all_complete_flags(u34)
+    first = verify_retraction(retraction_map(u34, flags[0], flags[-1]))
+    second = verify_retraction(retraction_map(u34, flags[-1], flags[0]))
+    lines = second.lines()
+    assert first.checks is not second.checks and all(map(is_, first.checks, second.checks))
+    first.add("x", False)  # as the CLI adds its selection line
+    assert second.lines() == lines and second.ok and not first.ok and len(first.lines()) == len(lines) + 1
+    assert len(maps._RECORDS) <= 2 ** 9
 
 
 def test_report_lines_are_the_records_their_constructor_builds():
