@@ -5,14 +5,13 @@ vertex set; a cross-polytope shared by both supports a simplicial homotopy
 equivalence between them.  Its coatoms are read off the two flags' block
 masks: each F-block takes the highest G-block whose + half meets its own
 (an AND of two ints), and the lowest bit they share, the first coatom of
-both in key order, kept as its position k.  The cross-polytope is held as
-its facet masks (``spheres.selection_masks``), and the retraction as its
-formula (``Retraction``): each signed vertex goes to its half's selected
-vertex, through ``slot``.  Each complex is certified a sphere by the join
-test of ``spheres``, with no homology.  When a descriptor holds that
-formula over the source's ``slot`` and the selected coatoms, its face
-lines are read off the selected coatoms, with no image set built; any
-other map's lines compare int vertex masks.
+both in key order, kept as its position k.  A retraction is held as that
+selection and the two representations alone: the map is its formula, each
+signed vertex going to its half's selected vertex through ``slot``, and
+the cross-polytope is the join of the selected coatoms' sign pairs, so
+neither is built.  Each complex is certified a sphere by the join test of
+``spheres``, with no homology, and the face lines are read off the
+selected coatoms, with no image set built.
 
 Weak maps are decided by comparing ranks on the flats of the source, and
 the representation-level obstruction is found by exhaustive search over
@@ -28,7 +27,7 @@ from operator import or_
 
 from .lattice import Flag, GeometricLattice, MatroidInputError, make_flag
 from .report import CheckResult, Record, ValidationReport
-from .spheres import FlagRepresentation, _unions, representation, selection_masks
+from .spheres import FlagRepresentation, representation
 
 
 class SelectionError(RuntimeError):
@@ -91,57 +90,25 @@ def select_cross_coatoms(rep_f: FlagRepresentation, rep_g: FlagRepresentation) -
     return CrossSelection(tuple(picked), tuple(chosen))
 
 
-class Retraction(Mapping):
-    """The change-of-flag retraction held as its formula: signed vertex v, in
-    half slot[v] = 2i + s, goes to 2 * coatoms[i] + s, the selected coatom
-    C_i with v's sign.  A read-only mapping on the keys 0 .. len(slot) - 1,
-    iterated in that order, so it equals and lists as the dict it stands
-    for; any other key raises ``KeyError``."""
-
-    __slots__ = ("coatoms", "slot")
-    def __init__(self, coatoms: tuple[int, ...], slot: tuple[int, ...]):
-        self.coatoms, self.slot = coatoms, slot
-
-    def __getitem__(self, v: int) -> int:
-        try:
-            h = self.slot[v]
-        except (IndexError, TypeError):
-            raise KeyError(v) from None
-        if v < 0:  # slot[-1] would wrap
-            raise KeyError(v)
-        return 2 * self.coatoms[h >> 1] + (h & 1)
-
-    def __iter__(self):
-        return iter(range(len(self.slot)))
-
-    def __len__(self) -> int:
-        return len(self.slot)
-
-    def __repr__(self) -> str:
-        return f"Retraction(coatoms={self.coatoms!r}, slot={self.slot!r})"
-
-
 class RetractDescriptor(Record):
     """Vertex collapse of one sphere complex onto a cross-polytope shared
-    with the other flag's complex, the polytope held as its facet masks.
-    The map may be any ``Mapping`` of signed vertices; ``retraction_map``
-    holds its formula, a ``Retraction``."""
+    with the other flag's complex, held as the selection and the two
+    representations alone.  The map is the formula: signed vertex v, in
+    half slot[v] = 2i + s of the source, goes to 2 * coatoms[i] + s, the
+    selected coatom C_i with v's sign.  The polytope is the join of the
+    selected coatoms' sign pairs {2k}, {2k + 1}."""
 
-    __slots__ = ("selection", "source", "target", "vertex_map", "polytope")
-    def __init__(self, selection: CrossSelection, source: FlagRepresentation,
-                 target: FlagRepresentation, vertex_map: Mapping[int, int],
-                 polytope: frozenset[int]):
-        self._set(selection, source, target, vertex_map, polytope)
+    __slots__ = ("selection", "source", "target")
+    def __init__(self, selection: CrossSelection, source: FlagRepresentation, target: FlagRepresentation):
+        self._set(selection, source, target)
 
 
 def retraction_map(lattice: GeometricLattice, flag_f: Flag, flag_g: Flag) -> RetractDescriptor:
     """Send every signed coatom in block i onto the selected coatom C_i, sign
-    kept: the ``Retraction`` over the selection and the source's ``slot``."""
+    kept: the descriptor of the selection and the two representations."""
     rep_f = representation(lattice, flag_f)
     rep_g = representation(lattice, flag_g)
-    sel = select_cross_coatoms(rep_f, rep_g)
-    return RetractDescriptor(sel, rep_f, rep_g, Retraction(sel.coatoms, rep_f.slot),
-                             selection_masks(frozenset(sel.coatoms)))
+    return RetractDescriptor(select_cross_coatoms(rep_f, rep_g), rep_f, rep_g)
 
 
 # each line's FAIL and PASS record, shared by every report as records are frozen
@@ -157,68 +124,53 @@ def verify_retraction(desc: RetractDescriptor) -> ValidationReport:
     """Certify the retraction: simplicial, idempotent onto the shared
     cross-polytope, and a homotopy sphere on both sides.
 
-    The sphere lines read the join certificate, as ``verify`` does: each
-    S_0, as built, must be the join of its r nonempty blocks' simplices
-    (``join_holds``, so ~ S^{r-1}), and the polytope's facet masks, as
-    held, those of the join of the r pairs {C+}, {C-} over the selected
-    coatoms (``selection_masks`` of their positions, compared by identity
-    first).  Such a polytope holds every sign choice, so it lies in S_0
-    exactly when each of the r blocks meets one coatom of C (``apart``, r
-    ANDs on its all-+ facet, the sum of the C+ bits).
+    Every line is read off the selection and the two representations.  The
+    sphere lines read the join certificate, as ``verify`` does: each S_0,
+    as built, must be the join of its r nonempty blocks' simplices
+    (``join_holds``, so ~ S^{r-1}), and the polytope, the join of the sign
+    pairs of the selected coatoms, is the r-cross-polytope when the
+    selection holds r distinct coatoms (positions 0 <= k < |coatoms|).
+    Such a polytope holds every sign choice, so it lies in S_0 exactly when
+    each of the r blocks meets one coatom of C (``apart``, r ANDs on its
+    all-+ facet, the sum of the C+ bits).
 
-    Lemma: let the polytope be that join over r >= 1 distinct coatoms
-    C_i at positions k_i, S_0 the join on the source's 2|coatoms|
-    positions, and the map the ``Retraction`` over the source's ``slot``
-    and the selection's coatoms (each compared by identity first, then by
-    value: no vertex is read), so v in half slot[v] = 2i + s goes to
-    2k_i + s.  As every half is nonempty, the r image halves
-    (``half_masks``) are {C_i+}, {C_i-}.  A facet of S_0 is one half per
-    block, so the images of the facets are exactly the polytope's:
-    ``simplicial`` holds, ``composite-simplicial`` is
+    Lemma: let the selection hold r distinct coatoms C_i at positions k_i,
+    and S_0 be the join on the source's 2|coatoms| positions.  The map
+    sends v in half slot[v] = 2i + s to 2k_i + s; as every half is
+    nonempty, block i's image halves are {C_i+}, {C_i-}.  A facet of S_0 is
+    one half per block, so the images of the facets are exactly the
+    polytope's: ``simplicial`` holds, ``composite-simplicial`` is
     ``polytope-in-target``, and as the map's images are the 2r signed
     vertices of C, ``idempotent`` asks that it fix those.  It sends
     2k_i + s to 2k_j + t, where slot[2k_i + s] = 2j + t, and with the k_i
     distinct that is 2k_i + s exactly when j = i and t = s: ``idempotent``
     is slot[2k_i + s] == 2i + s for every i and both signs s, 2r reads
     (slot[2k_i] >> 1 == i alone would pass a - vertex held in its block's
-    + half).  Every other descriptor (a mutant's map or polytope, any map
-    held another way, a selection that repeats a coatom, a poisoned S_0,
-    rank 0) takes the general route: the image set (the unions of the
-    image halves given the join, else each facet mapped), each image
-    tested, each vertex's image mapped again, and a polytope that is no
-    such join scanned mask by mask (``are_faces``).  The polytope is tested
-    as held, so a facet grown by a vertex still holds the image of the
-    facet it grew from.  Verdicts, tables and each verdict tuple's records
-    are memoized, so the pairs of a matroid compute each once; every
-    report gets its own list of the shared records.
+    + half).  At r = 0 the lemma holds vacuously: no coatom is selected,
+    and S_0 and the polytope are the join of no blocks.
+
+    A descriptor that breaks the lemma's preconditions fails the lines the
+    lemma would prove.  A selection that repeats a coatom, misses one or
+    holds a position of no coatom fails ``polytope-sphere`` and every line
+    read off it, and an S_0 that is not the join fails its sphere line and
+    the face lines read on it.  Such a descriptor is not refused and raises
+    nothing: its report fails like any other.
+    Each verdict tuple's records are memoized, so every report gets its own
+    list of the shared records.
     """
-    source, target, vmap, polytope = desc.source, desc.target, desc.vertex_map, desc.polytope
-    r, chosen, slot = source.r, desc.selection.coatoms, source.slot
-    s_f = source.build(source.lattice.bottom)
-    positions = frozenset(chosen)
-    cross = selection_masks(positions) if len(positions) == r else None
-    polytope_ok = cross is not None and (polytope is cross or polytope == cross)
-    if polytope_ok:
-        plus = sum(1 << 2 * k for k in positions)  # all-+ facet, over C as a set
-        in_source, in_target = source.apart(plus), target.apart(plus)
-    else:
-        in_source, in_target = source.are_faces(polytope), target.are_faces(polytope)
-    if (polytope_ok and 0 < len(chosen) == r and source.join_holds and len(s_f.vertices) == len(source.vertices)
-            and type(vmap) is Retraction and (vmap.slot is slot or vmap.slot == slot)
-            and (vmap.coatoms is chosen or vmap.coatoms == chosen)):
-        simplicial, composite = True, in_target  # the lemma
-        idempotent = all(slot[2 * k] == 2 * i and slot[2 * k + 1] == 2 * i + 1 for i, k in enumerate(chosen))
-    else:
-        halves = source.half_masks(vmap) if source.join_holds else None
-        images = frozenset(_unions(halves) if halves is not None else (
-            source.mask({vmap[v] for i, v in enumerate(s_f.vertices) if m >> i & 1}) for m in s_f.maximal_faces))
-        # the empty face, the one facet of the join of no blocks at rank 0, is a face of every complex
-        simplicial = all(any(i & m == i for m in polytope) for i in images - polytope if i)
-        # a map is idempotent exactly when it fixes each of its images
-        idempotent = all(vmap[w] == w for w in map(vmap.__getitem__, s_f.vertices))
-        composite = in_target if images == polytope else target.are_faces(images)
-    verdicts = (desc.selection.distinct(), in_source, in_target, simplicial, idempotent, composite,
-                source.join_holds, target.join_holds, polytope_ok)
+    source, target, chosen = desc.source, desc.target, desc.selection.coatoms
+    r, slot = source.r, source.slot
+    # r distinct coatoms: r distinct positions, none outside 0 .. |coatoms| - 1
+    polytope_ok = (len(chosen) == r == len(set(chosen))
+                   and (not r or 0 <= min(chosen) and 2 * max(chosen) < len(slot)))
+    plus = sum(1 << 2 * k for k in chosen) if polytope_ok else 0  # the all-+ facet
+    in_source = polytope_ok and source.apart(plus)
+    in_target = polytope_ok and target.apart(plus)
+    simplicial = polytope_ok and source.join_holds  # the lemma
+    idempotent = polytope_ok and all(slot[2 * k] == 2 * i and slot[2 * k + 1] == 2 * i + 1
+                                     for i, k in enumerate(chosen))
+    verdicts = (desc.selection.distinct(), in_source, in_target, simplicial, idempotent,
+                simplicial and in_target, source.join_holds, target.join_holds, polytope_ok)
     records = _RECORDS.get(verdicts)
     if records is None:
         records = _RECORDS[verdicts] = tuple(map(tuple.__getitem__, _LINES, verdicts))

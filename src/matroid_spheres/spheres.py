@@ -18,17 +18,16 @@ half per block (``_unions``), cut to V_G.  A join of k spaces ~ S^0 is
 ~ S^{k-1} (Bjorner, Topological methods, 1995), so the certificates read
 int masks over the signed vertices and build no S_G beyond S_bottom and
 the atoms' (``FlagRepresentation.spheres`` and ``intersection_law_holds``).
-The change-of-flag cross-polytope is held as its facet masks only
-(``selection_masks``), the join of each selected coatom's + and - vertex,
-keyed by the coatoms' positions alone.  ``build`` caches each S_G it makes,
-and ``representation`` keeps one representation per (lattice, flag).
+The change-of-flag cross-polytope is never held: ``apart`` reads its faces
+off the + bits of the selected coatoms.  ``build`` caches each S_G it
+makes, and ``representation`` keeps one representation per (lattice, flag).
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, reduce
 from operator import itemgetter, or_
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .lattice import Flag, GeometricLattice
 from .report import Record, ValidationReport
@@ -90,10 +89,6 @@ class FlagRepresentation:
     def vertex(self, coatom: frozenset, sign: str) -> int:
         return 2 * self.lattice.coatom_index[coatom] + "+-".index(sign)
 
-    def mask(self, vertices: Iterable[int]) -> int:
-        """A set of signed vertices as an int mask."""
-        return sum(1 << v for v in vertices)
-
     def over(self, flat: frozenset) -> int:
         """V_G: the signed vertices of the coatoms above the flat, as a mask."""
         index = self.lattice.coatom_index
@@ -148,14 +143,6 @@ class FlagRepresentation:
 
     # -- certificates on vertex masks ----------------------------------------------
 
-    def half_masks(self, vertex_map: Mapping[int, int]) -> tuple[tuple[int, int], ...]:
-        """Each block's coatoms signed + and signed -, as two vertex masks, each
-        vertex sent through the map, by ``slot``.  With no map: ``halves``."""
-        out = [0] * (2 * self.r)
-        for v, h in enumerate(self.slot):
-            out[h] |= 1 << vertex_map[v]
-        return tuple(zip(out[::2], out[1::2]))
-
     @cached_property
     def masks(self) -> dict[frozenset, int]:
         """V_G for every flat G."""
@@ -171,15 +158,6 @@ class FlagRepresentation:
     def is_face(self, mask: int) -> bool:
         """Is the vertex mask a face of the join S_bottom: no block holds both signs?"""
         return not any(mask & p and mask & m for p, m in self.halves)
-
-    def are_faces(self, masks: frozenset[int]) -> bool:
-        """Is every vertex mask a face of S_bottom, given ``join_holds``: no
-        bit at or above 2|coatoms| (a vertex of no coatom, as a mutant's can
-        be) and no block holding both signs?  An empty set holds no mask, so
-        it passes.  The scan is for sets that are no cross-polytope of
-        ``selection_masks``, whose faces ``apart`` reads off its coatoms."""
-        return not masks or (self.join_holds and not max(masks) >> 2 * len(self.lattice.coatoms())
-                             and all(map(self.is_face, masks)))
 
     def apart(self, plus: int) -> bool:
         """Is every sign choice over r coatoms, whose + bits are set, a face of
@@ -257,28 +235,12 @@ def representation(lattice: GeometricLattice, flag: Flag) -> FlagRepresentation:
     return FlagRepresentation(lattice, flag)
 
 
-# -- signed vertices, shared by every flag of a lattice ------------------------------
-
-
 def _unions(pairs: Iterable[Sequence[int]]) -> list[int]:
     """Every union of one mask from each pair, in ``product`` order."""
     out = [0]
     for pm in pairs:
         out = [x | h for x in out for h in pm]
     return out
-
-
-@lru_cache(maxsize=topology._HOMOLOGY_MEMO_SIZE)
-def selection_masks(positions: frozenset[int]) -> frozenset[int]:
-    """The facets of the cross-polytope on coatoms given by their positions
-    k, one per block, as vertex masks: the unions of each coatom's + or -
-    bit, the join of the pairs {2k}, {2k + 1}, so ~ S^{|positions|-1}.  The
-    empty mask, the one union of no coatoms, is left out.  Memoized with a
-    fixed bound, keyed by the positions alone: not by a lattice, a flag or
-    the order of the blocks, so one memo entry, an immutable set, serves
-    every flag pair of every lattice that selects those positions.
-    """
-    return frozenset(_unions([(1 << 2 * k, 2 << 2 * k) for k in positions])) - {0}
 
 
 # -- arrangement-level operations ------------------------------------------------

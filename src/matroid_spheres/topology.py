@@ -446,11 +446,9 @@ def _maximal_masks(masks: Iterable[int]) -> list[int]:
     return out
 
 
-# Distinct complexes whose homology is kept, distinct (lattice, flag) pairs
-# whose representation is kept (``spheres.representation``), and distinct
-# (lattice, coatom set) pairs whose cross-polytope facet masks are kept
-# (``spheres.selection_masks``): verify_retraction asks for the same S_0
-# and the same polytope over many flag pairs.
+# Distinct complexes whose homology is kept, and distinct (lattice, flag)
+# pairs whose representation is kept (``spheres.representation``):
+# verify_retraction asks for the same two representations over many flag pairs.
 _HOMOLOGY_MEMO_SIZE = 256
 
 

@@ -1,4 +1,5 @@
 import json
+from collections import namedtuple
 from itertools import combinations, groupby, product
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from matroid_spheres import (
 from matroid_spheres.maps import CrossSelection, RetractDescriptor, SearchCapExceeded, SearchResult, SelectionError
 from matroid_spheres.linalg import nullspace_q, rank_q
 from matroid_spheres.report import CheckResult, ValidationReport
-from matroid_spheres.spheres import _unions, representation, selection_masks
+from matroid_spheres.spheres import _unions, representation
 from matroid_spheres.topology import (
     HomologyProfile,
     _generic_key,
@@ -464,8 +465,8 @@ def carrier_report_oracle(a_ambient, a_map, b_ambient, b_map, images):
 
 def cross_polytope_complex(lattice, coatoms):
     """The cross-polytope on the coatoms as a complex, one facet per sign
-    choice, built vertex by vertex by ``vertex_table``.  Oracle for
-    ``spheres.selection_masks``, through ``complex_masks``."""
+    choice, built vertex by vertex by ``vertex_table``: the polytope of
+    a retraction, through ``complex_masks``."""
     signed = vertex_table(lattice)
     return complex_of(frozenset(signed[c][s] for c, s in zip(coatoms, signs))
                       for signs in product("+-", repeat=len(coatoms)))
@@ -493,7 +494,7 @@ def retraction_face_lines_oracle(desc):
     """``verify_retraction``'s polytope-in-source, polytope-in-target,
     simplicial and composite-simplicial by ``has_face`` on the complexes as
     held, the polytope's facet masks read back as a complex, each facet of
-    S_0 mapped vertex by vertex."""
+    S_0 mapped vertex by vertex.  Takes a ``materialise``d descriptor."""
     lattice = desc.source.lattice
     s_f = frozen(desc.source.build(lattice.bottom))
     s_g = frozen(desc.target.build(lattice.bottom))
@@ -645,25 +646,76 @@ def select_cross_coatoms_oracle(rep_f, rep_g):
     return CrossSelection(coatom_positions(rep_f.lattice, coatoms), tuple(chosen))
 
 
+# -- retraction descriptors with their map and polytope built, for the oracle routes
+
+
+Materialised = namedtuple("Materialised", "selection source target vertex_map polytope")
+
+
+def formula_map(desc):
+    """The retraction's formula as a dict in vertex order: v in the
+    source's half slot[v] = 2i + s goes to 2 * coatoms[i] + s."""
+    onto = [2 * k + s for k in desc.selection.coatoms for s in (0, 1)]
+    return {v: onto[h] for v, h in enumerate(desc.source.slot)}
+
+
+def materialise(desc):
+    """A descriptor with its map and polytope built, as the oracle routes
+    read them: ``formula_map``, and the facet masks of
+    ``cross_polytope_complex`` over the selected coatoms."""
+    lattice = desc.source.lattice
+    polytope = complex_masks(cross_polytope_complex(lattice, selected_coatoms(lattice, desc.selection)))
+    return Materialised(desc.selection, desc.source, desc.target, formula_map(desc), polytope)
+
+
+def vertex_mask(vertices):
+    """A set of signed vertices as an int mask."""
+    return sum(1 << v for v in vertices)
+
+
+def half_masks(rep, vertex_map):
+    """Each block's + and - halves, each vertex sent through the map, by
+    ``slot``, as two vertex masks."""
+    out = [0] * (2 * rep.r)
+    for v, h in enumerate(rep.slot):
+        out[h] |= 1 << vertex_map[v]
+    return tuple(zip(out[::2], out[1::2]))
+
+
+def are_faces(rep, masks):
+    """Is every vertex mask a face of S_0, given ``join_holds``: no bit at
+    or above 2|coatoms| (a vertex of no coatom) and no block holding both
+    signs?  An empty set holds no mask, so it passes."""
+    return not masks or (rep.join_holds and not max(masks) >> 2 * len(rep.lattice.coatoms())
+                         and all(map(rep.is_face, masks)))
+
+
+def selection_masks(positions):
+    """The facets of the join of the pairs {2k}, {2k + 1} over the
+    positions, as vertex masks, the empty mask left out."""
+    return frozenset(_unions([(1 << 2 * k, 2 << 2 * k) for k in positions])) - {0}
+
+
 def retraction_oracle(lattice, flag_f, flag_g):
     """``retraction_map`` through ``select_cross_coatoms_oracle``, each
     signed coatom's image read off ``vertex_table`` and ``parts_oracle``,
-    and the polytope by ``cross_polytope_complex``.  Oracle for
-    ``maps.retraction_map``."""
+    and the polytope by ``cross_polytope_complex``, materialised.  Oracle
+    for ``maps.retraction_map`` and ``formula_map``."""
     rep_f, rep_g = representation(lattice, flag_f), representation(lattice, flag_g)
     sel = select_cross_coatoms_oracle(rep_f, rep_g)
     signed, coatoms = vertex_table(lattice), selected_coatoms(lattice, sel)
     vmap = dict(sorted((v, signed[chosen][s]) for block, chosen in zip(parts_oracle(lattice, flag_f), coatoms)
                        for c in block for s, v in signed[c].items()))  # in vertex order
     polytope = complex_masks(cross_polytope_complex(lattice, coatoms))
-    return RetractDescriptor(sel, rep_f, rep_g, vmap, polytope)
+    return Materialised(sel, rep_f, rep_g, vmap, polytope)
 
 
 def verify_retraction_oracle(desc):
-    """``verify_retraction`` with each image half the mask of a vertex set
-    mapped coatom by coatom, the polytope compared with the facet masks of
-    ``cross_polytope_complex``, and the report built line by line by
-    ``add``.  Oracle for ``maps.verify_retraction``."""
+    """``verify_retraction`` on a materialised descriptor, with each image
+    half the mask of a vertex set mapped coatom by coatom, the polytope
+    compared with the facet masks of ``cross_polytope_complex``, each set
+    of masks scanned block by block (``are_faces``), and the report built
+    line by line by ``add``.  Oracle for ``maps.verify_retraction``."""
     rep = ValidationReport()
     source, target, vmap, polytope = desc.source, desc.target, desc.vertex_map, desc.polytope
     lattice, signed = source.lattice, vertex_table(source.lattice)
@@ -675,11 +727,11 @@ def verify_retraction_oracle(desc):
     else:
         images = frozenset(sum(1 << w for w in {vmap[v] for v in m}) for m in label_faces(s_f))
     rep.add("selection-distinct", desc.selection.distinct())
-    rep.add("polytope-in-source", source.are_faces(polytope))
-    rep.add("polytope-in-target", target.are_faces(polytope))
+    rep.add("polytope-in-source", are_faces(source, polytope))
+    rep.add("polytope-in-target", are_faces(target, polytope))
     rep.add("simplicial", all(any(i & m == i for m in polytope) for i in images - polytope if i))
     rep.add("idempotent", all(vmap[vmap[v]] == vmap[v] for v in used_vertices(s_f)))
-    rep.add("composite-simplicial", target.are_faces(images))
+    rep.add("composite-simplicial", are_faces(target, images))
     rep.add("source-sphere", source.join_holds)
     rep.add("target-sphere", target.join_holds)
     coatoms = frozenset(selected_coatoms(lattice, desc.selection))
@@ -688,14 +740,56 @@ def verify_retraction_oracle(desc):
     return rep
 
 
-# -- descriptor mutants: a new descriptor each, and a fresh representation to poison
+def verify_retraction_general(desc):
+    """``verify_retraction`` on a materialised descriptor, with no read-off:
+    the images are built as a set of masks (the 2^r unions of the image
+    halves given the join, else each facet of S_0 mapped), the polytope's
+    all-+ facet is its least mask, and every vertex's image is mapped
+    again.  Oracle for the read-off of every line off the selection."""
+    source, target, vmap, polytope = desc.source, desc.target, desc.vertex_map, desc.polytope
+    lattice = source.lattice
+    s_f = source.build(lattice.bottom)
+    if source.join_holds:
+        images = frozenset(_unions(half_masks(source, vmap)))
+    else:
+        images = frozenset(vertex_mask({vmap[v] for i, v in enumerate(s_f.vertices) if m >> i & 1})
+                           for m in s_f.maximal_faces)
+    positions = frozenset(desc.selection.coatoms)
+    polytope_ok = len(positions) == lattice.r and polytope == selection_masks(positions)
+    if polytope_ok:
+        plus = min(polytope, default=0)  # every coatom signed +, the lower of its two bits
+        in_source, in_target = source.apart(plus), target.apart(plus)
+    else:
+        in_source, in_target = are_faces(source, polytope), are_faces(target, polytope)
+    return ValidationReport([
+        CheckResult("selection-distinct", desc.selection.distinct()),
+        CheckResult("polytope-in-source", in_source),
+        CheckResult("polytope-in-target", in_target),
+        CheckResult("simplicial", all(any(i & m == i for m in polytope) for i in images - polytope if i)),
+        CheckResult("idempotent", all(vmap[w] == w for w in map(vmap.__getitem__, s_f.vertices))),
+        CheckResult("composite-simplicial", in_target if images == polytope else are_faces(target, images)),
+        CheckResult("source-sphere", source.join_holds),
+        CheckResult("target-sphere", target.join_holds),
+        CheckResult("polytope-sphere", polytope_ok),
+    ])
+
+
+# -- descriptor mutants: a new selection, or a fresh representation to poison
 
 
 def repeated_g_part(desc):
+    """The selection with its first G-block held twice, coatoms as they were."""
     sel = desc.selection
     g_parts = (sel.g_parts[0],) + sel.g_parts[:1] + sel.g_parts[2:]
-    selection = CrossSelection(sel.coatoms, g_parts)
-    return RetractDescriptor(selection, desc.source, desc.target, desc.vertex_map, desc.polytope)
+    return RetractDescriptor(CrossSelection(sel.coatoms, g_parts), desc.source, desc.target)
+
+
+def repeated_coatom(desc):
+    """The selection with its first coatom held in place of its second:
+    r coatoms, r - 1 of them distinct, so block 1 goes onto C_0."""
+    sel = desc.selection
+    coatoms = sel.coatoms[:1] + sel.coatoms[:1] + sel.coatoms[2:]
+    return RetractDescriptor(CrossSelection(coatoms, sel.g_parts), desc.source, desc.target)
 
 
 def poisoned(lattice, flag, facets):
@@ -706,46 +800,17 @@ def poisoned(lattice, flag, facets):
     return rep
 
 
-def grown_by_a_foreign_vertex(desc):
-    """The polytope with its lowest facet mask grown by the bit just above
-    the signed coatoms', a vertex that is no signed coatom."""
-    facet = min(desc.polytope)
-    faces = (desc.polytope - {facet}) | {facet | 1 << 2 * len(desc.source.lattice.coatoms())}
-    return RetractDescriptor(desc.selection, desc.source, desc.target, desc.vertex_map, faces)
+def with_dropped_facet(rep):
+    """A fresh representation of rep's flag whose S_0 lost its first facet."""
+    return poisoned(rep.lattice, rep.flag, sorted_faces(rep.build(rep.lattice.bottom))[1:])
 
 
-def verify_retraction_general(desc):
-    """``verify_retraction`` with no read-off: on every descriptor the images
-    are built as a set of masks (the 2^r unions of the image halves given
-    the join, else each facet of S_0 mapped), the polytope's all-+ facet is
-    its least mask, and every vertex's image is mapped again.  Oracle for
-    the read-off of the face lines off the r image halves."""
-    source, target, vmap, polytope = desc.source, desc.target, desc.vertex_map, desc.polytope
-    lattice = source.lattice
-    s_f = source.build(lattice.bottom)
-    if source.join_holds:
-        images = frozenset(_unions(source.half_masks(vmap)))
-    else:
-        images = frozenset(source.mask({vmap[v] for i, v in enumerate(s_f.vertices) if m >> i & 1})
-                           for m in s_f.maximal_faces)
-    positions = frozenset(desc.selection.coatoms)
-    polytope_ok = len(positions) == lattice.r and polytope == selection_masks(positions)
-    if polytope_ok:
-        plus = min(polytope, default=0)  # every coatom signed +, the lower of its two bits
-        in_source, in_target = source.apart(plus), target.apart(plus)
-    else:
-        in_source, in_target = source.are_faces(polytope), target.are_faces(polytope)
-    return ValidationReport([
-        CheckResult("selection-distinct", desc.selection.distinct()),
-        CheckResult("polytope-in-source", in_source),
-        CheckResult("polytope-in-target", in_target),
-        CheckResult("simplicial", all(any(i & m == i for m in polytope) for i in images - polytope if i)),
-        CheckResult("idempotent", all(vmap[w] == w for w in map(vmap.__getitem__, s_f.vertices))),
-        CheckResult("composite-simplicial", in_target if images == polytope else target.are_faces(images)),
-        CheckResult("source-sphere", source.join_holds),
-        CheckResult("target-sphere", target.join_holds),
-        CheckResult("polytope-sphere", polytope_ok),
-    ])
+def poisoned_source(desc):
+    return RetractDescriptor(desc.selection, with_dropped_facet(desc.source), desc.target)
+
+
+def poisoned_target(desc):
+    return RetractDescriptor(desc.selection, desc.source, with_dropped_facet(desc.target))
 
 
 def cross_coatom_search_oracle(rep_f, rep_g):

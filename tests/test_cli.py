@@ -10,15 +10,14 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from matroid_spheres import CoverFamily, SimplicialComplex, build_covers, build_embedding
+from matroid_spheres import CoverFamily, FlagRepresentation, SimplicialComplex, build_covers, build_embedding
 from matroid_spheres import maps, oriented, spheres
 from matroid_spheres import topology
 from matroid_spheres.cli import main
 from matroid_spheres import MatroidInputError
 from matroid_spheres.jsonio import complex_from_json, load_vector_config_file
-from matroid_spheres.maps import RetractDescriptor
 from conftest import face_labels, frozen, member_labels, used_vertices
-from conftest import grown_by_a_foreign_vertex, poisoned, reduces_to_point, repeated_g_part, sorted_faces
+from conftest import poisoned_source, poisoned_target, reduces_to_point, repeated_coatom, repeated_g_part
 
 DATA = Path(__file__).parent / "data"
 
@@ -558,45 +557,95 @@ def test_om_embed_prints_a_failing_carrier_cover(runner, monkeypatch):
     assert all(": PASS" in line for line in lines[1:-1])
 
 
-def with_dropped_facet(rep):
-    return poisoned(rep.lattice, rep.flag, sorted_faces(rep.build(rep.lattice.bottom))[1:])
-
-
-def poisoned_source(d):
-    return RetractDescriptor(d.selection, with_dropped_facet(d.source), d.target, d.vertex_map, d.polytope)
-
-
-def poisoned_target(d):
-    return RetractDescriptor(d.selection, d.source, with_dropped_facet(d.target), d.vertex_map, d.polytope)
-
-
 @pytest.mark.parametrize("mutate, failing", [
-    (poisoned_source, {"source-sphere", "polytope-in-source"}),
+    (poisoned_source, {"source-sphere", "polytope-in-source", "simplicial", "composite-simplicial"}),
     (poisoned_target, {"target-sphere", "polytope-in-target", "composite-simplicial"}),
-    (grown_by_a_foreign_vertex, {"polytope-sphere", "polytope-in-source", "polytope-in-target"}),
+    (repeated_coatom, {"polytope-sphere", "polytope-in-source", "polytope-in-target", "simplicial", "idempotent",
+                       "composite-simplicial"}),
     (repeated_g_part, {"selection-distinct"}),
 ], ids=["source-sphere", "target-sphere", "polytope-sphere", "selection-distinct"])
 def test_flags_compare_prints_a_failing_line(runner, monkeypatch, tmp_path, mutate, failing):
     # the descriptor of U(3,4)'s default flag against another is mutated on
     # its way to the certificate; the named line, and only the lines it
-    # carries, print FAIL, and every other line is the unpatched run's
+    # carries, print FAIL, and every other line is the unpatched run's, but
+    # the selection line, which names the coatoms the mutant selects
     flag_b = tmp_path / "g.json"
     flag_b.write_text(json.dumps({"chain": [[], ["3"], ["3", "4"], ["1", "2", "3", "4"]]}))
     args = ("flags", "compare", DATA / "u34.json", "default", flag_b)
     passing = run(runner, *args).output.splitlines()
     assert all(line.endswith(": PASS") or ": PASS (" in line for line in passing[1:])
-    real = maps.retraction_map
-    monkeypatch.setattr(maps, "retraction_map", lambda *a: mutate(real(*a)))
+    real, mutants = maps.retraction_map, []
+    monkeypatch.setattr(maps, "retraction_map", lambda *a: mutants.append(mutate(real(*a))) or mutants[-1])
     result = run(runner, *args)
     monkeypatch.undo()
     assert result.exit_code == 1, result.output
     lines = result.output.splitlines()
     assert lines[0] == passing[0] and len(lines) == len(passing) == 11
-    for line, clean in zip(lines[1:], passing[1:]):
+    picked = [",".join(sorted(c, key=int)) for c in map(mutants[0].source.lattice.coatoms().__getitem__,
+                                                        mutants[0].selection.coatoms)]
+    assert lines[-1] == "selection: PASS (coatoms " + "; ".join(picked) + ")"
+    assert (lines[-1] == passing[-1]) is (mutate is not repeated_coatom)
+    for line, clean in zip(lines[1:-1], passing[1:-1]):
         name = line.split(":")[0]
         assert line == (f"{name}: FAIL" if name in failing else clean), line
     assert {line.split(":")[0] for line in lines if ": FAIL" in line} == failing
     assert run(runner, *args).output.splitlines() == passing  # the memoized representations are untouched
+
+
+def test_flags_compare_rank_0_prints_every_line_as_pass(runner, tmp_path):
+    # one loop: the lattice is a point, no coatom is selected, and S_0 and
+    # the polytope are the join of no blocks
+    loop = tmp_path / "loop.json"
+    loop.write_text(json.dumps({"format": "flats", "ground_set": ["1"], "flats": [["1"]]}))
+    result = run(runner, "flags", "compare", loop, "default", "default")
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines() == [f"flags compare {loop}"] + [f"{name}: PASS" for name in (
+        "selection-distinct", "polytope-in-source", "polytope-in-target", "simplicial", "idempotent",
+        "composite-simplicial", "source-sphere", "target-sphere", "polytope-sphere")] + ["selection: PASS (coatoms )"]
+
+
+def wrong_cover_step(lattice, flag):
+    """A fresh representation whose cover-step table holds, for its first
+    step F < F v a, another flat above F of the join's rank."""
+    rep = FlagRepresentation(lattice, flag)
+    steps = list(rep.cover_steps)
+    n, (f, a, fa) = next((n, step) for n, step in enumerate(steps) if step[2] != step[0])
+    wrong = next(g for g in lattice.flats if lattice.rank(g) == lattice.rank(fa) and g != fa and f <= g)
+    steps[n] = (f, a, wrong)
+    rep.__dict__["cover_steps"] = tuple(steps)
+    return rep
+
+
+def member_of_another_atom(lattice, flag):
+    """A fresh representation whose first atom's S_a is the second atom's:
+    an induced sphere of the right dimension, whose vertex set recovers the
+    second atom's flat for both."""
+    rep = FlagRepresentation(lattice, flag)
+    first, second = sorted(lattice.atoms(), key=lattice.key)[:2]
+    rep._built[first] = rep.build(second)
+    return rep
+
+
+@pytest.mark.parametrize("poison, failing", [
+    (wrong_cover_step, {"intersection-law", "intersections-are-flats"}),
+    (member_of_another_atom, {"flats-roundtrip"}),
+], ids=["intersection-law", "flats-roundtrip"])
+def test_verify_prints_a_failing_line(runner, monkeypatch, poison, failing):
+    # verify's representation is a fresh one with one poisoned table; the
+    # named line, and only the lines it carries, print FAIL
+    args = ("verify", DATA / "u34.json")
+    passing = run(runner, *args).output.splitlines()
+    assert all(": PASS" in line for line in passing[1:])
+    monkeypatch.setattr(spheres, "representation", poison)
+    result = run(runner, *args)
+    monkeypatch.undo()
+    assert result.exit_code == 1, result.output
+    lines = result.output.splitlines()
+    assert lines[0] == passing[0] and len(lines) == len(passing) == 10
+    for line, clean in zip(lines[1:], passing[1:]):
+        assert line == (clean.replace(": PASS", ": FAIL") if line.split(":")[0] in failing else clean), line
+    assert {line.split(":")[0] for line in lines if ": FAIL" in line} == failing
+    assert run(runner, *args).output.splitlines() == passing  # the memoized representation is untouched
 
 
 def test_verify_exact_nerve_b5_exits_0(runner, tmp_path):

@@ -17,6 +17,7 @@ from conftest import (
     frozen,
     held_parts,
     label_faces,
+    vertex_mask,
 )
 
 DERANDOMIZED = settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -119,7 +120,7 @@ def test_every_s_g_matches_its_label_complex():
         for m in fc.maximal_faces:
             for v in m:
                 probe = m - {v} | {v ^ 1}  # v with its sign swapped
-                assert built.has_face(rep.mask(probe)) == fc.has_face(probe)
+                assert built.has_face(vertex_mask(probe)) == fc.has_face(probe)
         assert reduced_homology(built).dims == face_homology_oracle(built).dims, (name, sorted(flat))
         seen += 1
     assert seen >= 600

@@ -39,6 +39,7 @@ from conftest import (
     nerve_oracle,
     swap_map,
     swap_sign,
+    vertex_mask,
     z2_free_check,
 )
 
@@ -341,7 +342,7 @@ def held_verdict(rep, complex_, corank):
     ambient = rep.build(rep.lattice.bottom)
     used = used_vertices(complex_)
     return (rep.join_holds and frozen(complex_) == frozen(ambient).restrict(used)
-            and rep.is_sphere(rep.mask(used), corank))
+            and rep.is_sphere(vertex_mask(used), corank))
 
 
 @st.composite
@@ -481,7 +482,7 @@ def test_member_not_closed_under_the_sign_swap_fails_z2_free():
     rep = FlagRepresentation(lattice, default_flag(lattice))
     arr = rep.arrangement()
     (atom, old), rest = arr.members[0], arr.members[1:]
-    cut = arr.ambient.restrict(rep.mask(used_vertices(old)[1:]))
+    cut = arr.ambient.restrict(vertex_mask(used_vertices(old)[1:]))
     bad = HomotopyArrangement(rep, arr.ambient, ((atom, cut),) + rest)
     assert bad.induced
     report = verify_arrangement(bad)
@@ -497,9 +498,9 @@ def test_mask_swap_is_the_sign_swap(name):
     rep = FlagRepresentation(lattice, default_flag(lattice))
     for g in lattice.flats:
         vertices = used_vertices(rep.build(g))
-        assert rep.swap(rep.mask(vertices)) == rep.mask(map(swap_sign, vertices)) == rep.masks[g]
+        assert rep.swap(vertex_mask(vertices)) == vertex_mask(map(swap_sign, vertices)) == rep.masks[g]
         half = vertices[::2]  # each coatom's + vertex: closed under no swap
-        assert rep.swap(rep.mask(half)) == rep.mask(map(swap_sign, half))
+        assert rep.swap(vertex_mask(half)) == vertex_mask(map(swap_sign, half))
 
 
 def test_large_inputs_pass():

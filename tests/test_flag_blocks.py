@@ -24,7 +24,7 @@ from matroid_spheres import (
     uniform_matroid,
 )
 from matroid_spheres.jsonio import signed_complex_to_json
-from matroid_spheres.spheres import atom_label, selection_masks
+from matroid_spheres.spheres import atom_label
 from matroid_spheres.topology import label_masker
 from conftest import complex_of, label_faces, mask_vertices, used_vertices
 from conftest import (
@@ -40,6 +40,7 @@ from conftest import (
     signed_coatoms,
     slots_oracle,
     swap_sign,
+    vertex_mask,
     vertex_table,
 )
 
@@ -96,10 +97,25 @@ def test_cross_polytope_and_sigma_match_oracle(lattices):
             assert label_faces(built) == set(want) - {frozenset()}, (name, sorted(flat))
             for face, vec in want.items():
                 assert mask_vertices(rep.sigma(vec, flat)) == face == face_oracle(lattice, vec, blocks)
-        # the retraction's polytope: one coatom per block
+        # a retraction's polytope, one coatom per block, read off its + bits
         chosen = [(block[-1],) for block in held_parts(rep)]
-        want = {sum(1 << v for v in f) for f in cross_polytope_oracle(lattice, chosen)}
-        assert selection_masks(frozenset(coatom_positions(lattice, [c for c, in chosen]))) == want
+        plus = sum(1 << 2 * k for k in coatom_positions(lattice, [c for c, in chosen]))
+        s_0 = rep.build(lattice.bottom)
+        assert rep.apart(plus) is all(has_face_oracle(s_0, f) for f in cross_polytope_oracle(lattice, chosen))
+
+
+def test_apart_matches_the_facet_scan_on_every_r_subset(lattices):
+    # apart reads, off their + bits, whether every sign choice over r
+    # coatoms is a face of S_0: for every r coatoms, not only one per block
+    subsets = inside = 0
+    for name, lattice, rep in every_flag(lattices):
+        s_0 = rep.build(lattice.bottom)
+        for chosen in combinations(lattice.coatoms(), lattice.r):
+            plus = sum(1 << 2 * k for k in coatom_positions(lattice, chosen))
+            facets = cross_polytope_oracle(lattice, [(c,) for c in chosen])
+            assert rep.apart(plus) is all(has_face_oracle(s_0, f) for f in facets), (name, chosen)
+            subsets, inside = subsets + 1, inside + rep.apart(plus)
+    assert (subsets, inside) == (1800, 468)
 
 
 def test_signed_vertices_are_per_lattice_labels(lattices):
@@ -141,7 +157,7 @@ def test_vertex_bits_and_halves_match_the_built_s_0(lattices):
             for block in blocks_oracle(lattice, rep.flag))
         s0 = rep.build(lattice.bottom)
         assert rep.join_holds
-        assert all(rep.is_face(rep.mask(f)) == has_face_oracle(s0, f)
+        assert all(rep.is_face(vertex_mask(f)) == has_face_oracle(s0, f)
                    for k in (1, 2, 3) for f in combinations(s0.vertices, k)), name
 
 
@@ -184,7 +200,7 @@ def test_every_s_g_is_induced_in_s_0(lattices, u34):
     for rep in reps:
         s_0 = rep.build(rep.lattice.bottom)
         for flat in rep.lattice.flats:
-            induced = s_0.restrict(rep.mask(signed_vertices(rep, flat)))
+            induced = s_0.restrict(vertex_mask(signed_vertices(rep, flat)))
             assert rep.build(flat) == induced, (rep.flag.chain, sorted(flat))
 
 

@@ -1,9 +1,10 @@
 import json
+import random
 import sys
 import threading
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import combinations, product
-from operator import is_, or_
+from operator import is_
 
 import pytest
 from click.testing import CliRunner
@@ -34,32 +35,32 @@ from matroid_spheres import (
 )
 from matroid_spheres import maps, topology
 from matroid_spheres.cli import main
-from matroid_spheres.maps import CrossSelection, RetractDescriptor, Retraction, SelectionError
+from matroid_spheres.maps import CrossSelection, RetractDescriptor, SelectionError
 from matroid_spheres.report import CheckResult, ValidationReport
-from matroid_spheres.spheres import selection_masks
 from conftest import complex_of, frozen, label_faces, sorted_faces, tuples
 from conftest import (
     DATA,
     boolean_matroid,
-    complex_masks,
     cov_leq,
     cross_coatom_search_oracle,
     cross_polytope_complex,
     data_matroids,
-    grown_by_a_foreign_vertex,
+    formula_map,
     held_parts,
     is_homology_sphere,
-    mask_vertices,
-    masks_complex,
+    materialise,
     part_of,
     poisoned,
+    poisoned_source,
+    poisoned_target,
     poset_map_search_oracle,
+    repeated_coatom,
     repeated_g_part,
     retraction_face_lines_oracle,
     retraction_oracle,
     select_cross_coatoms_oracle,
     selected_coatoms,
-    slots_oracle,
+    vertex_mask,
     verify_retraction_general,
     verify_retraction_oracle,
 )
@@ -274,7 +275,7 @@ def test_retraction_same_flag_u24(u24):
     flag = default_flag(u24)
     desc = retraction_map(u24, flag, flag)
     # image is the square boundary on the selected coatoms
-    polytope = masks_complex(desc.polytope)
+    polytope = cross_polytope_complex(u24, selected_coatoms(u24, desc.selection))
     assert len(polytope.vertices) == 4
     assert len(polytope.maximal_faces) == 4
     assert verify_retraction(desc).ok
@@ -283,9 +284,10 @@ def test_retraction_same_flag_u24(u24):
 def test_retraction_bool3_is_relabelling(bool3):
     flags = all_complete_flags(bool3)
     desc = retraction_map(bool3, flags[0], flags[1])
+    held = materialise(desc)
     # singleton blocks force a bijection onto the octahedron
-    assert len(set(desc.vertex_map.values())) == len(desc.vertex_map)
-    assert len(desc.polytope) == 8
+    assert len(set(held.vertex_map.values())) == len(held.vertex_map)
+    assert len(held.polytope) == 8
     assert verify_retraction(desc).ok
 
 
@@ -293,10 +295,11 @@ def test_retraction_u34_images_are_polytope_facets(u34):
     f = make_flag(u34, [[], ["1"], ["1", "2"], ["1", "2", "3", "4"]])
     g = make_flag(u34, [[], ["3"], ["3", "4"], ["1", "2", "3", "4"]])
     desc = retraction_map(u34, f, g)
+    held = materialise(desc)
     source = desc.source.build(u34.bottom)
     for mface in label_faces(source):
-        image = frozenset(desc.vertex_map[v] for v in mface)
-        assert desc.source.mask(image) in desc.polytope
+        image = frozenset(held.vertex_map[v] for v in mface)
+        assert vertex_mask(image) in held.polytope
     assert verify_retraction(desc).ok
 
 
@@ -361,67 +364,8 @@ def test_representation_memo_is_bounded():
     assert representation.cache_info().currsize == bound  # full, never past the bound
 
 
-# -- one cross-polytope per set of selected positions ---------------------------------
-
-
-def test_equal_selections_share_one_polytope():
-    b4 = boolean_matroid(["1", "2", "3", "4"])
-    flags = all_complete_flags(b4)
-    first, other = retraction_map(b4, flags[0], flags[1]), retraction_map(b4, flags[5], flags[-1])
-    # B_4's blocks hold one coatom each, so every pair selects all four,
-    # here in two different block orders
-    assert set(selected_coatoms(b4, first.selection)) == set(selected_coatoms(b4, other.selection)) == set(b4.coatoms())
-    assert first.selection.coatoms != other.selection.coatoms
-    assert first.polytope is other.polytope
-    # the memo is keyed by positions alone: another lattice selecting them shares the entry
-    twin = uniform_matroid(4, 4)
-    assert twin is not b4 and retraction_map(twin, *all_complete_flags(twin)[:2]).polytope is first.polytope
-
-
-def test_memoized_polytope_matches_fresh_cross_polytope(u34, bool3, fano):
-    # the oracle route: the cross-polytope built as a complex on the selected
-    # coatoms, its facets read back as masks.  U(4,6)'s blocks hold several
-    # coatoms each, so its pairs select many coatom sets
-    pairs = 0
-    for lattice in (u34, bool3, boolean_matroid("1234"), fano, uniform_matroid(4, 6)):
-        flags = all_complete_flags(lattice)
-        for f in flags:
-            for g in flags:
-                desc = retraction_map(lattice, f, g)
-                fresh = cross_polytope_complex(lattice, selected_coatoms(lattice, desc.selection))
-                assert desc.polytope == complex_masks(fresh), (f.chain, g.chain)
-                pairs += 1
-    assert pairs == 144 + 36 + 576 + 441 + 120 ** 2
-
-
-def test_polytope_memo_is_bounded():
-    # the memo is keyed by the selected positions alone, and U(3,7)'s pairs
-    # select 497 distinct sets of three
-    bound = topology._HOMOLOGY_MEMO_SIZE
-    assert selection_masks.cache_info().maxsize == bound
-    lattice = uniform_matroid(3, 7)
-    flags, keys = all_complete_flags(lattice), set()
-    for f in flags:
-        for g in flags:
-            desc = retraction_map(lattice, f, g)
-            assert desc.polytope and verify_retraction(desc).ok
-            keys.add(frozenset(desc.selection.coatoms))
-    assert len(keys) > bound
-    assert selection_masks.cache_info().currsize == bound
-
-
-def test_mutant_does_not_poison_the_polytope_memo(u34):
-    flags = all_complete_flags(u34)
-    desc = retraction_map(u34, flags[0], flags[-1])
-    mutated = grown_polytope(desc, False, False)
-    assert failing(mutated) == {"polytope-in-source", "polytope-in-target", "polytope-sphere"}
-    again = retraction_map(u34, flags[0], flags[-1])
-    assert again.polytope is desc.polytope and again.polytope != mutated.polytope
-    assert verify_retraction(again).ok
-
-
 def retraction_fields(desc):
-    return (desc.selection, desc.vertex_map, desc.polytope, verify_retraction(desc).to_json())
+    return (desc.selection, desc.source.slot, desc.target.slot, verify_retraction(desc).to_json())
 
 
 def test_memoized_retractions_match_fresh_representations(u34, bool3, fano, monkeypatch):
@@ -446,9 +390,17 @@ def test_memoized_retractions_match_fresh_representations(u34, bool3, fano, monk
 # image half as a vertex set and adds the lines one by one.
 
 
-def route(desc, verify):
-    """Everything a pair's retraction and certificate show, the map in its order."""
-    return (desc.selection, list(desc.vertex_map.items()), desc.polytope, verify(desc).to_json())
+def route(desc):
+    """Everything a pair's retraction and certificate show, the formula's
+    map in its order and the polytope materialised."""
+    held = materialise(desc)
+    return (desc.selection, list(held.vertex_map.items()), held.polytope, verify_retraction(desc).to_json())
+
+
+def oracle_route(lattice, f, g):
+    oracle = retraction_oracle(lattice, f, g)
+    return (oracle.selection, list(oracle.vertex_map.items()), oracle.polytope,
+            verify_retraction_oracle(oracle).to_json())
 
 
 def test_mask_route_matches_the_oracle_route_on_every_pair(u34, bool3, fano):
@@ -458,9 +410,7 @@ def test_mask_route_matches_the_oracle_route_on_every_pair(u34, bool3, fano):
         flags = all_complete_flags(lattice)
         for f in flags:
             for g in flags:
-                desc = retraction_map(lattice, f, g)
-                oracle = retraction_oracle(lattice, f, g)
-                assert route(desc, verify_retraction) == route(oracle, verify_retraction_oracle), (f.chain, g.chain)
+                assert route(retraction_map(lattice, f, g)) == oracle_route(lattice, f, g), (f.chain, g.chain)
                 pairs += 1
     assert pairs == 144 + 36 + 576 + 441 + 120 ** 2
 
@@ -480,154 +430,103 @@ def test_mask_route_matches_the_oracle_route_on_random_pairs(kind, r, extra, dat
     f = data.draw(st.sampled_from(flags))
     g = data.draw(st.sampled_from(flags))
     desc = retraction_map(lattice, f, g)
-    assert route(desc, verify_retraction) == route(retraction_oracle(lattice, f, g), verify_retraction_oracle)
+    assert route(desc) == oracle_route(lattice, f, g)
     assert verify_retraction(desc).ok
 
 
 # -- retraction certificate on mutated descriptors -----------------------------------
 #
-# Each mutation breaks one property of a real descriptor and keeps the
-# others, so exactly the checks named with it must fail.  A polytope facet
-# mask grown by one bit from outside the polytope is a cone glued on along a
-# simplex, so the polytope stays a homotopy sphere; it is no longer the
-# cross-polytope, so polytope-sphere, a join test, fails on it: sound, not
-# complete.
+# A mutant is a new descriptor: a selection other than the one
+# ``select_cross_coatoms`` reads off, or a fresh representation whose S_0
+# lost a facet.  ``MUTANTS`` names, for each line of ``maps._LINES``, a
+# mutant that fails it, with every line that mutant fails.  A selection
+# that is no r distinct coatoms, or an S_0 that is not the join, breaks the
+# lemma of ``verify_retraction``, and the lines it would prove fail.
 
 
 def failing(desc):
     return {c.name for c in verify_retraction(desc).failures()}
 
 
-def swapped_singleton(desc):
-    """Swap the signs of the selected coatom of a one-coatom block: the map
-    stays simplicial but is no longer idempotent."""
-    rep = desc.source
-    i = next((i for i, b in enumerate(held_parts(rep)) if len(b) == 1), None)
-    if i is None:
-        return None
-    c = selected_coatoms(rep.lattice, desc.selection)[i]
-    vmap = dict(desc.vertex_map)
-    vmap[rep.vertex(c, "+")], vmap[rep.vertex(c, "-")] = rep.vertex(c, "-"), rep.vertex(c, "+")
-    return RetractDescriptor(desc.selection, desc.source, desc.target, vmap, desc.polytope)
-
-
-def flipped_vertex(desc):
-    """Send one unselected coatom of a block onto the selected coatom with
-    the other sign: an image face then holds both signs of one coatom."""
-    rep = desc.source
-    i = next((i for i, b in enumerate(held_parts(rep)) if len(b) > 1), None)
-    if i is None:
-        return None
-    chosen = selected_coatoms(rep.lattice, desc.selection)[i]
-    c = next(c for c in held_parts(rep)[i] if c != chosen)
-    vmap = dict(desc.vertex_map)
-    vmap[rep.vertex(c, "+")] = rep.vertex(chosen, "-")
-    return RetractDescriptor(desc.selection, desc.source, desc.target, vmap, desc.polytope)
-
-
-def cross_block_vertex(desc):
-    """Send one unselected coatom's + vertex onto the + vertex of another
-    block's selected coatom: an image face holds both signs of that coatom
-    only where the other block is signed -, so on rank 2 one facet of the
-    source alone maps to a non-face."""
-    rep, chosen = desc.source, selected_coatoms(desc.source.lattice, desc.selection)
-    i = next((i for i, b in enumerate(held_parts(rep)) if len(b) > 1), None)
-    if i is None:
-        return None
-    c = next(c for c in held_parts(rep)[i] if c != chosen[i])
-    vmap = dict(desc.vertex_map)
-    vmap[rep.vertex(c, "+")] = rep.vertex(chosen[i - 1], "+")
-    return RetractDescriptor(desc.selection, desc.source, desc.target, vmap, desc.polytope)
-
-
 def swapped_selection(desc):
-    """Swap the first two blocks' selected coatoms, in the selection and in
-    the map: each block's halves still map onto one selected pair, so the
-    polytope is unchanged and the face lines are read off the halves, but
-    C_1, selected for block 0, lies in block 1 and goes to C_0, no fixed image."""
-    sel, rep = desc.selection, desc.source
+    """Swap the first two blocks' selected coatoms: each block still goes
+    onto one selected pair, so the polytope is unchanged, but C_1, now
+    selected for block 0, lies in block 1 and goes to C_0, no fixed image."""
+    sel = desc.selection
     if len(sel.coatoms) < 2:
         return None
-    positions = (sel.coatoms[1], sel.coatoms[0]) + sel.coatoms[2:]
-    onto = [2 * k + s for k in positions for s in (0, 1)]
-    vmap = {v: onto[h] for v, h in slots_oracle(rep.lattice, rep.flag)}
-    return RetractDescriptor(CrossSelection(positions, sel.g_parts), rep, desc.target, vmap, desc.polytope)
+    coatoms = (sel.coatoms[1], sel.coatoms[0]) + sel.coatoms[2:]
+    return RetractDescriptor(CrossSelection(coatoms, sel.g_parts), desc.source, desc.target)
 
 
-def chained_image(desc):
-    """Send one unselected coatom's + vertex onto its own - vertex, which
-    the map sends on to the selected coatom's -: that image is not fixed."""
-    rep = desc.source
-    i = next(i for i, b in enumerate(held_parts(rep)) if len(b) > 1)
-    c = next(c for c in held_parts(rep)[i] if c != selected_coatoms(rep.lattice, desc.selection)[i])
-    vmap = dict(desc.vertex_map)
-    vmap[rep.vertex(c, "+")] = rep.vertex(c, "-")
-    return RetractDescriptor(desc.selection, desc.source, desc.target, vmap, desc.polytope)
-
-
-def test_map_onto_a_non_fixed_image_fails_idempotent_as_the_oracle_does(u34, fano):
-    # verify_retraction asks that each image be fixed; the oracle maps each
-    # image again.  Every block order of U(3,4) and Fano holds a block of several.
-    applied = 0
-    for lattice in (u34, fano):
-        flags = all_complete_flags(lattice)
-        for f in flags:
-            for g in flags:
-                desc = retraction_map(lattice, f, g)
-                mutated = chained_image(desc)
-                report = verify_retraction(mutated)
-                assert report.to_json() == verify_retraction_oracle(mutated).to_json(), (f.chain, g.chain)
-                assert not report["idempotent"].passed
-                applied += 1
-        # a map that misses a vertex raises the same KeyError on both routes
-        vmap = dict(desc.vertex_map)
-        del vmap[next(iter(vmap))]
-        missing = RetractDescriptor(desc.selection, desc.source, desc.target, vmap, desc.polytope)
-        for verify in (verify_retraction, verify_retraction_oracle):
-            with pytest.raises(KeyError):
-                verify(missing)
-    assert applied == 144 + 441
-
-
-def grown_polytope(desc, in_source, in_target):
-    """Grow one polytope facet mask by a bit outside the polytope, so that
-    the grown facet is a face of the source exactly when in_source, and of
-    the target exactly when in_target.  The bit just above the signed
-    coatoms' is a vertex that is no signed coatom."""
-    lattice = desc.source.lattice
-    s_f = desc.source.build(lattice.bottom)
-    s_g = desc.target.build(lattice.bottom)
-    held = reduce(or_, desc.polytope, 0)
-    outside = [1 << v for v in s_f.vertices if not held >> v & 1]
-    for facet in sorted(desc.polytope):
-        for x in outside + [1 << 2 * len(lattice.coatoms())]:
-            grown = mask_vertices(facet | x)
-            if (frozen(s_f).has_face(grown), frozen(s_g).has_face(grown)) == (in_source, in_target):
-                polytope = (desc.polytope - {facet}) | {facet | x}
-                return RetractDescriptor(
-                    desc.selection, desc.source, desc.target, desc.vertex_map, polytope
-                )
+def two_from_one_block(desc):
+    """In place of C_j, an unselected coatom of another F-block i that lies
+    in C_j's G-block: the polytope still meets each G-block once, so it lies
+    in the target's S_0, but it holds two coatoms of F-block i, so not in
+    the source's, and block j goes onto a coatom of block i, no fixed image."""
+    sel, lattice = desc.selection, desc.source.lattice
+    f_block, g_block = part_of(desc.source), part_of(desc.target)
+    chosen = selected_coatoms(lattice, sel)
+    for j, c_j in enumerate(chosen):
+        for k, c in enumerate(lattice.coatoms()):
+            if c not in chosen and f_block[c] != j and g_block[c] == g_block[c_j]:
+                coatoms = sel.coatoms[:j] + (k,) + sel.coatoms[j + 1:]
+                return RetractDescriptor(CrossSelection(coatoms, sel.g_parts), desc.source, desc.target)
     return None
 
 
-MUTATIONS = {
-    "repeated g-part": (repeated_g_part, {"selection-distinct"}),
-    "non-idempotent": (swapped_singleton, {"idempotent"}),
-    "swapped selection": (swapped_selection, {"idempotent"}),
-    "sign flipped": (flipped_vertex, {"simplicial", "composite-simplicial"}),
-    "cross-block image": (cross_block_vertex, {"simplicial", "composite-simplicial"}),
-    "facet in neither": (lambda d: grown_polytope(d, False, False),
-                         {"polytope-in-source", "polytope-in-target", "polytope-sphere"}),
-    "facet not in source": (lambda d: grown_polytope(d, False, True),
-                            {"polytope-in-source", "polytope-sphere"}),
-    "facet not in target": (lambda d: grown_polytope(d, True, False),
-                            {"polytope-in-target", "polytope-sphere"}),
+def minus_in_the_plus_half(desc):
+    """A fresh representation of the source's flag whose ``slot`` holds the
+    - vertex of the first block of several's selected coatom C_i in that
+    block's + half (``halves`` refilled): C_i- goes to C_i+ while the
+    block's other - vertices go to C_i-, an image the map moves."""
+    source, sel = desc.source, desc.selection
+    i = next((i for i, b in enumerate(held_parts(source)) if len(b) > 1), None)
+    if i is None:
+        return None
+    rep = FlagRepresentation(source.lattice, source.flag)
+    slot = list(rep.slot)
+    slot[2 * sel.coatoms[i] + 1] = 2 * i
+    refill(rep, slot)
+    return RetractDescriptor(sel, rep, desc.target)
+
+
+LEMMA_LINES = {"polytope-in-source", "polytope-in-target", "simplicial", "idempotent", "composite-simplicial"}
+SOURCE_FAILS = {"source-sphere", "polytope-in-source", "simplicial", "composite-simplicial"}
+TARGET_FAILS = {"target-sphere", "polytope-in-target", "composite-simplicial"}
+
+MUTANTS = {  # line: (a mutant that fails it, every line that mutant fails)
+    "selection-distinct": (repeated_g_part, {"selection-distinct"}),
+    "polytope-in-source": (two_from_one_block, {"polytope-in-source", "idempotent"}),
+    "polytope-in-target": (poisoned_target, TARGET_FAILS),
+    "simplicial": (poisoned_source, SOURCE_FAILS),
+    "idempotent": (swapped_selection, {"idempotent"}),
+    "composite-simplicial": (poisoned_target, TARGET_FAILS),
+    "source-sphere": (poisoned_source, SOURCE_FAILS),
+    "target-sphere": (poisoned_target, TARGET_FAILS),
+    "polytope-sphere": (repeated_coatom, {"polytope-sphere"} | LEMMA_LINES),
 }
 
 
-@pytest.mark.parametrize("kind", sorted(MUTATIONS))
+KINDS = {  # each mutant once, with every line it fails: the table's, and one more
+    "repeated g-part": MUTANTS["selection-distinct"],
+    "two from one block": MUTANTS["polytope-in-source"],
+    "poisoned target": MUTANTS["target-sphere"],
+    "poisoned source": MUTANTS["source-sphere"],
+    "swapped selection": MUTANTS["idempotent"],
+    "repeated coatom": MUTANTS["polytope-sphere"],
+    "minus in the plus half": (minus_in_the_plus_half, {"idempotent"}),
+}
+
+
+def test_every_line_has_a_mutant():
+    assert list(MUTANTS) == [fail.name for fail, _ in maps._LINES]
+    assert all(line in checks and (mutate, checks) in KINDS.values() for line, (mutate, checks) in MUTANTS.items())
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
 def test_mutated_retraction_fails_its_check(kind, u24, u34, bool3):
-    mutate, checks = MUTATIONS[kind]
+    mutate, checks = KINDS[kind]
     applied = 0
     for lattice in (u24, u34, bool3):
         flags = all_complete_flags(lattice)
@@ -639,17 +538,53 @@ def test_mutated_retraction_fails_its_check(kind, u24, u34, bool3):
                 if mutated is not None:
                     applied += 1
                     assert failing(mutated) == checks, (kind, f.chain, g.chain)
-                    if kind.startswith("facet"):  # the grown polytope is still a sphere
-                        assert is_homology_sphere(masks_complex(mutated.polytope), lattice.r - 1)
     assert applied, kind
+
+
+def every_mutant(lattices):
+    """(kind, mutant) for each of ``KINDS`` that applies, on every ordered
+    flag pair."""
+    for lattice in lattices:
+        flags = all_complete_flags(lattice)
+        for f in flags:
+            for g in flags:
+                desc = retraction_map(lattice, f, g)
+                for kind, (mutate, _) in sorted(KINDS.items()):
+                    mutated = mutate(desc)
+                    if mutated is not None:
+                        yield kind, mutated
+
+
+def lemma_holds(desc):
+    """The lemma's preconditions: r distinct coatoms selected, and the
+    source's S_0 the join."""
+    chosen = desc.selection.coatoms
+    return len(chosen) == len(set(chosen)) == desc.source.r and desc.source.join_holds
+
+
+def test_map_onto_a_non_fixed_image_fails_idempotent_as_the_oracle_does(u34, fano):
+    # verify_retraction asks that each selected vertex be held in its own
+    # block's half of its sign; the general route maps each image again.
+    # Every block order of U(3,4) and Fano holds a block of several.
+    applied = 0
+    for lattice in (u34, fano):
+        flags = all_complete_flags(lattice)
+        for f in flags:
+            for g in flags:
+                mutated = minus_in_the_plus_half(retraction_map(lattice, f, g))
+                report = verify_retraction(mutated)
+                assert report.to_json() == verify_retraction_general(materialise(mutated)).to_json(), (f.chain, g.chain)
+                assert failing(mutated) == {"idempotent"}
+                applied += 1
+    assert applied == 144 + 441
 
 
 # -- the face lines compare int masks ------------------------------------------------
 #
 # ``retraction_face_lines_oracle`` reads the face lines by ``has_face`` on
-# the complexes as held, each facet of S_0 mapped vertex by vertex.  Where
-# S_0 is the join the two agree; where it is not, the mask lines fail, as a
-# line that reads an uncertified S_0 must.
+# the complexes as held, each facet of S_0 mapped vertex by vertex through
+# the materialised formula.  Where the lemma's preconditions hold the two
+# agree; where they do not, a line the oracle fails fails too.
 
 
 FACE_LINES = ("polytope-in-source", "polytope-in-target", "simplicial", "composite-simplicial")
@@ -669,31 +604,22 @@ def test_face_lines_match_the_has_face_oracle_on_every_pair(u34, bool3, fano):
         for f in flags:
             for g in flags:
                 desc = retraction_map(lattice, f, g)
-                assert face_lines(desc) == retraction_face_lines_oracle(desc), (f.chain, g.chain)
+                assert face_lines(desc) == retraction_face_lines_oracle(materialise(desc)), (f.chain, g.chain)
                 assert verify_retraction(desc).ok
                 pairs += 1
     assert pairs == 1198
 
 
-def every_mutant(lattices):
-    """Every applicable ``MUTATIONS`` entry on every ordered flag pair."""
-    for lattice in lattices:
-        flags = all_complete_flags(lattice)
-        for f in flags:
-            for g in flags:
-                desc = retraction_map(lattice, f, g)
-                for kind, (mutate, _) in sorted(MUTATIONS.items()):
-                    mutated = mutate(desc)
-                    if mutated is not None:
-                        yield kind, mutated
-
-
 def test_face_lines_match_the_has_face_oracle_on_every_mutant(u24, u34, bool3):
     kinds = set()
     for kind, mutated in every_mutant((u24, u34, bool3)):
-        assert face_lines(mutated) == retraction_face_lines_oracle(mutated), kind
+        got, want = face_lines(mutated), retraction_face_lines_oracle(materialise(mutated))
+        if lemma_holds(mutated):
+            assert got == want, kind
+        else:
+            assert all(want[line] for line in FACE_LINES if got[line]), kind
         kinds.add(kind)
-    assert kinds == set(MUTATIONS)
+    assert kinds == set(KINDS)
 
 
 def poisoned_descriptors(lattice):
@@ -706,57 +632,40 @@ def poisoned_descriptors(lattice):
     facets = sorted_faces(s0)
     coatom, sign = lattice.vertex_label(next(iter(facets[0])))
     mixed = facets[0] | {clean.source.vertex(frozenset(coatom), "-" if sign == "+" else "+")}
-    target_fails = {"target-sphere", "polytope-in-target", "composite-simplicial"}
-    for name, poison, source_fails in (
-            ("dropped", facets[1:], {"source-sphere", "polytope-in-source"}),
-            ("mixed", facets[1:] + [mixed], {"source-sphere", "polytope-in-source", "simplicial",
-                                             "composite-simplicial"})):
+    for name, poison in (("dropped", facets[1:]), ("mixed", facets[1:] + [mixed])):
         rep = poisoned(lattice, flag, poison)
-        yield (f"{name} source", RetractDescriptor(clean.selection, rep, clean.target, clean.vertex_map,
-                                                  clean.polytope), source_fails)
-        yield (f"{name} target", RetractDescriptor(clean.selection, clean.source, rep, clean.vertex_map,
-                                                  clean.polytope), target_fails)
+        yield f"{name} source", RetractDescriptor(clean.selection, rep, clean.target), SOURCE_FAILS
+        yield f"{name} target", RetractDescriptor(clean.selection, clean.source, rep), TARGET_FAILS
 
 
 def test_poisoned_s0_fails_its_lines_without_raising(u34, bool3):
     for lattice in (u34, bool3):
         for name, desc, lines in poisoned_descriptors(lattice):
             assert failing(desc) == lines, name
-            assert desc.source.are_faces(frozenset()) and desc.target.are_faces(frozenset())  # vacuously
     assert verify_retraction(retraction_map(u34, default_flag(u34), default_flag(u34))).ok
 
 
 def test_polytope_grown_by_a_foreign_vertex_fails_without_raising(u24, u34, bool3, fano):
+    # a position of no coatom, appended to the selection (the polytope grown
+    # by a pair of foreign vertices), in place of C_0, or negative, and a
+    # selection missing its last coatom: none holds r distinct coatoms, and
+    # the lemma's lines fail
     for lattice in (u24, u34, bool3, fano):
         flags = all_complete_flags(lattice)
+        n = len(lattice.coatoms())
         for f, g in ((flags[0], flags[-1]), (flags[-1], flags[0])):
-            grown = grown_by_a_foreign_vertex(retraction_map(lattice, f, g))
-            assert failing(grown) == {"polytope-in-source", "polytope-in-target", "polytope-sphere"}
-            assert face_lines(grown) == retraction_face_lines_oracle(grown)
-            assert is_homology_sphere(masks_complex(grown.polytope), lattice.r - 1)
-
-
-def two_from_one_block(desc):
-    """Select, in place of the next block's coatom, a second coatom of the
-    first F-block that holds several, with the polytope recomputed by
-    ``selection_masks``: the join over r distinct coatoms, two of them in
-    one block of the source, so it is no subcomplex of the source's S_0."""
-    rep, chosen = desc.source, selected_coatoms(desc.source.lattice, desc.selection)
-    i = next((i for i, b in enumerate(held_parts(rep)) if len(b) > 1), None)
-    if i is None or len(chosen) < 2:
-        return None
-    positions = list(desc.selection.coatoms)
-    other = next(c for c in held_parts(rep)[i] if c != chosen[i])
-    positions[(i + 1) % len(chosen)] = rep.lattice.coatoms().index(other)
-    selection = CrossSelection(tuple(positions), desc.selection.g_parts)
-    polytope = selection_masks(frozenset(positions))
-    return RetractDescriptor(selection, rep, desc.target, desc.vertex_map, polytope)
+            desc = retraction_map(lattice, f, g)
+            sel = desc.selection
+            for coatoms in (sel.coatoms + (n,), (n,) + sel.coatoms[1:], (-1,) + sel.coatoms[1:],
+                            sel.coatoms[:-1]):
+                grown = RetractDescriptor(CrossSelection(coatoms, sel.g_parts), desc.source, desc.target)
+                assert failing(grown) == {"polytope-sphere"} | LEMMA_LINES, coatoms
 
 
 def test_two_coatoms_of_one_block_fail_polytope_in_source(u34, fano):
-    # the polytope is the join over its coatoms, so verify_retraction reads
-    # the polytope lines off them, and that route must refuse; the oracle
-    # scans the polytope's facet masks block by block (``are_faces``)
+    # the polytope is the join over r distinct coatoms, so verify_retraction
+    # reads the polytope lines off them, and that route must refuse; the
+    # oracle scans the polytope's facet masks block by block
     applied = 0
     for lattice in (u34, fano, uniform_matroid(4, 6)):
         flags = all_complete_flags(lattice)
@@ -766,31 +675,29 @@ def test_two_coatoms_of_one_block_fail_polytope_in_source(u34, fano):
                 if mutated is None:
                     continue
                 report = verify_retraction(mutated)
-                assert report.to_json() == verify_retraction_oracle(mutated).to_json(), (f.chain, g.chain)
-                assert not report["polytope-in-source"].passed and report["polytope-sphere"].passed
+                held = materialise(mutated)
+                assert report.to_json() == verify_retraction_oracle(held).to_json(), (f.chain, g.chain)
+                assert failing(mutated) == {"polytope-in-source", "idempotent"}, (f.chain, g.chain)
                 if lattice is u34:
-                    assert face_lines(mutated) == retraction_face_lines_oracle(mutated), (f.chain, g.chain)
+                    assert face_lines(mutated) == retraction_face_lines_oracle(held), (f.chain, g.chain)
                 applied += 1
-    assert applied == 144 + 441 + 120 ** 2  # every block order of these holds a block of several
+    assert applied == 132 + 420 + 14280  # the pairs with an unselected coatom of that kind
 
 
 def test_face_lines_of_the_selected_join_scan_no_block(monkeypatch, u24, u34, bool3, fano):
-    # are_faces, the block scan, runs only on a set that is not the join
-    # over the selected coatoms: here the grown polytopes, and the images
-    # the two-from-one-block mutants map onto the polytope they replaced
-    clean = [retraction_map(lattice, f, g) for lattice in (u34, boolean_matroid("1234"), fano)
+    # every face line is read off the selection by ``apart``, r ANDs: no
+    # set of masks is built or scanned block by block, on a clean pair or a mutant
+    from matroid_spheres import spheres
+
+    descs = [retraction_map(lattice, f, g) for lattice in (u34, boolean_matroid("1234"), fano)
              for f in all_complete_flags(lattice) for g in all_complete_flags(lattice)]
-    grown = [d for kind, d in every_mutant((u24, u34, bool3)) if kind.startswith("facet")]
-    moved = [two_from_one_block(d) for d in clean if d.source.lattice is u34]
-    scanned, are_faces = [], FlagRepresentation.are_faces
+    descs += [d for _, d in every_mutant((u24, u34, bool3))]
+    reports = [verify_retraction(d).to_json() for d in descs]  # each S_0's join certificate, once
     with monkeypatch.context() as m:
-        m.setattr(FlagRepresentation, "are_faces", lambda rep, x: scanned.append(x) or are_faces(rep, x))
-        assert all(verify_retraction(d).ok for d in clean) and not scanned
-        assert not any(verify_retraction(d).ok for d in grown) and len(scanned) >= len(grown)
-        for d in moved:
-            scanned.clear()
-            assert not verify_retraction(d).ok and d.polytope not in scanned
-    assert len(clean) == 144 + 576 + 441 and len(moved) == 144
+        m.setattr(FlagRepresentation, "is_face", lambda *a: pytest.fail("block scan"))
+        m.setattr(spheres, "_unions", lambda *a: pytest.fail("mask set built"))
+        assert [verify_retraction(d).to_json() for d in descs] == reports
+    assert sum(r["ok"] for r in reports) == 144 + 576 + 441
 
 
 def test_verify_retraction_scans_no_facets(monkeypatch, u24, u34, bool3):
@@ -798,7 +705,6 @@ def test_verify_retraction_scans_no_facets(monkeypatch, u24, u34, bool3):
     descs = [mutated for _, mutated in every_mutant((u24, u34, bool3))]
     descs += [retraction_map(bool3, f, g) for f in all_complete_flags(bool3) for g in all_complete_flags(bool3)]
     descs += [d for _, d, _ in poisoned_descriptors(u34)]
-    descs.append(grown_by_a_foreign_vertex(retraction_map(u34, default_flag(u34), default_flag(u34))))
     with monkeypatch.context() as m:
         m.setattr(SimplicialComplex, "has_face", lambda *a: pytest.fail("has_face called"))
         m.setattr(SimplicialComplex, "is_subcomplex_of", lambda *a: pytest.fail("is_subcomplex_of called"),
@@ -806,11 +712,13 @@ def test_verify_retraction_scans_no_facets(monkeypatch, u24, u34, bool3):
         assert sum(verify_retraction(d).ok for d in descs) == 36
 
 
-# -- the face lines read off the r image halves ---------------------------------------
+# -- one route against the general route -----------------------------------------------
 #
-# ``verify_retraction_general`` builds the image set on every descriptor.
-# The read-off must give the same report, details included, on every pair
-# and every mutant, and every honest pair must take it.
+# ``verify_retraction_general`` builds the image set of the materialised
+# map on every descriptor.  The read-off must give the same report,
+# details included, on every pair, and on every mutant whose selection and
+# source meet the lemma's preconditions; on the others it passes no line
+# the general route fails.
 
 
 def report_json(desc):
@@ -818,182 +726,97 @@ def report_json(desc):
 
 
 def test_read_off_matches_the_general_route_on_every_pair(u24, u34, bool3, n134, fano):
-    rank0 = lattice_from_flats(["1"], [["1"]])  # r = 0 takes the general route
-    pairs = 0
-    for lattice in (rank0, u24, u34, bool3, boolean_matroid("1234"), n134, fano):
-        flags = all_complete_flags(lattice)
-        for f in flags:
-            for g in flags:
-                desc = retraction_map(lattice, f, g)
-                assert report_json(desc) == verify_retraction_general(desc).to_json(), (f.chain, g.chain)
-                assert report_json(desc)["ok"]
-                pairs += 1
-    assert pairs == 1 + 16 + 144 + 36 + 576 + len(all_complete_flags(n134)) ** 2 + 441
-
-
-def repeated_coatom(desc):
-    """The selection with its last coatom held twice, map, g_parts and
-    polytope as they were: r + 1 coatoms, r of them distinct."""
-    sel = desc.selection
-    selection = CrossSelection(sel.coatoms + sel.coatoms[-1:], sel.g_parts)
-    return RetractDescriptor(selection, desc.source, desc.target, desc.vertex_map, desc.polytope)
-
-
-def repeated_first_coatom(desc):
-    """The selection with its first coatom held twice, C_0, C_0, C_1, ...,
-    C_{r-1}, g_parts and polytope as they were, and the map built from it as
-    ``retraction_map`` builds one, block i onto its i-th coatom: every
-    signed vertex goes to its half's selected vertex, but blocks 0 and 1
-    both go to C_0, so an image holds both of its signs."""
-    sel, rep = desc.selection, desc.source
-    positions = sel.coatoms[:1] + sel.coatoms
-    onto = [2 * k + s for k in positions for s in (0, 1)]
-    vmap = {v: onto[h] for v, h in slots_oracle(rep.lattice, rep.flag)}
-    return RetractDescriptor(CrossSelection(positions, sel.g_parts), rep, desc.target, vmap, desc.polytope)
-
-
-def another_flags_slot(desc):
-    """The formula over the selected coatoms, but through the ``slot`` of
-    the first flag whose blocks differ from the source's: some block then
-    goes where the source's does not, so an image holds both signs of a
-    selected coatom or a selected coatom moves."""
-    lattice = desc.source.lattice
-    other = next(rep for rep in (representation(lattice, f) for f in all_complete_flags(lattice))
-                 if rep.slot != desc.source.slot)
-    vmap = Retraction(desc.selection.coatoms, other.slot)
-    return RetractDescriptor(desc.selection, desc.source, desc.target, vmap, desc.polytope)
-
-
-def minus_in_the_plus_half(desc):
-    """A fresh representation of the source's flag whose ``slot`` holds the
-    - vertex of the first block of several's selected coatom C_i in that
-    block's + half (``halves`` refilled), under its own ``Retraction``:
-    the read-off's precondition holds, and C_i- goes to C_i+ while the
-    block's other - vertices go to C_i-, an image the map moves."""
-    source, sel = desc.source, desc.selection
-    i = next((i for i, b in enumerate(held_parts(source)) if len(b) > 1), None)
-    if i is None:
-        return None
-    rep = FlagRepresentation(source.lattice, source.flag)
-    slot = list(rep.slot)
-    slot[2 * sel.coatoms[i] + 1] = 2 * i
-    refill(rep, slot)
-    return RetractDescriptor(sel, rep, desc.target, Retraction(sel.coatoms, rep.slot), desc.polytope)
-
-
-def read_off_mutants(u24, u34, bool3, fano):
-    """Every ``MUTATIONS`` entry on every pair, every ``poisoned_descriptors``
-    case, a polytope grown by a foreign vertex, a selection that repeats
-    its last coatom or its first, the formula through another flag's
-    ``slot`` and a source holding a - vertex in its + half, with a map onto
-    a non-fixed image and two coatoms of one block on U(3,4)."""
-    yield from every_mutant((u24, u34, bool3))
-    for lattice in (u34, bool3):
-        yield from ((name, desc) for name, desc, _ in poisoned_descriptors(lattice))
-    for lattice in (u24, u34, bool3, fano):
-        flags = all_complete_flags(lattice)
-        for f, g in ((flags[0], flags[-1]), (flags[-1], flags[0]), (flags[0], flags[0])):
-            yield "grown by a foreign vertex", grown_by_a_foreign_vertex(retraction_map(lattice, f, g))
-            yield "repeated coatom", repeated_coatom(retraction_map(lattice, f, g))
-            yield "repeated first coatom", repeated_first_coatom(retraction_map(lattice, f, g))
-            yield "another flag's slot", another_flags_slot(retraction_map(lattice, f, g))
-            mutated = minus_in_the_plus_half(retraction_map(lattice, f, g))
-            if mutated is not None:  # B_3 has no block of several
-                yield "minus vertex in the plus half", mutated
-    for f in all_complete_flags(u34):
-        desc = retraction_map(u34, f, all_complete_flags(u34)[-1])
-        yield "chained image", chained_image(desc)
-        yield "two from one block", two_from_one_block(desc)
+    rank0 = lattice_from_flats(["1"], [["1"]])  # r = 0: the lemma holds vacuously
+    u46 = uniform_matroid(4, 6)
+    flags_46 = all_complete_flags(u46)
+    rng = random.Random(31)
+    pairs = [(lattice, f, g) for lattice in (rank0, u24, u34, bool3, boolean_matroid("1234"), n134, fano)
+             for f in all_complete_flags(lattice) for g in all_complete_flags(lattice)]
+    pairs += [(u46, rng.choice(flags_46), rng.choice(flags_46)) for _ in range(300)]
+    for lattice, f, g in pairs:
+        desc = retraction_map(lattice, f, g)
+        held = materialise(desc)
+        report = report_json(desc)
+        assert report == verify_retraction_general(held).to_json() == verify_retraction_oracle(held).to_json(), (
+            f.chain, g.chain)
+        assert report["ok"]
+    assert len(pairs) == 1 + 16 + 144 + 36 + 576 + len(all_complete_flags(n134)) ** 2 + 441 + 300
 
 
 def test_read_off_matches_the_general_route_on_every_mutant(u24, u34, bool3, fano):
     kinds, verdicts = {}, set()
-    for kind, mutated in read_off_mutants(u24, u34, bool3, fano):
-        report = report_json(mutated)
-        assert report == verify_retraction_general(mutated).to_json(), kind
-        # a repeated coatom leaves the polytope the join over the r distinct
-        # ones, and its all-+ facet counts each once: every line holds
-        assert report["ok"] is (kind == "repeated coatom"), kind
-        failed = {c["name"] for c in report["checks"] if not c["passed"]}
-        if kind == "repeated first coatom":
-            # both signs of C_0 in one image, a face of neither side; for
-            # r >= 3, C_1 is block 2's image, and block 1 sends it to C_0
-            r = mutated.source.r
-            assert failed == {"simplicial", "composite-simplicial"} | ({"idempotent"} if r >= 3 else set()), r
-        if kind == "minus vertex in the plus half":
-            assert failed == {"idempotent"}
+    mutants = list(every_mutant((u24, u34, bool3)))
+    mutants += [(name, desc) for lattice in (u34, bool3) for name, desc, _ in poisoned_descriptors(lattice)]
+    mutants += [("two from one block", two_from_one_block(retraction_map(fano, f, g)))
+                for f in all_complete_flags(fano)[:3] for g in all_complete_flags(fano)]
+    for kind, mutated in mutants:
+        if mutated is None:
+            continue
+        report, general = report_json(mutated), verify_retraction_general(materialise(mutated)).to_json()
+        if lemma_holds(mutated):
+            assert report == general, kind
+        else:  # the lines the lemma would prove fail, and no line the general route fails passes
+            assert all(g["passed"] or not c["passed"] for c, g in zip(report["checks"], general["checks"])), kind
+            assert not any(c["passed"] for c in report["checks"] if c["name"] in ("simplicial", "composite-simplicial"))
+        assert not report["ok"], kind
         kinds[kind] = kinds.get(kind, 0) + 1
         verdicts.add(tuple(c["passed"] for c in report["checks"]))
-    assert set(MUTATIONS) < set(kinds)
-    assert kinds["grown by a foreign vertex"] == kinds["repeated coatom"] == kinds["repeated first coatom"] == 12
-    assert kinds["another flag's slot"] == 12 and kinds["minus vertex in the plus half"] == 9
-    assert sum(kinds[f"{name} {side}"] for name in ("dropped", "mixed") for side in ("source", "target")) == 8
+    assert set(KINDS) <= set(kinds)
     # one record tuple per verdict tuple met, and no more than there are
     assert verdicts <= set(maps._RECORDS) and len(maps._RECORDS) <= 2 ** 9
 
 
-def test_an_s0_held_on_an_unused_position_takes_the_general_route(u34):
-    # a position no face uses is allowed, and the general route sends it
-    # through the map; the read-off, which reads the halves only, must not skip it
-    flag = default_flag(u34)
-    clean = retraction_map(u34, flag, flag)
-    rep = FlagRepresentation(u34, flag)
-    s0 = rep.build(u34.bottom)
-    extra = len(s0.vertices)
-    rep._built[u34.bottom] = SimplicialComplex(s0.vertices + (extra,), s0.maximal_faces)
-    assert rep.join_holds and rep.half_masks(clean.vertex_map) == clean.source.half_masks(clean.vertex_map)
-    moved = next(v for v, w in clean.vertex_map.items() if v != w)  # onto a vertex the map moves
-    desc = RetractDescriptor(clean.selection, rep, clean.target, {**clean.vertex_map, extra: moved},
-                             clean.polytope)
-    assert report_json(desc) == verify_retraction_general(desc).to_json()
-    assert failing(desc) == {"idempotent"}
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2), st.data())
+def test_any_selection_passes_no_line_the_general_route_fails(r, extra, data):
+    # any tuple of positions, a position of no coatom included, in place of
+    # an honest pair's selection: the report never raises, it equals the
+    # general route's where the lemma's preconditions hold, and elsewhere
+    # it fails every line the selection would prove
+    lattice, flags = random_lattice("uniform", r, r + extra)
+    n = len(lattice.coatoms())
+    desc = retraction_map(lattice, data.draw(st.sampled_from(flags)), data.draw(st.sampled_from(flags)))
+    coatoms = tuple(data.draw(st.lists(st.integers(-1, n), max_size=r + 1)))
+    mutated = RetractDescriptor(CrossSelection(coatoms, desc.selection.g_parts), desc.source, desc.target)
+    report = report_json(mutated)
+    if lemma_holds(mutated) and all(0 <= k < n for k in coatoms):
+        assert report == verify_retraction_general(materialise(mutated)).to_json()
+    else:
+        assert LEMMA_LINES | {"polytope-sphere"} <= {c["name"] for c in report["checks"] if not c["passed"]}
 
 
 def test_honest_pairs_take_the_read_off(monkeypatch, u34, fano):
-    # the general route builds the image set by ``_unions``; the read-off
-    # builds none, on every honest pair, and a mutant's map still does
+    # no S_G is built and no image set, on every honest pair, past each
+    # representation's own join certificate; a representation that holds a
+    # - vertex in its + half fails idempotent on both signs' reads
+    from matroid_spheres import spheres
+
     lattices = (u34, boolean_matroid("1234"), fano)
     descs = [retraction_map(lattice, f, g) for lattice in lattices
              for f in all_complete_flags(lattice) for g in all_complete_flags(lattice)]
-    mutant = chained_image(retraction_map(u34, default_flag(u34), default_flag(u34)))
     moved = minus_in_the_plus_half(retraction_map(u34, default_flag(u34), default_flag(u34)))
+    assert all(d.source.join_holds and d.target.join_holds for d in descs + [moved])
+    assert not {"_unions", "half_masks", "are_faces", "selection_masks", "Retraction"} & set(vars(maps))
     with monkeypatch.context() as m:
-        m.setattr(maps, "_unions", lambda *a: pytest.fail("image set built"))
+        m.setattr(spheres, "_unions", lambda *a: pytest.fail("image set built"))
+        m.setattr(FlagRepresentation, "build", lambda *a: pytest.fail("S_G built"))
         assert all(verify_retraction(d).ok for d in descs)
-        with pytest.raises(pytest.fail.Exception):
-            verify_retraction(mutant)
-        # the read-off's idempotent line reads both signs of each selected coatom
         assert failing(moved) == {"idempotent"}
     assert len(descs) == 144 + 576 + 441
 
 
-def test_the_formula_map_is_the_dict_it_replaces(monkeypatch, u24, u34, bool3, n134, fano):
-    # the formula against the dict of each vertex's image through ``onto``
-    # and ``slot``, and a descriptor holding that dict, which takes the
-    # general route: it builds an image set where the formula builds none
+def test_the_formula_map_is_the_dict_it_replaces(u24, u34, bool3, n134, fano):
+    # the formula the oracle routes are fed, against the dict the oracle
+    # builds label by label through ``vertex_table`` and ``parts_oracle``
     rank0 = lattice_from_flats(["1"], [["1"]])
-    built, unions = [], maps._unions
-    monkeypatch.setattr(maps, "_unions", lambda halves: built.append(halves) or unions(halves))
     pairs = 0
     for lattice in (rank0, u24, u34, bool3, boolean_matroid("1234"), n134, fano):
         flags, n = all_complete_flags(lattice), 2 * len(lattice.coatoms())
         for f in flags:
             for g in flags:
-                desc = retraction_map(lattice, f, g)
-                vmap = desc.vertex_map
-                onto = [v for k in desc.selection.coatoms for v in (2 * k, 2 * k + 1)]
-                held = dict(enumerate(map(onto.__getitem__, desc.source.slot)))
-                assert type(vmap) is Retraction and len(vmap) == len(held) == n
-                assert list(vmap.items()) == list(held.items()) and vmap == held and held == vmap
-                for v in (-1, *range(n), n, "0", None):
-                    assert (v in vmap) is (v in held) and vmap.get(v) == held.get(v), v
-                for v in (-1, n):  # a tuple index -1 would wrap to the last vertex
-                    with pytest.raises(KeyError):
-                        vmap[v]
-                plain = RetractDescriptor(desc.selection, desc.source, desc.target, held, desc.polytope)
-                built.clear()
-                assert report_json(plain) == report_json(desc), (f.chain, g.chain)
-                assert len(built) == 1 + (lattice.r == 0)  # the dict's image set, and rank 0's
+                held = formula_map(retraction_map(lattice, f, g))
+                assert list(held.items()) == list(retraction_oracle(lattice, f, g).vertex_map.items())
+                assert list(held) == list(range(n)), (f.chain, g.chain)
                 pairs += 1
     assert pairs == 1 + 16 + 144 + 36 + 576 + len(all_complete_flags(n134)) ** 2 + 441
 
@@ -1053,8 +876,8 @@ def test_sphere_lines_match_homology_on_every_pair(u34, bool3, fano):
             for g in flags:
                 desc = retraction_map(lattice, f, g)
                 report = verify_retraction(desc)
-                complexes = (desc.source.build(lattice.bottom),
-                             desc.target.build(lattice.bottom), masks_complex(desc.polytope))
+                complexes = (desc.source.build(lattice.bottom), desc.target.build(lattice.bottom),
+                             cross_polytope_complex(lattice, selected_coatoms(lattice, desc.selection)))
                 for line, complex_ in zip(SPHERE_LINES, complexes):
                     assert report[line].passed is is_homology_sphere(complex_, lattice.r - 1) is True
                 pairs += 1
@@ -1069,7 +892,7 @@ def test_poisoned_s0_fails_the_sphere_lines(u34):
     dropped = sorted_faces(s0)[1:]
     rep._built[u34.bottom] = complex_of(dropped, s0.vertices)
     clean = retraction_map(u34, flag, flag)
-    desc = RetractDescriptor(clean.selection, rep, rep, clean.vertex_map, clean.polytope)
+    desc = RetractDescriptor(clean.selection, rep, rep)
     assert {"source-sphere", "target-sphere"} <= failing(desc)
     assert "polytope-sphere" not in failing(desc)
     assert verify_retraction(clean).ok  # the memoized representation is untouched
@@ -1080,9 +903,7 @@ def test_polytope_with_a_repeated_coatom_fails(u34):
     desc = retraction_map(u34, flags[0], flags[-1])
     sel = desc.selection
     repeated = CrossSelection(sel.coatoms[:1] * len(sel.coatoms), sel.g_parts)
-    polytope = selection_masks(frozenset(repeated.coatoms))
-    bad = RetractDescriptor(repeated, desc.source, desc.target, desc.vertex_map, polytope)
-    assert "polytope-sphere" in failing(bad)
+    assert "polytope-sphere" in failing(RetractDescriptor(repeated, desc.source, desc.target))
 
 
 def test_join_lines_run_no_homology_no_z2_check_and_no_facet_scan(monkeypatch, u34, bool3, u34_vec):

@@ -38,9 +38,9 @@ from conftest import boolean_matroid
 
 DATA = Path(__file__).parent / "data"
 
-# a record holding a dict (a vertex map) cannot be hashed, as a dataclass
-# with such a field cannot; ValidationReport is mutable
-UNHASHABLE = {"RetractDescriptor", "ValidationReport"}
+# ValidationReport is mutable; a retraction descriptor holds a selection
+# and two representations, which hash by identity, so it hashes
+UNHASHABLE = {"ValidationReport"}
 
 
 def fixtures():
