@@ -5,10 +5,10 @@ the family of simplicial complexes representing every flat, together with
 exact combinatorial certificates: spheres by the join argument (S_bottom is
 a join of two opposite-signed simplices per coatom block, and a join of k
 spaces ~ S^0 is ~ S^{k-1}), reduced integer homology, the intersection law,
-recovery of the matroid from the arrangement, the covector-poset embedding
-for realizable oriented matroids, change-of-flag retractions, weak maps
-(ranks compared on the flats of the source) and the obstruction to a weak
-map's induced sphere map.
+recovery of the matroid from the masks of the representation (the
+arrangement), the covector-poset embedding for realizable oriented
+matroids, change-of-flag retractions, weak maps (ranks compared on the
+flats of the source) and the obstruction to a weak map's induced sphere map.
 
 Every name exported here is reached by a command-line command or by the
 acceptance suite; test fixtures such as simplex and cross-polytope
@@ -53,7 +53,6 @@ from .oriented import (
 from .report import ValidationReport
 from .spheres import (
     FlagRepresentation,
-    HomotopyArrangement,
     arrangement_flats,
     representation,
     roundtrip_isomorphic,

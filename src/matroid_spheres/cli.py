@@ -123,15 +123,14 @@ def verify(matroid: str, flag_arg: str, exact_nerve: bool, as_json: bool) -> Non
     lattice = jsonio.load_matroid_file(matroid)
     flag = jsonio.load_flag_arg(lattice, flag_arg)
     rep = spheres.representation(lattice, flag)
-    arrangement = rep.arrangement()
-    report = spheres.verify_arrangement(arrangement)
+    report = spheres.verify_arrangement(rep)
     report.add(
         "intersection-law",
         rep.intersection_law_holds(),
         "S_G n S_H = S_{G v H} over all flat pairs",
     )
 
-    recovered = spheres.arrangement_flats(arrangement)
+    recovered = spheres.arrangement_flats(rep)
     report.add("flats-roundtrip", spheres.roundtrip_isomorphic(lattice, recovered))
 
     if exact_nerve:

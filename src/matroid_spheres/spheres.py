@@ -16,8 +16,9 @@ one pass over the coatoms.  Every S_G is held on the positions
 0 .. 2|coatoms| - 1, a facet as its signed-vertex mask: the unions of one
 half per block (``_unions``), cut to V_G.  A join of k spaces ~ S^0 is
 ~ S^{k-1} (Bjorner, Topological methods, 1995), so the certificates read
-int masks over the signed vertices and build no S_G beyond S_bottom and
-the atoms' (``FlagRepresentation.spheres`` and ``intersection_law_holds``).
+int masks over the signed vertices and build no S_G beyond S_bottom
+(``FlagRepresentation.spheres`` and ``intersection_law_holds``): the
+arrangement is the representation, each S_a being S_bottom[V_a].
 The change-of-flag cross-polytope is never held: ``apart`` reads its faces
 off the + bits of the selected coatoms.  ``build`` caches each S_G it
 makes, and ``representation`` keeps one representation per (lattice, flag).
@@ -25,29 +26,14 @@ makes, and ``representation`` keeps one representation per (lattice, flag).
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, reduce
-from operator import itemgetter, or_
+from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .lattice import Flag, GeometricLattice
-from .report import Record, ValidationReport
+from .report import ValidationReport
 from . import topology
 from .topology import SimplicialComplex
-
-
-class HomotopyArrangement(Record):
-    """Ambient complex S_bottom together with one member complex per atom."""
-
-    __slots__ = ("rep", "ambient", "members", "__dict__")
-    def __init__(self, rep: FlagRepresentation, ambient: SimplicialComplex,
-                 members: tuple[tuple[frozenset, SimplicialComplex], ...]):  # (atom, S_atom)
-        self._set(rep, ambient, members)
-
-    @cached_property
-    def induced(self) -> bool:
-        """Is every member, as held, the ambient restricted to its vertex set?"""
-        amb = self.ambient
-        return all(m == amb.restrict(reduce(or_, m.masks_on(amb.vertices), 0)) for _, m in self.members)
 
 
 class FlagRepresentation:
@@ -93,10 +79,6 @@ class FlagRepresentation:
         """V_G: the signed vertices of the coatoms above the flat, as a mask."""
         index = self.lattice.coatom_index
         return sum(3 << 2 * index[c] for c in self.lattice.coat_above(flat))
-
-    def held(self, complex_: SimplicialComplex) -> int:
-        """A complex's vertex set as a signed-vertex mask, by ``masks_on``."""
-        return reduce(or_, complex_.masks_on(self.vertices), 0)
 
     # -- construction ----------------------------------------------------------
 
@@ -216,10 +198,6 @@ class FlagRepresentation:
             self._law = all(masks[f] & masks[a] == masks[fa] for f, a, fa in self.cover_steps)
         return self._law
 
-    def arrangement(self) -> HomotopyArrangement:
-        members = tuple((atom, self.build(atom)) for atom in self.lattice.atoms())
-        return HomotopyArrangement(self, self.build(self.lattice.bottom), members)
-
 
 @lru_cache(maxsize=topology._HOMOLOGY_MEMO_SIZE)
 def representation(lattice: GeometricLattice, flag: Flag) -> FlagRepresentation:
@@ -250,27 +228,25 @@ def atom_label(lattice: GeometricLattice, atom: frozenset) -> str:
     return ",".join(lattice.labels[atom])
 
 
-def arrangement_flats(arr: HomotopyArrangement) -> GeometricLattice:
+def arrangement_flats(rep: FlagRepresentation) -> GeometricLattice:
     """Recover the lattice of flats from the vertex sets of the arrangement.
 
-    Write I(S) for the common intersection of the ambient and the members
-    over a set S of atoms.  Then cl(S) = {a : I(S) inside S_a} is a closure
+    Write I(S) for the common intersection of S_bottom and the S_a over a
+    set S of atoms.  Then cl(S) = {a : I(S) inside S_a} is a closure
     operator with I(cl(S)) = I(S), and the recovered flats are its closed
-    sets, the values of cl.  Each member, as held, must be induced in the
-    ambient on its vertex set V_a, else ValueError is raised.  Then, as in
-    ``intersection_law_holds``, cl(S) = {a : X inside V_a}, where X is the
-    ambient's vertex set for S empty and the meet of the V_b over b in S
-    otherwise; the meets are each distinct nonempty one
-    (``topology._intersections``) and the empty set.  Only the member
-    complexes are used, never the lattice's join.
+    sets, the values of cl.  Each S_a is S_bottom[V_a], so, as in
+    ``intersection_law_holds``, cl(S) = {a : X inside V_a}, where X is
+    V_bottom for S empty and the meet of the V_b over b in S otherwise; the
+    meets are each distinct nonempty one (``topology._intersections``) and
+    the empty set.  Only the masks of bottom and the atoms are read, never
+    the lattice's join.
     """
-    if not arr.induced:
-        raise ValueError("an arrangement member is not induced in the ambient")
-    lattice = arr.rep.lattice
-    sets = [arr.rep.held(m) for _, m in arr.members]
-    meets = (arr.rep.held(arr.ambient), 0, *topology._intersections(sets))
-    closed = {frozenset(a for (a, _), v in zip(arr.members, sets) if x & ~v == 0) for x in meets}
-    labels = [atom_label(lattice, a) for a, _ in arr.members]
+    lattice, masks = rep.lattice, rep.masks
+    atoms = lattice.atoms()
+    sets = [masks[a] for a in atoms]
+    meets = (masks[lattice.bottom], 0, *topology._intersections(sets))
+    closed = {frozenset(a for a, v in zip(atoms, sets) if x & ~v == 0) for x in meets}
+    labels = [atom_label(lattice, a) for a in atoms]
     flats = [frozenset(atom_label(lattice, a) for a in c) for c in closed]
     return GeometricLattice(labels, flats)
 
@@ -284,41 +260,33 @@ def roundtrip_isomorphic(lattice: GeometricLattice, recovered: GeometricLattice)
     return all(recovered.rank(image[f]) == lattice.rank(f) for f in lattice.flats)
 
 
-def verify_arrangement(arr: HomotopyArrangement) -> ValidationReport:
+def verify_arrangement(fr: FlagRepresentation) -> ValidationReport:
     """Certify the homotopy-arrangement axioms for (S_bottom, {S_atom}).
 
-    Every sphere line reads the join certificate.  The ambient, as held,
-    must be the S_bottom of ``join_holds``, which gives ``ambient-sphere``
-    and ``ambient-nerve``; each member, as held, must be induced in it, and
-    ``is_sphere`` reads the member's vertex mask.  Once each member is its
-    S_a, the cover-step table makes every intersection of members the S_H
-    of the join H of its atoms, so each S_H is read once from ``spheres``,
-    and the rank-jump law once per cover step.  The sign swap sends each
-    facet of the join to the opposite one, and no face holds both signs of
-    a coatom: a free simplicial involution, which restricts to each member
-    exactly when the member's vertex set is closed under it.
+    Every line reads the representation's tables.  ``join_holds`` gives
+    ``ambient-sphere`` and ``ambient-nerve``; each member S_a is
+    S_bottom[V_a] by definition, so ``members-sphere`` reads ``spheres``
+    for each atom.  The cover-step table makes every intersection of
+    members the S_H of the join H of its atoms, so each S_H is read once
+    from ``spheres``, and the rank-jump law once per cover step.  The sign
+    swap sends each facet of the join to the opposite one, and no face
+    holds both signs of a coatom: a free simplicial involution, which
+    restricts to each member exactly when V_a is closed under it.
     """
     rep = ValidationReport()
-    fr = arr.rep
-    lattice = fr.lattice
-    r = lattice.r
-    sphere = fr.spheres
+    lattice, r = fr.lattice, fr.r
+    join, sphere, masks = fr.join_holds, fr.spheres, fr.masks
+    atoms = lattice.atoms()
 
-    amb_ok = arr.ambient == fr.build(lattice.bottom) and fr.join_holds
-    rep.add("ambient-sphere", amb_ok, f"expected S^{r - 1} profile")
-    rep.add("ambient-nerve", amb_ok)
-
-    held = amb_ok and arr.induced  # then each member is S_bottom on its vertex mask
-    masks = [(a, fr.held(m)) for a, m in arr.members] if held else []
-    members_ok = held and all(fr.is_sphere(v, lattice.corank(a)) for a, v in masks)
-    rep.add("members-sphere", members_ok, f"each member must be S^{r - 2}")
+    rep.add("ambient-sphere", join, f"expected S^{r - 1} profile")
+    rep.add("ambient-nerve", join)
+    rep.add("members-sphere", all(sphere[a] for a in atoms), f"each member must be S^{r - 2}")
 
     # every intersection of members is S_H for the join flat H, and a sphere
-    members_are_atoms = all(m == fr.build(a) for a, m in arr.members)
-    rep.add("intersections-are-flats", members_are_atoms and fr.intersection_law_holds())
+    rep.add("intersections-are-flats", fr.intersection_law_holds())
     rep.add("intersections-sphere", all(sphere[h] for h in lattice.flats if h != lattice.bottom))
 
-    rep.add("z2-free", held and all(fr.swap(v) == v for _, v in masks))
+    rep.add("z2-free", join and all(fr.swap(masks[a]) == masks[a] for a in atoms))
 
     # dimension drop: S_F not inside S_a meets it in S_{F v a}, one rank up
     drop_ok = all(

@@ -26,7 +26,7 @@ from matroid_spheres import (
 from matroid_spheres.maps import CrossSelection, RetractDescriptor, SearchCapExceeded, SearchResult, SelectionError
 from matroid_spheres.linalg import nullspace_q, rank_q
 from matroid_spheres.report import CheckResult, ValidationReport
-from matroid_spheres.spheres import _unions, representation
+from matroid_spheres.spheres import _unions, atom_label, representation
 from matroid_spheres.topology import (
     HomologyProfile,
     _generic_key,
@@ -543,6 +543,100 @@ def z2_free_check(complex_, involution):
     return True
 
 
+# -- the arrangement held as complexes, for the subset oracles
+
+
+Held = namedtuple("Held", "rep ambient members")
+
+
+def held_arrangement(rep):
+    """The arrangement as the oracle routes read it: S_bottom as the
+    representation holds it (the complex ``join_holds`` compares), and each
+    atom's S_a by ``construct``, as (atom, complex) pairs in atom order."""
+    lattice = rep.lattice
+    return Held(rep, rep.build(lattice.bottom), tuple((a, rep.construct(a)) for a in lattice.atoms()))
+
+
+def arrangement_flats_oracle(arr):
+    """A set S of atoms is a flat when intersecting any further member
+    strictly shrinks the common intersection of the members over S.
+    Oracle for ``arrangement_flats`` on a ``held_arrangement``."""
+    lattice = arr.rep.lattice
+    atoms = [a for a, _ in arr.members]
+    complexes = {a: m for a, m in arr.members}
+    flats = set()
+    for k in range(len(atoms) + 1):
+        for subset in combinations(atoms, k):
+            inter = arr.ambient
+            for a in subset:
+                inter = inter.intersection(complexes[a])
+            if all(inter.intersection(complexes[e]) != inter for e in atoms if e not in subset):
+                flats.add(frozenset(atom_label(lattice, a) for a in subset))
+    return flats
+
+
+def verify_arrangement_oracle(arr):
+    """Every atom subset: its members' intersection against S of its join,
+    built by ``construct``, a sphere check on it, and the rank jump against
+    every further member; the ambient and the members by homology, the
+    nerve by ``nerve_oracle`` and the swap face by face.  Oracle for
+    ``verify_arrangement`` on a ``held_arrangement``."""
+    rep = ValidationReport()
+    fr = arr.rep
+    lattice = fr.lattice
+    r = lattice.r
+    amb = arr.ambient
+    rep.add("ambient-sphere", is_homology_sphere(amb, r - 1),
+            f"expected S^{r - 1} profile")
+    rep.add("ambient-nerve", nerve_oracle(fr, lattice.bottom, amb))
+    rep.add("members-sphere",
+            all(is_homology_sphere(m, r - 2) for _, m in arr.members),
+            f"each member must be S^{r - 2}")
+    atoms = [a for a, _ in arr.members]
+    complexes = {a: m for a, m in arr.members}
+    seen = {}
+    law_ok = sphere_ok = True
+    for k in range(1, len(atoms) + 1):
+        for subset in combinations(atoms, k):
+            h = lattice.bottom
+            for a in subset:
+                h = lattice.join(h, a)
+            inter = complexes[subset[0]]
+            for a in subset[1:]:
+                inter = inter.intersection(complexes[a])
+            if inter != fr.construct(h):
+                law_ok = False
+            if h not in seen:
+                if not is_homology_sphere(inter, lattice.corank(h) - 1):
+                    sphere_ok = False
+                seen[h] = inter
+    rep.add("intersections-are-flats", law_ok)
+    rep.add("intersections-sphere", sphere_ok)
+    try:
+        free = z2_free_check(amb, swap_map(amb))
+        restricts = all(
+            m.is_empty or z2_free_check(m, swap_map(m))
+            for _, m in arr.members
+        )
+    except ValueError:
+        free = restricts = False
+    rep.add("z2-free", free and restricts)
+    drop_ok = True
+    for h, inter in seen.items():
+        for g in atoms:
+            gh = lattice.join(g, h)
+            if gh == h:
+                continue
+            if lattice.rank(gh) != lattice.rank(h) + 1:
+                drop_ok = False
+            if not is_homology_sphere(
+                inter.intersection(complexes[g]), lattice.corank(gh) - 1
+            ):
+                drop_ok = False
+    rep.add("rank-jump", drop_ok)
+    return rep
+
+
 def embedding_face_lines_oracle(emb, images=None):
     """``verify_embedding``'s well-defined, block-signs-agree and
     covector-flats-into-spheres by building every S_G and scanning its
@@ -712,18 +806,16 @@ def retraction_oracle(lattice, flag_f, flag_g):
 
 def verify_retraction_oracle(desc):
     """``verify_retraction`` on a materialised descriptor, with each image
-    half the mask of a vertex set mapped coatom by coatom, the polytope
-    compared with the facet masks of ``cross_polytope_complex``, each set
-    of masks scanned block by block (``are_faces``), and the report built
-    line by line by ``add``.  Oracle for ``maps.verify_retraction``."""
+    half read off ``slot`` and sent through the map (``half_masks``), the
+    polytope compared with the facet masks of ``cross_polytope_complex``,
+    each set of masks scanned block by block (``are_faces``), and the
+    report built line by line by ``add``.  Oracle for ``maps.verify_retraction``."""
     rep = ValidationReport()
     source, target, vmap, polytope = desc.source, desc.target, desc.vertex_map, desc.polytope
-    lattice, signed = source.lattice, vertex_table(source.lattice)
+    lattice = source.lattice
     s_f = source.build(lattice.bottom)
     if source.join_holds:
-        halves = [[sum(1 << w for w in {vmap[signed[c][s]] for c in block}) for s in "+-"]
-                  for block in held_parts(source)]
-        images = frozenset(_unions(halves))
+        images = frozenset(_unions(half_masks(source, vmap)))
     else:
         images = frozenset(sum(1 << w for w in {vmap[v] for v in m}) for m in label_faces(s_f))
     rep.add("selection-distinct", desc.selection.distinct())

@@ -110,7 +110,7 @@ def test_criterion_03_intersection_law(fixtures, reps):
 def test_criterion_04_roundtrip(fixtures, reps):
     budget = Budget(60.0)
     for name, lattice in fixtures.items():
-        recovered = arrangement_flats(reps[name].arrangement())
+        recovered = arrangement_flats(reps[name])
         assert roundtrip_isomorphic(lattice, recovered), name
     report(4, "arrangement flats recover the matroid", budget.check())
 

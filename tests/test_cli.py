@@ -18,6 +18,7 @@ from matroid_spheres import MatroidInputError
 from matroid_spheres.jsonio import complex_from_json, load_vector_config_file
 from conftest import face_labels, frozen, member_labels, used_vertices
 from conftest import poisoned_source, poisoned_target, reduces_to_point, repeated_coatom, repeated_g_part
+from conftest import with_dropped_facet
 
 DATA = Path(__file__).parent / "data"
 
@@ -616,36 +617,132 @@ def wrong_cover_step(lattice, flag):
     return rep
 
 
-def member_of_another_atom(lattice, flag):
-    """A fresh representation whose first atom's S_a is the second atom's:
-    an induced sphere of the right dimension, whose vertex set recovers the
-    second atom's flat for both."""
+def mask_of_another_atom(lattice, flag):
+    """A fresh representation whose first atom's mask V_a is the second
+    atom's: a sphere of the right corank, closed under the swap, but not
+    the meet of the masks above it, and it recovers the second atom's flat
+    for both."""
     rep = FlagRepresentation(lattice, flag)
     first, second = sorted(lattice.atoms(), key=lattice.key)[:2]
-    rep._built[first] = rep.build(second)
+    rep.masks[first] = rep.masks[second]
     return rep
 
 
-@pytest.mark.parametrize("poison, failing", [
-    (wrong_cover_step, {"intersection-law", "intersections-are-flats"}),
-    (member_of_another_atom, {"flats-roundtrip"}),
-], ids=["intersection-law", "flats-roundtrip"])
-def test_verify_prints_a_failing_line(runner, monkeypatch, poison, failing):
+def s0_without_a_facet(lattice, flag):
+    """A fresh representation whose S_0 lost its first facet."""
+    return with_dropped_facet(FlagRepresentation(lattice, flag))
+
+
+def not_a_sphere(lattice, flag, flat):
+    """A fresh representation whose sphere verdict on the flat is False."""
+    rep = FlagRepresentation(lattice, flag)
+    rep.spheres[flat] = False
+    return rep
+
+
+def bottom_not_a_sphere(lattice, flag):
+    return not_a_sphere(lattice, flag, lattice.bottom)
+
+
+def atom_not_a_sphere(lattice, flag):
+    return not_a_sphere(lattice, flag, sorted(lattice.atoms(), key=lattice.key)[0])
+
+
+def top_not_a_sphere(lattice, flag):
+    return not_a_sphere(lattice, flag, lattice.top)
+
+
+def minus_vertices_swapped(lattice, flag):
+    """A fresh representation whose masks trade the - vertices of the first
+    two coatoms of the first block of several, or None if every block holds
+    one coatom.  A permutation of the vertices keeps every meet and
+    inclusion of masks, and each mask meets the same blocks in both signs,
+    but a mask holding one of the two coatoms is no longer closed under the
+    sign swap."""
+    rep = FlagRepresentation(lattice, flag)
+    plus = next((p for p, _ in rep.halves if p & p - 1), None)
+    if plus is None:
+        return None
+    low = plus & -plus
+    traded = (low | (plus ^ low) & -(plus ^ low)) << 1  # the two - vertices
+    for g, v in rep.masks.items():
+        if v & traded not in (0, traded):
+            rep.masks[g] = v ^ traded
+    return rep
+
+
+VERIFY_DATA = ("u34", "bool3", "fano_gf2", "n134")
+JOIN_FAILS = frozenset({"ambient-sphere", "ambient-nerve", "members-sphere", "intersections-sphere", "z2-free",
+                        "rank-jump", "nerve-iso-all-flats"})
+LAW_FAILS = frozenset({"intersections-are-flats", "intersection-law"})
+TOP_FAILS = frozenset({"intersections-sphere", "rank-jump", "nerve-iso-all-flats"})
+
+VERIFY_MUTANTS = {  # line of verify --exact-nerve: (a mutant that fails it, every line that mutant fails)
+    "ambient-sphere": (s0_without_a_facet, JOIN_FAILS),
+    "ambient-nerve": (s0_without_a_facet, JOIN_FAILS),
+    "members-sphere": (atom_not_a_sphere, TOP_FAILS | {"members-sphere"}),
+    "intersections-are-flats": (wrong_cover_step, LAW_FAILS),
+    "intersections-sphere": (top_not_a_sphere, TOP_FAILS),
+    "z2-free": (minus_vertices_swapped, frozenset({"z2-free"})),
+    "rank-jump": (top_not_a_sphere, TOP_FAILS),
+    "intersection-law": (wrong_cover_step, LAW_FAILS),
+    "flats-roundtrip": (mask_of_another_atom, LAW_FAILS | {"flats-roundtrip"}),
+    "nerve-iso-all-flats": (bottom_not_a_sphere, frozenset({"nerve-iso-all-flats"})),
+}
+VERIFY_KINDS = {mutate.__name__: (mutate, fails) for mutate, fails in VERIFY_MUTANTS.values()}
+
+
+def test_every_verify_line_has_a_mutant(runner):
+    result = run(runner, "verify", "--exact-nerve", "--json", DATA / "u34.json")
+    assert list(VERIFY_MUTANTS) == [c["name"] for c in json.loads(result.stdout)["checks"]]
+    assert all(line in fails for line, (_, fails) in VERIFY_MUTANTS.items())
+    assert len(VERIFY_KINDS) == len({mutate for mutate, _ in VERIFY_MUTANTS.values()})
+
+
+@pytest.mark.parametrize("kind", sorted(VERIFY_KINDS))
+def test_verify_mutant_fails_exactly_its_lines(runner, monkeypatch, kind):
+    # each mutant as verify's representation, on every matroid it applies to
+    mutate, fails = VERIFY_KINDS[kind]
+    applied = []
+
+    def poison(lattice, flag):
+        rep = mutate(lattice, flag)
+        applied.append(rep is not None)
+        return rep or FlagRepresentation(lattice, flag)
+
+    monkeypatch.setattr(spheres, "representation", poison)
+    for name in VERIFY_DATA:
+        result = run(runner, "verify", "--exact-nerve", "--json", DATA / f"{name}.json")
+        if applied[-1]:
+            assert result.exit_code == 1, (name, result.output)
+            assert {c["name"] for c in json.loads(result.stdout)["checks"] if not c["passed"]} == fails, name
+        else:
+            assert result.exit_code == 0, (name, result.output)
+    assert any(applied), kind
+
+
+@pytest.mark.parametrize("poison, failing, args", [
+    (wrong_cover_step, LAW_FAILS, ()),
+    (mask_of_another_atom, LAW_FAILS | {"flats-roundtrip"}, ()),
+    (bottom_not_a_sphere, {"nerve-iso-all-flats"}, ("--exact-nerve",)),
+], ids=["intersection-law", "flats-roundtrip", "nerve-iso-all-flats"])
+def test_verify_prints_a_failing_line(runner, monkeypatch, poison, failing, args):
     # verify's representation is a fresh one with one poisoned table; the
     # named line, and only the lines it carries, print FAIL
-    args = ("verify", DATA / "u34.json")
-    passing = run(runner, *args).output.splitlines()
-    assert all(": PASS" in line for line in passing[1:])
-    monkeypatch.setattr(spheres, "representation", poison)
-    result = run(runner, *args)
-    monkeypatch.undo()
-    assert result.exit_code == 1, result.output
-    lines = result.output.splitlines()
-    assert lines[0] == passing[0] and len(lines) == len(passing) == 10
-    for line, clean in zip(lines[1:], passing[1:]):
-        assert line == (clean.replace(": PASS", ": FAIL") if line.split(":")[0] in failing else clean), line
-    assert {line.split(":")[0] for line in lines if ": FAIL" in line} == failing
-    assert run(runner, *args).output.splitlines() == passing  # the memoized representation is untouched
+    for name in VERIFY_DATA:
+        cmd = ("verify", *args, DATA / f"{name}.json")
+        passing = run(runner, *cmd).output.splitlines()
+        assert all(": PASS" in line for line in passing[1:])
+        monkeypatch.setattr(spheres, "representation", poison)
+        result = run(runner, *cmd)
+        monkeypatch.undo()
+        assert result.exit_code == 1, result.output
+        lines = result.output.splitlines()
+        assert lines[0] == passing[0] and len(lines) == len(passing) == 10 + len(args)
+        for line, clean in zip(lines[1:], passing[1:]):
+            assert line == (clean.replace(": PASS", ": FAIL") if line.split(":")[0] in failing else clean), line
+        assert {line.split(":")[0] for line in lines if ": FAIL" in line} == failing
+        assert run(runner, *cmd).output.splitlines() == passing  # the memoized representation is untouched
 
 
 def test_verify_exact_nerve_b5_exits_0(runner, tmp_path):

@@ -1,9 +1,10 @@
 """The arrangement certified by cover steps S_F n S_a = S_{F v a} and by the
 join certificate on vertex masks, checked against enumeration of every atom
 subset and every flat pair, against homology and against the per-flat nerve
-route, on true and on mutated arrangements."""
+route, on true representations and on representations with one table
+poisoned."""
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -12,9 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from matroid_spheres import (
     FlagRepresentation,
-    HomotopyArrangement,
     SimplicialComplex,
-    ValidationReport,
     all_complete_flags,
     arrangement_flats,
     default_flag,
@@ -26,20 +25,22 @@ from matroid_spheres import (
 )
 from matroid_spheres import topology
 from matroid_spheres.cli import main
-from matroid_spheres.spheres import atom_label
 from conftest import complex_of, frozen, sorted_faces, used_vertices
 from conftest import (
     DATA,
+    arrangement_flats_oracle,
     boolean_matroid,
     cover_steps_oracle,
     cross_polytope_oracle,
     data_matroids,
+    held_arrangement,
     held_parts,
     is_homology_sphere,
     nerve_oracle,
     swap_map,
     swap_sign,
     vertex_mask,
+    verify_arrangement_oracle,
     z2_free_check,
 )
 
@@ -57,82 +58,6 @@ def intersection_law_oracle(rep):
         built[g].intersection(built[h]) == built[rep.lattice.join(g, h)]
         for g, h in combinations_with_replacement(rep.lattice.flats, 2)
     )
-
-
-def arrangement_flats_oracle(arr):
-    """A set S of atoms is a flat when intersecting any further member
-    strictly shrinks the common intersection of the members over S."""
-    lattice = arr.rep.lattice
-    atoms = [a for a, _ in arr.members]
-    complexes = {a: m for a, m in arr.members}
-    flats = set()
-    for k in range(len(atoms) + 1):
-        for subset in combinations(atoms, k):
-            inter = arr.ambient
-            for a in subset:
-                inter = inter.intersection(complexes[a])
-            if all(inter.intersection(complexes[e]) != inter for e in atoms if e not in subset):
-                flats.add(frozenset(atom_label(lattice, a) for a in subset))
-    return flats
-
-
-def verify_arrangement_oracle(arr):
-    """Every atom subset: its members' intersection against S of its join,
-    a sphere check on it, and the rank jump against every further member."""
-    rep = ValidationReport()
-    fr = arr.rep
-    lattice = fr.lattice
-    r = lattice.r
-    amb = arr.ambient
-    rep.add("ambient-sphere", is_homology_sphere(amb, r - 1),
-            f"expected S^{r - 1} profile")
-    rep.add("ambient-nerve", nerve_oracle(fr, lattice.bottom, amb))
-    rep.add("members-sphere",
-            all(is_homology_sphere(m, r - 2) for _, m in arr.members),
-            f"each member must be S^{r - 2}")
-    atoms = [a for a, _ in arr.members]
-    complexes = {a: m for a, m in arr.members}
-    seen = {}
-    law_ok = sphere_ok = True
-    for k in range(1, len(atoms) + 1):
-        for subset in combinations(atoms, k):
-            h = lattice.bottom
-            for a in subset:
-                h = lattice.join(h, a)
-            inter = complexes[subset[0]]
-            for a in subset[1:]:
-                inter = inter.intersection(complexes[a])
-            if inter != fr.build(h):
-                law_ok = False
-            if h not in seen:
-                if not is_homology_sphere(inter, lattice.corank(h) - 1):
-                    sphere_ok = False
-                seen[h] = inter
-    rep.add("intersections-are-flats", law_ok)
-    rep.add("intersections-sphere", sphere_ok)
-    try:
-        free = z2_free_check(amb, swap_map(amb))
-        restricts = all(
-            m.is_empty or z2_free_check(m, swap_map(m))
-            for _, m in arr.members
-        )
-    except ValueError:
-        free = restricts = False
-    rep.add("z2-free", free and restricts)
-    drop_ok = True
-    for h, inter in seen.items():
-        for g in atoms:
-            gh = lattice.join(g, h)
-            if gh == h:
-                continue
-            if lattice.rank(gh) != lattice.rank(h) + 1:
-                drop_ok = False
-            if not is_homology_sphere(
-                inter.intersection(complexes[g]), lattice.corank(gh) - 1
-            ):
-                drop_ok = False
-    rep.add("rank-jump", drop_ok)
-    return rep
 
 
 # -- inputs -------------------------------------------------------------------------
@@ -208,67 +133,83 @@ def split_block(rep, draw):
 
 
 @st.composite
-def mutated_arrangements(draw):
+def mutated_representations(draw):
+    """A fresh representation with one table poisoned, and the table's
+    kind: S_bottom as built (a mutant of the join, or the join with one
+    block split), one flat's mask (one vertex toggled, or another flat's
+    mask), or one cover step's join (any flat)."""
     rep = draw(representations())
-    arr = rep.arrangement()
-    targets = [i for i, (_, m) in enumerate(arr.members) if not m.is_empty]
-    i = draw(st.sampled_from([-1] + targets))
-    if i == -1:
+    lattice = rep.lattice
+    kind = draw(st.sampled_from(["bottom", "mask", "step"]))
+    if kind == "bottom":
         new = split_block(rep, draw) if draw(st.booleans()) else None
-        return HomotopyArrangement(rep, new or mutated(arr.ambient, draw), arr.members)
-    new = mutated(arr.members[i][1], draw)
-    members = list(arr.members)
-    members[i] = (members[i][0], new)
-    return HomotopyArrangement(rep, arr.ambient, tuple(members))
+        rep._built[lattice.bottom] = new or mutated(rep.build(lattice.bottom), draw)
+    elif kind == "mask":
+        g = draw(st.sampled_from(lattice.flats))
+        if draw(st.booleans()):
+            rep.masks[g] ^= 1 << draw(st.sampled_from(rep.vertices))
+        else:
+            rep.masks[g] = rep.masks[draw(st.sampled_from(lattice.flats))]
+    else:
+        steps = list(rep.cover_steps)
+        n = draw(st.integers(0, len(steps) - 1))
+        steps[n] = steps[n][:2] + (draw(st.sampled_from(lattice.flats)),)
+        rep.__dict__["cover_steps"] = tuple(steps)
+    return kind, rep
 
 
-# -- true arrangements: every line matches ------------------------------------------
+# -- true representations: every line matches ------------------------------------------
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_default_flag_matches_oracles(name):
     lattice = FIXTURES[name]
     rep = FlagRepresentation(lattice, default_flag(lattice))
-    arr = rep.arrangement()
-    report = verify_arrangement(arr)
-    assert report.lines() == verify_arrangement_oracle(arr).lines()
+    held = held_arrangement(rep)
+    report = verify_arrangement(rep)
+    assert report.lines() == verify_arrangement_oracle(held).lines()
     assert report.ok
     assert rep.intersection_law_holds() is intersection_law_oracle(rep) is True
-    assert set(arrangement_flats(arr).flats) == arrangement_flats_oracle(arr)
+    assert set(arrangement_flats(rep).flats) == arrangement_flats_oracle(held)
 
 
 @settings(DERANDOMIZED, max_examples=60)
 @given(representations())
 def test_every_flag_matches_oracles(rep):
-    arr = rep.arrangement()
-    assert verify_arrangement(arr).lines() == verify_arrangement_oracle(arr).lines()
+    held = held_arrangement(rep)
+    assert verify_arrangement(rep).lines() == verify_arrangement_oracle(held).lines()
     assert rep.intersection_law_holds() == intersection_law_oracle(rep)
-    assert set(arrangement_flats(arr).flats) == arrangement_flats_oracle(arr)
+    assert set(arrangement_flats(rep).flats) == arrangement_flats_oracle(held)
 
 
-# -- mutated arrangements: the verdicts match ------------------------------------------
+@pytest.mark.parametrize("name", NAMES)
+def test_every_s_g_is_s_bottom_induced_on_its_mask(name):
+    # verify reads each member S_a as S_bottom[V_a]: S_G as constructed is
+    # the join restricted to the mask, for every flat, on the first 24 flags
+    lattice = FIXTURES[name]
+    for flag in all_complete_flags(lattice)[:24]:
+        rep = FlagRepresentation(lattice, flag)
+        ambient = rep.build(lattice.bottom)
+        for g in lattice.flats:
+            assert rep.construct(g) == ambient.restrict(rep.masks[g]), (flag.chain, sorted(g))
+
+
+# -- poisoned representations: no line passes that the oracle fails --------------------
 
 
 @DERANDOMIZED
-@given(mutated_arrangements())
-def test_mutated_arrangement_matches_oracles(arr):
-    report, oracle = verify_arrangement(arr), verify_arrangement_oracle(arr)
-    assert report.ok == oracle.ok
-    assert report["intersections-are-flats"] == oracle["intersections-are-flats"]
-    # a sphere line passes only where homology holds: on the ambient and the
-    # members as held, and on every S_H, which the held intersections are
-    # once intersections-are-flats passes
-    for line in ("ambient-sphere", "members-sphere"):
-        assert oracle[line].passed or not report[line].passed, line
-    if report["intersections-are-flats"].passed:
-        assert oracle["intersections-sphere"].passed or not report["intersections-sphere"].passed
-    # flats are read off vertex sets only where every member is induced
-    ambient = arr.ambient
-    if all(frozen(m) == frozen(ambient).restrict(used_vertices(m)) for _, m in arr.members):
-        assert set(arrangement_flats(arr).flats) == arrangement_flats_oracle(arr)
-    else:
-        with pytest.raises(ValueError):
-            arrangement_flats(arr)
+@given(mutated_representations())
+def test_mutated_arrangement_matches_oracles(case):
+    # the oracle reads S_bottom as held and the members as constructed, so
+    # a poisoned mask or cover step can only fail lines the oracle passes
+    kind, rep = case
+    held = held_arrangement(rep)
+    report, oracle = verify_arrangement(rep), verify_arrangement_oracle(held)
+    assert [c.name for c in report.checks] == [c.name for c in oracle.checks]
+    for line, truth in zip(report.checks, oracle.checks):
+        assert truth.passed or not line.passed, line.name
+    if kind == "step":  # S_bottom and the masks as built: the same flats
+        assert set(arrangement_flats(rep).flats) == arrangement_flats_oracle(held)
 
 
 @st.composite
@@ -286,25 +227,24 @@ def poisoned_bottoms(draw):
 def test_join_certificate_refuses_every_mutant_of_s0(rep):
     assert not rep.join_holds
     assert not any(rep.spheres.values())
-    arr = rep.arrangement()
-    report = verify_arrangement(arr)
+    report = verify_arrangement(rep)
     assert not report["ambient-sphere"].passed and not report["members-sphere"].passed
-    assert report.ok == verify_arrangement_oracle(arr).ok is False
+    assert report.ok == verify_arrangement_oracle(held_arrangement(rep)).ok is False
 
 
 def test_mutated_member_fails_intersections_are_flats():
+    # the first atom's S_a = S_bottom[V_a] with V_a one coatom short: no
+    # longer the meet of the flats' masks above it
     lattice = FIXTURES["u34"]
     rep = FlagRepresentation(lattice, default_flag(lattice))
-    arr = rep.arrangement()
-    atom, member = arr.members[0]
-    facets = sorted_faces(member)
-    dropped = complex_of(facets[1:])
-    bad = HomotopyArrangement(rep, arr.ambient, ((atom, dropped),) + arr.members[1:])
-    report = verify_arrangement(bad)
+    atom = lattice.atoms()[0]
+    v = rep.masks[atom]
+    rep.masks[atom] = v & ~(3 << (v & -v).bit_length() - 1)
+    report = verify_arrangement(rep)
     assert not report["intersections-are-flats"].passed
     assert not report.ok
-    # the representation itself is untouched, so its law still holds
-    assert rep.intersection_law_holds()
+    # a fresh representation is untouched, so its law still holds
+    assert FlagRepresentation(lattice, default_flag(lattice)).intersection_law_holds()
 
 
 # -- the sphere certificate against the homology and nerve oracles ----------------------
@@ -372,7 +312,7 @@ def no_snf(*a):
 @pytest.mark.parametrize("name", ["fano_gf2.json", "bool3.json", "u34.json", "n134.json"])
 def test_verify_certifies_each_flat_by_one_nerve_test(monkeypatch, args, name):
     # the nerve test of S_G is ``is_sphere`` on its vertex mask: once per
-    # flat for the verdict table and once per member as held, with no SNF
+    # flat, for the verdict table that every sphere line reads, with no SNF
     calls = []
     is_sphere = FlagRepresentation.is_sphere
 
@@ -385,7 +325,7 @@ def test_verify_certifies_each_flat_by_one_nerve_test(monkeypatch, args, name):
     result = CliRunner().invoke(main, ["verify", *args, str(DATA / name)])
     assert result.exit_code == 0, result.output
     lattice = data_matroids()[Path(name).stem]
-    assert len(calls) == len(lattice.flats) + len(lattice.atoms())
+    assert len(calls) == len(lattice.flats)
 
 
 # -- the table itself --------------------------------------------------------------------
@@ -425,27 +365,6 @@ def test_intersection_law_verdict_is_cached():
     assert not fresh.intersection_law_holds()
 
 
-def test_intersection_law_refuses_a_complex_that_is_not_induced():
-    # one facet hollowed to its boundary keeps S_a's vertex set, so a table
-    # of vertex sets alone would still pass; the member is not induced
-    lattice = FIXTURES["B_3"]
-    rep = FlagRepresentation(lattice, default_flag(lattice))
-    arr = rep.arrangement()
-    (atom, old), rest = arr.members[0], arr.members[1:]
-    facets = sorted_faces(old)
-    hollow = facets[1:] + [facets[0] - {v} for v in facets[0]]
-    poisoned = complex_of(hollow, vertex_order=old.vertices)
-    assert used_vertices(poisoned) == used_vertices(old)
-    bad = HomotopyArrangement(rep, arr.ambient, ((atom, poisoned),) + rest)
-    assert not bad.induced
-    report = verify_arrangement(bad)
-    assert not report["intersections-are-flats"].passed
-    assert not report["members-sphere"].passed
-    with pytest.raises(ValueError):
-        arrangement_flats(bad)
-    assert rep.intersection_law_holds() and arr.induced
-
-
 @pytest.mark.parametrize("args", [["--exact-nerve"], []])
 @pytest.mark.parametrize("name", sorted(data_matroids()))
 def test_verify_intersects_no_face_sets(monkeypatch, args, name):
@@ -456,7 +375,7 @@ def test_verify_intersects_no_face_sets(monkeypatch, args, name):
 
 @pytest.mark.parametrize("args", [["--exact-nerve"], []])
 def test_verify_builds_each_complex_at_most_once(monkeypatch, args):
-    # S_bottom and the atoms' S_a, each once, with no SNF; every other S_G
+    # S_bottom once, for the join certificate, with no SNF; every other S_G
     # is read off its vertex mask
     built = []
     construct = FlagRepresentation.construct
@@ -472,24 +391,23 @@ def test_verify_builds_each_complex_at_most_once(monkeypatch, args):
         result = CliRunner().invoke(main, ["verify", *args, str(DATA / f"{name}.json")])
         assert result.exit_code == 0, result.output
         lattice = data_matroids()[name]
-        assert sorted(built, key=lattice.key) == [lattice.bottom, *lattice.atoms()], name
+        assert built == [lattice.bottom], name
 
 
 def test_member_not_closed_under_the_sign_swap_fails_z2_free():
-    # S_a cut down to V_a without one vertex is still induced in S_bottom,
-    # but the swap no longer maps it to itself
+    # S_a = S_bottom[V_a] with V_a cut by one vertex is still induced in
+    # S_bottom, but the swap no longer maps it to itself
     lattice = FIXTURES["u34"]
     rep = FlagRepresentation(lattice, default_flag(lattice))
-    arr = rep.arrangement()
-    (atom, old), rest = arr.members[0], arr.members[1:]
-    cut = arr.ambient.restrict(vertex_mask(used_vertices(old)[1:]))
-    bad = HomotopyArrangement(rep, arr.ambient, ((atom, cut),) + rest)
-    assert bad.induced
-    report = verify_arrangement(bad)
-    assert not report["z2-free"].passed
+    atom = lattice.atoms()[0]
+    assert verify_arrangement(rep)["z2-free"].passed
+    bad = FlagRepresentation(lattice, default_flag(lattice))
+    v = bad.masks[atom]
+    bad.masks[atom] = cut = v & v - 1
+    assert not verify_arrangement(bad)["z2-free"].passed
+    member = rep.build(lattice.bottom).restrict(cut)
     with pytest.raises(ValueError):  # the oracle's route: not an involution
-        z2_free_check(cut, swap_map(cut))
-    assert verify_arrangement(arr)["z2-free"].passed
+        z2_free_check(member, swap_map(member))
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -507,6 +425,5 @@ def test_large_inputs_pass():
     # U(2, 16) has 2^16 atom sets, which the subset oracle would enumerate
     for lattice in (uniform_matroid(2, 16), uniform_matroid(6, 7)):
         rep = FlagRepresentation(lattice, default_flag(lattice))
-        arr = rep.arrangement()
-        assert verify_arrangement(arr).ok
-        assert len(arrangement_flats(arr).flats) == len(lattice.flats)
+        assert verify_arrangement(rep).ok
+        assert len(arrangement_flats(rep).flats) == len(lattice.flats)

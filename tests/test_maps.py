@@ -387,7 +387,7 @@ def test_memoized_retractions_match_fresh_representations(u34, bool3, fano, monk
 #
 # ``retraction_oracle`` selects by a dict per F-block and maps each signed
 # coatom through its label dict; ``verify_retraction_oracle`` maps each
-# image half as a vertex set and adds the lines one by one.
+# image half read off ``slot`` and adds the lines one by one.
 
 
 def route(desc):
@@ -564,8 +564,9 @@ def lemma_holds(desc):
 
 def test_map_onto_a_non_fixed_image_fails_idempotent_as_the_oracle_does(u34, fano):
     # verify_retraction asks that each selected vertex be held in its own
-    # block's half of its sign; the general route maps each image again.
-    # Every block order of U(3,4) and Fano holds a block of several.
+    # block's half of its sign; the general route maps each image again,
+    # and the oracle reads each image half off ``slot``.  Every block order
+    # of U(3,4) and Fano holds a block of several.
     applied = 0
     for lattice in (u34, fano):
         flags = all_complete_flags(lattice)
@@ -573,7 +574,9 @@ def test_map_onto_a_non_fixed_image_fails_idempotent_as_the_oracle_does(u34, fan
             for g in flags:
                 mutated = minus_in_the_plus_half(retraction_map(lattice, f, g))
                 report = verify_retraction(mutated)
-                assert report.to_json() == verify_retraction_general(materialise(mutated)).to_json(), (f.chain, g.chain)
+                held = materialise(mutated)
+                assert (report.to_json() == verify_retraction_general(held).to_json()
+                        == verify_retraction_oracle(held).to_json()), (f.chain, g.chain)
                 assert failing(mutated) == {"idempotent"}
                 applied += 1
     assert applied == 144 + 441
@@ -929,7 +932,7 @@ def test_join_lines_run_no_homology_no_z2_check_and_no_facet_scan(monkeypatch, u
         for lattice in (u34, bool3):
             flags = all_complete_flags(lattice)
             for f in flags:
-                assert verify_arrangement(FlagRepresentation(lattice, f).arrangement()).ok
+                assert verify_arrangement(FlagRepresentation(lattice, f)).ok
                 for g in flags:
                     assert verify_retraction(retraction_map(lattice, f, g)).ok
     after = topology.reduced_homology.cache_info()

@@ -63,7 +63,6 @@ def fixtures():
         "Embedding": emb,
         "CheckResult": report.checks[0],
         "ValidationReport": report,
-        "HomotopyArrangement": desc.source.arrangement(),
         "HomologyProfile": reduced_homology(desc.source.build(u34.bottom)),
         "CoverFamily": build_covers(emb, atom)[0],
     }
@@ -78,7 +77,7 @@ def fields(record):
 
 
 def test_every_record_is_built():
-    assert len(RECORDS) == 13
+    assert len(RECORDS) == 12
     assert all(type(r).__name__ == name for name, r in RECORDS.items())
     assert all(isinstance(r, Record) for r in RECORDS.values())
 

@@ -14,7 +14,7 @@ from matroid_spheres import (
     verify_geometric,
 )
 from conftest import label_faces, mask_vertices, sorted_faces, used_vertices
-from conftest import facet_signs, held_parts, is_subcomplex_of, nerve_oracle, part_of, support, swap_map, z2_free_check
+from conftest import facet_signs, held_arrangement, held_parts, is_subcomplex_of, nerve_oracle, part_of, support, swap_map, z2_free_check
 
 
 def rep_for(lattice, chain=None):
@@ -231,15 +231,16 @@ def test_intersection_law_exhaustive(u24, u34, bool3, n134, fano):
 
 
 def test_arrangement_u24(u24):
-    arr = rep_for(u24).arrangement()
+    rep = rep_for(u24)
+    arr = held_arrangement(rep)
     assert arr.ambient.support.bit_count() == 8
     assert len(arr.members) == 4
-    assert all(m.support.bit_count() == 2 for _, m in arr.members)
+    assert all(m.support == rep.masks[a] and m.support.bit_count() == 2 for a, m in arr.members)
 
 
 def test_arrangement_rank1():
     lattice = uniform_matroid(1, 1)
-    arr = rep_for(lattice).arrangement()
+    arr = held_arrangement(rep_for(lattice))
     assert arr.ambient.support.bit_count() == 2
     assert len(arr.ambient.maximal_faces) == 2
     assert len(arr.members) == 1
@@ -247,7 +248,7 @@ def test_arrangement_rank1():
 
 
 def test_arrangement_fano(fano):
-    arr = rep_for(fano).arrangement()
+    arr = held_arrangement(rep_for(fano))
     assert arr.ambient.support.bit_count() == 14
     assert len(arr.ambient.maximal_faces) == 8
     assert all(f.bit_count() == 7 for f in arr.ambient.maximal_faces)
@@ -257,21 +258,20 @@ def test_arrangement_fano(fano):
 def test_verify_arrangement(u24, u34, fano):
     for lattice in (u24, u34, fano):
         rep = rep_for(lattice)
-        report = verify_arrangement(rep.arrangement())
+        report = verify_arrangement(rep)
         assert report.ok, report.lines()
 
 
 def test_arrangement_flats_roundtrip(u24, u34):
     for lattice in (u24, u34):
-        arr = rep_for(lattice).arrangement()
-        recovered = arrangement_flats(arr)
+        recovered = arrangement_flats(rep_for(lattice))
         assert verify_geometric(recovered).ok
         assert roundtrip_isomorphic(lattice, recovered)
 
 
 def test_arrangement_flats_single_atom():
     lattice = uniform_matroid(1, 1)
-    recovered = arrangement_flats(rep_for(lattice).arrangement())
+    recovered = arrangement_flats(rep_for(lattice))
     assert len(recovered.flats) == 2
 
 
