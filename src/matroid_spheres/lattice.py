@@ -8,8 +8,9 @@ order used for every deterministic tie-break downstream.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, reduce as fold
 from itertools import combinations
+from operator import or_
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import PRIME_BOUND, echelon, integer_row, is_prime, reduce
@@ -29,10 +30,8 @@ class GeometricLattice:
     The constructor is tolerant: it stores any family of subsets of the
     ground set and computes ranks as chain heights when none are supplied,
     so that ``verify_geometric`` can report *which* axiom a bad input
-    breaks; the heights build no order table.  The inclusion order is one
-    ``topology.Poset`` (``order``), built on first use, whose positions are
-    the positions in ``flats``; closures, covers, flags and the validation
-    read it.
+    breaks.  Heights, closures, covers and flags read inclusion off one
+    table, ``holding``, through ``up`` and ``down``; no flat stores its own.
     Instances are immutable after construction and safe to share.
     """
 
@@ -90,30 +89,35 @@ class GeometricLattice:
         return self.labels[self._coatoms[v >> 1]], "+-"[v & 1]
 
     @cached_property
-    def order(self) -> Poset:
-        """The flats under inclusion, each flat's mask over element
-        positions.  ``Poset`` sorts stably by mask size, so its positions
-        are the positions in ``flats``, already sorted by size."""
-        index = self._index
-        return Poset(self.flats, [sum(1 << index[e] for e in f) for f in self.flats])
+    def holding(self) -> list[int]:
+        """holding[i]: the positions in ``flats`` of the flats holding element i."""
+        return [int("".join("01"[e in f] for f in reversed(self.flats)), 2) for e in self.elements]
+
+    def up(self, subset: frozenset) -> int:
+        """The positions of the flats holding every element of the subset."""
+        found, holding, index = (1 << len(self.flats)) - 1, self.holding, self._index
+        for e in subset:
+            found &= holding[index[e]]
+        return found
+
+    def down(self, subset: frozenset) -> int:
+        """The positions of the flats holding no element outside the subset."""
+        outside = fold(or_, [held for e, held in zip(self.elements, self.holding) if e not in subset], 0)
+        return (1 << len(self.flats)) - 1 & ~outside
+
+    @cached_property
+    def _inside_top(self) -> int:
+        return self.down(self.top)
 
     def _heights(self) -> dict[frozenset, int]:
-        """Each flat's chain height, walking ``flats`` in key order with no
-        order table: the flats strictly inside f are the flats before it
-        holding no element outside f, holding[e] is the bitset of the flats
-        so far that hold element e, and levels[k] that of the flats of
-        height k."""
-        h, levels, holding = {}, {}, [0] * len(self.elements)
+        """Each flat's chain height, in key order: the flats strictly inside f,
+        which sort before it, are its ``down`` below it; levels[k] holds height k."""
+        h, levels = {}, {}
         for i, f in enumerate(self.flats):
-            below = (1 << i) - 1
-            for e, held in zip(self.elements, holding):
-                if e not in f:
-                    below &= ~held
+            below = self.down(f) & (1 << i) - 1
             # levels gains its keys in increasing order, so reversed is highest first
             k = next((k + 1 for k in reversed(levels) if levels[k] & below), 0)
             levels[k] = levels.get(k, 0) | 1 << i
-            for e in f:
-                holding[self._index[e]] |= 1 << i
             h[f] = k
         return h
 
@@ -130,22 +134,14 @@ class GeometricLattice:
 
     def closure(self, subset: Iterable[str]) -> frozenset:
         """Smallest flat containing the subset (exists by meet-closure): the
-        first flat in key order inside top that holds every element, by the
-        AND of ``order.holding`` over them.  An element in no flat has no
-        entry there."""
+        first flat in key order in both the subset's ``up`` and top's ``down``."""
         a = frozenset(str(e) for e in subset)
         if not a <= self._index.keys():
             raise MatroidInputError(f"{sorted(a)} is not a subset of the ground set")
-        order, index = self.order, self._index
-        found = order.down[order.index[self.top]]
-        for e in a:
-            found &= order.holding.get(index[e], 0)
+        found = self.up(a) & self._inside_top
         if not found:
             raise MatroidInputError(f"no flat contains {sorted(a)}")
         return self.flats[(found & -found).bit_length() - 1]
-
-    def join(self, x: frozenset, y: frozenset) -> frozenset:
-        return self.closure(frozenset(x) | frozenset(y))
 
     def atoms(self) -> tuple[frozenset, ...]:
         return self._atoms
@@ -158,9 +154,14 @@ class GeometricLattice:
         return tuple(c for c in self._coatoms if x <= c)
 
     def upper_covers(self, flat: frozenset) -> tuple[frozenset, ...]:
-        """The flats covering a flat, in key order."""
-        order = self.order
-        return tuple(self.flats[j] for j in _bits(order.covers(order.index[frozenset(flat)])))
+        """The flats covering a flat, in key order: the lowest flat left of its
+        strict up-set is a cover, as flats sort after their subsets; drop its ``up`` and repeat."""
+        left, covers = self.up(flat) & ~self.down(flat), []
+        while left:
+            cover = self.flats[(left & -left).bit_length() - 1]
+            covers.append(cover)
+            left &= ~self.up(cover)
+        return tuple(covers)
 
     def rank_of_subset(self, subset: Iterable[str]) -> int:
         return self.rank(self.closure(subset))
@@ -204,10 +205,14 @@ def default_flag(lattice: GeometricLattice) -> Flag:
 
 
 def all_complete_flags(lattice: GeometricLattice) -> list[Flag]:
-    """Every complete flag, in canonical order: the maximal chains of
-    ``order``, each step taken in key order."""
-    order = lattice.order
-    return [Flag(tuple(map(order.elements.__getitem__, c))) for c in order.chain_indices()]
+    """Every complete flag, in canonical order: the chains grown from bottom
+    through ``upper_covers``, each step taken in key order."""
+    upper = cache(lattice.upper_covers)
+
+    def grow(chain: tuple[frozenset, ...]) -> list[Flag]:  # a chain with no cover is a flag
+        return [flag for cover in upper(chain[-1]) for flag in grow(chain + (cover,))] or [Flag(chain)]
+
+    return grow((lattice.bottom,))
 
 
 # -- verification -----------------------------------------------------------
@@ -228,11 +233,10 @@ def verify_geometric(lattice: GeometricLattice) -> ValidationReport:
     atomicity, semimodularity, the coatom-meet identity, and that every
     interval is itself geometric.
 
-    The checks read the lattice's one order table, ``order``: each flat's
-    element mask, ``up[i]``/``down[i]``, the indices of the flats above and
-    below flat i, and the covers of flat i.  Flats are sorted by size, so
-    the lowest index of a set of upper bounds is its only candidate least
-    element.
+    The checks read a ``Poset`` of the flats, built here alone: each flat's
+    element mask, ``up[i]``/``down[i]`` (the flats above and below flat i)
+    and its covers.  Flats are sorted by size, so its positions are those in
+    ``flats``, and the lowest of a set of upper bounds is its one candidate join.
 
     Intervals are checked only once the whole family is a meet-closed, ranked
     lattice.  Then each interval [x, y] is a sublattice with the same meets,
@@ -247,8 +251,8 @@ def verify_geometric(lattice: GeometricLattice) -> ValidationReport:
     coatoms of [bottom, y] cannot fail it alone.  The first such y in index
     order is reported.
     """
-    flats, order = lattice.flats, lattice.order
-    n = len(flats)
+    flats, n = lattice.flats, len(lattice.flats)
+    order = Poset(flats, [sum(1 << lattice._index[e] for e in f) for f in flats])
     masks, up, down = order.masks, order.up, order.down
     index = {m: i for i, m in enumerate(masks)}
     full = (1 << len(lattice.elements)) - 1

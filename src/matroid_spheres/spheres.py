@@ -108,16 +108,14 @@ class FlagRepresentation:
     @cached_property
     def cover_steps(self) -> tuple[tuple[frozenset, frozenset, frozenset], ...]:
         """Every (F, a, F v a), F a flat and a an atom, in flat order.  F v a is
-        F when a <= F, else, as in ``closure``, the first flat in the AND of
-        F's and a's up-sets in the lattice's ``order`` and top's down-set,
-        else top."""
+        F when a <= F, else, as in ``closure``, the first flat in the lattice's
+        ``up`` of F and of a and ``down`` of top, else top; no up-set is kept."""
         lattice = self.lattice
-        flats, order = lattice.flats, lattice.order
-        under_top = order.down[order.index[lattice.top]]
-        atoms = [(a, order.up[order.index[a]]) for a in lattice.atoms()]
+        flats, under_top = lattice.flats, lattice.down(lattice.top)
+        atoms = [(a, lattice.up(a)) for a in lattice.atoms()]
         steps = []
-        for f, f_up in zip(flats, order.up):
-            f_up &= under_top
+        for f in flats:
+            f_up = lattice.up(f) & under_top
             for a, a_up in atoms:
                 x = f_up & a_up
                 steps.append((f, a, f if a <= f else flats[(x & -x).bit_length() - 1] if x else lattice.top))

@@ -145,14 +145,13 @@ class Poset:
     exactly when the mask of x lies inside that of y.
 
     Elements are indexed by the size of their masks, a stable sort and a
-    linear extension, and the order is kept as bitmask up- and down-sets
-    over those indices: bit j of ``up[i]`` when element i <= element j.
-    ``holding`` maps each mask bit to the elements holding it, and the order
-    is read off it with no pair compared: the elements above x hold every
-    bit of x, the elements below x hold no bit outside it.
+    linear extension, and kept as bitmask up- and down-sets over those
+    indices: bit j of ``up[i]`` when element i <= element j.  Both are read,
+    with no pair compared, off the elements holding each mask bit: the
+    elements above x hold every bit of x, those below x no bit outside it.
     """
 
-    __slots__ = ("elements", "index", "masks", "holding", "up", "down")
+    __slots__ = ("elements", "masks", "up", "down")
 
     def __init__(self, elements: Sequence[Hashable], masks: Sequence[int]):
         elements = tuple(elements)
@@ -162,17 +161,16 @@ class Poset:
             raise ValueError("order is not antisymmetric")
         order = sorted(range(len(masks)), key=lambda i: masks[i].bit_count())
         self.elements: tuple = tuple(elements[i] for i in order)
-        self.index = {x: i for i, x in enumerate(self.elements)}
         self.masks: tuple[int, ...] = tuple(masks[i] for i in order)
-        self.holding: dict[int, int] = {}  # bit -> the elements (by index) holding it
+        holding: dict[int, int] = {}  # bit -> the elements (by index) holding it
         for j, mask in enumerate(self.masks):
             for b in _bits(mask):
-                self.holding[b] = self.holding.get(b, 0) | 1 << j
+                holding[b] = holding.get(b, 0) | 1 << j
         everything = (1 << len(masks)) - 1
         up, down = [], []
         for mask in self.masks:
             above, outside = everything, 0
-            for b, held in self.holding.items():
+            for b, held in holding.items():
                 if mask >> b & 1:
                     above &= held
                 else:

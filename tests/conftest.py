@@ -333,7 +333,8 @@ def beat_points_oracle(poset, members):
     """Beat points removed pass by pass, each pass testing every element
     left, until a pass removes none; True when one element is left.
     Oracle for ``Poset.mask_reduces_to_point``, through ``reduces_to_point``."""
-    up, down, index = poset.up, poset.down, poset.index
+    up, down = poset.up, poset.down
+    index = {x: i for i, x in enumerate(poset.elements)}
     members = set(members)
     if any(x not in index for x in members):
         return False
@@ -356,8 +357,9 @@ def beat_points_oracle(poset, members):
 
 def reduces_to_point(poset, members):
     """``Poset.mask_reduces_to_point`` on members given as elements, masked
-    through ``poset.index``; False where a member is no element."""
-    index = poset.index
+    through their positions in ``poset.elements``; False where a member is
+    no element."""
+    index = {x: i for i, x in enumerate(poset.elements)}
     if any(x not in index for x in members):
         return False
     return poset.mask_reduces_to_point(sum(1 << index[x] for x in set(members)))
@@ -506,10 +508,15 @@ def retraction_face_lines_oracle(desc):
             "composite-simplicial": all(map(s_g.has_face, images))}
 
 
+def lattice_join(lattice, x, y):
+    """The join of two flats: the closure of their union."""
+    return lattice.closure(frozenset(x) | frozenset(y))
+
+
 def cover_steps_oracle(lattice):
     """Every (F, a, F v a) in flat order, each join by ``closure``.
     Oracle for ``FlagRepresentation.cover_steps``."""
-    return tuple((f, a, lattice.join(f, a)) for f in lattice.flats for a in lattice.atoms())
+    return tuple((f, a, lattice_join(lattice, f, a)) for f in lattice.flats for a in lattice.atoms())
 
 
 def swap_sign(v):
@@ -600,7 +607,7 @@ def verify_arrangement_oracle(arr):
         for subset in combinations(atoms, k):
             h = lattice.bottom
             for a in subset:
-                h = lattice.join(h, a)
+                h = lattice_join(lattice, h, a)
             inter = complexes[subset[0]]
             for a in subset[1:]:
                 inter = inter.intersection(complexes[a])
@@ -624,7 +631,7 @@ def verify_arrangement_oracle(arr):
     drop_ok = True
     for h, inter in seen.items():
         for g in atoms:
-            gh = lattice.join(g, h)
+            gh = lattice_join(lattice, g, h)
             if gh == h:
                 continue
             if lattice.rank(gh) != lattice.rank(h) + 1:
@@ -662,7 +669,7 @@ def embedding_face_lines_oracle(emb, images=None):
 def order_tables_oracle(lattice):
     """Each flat's element mask, and its up-set and down-set as bitsets over
     positions in ``flats``, by comparing every pair of masks.  Oracle for
-    ``GeometricLattice.order``."""
+    ``verify_geometric``'s ``Poset`` and ``GeometricLattice.up``/``down``."""
     flats = lattice.flats
     pos = {e: i for i, e in enumerate(lattice.elements)}
     masks = [sum(1 << pos[e] for e in f) for f in flats]
@@ -711,11 +718,11 @@ def heights_oracle(lattice):
 
 def order_heights_oracle(lattice):
     """Each flat's chain height, walking ``flats`` in key order: the flats
-    strictly inside f are its down-set in the lattice's ``order`` less f,
+    strictly inside f are its down-set in ``order_tables_oracle`` less f,
     and levels[k] is the bitset of the flats of height k.  Oracle for
-    ``GeometricLattice._heights``, which builds no order table."""
+    ``GeometricLattice._heights``, which reads ``holding`` instead."""
     h, levels = {}, {}
-    for i, (f, below) in enumerate(zip(lattice.flats, lattice.order.down)):
+    for i, (f, below) in enumerate(zip(lattice.flats, order_tables_oracle(lattice)[2])):
         below ^= 1 << i
         k = next((k + 1 for k in reversed(levels) if levels[k] & below), 0)
         levels[k] = levels.get(k, 0) | 1 << i

@@ -16,6 +16,7 @@ from matroid_spheres import topology
 from matroid_spheres.cli import main
 from matroid_spheres import MatroidInputError
 from matroid_spheres.jsonio import complex_from_json, load_vector_config_file
+from matroid_spheres.lattice import Flag
 from conftest import face_labels, frozen, member_labels, used_vertices
 from conftest import poisoned_source, poisoned_target, reduces_to_point, repeated_coatom, repeated_g_part
 from conftest import with_dropped_facet
@@ -744,6 +745,123 @@ def test_verify_prints_a_failing_line(runner, monkeypatch, poison, failing, args
         assert {line.split(":")[0] for line in lines if ": FAIL" in line} == failing
         assert run(runner, *cmd).output.splitlines() == passing  # the memoized representation is untouched
 
+
+def fresh_embedding(emb, flag=None, pivots=None, images=None, deltas=()):
+    """A fresh embedding of emb's covectors, over a fresh representation of
+    emb's flag (never the memoized one), with the given flag, pivots, image
+    table and order complexes in place of emb's."""
+    mutant = oriented.Embedding(emb.cs, emb.lattice, emb.flag if flag is None else flag,
+                                FlagRepresentation(emb.lattice, emb.flag), emb.pivots if pivots is None else pivots)
+    if images is not None:
+        vars(mutant)["images"] = images
+    mutant._deltas.update(deltas)
+    return mutant
+
+
+def flag_bottom_repeated(emb):
+    """The flag's bottom read as its first flat: the coatoms over flag[0] are
+    no longer every cocircuit's zero set."""
+    return fresh_embedding(emb, flag=Flag((emb.flag[1],) + emb.flag.chain[1:]))
+
+
+def flag_top_repeated(emb):
+    """The flag's top read as its coatom: a coatom lies over flag[r], where
+    no cocircuit vanishes on every pivot."""
+    return fresh_embedding(emb, flag=Flag(emb.flag.chain[:-1] + (emb.flag.chain[-2],)))
+
+
+def swapped_pivots(emb, i):
+    pivots = list(emb.pivots)
+    pivots[i], pivots[i + 1] = pivots[i + 1], pivots[i]
+    return fresh_embedding(emb, pivots=tuple(pivots))
+
+
+def first_pivots_swapped(emb):
+    """Pivots 0 and 1 traded: the first pivot is not in flag[1], and on
+    U(3,4) each cocircuit through the second takes its sign from the wrong
+    element."""
+    return swapped_pivots(emb, 0)
+
+
+def last_pivots_swapped(emb):
+    return swapped_pivots(emb, len(emb.pivots) - 2)
+
+
+def first_cocircuit_and_negative(emb):
+    x = min(emb.cs.cocircuits)
+    return x, oriented.neg(x, len(emb.cs.elements))
+
+
+def cocircuit_images_swapped(emb):
+    """The first cocircuit and its negative trade images: every image is
+    still a face over its zero set and the images are still one-to-one and
+    swap-equivariant, but a tope above the cocircuit no longer holds it."""
+    x, minus = first_cocircuit_and_negative(emb)
+    return fresh_embedding(emb, images={**emb.images, x: emb.images[minus], minus: emb.images[x]})
+
+
+def cocircuit_onto_its_negative(emb):
+    """The first cocircuit takes its negative's image."""
+    x, minus = first_cocircuit_and_negative(emb)
+    return fresh_embedding(emb, images={**emb.images, x: emb.images[minus]})
+
+
+def delta_not_a_sphere(emb, flat):
+    """Delta(L_G) of the flat with its first maximal face dropped: a disk."""
+    delta = emb.delta(flat)
+    return fresh_embedding(emb, deltas={flat: SimplicialComplex(delta.vertices, sorted(delta.maximal_faces)[1:])})
+
+
+def bottom_delta_not_a_sphere(emb):
+    return delta_not_a_sphere(emb, emb.lattice.bottom)
+
+
+def atom_delta_not_a_sphere(emb):
+    return delta_not_a_sphere(emb, sorted(emb.lattice.atoms(), key=emb.lattice.key)[0])
+
+
+PIVOT_SWAP_FAILS = frozenset({"well-defined", "block-signs-agree", "covector-flats-into-spheres", "carrier-covers"})
+IMAGE_SWAP_FAILS = frozenset({"order-preserving", "carrier-covers"})
+COLLISION_FAILS = IMAGE_SWAP_FAILS | {"injective", "z2-equivariant"}
+
+EMBED_MUTANTS = {  # line of om embed on U(3,4): (a mutant that fails it, every line that mutant fails)
+    "pivots/coatoms@0": (flag_bottom_repeated, frozenset({"pivots/coatoms@0"})),
+    "pivots/coatoms@1": (first_pivots_swapped, PIVOT_SWAP_FAILS | {"pivots/coatoms@1"}),
+    "pivots/coatoms@2": (last_pivots_swapped, PIVOT_SWAP_FAILS | {"pivots/coatoms@2"}),
+    "pivots/coatoms@3": (flag_top_repeated, frozenset({"pivots/coatoms@3"})),
+    "well-defined": (first_pivots_swapped, PIVOT_SWAP_FAILS | {"pivots/coatoms@1"}),
+    "block-signs-agree": (first_pivots_swapped, PIVOT_SWAP_FAILS | {"pivots/coatoms@1"}),
+    "injective": (cocircuit_onto_its_negative, COLLISION_FAILS),
+    "order-preserving": (cocircuit_images_swapped, IMAGE_SWAP_FAILS),
+    "covector-flats-into-spheres": (first_pivots_swapped, PIVOT_SWAP_FAILS | {"pivots/coatoms@1"}),
+    "z2-equivariant": (cocircuit_onto_its_negative, COLLISION_FAILS),
+    "homology-ambient": (bottom_delta_not_a_sphere, frozenset({"homology-ambient", "homology-per-flat"})),
+    "homology-per-flat": (atom_delta_not_a_sphere, frozenset({"homology-per-flat"})),
+    "carrier-covers": (cocircuit_images_swapped, IMAGE_SWAP_FAILS),
+}
+EMBED_KINDS = {mutate.__name__: (mutate, fails) for mutate, fails in EMBED_MUTANTS.values()}
+
+
+def test_every_embed_line_has_a_mutant(runner):
+    result = run(runner, "om", "embed", "--json", DATA / "u34_vec.json")
+    assert list(EMBED_MUTANTS) == [c["name"] for c in json.loads(result.stdout)["checks"]]
+    assert all(line in fails for line, (_, fails) in EMBED_MUTANTS.items())
+    assert len(EMBED_KINDS) == len({mutate for mutate, _ in EMBED_MUTANTS.values()})
+
+
+@pytest.mark.parametrize("kind", sorted(EMBED_KINDS))
+def test_embed_mutant_fails_exactly_its_lines(runner, monkeypatch, kind):
+    # each mutant as om embed's embedding; the memoized representation and
+    # the real embedding's caches are left untouched
+    mutate, fails = EMBED_KINDS[kind]
+    build = oriented.build_embedding
+    passing = run(runner, "om", "embed", "--json", DATA / "u34_vec.json").stdout
+    monkeypatch.setattr(oriented, "build_embedding", lambda *args: mutate(build(*args)))
+    result = run(runner, "om", "embed", "--json", DATA / "u34_vec.json")
+    assert result.exit_code == 1, result.output
+    assert {c["name"] for c in json.loads(result.stdout)["checks"] if not c["passed"]} == fails
+    monkeypatch.undo()
+    assert run(runner, "om", "embed", "--json", DATA / "u34_vec.json").stdout == passing
 
 def test_verify_exact_nerve_b5_exits_0(runner, tmp_path):
     # S_0 of B_5 has 32 facets: past the size a facet-subset scan can reach

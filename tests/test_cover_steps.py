@@ -25,7 +25,7 @@ from matroid_spheres import (
 )
 from matroid_spheres import topology
 from matroid_spheres.cli import main
-from conftest import complex_of, frozen, sorted_faces, used_vertices
+from conftest import complex_of, frozen, lattice_join, sorted_faces, used_vertices
 from conftest import (
     DATA,
     arrangement_flats_oracle,
@@ -55,7 +55,7 @@ DERANDOMIZED = settings(derandomize=True, database=None, max_examples=150, deadl
 def intersection_law_oracle(rep):
     built = {g: rep.build(g) for g in rep.lattice.flats}
     return all(
-        built[g].intersection(built[h]) == built[rep.lattice.join(g, h)]
+        built[g].intersection(built[h]) == built[lattice_join(rep.lattice, g, h)]
         for g, h in combinations_with_replacement(rep.lattice.flats, 2)
     )
 
@@ -336,7 +336,7 @@ def test_cover_steps_are_every_flat_and_atom():
     rep = FlagRepresentation(lattice, default_flag(lattice))
     steps = rep.cover_steps
     assert len(steps) == len(lattice.flats) * len(lattice.atoms())
-    assert all(fa == lattice.join(f, a) for f, a, fa in steps)
+    assert all(fa == lattice_join(lattice, f, a) for f, a, fa in steps)
 
 
 COVER_STEP_LATTICES = {

@@ -9,9 +9,10 @@ must pass every other line of ``verify_geometric``.  ``closure_oracle`` is
 the scan over every flat that ``GeometricLattice.closure``'s bitsets
 replaced, and ``heights_oracle`` the scan that ``GeometricLattice._heights``'
 level bitsets replaced; ``order_heights_oracle`` reads the same levels off
-the order table, which ``_heights`` no longer builds.  ``order_tables_oracle``, ``upper_covers_oracle`` and
-``all_complete_flags_oracle`` are the pairwise up/down loop, the frozenset
-scan and the recursion that the lattice's one order table replaced.
+``order_tables_oracle``, the pairwise up/down loop that ``verify_geometric``'s
+``Poset`` and the lattice's ``up`` and ``down`` replaced.
+``upper_covers_oracle`` and ``all_complete_flags_oracle`` are the frozenset
+scan and the recursion that covers and flags read off ``holding`` replaced.
 """
 
 import json
@@ -33,9 +34,10 @@ from matroid_spheres import (
     verify_geometric,
 )
 from matroid_spheres.report import ValidationReport
+from matroid_spheres.topology import Poset
 from conftest import (
-    all_complete_flags_oracle, boolean_matroid, heights_oracle, order_heights_oracle, order_tables_oracle,
-    upper_covers_oracle,
+    all_complete_flags_oracle, boolean_matroid, heights_oracle, lattice_join, order_heights_oracle,
+    order_tables_oracle, upper_covers_oracle,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -93,7 +95,7 @@ def verify_geometric_oracle(lattice: GeometricLattice, intervals: bool = True) -
         semi = True
         witness = ""
         for x, y in combinations(flats, 2):
-            jxy = lattice.join(x, y)
+            jxy = lattice_join(lattice, x, y)
             if rk[x] + rk[y] < rk[x & y] + rk[jxy]:
                 semi = False
                 witness = f"rank({sorted(x)})+rank({sorted(y)}) < rank(meet)+rank(join)"
@@ -230,12 +232,15 @@ def test_interval_line_matches_interval_loop_on_data():
 
 
 def assert_same_order(lattice):
-    """Masks, up- and down-sets and every flat's covers; and, on a ranked
-    family, whose bottom and top are its one minimal and one maximal flat,
-    every flag in the same order."""
-    order = lattice.order
+    """Masks, up- and down-sets, both ``verify_geometric``'s table and the
+    lattice's reads off ``holding``, and every flat's covers; and, on a
+    ranked family, whose bottom and top are its one minimal and one maximal
+    flat, every flag in the same order."""
+    masks, up, down = order_tables_oracle(lattice)
+    order = Poset(lattice.flats, masks)
     assert order.elements == lattice.flats
-    assert (order.masks, order.up, order.down) == order_tables_oracle(lattice)
+    assert (order.masks, order.up, order.down) == (masks, up, down)
+    assert [(lattice.up(f), lattice.down(f)) for f in lattice.flats] == list(zip(up, down))
     for f in lattice.flats:
         assert lattice.upper_covers(f) == upper_covers_oracle(lattice, f), sorted(f)
     if verify_geometric(lattice)["ranked"].passed:

@@ -14,7 +14,7 @@ from matroid_spheres import (
     uniform_matroid,
     verify_geometric,
 )
-from conftest import FANO_COLUMNS
+from conftest import FANO_COLUMNS, lattice_join
 
 
 def gf2_rank(vectors):
@@ -145,9 +145,9 @@ def test_meet_join_examples(u24, fano):
     # the meet of two flats is their intersection
     a, b = frozenset({"1"}), frozenset({"2"})
     assert a & b in u24
-    assert u24.join(a, b) == frozenset({"1", "2", "3", "4"})
+    assert lattice_join(u24, a, b) == frozenset({"1", "2", "3", "4"})
     for x in u24.flats:
-        assert u24.join(x, u24.bottom) == x
+        assert lattice_join(u24, x, u24.bottom) == x
     line1 = fano.closure({"1", "2"})
     line2 = fano.closure({"1", "4"})
     assert line1 & line2 == frozenset({"1"}) and line1 & line2 in fano
@@ -160,7 +160,7 @@ def test_meet_join_against_exhaustive_oracle(u24):
             lower = [f for f in flats if f <= x and f <= y]
             upper = [f for f in flats if x <= f and y <= f]
             assert x & y == max(lower, key=len)
-            assert u24.join(x, y) == min(upper, key=len)
+            assert lattice_join(u24, x, y) == min(upper, key=len)
 
 
 def test_rank_corank_atoms_coatoms(u24, fano):
@@ -200,7 +200,7 @@ def flag_restrict(lattice, flag, x):
     maximal: geometric lattices are not lower semimodular, e.g. in U_{3,4}
     meeting {3,4} into the flag 0 < {1} < {1,2} < E gives only two flats.
     """
-    upper = dict.fromkeys(lattice.join(x, f) for f in flag.chain)
+    upper = dict.fromkeys(lattice_join(lattice, x, f) for f in flag.chain)
     lower = dict.fromkeys(x & f for f in flag.chain)
     return tuple(upper), tuple(lower)
 

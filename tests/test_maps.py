@@ -37,7 +37,7 @@ from matroid_spheres import maps, topology
 from matroid_spheres.cli import main
 from matroid_spheres.maps import CrossSelection, RetractDescriptor, SelectionError
 from matroid_spheres.report import CheckResult, ValidationReport
-from conftest import complex_of, frozen, label_faces, sorted_faces, tuples
+from conftest import complex_of, frozen, label_faces, lattice_join, sorted_faces, tuples
 from conftest import (
     DATA,
     boolean_matroid,
@@ -262,7 +262,7 @@ def test_g_parts_are_the_jordan_hoelder_permutation(u24, u34, bool3, n134, fano)
     for lattice, f, g in every_ordered_pair(u24, u34, bool3, n134, fano):
         sel = select_cross_coatoms(representation(lattice, f), representation(lattice, g))
         pi = tuple(
-            max(j for j in range(lattice.r) if not f[i + 1] <= lattice.join(f[i], g[j]))
+            max(j for j in range(lattice.r) if not f[i + 1] <= lattice_join(lattice, f[i], g[j]))
             for i in range(lattice.r)
         )
         assert sel.g_parts == pi, (f.chain, g.chain)
